@@ -20,6 +20,7 @@ __all__ = [
     "AmdParams",
     "AmdCodeword",
     "amd_tag",
+    "amd_tag_int",
     "amd_verify",
     "amd_encode",
     "amd_rate",
@@ -69,6 +70,29 @@ def amd_tag(params: AmdParams, s, x: ExtFieldElement) -> ExtFieldElement:
     for sym in s:
         xp = f.mul(xp, x)
         h = f.add(h, f.mul(sym, xp))
+    return h
+
+
+def amd_tag_int(params: AmdParams, s, x) -> np.ndarray:
+    """amd_tag on int-encoded elements, by Horner's rule over the field tables.
+
+    h = x*(s_1 + x*(s_2 + ... + x*(s_d + x*x))).  ``s`` holds symbol ints
+    with the d symbols on its last axis and ``x`` seed ints; their leading
+    axes broadcast, so one call tags a whole batch of messages or seeds.
+    """
+    f = params.field
+    tables = f.tables()
+    add, mul = tables["add"], tables["mul"]
+    s = np.asarray(s, dtype=np.int64)
+    x = np.asarray(x, dtype=np.int64)
+    if s.ndim < 1 or s.shape[-1] != params.d:
+        raise ValueError(f"message must have {params.d} symbols on its last axis")
+    for a in (s, x):
+        if a.size and (a.min() < 0 or a.max() >= f.order):
+            raise ValueError(f"element ints must lie in [0, {f.order})")
+    h = mul[x, x]
+    for i in range(params.d - 1, -1, -1):
+        h = mul[x, add[s[..., i], h]]
     return h
 
 

@@ -66,24 +66,39 @@ class PhaseRecord:
     node2_active: bool = True
 
 
-def phase1(cfg: ChannelConfig, x1, x2, rng: np.random.Generator) -> np.ndarray:
-    """Relay observation: x1 + x2 + Zr (exact sum in noiseless mode)."""
+def _add_noise(y: np.ndarray, var: float, rng, noise) -> np.ndarray:
+    if noise is None:
+        return y + rng.normal(0.0, np.sqrt(var), size=y.shape)
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != y.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match {y.shape}")
+    return y + np.sqrt(var) * noise
+
+
+def phase1(cfg: ChannelConfig, x1, x2, rng: np.random.Generator | None,
+           noise=None) -> np.ndarray:
+    """Relay observation: x1 + x2 + Zr (exact sum in noiseless mode).
+
+    Zr is drawn from ``rng``, or scaled from ``noise`` (standard normal
+    draws of the signal's shape) when given; arrays may carry leading
+    batch axes.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != x2.shape:
         raise ValueError(f"length mismatch: {x1.shape} vs {x2.shape}")
     y = x1 + x2
     if not cfg.noiseless:
-        y = y + rng.normal(0.0, np.sqrt(cfg.noise_var_relay), size=x1.shape)
+        y = _add_noise(y, cfg.noise_var_relay, rng, noise)
     return y
 
 
-def phase2(cfg: ChannelConfig, xr, rng: np.random.Generator) -> np.ndarray:
-    """Destination observation: xr + Z_R."""
-    xr = np.asarray(xr, dtype=float)
-    y = xr
+def phase2(cfg: ChannelConfig, xr, rng: np.random.Generator | None,
+           noise=None) -> np.ndarray:
+    """Destination observation: xr + Z_R, with Z_R as Zr in phase1."""
+    y = np.asarray(xr, dtype=float)
     if not cfg.noiseless:
-        y = y + rng.normal(0.0, np.sqrt(cfg.noise_var_dest), size=xr.shape)
+        y = _add_noise(y, cfg.noise_var_dest, rng, noise)
     return y
 
 
@@ -147,12 +162,17 @@ def relay_step(
     in_dither: np.ndarray,
     out_dither_index: int,
     power_limit: float | None = None,
+    draws=None,
 ) -> np.ndarray:
     """Relay transmission for the latest received block.
 
     ``in_dither`` is the dither sum the honest relay removes before
     decoding (d1 + d2 when both end nodes transmit, d1 alone when node 2
     is silent); the forward uses dither index ``out_dither_index``.
+    Received blocks may carry leading batch axes, one row per trial, for
+    every behavior but ``CustomRelay``.  ``draws`` are the random garble's
+    uniform coords in [0, q) of the block's shape; when None they are
+    drawn from ``mr``.
     """
     yr = yr_history[-1]
     if isinstance(behavior, HonestRelay):
@@ -160,13 +180,13 @@ def relay_step(
         return codebook_point(pair, t_hat, out_dither_index)
     if isinstance(behavior, SubstituteLattice):
         t3 = _cycle_pattern(behavior.pattern, pair.N, pair.q)
-        return codebook_point(pair, t3, out_dither_index)
+        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)), out_dither_index)
     if isinstance(behavior, AdditiveLatticeOffset):
         t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
         delta = _cycle_pattern(behavior.pattern, pair.N, pair.q)
         return codebook_point(pair, lattice_add(pair, t_hat, delta), out_dither_index)
     if isinstance(behavior, RandomGarble):
-        t = mr.integers(0, pair.q, size=pair.N)
+        t = mr.integers(0, pair.q, size=np.shape(yr)) if draws is None else draws
         return codebook_point(pair, t, out_dither_index)
     if isinstance(behavior, CustomRelay):
         xr = np.asarray(behavior.fn(mr, list(yr_history), w), dtype=float)

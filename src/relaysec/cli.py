@@ -30,7 +30,7 @@ from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, Substitut
 from .extract import DiscreteDistribution, ExtractorParams, leakage_budget, r_max
 from .fields import ExtField
 from .lattice import NestedLatticePair
-from .protocol import ProtocolParams, TwoHopProtocol, rate_accounting
+from .protocol import ProtocolParams, _protocol_cache, rate_accounting
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -281,7 +281,9 @@ SIM_COLUMNS = [
 
 def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) -> int:
     params = _build_params(cfg)
-    proto = TwoHopProtocol(params)
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"simulate seed {seed} must lie in [0, 2^128), the Philox key range")
+    proto = _protocol_cache(params)
     sim_cfg = cfg.get("simulate", {})
     trials = sim_cfg.get("trials", 1000)
     rows = []

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExtField, ExtFieldElement, complete_and_invert, matrix_row_rank, sample_matrix
-from .lattice import NestedLatticePair, codebook_point, enumerate_coords
+from .lattice import (
+    NestedLatticePair,
+    codebook_point,
+    coords_to_index,
+    enumerate_coords,
+)
 
 __all__ = [
     "ExtractorMap",
@@ -49,6 +54,7 @@ __all__ = [
     "build_encoder",
     "encode_message",
     "decode_message",
+    "decode_ranks",
     "search_good_extractor",
     "SearchResult",
 ]
@@ -79,11 +85,11 @@ class ExtractorMap:
 
 
 def extract_seed(emap: ExtractorMap, t1) -> np.ndarray:
-    """Matrix-vector product over GF(q)."""
+    """Matrix-vector product over GF(q), over any leading batch axes."""
     t1 = np.asarray(t1, dtype=np.int64)
-    if t1.shape != (emap.N,):
-        raise ValueError(f"input must have shape ({emap.N},), got {t1.shape}")
-    return (emap.matrix @ t1) % emap.q
+    if t1.ndim < 1 or t1.shape[-1] != emap.N:
+        raise ValueError(f"input must have shape (..., {emap.N}), got {t1.shape}")
+    return (t1 @ emap.matrix.T) % emap.q
 
 
 def seed_to_element(field: ExtField, vec) -> ExtFieldElement:
@@ -286,7 +292,9 @@ class EncoderMap:
     """Invertible encoder between bit vectors and a codebook subset K.
 
     ``v`` ranks the 2^N0 smallest-norm codebook points;
-    encode: t1 = v^-1(A [S'; S]), decode: S = g v(t1).
+    encode: t1 = v^-1(A [S'; S]), decode: S = g v(t1).  ``rank_table`` is
+    v as a dense array over coords indices (see ``coords_to_index``), -1
+    outside K.
     """
 
     g: np.ndarray
@@ -297,9 +305,15 @@ class EncoderMap:
     r0: int
     subset: list[tuple[int, ...]]  # rank -> canonical coords
     rank_of: dict[tuple[int, ...], int]
+    subset_coords: np.ndarray  # subset as a (2^N0, N) array
+    rank_table: np.ndarray
+
+    def ranks(self, t1) -> np.ndarray:
+        """v(t1) over any leading batch axes, -1 where t1 is outside K."""
+        return self.rank_table[coords_to_index(self.pair, t1)]
 
     def contains(self, t1) -> bool:
-        return tuple(int(v) for v in t1) in self.rank_of
+        return bool(self.ranks(t1) >= 0)
 
 
 def build_encoder(
@@ -333,40 +347,44 @@ def build_encoder(
     ranked.sort()
     subset = [coords for _, coords in ranked[: 2**N0]]
     rank_of = {coords: i for i, coords in enumerate(subset)}
+    subset_coords = np.array(subset, dtype=np.int64)
+    rank_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
+    rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset))
     return EncoderMap(
-        g=g, g_prime=g_prime, A=a, pair=pair, N0=N0, r0=r0,
-        subset=subset, rank_of=rank_of,
+        g=g, g_prime=g_prime, A=a, pair=pair, N0=N0, r0=r0, subset=subset,
+        rank_of=rank_of, subset_coords=subset_coords, rank_table=rank_table,
     )
 
 
-def _bits_to_index(bits: np.ndarray) -> int:
-    return int(np.sum(bits.astype(np.int64) << np.arange(len(bits))))
-
-
-def _index_to_bits(k: int, length: int) -> np.ndarray:
-    return (k >> np.arange(length)) & 1
-
-
 def encode_message(enc: EncoderMap, s_bits, s_prime_bits) -> np.ndarray:
-    """t1 = v^-1(A [S'; S]); uniform (S, S') gives uniform t1 over K."""
+    """t1 = v^-1(A [S'; S]); uniform (S, S') gives uniform t1 over K.
+
+    Bit vectors may carry leading batch axes; t1 gets the same ones.
+    """
     s_bits = np.asarray(s_bits, dtype=np.int64) % 2
     s_prime_bits = np.asarray(s_prime_bits, dtype=np.int64) % 2
-    if s_bits.shape != (enc.r0,):
+    if s_bits.ndim < 1 or s_bits.shape[-1] != enc.r0:
         raise ValueError(f"message bits must have length {enc.r0}")
-    if s_prime_bits.shape != (enc.N0 - enc.r0,):
+    if s_prime_bits.shape != s_bits.shape[:-1] + (enc.N0 - enc.r0,):
         raise ValueError(f"randomizer bits must have length {enc.N0 - enc.r0}")
-    stacked = np.concatenate([s_prime_bits, s_bits])
-    bits = (enc.A @ stacked) % 2
-    return np.array(enc.subset[_bits_to_index(bits)], dtype=np.int64)
+    stacked = np.concatenate([s_prime_bits, s_bits], axis=-1)
+    bits = (stacked @ enc.A.T) % 2
+    rank = bits @ (1 << np.arange(enc.N0, dtype=np.int64))
+    return enc.subset_coords[rank]
+
+
+def decode_ranks(enc: EncoderMap, ranks) -> np.ndarray:
+    """S = g v for ranks v in [0, 2^N0), over any leading batch axes."""
+    bits = (np.asarray(ranks, dtype=np.int64)[..., None] >> np.arange(enc.N0)) & 1
+    return (bits @ enc.g.T) % 2
 
 
 def decode_message(enc: EncoderMap, t1) -> np.ndarray:
     """S = g v(t1); raises KeyError when t1 is outside the subset K."""
-    key = tuple(int(v) for v in t1)
-    if key not in enc.rank_of:
-        raise KeyError(f"coords {key} are not in the encoder subset")
-    bits = _index_to_bits(enc.rank_of[key], enc.N0)
-    return (enc.g @ bits) % 2
+    ranks = enc.ranks(t1)
+    if np.any(ranks < 0):
+        raise KeyError(f"coords {np.asarray(t1).tolist()} are not in the encoder subset")
+    return decode_ranks(enc, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -277,23 +277,14 @@ class ExtField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.pow(a, self.order - 2)
 
-    # -- integer-indexed operation tables (used by the exhaustive oracles) --
+    # -- integer-indexed operation tables (the int-encoded field) ---------
 
     def tables(self) -> dict[str, np.ndarray]:
-        """ADD/SUB/MUL/NEG tables indexed by to_int encoding."""
-        n = self.order
-        elems = [self.from_int(k) for k in range(n)]
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                add[i, j] = self.to_int(self.add(elems[i], elems[j]))
-                mul[i, j] = self.to_int(self.mul(elems[i], elems[j]))
-        neg = np.array(
-            [self.to_int(self.neg(e)) for e in elems], dtype=np.int64
-        )
-        sub = add[:, neg]
-        return {"add": add, "sub": sub, "mul": mul, "neg": neg}
+        """ADD/SUB/MUL/NEG tables indexed by to_int encoding.
+
+        Built once per (q, r, modulus) and shared read-only.
+        """
+        return _op_tables(self.q, self.r, self.modulus)
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,6 +299,33 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField(q={self.q}, r={self.r}, modulus={self.modulus})"
+
+
+@lru_cache(maxsize=8)
+def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Operation tables of GF(q^r), computed on coefficient arrays.
+
+    Element k has the base-q digits of k as coefficients (lowest degree
+    first), as in ``ExtField.to_int``.
+    """
+    n = q**r
+    radix = q ** np.arange(r, dtype=np.int64)
+    coeffs = (np.arange(n, dtype=np.int64)[:, None] // radix) % q
+    a, b = coeffs[:, None, :], coeffs[None, :, :]
+    add = ((a + b) % q) @ radix
+    prod = np.zeros((n, n, 2 * r - 1), dtype=np.int64)
+    for i in range(r):
+        prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
+    mod = np.array(modulus, dtype=np.int64)
+    for deg in range(2 * r - 2, r - 1, -1):  # reduce by the monic modulus
+        lead = prod[:, :, deg] % q
+        prod[:, :, deg - r : deg + 1] -= lead[:, :, None] * mod
+    mul = (prod[:, :, :r] % q) @ radix
+    neg = ((-coeffs) % q) @ radix
+    tables = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg}
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ Each codebook point is identified by its canonical coordinate vector in
 ``[0, q)^N``, and coordinate-wise reduction mod q is an isomorphism onto
 GF(q)^N for the mod-coarse addition.
 
+The per-vector functions (``quantize_coarse``, ``mod_coarse``,
+``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``,
+``lattice_sub``, ``coords_to_index``) also take arrays with leading batch
+axes, shape ``(..., N)``, and validate shape and range once per call over
+the whole array.
+
 The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sum`` packs those
 bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
@@ -88,8 +94,8 @@ class NestedLatticePair:
 
 def _check_len(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (pair.N,):
-        raise ValueError(f"vector must have shape ({pair.N},), got {x.shape}")
+    if x.ndim < 1 or x.shape[-1] != pair.N:
+        raise ValueError(f"vector must have shape (..., {pair.N}), got {x.shape}")
     return x
 
 
@@ -118,9 +124,9 @@ def in_fundamental_region(pair: NestedLatticePair, x: np.ndarray) -> bool:
 
 def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
     c = np.asarray(c, dtype=np.int64)
-    if c.shape != (pair.N,):
-        raise ValueError(f"coords must have shape ({pair.N},), got {c.shape}")
-    if np.any(c < 0) or np.any(c >= pair.q):
+    if c.ndim < 1 or c.shape[-1] != pair.N:
+        raise ValueError(f"coords must have shape (..., {pair.N}), got {c.shape}")
+    if c.size and (c.min() < 0 or c.max() >= pair.q):
         raise ValueError(f"coords must be canonical in [0, {pair.q})")
     return c
 
@@ -135,26 +141,26 @@ def codebook_point(
 
 def enumerate_coords(pair: NestedLatticePair):
     """All q^N canonical coordinate vectors in lexicographic order."""
-    idx = np.arange(pair.q**pair.N)
-    for k in idx:
-        yield index_to_coords(pair, int(k))
+    yield from index_to_coords(pair, np.arange(pair.q**pair.N))
 
 
-def index_to_coords(pair: NestedLatticePair, k: int) -> np.ndarray:
-    """Mixed-radix decoding: coordinate 0 is the least significant digit."""
-    c = np.zeros(pair.N, dtype=np.int64)
-    for i in range(pair.N):
-        c[i] = k % pair.q
-        k //= pair.q
-    return c
+def _radix(pair: NestedLatticePair) -> np.ndarray:
+    return pair.q ** np.arange(pair.N, dtype=np.int64)
 
 
-def coords_to_index(pair: NestedLatticePair, c) -> int:
+def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
+    """Mixed-radix decoding: coordinate 0 is the least significant digit.
+
+    ``k`` may be an int or an int array; the coords get a trailing axis.
+    """
+    return (np.asarray(k, dtype=np.int64)[..., None] // _radix(pair)) % pair.q
+
+
+def coords_to_index(pair: NestedLatticePair, c):
+    """Inverse of index_to_coords, over any leading batch axes."""
     c = _check_coords(pair, c)
-    k = 0
-    for digit in reversed(c):
-        k = k * pair.q + int(digit)
-    return k
+    k = c @ _radix(pair)
+    return int(k) if k.ndim == 0 else k
 
 
 def coords_to_field(pair: NestedLatticePair, c) -> np.ndarray:
@@ -223,9 +229,9 @@ def decode_fine_mod_coarse(
     coordinate to the nearest integer (ties toward -inf), reduces mod q.
     """
     y = _check_len(pair, y)
-    if dither_offset is None:
-        dither_offset = np.zeros(pair.N)
-    z = (y - np.asarray(dither_offset, dtype=float)) / pair.alpha
+    if dither_offset is not None:
+        y = y - np.asarray(dither_offset, dtype=float)
+    z = y / pair.alpha
     rounded = np.ceil(z - 0.5).astype(np.int64)
     return rounded % pair.q
 

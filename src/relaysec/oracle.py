@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .amd import AmdParams
+from .amd import AmdParams, amd_tag_int
 from .extract import DiscreteDistribution, leftover_bound, renyi_entropy
 from .fields import full_rank_fraction, matrix_row_rank
 from .lattice import (
@@ -342,41 +342,25 @@ def exact_amd_win_census(
         s = tuple(f.zero() for _ in range(d))
     s = tuple(s)
     tables = f.tables()
-    add, sub, mul = tables["add"], tables["sub"], tables["mul"]
+    add, sub = tables["add"], tables["sub"]
     xs = np.arange(order)
-    # powers[i][y] = y^i for i = 1..d+2 in integer encoding
-    pow_int = np.zeros((d + 3, order), dtype=np.int64)
-    pow_int[0] = f.to_int(f.one())
-    for i in range(1, d + 3):
-        pow_int[i] = mul[pow_int[i - 1], xs]
-
+    shifted = add[:, xs]  # shifted[dx, x] = x + dx
+    cells = xs[:, None] * order  # row offsets flattening (dx, dh)
     s_int = np.array([f.to_int(sym) for sym in s], dtype=np.int64)
-
-    def tag_all(sym_ints: np.ndarray, x_idx: np.ndarray) -> np.ndarray:
-        acc = pow_int[d + 2][x_idx]
-        for i in range(d):
-            acc = add[acc, mul[sym_ints[i], pow_int[i + 1][x_idx]]]
-        return acc
-
-    base_tag = tag_all(s_int, xs)
-    histogram: dict[int, int] = {}
+    base_tag = amd_tag_int(params, s_int, xs)
+    hist = np.zeros(order + 1, dtype=np.int64)
     max_hits = 0
-    attacks = 0
     for s_prime in product(range(order), repeat=d):
         sp = np.array(s_prime, dtype=np.int64)
-        same_msg = bool(np.array_equal(sp, s_int))
-        for dx in range(order):
-            shifted = add[xs, dx]
-            diff = sub[tag_all(sp, shifted), base_tag]  # forged dh making x pass
-            counts = np.bincount(diff, minlength=order)
-            for dh in range(order):
-                if same_msg and dx == 0 and dh == 0:
-                    continue  # no perturbation at all
-                hits = int(counts[dh])
-                histogram[hits] = histogram.get(hits, 0) + 1
-                attacks += 1
-                if hits > max_hits:
-                    max_hits = hits
+        diff = sub[amd_tag_int(params, sp, shifted), base_tag]  # forged dh making x pass
+        # counts[dx, dh]: seeds x that verify under the attack (s', dx, dh)
+        counts = np.bincount((diff + cells).ravel(), minlength=order * order)
+        if np.array_equal(sp, s_int):
+            counts[0] = -1  # no perturbation at all
+        hist += np.bincount(counts + 1, minlength=order + 2)[1:]
+        max_hits = max(max_hits, int(counts.max()))
+    histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
+    attacks = int(hist.sum())
     bound = (d + 1) / order
     return AmdCensus(
         max_success=max_hits / order,

@@ -13,6 +13,16 @@ The destination recovers h_hat = u_hat - k_hat and accepts iff the
 decoded message verifies against (x_hat, h_hat).  A Byzantine relay that
 forces a different message survives that check with probability at most
 (d+1)/q^r plus a term that vanishes with the block length.
+
+Trials run in batches: every stage works on ``(B, ...)`` integer arrays,
+one row per trial, and GF(q^r) elements are ints in ``[0, q^r)`` (base-q
+digits = polynomial coefficients, lowest degree first, which are also the
+coords of the r-dimensional tag code).  Trial i of seed S draws all its
+randomness from a fixed block of 64-bit words of the counter-based
+generator ``numpy.random.Philox(key=S)`` (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
+(S, i) whatever the batch size or worker count.  ``draw_layout`` gives the
+word layout; ``uniform_ints`` and ``box_muller`` turn words into draws.
 """
 
 from __future__ import annotations
@@ -20,28 +30,38 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, amd_verify, win_bound
-from .channel import ChannelConfig, PhaseRecord, phase1, phase2, relay_step
+from .amd import AmdParams, amd_tag_int, amd_verify, win_bound
+from .channel import (
+    ChannelConfig,
+    CustomRelay,
+    PhaseRecord,
+    RandomGarble,
+    phase1,
+    phase2,
+    relay_step,
+)
 from .extract import (
     EncoderMap,
     ExtractorMap,
     build_encoder,
-    decode_message,
-    element_to_vector,
+    decode_ranks,
     encode_message,
+    extract_seed,
     r0_max,
     r_max,
-    seed_to_element,
 )
 from .fields import ExtField, ExtFieldElement
 from .lattice import (
     NestedLatticePair,
     average_codebook_power,
     codebook_point,
+    coords_to_index,
     decode_fine_mod_coarse,
+    index_to_coords,
     lattice_sub,
 )
 
@@ -50,12 +70,19 @@ __all__ = [
     "ProtocolOutcome",
     "RateReport",
     "SimReport",
+    "TrialBatch",
     "TwoHopProtocol",
     "accept_decision",
+    "box_muller",
+    "draw_layout",
     "rate_accounting",
     "payload_bits",
+    "uniform_ints",
     "wilson_interval",
 ]
+
+MAX_FIELD_ORDER = 1024  # q^r cap: the engine keeps q^r x q^r int tables
+BATCH_TRIALS = 512  # trials per engine call in monte_carlo
 
 
 @dataclass(frozen=True)
@@ -89,6 +116,11 @@ class ProtocolParams:
         cap = r_max(self.N, self.q, self.epsilon)
         if self.r > cap:
             raise ValueError(f"r = {self.r} exceeds the extractable cap {cap}")
+        if self.q**self.r > MAX_FIELD_ORDER:
+            raise ValueError(
+                f"GF({self.q}^{self.r}) has more than {MAX_FIELD_ORDER} elements, "
+                "the largest field the simulator tabulates"
+            )
         msg_cap = r0_max(self.msg_N, math.log2(self.msg_q), self.epsilon)
         if self.msg_r0 > msg_cap or self.msg_r0 < 1:
             raise ValueError(
@@ -116,6 +148,38 @@ class ProtocolOutcome:
     u_hat: ExtFieldElement
     h_hat: ExtFieldElement
     records: tuple = ()
+
+
+@dataclass(frozen=True)
+class TrialBatch:
+    """Trials start..stop-1 as arrays, one row per trial; elements are ints.
+
+    ``s_hat`` rows are meaningful only where ``decodable``; ``records``
+    holds one PhaseRecord of ``(B, dim)`` arrays per hop when kept.
+    """
+
+    s: np.ndarray  # (B, d)
+    s_hat: np.ndarray  # (B, d)
+    decodable: np.ndarray  # (B,) bool
+    accepted: np.ndarray  # (B,) bool
+    x: np.ndarray
+    x_hat: np.ndarray
+    k: np.ndarray
+    k_hat: np.ndarray
+    u: np.ndarray
+    u_hat: np.ndarray
+    h_hat: np.ndarray
+    records: tuple = ()
+
+    def decode_errors(self) -> np.ndarray:
+        """Trials whose destination did not recover the sent message."""
+        return ~self.decodable | np.any(self.s_hat != self.s, axis=1)
+
+    def counts(self) -> np.ndarray:
+        """(decode errors, false rejects, adversary wins) over the batch."""
+        err = self.decode_errors()
+        return np.array([err.sum(), (~err & ~self.accepted).sum(),
+                         (err & self.accepted).sum()], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -177,6 +241,119 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# ---------------------------------------------------------------------------
+# per-trial randomness
+# ---------------------------------------------------------------------------
+
+
+def uniform_ints(words: np.ndarray, q: int) -> np.ndarray:
+    """Uniform ints in [0, q) from 64-bit words: floor(w * q / 2^64), exactly.
+
+    Each value is hit by floor(2^64/q) or ceil(2^64/q) words, so its
+    probability is within 2^-64 of 1/q.  The product is split into 32-bit
+    halves so no intermediate exceeds 64 bits (q < 2^32).
+    """
+    if not 1 <= q < 2**32:
+        raise ValueError(f"q = {q} must lie in [1, 2^32)")
+    w = np.asarray(words, dtype=np.uint64)
+    qq = np.uint64(q)
+    half = np.uint64(32)
+    low = (w & np.uint64(0xFFFFFFFF)) * qq
+    return (((w >> half) * qq + (low >> half)) >> half).astype(np.int64)
+
+
+def box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from 64-bit words, one per word, by Box-Muller.
+
+    Words 2j and 2j+1 give u1 = ((w_2j >> 11) + 1) / 2^53 in (0, 1] and
+    u2 = (w_2j+1 >> 11) / 2^53 in [0, 1); normal 2j is
+    sqrt(-2 ln u1) cos(2 pi u2) and normal 2j+1 the same with sin.  The
+    last axis must have even length.
+    """
+    w = np.asarray(words, dtype=np.uint64)
+    if w.shape[-1] % 2:
+        raise ValueError("Box-Muller needs an even number of words")
+    shift = np.uint64(11)
+    u1 = ((w[..., 0::2] >> shift) + np.uint64(1)) * 2.0**-53
+    u2 = (w[..., 1::2] >> shift) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.empty(w.shape, dtype=float)
+    z[..., 0::2] = radius * np.cos(theta)
+    z[..., 1::2] = radius * np.sin(theta)
+    return z
+
+
+def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
+    """Word ranges of one trial's draws, in order, and its padded length W.
+
+    With n = 2N + r + blocks*msg_N channel uses per trial (hops in order:
+    seed stage 0, seed stage 1, tag stage, message blocks):
+
+    message   d words, the message symbols, uniform in [0, q^r)
+    seed      4N words: per seed stage, N source coords then N jam coords,
+              uniform in [0, q)
+    blocks    per message block, N0 - r0 randomizer bits (uniform in
+              [0, 2)) then msg_N jam coords (uniform in [0, msg_q))
+    relay     n words, one per channel use: the random garble's coords,
+              uniform in [0, q) of that hop's code
+    noise     2n words through Box-Muller: normals 0..n-1 are the relay's
+              noise per channel use, normals n..2n-1 the destination's
+              (drawn in every mode, used only in Gaussian mode)
+
+    W rounds the total up to a multiple of 4, the words of one Philox
+    counter block.
+    """
+    p = params
+    n0 = int(math.floor(p.msg_N * math.log2(p.msg_q)))
+    blocks = math.ceil(payload_bits(p.q, p.r, p.d) / p.msg_r0)
+    uses = 2 * p.N + p.r + blocks * p.msg_N
+    sizes = [("message", p.d), ("seed", 4 * p.N),
+             ("blocks", blocks * (n0 - p.msg_r0 + p.msg_N)),
+             ("relay", uses), ("noise", 2 * uses)]
+    layout, at = {}, 0
+    for name, size in sizes:
+        layout[name] = slice(at, at + size)
+        at += size
+    return layout, -(-at // 4) * 4
+
+
+def _trial_key(trial_seed) -> tuple[int, int]:
+    """(seed, index) of a trial; an int or 1-tuple seed means index 0."""
+    key = tuple(trial_seed) if isinstance(trial_seed, (tuple, list)) else (trial_seed,)
+    if len(key) == 1:
+        key += (0,)
+    if len(key) != 2:
+        raise ValueError(f"trial seed must be (seed, index), got {trial_seed!r}")
+    seed, index = (int(v) for v in key)
+    if seed < 0 or index < 0:
+        raise ValueError("trial seed and index must be nonnegative")
+    return seed, index
+
+
+def _custom_relay_rng(seed: int, index: int) -> np.random.Generator:
+    """A custom relay's local randomness in trial index: its own counter block.
+
+    Counter 2^192 + index * 2^64 keeps it clear of every layout word.
+    """
+    return np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + (index << 64)))
+
+
+@dataclass
+class _Chunk:
+    """The layout draws of trials start..stop-1 and the hop in progress."""
+
+    message: np.ndarray  # (B, d) symbol ints
+    seed: np.ndarray  # (B, stage, source/jam, N)
+    randomizer: np.ndarray  # (B, blocks, N0 - r0) bits
+    block_jam: np.ndarray  # (B, blocks, msg_N)
+    relay_words: np.ndarray  # (B, n) raw words
+    noise: np.ndarray | None  # (B, 2n) normals, Gaussian mode only
+    relay_rng: np.random.Generator | None  # custom relays only
+    records: list
+    use: int = 0  # first channel use of the next hop
+
+
 def _default_extractor(q: int, r: int, N: int) -> ExtractorMap:
     """Deterministic full-row-rank map: identity block padded with ones."""
     m = np.hstack([np.eye(r, dtype=np.int64), np.ones((r, N - r), dtype=np.int64)])
@@ -212,29 +389,72 @@ class TwoHopProtocol:
             noise_var_dest=p.noise_var_dest,
             noiseless=p.noiseless,
         )
+        self.layout, self.trial_words = draw_layout(p)
+        tables = self.ext_field.tables()
+        self._add, self._sub = tables["add"], tables["sub"]
+        # message value <-> bits; python ints keep payloads beyond 62 bits exact
+        big = np.int64 if self.payload_bits <= 62 else object
+        self._symbol_weights = np.array(
+            [self.ext_field.order**j for j in range(p.d)], dtype=big)
+        self._bit_shifts = np.arange(self.payload_bits).astype(big)
+        self._powers: tuple[float, float, float] | None = None
 
     # -- message serialization ------------------------------------------
 
     def random_message(self, rng: np.random.Generator) -> tuple[ExtFieldElement, ...]:
         return tuple(self.ext_field.random_element(rng) for _ in range(self.params.d))
 
+    def _symbols_to_bits(self, s: np.ndarray) -> np.ndarray:
+        """(B, d) symbol ints -> (B, payload_bits) bits, least significant first."""
+        value = s.astype(self._symbol_weights.dtype) @ self._symbol_weights
+        return ((value[:, None] >> self._bit_shifts) & 1).astype(np.int64)
+
+    def _bits_to_symbols(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of _symbols_to_bits, with a mask of in-range values."""
+        value = bits.astype(self._bit_shifts.dtype) @ (1 << self._bit_shifts)
+        order = self.ext_field.order
+        symbols = np.empty((len(bits), self.params.d), dtype=np.int64)
+        for j in range(self.params.d):
+            symbols[:, j] = value % order
+            value = value // order
+        return symbols, (value == 0).astype(bool)
+
+    def _elements(self, ints) -> tuple[ExtFieldElement, ...]:
+        return tuple(self.ext_field.from_int(int(v)) for v in ints)
+
     def message_to_bits(self, s) -> np.ndarray:
-        value = 0
-        for sym in reversed(s):
-            value = value * self.ext_field.order + self.ext_field.to_int(sym)
-        # python ints keep this exact for payloads beyond 63 bits
-        return np.array([(value >> i) & 1 for i in range(self.payload_bits)],
-                        dtype=np.int64)
+        ints = np.array([[self.ext_field.to_int(sym) for sym in s]], dtype=np.int64)
+        return self._symbols_to_bits(ints)[0]
 
     def bits_to_message(self, bits: np.ndarray) -> tuple[ExtFieldElement, ...] | None:
-        value = int(np.sum(bits.astype(object) << np.arange(self.payload_bits)))
-        symbols = []
-        for _ in range(self.params.d):
-            symbols.append(self.ext_field.from_int(value % self.ext_field.order))
-            value //= self.ext_field.order
-        if value != 0:  # padding bits beyond the message range were flipped
-            return None
-        return tuple(symbols)
+        symbols, fits = self._bits_to_symbols(np.asarray(bits, dtype=np.int64)[None])
+        # padding bits beyond the message range were flipped
+        return self._elements(symbols[0]) if fits[0] else None
+
+    # -- randomness ---------------------------------------------------------
+
+    def _draws(self, behavior, seed: int, start: int, stop: int) -> _Chunk:
+        """Layout words of trials start..stop-1 from one Philox call."""
+        p, lay, per_trial = self.params, self.layout, self.trial_words
+        bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
+        words = bitgen.random_raw((stop - start) * per_trial).reshape(-1, per_trial)
+        b = len(words)
+        blocks = words[:, lay["blocks"]].reshape(b, self.blocks, -1)
+        n_rand = self.encoder.N0 - self.encoder.r0
+        noise = None if p.noiseless else box_muller(words[:, lay["noise"]])
+        custom = isinstance(behavior, CustomRelay)
+        if custom and b != 1:
+            raise ValueError("custom relays run one trial per call")
+        return _Chunk(
+            message=uniform_ints(words[:, lay["message"]], self.ext_field.order),
+            seed=uniform_ints(words[:, lay["seed"]], p.q).reshape(b, 2, 2, p.N),
+            randomizer=uniform_ints(blocks[:, :, :n_rand], 2),
+            block_jam=uniform_ints(blocks[:, :, n_rand:], p.msg_q),
+            relay_words=words[:, lay["relay"]],
+            noise=noise,
+            relay_rng=_custom_relay_rng(seed, start) if custom else None,
+            records=[],
+        )
 
     # -- stage primitives -------------------------------------------------
 
@@ -245,79 +465,114 @@ class TwoHopProtocol:
         t2: np.ndarray | None,
         behavior,
         w,
-        noise_rng: np.random.Generator,
-        attack_rng: np.random.Generator,
-        records: list[PhaseRecord],
+        chunk: _Chunk,
     ) -> np.ndarray:
         """One two-phase exchange; returns the destination's decoded coords."""
+        a, b = chunk.use, chunk.use + pair.N
+        chunk.use = b
+        noise_r = noise_d = None
+        if chunk.noise is not None:
+            uses = chunk.noise.shape[1] // 2
+            noise_r, noise_d = chunk.noise[:, a:b], chunk.noise[:, uses + a : uses + b]
         x1 = codebook_point(pair, t1, 1)
         if t2 is None:
-            x2 = np.zeros(pair.N)
+            x2 = np.zeros_like(x1)
             in_dither = pair.dither(1)
         else:
             x2 = codebook_point(pair, t2, 2)
             in_dither = pair.dither(1) + pair.dither(2)
-        yr = phase1(self.channel, x1, x2, noise_rng)
-        xr = relay_step(
-            behavior, pair, [yr], attack_rng, w, in_dither, 3,
-            power_limit=self.params.power_limit,
-        )
-        y2 = phase2(self.channel, xr, noise_rng)
-        records.append(PhaseRecord(x1=x1, x2=x2, yr=yr, xr=xr, y2=y2,
-                                   node2_active=t2 is not None))
+        yr = phase1(self.channel, x1, x2, None, noise=noise_r)
+        if isinstance(behavior, CustomRelay):  # its callable sees one trial
+            xr = relay_step(behavior, pair, [yr[0]], chunk.relay_rng, w, in_dither, 3,
+                            power_limit=self.params.power_limit)[None]
+        else:
+            garble = None
+            if isinstance(behavior, RandomGarble):
+                garble = uniform_ints(chunk.relay_words[:, a:b], pair.q)
+            xr = relay_step(behavior, pair, [yr], None, w, in_dither, 3,
+                            power_limit=self.params.power_limit, draws=garble)
+        y2 = phase2(self.channel, xr, None, noise=noise_d)
+        chunk.records.append(PhaseRecord(x1=x1, x2=x2, yr=yr, xr=xr, y2=y2,
+                                         node2_active=t2 is not None))
         return decode_fine_mod_coarse(pair, y2, pair.dither(3))
 
-    def _seed_stage(self, behavior, w, rngs, records):
+    def _seed_stage(self, behavior, w, chunk: _Chunk, stage: int):
         """Stages 0/1: jammed exchange, hashed on both sides."""
-        source_rng, jam_rng, noise_rng, attack_rng = rngs
-        t1 = source_rng.integers(0, self.params.q, size=self.params.N)
-        t2 = jam_rng.integers(0, self.params.q, size=self.params.N)
-        t_hat = self._hop(self.seed_pair, t1, t2, behavior, w,
-                          noise_rng, attack_rng, records)
+        t1, t2 = chunk.seed[:, stage, 0], chunk.seed[:, stage, 1]
+        t_hat = self._hop(self.seed_pair, t1, t2, behavior, w, chunk)
         t1_hat = lattice_sub(self.seed_pair, t_hat, t2)
-        source = seed_to_element(
-            self.ext_field, (self.extractor.matrix @ t1) % self.params.q
-        )
-        dest = seed_to_element(
-            self.ext_field, (self.extractor.matrix @ t1_hat) % self.params.q
-        )
+        source = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1))
+        dest = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1_hat))
         return source, dest
 
-    def _tag_stage(self, behavior, w, u: ExtFieldElement, rngs, records):
+    def _tag_stage(self, behavior, w, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
         """Stage 2: node 2 silent, u rides the r-dimensional code directly."""
-        _, _, noise_rng, attack_rng = rngs
-        u_coords = element_to_vector(u)
-        u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, w,
-                                 noise_rng, attack_rng, records)
-        return seed_to_element(self.ext_field, u_hat_coords)
+        u_coords = index_to_coords(self.tag_pair, u)
+        u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, w, chunk)
+        return coords_to_index(self.tag_pair, u_hat_coords)
 
-    def _message_stage(self, behavior, w, s, rngs, records):
-        """Stage 3: serialized bits through the encoder, block by block."""
-        source_rng, jam_rng, noise_rng, attack_rng = rngs
-        bits = self.message_to_bits(s)
-        padded = np.zeros(self.blocks * self.params.msg_r0, dtype=np.int64)
-        padded[: self.payload_bits] = bits
+    def _message_stage(self, behavior, w, s: np.ndarray, chunk: _Chunk):
+        """Stage 3: serialized bits through the encoder, block by block.
+
+        Returns the decoded symbols and the rows whose every block landed
+        in K with zero padding and an in-range value.
+        """
+        r0 = self.params.msg_r0
+        bits = self._symbols_to_bits(s)
+        padded = np.zeros((len(s), self.blocks * r0), dtype=np.int64)
+        padded[:, : self.payload_bits] = bits
         out_bits = np.zeros_like(padded)
-        ok = True
+        ok = np.ones(len(s), dtype=bool)
         for b in range(self.blocks):
-            sl = slice(b * self.params.msg_r0, (b + 1) * self.params.msg_r0)
-            s_prime = source_rng.integers(0, 2, size=self.encoder.N0 - self.encoder.r0)
-            t1 = encode_message(self.encoder, padded[sl], s_prime)
-            t2 = jam_rng.integers(0, self.params.msg_q, size=self.params.msg_N)
-            t_hat = self._hop(self.msg_pair, t1, t2, behavior, w,
-                              noise_rng, attack_rng, records)
-            t1_hat = lattice_sub(self.msg_pair, t_hat, t2)
-            if not self.encoder.contains(t1_hat):
-                ok = False
-                continue
-            out_bits[sl] = decode_message(self.encoder, t1_hat)
-        if not ok:
-            return None
-        if np.any(out_bits[self.payload_bits:] != 0):
-            return None  # padding must stay zero for a well-formed message
-        return self.bits_to_message(out_bits[: self.payload_bits])
+            sl = slice(b * r0, (b + 1) * r0)
+            t1 = encode_message(self.encoder, padded[:, sl], chunk.randomizer[:, b])
+            t2 = chunk.block_jam[:, b]
+            t_hat = self._hop(self.msg_pair, t1, t2, behavior, w, chunk)
+            ranks = self.encoder.ranks(lattice_sub(self.msg_pair, t_hat, t2))
+            ok &= ranks >= 0
+            out_bits[:, sl] = decode_ranks(self.encoder, np.maximum(ranks, 0))
+        # padding must stay zero for a well-formed message
+        ok &= ~np.any(out_bits[:, self.payload_bits :], axis=1)
+        s_hat, fits = self._bits_to_symbols(out_bits[:, : self.payload_bits])
+        return s_hat, ok & fits
 
-    # -- full trial --------------------------------------------------------
+    # -- trials -------------------------------------------------------------
+
+    def run_batch(
+        self,
+        behavior,
+        seed: int,
+        start: int,
+        stop: int,
+        messages: np.ndarray | None = None,
+        keep_records: bool = False,
+    ) -> TrialBatch:
+        """Execute stages 0-3 and the acceptance decision for trials start..stop-1.
+
+        Row j is trial start + j of ``seed``, drawn from its words of the
+        layout (see ``draw_layout``); ``messages`` (B, d) symbol ints
+        replace the drawn messages.  Custom relays take one trial per call.
+        """
+        if not 0 <= start < stop:
+            raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
+        chunk = self._draws(behavior, seed, start, stop)
+        s = chunk.message if messages is None else np.asarray(messages, dtype=np.int64)
+        w = self._elements(s[0]) if chunk.relay_rng is not None else None
+
+        x, x_hat = self._seed_stage(behavior, w, chunk, 0)
+        k, k_hat = self._seed_stage(behavior, w, chunk, 1)
+        h = amd_tag_int(self.amd, s, x)
+        u = self._add[h, k]
+        u_hat = self._tag_stage(behavior, w, u, chunk)
+        s_hat, decodable = self._message_stage(behavior, w, s, chunk)
+
+        h_hat = self._sub[u_hat, k_hat]
+        accepted = decodable & (amd_tag_int(self.amd, s_hat, x_hat) == h_hat)
+        return TrialBatch(
+            s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
+            x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
+            records=tuple(chunk.records) if keep_records else (),
+        )
 
     def run_trial(
         self,
@@ -326,49 +581,62 @@ class TwoHopProtocol:
         s: tuple | None = None,
         keep_records: bool = False,
     ) -> ProtocolOutcome:
-        """Execute stages 0-3 and the acceptance decision.
+        """One trial: the B=1 view of ``run_batch``.
 
-        ``trial_seed`` feeds four disjoint substreams (source, jamming,
-        noise, attack), so a trial is a pure function of (seed, params,
-        behavior, message).
+        ``trial_seed`` is (seed, i), and the trial is row i of any batch of
+        that seed: its words are words i*W .. (i+1)*W - 1 of the stream of
+        ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
+        uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
+        noise by ``box_muller``.  An int or 1-tuple seed means i = 0.  A
+        custom relay's local randomness is a Generator on its own counter
+        block, 2^192 + i*2^64.  So a trial is a pure function of (seed, i,
+        params, behavior, message).
         """
-        ss = np.random.SeedSequence(trial_seed)
-        rngs = tuple(np.random.default_rng(child) for child in ss.spawn(4))
-        source_rng = rngs[0]
-        if s is None:
-            s = self.random_message(source_rng)
-        records: list[PhaseRecord] = []
-
-        x, x_hat = self._seed_stage(behavior, s, rngs, records)
-        k, k_hat = self._seed_stage(behavior, s, rngs, records)
-        h = amd_tag(self.amd, s, x)
-        u = h + k
-        u_hat = self._tag_stage(behavior, s, u, rngs, records)
-        s_hat = self._message_stage(behavior, s, s, rngs, records)
-
-        h_hat = u_hat - k_hat
-        accepted = accept_decision(self.amd, s_hat, x_hat, h_hat)
+        seed, index = _trial_key(trial_seed)
+        messages = None
+        if s is not None:
+            messages = np.array([[self.ext_field.to_int(sym) for sym in s]], dtype=np.int64)
+        b = self.run_batch(behavior, seed, index, index + 1, messages, keep_records)
+        s_out = self._elements(b.s[0])
+        s_hat = self._elements(b.s_hat[0]) if b.decodable[0] else None
+        el = self.ext_field.from_int
         return ProtocolOutcome(
-            s=s,
+            s=s_out,
             s_hat=s_hat,
-            accepted=accepted,
-            honest_decode_ok=s_hat == s,
-            x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
-            records=tuple(records) if keep_records else (),
+            accepted=bool(b.accepted[0]),
+            honest_decode_ok=s_hat == s_out,
+            x=el(int(b.x[0])), x_hat=el(int(b.x_hat[0])),
+            k=el(int(b.k[0])), k_hat=el(int(b.k_hat[0])),
+            u=el(int(b.u[0])), u_hat=el(int(b.u_hat[0])), h_hat=el(int(b.h_hat[0])),
+            records=tuple(
+                PhaseRecord(x1=rec.x1[0], x2=rec.x2[0], yr=rec.yr[0], xr=rec.xr[0],
+                            y2=rec.y2[0], node2_active=rec.node2_active)
+                for rec in b.records
+            ),
         )
+
+    def trial_counts(self, behavior, seed: int, start: int, stop: int) -> np.ndarray:
+        """(decode errors, false rejects, adversary wins) over trials start..stop-1."""
+        step = 1 if isinstance(behavior, CustomRelay) else BATCH_TRIALS
+        total = np.zeros(3, dtype=np.int64)
+        for a in range(start, stop, step):
+            total += self.run_batch(behavior, seed, a, min(a + step, stop)).counts()
+        return total
 
     # -- accounting ---------------------------------------------------------
 
     def stage_powers(self) -> tuple[float, float, float]:
         """Measured per-use powers (seed stages, tag stage, message stage)."""
-        p1 = average_codebook_power(self.seed_pair, 1)
-        p2 = average_codebook_power(self.tag_pair, 1)
-        total = 0.0
-        for coords in self.encoder.subset:
-            pt = codebook_point(self.msg_pair, np.array(coords), 1)
-            total += float(np.dot(pt, pt)) / self.msg_pair.N
-        p3 = total / len(self.encoder.subset)
-        return p1, p2, p3
+        if self._powers is None:
+            p1 = average_codebook_power(self.seed_pair, 1)
+            p2 = average_codebook_power(self.tag_pair, 1)
+            total = 0.0
+            for coords in self.encoder.subset:
+                pt = codebook_point(self.msg_pair, np.array(coords), 1)
+                total += float(np.dot(pt, pt)) / self.msg_pair.N
+            p3 = total / len(self.encoder.subset)
+            self._powers = (p1, p2, p3)
+        return self._powers
 
     def rate_report(
         self, P1: float = 0.0, P2: float = 0.0, P: float = 0.0
@@ -396,26 +664,23 @@ class TwoHopProtocol:
     ) -> SimReport:
         """Estimate decode-error, false-reject, and adversary-win rates.
 
-        Trial i is seeded by (seed, i), so reports are identical for any
-        worker count.
+        Trial i is ``run_trial(behavior, (seed, i))``: a pure function of
+        (seed, i) under the word layout of ``draw_layout`` (Philox keyed by
+        the seed, trial i at counter i*W/4), so reports are identical for
+        any worker count and batch size.  Batches of built-in behaviors
+        spread over ``workers`` processes; custom relays, whose callables
+        need not pickle, run in this process one trial at a time.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
-        if workers <= 1:
-            flags = [_trial_flags(self.params, behavior, seed, i) for i in range(trials)]
+        if workers <= 1 or isinstance(behavior, CustomRelay):
+            counts = self.trial_counts(behavior, seed, 0, trials)
         else:
-            chunks = np.array_split(np.arange(trials), workers * 4)
-            args = [
-                (self.params, behavior, seed, int(c[0]), int(c[-1]) + 1)
-                for c in chunks
-                if len(c)
-            ]
+            args = [(self.params, behavior, seed, a, min(a + BATCH_TRIALS, trials))
+                    for a in range(0, trials, BATCH_TRIALS)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_trial_flags_range, args))
-            flags = [f for part in parts for f in part]
-        decode_err = sum(f[0] for f in flags)
-        false_rej = sum(f[1] for f in flags)
-        wins = sum(f[2] for f in flags)
+                counts = sum(pool.map(_trial_counts, args))
+        decode_err, false_rej, wins = (int(c) for c in counts)
         p1, p2, p3 = self.stage_powers()
         rr = self.rate_report(p1, p2, p3)
         return SimReport(
@@ -434,24 +699,12 @@ class TwoHopProtocol:
         )
 
 
-def _trial_flags(params: ProtocolParams, behavior, seed: int, index: int):
-    proto = _protocol_cache(params)
-    out = proto.run_trial(behavior, (seed, index))
-    decode_err = out.s_hat != out.s
-    false_rej = (not decode_err) and (not out.accepted)
-    win = decode_err and out.accepted
-    return int(decode_err), int(false_rej), int(win)
-
-
-def _trial_flags_range(args):
+def _trial_counts(args) -> np.ndarray:
     params, behavior, seed, start, stop = args
-    return [_trial_flags(params, behavior, seed, i) for i in range(start, stop)]
+    return _protocol_cache(params).trial_counts(behavior, seed, start, stop)
 
 
-_CACHE: dict[ProtocolParams, TwoHopProtocol] = {}
-
-
+@lru_cache(maxsize=8)
 def _protocol_cache(params: ProtocolParams) -> TwoHopProtocol:
-    if params not in _CACHE:
-        _CACHE[params] = TwoHopProtocol(params)
-    return _CACHE[params]
+    """The protocol instance for params, kept for the 8 most recent params."""
+    return TwoHopProtocol(params)

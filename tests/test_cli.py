@@ -44,6 +44,13 @@ def test_invalid_amd_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", path]) == 2
 
 
+def test_simulate_seed_beyond_philox_key_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"simulate": {"trials": 1}})
+    assert main(["simulate", "--config", path, "--seed", str(2**128)]) == 2
+    assert "2^128" in capsys.readouterr().err
+    assert main(["simulate", "--config", path, "--seed", str(2**128 - 1)]) == 0
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,0 +1,335 @@
+"""Batched trial engine: draw layout, batch/worker invariance, scalar reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from relaysec import protocol
+from relaysec.amd import AmdParams, amd_tag, amd_tag_int
+from relaysec.channel import (
+    AdditiveLatticeOffset,
+    CustomRelay,
+    HonestRelay,
+    RandomGarble,
+    SubstituteLattice,
+)
+from relaysec.extract import (
+    decode_message,
+    element_to_vector,
+    encode_message,
+    extract_seed,
+    seed_to_element,
+)
+from relaysec.fields import ExtField
+from relaysec.lattice import (
+    codebook_point,
+    decode_fine_mod_coarse,
+    lattice_add,
+    lattice_sub,
+)
+from relaysec.protocol import (
+    ProtocolParams,
+    TwoHopProtocol,
+    accept_decision,
+    box_muller,
+    payload_bits,
+    uniform_ints,
+)
+
+NOISELESS = ProtocolParams()
+GAUSSIAN = ProtocolParams(noiseless=False, alpha=3.6,
+                          noise_var_relay=0.1, noise_var_dest=0.1)
+BEHAVIORS = [HonestRelay(), SubstituteLattice((1,)), AdditiveLatticeOffset((1,)),
+             RandomGarble()]
+FIELDS = ("x", "x_hat", "k", "k_hat", "u", "u_hat", "h_hat", "s", "accepted", "decodable")
+
+
+# ---------------------------------------------------------------------
+# words -> draws
+# ---------------------------------------------------------------------
+
+
+def test_uniform_ints_is_exact_floor():
+    rng = np.random.default_rng(0)
+    words = np.concatenate([
+        rng.integers(0, 2**64, size=2000, dtype=np.uint64),
+        np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
+    ])
+    for q in (1, 2, 3, 5, 25, 1024, 2**31 - 1, 2**32 - 1):
+        got = uniform_ints(words, q)
+        want = [(int(w) * q) >> 64 for w in words]
+        assert got.tolist() == want
+    with pytest.raises(ValueError):
+        uniform_ints(words, 2**32)
+
+
+def test_box_muller_matches_formula():
+    words = np.random.default_rng(1).integers(0, 2**64, size=(3, 8), dtype=np.uint64)
+    z = box_muller(words)
+    for row, out in zip(words, z):
+        for j in range(0, 8, 2):
+            u1 = ((int(row[j]) >> 11) + 1) / 2**53
+            u2 = (int(row[j + 1]) >> 11) / 2**53
+            radius = math.sqrt(-2 * math.log(u1))
+            assert out[j] == pytest.approx(radius * math.cos(2 * math.pi * u2), abs=1e-12)
+            assert out[j + 1] == pytest.approx(radius * math.sin(2 * math.pi * u2), abs=1e-12)
+    extreme = box_muller(np.array([2**64 - 1, 0], dtype=np.uint64))  # u1 = 1
+    assert np.all(np.isfinite(extreme))
+
+
+def test_field_tables_match_element_arithmetic():
+    for q, r in [(2, 3), (3, 2), (5, 2), (7, 1)]:
+        f = ExtField(q, r)
+        t = f.tables()
+        elems = list(f.elements())
+        for a in elems:
+            for b in elems:
+                i, j = f.to_int(a), f.to_int(b)
+                assert t["add"][i, j] == f.to_int(a + b)
+                assert t["sub"][i, j] == f.to_int(a - b)
+                assert t["mul"][i, j] == f.to_int(a * b)
+            assert t["neg"][f.to_int(a)] == f.to_int(-a)
+
+
+def test_int_tag_matches_element_tag():
+    params = AmdParams(field=ExtField(5, 2), d=2)
+    f = params.field
+    rng = np.random.default_rng(2)
+    msgs = rng.integers(0, f.order, size=(40, 2))
+    xs = np.arange(f.order)
+    got = amd_tag_int(params, msgs[:, None, :], xs[None, :])
+    for m, row in zip(msgs, got):
+        s = tuple(f.from_int(int(v)) for v in m)
+        assert [f.to_int(amd_tag(params, s, x)) for x in f.elements()] == row.tolist()
+    with pytest.raises(ValueError):
+        amd_tag_int(params, [0, 25], 1)
+
+
+# ---------------------------------------------------------------------
+# scalar reference from the documented layout
+# ---------------------------------------------------------------------
+
+
+def _unif(word, q):
+    return (int(word) * q) >> 64
+
+
+def _layout_words(params, seed, trials):
+    """Each trial's words, cut from one Philox stream by the documented layout."""
+    p = params
+    n_rand = math.floor(p.msg_N * math.log2(p.msg_q)) - p.msg_r0
+    blocks = math.ceil(payload_bits(p.q, p.r, p.d) / p.msg_r0)
+    uses = 2 * p.N + p.r + blocks * p.msg_N
+    words = p.d + 4 * p.N + blocks * (n_rand + p.msg_N) + 3 * uses
+    words += -words % 4
+    raw = np.random.Philox(key=seed).random_raw(trials * words)
+    return raw.reshape(trials, words), n_rand, blocks, uses
+
+
+def _normals(words):
+    z = []
+    for j in range(0, len(words), 2):
+        u1 = ((int(words[j]) >> 11) + 1) / 2**53
+        u2 = (int(words[j + 1]) >> 11) / 2**53
+        radius = math.sqrt(-2 * math.log(u1))
+        z += [radius * math.cos(2 * math.pi * u2), radius * math.sin(2 * math.pi * u2)]
+    return z
+
+
+def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
+    """One trial through the per-vector lattice, extract and amd functions."""
+    p, f, enc = proto.params, proto.ext_field, proto.encoder
+    at = 0
+
+    def take(count):
+        nonlocal at
+        at += count
+        return words[at - count : at]
+
+    s = tuple(f.from_int(_unif(w, f.order)) for w in take(p.d))
+    seed_words = [take(p.N) for _ in range(4)]  # src0, jam0, src1, jam1
+    block_words = [(take(n_rand), take(p.msg_N)) for _ in range(blocks)]
+    relay_words = take(uses)
+    z = _normals(take(2 * uses)) if not p.noiseless else [0.0] * (2 * uses)
+    use = 0
+
+    def hop(pair, t1, t2):
+        nonlocal use
+        a, b = use, use + pair.N
+        use = b
+        x1 = codebook_point(pair, t1, 1)
+        x2 = np.zeros(pair.N) if t2 is None else codebook_point(pair, t2, 2)
+        in_dither = pair.dither(1) + (0 if t2 is None else pair.dither(2))
+        yr = x1 + x2 + math.sqrt(p.noise_var_relay) * np.array(z[a:b])
+        pattern = np.array([1] * pair.N)
+        if isinstance(behavior, HonestRelay):
+            t3 = decode_fine_mod_coarse(pair, yr, in_dither)
+        elif isinstance(behavior, SubstituteLattice):
+            t3 = pattern
+        elif isinstance(behavior, AdditiveLatticeOffset):
+            t3 = lattice_add(pair, decode_fine_mod_coarse(pair, yr, in_dither), pattern)
+        else:
+            t3 = np.array([_unif(w, pair.q) for w in relay_words[a:b]])
+        y2 = codebook_point(pair, t3, 3) + math.sqrt(p.noise_var_dest) * np.array(
+            z[uses + a : uses + b])
+        return decode_fine_mod_coarse(pair, y2, pair.dither(3))
+
+    seeds = []
+    for stage in range(2):
+        t1 = np.array([_unif(w, p.q) for w in seed_words[2 * stage]])
+        t2 = np.array([_unif(w, p.q) for w in seed_words[2 * stage + 1]])
+        t1_hat = lattice_sub(proto.seed_pair, hop(proto.seed_pair, t1, t2), t2)
+        seeds += [seed_to_element(f, extract_seed(proto.extractor, t1)),
+                  seed_to_element(f, extract_seed(proto.extractor, t1_hat))]
+    x, x_hat, k, k_hat = seeds
+    u = amd_tag(proto.amd, s, x) + k
+    u_hat = seed_to_element(f, hop(proto.tag_pair, element_to_vector(u), None))
+
+    value = sum(f.to_int(sym) * f.order**j for j, sym in enumerate(s))
+    padded = [(value >> i) & 1 for i in range(blocks * p.msg_r0)]
+    out_bits, ok = [], True
+    for blk, (rand_w, jam_w) in enumerate(block_words):
+        bits = padded[blk * p.msg_r0 : (blk + 1) * p.msg_r0]
+        s_prime = [_unif(w, 2) for w in rand_w]
+        t2 = np.array([_unif(w, p.msg_q) for w in jam_w])
+        t1 = encode_message(enc, bits, s_prime)
+        t1_hat = lattice_sub(proto.msg_pair, hop(proto.msg_pair, t1, t2), t2)
+        if enc.contains(t1_hat):
+            out_bits += [int(v) for v in decode_message(enc, t1_hat)]
+        else:
+            ok = False
+            out_bits += [0] * p.msg_r0
+    got = sum(bit << i for i, bit in enumerate(out_bits))
+    s_hat = None
+    if ok and got < f.order**p.d:
+        s_hat = tuple(f.from_int((got // f.order**j) % f.order) for j in range(p.d))
+    h_hat = u_hat - k_hat
+    return {"x": x, "x_hat": x_hat, "k": k, "k_hat": k_hat, "u": u, "u_hat": u_hat,
+            "s": s, "s_hat": s_hat, "accepted": accept_decision(proto.amd, s_hat, x_hat, h_hat)}
+
+
+@pytest.mark.parametrize("params,trials", [
+    (NOISELESS, 200),
+    (GAUSSIAN, 200),
+    (ProtocolParams(d=30), 200),  # a 140-bit payload: serialization past 63 bits
+])
+@pytest.mark.parametrize("behavior", BEHAVIORS)
+def test_engine_matches_scalar_reference(params, trials, behavior):
+    proto = TwoHopProtocol(params)
+    seed = 4242
+    words, n_rand, blocks, uses = _layout_words(params, seed, trials)
+    batch = proto.run_batch(behavior, seed, 0, trials)
+    f = proto.ext_field
+    for i in range(trials):
+        ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
+        for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat"):
+            assert int(getattr(batch, name)[i]) == f.to_int(ref[name]), (i, name)
+        assert tuple(f.from_int(int(v)) for v in batch.s[i]) == ref["s"]
+        s_hat = (tuple(f.from_int(int(v)) for v in batch.s_hat[i])
+                 if batch.decodable[i] else None)
+        assert s_hat == ref["s_hat"], i
+        assert bool(batch.accepted[i]) == ref["accepted"], i
+
+
+# ---------------------------------------------------------------------
+# invariance
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
+def test_reports_identical_across_batch_sizes_and_workers(monkeypatch, params):
+    proto = TwoHopProtocol(params)
+    trials = 120
+    for behavior in BEHAVIORS:
+        reports = []
+        for size in (1, 7, 50, trials):
+            monkeypatch.setattr(protocol, "BATCH_TRIALS", size)
+            reports.append(proto.monte_carlo(behavior, trials, seed=44))
+            reports.append(proto.monte_carlo(behavior, trials, workers=2, seed=44))
+        assert all(r == reports[0] for r in reports), behavior
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
+def test_batch_rows_independent_of_chunking(params):
+    proto = TwoHopProtocol(params)
+    for behavior in BEHAVIORS:
+        whole = proto.run_batch(behavior, 12, 0, 60)
+        parts = [proto.run_batch(behavior, 12, a, min(a + 7, 60)) for a in range(0, 60, 7)]
+        for name in FIELDS + ("s_hat",):
+            joined = np.concatenate([getattr(b, name) for b in parts])
+            assert np.array_equal(getattr(whole, name), joined), (behavior, name)
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
+def test_run_trial_is_row_of_batch(params):
+    proto = TwoHopProtocol(params)
+    f = proto.ext_field
+    for behavior in BEHAVIORS:
+        batch = proto.run_batch(behavior, 5, 0, 30, keep_records=True)
+        for i in (0, 1, 17, 29):
+            out = proto.run_trial(behavior, (5, i), keep_records=True)
+            for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat", "h_hat"):
+                assert f.to_int(getattr(out, name)) == batch.__dict__[name][i]
+            assert [f.to_int(v) for v in out.s] == batch.s[i].tolist()
+            assert out.accepted == batch.accepted[i]
+            assert (out.s_hat is not None) == batch.decodable[i]
+            assert len(out.records) == len(batch.records) == 3 + proto.blocks
+            for rec, brec in zip(out.records, batch.records):
+                for name in ("x1", "x2", "yr", "xr", "y2"):
+                    assert np.array_equal(getattr(rec, name), getattr(brec, name)[i])
+
+
+def test_every_behavior_sees_the_same_messages_and_jams():
+    proto = TwoHopProtocol(NOISELESS)
+    batches = [proto.run_batch(b, 3, 0, 40, keep_records=True) for b in BEHAVIORS]
+    for b in batches[1:]:
+        assert np.array_equal(b.s, batches[0].s)
+        assert np.array_equal(b.x, batches[0].x) and np.array_equal(b.k, batches[0].k)
+        for rec, rec0 in zip(b.records, batches[0].records):
+            assert np.array_equal(rec.x2, rec0.x2)
+
+
+# ---------------------------------------------------------------------
+# custom relays and the instance cache
+# ---------------------------------------------------------------------
+
+
+def test_custom_lambda_relay_runs_with_workers():
+    proto = TwoHopProtocol(NOISELESS)
+    # amplify-and-forward, plus a zero multiple of the relay's own draws
+    relay = CustomRelay(lambda mr, history, w: history[-1] + 0.0 * mr.random(len(history[-1])))
+    one = proto.monte_carlo(relay, 25, workers=1, seed=8)
+    two = proto.monte_carlo(relay, 25, workers=2, seed=8)
+    assert one == two
+    assert one.decode_error_rate == 0.0 and one.false_reject_rate == 0.0
+
+
+def test_custom_relay_randomness_is_its_own_counter_block():
+    proto = TwoHopProtocol(NOISELESS)
+    seen = []
+
+    def relay(mr, history, w):
+        seen.append(int(mr.bit_generator.random_raw()))
+        return history[-1]
+
+    proto.run_trial(CustomRelay(relay), (6, 3))
+    first = list(seen)
+    seen.clear()
+    proto.run_trial(CustomRelay(relay), (6, 3))
+    assert seen == first and len(set(first)) == len(first) == 3 + proto.blocks
+    words, *_ = _layout_words(NOISELESS, 6, 4)
+    assert not set(first) & {int(w) for w in words.ravel()}
+
+
+def test_protocol_cache_is_bounded():
+    protocol._protocol_cache.cache_clear()
+    for i in range(12):
+        protocol._protocol_cache(ProtocolParams(power_limit=10.0 + i))
+    assert protocol._protocol_cache.cache_info().currsize == 8
+    protocol._protocol_cache.cache_clear()
+
+
+def test_field_order_cap_rejected_at_construction():
+    with pytest.raises(ValueError, match="tabulates"):
+        ProtocolParams(q=11, r=3, N=12, d=2)

@@ -125,17 +125,24 @@ def test_substitution_seed_is_g_of_t3_minus_jam():
     """Stage-0 substitution leaves the destination seed g(t3 - t2).
 
     The jamming draw is reproduced from the trial's seeding contract:
-    substream 1 of SeedSequence(trial_seed) feeds node 2, and stage 0
-    draws first.
+    trial i of seed 3 owns words i*W .. (i+1)*W - 1 of Philox(key=3); its
+    stage-0 jam is N words after the d message words and the N stage-0
+    source words, each mapped to floor(w * q / 2^64).
     """
     p = proto(TINY)
+    prm = p.params
     t3 = np.array([2, 4])
+    n_rand = math.floor(prm.msg_N * math.log2(prm.msg_q)) - prm.msg_r0
+    blocks = math.ceil(payload_bits(prm.q, prm.r, prm.d) / prm.msg_r0)
+    uses = 2 * prm.N + prm.r + blocks * prm.msg_N
+    words = prm.d + 4 * prm.N + blocks * (n_rand + prm.msg_N) + 3 * uses
+    words += -words % 4
     outs = set()
     for i in range(50):
         out = p.run_trial(SubstituteLattice(tuple(t3)), (3, i))
-        ss = np.random.SeedSequence((3, i))
-        jam_rng = np.random.default_rng(ss.spawn(4)[1])
-        t2 = jam_rng.integers(0, p.params.q, size=p.params.N)
+        raw = np.random.Philox(key=3).random_raw((i + 1) * words)[i * words:]
+        jam = raw[prm.d + prm.N : prm.d + 2 * prm.N]
+        t2 = np.array([(int(w) * prm.q) >> 64 for w in jam])
         want = (p.extractor.matrix @ ((t3 - t2) % p.params.q)) % p.params.q
         assert p.ext_field.to_int(out.x_hat) == int(want[0])
         outs.add(p.ext_field.to_int(out.x_hat))
@@ -328,3 +335,27 @@ def test_low_noise_gaussian_honest_still_clean():
     report = TwoHopProtocol(params).monte_carlo(HonestRelay(), 500, seed=606)
     assert report.decode_error_rate == 0.0
     assert report.false_reject_rate == 0.0
+
+
+def test_gaussian_honest_relay_clean_at_working_power():
+    """alpha = 3.6 puts the codebook power (25.9) above the rate condition.
+
+    Noise sigma 0.32 against a decision distance of 1.8: an honest relay
+    decodes every trial, and the applied noise has its target moments.
+    """
+    params = ProtocolParams(noiseless=False, alpha=3.6, noise_var_relay=0.1,
+                            noise_var_dest=0.1)
+    p = TwoHopProtocol(params)
+    trials = 2000
+    report = p.monte_carlo(HonestRelay(), trials, seed=36)
+    assert report.decode_error_rate == 0.0
+    assert report.false_reject_rate == 0.0
+
+    batch = p.run_batch(HonestRelay(), 36, 0, trials, keep_records=True)
+    relay = np.concatenate([(rec.yr - rec.x1 - rec.x2).ravel() for rec in batch.records])
+    dest = np.concatenate([(rec.y2 - rec.xr).ravel() for rec in batch.records])
+    for noise, var in [(relay, params.noise_var_relay), (dest, params.noise_var_dest)]:
+        n = len(noise)
+        assert n == trials * p.rate_report().n
+        assert abs(noise.mean()) <= 4 * math.sqrt(var / n)
+        assert abs(noise.var() - var) <= 4 * var * math.sqrt(2 / (n - 1))
