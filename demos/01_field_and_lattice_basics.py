@@ -18,6 +18,7 @@ from relaysec import (
     codebook_point,
     coords_to_field,
     decode_fine_mod_coarse,
+    digits,
     lattice_add,
     mod_coarse,
     reconstruct_sum,
@@ -27,10 +28,16 @@ from relaysec.lattice import enumerate_coords
 
 print("=== extension field GF(3^2) ===")
 gf9 = ExtField(3, 2)
+mul = gf9.tables()["mul"]
 print(f"modulus (lowest degree first): {gf9.modulus}")
-x = gf9.x()
-print(f"x * x = {(x * x).coeffs}   (the modulus folds x^2 back to 2)")
-print(f"x^{gf9.order - 1} = {(x ** (gf9.order - 1)).coeffs}   (multiplicative order divides q^r - 1)")
+print("elements are the ints 0..8; base-3 digit k is the coefficient of x^k")
+x = 3  # coefficients (0, 1)
+print(f"x * x = {mul[x, x]}, coefficients {digits(mul[x, x], 3, 2).tolist()}"
+      "   (the modulus folds x^2 back to 2)")
+power = 1
+for _ in range(gf9.order - 1):
+    power = mul[power, x]
+print(f"x^{gf9.order - 1} = {power}   (multiplicative order divides q^r - 1)")
 
 print()
 print("=== nested lattice codebook, q = 3, N = 2 ===")

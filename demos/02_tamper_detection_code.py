@@ -11,7 +11,7 @@ Run: python demos/02_tamper_detection_code.py
 
 import numpy as np
 
-from relaysec import AmdParams, ExtField, amd_encode, amd_rate, amd_verify, win_bound
+from relaysec import AmdParams, ExtField, amd_rate, amd_tag, amd_verify, digits, win_bound
 from relaysec.oracle import exact_amd_win_census
 
 rng = np.random.default_rng(7)
@@ -19,11 +19,12 @@ rng = np.random.default_rng(7)
 print("=== honest encode/verify, GF(5^2), d = 2 ===")
 field = ExtField(5, 2)
 params = AmdParams(field=field, d=2)
-message = (field.element((3, 1)), field.element((0, 4)))
-cw = amd_encode(params, message, rng)
-print(f"message symbols: {[sym.coeffs for sym in cw.s]}")
-print(f"seed x = {cw.x.coeffs}, tag h = {cw.h.coeffs}")
-print(f"verifies: {amd_verify(params, cw.s, cw.x, cw.h)}")
+message = (8, 20)  # coefficients (3, 1) and (0, 4): base-5 digits, x^0 first
+x = int(rng.integers(0, field.order))  # the uniform seed
+h = int(amd_tag(params, message, x))
+print(f"message symbols: {message}, coefficients {digits(message, 5, 2).tolist()}")
+print(f"seed x = {x} {digits(x, 5, 2).tolist()}, tag h = {h} {digits(h, 5, 2).tolist()}")
+print(f"verifies: {amd_verify(params, message, x, h)}")
 print(f"code rate d/(d+2) = {amd_rate(params):.3f}, "
       f"worst-case attack bound (d+1)/q^r = {win_bound(params):.3f}")
 

@@ -1,15 +1,15 @@
 """Secure two-hop relaying over an untrusted (eavesdropping, Byzantine) relay.
 
-The pieces: exact finite-field arithmetic (``fields``), self-similar
-nested lattice codebooks (``lattice``), the algebraic manipulation
-detection codec (``amd``), privacy amplification and the invertible
-message encoder (``extract``), the two-phase Gaussian channel with
-pluggable relay behaviors (``channel``), the four-stage protocol runner
-(``protocol``), exhaustive verification oracles (``oracle``), and a CLI
-(``cli``).
+The pieces: exact finite-field arithmetic on int-encoded elements
+(``fields``), self-similar nested lattice codebooks (``lattice``), the
+algebraic manipulation detection codec (``amd``), privacy amplification
+and the invertible message encoder (``extract``), the two-phase Gaussian
+channel with pluggable relay behaviors (``channel``), the four-stage
+protocol runner (``protocol``), exhaustive verification oracles
+(``oracle``), and a CLI (``cli``).
 """
 
-from .amd import AmdCodeword, AmdParams, amd_encode, amd_rate, amd_tag, amd_verify, win_bound
+from .amd import AmdParams, amd_rate, amd_tag, amd_verify, win_bound
 from .channel import (
     AdditiveLatticeOffset,
     ChannelConfig,
@@ -45,9 +45,8 @@ from .extract import (
 )
 from .fields import (
     ExtField,
-    ExtFieldElement,
-    PrimeField,
     complete_and_invert,
+    digits,
     find_irreducible,
     matrix_row_rank,
     sample_matrix,

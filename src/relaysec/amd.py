@@ -1,11 +1,11 @@
 """Algebraic manipulation detection codec over GF(q^r).
 
 A codeword is the triple (s, x, h): message vector s of d symbols, a
-random seed x, and the tag h = x^(d+2) + sum_i s_i * x^i.  Any additive
-tampering (s', x + dx, h + dh) passes verification for at most a
-(d+1)/q^r fraction of seeds, provided q is prime and q does not divide
-d + 2, because the mismatch polynomial in x is nonzero of degree at most
-d + 1.
+random seed x, and the tag h = x^(d+2) + sum_i s_i * x^i, every element
+an int in [0, q^r) (see ``fields``).  Any additive tampering
+(s', x + dx, h + dh) passes verification for at most a (d+1)/q^r
+fraction of seeds, provided q is prime and q does not divide d + 2,
+because the mismatch polynomial in x is nonzero of degree at most d + 1.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExtField, ExtFieldElement
+from .fields import ExtField
 
 __all__ = [
     "AmdParams",
-    "AmdCodeword",
     "amd_tag",
-    "amd_tag_int",
     "amd_verify",
-    "amd_encode",
     "amd_rate",
     "win_bound",
     "exhaustive_attack_success",
@@ -45,67 +42,35 @@ class AmdParams:
             )
 
 
-@dataclass(frozen=True)
-class AmdCodeword:
-    s: tuple[ExtFieldElement, ...]
-    x: ExtFieldElement
-    h: ExtFieldElement
+def _check_elements(field: ExtField, *arrays) -> list[np.ndarray]:
+    out = [np.asarray(a, dtype=np.int64) for a in arrays]
+    for a in out:
+        if a.size and (a.min() < 0 or a.max() >= field.order):
+            raise ValueError(f"element ints must lie in [0, {field.order})")
+    return out
 
 
-def _check_message(params: AmdParams, s) -> tuple[ExtFieldElement, ...]:
-    s = tuple(s)
-    if len(s) != params.d:
-        raise ValueError(f"message must have {params.d} symbols, got {len(s)}")
-    for sym in s:
-        params.field._check(sym)
-    return s
-
-
-def amd_tag(params: AmdParams, s, x: ExtFieldElement) -> ExtFieldElement:
-    """h = x^(d+2) + sum_{i=1..d} s_i * x^i."""
-    s = _check_message(params, s)
-    f = params.field
-    h = f.pow(x, params.d + 2)
-    xp = f.one()
-    for sym in s:
-        xp = f.mul(xp, x)
-        h = f.add(h, f.mul(sym, xp))
-    return h
-
-
-def amd_tag_int(params: AmdParams, s, x) -> np.ndarray:
-    """amd_tag on int-encoded elements, by Horner's rule over the field tables.
+def amd_tag(params: AmdParams, s, x) -> np.ndarray:
+    """h = x^(d+2) + sum_{i=1..d} s_i * x^i, by Horner's rule over the tables.
 
     h = x*(s_1 + x*(s_2 + ... + x*(s_d + x*x))).  ``s`` holds symbol ints
     with the d symbols on its last axis and ``x`` seed ints; their leading
     axes broadcast, so one call tags a whole batch of messages or seeds.
     """
-    f = params.field
-    tables = f.tables()
+    tables = params.field.tables()
     add, mul = tables["add"], tables["mul"]
-    s = np.asarray(s, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
+    s, x = _check_elements(params.field, s, x)
     if s.ndim < 1 or s.shape[-1] != params.d:
         raise ValueError(f"message must have {params.d} symbols on its last axis")
-    for a in (s, x):
-        if a.size and (a.min() < 0 or a.max() >= f.order):
-            raise ValueError(f"element ints must lie in [0, {f.order})")
     h = mul[x, x]
     for i in range(params.d - 1, -1, -1):
         h = mul[x, add[s[..., i], h]]
     return h
 
 
-def amd_verify(params: AmdParams, s, x: ExtFieldElement, h: ExtFieldElement) -> bool:
-    """True iff the received triple satisfies the tag rule."""
+def amd_verify(params: AmdParams, s, x, h) -> np.ndarray:
+    """True where the received triple satisfies the tag rule (broadcasting)."""
     return amd_tag(params, s, x) == h
-
-
-def amd_encode(params: AmdParams, s, rng: np.random.Generator) -> AmdCodeword:
-    """Draw a uniform seed and tag the message."""
-    s = _check_message(params, s)
-    x = params.field.random_element(rng)
-    return AmdCodeword(s=s, x=x, h=amd_tag(params, s, x))
 
 
 def amd_rate(params: AmdParams) -> float:
@@ -118,22 +83,18 @@ def win_bound(params: AmdParams) -> float:
     return (params.d + 1) / params.field.order
 
 
-def exhaustive_attack_success(
-    params: AmdParams, s, s_prime, dx: ExtFieldElement, dh: ExtFieldElement
-) -> float:
+def exhaustive_attack_success(params: AmdParams, s, s_prime, dx, dh) -> float:
     """Exact acceptance probability of one additive attack, over uniform x.
 
     Counts the seeds x for which (s', x + dx, tag(s, x) + dh) verifies.
     The perturbation (s' - s, dx, dh) must not be identically zero.
     """
-    s = _check_message(params, s)
-    s_prime = _check_message(params, s_prime)
     f = params.field
-    if s == s_prime and dx.is_zero() and dh.is_zero():
+    s, s_prime, dx, dh = _check_elements(f, s, s_prime, dx, dh)
+    if np.array_equal(s, s_prime) and dx == 0 and dh == 0:
         raise ValueError("attack perturbation must not be identically zero")
-    hits = 0
-    for x in f.elements():
-        forged_tag = f.add(amd_tag(params, s, x), dh)
-        if amd_verify(params, s_prime, f.add(x, dx), forged_tag):
-            hits += 1
+    add = f.tables()["add"]
+    xs = np.arange(f.order)
+    forged_tag = add[amd_tag(params, s, xs), dh]
+    hits = np.count_nonzero(amd_verify(params, s_prime, add[xs, dx], forged_tag))
     return hits / f.order

@@ -136,10 +136,11 @@ class RandomGarble:
 
 @dataclass(frozen=True)
 class CustomRelay:
-    """Arbitrary strategy fn(local_randomness, received_history, message).
+    """Arbitrary strategy fn(local_randomness, received_history, w).
 
-    The callable sees nothing else by construction; its output is clipped
-    to the relay power limit unless enforcement is disabled.
+    ``w`` is the message: a tuple of the d symbol ints in [0, q^r).  The
+    callable sees nothing else by construction; its output is clipped to
+    the relay power limit unless enforcement is disabled.
     """
 
     fn: object
@@ -168,7 +169,8 @@ def relay_step(
 
     ``in_dither`` is the dither sum the honest relay removes before
     decoding (d1 + d2 when both end nodes transmit, d1 alone when node 2
-    is silent); the forward uses dither index ``out_dither_index``.
+    is silent); the forward uses dither index ``out_dither_index``.  ``w``
+    is the message, the d symbol ints; only ``CustomRelay`` reads it.
     Received blocks may carry leading batch axes, one row per trial, for
     every behavior but ``CustomRelay``.  ``draws`` are the random garble's
     uniform coords in [0, q) of the block's shape; when None they are

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExtField, ExtFieldElement, complete_and_invert, matrix_row_rank, sample_matrix
+from .fields import complete_and_invert, digits, matrix_row_rank, sample_matrix
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -39,8 +39,6 @@ __all__ = [
     "EncoderMap",
     "DiscreteDistribution",
     "extract_seed",
-    "seed_to_element",
-    "element_to_vector",
     "seed_uniformity",
     "r_max",
     "r0_max",
@@ -92,18 +90,6 @@ def extract_seed(emap: ExtractorMap, t1) -> np.ndarray:
     return (t1 @ emap.matrix.T) % emap.q
 
 
-def seed_to_element(field: ExtField, vec) -> ExtFieldElement:
-    """Identify a GF(q)^r vector with a GF(q^r) element (polynomial basis)."""
-    vec = np.asarray(vec, dtype=np.int64)
-    if vec.shape != (field.r,):
-        raise ValueError(f"vector must have length {field.r}")
-    return field.element(tuple(int(v) for v in vec))
-
-
-def element_to_vector(a: ExtFieldElement) -> np.ndarray:
-    return np.array(a.coeffs, dtype=np.int64)
-
-
 def seed_uniformity(emap: ExtractorMap) -> tuple["DiscreteDistribution", bool]:
     """Exact output distribution under a uniform input, by enumeration.
 
@@ -118,28 +104,11 @@ def seed_uniformity(emap: ExtractorMap) -> tuple["DiscreteDistribution", bool]:
 def seed_uniformity_raw(matrix: np.ndarray, q: int) -> tuple["DiscreteDistribution", bool]:
     matrix = np.array(matrix, dtype=np.int64) % q
     r, n = matrix.shape
-    total = q**n
-    counts: dict[int, int] = {}
-    radix = q ** np.arange(r, dtype=np.int64) if r else None
-    for k in range(total):
-        t = _digits(k, q, n)
-        out = (matrix @ t) % q
-        key = int(np.dot(out, radix)) if r else 0
-        counts[key] = counts.get(key, 0) + 1
-    n_out = q**r
-    dist = DiscreteDistribution(
-        {key: counts.get(key, 0) / total for key in range(n_out)}
-    )
-    uniform = all(counts.get(key, 0) * n_out == total for key in range(n_out))
-    return dist, uniform
-
-
-def _digits(k: int, q: int, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.int64)
-    for i in range(length):
-        out[i] = k % q
-        k //= q
-    return out
+    total, n_out = q**n, q**r
+    out = (digits(np.arange(total), q, n) @ matrix.T) % q
+    counts = np.bincount(out @ (q ** np.arange(r, dtype=np.int64)), minlength=n_out)
+    dist = DiscreteDistribution({key: int(c) / total for key, c in enumerate(counts)})
+    return dist, bool(np.all(counts * n_out == total))
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +197,17 @@ def leftover_bound(r_bits: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class ExtractorParams:
-    """Block length, alphabet and the smoothing/slack split for the budget.
+    """Block length, alphabet, slack and smoothing for the budget.
 
-    ``epsilon`` splits as epsilon_prime + delta; by default both halves are
-    equal.  ``smoothing`` defaults to epsilon * N.
+    ``smoothing`` defaults to epsilon * N.
     """
 
     N: int
     q: int
     epsilon: float
     smoothing: float | None = None
-    delta: float | None = None
-    epsilon_prime: float | None = None
 
     def __post_init__(self):
-        ep, dl = self.epsilon_prime, self.delta
-        if ep is None and dl is None:
-            ep = dl = self.epsilon / 2.0
-        elif ep is None:
-            ep = self.epsilon - dl
-        elif dl is None:
-            dl = self.epsilon - ep
-        if abs((ep + dl) - self.epsilon) > 1e-12:
-            raise ValueError("epsilon must equal epsilon_prime + delta")
-        object.__setattr__(self, "epsilon_prime", ep)
-        object.__setattr__(self, "delta", dl)
         if self.smoothing is None:
             object.__setattr__(self, "smoothing", self.epsilon * self.N)
 

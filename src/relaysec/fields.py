@@ -1,9 +1,10 @@
 """Exact arithmetic over GF(q) and GF(q^r), plus linear algebra over GF(q).
 
-Prime-field elements are plain Python ints in ``[0, q)``; extension-field
-elements carry their coefficient vector in the polynomial basis (lowest
-degree first) together with a reference to their field.  Matrices over
-GF(q) are integer numpy arrays reduced mod q.
+GF(q) elements are the ints in [0, q).  GF(q^r) elements are the ints in
+[0, q^r): base-q digit k of an element (``digits``) is its coefficient of
+x^k in the polynomial basis, and ``ExtField.tables`` holds the add, sub,
+mul and neg tables indexed by those ints.  Matrices over GF(q) are
+integer numpy arrays reduced mod q.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -18,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "PrimeField",
     "ExtField",
-    "ExtFieldElement",
+    "digits",
     "find_irreducible",
     "is_prime",
     "matrix_row_rank",
@@ -41,6 +41,19 @@ def is_prime(q: int) -> bool:
             return False
         i += 1
     return True
+
+
+def _check_prime(q: int):
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+
+
+def digits(k, q: int, length: int) -> np.ndarray:
+    """Base-q digits of k on a new trailing axis, coordinate 0 least significant.
+
+    ``k`` may be an int or an int array; digit j is (k // q^j) mod q.
+    """
+    return (np.asarray(k, dtype=np.int64)[..., None] // q ** np.arange(length, dtype=np.int64)) % q
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +101,10 @@ def _poly_is_irreducible(p: list[int], q: int) -> bool:
     if p[0] == 0:  # divisible by x
         return False
     for ddeg in range(1, deg // 2 + 1):
-        for k in range(q**ddeg):
-            div = _int_to_digits(k, q, ddeg) + [1]
-            rem = _poly_mod(p, div, q)
-            if rem == [0]:
+        for low in digits(np.arange(q**ddeg), q, ddeg).tolist():
+            if _poly_mod(p, low + [1], q) == [0]:
                 return False
     return True
-
-
-def _int_to_digits(k: int, q: int, length: int) -> list[int]:
-    digits = []
-    for _ in range(length):
-        digits.append(k % q)
-        k //= q
-    return digits
 
 
 @lru_cache(maxsize=None)
@@ -113,204 +116,65 @@ def find_irreducible(q: int, r: int) -> tuple[int, ...]:
     non-leading coefficient vector read as a base-q integer (constant term
     least significant), so the result is deterministic.
     """
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
+    _check_prime(q)
     if r < 1:
         raise ValueError(f"degree must be >= 1, got {r}")
     for k in range(q**r):
-        cand = _int_to_digits(k, q, r) + [1]
+        cand = digits(k, q, r).tolist() + [1]
         if _poly_is_irreducible(cand, q):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
 # ---------------------------------------------------------------------------
-# fields
+# the field
 # ---------------------------------------------------------------------------
 
 
-class PrimeField:
-    """GF(q) for prime q; elements are ints in [0, q)."""
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"q={q} is not prime")
-        self.q = q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for a = 0."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
-
-
+@dataclass(frozen=True)
 class ExtField:
     """GF(q^r) in the polynomial basis modulo a monic irreducible polynomial.
 
-    If no modulus is given, the canonical (lex-first) irreducible is used so
-    that two ExtField(q, r) instances are interchangeable.
+    Elements are the ints in [0, q^r); base-q digit k of an element is its
+    coefficient of x^k.  If no modulus is given, the canonical (lex-first)
+    irreducible is used, so two ExtField(q, r) instances are equal and
+    share their tables.
     """
 
-    def __init__(self, q: int, r: int, modulus: tuple[int, ...] | None = None):
-        self.base = PrimeField(q)
-        self.q = q
-        self.r = r
+    q: int
+    r: int
+    modulus: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        _check_prime(self.q)
+        modulus = self.modulus
         if modulus is None:
-            modulus = find_irreducible(q, r)
-        modulus = tuple(int(c) % q for c in modulus)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
+            modulus = find_irreducible(self.q, self.r)
+        modulus = tuple(int(c) % self.q for c in modulus)
+        if len(modulus) != self.r + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree r")
-        if not _poly_is_irreducible(list(modulus), q):
-            raise ValueError(f"modulus {modulus} is reducible over GF({q})")
-        self.modulus = modulus
-        self.order = q**r
+        if not _poly_is_irreducible(list(modulus), self.q):
+            raise ValueError(f"modulus {modulus} is reducible over GF({self.q})")
+        object.__setattr__(self, "modulus", modulus)
 
-    # -- construction -------------------------------------------------
-
-    def element(self, coeffs) -> "ExtFieldElement":
-        coeffs = tuple(int(c) % self.q for c in coeffs)
-        if len(coeffs) != self.r:
-            raise ValueError(f"need {self.r} coefficients, got {len(coeffs)}")
-        return ExtFieldElement(self, coeffs)
-
-    def zero(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, (0,) * self.r)
-
-    def one(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, (1,) + (0,) * (self.r - 1))
-
-    def x(self) -> "ExtFieldElement":
-        """The generator of the polynomial basis (requires r >= 2)."""
-        if self.r < 2:
-            raise ValueError("x is not a basis element when r == 1")
-        return ExtFieldElement(self, (0, 1) + (0,) * (self.r - 2))
-
-    def from_int(self, k: int) -> "ExtFieldElement":
-        """Inverse of to_int: base-q digits become coefficients."""
-        if not 0 <= k < self.order:
-            raise ValueError(f"index {k} out of range [0, {self.order})")
-        return ExtFieldElement(self, tuple(_int_to_digits(k, self.q, self.r)))
-
-    def to_int(self, a: "ExtFieldElement") -> int:
-        self._check(a)
-        k = 0
-        for c in reversed(a.coeffs):
-            k = k * self.q + c
-        return k
-
-    def elements(self):
-        return (self.from_int(k) for k in range(self.order))
-
-    def random_element(self, rng: np.random.Generator) -> "ExtFieldElement":
-        return self.from_int(int(rng.integers(0, self.order)))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _check(self, a: "ExtFieldElement"):
-        if a.field != self:
-            raise ValueError("element belongs to a different field")
-
-    def add(self, a, b) -> "ExtFieldElement":
-        self._check(a), self._check(b)
-        return ExtFieldElement(
-            self, tuple((x + y) % self.q for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    def sub(self, a, b) -> "ExtFieldElement":
-        self._check(a), self._check(b)
-        return ExtFieldElement(
-            self, tuple((x - y) % self.q for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    def neg(self, a) -> "ExtFieldElement":
-        self._check(a)
-        return ExtFieldElement(self, tuple((-x) % self.q for x in a.coeffs))
-
-    def mul(self, a, b) -> "ExtFieldElement":
-        self._check(a), self._check(b)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs), self.q)
-        rem = _poly_mod(prod, list(self.modulus), self.q)
-        rem = rem + [0] * (self.r - len(rem))
-        return ExtFieldElement(self, tuple(rem[: self.r]))
-
-    def pow(self, a, e: int) -> "ExtFieldElement":
-        """a**e by square-and-multiply; a**0 = 1."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a) -> "ExtFieldElement":
-        self._check(a)
-        if all(c == 0 for c in a.coeffs):
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
-
-    # -- integer-indexed operation tables (the int-encoded field) ---------
+    @property
+    def order(self) -> int:
+        return self.q**self.r
 
     def tables(self) -> dict[str, np.ndarray]:
-        """ADD/SUB/MUL/NEG tables indexed by to_int encoding.
+        """ADD/SUB/MUL/NEG tables indexed by element ints.
 
         Built once per (q, r, modulus) and shared read-only.
         """
         return _op_tables(self.q, self.r, self.modulus)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and other.q == self.q
-            and other.r == self.r
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ExtField", self.q, self.r, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"ExtField(q={self.q}, r={self.r}, modulus={self.modulus})"
-
 
 @lru_cache(maxsize=8)
 def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Operation tables of GF(q^r), computed on coefficient arrays.
-
-    Element k has the base-q digits of k as coefficients (lowest degree
-    first), as in ``ExtField.to_int``.
-    """
+    """Operation tables of GF(q^r), computed on coefficient arrays."""
     n = q**r
     radix = q ** np.arange(r, dtype=np.int64)
-    coeffs = (np.arange(n, dtype=np.int64)[:, None] // radix) % q
+    coeffs = digits(np.arange(n), q, r)
     a, b = coeffs[:, None, :], coeffs[None, :, :]
     add = ((a + b) % q) @ radix
     prod = np.zeros((n, n, 2 * r - 1), dtype=np.int64)
@@ -328,35 +192,6 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
     return tables
 
 
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """Element of GF(q^r): coefficient tuple, lowest degree first."""
-
-    field: ExtField
-    coeffs: tuple[int, ...]
-
-    def __add__(self, other):
-        return self.field.add(self, other)
-
-    def __sub__(self, other):
-        return self.field.sub(self, other)
-
-    def __neg__(self):
-        return self.field.neg(self)
-
-    def __mul__(self, other):
-        return self.field.mul(self, other)
-
-    def __pow__(self, e: int):
-        return self.field.pow(self, e)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"<{self.coeffs} in GF({self.field.q}^{self.field.r})>"
-
-
 # ---------------------------------------------------------------------------
 # matrices over GF(q): plain int64 numpy arrays, entries reduced mod q
 # ---------------------------------------------------------------------------
@@ -364,7 +199,7 @@ class ExtFieldElement:
 
 def matrix_row_rank(m: np.ndarray, q: int) -> int:
     """Row rank via Gaussian elimination over GF(q)."""
-    field = PrimeField(q)
+    _check_prime(q)
     a = np.array(m, dtype=np.int64) % q
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
@@ -379,7 +214,7 @@ def matrix_row_rank(m: np.ndarray, q: int) -> int:
         if pivot is None:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = (a[rank] * field.inv(int(a[rank, col]))) % q
+        a[rank] = (a[rank] * pow(int(a[rank, col]), q - 2, q)) % q
         for row in range(rows):
             if row != rank and a[row, col] != 0:
                 a[row] = (a[row] - a[row, col] * a[rank]) % q
@@ -396,7 +231,7 @@ def sample_matrix(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.
 
 def matrix_inverse(m: np.ndarray, q: int) -> np.ndarray:
     """Inverse of a square matrix over GF(q) by Gauss-Jordan elimination."""
-    field = PrimeField(q)
+    _check_prime(q)
     a = np.array(m, dtype=np.int64) % q
     n = a.shape[0]
     if a.shape != (n, n):
@@ -411,7 +246,7 @@ def matrix_inverse(m: np.ndarray, q: int) -> np.ndarray:
         if pivot is None:
             raise ValueError("matrix is singular over GF(q)")
         aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = (aug[col] * field.inv(int(aug[col, col]))) % q
+        aug[col] = (aug[col] * pow(int(aug[col, col]), q - 2, q)) % q
         for row in range(n):
             if row != col and aug[row, col] != 0:
                 aug[row] = (aug[row] - aug[row, col] * aug[col]) % q

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import is_prime
+from .fields import digits, is_prime
 
 __all__ = [
     "NestedLatticePair",
@@ -153,7 +153,7 @@ def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
 
     ``k`` may be an int or an int array; the coords get a trailing axis.
     """
-    return (np.asarray(k, dtype=np.int64)[..., None] // _radix(pair)) % pair.q
+    return digits(k, pair.q, pair.N)
 
 
 def coords_to_index(pair: NestedLatticePair, c):

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag_int
+from .amd import AmdParams, amd_tag
 from .extract import DiscreteDistribution, leftover_bound, renyi_entropy
-from .fields import full_rank_fraction, matrix_row_rank
+from .fields import digits, full_rank_fraction, matrix_row_rank
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -173,11 +174,7 @@ def _observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
     q, n = pair.q, pair.N
     size = q**n
     t_count = 2**n
-    digits = np.zeros((size, n), dtype=np.int64)
-    k = np.arange(size)
-    for j in range(n):
-        digits[:, j] = k % q
-        k = k // q
+    coords = digits(np.arange(size), q, n)
     coords_idx = np.zeros((size, size), dtype=np.int64)
     wrap_bits = np.zeros((size, size), dtype=np.int64)
     for j in range(n):
@@ -197,7 +194,7 @@ def _observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
                     sub, np.array(rep.sum_mod), offset
                 )[0]
                 wrap[c1, c2] = rep.T - 1
-        d1j = digits[:, j]
+        d1j = coords[:, j]
         coords_idx += sum_digit[np.ix_(d1j, d1j)] * q**j
         wrap_bits += wrap[np.ix_(d1j, d1j)] << j
     obs = coords_idx * t_count + wrap_bits
@@ -207,13 +204,27 @@ def _observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
 def _obs_cache(pair: NestedLatticePair, cap: int):
     # the guard applies per call: a warm cache must not widen a caller's cap
     _guard(pair.q ** (2 * pair.N), cap, "codeword-pair enumeration")
-    key = (pair.N, pair.q, pair.alpha, pair.d1, pair.d2)
-    if key not in _OBS_CACHE:
-        _OBS_CACHE[key] = _observation_index(pair)
-    return _OBS_CACHE[key]
+    return _cached_observation_index(pair)
 
 
-_OBS_CACHE: dict = {}
+@lru_cache(maxsize=4)  # a leakage scan over N = 1..3 reuses three entries
+def _cached_observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
+    return _observation_index(pair)
+
+
+def _seed_obs_counts(pair: NestedLatticePair, g: np.ndarray, cap: int) -> np.ndarray:
+    """Joint counts [seed index, observation id] over all q^(2N) codeword pairs."""
+    if g.shape[1] != pair.N:
+        raise ValueError(f"extractor must have {pair.N} columns")
+    obs_flat, n_obs = _obs_cache(pair, cap)
+    q, n = pair.q, pair.N
+    size = q**n
+    r = g.shape[0]
+    radix_r = q ** np.arange(r, dtype=np.int64)
+    seed = ((digits(np.arange(size), q, n) @ g.T) % q) @ radix_r  # one seed index per t1
+    seed_flat = np.repeat(seed, size)
+    joint_flat = np.bincount(seed_flat * n_obs + obs_flat, minlength=(q**r) * n_obs)
+    return joint_flat.reshape(q**r, n_obs)
 
 
 def exact_seed_leakage(
@@ -227,23 +238,7 @@ def exact_seed_leakage(
     g = np.array(g, dtype=np.int64) % pair.q
     if g.shape[0] == 0:
         return 0.0
-    if g.shape[1] != pair.N:
-        raise ValueError(f"extractor must have {pair.N} columns")
-    obs_flat, n_obs = _obs_cache(pair, cap)
-    q, n = pair.q, pair.N
-    size = q**n
-    digits = np.zeros((size, n), dtype=np.int64)
-    k = np.arange(size)
-    for i in range(n):
-        digits[:, i] = k % q
-        k = k // q
-    r = g.shape[0]
-    radix_r = q ** np.arange(r, dtype=np.int64)
-    seed = ((digits @ g.T) % q) @ radix_r  # one seed index per t1
-    seed_flat = np.repeat(seed, size)
-    joint_flat = np.bincount(seed_flat * n_obs + obs_flat, minlength=(q**r) * n_obs)
-    joint = joint_flat.reshape(q**r, n_obs)
-    return mutual_information_bits(joint)
+    return mutual_information_bits(_seed_obs_counts(pair, g, cap))
 
 
 def seed_leakage_two_path(
@@ -251,23 +246,9 @@ def seed_leakage_two_path(
 ) -> tuple[float, float]:
     """Leakage via the direct sum and via H(seed) + H(obs) - H(joint)."""
     g = np.array(g, dtype=np.int64) % pair.q
-    obs_flat, n_obs = _obs_cache(pair, cap)
-    q, n = pair.q, pair.N
-    size = q**n
-    digits = np.zeros((size, n), dtype=np.int64)
-    k = np.arange(size)
-    for i in range(n):
-        digits[:, i] = k % q
-        k = k // q
-    r = g.shape[0]
-    if r == 0:
+    if g.shape[0] == 0:
         return 0.0, 0.0
-    radix_r = q ** np.arange(r, dtype=np.int64)
-    seed = ((digits @ g.T) % q) @ radix_r
-    seed_flat = np.repeat(seed, size)
-    joint = np.bincount(
-        seed_flat * n_obs + obs_flat, minlength=(q**r) * n_obs
-    ).reshape(q**r, n_obs)
+    joint = _seed_obs_counts(pair, g, cap)
     direct = mutual_information_bits(joint)
     decomposed = (
         _entropy_from_counts(joint.sum(axis=1))
@@ -332,27 +313,24 @@ def exact_amd_win_census(
     maximum is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
     s-dependent terms can contribute; the small-field tests confirm that
-    by sweeping s.
+    by sweeping s.  ``s`` is d symbol ints, all zero by default.
     """
     f = params.field
     d = params.d
     order = f.order
     _guard(order ** (d + 2), cap, "attack enumeration")
-    if s is None:
-        s = tuple(f.zero() for _ in range(d))
-    s = tuple(s)
+    s_int = np.zeros(d, dtype=np.int64) if s is None else np.asarray(s, dtype=np.int64)
     tables = f.tables()
     add, sub = tables["add"], tables["sub"]
     xs = np.arange(order)
     shifted = add[:, xs]  # shifted[dx, x] = x + dx
     cells = xs[:, None] * order  # row offsets flattening (dx, dh)
-    s_int = np.array([f.to_int(sym) for sym in s], dtype=np.int64)
-    base_tag = amd_tag_int(params, s_int, xs)
+    base_tag = amd_tag(params, s_int, xs)
     hist = np.zeros(order + 1, dtype=np.int64)
     max_hits = 0
     for s_prime in product(range(order), repeat=d):
         sp = np.array(s_prime, dtype=np.int64)
-        diff = sub[amd_tag_int(params, sp, shifted), base_tag]  # forged dh making x pass
+        diff = sub[amd_tag(params, sp, shifted), base_tag]  # forged dh making x pass
         # counts[dx, dh]: seeds x that verify under the attack (s', dx, dh)
         counts = np.bincount((diff + cells).ravel(), minlength=order * order)
         if np.array_equal(sp, s_int):
@@ -457,11 +435,7 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
     n_mat = q ** (r * N)
     n_vec = q**N
     _guard(n_mat * n_vec, cap, "universal hash census")
-    vecs = np.zeros((n_vec, N), dtype=np.int64)
-    k = np.arange(n_vec)
-    for i in range(N):
-        vecs[:, i] = k % q
-        k = k // q
+    vecs = digits(np.arange(n_vec), q, N)
     radix = q ** np.arange(r, dtype=np.int64)
     images = np.zeros((n_mat, n_vec), dtype=np.int64)
     for gi, entries in enumerate(product(range(q), repeat=r * N)):
@@ -501,11 +475,7 @@ def leftover_census(q: int, N: int, r: int, dist: DiscreteDistribution, cap: int
     probs = np.zeros(n_vec, dtype=float)
     for key, p in dist.probs.items():
         probs[int(key)] = p
-    vecs = np.zeros((n_vec, N), dtype=np.int64)
-    k = np.arange(n_vec)
-    for i in range(N):
-        vecs[:, i] = k % q
-        k = k // q
+    vecs = digits(np.arange(n_vec), q, N)
     radix = q ** np.arange(r, dtype=np.int64)
     total = 0.0
     for entries in product(range(q), repeat=r * N):

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag_int, amd_verify, win_bound
+from .amd import AmdParams, amd_tag, amd_verify, win_bound
 from .channel import (
     ChannelConfig,
     CustomRelay,
@@ -54,7 +54,7 @@ from .extract import (
     r0_max,
     r_max,
 )
-from .fields import ExtField, ExtFieldElement
+from .fields import ExtField
 from .lattice import (
     NestedLatticePair,
     average_codebook_power,
@@ -72,7 +72,6 @@ __all__ = [
     "SimReport",
     "TrialBatch",
     "TwoHopProtocol",
-    "accept_decision",
     "box_muller",
     "draw_layout",
     "rate_accounting",
@@ -105,7 +104,6 @@ class ProtocolParams:
     msg_r0: int = 2
     alpha: float = 1.0
     power_limit: float = 30.0
-    epsilon_p: float = 0.05
     noiseless: bool = True
     noise_var_relay: float = 1.0
     noise_var_dest: float = 1.0
@@ -128,25 +126,27 @@ class ProtocolParams:
             )
         # AMD hypothesis is enforced eagerly so bad configs die before a run
         AmdParams(field=ExtField(self.q, self.r), d=self.d)
-        if not 0 < self.epsilon_p < 1:
-            raise ValueError("epsilon_p must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """One trial: the decision plus per-stage diagnostics."""
+    """One trial: the decision plus per-stage diagnostics.
 
-    s: tuple
-    s_hat: tuple | None
+    ``s`` and ``s_hat`` are tuples of d symbol ints (``s_hat`` None when
+    the message did not decode); the other elements are ints in [0, q^r).
+    """
+
+    s: tuple[int, ...]
+    s_hat: tuple[int, ...] | None
     accepted: bool
     honest_decode_ok: bool
-    x: ExtFieldElement
-    x_hat: ExtFieldElement
-    k: ExtFieldElement
-    k_hat: ExtFieldElement
-    u: ExtFieldElement
-    u_hat: ExtFieldElement
-    h_hat: ExtFieldElement
+    x: int
+    x_hat: int
+    k: int
+    k_hat: int
+    u: int
+    u_hat: int
+    h_hat: int
     records: tuple = ()
 
 
@@ -204,13 +204,6 @@ class SimReport:
     RT: float
     PT: float
     seed: int
-
-
-def accept_decision(amd_params: AmdParams, s_hat, x_hat, h_hat) -> bool:
-    """Pure acceptance rule: a decodable message that verifies is accepted."""
-    if s_hat is None:
-        return False
-    return amd_verify(amd_params, s_hat, x_hat, h_hat)
 
 
 def payload_bits(q: int, r: int, d: int) -> int:
@@ -401,9 +394,6 @@ class TwoHopProtocol:
 
     # -- message serialization ------------------------------------------
 
-    def random_message(self, rng: np.random.Generator) -> tuple[ExtFieldElement, ...]:
-        return tuple(self.ext_field.random_element(rng) for _ in range(self.params.d))
-
     def _symbols_to_bits(self, s: np.ndarray) -> np.ndarray:
         """(B, d) symbol ints -> (B, payload_bits) bits, least significant first."""
         value = s.astype(self._symbol_weights.dtype) @ self._symbol_weights
@@ -418,18 +408,6 @@ class TwoHopProtocol:
             symbols[:, j] = value % order
             value = value // order
         return symbols, (value == 0).astype(bool)
-
-    def _elements(self, ints) -> tuple[ExtFieldElement, ...]:
-        return tuple(self.ext_field.from_int(int(v)) for v in ints)
-
-    def message_to_bits(self, s) -> np.ndarray:
-        ints = np.array([[self.ext_field.to_int(sym) for sym in s]], dtype=np.int64)
-        return self._symbols_to_bits(ints)[0]
-
-    def bits_to_message(self, bits: np.ndarray) -> tuple[ExtFieldElement, ...] | None:
-        symbols, fits = self._bits_to_symbols(np.asarray(bits, dtype=np.int64)[None])
-        # padding bits beyond the message range were flipped
-        return self._elements(symbols[0]) if fits[0] else None
 
     # -- randomness ---------------------------------------------------------
 
@@ -557,17 +535,17 @@ class TwoHopProtocol:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
         chunk = self._draws(behavior, seed, start, stop)
         s = chunk.message if messages is None else np.asarray(messages, dtype=np.int64)
-        w = self._elements(s[0]) if chunk.relay_rng is not None else None
+        w = tuple(s[0].tolist()) if chunk.relay_rng is not None else None
 
         x, x_hat = self._seed_stage(behavior, w, chunk, 0)
         k, k_hat = self._seed_stage(behavior, w, chunk, 1)
-        h = amd_tag_int(self.amd, s, x)
+        h = amd_tag(self.amd, s, x)
         u = self._add[h, k]
         u_hat = self._tag_stage(behavior, w, u, chunk)
         s_hat, decodable = self._message_stage(behavior, w, s, chunk)
 
         h_hat = self._sub[u_hat, k_hat]
-        accepted = decodable & (amd_tag_int(self.amd, s_hat, x_hat) == h_hat)
+        accepted = decodable & amd_verify(self.amd, s_hat, x_hat, h_hat)
         return TrialBatch(
             s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
             x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
@@ -578,7 +556,7 @@ class TwoHopProtocol:
         self,
         behavior,
         trial_seed,
-        s: tuple | None = None,
+        s: tuple[int, ...] | None = None,
         keep_records: bool = False,
     ) -> ProtocolOutcome:
         """One trial: the B=1 view of ``run_batch``.
@@ -590,24 +568,21 @@ class TwoHopProtocol:
         noise by ``box_muller``.  An int or 1-tuple seed means i = 0.  A
         custom relay's local randomness is a Generator on its own counter
         block, 2^192 + i*2^64.  So a trial is a pure function of (seed, i,
-        params, behavior, message).
+        params, behavior, message).  ``s``, d symbol ints, replaces the
+        drawn message.
         """
         seed, index = _trial_key(trial_seed)
-        messages = None
-        if s is not None:
-            messages = np.array([[self.ext_field.to_int(sym) for sym in s]], dtype=np.int64)
+        messages = None if s is None else np.array([s], dtype=np.int64)
         b = self.run_batch(behavior, seed, index, index + 1, messages, keep_records)
-        s_out = self._elements(b.s[0])
-        s_hat = self._elements(b.s_hat[0]) if b.decodable[0] else None
-        el = self.ext_field.from_int
+        s_out = tuple(b.s[0].tolist())
+        s_hat = tuple(b.s_hat[0].tolist()) if b.decodable[0] else None
         return ProtocolOutcome(
             s=s_out,
             s_hat=s_hat,
             accepted=bool(b.accepted[0]),
             honest_decode_ok=s_hat == s_out,
-            x=el(int(b.x[0])), x_hat=el(int(b.x_hat[0])),
-            k=el(int(b.k[0])), k_hat=el(int(b.k_hat[0])),
-            u=el(int(b.u[0])), u_hat=el(int(b.u_hat[0])), h_hat=el(int(b.h_hat[0])),
+            x=int(b.x[0]), x_hat=int(b.x_hat[0]), k=int(b.k[0]), k_hat=int(b.k_hat[0]),
+            u=int(b.u[0]), u_hat=int(b.u_hat[0]), h_hat=int(b.h_hat[0]),
             records=tuple(
                 PhaseRecord(x1=rec.x1[0], x2=rec.x2[0], yr=rec.yr[0], xr=rec.xr[0],
                             y2=rec.y2[0], node2_active=rec.node2_active)

@@ -19,7 +19,7 @@ from relaysec.extract import (
     leakage_budget,
     secrecy_rate_from_power,
 )
-from relaysec.fields import ExtField, matrix_row_rank
+from relaysec.fields import ExtField, digits, matrix_row_rank
 from relaysec.lattice import NestedLatticePair
 from relaysec.oracle import (
     JointDistribution,
@@ -102,11 +102,7 @@ def test_c06_full_rank_implies_uniform_seed():
         for q in (2, 3):
             for n in (1, 2, 3):
                 size = q**n
-                vecs = np.zeros((size, n), dtype=np.int64)
-                k = np.arange(size)
-                for i in range(n):
-                    vecs[:, i] = k % q
-                    k = k // q
+                vecs = digits(np.arange(size), q, n)
                 for r in range(1, n + 1):
                     radix = q ** np.arange(r, dtype=np.int64)
                     for entries in product(range(q), repeat=r * n):

@@ -7,7 +7,6 @@ import pytest
 
 from relaysec.amd import (
     AmdParams,
-    amd_encode,
     amd_rate,
     amd_tag,
     amd_verify,
@@ -16,11 +15,7 @@ from relaysec.amd import (
 )
 from relaysec.fields import ExtField
 
-GF5 = ExtField(5, 1)
-
-
-def e5(v):
-    return GF5.element((v,))
+GF5 = ExtField(5, 1)  # elements are the residues 0..4
 
 
 def params5(d=1):
@@ -28,33 +23,43 @@ def params5(d=1):
 
 
 def test_tag_examples():
-    assert amd_tag(params5(1), (e5(2),), e5(3)) == e5(3)  # 27 + 6 = 33 = 3 mod 5
-    assert amd_tag(params5(1), (e5(0),), e5(0)) == e5(0)
-    assert amd_tag(params5(2), (e5(1), e5(1)), e5(2)) == e5(2)  # 16 + 2 + 4
+    assert amd_tag(params5(1), (2,), 3) == 3  # 27 + 6 = 33 = 3 mod 5
+    assert amd_tag(params5(1), (0,), 0) == 0
+    assert amd_tag(params5(2), (1, 1), 2) == 2  # 16 + 2 + 4
 
 
 def test_tag_wrong_length_rejected():
     with pytest.raises(ValueError):
-        amd_tag(params5(2), (e5(1),), e5(0))
+        amd_tag(params5(2), (1,), 0)
+
+
+def test_out_of_range_elements_rejected():
+    for s, x in [((5,), 0), ((0,), 5), ((-1,), 0)]:
+        with pytest.raises(ValueError):
+            amd_tag(params5(1), s, x)
+    with pytest.raises(ValueError):
+        amd_tag(AmdParams(field=ExtField(5, 2), d=2), [0, 25], 1)
+    for dx, dh in [(5, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            exhaustive_attack_success(params5(1), (0,), (1,), dx, dh)
 
 
 def test_verify_examples():
     p = params5(1)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        cw = amd_encode(p, (GF5.random_element(rng),), rng)
-        assert amd_verify(p, cw.s, cw.x, cw.h)
-    assert not amd_verify(p, (e5(3),), e5(3), e5(3))
-    assert amd_verify(p, (e5(2),), e5(3), e5(3))
+        s, x = (int(rng.integers(5)),), int(rng.integers(5))
+        assert amd_verify(p, s, x, amd_tag(p, s, x))
+    assert not amd_verify(p, (3,), 3, 3)
+    assert amd_verify(p, (2,), 3, 3)
+    assert amd_verify(p, [[2], [3]], 3, 3).tolist() == [True, False]
 
 
 def test_honest_verification_never_fails_exhaustive():
     for d in (1, 2):
         p = params5(d)
-        for s_vals in itertools.product(range(5), repeat=d):
-            s = tuple(e5(v) for v in s_vals)
-            for x_val in range(5):
-                x = e5(x_val)
+        for s in itertools.product(range(5), repeat=d):
+            for x in range(5):
                 assert amd_verify(p, s, x, amd_tag(p, s, x))
 
 
@@ -85,14 +90,14 @@ def test_hypothesis_enforced():
 
 def test_attack_success_example():
     p = params5(1)
-    success = exhaustive_attack_success(p, (e5(0),), (e5(1),), GF5.zero(), GF5.zero())
+    success = exhaustive_attack_success(p, (0,), (1,), 0, 0)
     assert success == pytest.approx(1 / 5)  # only x = 0 satisfies x = 0
 
 
 def test_attack_all_zero_perturbation_rejected():
     p = params5(1)
     with pytest.raises(ValueError):
-        exhaustive_attack_success(p, (e5(1),), (e5(1),), GF5.zero(), GF5.zero())
+        exhaustive_attack_success(p, (1,), (1,), 0, 0)
 
 
 def test_attack_success_bounded_exhaustive_small():
@@ -100,18 +105,11 @@ def test_attack_success_bounded_exhaustive_small():
     p = params5(1)
     bound = win_bound(p)
     worst = 0.0
-    for s_val in range(5):
-        s = (e5(s_val),)
-        for sp_val in range(5):
-            sp = (e5(sp_val),)
-            for dx_val in range(5):
-                for dh_val in range(5):
-                    if sp_val == s_val and dx_val == 0 and dh_val == 0:
-                        continue
-                    succ = exhaustive_attack_success(
-                        p, s, sp, e5(dx_val), e5(dh_val)
-                    )
-                    worst = max(worst, succ)
-                    # detection probability is the complement, per tuple
-                    assert succ + (1 - succ) == pytest.approx(1.0)
+    for s, sp, dx, dh in itertools.product(range(5), repeat=4):
+        if sp == s and dx == 0 and dh == 0:
+            continue
+        succ = exhaustive_attack_success(p, (s,), (sp,), dx, dh)
+        worst = max(worst, succ)
+        # detection probability is the complement, per tuple
+        assert succ + (1 - succ) == pytest.approx(1.0)
     assert worst <= bound + 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relaysec import protocol
-from relaysec.amd import AmdParams, amd_tag, amd_tag_int
+from relaysec.amd import AmdParams, amd_tag
 from relaysec.channel import (
     AdditiveLatticeOffset,
     CustomRelay,
@@ -14,14 +14,8 @@ from relaysec.channel import (
     RandomGarble,
     SubstituteLattice,
 )
-from relaysec.extract import (
-    decode_message,
-    element_to_vector,
-    encode_message,
-    extract_seed,
-    seed_to_element,
-)
-from relaysec.fields import ExtField
+from relaysec.extract import decode_message, encode_message, extract_seed
+from relaysec.fields import ExtField, _poly_mod, _poly_mul
 from relaysec.lattice import (
     codebook_point,
     decode_fine_mod_coarse,
@@ -31,7 +25,6 @@ from relaysec.lattice import (
 from relaysec.protocol import (
     ProtocolParams,
     TwoHopProtocol,
-    accept_decision,
     box_muller,
     payload_bits,
     uniform_ints,
@@ -78,32 +71,49 @@ def test_box_muller_matches_formula():
     assert np.all(np.isfinite(extreme))
 
 
-def test_field_tables_match_element_arithmetic():
-    for q, r in [(2, 3), (3, 2), (5, 2), (7, 1)]:
-        f = ExtField(q, r)
-        t = f.tables()
-        elems = list(f.elements())
-        for a in elems:
-            for b in elems:
-                i, j = f.to_int(a), f.to_int(b)
-                assert t["add"][i, j] == f.to_int(a + b)
-                assert t["sub"][i, j] == f.to_int(a - b)
-                assert t["mul"][i, j] == f.to_int(a * b)
-            assert t["neg"][f.to_int(a)] == f.to_int(-a)
+def test_field_tables_match_polynomial_arithmetic():
+    """Every table entry against the scalar polynomial routines."""
+    fields = [ExtField(2, 3), ExtField(3, 2), ExtField(5, 2), ExtField(7, 1),
+              ExtField(3, 2, modulus=(2, 2, 1))]
+    for f in fields:
+        q, r, t = f.q, f.r, f.tables()
+
+        def element(coeffs):
+            return sum(c * q**k for k, c in enumerate(coeffs))
+
+        elems = [[(k // q**j) % q for j in range(r)] for k in range(f.order)]
+        for i, a in enumerate(elems):
+            assert t["neg"][i] == element([-c % q for c in a])
+            for j, b in enumerate(elems):
+                assert t["add"][i, j] == element([(u + v) % q for u, v in zip(a, b)])
+                assert t["sub"][i, j] == element([(u - v) % q for u, v in zip(a, b)])
+                prod = _poly_mod(_poly_mul(a, b, q), list(f.modulus), q)
+                assert t["mul"][i, j] == element(prod)
 
 
-def test_int_tag_matches_element_tag():
-    params = AmdParams(field=ExtField(5, 2), d=2)
-    f = params.field
+def _power_sum_tag(params, s, x):
+    """x^(d+2) + sum_i s_i x^i, one power and one term at a time (no Horner)."""
+    t = params.field.tables()
+    add, mul = t["add"], t["mul"]
+    powers = [np.ones_like(np.asarray(x))]  # powers[i] = x^i
+    for _ in range(params.d + 2):
+        powers.append(mul[powers[-1], x])
+    h = powers[params.d + 2]
+    for i, sym in enumerate(s, start=1):
+        h = add[h, mul[sym, powers[i]]]
+    return h
+
+
+def test_amd_tag_matches_power_sum():
     rng = np.random.default_rng(2)
-    msgs = rng.integers(0, f.order, size=(40, 2))
-    xs = np.arange(f.order)
-    got = amd_tag_int(params, msgs[:, None, :], xs[None, :])
-    for m, row in zip(msgs, got):
-        s = tuple(f.from_int(int(v)) for v in m)
-        assert [f.to_int(amd_tag(params, s, x)) for x in f.elements()] == row.tolist()
-    with pytest.raises(ValueError):
-        amd_tag_int(params, [0, 25], 1)
+    for q, r, d in [(5, 2, 2), (2, 3, 3), (3, 2, 2)]:
+        params = AmdParams(field=ExtField(q, r), d=d)
+        order = params.field.order
+        msgs = rng.integers(0, order, size=(40, d))
+        xs = np.arange(order)
+        got = amd_tag(params, msgs[:, None, :], xs[None, :])
+        for m, row in zip(msgs, got):
+            assert row.tolist() == _power_sum_tag(params, m, xs).tolist()
 
 
 # ---------------------------------------------------------------------
@@ -138,16 +148,24 @@ def _normals(words):
 
 
 def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
-    """One trial through the per-vector lattice, extract and amd functions."""
+    """One trial through the per-vector lattice and extract functions.
+
+    Field elements are ints; a seed vector v is the element sum v_j q^j, and
+    the tag is the term-by-term power sum.
+    """
     p, f, enc = proto.params, proto.ext_field, proto.encoder
+    add, sub = f.tables()["add"], f.tables()["sub"]
     at = 0
+
+    def element(vec):
+        return sum(int(c) * p.q**j for j, c in enumerate(vec))
 
     def take(count):
         nonlocal at
         at += count
         return words[at - count : at]
 
-    s = tuple(f.from_int(_unif(w, f.order)) for w in take(p.d))
+    s = tuple(_unif(w, f.order) for w in take(p.d))
     seed_words = [take(p.N) for _ in range(4)]  # src0, jam0, src1, jam1
     block_words = [(take(n_rand), take(p.msg_N)) for _ in range(blocks)]
     relay_words = take(uses)
@@ -180,13 +198,14 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         t1 = np.array([_unif(w, p.q) for w in seed_words[2 * stage]])
         t2 = np.array([_unif(w, p.q) for w in seed_words[2 * stage + 1]])
         t1_hat = lattice_sub(proto.seed_pair, hop(proto.seed_pair, t1, t2), t2)
-        seeds += [seed_to_element(f, extract_seed(proto.extractor, t1)),
-                  seed_to_element(f, extract_seed(proto.extractor, t1_hat))]
+        seeds += [element(extract_seed(proto.extractor, t1)),
+                  element(extract_seed(proto.extractor, t1_hat))]
     x, x_hat, k, k_hat = seeds
-    u = amd_tag(proto.amd, s, x) + k
-    u_hat = seed_to_element(f, hop(proto.tag_pair, element_to_vector(u), None))
+    u = int(add[_power_sum_tag(proto.amd, s, x), k])
+    u_coords = np.array([(u // p.q**j) % p.q for j in range(p.r)])
+    u_hat = element(hop(proto.tag_pair, u_coords, None))
 
-    value = sum(f.to_int(sym) * f.order**j for j, sym in enumerate(s))
+    value = sum(sym * f.order**j for j, sym in enumerate(s))
     padded = [(value >> i) & 1 for i in range(blocks * p.msg_r0)]
     out_bits, ok = [], True
     for blk, (rand_w, jam_w) in enumerate(block_words):
@@ -203,10 +222,11 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     got = sum(bit << i for i, bit in enumerate(out_bits))
     s_hat = None
     if ok and got < f.order**p.d:
-        s_hat = tuple(f.from_int((got // f.order**j) % f.order) for j in range(p.d))
-    h_hat = u_hat - k_hat
+        s_hat = tuple((got // f.order**j) % f.order for j in range(p.d))
+    h_hat = sub[u_hat, k_hat]
+    accepted = s_hat is not None and _power_sum_tag(proto.amd, s_hat, x_hat) == h_hat
     return {"x": x, "x_hat": x_hat, "k": k, "k_hat": k_hat, "u": u, "u_hat": u_hat,
-            "s": s, "s_hat": s_hat, "accepted": accept_decision(proto.amd, s_hat, x_hat, h_hat)}
+            "s": s, "s_hat": s_hat, "accepted": accepted}
 
 
 @pytest.mark.parametrize("params,trials", [
@@ -220,14 +240,12 @@ def test_engine_matches_scalar_reference(params, trials, behavior):
     seed = 4242
     words, n_rand, blocks, uses = _layout_words(params, seed, trials)
     batch = proto.run_batch(behavior, seed, 0, trials)
-    f = proto.ext_field
     for i in range(trials):
         ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
         for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat"):
-            assert int(getattr(batch, name)[i]) == f.to_int(ref[name]), (i, name)
-        assert tuple(f.from_int(int(v)) for v in batch.s[i]) == ref["s"]
-        s_hat = (tuple(f.from_int(int(v)) for v in batch.s_hat[i])
-                 if batch.decodable[i] else None)
+            assert int(getattr(batch, name)[i]) == ref[name], (i, name)
+        assert tuple(batch.s[i].tolist()) == ref["s"]
+        s_hat = tuple(batch.s_hat[i].tolist()) if batch.decodable[i] else None
         assert s_hat == ref["s_hat"], i
         assert bool(batch.accepted[i]) == ref["accepted"], i
 
@@ -264,14 +282,13 @@ def test_batch_rows_independent_of_chunking(params):
 @pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
 def test_run_trial_is_row_of_batch(params):
     proto = TwoHopProtocol(params)
-    f = proto.ext_field
     for behavior in BEHAVIORS:
         batch = proto.run_batch(behavior, 5, 0, 30, keep_records=True)
         for i in (0, 1, 17, 29):
             out = proto.run_trial(behavior, (5, i), keep_records=True)
             for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat", "h_hat"):
-                assert f.to_int(getattr(out, name)) == batch.__dict__[name][i]
-            assert [f.to_int(v) for v in out.s] == batch.s[i].tolist()
+                assert getattr(out, name) == batch.__dict__[name][i]
+            assert list(out.s) == batch.s[i].tolist()
             assert out.accepted == batch.accepted[i]
             assert (out.s_hat is not None) == batch.decodable[i]
             assert len(out.records) == len(batch.records) == 3 + proto.blocks

@@ -181,6 +181,7 @@ def test_leakage_budget_example():
     assert not budget.vacuous
     assert budget.budget_bits == pytest.approx(1.6973, abs=1e-3)
     assert round(budget.budget_bits, 2) == 1.70
+    assert ExtractorParams(N=4, q=11, epsilon=0.2).smoothing == pytest.approx(0.8)
 
 
 def test_leakage_budget_vacuous_flag():
@@ -196,15 +197,6 @@ def test_leakage_budget_monotone_in_N():
         for n in range(2, 9)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(budgets, budgets[1:]))
-
-
-def test_extractor_params_split_validation():
-    p = ExtractorParams(N=4, q=11, epsilon=0.2)
-    assert p.epsilon_prime == pytest.approx(0.1)
-    assert p.delta == pytest.approx(0.1)
-    assert p.smoothing == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        ExtractorParams(N=4, q=11, epsilon=0.2, epsilon_prime=0.3, delta=0.3)
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Field arithmetic and GF(q) linear algebra."""
+"""Field arithmetic on int-encoded elements and GF(q) linear algebra."""
 
 import itertools
 
@@ -7,8 +7,8 @@ import pytest
 
 from relaysec.fields import (
     ExtField,
-    PrimeField,
     complete_and_invert,
+    digits,
     find_irreducible,
     full_rank_fraction,
     is_prime,
@@ -26,34 +26,48 @@ def brute_force_inverse(q, a):
     return None
 
 
+def power(f, a, e):
+    """a**e by e table multiplications; a**0 = 1.  ``a`` may be an array."""
+    mul = f.tables()["mul"]
+    out = np.ones_like(a)
+    for _ in range(e):
+        out = mul[out, a]
+    return out
+
+
 # ---------------------------------------------------------------------
-# prime field
+# prime field: GF(q) = ExtField(q, 1), elements the residues mod q
 # ---------------------------------------------------------------------
 
 
 def test_add_examples():
-    f = PrimeField(5)
-    assert f.add(3, 4) == 2
-    assert f.add(0, 0) == 0
-    assert PrimeField(2).add(1, 1) == 0
+    add = ExtField(5, 1).tables()["add"]
+    assert add[3, 4] == 2
+    assert add[0, 0] == 0
+    assert ExtField(2, 1).tables()["add"][1, 1] == 0
 
 
 def test_inverse_examples_against_brute_force():
-    assert PrimeField(5).inv(2) == brute_force_inverse(5, 2) == 3
-    assert PrimeField(5).inv(1) == 1
-    assert PrimeField(7).inv(3) == brute_force_inverse(7, 3) == 5
+    mul = ExtField(5, 1).tables()["mul"]
+    assert list(mul[2]).index(1) == brute_force_inverse(5, 2) == pow(2, 3, 5) == 3
+    assert list(mul[1]).index(1) == 1
+    mul7 = ExtField(7, 1).tables()["mul"]
+    assert list(mul7[3]).index(1) == brute_force_inverse(7, 3) == pow(3, 5, 7) == 5
 
 
 def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
+    assert not np.any(ExtField(5, 1).tables()["mul"][0] == 1)
+    with pytest.raises(ValueError):
+        matrix_inverse(np.zeros((1, 1), dtype=int), 5)
 
 
 def test_non_prime_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 12):
         assert not is_prime(bad)
         with pytest.raises(ValueError):
-            PrimeField(bad)
+            ExtField(bad, 1)
+        with pytest.raises(ValueError):
+            matrix_row_rank(np.eye(2, dtype=int), bad)
 
 
 # ---------------------------------------------------------------------
@@ -70,61 +84,57 @@ def test_find_irreducible_examples():
 
 def test_ext_mul_examples():
     gf4 = ExtField(2, 2)
-    x, one = gf4.x(), gf4.one()
-    assert x * (x + one) == one
-    a = gf4.element((1, 1))
-    assert a * one == a
-    gf9 = ExtField(3, 2)
-    assert gf9.mul(gf9.x(), gf9.x()) == gf9.element((2, 0))
+    add, mul = gf4.tables()["add"], gf4.tables()["mul"]
+    x, one = 2, 1  # x has coefficients (0, 1)
+    assert mul[x, add[x, one]] == one
+    a = 3  # 1 + x
+    assert mul[a, one] == a
+    assert ExtField(3, 2).tables()["mul"][3, 3] == 2  # x * x = 2 in GF(9)
 
 
 def test_ext_pow_examples():
-    gf5 = ExtField(5, 1)
-    assert gf5.pow(gf5.element((3,)), 3) == gf5.element((2,))  # 27 mod 5
+    assert power(ExtField(5, 1), 3, 3) == 2  # 27 mod 5
     gf4 = ExtField(2, 2)
-    a = gf4.element((1, 1))
-    assert gf4.pow(a, 1) == a
-    assert gf4.pow(gf4.x(), 3) == gf4.one()
+    a = 3  # 1 + x
+    assert power(gf4, a, 1) == a
+    assert power(gf4, 2, 3) == 1  # x^3 = 1
 
 
 def test_ext_pow_order_of_multiplicative_group():
     for q, r in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
         f = ExtField(q, r)
-        for a in f.elements():
-            if not a.is_zero():
-                assert f.pow(a, f.order - 1) == f.one()
+        nonzero = np.arange(1, f.order)
+        assert np.all(power(f, nonzero, f.order - 1) == 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("r", [1, 2])
 def test_field_axioms_exhaustive(q, r):
     f = ExtField(q, r)
-    elems = list(f.elements())
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            if not a.is_zero():
-                assert a * f.inv(a) == f.one()
+    t = f.tables()
+    add, sub, mul, neg = t["add"], t["sub"], t["mul"], t["neg"]
+    e = np.arange(f.order)
+    assert np.array_equal(add, add.T)
+    assert np.array_equal(mul, mul.T)
+    assert np.array_equal(add[e, 0], e) and np.array_equal(mul[e, 1], e)
+    assert np.all(add[e, neg] == 0)
+    assert np.array_equal(add[sub, e[None, :]], np.broadcast_to(e[:, None], sub.shape))
+    assert np.all(mul[0] == 0)
+    # every nonzero element has exactly one inverse
+    assert np.all(np.sum(mul[1:] == 1, axis=1) == 1)
     # distributivity and associativity over all triples
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                assert a * (b + c) == a * b + a * c
-                assert (a * b) * c == a * (b * c)
-
-
-def test_mismatched_field_elements_rejected():
-    a = ExtField(2, 2).one()
-    b = ExtField(3, 2).one()
-    with pytest.raises(ValueError):
-        _ = a + b
+    a, b, c = e[:, None, None], e[None, :, None], e[None, None, :]
+    assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+    assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+    assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
 
 
 def test_int_round_trip():
-    f = ExtField(5, 2)
-    for k in range(f.order):
-        assert f.to_int(f.from_int(k)) == k
+    # digit k of an element is its coefficient of x^k
+    assert digits(7, 5, 2).tolist() == [2, 1]
+    assert digits(np.array([[0, 24]]), 5, 2).tolist() == [[[0, 0], [4, 4]]]
+    ks = np.arange(25)
+    assert np.array_equal(digits(ks, 5, 2) @ np.array([1, 5]), ks)
 
 
 # ---------------------------------------------------------------------
@@ -251,7 +261,8 @@ def test_matrix_inverse_round_trip():
 def test_ext_field_explicit_and_reducible_modulus():
     # an alternative irreducible modulus is accepted and changes arithmetic
     alt = ExtField(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2, no roots mod 3
-    assert alt.mul(alt.x(), alt.x()) == alt.element((1, 1))  # x^2 = -2x - 2
+    assert alt.tables()["mul"][3, 3] == 4  # x^2 = -2x - 2 = 1 + x
+    assert ExtField(3, 2) == ExtField(3, 2, modulus=(1, 0, 1)) != alt
     with pytest.raises(ValueError):
         ExtField(3, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relaysec import oracle
 from relaysec.amd import AmdParams
 from relaysec.extract import DiscreteDistribution
 from relaysec.fields import ExtField
@@ -73,6 +74,22 @@ def test_leakage_size_guard():
         exact_seed_leakage(pair, np.array([[1, 0, 0]]), cap=100)
 
 
+def test_observation_cache_bounded_and_guarded_per_call():
+    oracle._cached_observation_index.cache_clear()
+    pairs = [NestedLatticePair(N=n, q=11) for n in (1, 2, 3)]
+    for _ in range(2):  # a leakage scan over N = 1..3 hits all three entries
+        for pair in pairs:
+            exact_seed_leakage(pair, np.ones((1, pair.N), dtype=int))
+    info = oracle._cached_observation_index.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    with pytest.raises(SizeGuardError):  # a warm entry does not widen the cap
+        exact_seed_leakage(pairs[1], np.array([[1, 1]]), cap=100)
+    for n in (1, 2, 3, 4, 5):
+        exact_seed_leakage(NestedLatticePair(N=n, q=3), np.ones((1, n), dtype=int))
+    assert oracle._cached_observation_index.cache_info().currsize == 4
+    oracle._cached_observation_index.cache_clear()
+
+
 def test_best_extractor_monotone_small():
     values = [
         best_extractor_exhaustive(NestedLatticePair(N=n, q=5), 1).exact_mi_bits
@@ -112,12 +129,11 @@ def test_amd_census_q5_r1_d1():
 
 
 def test_amd_census_independent_of_reference_message():
-    f = ExtField(5, 1)
-    p = AmdParams(field=f, d=1)
+    p = AmdParams(field=ExtField(5, 1), d=1)
     maxima = set()
     histograms = []
     for s_val in range(5):
-        census = exact_amd_win_census(p, s=(f.from_int(s_val),))
+        census = exact_amd_win_census(p, s=(s_val,))
         maxima.add(census.max_success)
         histograms.append(tuple(sorted(census.histogram.items())))
     assert len(maxima) == 1
