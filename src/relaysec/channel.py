@@ -41,7 +41,6 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    N: int
     power_limit: float
     noise_var_relay: float = 1.0
     noise_var_dest: float = 1.0

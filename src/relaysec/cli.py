@@ -20,6 +20,7 @@ import io
 import json
 import sys
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import numpy as np
@@ -27,12 +28,19 @@ import numpy as np
 from . import oracle
 from .amd import AmdParams
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
-from .extract import DiscreteDistribution, ExtractorParams, leakage_budget, r_max
-from .fields import ExtField
+from .extract import (
+    DiscreteDistribution,
+    ExtractorParams,
+    leakage_budget,
+    r_max,
+    search_good_extractor,
+    seed_uniformity_raw,
+)
+from .fields import ExtField, matrix_row_rank, sample_matrix
 from .lattice import NestedLatticePair
 from .protocol import ProtocolParams, _protocol_cache, rate_accounting
 
-__all__ = ["main", "load_config", "DEFAULT_CONFIG"]
+__all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS"]
 
 DEFAULT_CONFIG: dict = {
     "seed": 1,
@@ -50,17 +58,6 @@ DEFAULT_CONFIG: dict = {
     "verify": {},
     "scan": {"kind": "d", "values": list(range(1, 17)), "N": 25, "r": 25, "q": 2, "Re": 1.0},
 }
-
-ALL_CHECKS = [
-    "amd-attack-bound",
-    "coords-isomorphism",
-    "sum-representation",
-    "full-rank-fraction",
-    "hash-collision",
-    "seed-uniformity",
-    "leftover-entropy",
-    "pinsker",
-]
 
 
 class ConfigError(ValueError):
@@ -147,117 +144,121 @@ def _rows_to_json(rows: list[dict], meta: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_checks(cfg: dict, seed: int) -> list[dict]:
-    vcfg = cfg.get("verify", {})
-    checks = vcfg.get("checks", ALL_CHECKS)
-    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+def _check_amd_attack_bound(vcfg: dict, seed: int):
     attack_cap = vcfg.get("max_attack_enum", oracle.MAX_ATTACK_ENUM)
-    results = []
+    for q, r, d in [(5, 1, 1), (5, 2, 2)]:
+        census = oracle.exact_amd_win_census(AmdParams(field=ExtField(q, r), d=d), cap=attack_cap)
+        yield census.holds, {"q": q, "r": r, "d": d,
+                             "max_success": census.max_success, "bound": census.bound}
 
-    def record(name, passed, details):
-        results.append({"name": name, "passed": bool(passed), "details": details})
 
-    if "amd-attack-bound" in checks:
-        for q, r, d in [(5, 1, 1), (5, 2, 2)]:
-            census = oracle.exact_amd_win_census(
-                AmdParams(field=ExtField(q, r), d=d), cap=attack_cap
-            )
-            record(
-                "amd-attack-bound",
-                census.holds,
-                {"q": q, "r": r, "d": d,
-                 "max_success": census.max_success, "bound": census.bound},
-            )
-    if "coords-isomorphism" in checks:
-        for q in (2, 3, 5):
-            for n in (1, 2, 3):
-                ok, witness = oracle.isomorphism_census(
-                    NestedLatticePair(N=n, q=q), cap=pair_cap
-                )
-                record("coords-isomorphism", ok,
-                       {"q": q, "N": n, "counterexample": witness})
-    if "sum-representation" in checks:
-        for q, dims in [(5, (1, 2)), (2, (1, 2, 3))]:
-            for n in dims:
-                ok, witness = oracle.representation_census(
-                    NestedLatticePair(N=n, q=q), cap=pair_cap
-                )
-                record("sum-representation", ok,
-                       {"q": q, "N": n, "counterexample": witness})
-    if "full-rank-fraction" in checks:
-        for q in (2, 3):
-            for n in range(1, 5):
-                for r in range(1, n + 1):
-                    count, total, holds = oracle.full_rank_census(q, r, n)
-                    record("full-rank-fraction", holds,
-                           {"q": q, "rows": r, "cols": n,
-                            "fraction": f"{count}/{total}"})
-    if "hash-collision" in checks:
-        for q in (2, 3):
-            for n in (1, 2, 3):
-                for r in (1, 2):
-                    if r > n:
-                        continue
-                    prob, holds = oracle.universal_hash_census(q, n, r)
-                    record("hash-collision", holds,
-                           {"q": q, "N": n, "r": r, "max_collision": prob})
-    if "seed-uniformity" in checks:
-        from .extract import seed_uniformity_raw
-        from .fields import matrix_row_rank, sample_matrix
+def _check_coords_isomorphism(vcfg: dict, seed: int):
+    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+    for q in (2, 3, 5):
+        for n in (1, 2, 3):
+            ok, witness = oracle.isomorphism_census(NestedLatticePair(N=n, q=q), cap=pair_cap)
+            yield ok, {"q": q, "N": n, "counterexample": witness}
 
-        inject = vcfg.get("inject_g")
-        if inject is not None:
-            mq = int(vcfg.get("inject_q", 2))
-            matrices = [(np.array(inject, dtype=np.int64), mq, "injected")]
-        else:
-            matrices = []
-            rng = np.random.default_rng(seed)
-            for q, n in [(2, 2), (3, 2), (5, 3)]:
-                r = max(1, min(r_max(n, q, 0.1), n)) if q > 2 else 1
-                while True:
-                    m = sample_matrix(rng, r, n, q)
-                    if matrix_row_rank(m, q) == r:
-                        break
-                matrices.append((m, q, f"sampled q={q} N={n}"))
-        for m, mq, label in matrices:
-            _, uniform = seed_uniformity_raw(m, mq)
-            record("seed-uniformity", uniform,
-                   {"matrix": m.tolist(), "label": label, "q": mq})
-    if "leftover-entropy" in checks:
-        cases = [
-            (2, 2, 1, DiscreteDistribution.uniform(4)),
-            (3, 2, 1, DiscreteDistribution.uniform(9)),
-        ]
-        for q, n, r, dist in cases:
-            avg, bound, holds = oracle.leftover_census(q, n, r, dist)
-            record("leftover-entropy", holds,
-                   {"q": q, "N": n, "r": r, "average": avg, "bound": bound})
-        budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
-        pair = NestedLatticePair(N=2, q=11)
-        total = 0.0
-        n_mat = 0
-        from itertools import product as iproduct
 
-        for entries in iproduct(range(11), repeat=2):
-            m = np.array(entries, dtype=np.int64).reshape(1, 2)
-            total += oracle.exact_seed_leakage(pair, m, cap=pair_cap)
-            n_mat += 1
-        avg = total / n_mat
-        record("leftover-entropy", avg <= budget.budget_bits + 1e-9,
-               {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
-                "averaged_leakage": avg, "budget": budget.budget_bits})
-    if "pinsker" in checks:
+def _check_sum_representation(vcfg: dict, seed: int):
+    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+    for q, dims in [(5, (1, 2)), (2, (1, 2, 3))]:
+        for n in dims:
+            ok, witness = oracle.representation_census(NestedLatticePair(N=n, q=q), cap=pair_cap)
+            yield ok, {"q": q, "N": n, "counterexample": witness}
+
+
+def _check_full_rank_fraction(vcfg: dict, seed: int):
+    for q in (2, 3):
+        for n in range(1, 5):
+            for r in range(1, n + 1):
+                count, total, holds = oracle.full_rank_census(q, r, n)
+                yield holds, {"q": q, "rows": r, "cols": n, "fraction": f"{count}/{total}"}
+
+
+def _check_hash_collision(vcfg: dict, seed: int):
+    for q in (2, 3):
+        for n in (1, 2, 3):
+            for r in (1, 2):
+                if r > n:
+                    continue
+                prob, holds = oracle.universal_hash_census(q, n, r)
+                yield holds, {"q": q, "N": n, "r": r, "max_collision": prob}
+
+
+def _check_seed_uniformity(vcfg: dict, seed: int):
+    inject = vcfg.get("inject_g")
+    if inject is not None:
+        mq = int(vcfg.get("inject_q", 2))
+        matrices = [(np.array(inject, dtype=np.int64), mq, "injected")]
+    else:
+        matrices = []
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        ok = True
-        for _ in range(1000):
-            raw = rng.random((3, 4))
-            joint = oracle.JointDistribution(raw / raw.sum())
-            lhs, rhs = oracle.pinsker_check(joint)
-            ok = ok and lhs >= rhs - 1e-12
-            worst = max(worst, rhs - lhs)
-        record("pinsker", ok, {"joints": 1000, "worst_gap": worst})
-    return results
+        for q, n in [(2, 2), (3, 2), (5, 3)]:
+            r = max(1, min(r_max(n, q, 0.1), n)) if q > 2 else 1
+            while True:
+                m = sample_matrix(rng, r, n, q)
+                if matrix_row_rank(m, q) == r:
+                    break
+            matrices.append((m, q, f"sampled q={q} N={n}"))
+    for m, mq, label in matrices:
+        _, uniform = seed_uniformity_raw(m, mq)
+        yield uniform, {"matrix": m.tolist(), "label": label, "q": mq}
+
+
+def _check_leftover_entropy(vcfg: dict, seed: int):
+    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+    for q, n, r in [(2, 2, 1), (3, 2, 1)]:
+        avg, bound, holds = oracle.leftover_census(q, n, r, DiscreteDistribution.uniform(q**n))
+        yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
+    budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
+    pair = NestedLatticePair(N=2, q=11)
+    matrices = [np.array(e, dtype=np.int64).reshape(1, 2) for e in product(range(11), repeat=2)]
+    avg = sum(oracle.exact_seed_leakage(pair, m, cap=pair_cap) for m in matrices) / len(matrices)
+    yield avg <= budget.budget_bits + 1e-9, {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
+                                             "averaged_leakage": avg,
+                                             "budget": budget.budget_bits}
+
+
+def _check_pinsker(vcfg: dict, seed: int):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    ok = True
+    for _ in range(1000):
+        raw = rng.random((3, 4))
+        joint = oracle.JointDistribution(raw / raw.sum())
+        lhs, rhs = oracle.pinsker_check(joint)
+        ok = ok and lhs >= rhs - 1e-12
+        worst = max(worst, rhs - lhs)
+    yield ok, {"joints": 1000, "worst_gap": worst}
+
+
+# Every verify check in report order: name -> check(verify config, seed),
+# which yields (passed, details) for each case of its parameter grid.
+CHECKS = {
+    "amd-attack-bound": _check_amd_attack_bound,
+    "coords-isomorphism": _check_coords_isomorphism,
+    "sum-representation": _check_sum_representation,
+    "full-rank-fraction": _check_full_rank_fraction,
+    "hash-collision": _check_hash_collision,
+    "seed-uniformity": _check_seed_uniformity,
+    "leftover-entropy": _check_leftover_entropy,
+    "pinsker": _check_pinsker,
+}
+
+
+def _run_checks(cfg: dict, seed: int) -> list[dict]:
+    """Run the selected checks in table order, whatever the config's order."""
+    vcfg = cfg.get("verify", {})
+    selected = vcfg.get("checks", CHECKS)
+    unknown = [name for name in selected if name not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown verify check {unknown[0]!r}")
+    return [
+        {"name": name, "passed": bool(passed), "details": details}
+        for name, check in CHECKS.items() if name in selected
+        for passed, details in check(vcfg, seed)
+    ]
 
 
 def cmd_verify(cfg: dict, seed: int, out: str | None) -> int:
@@ -337,8 +338,6 @@ def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
         candidates = scan.get("candidates", 64)
         cap = scan.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
         rng = np.random.default_rng(seed)
-        from .extract import search_good_extractor
-
         for n in scan.get("values", [1, 2]):
             try:
                 result = search_good_extractor(

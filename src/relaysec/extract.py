@@ -258,9 +258,7 @@ class EncoderMap:
     pair: NestedLatticePair
     N0: int
     r0: int
-    subset: list[tuple[int, ...]]  # rank -> canonical coords
-    rank_of: dict[tuple[int, ...], int]
-    subset_coords: np.ndarray  # subset as a (2^N0, N) array
+    subset_coords: np.ndarray  # rank -> canonical coords, a (2^N0, N) array
     rank_table: np.ndarray
 
     def ranks(self, t1) -> np.ndarray:
@@ -300,14 +298,12 @@ def build_encoder(
         norm2 = round(float(np.dot(point, point)), 12)
         ranked.append((norm2, tuple(int(v) for v in c)))
     ranked.sort()
-    subset = [coords for _, coords in ranked[: 2**N0]]
-    rank_of = {coords: i for i, coords in enumerate(subset)}
-    subset_coords = np.array(subset, dtype=np.int64)
+    subset_coords = np.array([coords for _, coords in ranked[: 2**N0]], dtype=np.int64)
     rank_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
-    rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset))
+    rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset_coords))
     return EncoderMap(
-        g=g, g_prime=g_prime, A=a, pair=pair, N0=N0, r0=r0, subset=subset,
-        rank_of=rank_of, subset_coords=subset_coords, rank_table=rank_table,
+        g=g, g_prime=g_prime, A=a, pair=pair, N0=N0, r0=r0,
+        subset_coords=subset_coords, rank_table=rank_table,
     )
 
 

@@ -376,7 +376,6 @@ class TwoHopProtocol:
         self.payload_bits = payload_bits(p.q, p.r, p.d)
         self.blocks = math.ceil(self.payload_bits / p.msg_r0)
         self.channel = ChannelConfig(
-            N=p.N,
             power_limit=p.power_limit,
             noise_var_relay=p.noise_var_relay,
             noise_var_dest=p.noise_var_dest,
@@ -606,10 +605,10 @@ class TwoHopProtocol:
             p1 = average_codebook_power(self.seed_pair, 1)
             p2 = average_codebook_power(self.tag_pair, 1)
             total = 0.0
-            for coords in self.encoder.subset:
-                pt = codebook_point(self.msg_pair, np.array(coords), 1)
+            for coords in self.encoder.subset_coords:
+                pt = codebook_point(self.msg_pair, coords, 1)
                 total += float(np.dot(pt, pt)) / self.msg_pair.N
-            p3 = total / len(self.encoder.subset)
+            p3 = total / len(self.encoder.subset_coords)
             self._powers = (p1, p2, p3)
         return self._powers
 

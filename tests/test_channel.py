@@ -25,7 +25,7 @@ from relaysec.lattice import (
     lattice_add,
 )
 
-NOISELESS = ChannelConfig(N=2, power_limit=10.0, noiseless=True)
+NOISELESS = ChannelConfig(power_limit=10.0, noiseless=True)
 
 
 def rng(seed=0):
@@ -48,14 +48,14 @@ def test_phase_length_mismatch():
 
 
 def test_phase1_gaussian_reproducible():
-    cfg = ChannelConfig(N=4, power_limit=10.0)
+    cfg = ChannelConfig(power_limit=10.0)
     y1 = phase1(cfg, np.zeros(4), np.zeros(4), rng(42))
     y2 = phase1(cfg, np.zeros(4), np.zeros(4), rng(42))
     assert np.array_equal(y1, y2)
 
 
 def test_phase_noise_moments():
-    cfg = ChannelConfig(N=1, power_limit=10.0)
+    cfg = ChannelConfig(power_limit=10.0)
     g = rng(123)
     x1 = np.ones(1)
     x2 = -np.ones(1)
@@ -74,8 +74,7 @@ def test_phase2_noiseless_identity():
 
 
 def test_zero_variance_matches_noiseless():
-    zero_var = ChannelConfig(N=2, power_limit=10.0,
-                             noise_var_relay=0.0, noise_var_dest=0.0)
+    zero_var = ChannelConfig(power_limit=10.0, noise_var_relay=0.0, noise_var_dest=0.0)
     x1, x2 = np.array([1.0, 2.0]), np.array([0.5, -0.25])
     assert np.array_equal(
         phase1(zero_var, x1, x2, rng(1)), phase1(NOISELESS, x1, x2, rng(2))
@@ -191,7 +190,7 @@ def test_power_audit_matches_codebook_average():
         x1 = codebook_point(pair, [c])
         records.append(PhaseRecord(x1=x1, x2=np.zeros(1), yr=x1,
                                    xr=np.zeros(1), y2=np.zeros(1)))
-    report = power_audit(records, ChannelConfig(N=1, power_limit=1.0, noiseless=True))
+    report = power_audit(records, ChannelConfig(power_limit=1.0, noiseless=True))
     assert report["node1"]["average_power"] == pytest.approx(
         average_codebook_power(pair)
     )
@@ -210,7 +209,7 @@ def test_power_audit_skips_silent_node2():
 
 
 def test_power_audit_flags_violation():
-    cfg = ChannelConfig(N=2, power_limit=0.5, noiseless=True)
+    cfg = ChannelConfig(power_limit=0.5, noiseless=True)
     hot = PhaseRecord(x1=np.ones(2) * 2, x2=np.zeros(2), yr=np.zeros(2),
                       xr=np.zeros(2), y2=np.zeros(2))
     report = power_audit([hot], cfg)

@@ -78,15 +78,23 @@ def test_verify_default_all_checks_pass(tmp_path):
 
 def test_verify_subset_passes(tmp_path):
     path = write_config(tmp_path, {
-        "verify": {"checks": ["full-rank-fraction", "pinsker", "sum-representation"]}
+        "verify": {"checks": ["pinsker", "full-rank-fraction", "sum-representation"]}
     })
     out = tmp_path / "report.json"
     code = main(["verify", "--config", path, "--seed", "3", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["all_passed"]
-    names = {c["name"] for c in report["checks"]}
-    assert names == {"full-rank-fraction", "pinsker", "sum-representation"}
+    names = list(dict.fromkeys(c["name"] for c in report["checks"]))
+    # records follow the order of cli.CHECKS, not the config's
+    assert names == ["sum-representation", "full-rank-fraction", "pinsker"]
+
+
+def test_verify_unknown_check_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"verify": {"checks": ["pinsker", "no-such-check"]}})
+    assert main(["verify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "no-such-check" in err
 
 
 def test_verify_injected_rank_deficient_map_fails(tmp_path):

@@ -208,17 +208,17 @@ def test_build_encoder_subset_example():
     pair = NestedLatticePair(N=2, q=3)
     enc = build_encoder(np.array([[1, 0, 0]]), pair)
     assert enc.N0 == 3
-    assert len(enc.subset) == 8
+    assert len(enc.subset_coords) == 8
     # the lex-largest of the four norm-2 points is excluded
-    assert (2, 2) not in enc.rank_of
-    assert enc.subset[0] == (0, 0)
+    assert not enc.contains((2, 2))
+    assert enc.subset_coords[0].tolist() == [0, 0]
 
 
 def test_build_encoder_binary_codebook_is_whole():
     pair = NestedLatticePair(N=3, q=2)
     enc = build_encoder(np.array([[1, 0, 0], [0, 1, 0]]), pair)
     assert enc.N0 == 3
-    assert len(enc.subset) == 8
+    assert len(enc.subset_coords) == 8
 
 
 def test_encoder_round_trip_exhaustive():

@@ -205,13 +205,11 @@ def test_win_bound_distribution_free_in_message():
     """The detection bound holds per fixed message, not just on average."""
     p = proto(TINY)
     bound = win_bound(p.amd)
+    trials = 2000
     for s_val in (0, 2, 4):
-        s = (s_val,)
-        wins = 0
-        trials = 2000
-        for i in range(trials):
-            out = p.run_trial(SubstituteLattice((1,)), (s_val * 100_000 + i,), s=s)
-            wins += int(out.accepted and out.s_hat != s)
+        batch = p.run_batch(SubstituteLattice((1,)), s_val * 100_000, 0, trials,
+                            messages=np.full((trials, 1), s_val))
+        wins = int(np.sum(batch.accepted & np.any(batch.s_hat != s_val, axis=1)))
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert wins / trials <= bound + 3 * sigma
 
