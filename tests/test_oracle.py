@@ -182,6 +182,17 @@ def test_universal_hash_census_examples():
     assert prob <= 1 / 3 + 1e-15 and holds
 
 
+def test_universal_hash_census_grid():
+    for q in (2, 3):
+        for n in (1, 2, 3):
+            for r in (1, 2):
+                if r > n:
+                    continue
+                prob, holds = universal_hash_census(q, n, r)
+                assert holds
+                assert prob == pytest.approx(q**-r)
+
+
 def test_leftover_census_uniform_gf2():
     avg, bound, holds = leftover_census(2, 2, 1, DiscreteDistribution.uniform(4))
     assert avg == pytest.approx(0.75)  # three informative maps out of four
