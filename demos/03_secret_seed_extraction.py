@@ -11,11 +11,10 @@ leftover-hash budget.
 Run: python demos/03_secret_seed_extraction.py
 """
 
-from itertools import product
-
 import numpy as np
 
 from relaysec import ExtractorMap, ExtractorParams, leakage_budget, seed_uniformity
+from relaysec.fields import all_matrices
 from relaysec.lattice import NestedLatticePair
 from relaysec.oracle import best_extractor_exhaustive, exact_seed_leakage
 
@@ -36,10 +35,7 @@ print("ever more jammed dimensions")
 print()
 print("=== matrix-averaged leakage vs the entropy budget (q=11, N=2, r=1) ===")
 pair = NestedLatticePair(N=2, q=11)
-leaks = {
-    e: exact_seed_leakage(pair, np.array(e, dtype=np.int64).reshape(1, 2))
-    for e in product(range(11), repeat=2)
-}
+leaks = {tuple(m[0].tolist()): exact_seed_leakage(pair, m) for m in all_matrices(11, 1, 2)}
 budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
 print(f"average over all {len(leaks)} matrices: {np.mean(list(leaks.values())):.4f} bits")
 print(f"budget from the leftover-hash floor:   {budget.budget_bits:.4f} bits "

@@ -22,7 +22,6 @@ __all__ = [
     "amd_verify",
     "amd_rate",
     "win_bound",
-    "exhaustive_attack_success",
 ]
 
 
@@ -81,20 +80,3 @@ def amd_rate(params: AmdParams) -> float:
 def win_bound(params: AmdParams) -> float:
     """Worst-case acceptance probability of additive tampering: (d+1)/q^r."""
     return (params.d + 1) / params.field.order
-
-
-def exhaustive_attack_success(params: AmdParams, s, s_prime, dx, dh) -> float:
-    """Exact acceptance probability of one additive attack, over uniform x.
-
-    Counts the seeds x for which (s', x + dx, tag(s, x) + dh) verifies.
-    The perturbation (s' - s, dx, dh) must not be identically zero.
-    """
-    f = params.field
-    s, s_prime, dx, dh = _check_elements(f, s, s_prime, dx, dh)
-    if np.array_equal(s, s_prime) and dx == 0 and dh == 0:
-        raise ValueError("attack perturbation must not be identically zero")
-    add = f.tables()["add"]
-    xs = np.arange(f.order)
-    forged_tag = add[amd_tag(params, s, xs), dh]
-    hits = np.count_nonzero(amd_verify(params, s_prime, add[xs, dx], forged_tag))
-    return hits / f.order

@@ -20,7 +20,6 @@ import io
 import json
 import sys
 from importlib import resources
-from itertools import product
 
 import jsonschema
 import numpy as np
@@ -36,7 +35,7 @@ from .extract import (
     search_good_extractor,
     seed_uniformity_raw,
 )
-from .fields import ExtField, matrix_row_rank, sample_matrix
+from .fields import ExtField, all_matrices, matrix_row_rank, sample_matrix
 from .lattice import NestedLatticePair
 from .protocol import ProtocolParams, _protocol_cache, rate_accounting
 
@@ -213,7 +212,7 @@ def _check_leftover_entropy(vcfg: dict, seed: int):
         yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
     budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
     pair = NestedLatticePair(N=2, q=11)
-    matrices = [np.array(e, dtype=np.int64).reshape(1, 2) for e in product(range(11), repeat=2)]
+    matrices = all_matrices(11, 1, 2)
     avg = sum(oracle.exact_seed_leakage(pair, m, cap=pair_cap) for m in matrices) / len(matrices)
     yield avg <= budget.budget_bits + 1e-9, {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
                                              "averaged_leakage": avg,
@@ -339,6 +338,8 @@ def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
         cap = scan.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
         rng = np.random.default_rng(seed)
         for n in scan.get("values", [1, 2]):
+            if r > n:
+                raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
             try:
                 result = search_good_extractor(
                     q, n, r, candidates, rng,
@@ -351,6 +352,8 @@ def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
             except oracle.SizeGuardError:
                 rows.append({"status": "skipped", "param": "N", "value": n,
                              "bestLeakage": ""})
+            except RuntimeError as exc:  # no full-rank candidate among the samples
+                raise ConfigError(f"leakage scan: {exc}") from exc
         header = ["status", "param", "value", "bestLeakage"]
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import complete_and_invert, digits, matrix_row_rank, sample_matrix
+from .fields import complete_and_invert, digits, matrix_row_rank
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -288,9 +288,7 @@ def build_encoder(
     r0, cols = g.shape
     if cols != N0:
         raise ValueError(f"g must have {N0} columns, got {cols}")
-    if matrix_row_rank(g, 2) != r0:
-        raise ValueError("g must have full row rank")
-    g_prime, a = complete_and_invert(g, 2)
+    g_prime, a = complete_and_invert(g, 2)  # raises unless g has full row rank
 
     ranked = []
     for c in enumerate_coords(pair):
@@ -371,10 +369,9 @@ def search_good_extractor(
     best_m = None
     best_leak = math.inf
     leakages: list[float] = []
-    for _ in range(candidates):
-        m = sample_matrix(rng, r, N, q)
-        if matrix_row_rank(m, q) != r:
-            continue
+    # one draw of the whole stack reads the same stream as one draw per candidate
+    draws = rng.integers(0, q, size=(candidates, r, N), dtype=np.int64)
+    for m in draws[matrix_row_rank(draws, q) == r]:
         leak = float(oracle_hook(m))
         leakages.append(leak)
         if leak < best_leak:

@@ -3,8 +3,13 @@
 GF(q) elements are the ints in [0, q).  GF(q^r) elements are the ints in
 [0, q^r): base-q digit k of an element (``digits``) is its coefficient of
 x^k in the polynomial basis, and ``ExtField.tables`` holds the add, sub,
-mul and neg tables indexed by those ints.  Matrices over GF(q) are
-integer numpy arrays reduced mod q.
+mul and neg tables indexed by those ints.
+
+Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
+shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
+kernel, ``row_reduce``, which reduces a whole stack per pass; rank,
+inverse and basis completion are thin views over it, and
+``all_matrices`` enumerates every matrix of a shape as one stack.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -23,6 +28,8 @@ __all__ = [
     "digits",
     "find_irreducible",
     "is_prime",
+    "all_matrices",
+    "row_reduce",
     "matrix_row_rank",
     "sample_matrix",
     "matrix_inverse",
@@ -65,16 +72,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_trim(out)
 
 
 def _poly_mod(a: list[int], m: list[int], q: int) -> list[int]:
@@ -193,35 +190,64 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# matrices over GF(q): plain int64 numpy arrays, entries reduced mod q
+# matrices over GF(q): stacks of shape (..., rows, cols), one elimination kernel
 # ---------------------------------------------------------------------------
 
+_REDUCE_BATCH = 4096  # matrices per elimination pass; bounds the scratch memory
 
-def matrix_row_rank(m: np.ndarray, q: int) -> int:
-    """Row rank via Gaussian elimination over GF(q)."""
+
+def all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
+    """Every rows x cols matrix over GF(q), shape (q^(rows*cols), rows, cols).
+
+    Matrix k is the k-th tuple of ``itertools.product(range(q),
+    repeat=rows * cols)`` read row by row, in the smallest unsigned dtype.
+    """
+    n = rows * cols
+    grid = np.indices((q,) * n, dtype=np.min_scalar_type(q - 1)).reshape(n, q**n)
+    return np.ascontiguousarray(grid.T).reshape(q**n, rows, cols)
+
+
+def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
+    """Reduced row-echelon form and rank over GF(q), by Gauss-Jordan elimination.
+
+    ``m`` is one matrix or a stack of shape (..., rows, cols).  Pivots are
+    taken in column order, each the first nonzero row at or below the
+    current rank.  Returns (rref, rank): the RREF stack in the smallest
+    unsigned dtype, and the ranks, an int for a single matrix.
+    """
     _check_prime(q)
-    a = np.array(m, dtype=np.int64) % q
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if a[row, col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), q - 2, q)) % q
-        for row in range(rows):
-            if row != rank and a[row, col] != 0:
-                a[row] = (a[row] - a[row, col] * a[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    m = np.asarray(m)
+    if m.ndim < 2:
+        raise ValueError("matrix must be 2-D or a stack of 2-D matrices")
+    *stack, rows, cols = m.shape
+    flat = m.reshape(int(np.prod(stack)), rows, cols)
+    rref = np.empty(flat.shape, dtype=np.min_scalar_type(q - 1))
+    rank = np.zeros(len(flat), dtype=np.int64)
+    work = np.min_scalar_type(-q * q)  # holds a - f * p before reduction mod q
+    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=work)
+    row_ids = np.arange(rows)
+    for start in range(0, len(flat), _REDUCE_BATCH):
+        a = (flat[start : start + _REDUCE_BATCH] % q).astype(work)
+        done = rank[start : start + _REDUCE_BATCH]  # a view: the pass updates it
+        for col in range(cols if rows else 0):
+            below = (a[:, :, col] != 0) & (row_ids >= done[:, None])
+            sel = np.flatnonzero(below.any(axis=1))
+            pivot, top = below[sel].argmax(axis=1), done[sel]
+            a[sel, pivot], a[sel, top] = a[sel, top], a[sel, pivot]
+            pivot_row = a[sel, top] * inverse[a[sel, top, col]][:, None] % q
+            factor = a[sel, :, col]
+            factor[np.arange(len(sel)), top] = 0
+            a[sel] = (a[sel] - factor[:, :, None] * pivot_row[:, None, :]) % q
+            a[sel, top] = pivot_row
+            done[sel] += 1
+        rref[start : start + _REDUCE_BATCH] = a
+    rref = rref.reshape(m.shape)
+    return (rref, rank.reshape(stack)) if stack else (rref, int(rank[0]))
+
+
+def matrix_row_rank(m, q: int):
+    """Row rank over GF(q): an int, or an array of ranks for a stack."""
+    return row_reduce(m, q)[1]
 
 
 def sample_matrix(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.ndarray:
@@ -229,63 +255,38 @@ def sample_matrix(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.
     return rng.integers(0, q, size=(rows, cols), dtype=np.int64)
 
 
-def matrix_inverse(m: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(q) by Gauss-Jordan elimination."""
-    _check_prime(q)
-    a = np.array(m, dtype=np.int64) % q
-    n = a.shape[0]
-    if a.shape != (n, n):
+def matrix_inverse(m, q: int) -> np.ndarray:
+    """Inverse over GF(q) of a square matrix or a stack: the RREF of [A | I]."""
+    m = np.asarray(m, dtype=np.int64) % q
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("matrix must be square")
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if aug[row, col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(q)")
-        aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = (aug[col] * pow(int(aug[col, col]), q - 2, q)) % q
-        for row in range(n):
-            if row != col and aug[row, col] != 0:
-                aug[row] = (aug[row] - aug[row, col] * aug[col]) % q
-    return aug[:, n:]
+    n = m.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)
+    rref, _ = row_reduce(np.concatenate([m, eye], axis=-1), q)
+    if not np.array_equal(rref[..., :n], eye):
+        raise ValueError("matrix is singular over GF(q)")
+    return rref[..., n:].astype(np.int64)
 
 
-def complete_and_invert(g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complete a full-row-rank r x N matrix to an invertible square one.
+def complete_and_invert(g, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complete full-row-rank r x N matrices to invertible square ones.
 
     Returns (g_prime, A) where g_prime is (N - r) x N, the stacked matrix
-    [g_prime; g] is invertible, and A is its inverse.  The completion rows
-    are standard basis vectors taken greedily in index order, so the result
-    is deterministic.
+    [g_prime; g] is invertible, and A is its inverse; a stack of g gives
+    stacks.  The completion rows are the e_i, in index order, such that no
+    row-space vector of g has its highest nonzero entry at i: exactly the
+    rows a greedy scan of e_0, e_1, ... keeps when each raises the rank.
     """
-    g = np.array(g, dtype=np.int64) % q
-    r, n = g.shape
-    if matrix_row_rank(g, q) != r:
+    g = np.asarray(g, dtype=np.int64) % q
+    *stack, r, n = g.shape
+    rref, rank = row_reduce(g[..., ::-1], q)
+    if np.any(rank != r):
         raise ValueError("matrix does not have full row rank")
-    basis_rows: list[np.ndarray] = []
-    current = g
-    rank = r
-    for i in range(n):
-        if rank == n:
-            break
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        cand = np.vstack([current, e])
-        if matrix_row_rank(cand, q) == rank + 1:
-            basis_rows.append(e)
-            current = cand
-            rank += 1
-    g_prime = (
-        np.array(basis_rows, dtype=np.int64)
-        if basis_rows
-        else np.zeros((0, n), dtype=np.int64)
-    )
-    stacked = np.vstack([g_prime, g])
-    a = matrix_inverse(stacked, q)
-    return g_prime, a
+    # the leading entry of each RREF row of reversed g is the highest entry of a row-space vector
+    free = np.ones((*stack, n), dtype=bool)
+    np.put_along_axis(free, n - 1 - np.argmax(rref != 0, axis=-1), False, axis=-1)
+    g_prime = np.eye(n, dtype=np.int64)[np.nonzero(free)[-1].reshape(*stack, n - r)]
+    return g_prime, matrix_inverse(np.concatenate([g_prime, g], axis=-2), q)
 
 
 def full_rank_fraction(q: int, rows: int, cols: int) -> tuple[int, int]:

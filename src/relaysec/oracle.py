@@ -24,7 +24,7 @@ import numpy as np
 
 from .amd import AmdParams, amd_tag
 from .extract import DiscreteDistribution, leftover_bound, renyi_entropy
-from .fields import digits, full_rank_fraction, matrix_row_rank
+from .fields import all_matrices, digits, full_rank_fraction, matrix_row_rank, row_reduce
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -119,12 +119,6 @@ def mutual_information_bits(joint: np.ndarray) -> float:
     )
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    counts = counts[counts > 0].astype(float)
-    total = counts.sum()
-    return float(np.sum(counts / total * (np.log2(total) - np.log2(counts))))
-
-
 @dataclass(frozen=True)
 class LeakageRecord:
     matrix: tuple
@@ -137,29 +131,6 @@ class LeakageRecord:
 # ---------------------------------------------------------------------------
 # exact seed leakage against the noiseless relay observation
 # ---------------------------------------------------------------------------
-
-
-def _observation_index_direct(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
-    """Flattened observation id for every (t1, t2) codeword pair.
-
-    The observation is the mod-coarse sum of the two transmitted signals
-    together with the wrap integer T; both are computed through the real
-    vector geometry, then indexed.
-    """
-    q, n = pair.q, pair.N
-    size = q**n
-    points1 = [codebook_point(pair, index_to_coords(pair, k), 1) for k in range(size)]
-    points2 = [codebook_point(pair, index_to_coords(pair, k), 2) for k in range(size)]
-    offset = pair.dither(1) + pair.dither(2)
-    t_count = 2**n
-    obs = np.zeros((size, size), dtype=np.int64)
-    radix = q ** np.arange(n, dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            rep = represent_sum(pair, points1[i], points2[j])
-            coords = decode_fine_mod_coarse(pair, np.array(rep.sum_mod), offset)
-            obs[i, j] = int(np.dot(coords, radix)) * t_count + (rep.T - 1)
-    return obs.reshape(-1), q**n * t_count
 
 
 def _observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
@@ -241,44 +212,23 @@ def exact_seed_leakage(
     return mutual_information_bits(_seed_obs_counts(pair, g, cap))
 
 
-def seed_leakage_two_path(
-    pair: NestedLatticePair, g: np.ndarray, cap: int = MAX_PAIR_ENUM
-) -> tuple[float, float]:
-    """Leakage via the direct sum and via H(seed) + H(obs) - H(joint)."""
-    g = np.array(g, dtype=np.int64) % pair.q
-    if g.shape[0] == 0:
-        return 0.0, 0.0
-    joint = _seed_obs_counts(pair, g, cap)
-    direct = mutual_information_bits(joint)
-    decomposed = (
-        _entropy_from_counts(joint.sum(axis=1))
-        + _entropy_from_counts(joint.sum(axis=0))
-        - _entropy_from_counts(joint.reshape(-1))
-    )
-    return direct, decomposed
-
-
 def best_extractor_exhaustive(
     pair: NestedLatticePair, r: int, cap: int = MAX_PAIR_ENUM
 ) -> LeakageRecord:
-    """Scan every full-row-rank r x N matrix and return the leakage minimizer.
+    """Scan every full-row-rank r x N row space and return the leakage minimizer.
 
-    For r = 1 only rows whose first nonzero entry is 1 are evaluated:
-    scaling a row permutes the seed alphabet bijectively, which leaves the
-    mutual information unchanged, so one representative per scaling class
-    is exact.
+    Only matrices in reduced row-echelon form are evaluated, one per row
+    space: an invertible change of basis permutes the seed alphabet
+    bijectively, which leaves the mutual information unchanged, so one
+    representative per row space is exact.  For r = 1 these are the rows
+    whose first nonzero entry is 1.
     """
     q, n = pair.q, pair.N
     _guard(q ** (r * n), cap, "extractor-matrix enumeration")
+    mats = all_matrices(q, r, n)
+    rref, rank = row_reduce(mats, q)
     best = None
-    for entries in product(range(q), repeat=r * n):
-        m = np.array(entries, dtype=np.int64).reshape(r, n)
-        if r == 1:
-            nz = np.nonzero(m[0])[0]
-            if len(nz) == 0 or m[0, nz[0]] != 1:
-                continue
-        if matrix_row_rank(m, q) != r:
-            continue
+    for m in mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]:
         mi = exact_seed_leakage(pair, m, cap=cap)
         if best is None or mi < best.exact_mi_bits:
             best = LeakageRecord(
@@ -407,11 +357,7 @@ def full_rank_census(q: int, rows: int, cols: int, enum_cap: int = 10**5):
     """
     count, total = full_rank_fraction(q, rows, cols)
     if q ** (rows * cols) <= enum_cap:
-        seen = 0
-        for entries in product(range(q), repeat=rows * cols):
-            m = np.array(entries, dtype=np.int64).reshape(rows, cols)
-            if matrix_row_rank(m, q) == rows:
-                seen += 1
+        seen = np.count_nonzero(matrix_row_rank(all_matrices(q, rows, cols), q) == rows)
         if seen != count:
             raise AssertionError(
                 f"enumeration ({seen}) disagrees with product count ({count})"
@@ -437,15 +383,9 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
     _guard(n_mat * n_vec, cap, "universal hash census")
     vecs = digits(np.arange(n_vec), q, N)
     radix = q ** np.arange(r, dtype=np.int64)
-    images = np.zeros((n_mat, n_vec), dtype=np.int64)
-    for gi, entries in enumerate(product(range(q), repeat=r * N)):
-        m = np.array(entries, dtype=np.int64).reshape(r, N)
-        images[gi] = ((vecs @ m.T) % q) @ radix
-    onehot = np.zeros((n_mat, n_vec, q**r), dtype=np.int64)
-    gi = np.repeat(np.arange(n_mat), n_vec)
-    vi = np.tile(np.arange(n_vec), n_mat)
-    onehot[gi, vi, images.reshape(-1)] = 1
-    collisions = np.einsum("gax,gbx->ab", onehot, onehot)
+    images = radix @ ((all_matrices(q, r, N) @ vecs.T) % q)  # images[G, x]: index of G x
+    onehot = images[:, :, None] == np.arange(q**r)
+    collisions = np.einsum("gax,gbx->ab", onehot, onehot, dtype=np.int64)
     np.fill_diagonal(collisions, 0)
     max_coll = int(collisions.max())
     # integer form of max_coll / n_mat <= q^-r
@@ -478,8 +418,7 @@ def leftover_census(q: int, N: int, r: int, dist: DiscreteDistribution, cap: int
     vecs = digits(np.arange(n_vec), q, N)
     radix = q ** np.arange(r, dtype=np.int64)
     total = 0.0
-    for entries in product(range(q), repeat=r * N):
-        m = np.array(entries, dtype=np.int64).reshape(r, N)
+    for m in all_matrices(q, r, N):  # one matrix at a time keeps the float sum's order
         out = ((vecs @ m.T) % q) @ radix
         pushed = np.bincount(out, weights=probs, minlength=q**r)
         nz = pushed[pushed > 0]

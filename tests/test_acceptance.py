@@ -7,7 +7,6 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from relaysec.extract import (
     leakage_budget,
     secrecy_rate_from_power,
 )
-from relaysec.fields import digits, matrix_row_rank
+from relaysec.fields import all_matrices, digits, matrix_row_rank
 from relaysec.lattice import NestedLatticePair
 from relaysec.oracle import (
     JointDistribution,
@@ -96,13 +95,12 @@ def test_c06_full_rank_implies_uniform_seed():
                 vecs = digits(np.arange(size), q, n)
                 for r in range(1, n + 1):
                     radix = q ** np.arange(r, dtype=np.int64)
-                    for entries in product(range(q), repeat=r * n):
-                        m = np.array(entries, dtype=np.int64).reshape(r, n)
-                        if matrix_row_rank(m, q) != r:
-                            continue
-                        out = ((vecs @ m.T) % q) @ radix
-                        counts = np.bincount(out, minlength=q**r)
-                        assert np.all(counts * q**r == size), (q, n, m)
+                    mats = all_matrices(q, r, n)
+                    full = mats[matrix_row_rank(mats, q) == r]
+                    out = radix @ ((full @ vecs.T) % q)  # out[i, x]: seed of x under full[i]
+                    counts = (out[:, :, None] == np.arange(q**r)).sum(axis=1)
+                    uniform = np.all(counts * q**r == size, axis=1)
+                    assert uniform.all(), (q, n, full[~uniform][:1])
 
 
 def test_c07_averaged_leakage_within_budget():

@@ -7,15 +7,32 @@ import pytest
 
 from relaysec.amd import (
     AmdParams,
+    _check_elements,
     amd_rate,
     amd_tag,
     amd_verify,
-    exhaustive_attack_success,
     win_bound,
 )
 from relaysec.fields import ExtField
 
 GF5 = ExtField(5, 1)  # elements are the residues 0..4
+
+
+def exhaustive_attack_success(params, s, s_prime, dx, dh):
+    """Exact acceptance probability of one additive attack, over uniform x.
+
+    Counts the seeds x for which (s', x + dx, tag(s, x) + dh) verifies.
+    The perturbation (s' - s, dx, dh) must not be identically zero.
+    """
+    f = params.field
+    s, s_prime, dx, dh = _check_elements(f, s, s_prime, dx, dh)
+    if np.array_equal(s, s_prime) and dx == 0 and dh == 0:
+        raise ValueError("attack perturbation must not be identically zero")
+    add = f.tables()["add"]
+    xs = np.arange(f.order)
+    forged_tag = add[amd_tag(params, s, xs), dh]
+    hits = np.count_nonzero(amd_verify(params, s_prime, add[xs, dx], forged_tag))
+    return hits / f.order
 
 
 def params5(d=1):

@@ -226,3 +226,16 @@ def test_scan_leakage_with_skip(tmp_path):
     assert status[3] == "skipped"  # 11^6 pairs exceed the configured cap
     leak = {int(r[2]): r[3] for r in rows if r[0] == "ok"}
     assert float(leak[2]) <= float(leak[1])
+
+
+def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
+    # the leakage kind alone inherits the d-scan's r = 25 > N
+    path = write_config(tmp_path, {"scan": {"kind": "leakage"}})
+    assert main(["scan", "--config", path]) == 2
+    assert "r=25 exceeds N=1" in capsys.readouterr().err
+    # one 3 x 3 binary sample at seed 0 has rank 1: no full-rank candidate
+    path = write_config(tmp_path, {
+        "scan": {"kind": "leakage", "q": 2, "r": 3, "values": [3], "candidates": 1}
+    })
+    assert main(["scan", "--config", path, "--seed", "0"]) == 2
+    assert "no full-row-rank candidate" in capsys.readouterr().err

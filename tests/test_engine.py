@@ -15,7 +15,7 @@ from relaysec.channel import (
     SubstituteLattice,
 )
 from relaysec.extract import decode_message, encode_message, extract_seed
-from relaysec.fields import ExtField, _poly_mod, _poly_mul
+from relaysec.fields import ExtField, _poly_mod
 from relaysec.lattice import (
     codebook_point,
     decode_fine_mod_coarse,
@@ -69,6 +69,17 @@ def test_box_muller_matches_formula():
             assert out[j + 1] == pytest.approx(radius * math.sin(2 * math.pi * u2), abs=1e-12)
     extreme = box_muller(np.array([2**64 - 1, 0], dtype=np.uint64))  # u1 = 1
     assert np.all(np.isfinite(extreme))
+
+
+def _poly_mul(a, b, q):
+    """Product of coefficient lists over GF(q), lowest degree first, trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % q
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def test_field_tables_match_polynomial_arithmetic():

@@ -26,7 +26,7 @@ from relaysec.extract import (
     seed_uniformity_raw,
     shannon_entropy,
 )
-from relaysec.fields import matrix_row_rank
+from relaysec.fields import all_matrices, matrix_row_rank
 from relaysec.lattice import NestedLatticePair
 
 
@@ -66,9 +66,9 @@ def test_seed_uniformity_examples():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_full_rank_implies_exact_uniformity_exhaustive(q, n):
     for r in range(1, n + 1):
-        for entries in itertools.product(range(q), repeat=r * n):
-            m = np.array(entries, dtype=np.int64).reshape(r, n)
-            full = matrix_row_rank(m, q) == r
+        mats = all_matrices(q, r, n)
+        for m, rank in zip(mats, matrix_row_rank(mats, q)):
+            full = rank == r
             _, uniform = seed_uniformity_raw(m, q)
             if full:
                 assert uniform

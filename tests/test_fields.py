@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from relaysec import fields
 from relaysec.fields import (
     ExtField,
+    all_matrices,
     complete_and_invert,
     digits,
     find_irreducible,
@@ -14,6 +16,7 @@ from relaysec.fields import (
     is_prime,
     matrix_inverse,
     matrix_row_rank,
+    row_reduce,
     sample_matrix,
 )
 
@@ -166,11 +169,7 @@ def test_sample_matrix_census_uniform():
 
 
 def test_full_rank_fraction_enumerated_2x3_gf2():
-    full = sum(
-        1
-        for entries in itertools.product(range(2), repeat=6)
-        if matrix_row_rank(np.array(entries).reshape(2, 3), 2) == 2
-    )
+    full = np.count_nonzero(matrix_row_rank(all_matrices(2, 2, 3), 2) == 2)
     assert full == 42
     assert full_rank_fraction(2, 2, 3) == (42, 64)
 
@@ -194,11 +193,7 @@ def test_full_rank_bound_and_formula_cross_check():
                 count, total = full_rank_fraction(q, r, n)
                 assert count * q ** (n - r) >= (q ** (n - r) - 1) * total
                 if q ** (r * n) <= 100_000:
-                    seen = sum(
-                        1
-                        for entries in itertools.product(range(q), repeat=r * n)
-                        if matrix_row_rank(np.array(entries).reshape(r, n), q) == r
-                    )
+                    seen = np.count_nonzero(matrix_row_rank(all_matrices(q, r, n), q) == r)
                     assert seen == count
 
 
@@ -233,17 +228,22 @@ def test_complete_and_invert_rejects_rank_deficient():
         complete_and_invert(np.array([[1, 1], [2, 2]]), 3)
 
 
+def _row_ints(mats):
+    """Each row of a binary stack as an int, first entry most significant."""
+    cols = mats.shape[-1]
+    return (mats @ (1 << np.arange(cols - 1, -1, -1))).tolist()
+
+
 def test_complete_and_invert_exhaustive_gf2():
     for n in range(1, 5):
         for r in range(1, n + 1):
-            for entries in itertools.product(range(2), repeat=r * n):
-                g = np.array(entries, dtype=np.int64).reshape(r, n)
-                ints = [int("".join(map(str, row)), 2) for row in g]
-                if _binary_rank_bits(ints) != r:
-                    continue
-                g_prime, a = complete_and_invert(g, 2)
-                stacked = np.vstack([g_prime, g])
-                assert np.array_equal((stacked @ a) % 2, np.eye(n, dtype=int))
+            mats = all_matrices(2, r, n)
+            full = [_binary_rank_bits(rows) == r for rows in _row_ints(mats)]
+            g = mats[full].astype(np.int64)
+            g_prime, a = complete_and_invert(g, 2)
+            stacked = np.concatenate([g_prime, g], axis=-2)
+            eye = np.broadcast_to(np.eye(n, dtype=int), stacked.shape)
+            assert np.array_equal((stacked @ a) % 2, eye)
 
 
 def test_matrix_inverse_round_trip():
@@ -267,3 +267,102 @@ def test_ext_field_explicit_and_reducible_modulus():
         ExtField(3, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(ValueError):
         ExtField(3, 2, modulus=(1, 1))  # wrong degree
+
+
+# ---------------------------------------------------------------------
+# the batched elimination kernel
+# ---------------------------------------------------------------------
+
+
+def _reference_rref(m, q):
+    """Independent scalar Gauss-Jordan on nested lists: (rref rows, rank)."""
+    a = [[int(x) % q for x in row] for row in m]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], q - 2, q)
+        a[rank] = [x * inv % q for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return a, rank
+
+
+def test_all_matrices_in_product_order():
+    for q, rows, cols in [(2, 2, 3), (3, 2, 2), (5, 1, 3), (3, 3, 1)]:
+        mats = all_matrices(q, rows, cols)
+        want = [list(t) for t in itertools.product(range(q), repeat=rows * cols)]
+        assert mats.dtype == np.uint8 and mats.shape == (len(want), rows, cols)
+        assert mats.reshape(len(want), -1).tolist() == want
+
+
+def test_stacked_rank_matches_binary_oracle_up_to_4x4():
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            mats = all_matrices(2, rows, cols)
+            want = [_binary_rank_bits(ints) for ints in _row_ints(mats)]
+            assert matrix_row_rank(mats, 2).tolist() == want
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_stacked_reduction_matches_single_matrices(q, monkeypatch):
+    # small passes, so a stack spans several of them
+    monkeypatch.setattr(fields, "_REDUCE_BATCH", 7)
+    rng = np.random.default_rng(q)
+    for rows, cols in [(2, 3), (3, 3), (4, 2), (5, 3)]:
+        mats = rng.integers(0, q, size=(60, rows, cols))
+        mats[::4, rows - 1] = 0  # a zero row
+        mats[::9] = 0  # the zero matrix
+        rref, rank = row_reduce(mats, q)
+        assert rref.dtype == np.uint8 and rank.shape == (60,)
+        for i, m in enumerate(mats):
+            one_rref, one_rank = row_reduce(m, q)
+            ref, ref_rank = _reference_rref(m, q)
+            assert rank[i] == one_rank == ref_rank
+            assert rref[i].tolist() == one_rref.tolist() == ref
+        grid = mats.reshape(3, 20, rows, cols)  # any leading axes
+        assert np.array_equal(matrix_row_rank(grid, q), rank.reshape(3, 20))
+
+
+def test_matrix_inverse_stack_with_singular_member_raises():
+    rng = np.random.default_rng(3)
+    mats = rng.integers(0, 5, size=(40, 3, 3))
+    mats = mats[matrix_row_rank(mats, 5) == 3]
+    inv = matrix_inverse(mats, 5)
+    assert np.array_equal((mats @ inv) % 5, np.broadcast_to(np.eye(3, dtype=int), mats.shape))
+    mats[len(mats) // 2, 2] = mats[len(mats) // 2, 0]
+    with pytest.raises(ValueError):
+        matrix_inverse(mats, 5)
+
+
+def _greedy_completion(g, q):
+    """Keep e_0, e_1, ... in order whenever one raises the rank of the rows so far."""
+    n = len(g[0])
+    rows, kept = [list(row) for row in g], []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        if _reference_rref(rows + [e], q)[1] > len(rows):
+            rows.append(e)
+            kept.append(e)
+    return kept
+
+
+def test_complete_and_invert_stack_matches_single_and_greedy():
+    for q, n_max in [(2, 4), (3, 3), (5, 2)]:
+        for n in range(2, n_max + 1):
+            for r in range(1, n):
+                mats = all_matrices(q, r, n)
+                g = mats[matrix_row_rank(mats, q) == r]
+                g_prime, a = complete_and_invert(g, q)
+                assert g_prime.shape == (len(g), n - r, n) and a.shape == (len(g), n, n)
+                for i in range(len(g)):
+                    assert g_prime[i].tolist() == _greedy_completion(g[i].tolist(), q)
+                for i in range(0, len(g), 37):
+                    one_g_prime, one_a = complete_and_invert(g[i], q)
+                    assert np.array_equal(one_g_prime, g_prime[i])
+                    assert np.array_equal(one_a, a[i])

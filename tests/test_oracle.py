@@ -8,13 +8,19 @@ import pytest
 from relaysec import oracle
 from relaysec.amd import AmdParams
 from relaysec.extract import DiscreteDistribution
-from relaysec.fields import ExtField
-from relaysec.lattice import NestedLatticePair
+from relaysec.fields import ExtField, all_matrices, matrix_row_rank
+from relaysec.lattice import (
+    NestedLatticePair,
+    codebook_point,
+    decode_fine_mod_coarse,
+    index_to_coords,
+    represent_sum,
+)
 from relaysec.oracle import (
     JointDistribution,
     SizeGuardError,
     _observation_index,
-    _observation_index_direct,
+    _seed_obs_counts,
     best_extractor_exhaustive,
     exact_amd_win_census,
     exact_seed_leakage,
@@ -23,7 +29,6 @@ from relaysec.oracle import (
     mutual_information_bits,
     pinsker_check,
     representation_census,
-    seed_leakage_two_path,
     universal_hash_census,
 )
 
@@ -46,6 +51,47 @@ def test_leakage_q3_overextraction_hand_value():
     h_obs = float(np.sum(counts / 9 * np.log2(9 / counts)))
     assert mi == pytest.approx(h_obs - math.log2(3), abs=1e-12)
     assert mi == pytest.approx(0.612, abs=1e-3)
+
+
+def _entropy_from_counts(counts):
+    counts = counts[counts > 0].astype(float)
+    total = counts.sum()
+    return float(np.sum(counts / total * (np.log2(total) - np.log2(counts))))
+
+
+def seed_leakage_two_path(pair, g):
+    """Leakage via the direct sum and via H(seed) + H(obs) - H(joint)."""
+    joint = _seed_obs_counts(pair, np.array(g, dtype=np.int64) % pair.q, oracle.MAX_PAIR_ENUM)
+    direct = mutual_information_bits(joint)
+    decomposed = (
+        _entropy_from_counts(joint.sum(axis=1))
+        + _entropy_from_counts(joint.sum(axis=0))
+        - _entropy_from_counts(joint.reshape(-1))
+    )
+    return direct, decomposed
+
+
+def _observation_index_direct(pair):
+    """Flattened observation id for every (t1, t2) codeword pair.
+
+    The observation is the mod-coarse sum of the two transmitted signals
+    together with the wrap integer T; both are computed through the real
+    vector geometry, then indexed.
+    """
+    q, n = pair.q, pair.N
+    size = q**n
+    points1 = [codebook_point(pair, index_to_coords(pair, k), 1) for k in range(size)]
+    points2 = [codebook_point(pair, index_to_coords(pair, k), 2) for k in range(size)]
+    offset = pair.dither(1) + pair.dither(2)
+    t_count = 2**n
+    obs = np.zeros((size, size), dtype=np.int64)
+    radix = q ** np.arange(n, dtype=np.int64)
+    for i in range(size):
+        for j in range(size):
+            rep = represent_sum(pair, points1[i], points2[j])
+            coords = decode_fine_mod_coarse(pair, np.array(rep.sum_mod), offset)
+            obs[i, j] = int(np.dot(coords, radix)) * t_count + (rep.T - 1)
+    return obs.reshape(-1), q**n * t_count
 
 
 def test_leakage_two_paths_agree():
@@ -98,13 +144,29 @@ def test_best_extractor_monotone_small():
 
 
 def test_best_extractor_scaling_classes_are_equivalent():
-    # leakage is invariant under output relabeling, the basis of the r = 1
-    # representative optimization
+    # leakage is invariant under output relabeling, the basis of evaluating
+    # one representative per row space
     pair = NestedLatticePair(N=2, q=5)
     base = exact_seed_leakage(pair, np.array([[1, 3]]))
     for c in (2, 3, 4):
         scaled = exact_seed_leakage(pair, (c * np.array([[1, 3]])) % 5)
         assert scaled == pytest.approx(base, abs=1e-12)
+    # r = 2: an invertible change of basis keeps the row space
+    pair = NestedLatticePair(N=3, q=5)
+    g = np.array([[1, 0, 2], [0, 1, 3]])
+    base = exact_seed_leakage(pair, g)
+    for b in ([[1, 1], [0, 1]], [[2, 0], [3, 1]], [[0, 1], [1, 0]]):
+        changed = exact_seed_leakage(pair, (np.array(b) @ g) % 5)
+        assert changed == pytest.approx(base, abs=1e-12)
+
+
+def test_best_extractor_r2_matches_brute_force():
+    # one reduced row-echelon form per row space finds the minimum over
+    # every full-rank matrix; the two agree to about 1 ulp, not bit for bit
+    pair = NestedLatticePair(N=3, q=3)
+    mats = all_matrices(3, 2, 3)
+    brute = min(exact_seed_leakage(pair, m) for m in mats[matrix_row_rank(mats, 3) == 2])
+    assert best_extractor_exhaustive(pair, 2).exact_mi_bits == pytest.approx(brute, abs=1e-12)
 
 
 def test_leakage_deterministic():
