@@ -35,7 +35,7 @@ from .extract import (
     search_good_extractor,
     seed_uniformity_raw,
 )
-from .fields import ExtField, all_matrices, matrix_row_rank, sample_matrix
+from .fields import ExtField, all_matrices, is_prime, matrix_row_rank, sample_matrix
 from .lattice import NestedLatticePair
 from .protocol import ProtocolParams, _protocol_cache, rate_accounting
 
@@ -336,6 +336,8 @@ def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
         r = scan.get("r", 1)
         candidates = scan.get("candidates", 64)
         cap = scan.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+        if not is_prime(q):
+            raise ConfigError(f"leakage scan: q={q} is not prime")
         rng = np.random.default_rng(seed)
         for n in scan.get("values", [1, 2]):
             if r > n:

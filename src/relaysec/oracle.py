@@ -8,6 +8,13 @@ code, bijectivity/additivity of the coordinate map, full-rank and
 collision censuses for random linear maps, and the entropy/Pinsker
 inequalities used by the protocol analysis.
 
+Exact seed leakage does not enumerate the q^(2N) codeword pairs one by
+one.  The lattice acts coordinate-wise and the seed is linear in t1, so
+the joint table [seed, observation] is composed from one small table per
+coordinate: a cyclic convolution over Z_q^r along the seed axis and an
+outer product along the observation axis.  The size guard still bounds
+q^(2N), the number of pairs the table covers.
+
 Mutual information is computed from integer counts (converted to bits at
 the very end) so that equality-sensitive checks do not accumulate float
 error.
@@ -133,69 +140,69 @@ class LeakageRecord:
 # ---------------------------------------------------------------------------
 
 
-def _observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
-    """Same observation id, composed from per-coordinate tables.
+@lru_cache(maxsize=64)  # keyed by scalars: undithered coordinates share one entry
+def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
+    """table[c1, 2*sd + w]: count of c2 with sum digit sd and wrap bit w at one coordinate.
 
-    The scaled integer lattice acts coordinate-wise, so the mod-coarse
-    sum digit and the wrap bit of coordinate j depend only on the digit
-    pair at j.  Each per-coordinate table is built through the real 1-D
-    geometry (represent_sum / decode on one-dimensional pairs); a test
-    cross-checks this composition against the direct product path.
+    The scaled integer lattice acts coordinate-wise, so the mod-coarse sum
+    digit and the wrap bit of coordinate j depend only on the digit pair
+    (c1, c2) at j.  The table is built through the real 1-D geometry
+    (codebook_point, represent_sum, decode_fine_mod_coarse); a test
+    cross-checks the composed joint table against the direct N-D path.
+    The counts are stored as float64 for the matmul in ``_seed_obs_counts``.
     """
-    q, n = pair.q, pair.N
-    size = q**n
-    t_count = 2**n
-    coords = digits(np.arange(size), q, n)
-    coords_idx = np.zeros((size, size), dtype=np.int64)
-    wrap_bits = np.zeros((size, size), dtype=np.int64)
-    for j in range(n):
-        sub = NestedLatticePair(
-            N=1, q=q, alpha=pair.alpha,
-            d1=(pair.d1[j],), d2=(pair.d2[j],),
-        )
-        offset = sub.dither(1) + sub.dither(2)
-        sum_digit = np.zeros((q, q), dtype=np.int64)
-        wrap = np.zeros((q, q), dtype=np.int64)
-        for c1 in range(q):
-            p1 = codebook_point(sub, np.array([c1]), 1)
-            for c2 in range(q):
-                p2 = codebook_point(sub, np.array([c2]), 2)
-                rep = represent_sum(sub, p1, p2)
-                sum_digit[c1, c2] = decode_fine_mod_coarse(
-                    sub, np.array(rep.sum_mod), offset
-                )[0]
-                wrap[c1, c2] = rep.T - 1
-        d1j = coords[:, j]
-        coords_idx += sum_digit[np.ix_(d1j, d1j)] * q**j
-        wrap_bits += wrap[np.ix_(d1j, d1j)] << j
-    obs = coords_idx * t_count + wrap_bits
-    return obs.reshape(-1), q**n * t_count
-
-
-def _obs_cache(pair: NestedLatticePair, cap: int):
-    # the guard applies per call: a warm cache must not widen a caller's cap
-    _guard(pair.q ** (2 * pair.N), cap, "codeword-pair enumeration")
-    return _cached_observation_index(pair)
-
-
-@lru_cache(maxsize=4)  # a leakage scan over N = 1..3 reuses three entries
-def _cached_observation_index(pair: NestedLatticePair) -> tuple[np.ndarray, int]:
-    return _observation_index(pair)
+    sub = NestedLatticePair(N=1, q=q, alpha=alpha, d1=(d1,), d2=(d2,))
+    coords = np.arange(q)[:, None]
+    reps = [
+        represent_sum(sub, p1, p2)
+        for p1 in codebook_point(sub, coords, 1)
+        for p2 in codebook_point(sub, coords, 2)
+    ]
+    sum_digit = decode_fine_mod_coarse(
+        sub, np.array([rep.sum_mod for rep in reps]), sub.dither(1) + sub.dither(2)
+    )[:, 0]
+    wrap = np.array([rep.T - 1 for rep in reps], dtype=np.int64)
+    c1 = np.repeat(np.arange(q), q)
+    table = np.bincount((c1 * q + sum_digit) * 2 + wrap, minlength=2 * q * q)
+    table = table.reshape(q, 2 * q).astype(float)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _seed_obs_counts(pair: NestedLatticePair, g: np.ndarray, cap: int) -> np.ndarray:
-    """Joint counts [seed index, observation id] over all q^(2N) codeword pairs."""
+    """Joint counts [seed index, observation id] under uniform t1, t2.
+
+    The observation id is (sum_j sd_j q^j) 2^N + sum_j w_j 2^j, for the
+    mod-coarse sum digit sd_j and wrap bit w_j of coordinate j.  No pair is
+    enumerated: the seed g t1 = sum_j t1_j g[:, j] is a sum of
+    per-coordinate terms and the observation is a tuple of per-coordinate
+    parts, so the joint table is the convolution over Z_q^r of the
+    per-coordinate tables along the seed axis and their outer product along
+    the observation axis.  Coordinate j takes one matmul: the table so far,
+    shifted by c1 g[:, j] for each c1, times the (q, 2q) coordinate table.
+    The counts are summed in float64, which is exact because every partial
+    sum is an integer no larger than the q^(2N) total, guarded below 2^53.
+    """
     if g.shape[1] != pair.N:
         raise ValueError(f"extractor must have {pair.N} columns")
-    obs_flat, n_obs = _obs_cache(pair, cap)
     q, n = pair.q, pair.N
-    size = q**n
-    r = g.shape[0]
-    radix_r = q ** np.arange(r, dtype=np.int64)
-    seed = ((digits(np.arange(size), q, n) @ g.T) % q) @ radix_r  # one seed index per t1
-    seed_flat = np.repeat(seed, size)
-    joint_flat = np.bincount(seed_flat * n_obs + obs_flat, minlength=(q**r) * n_obs)
-    return joint_flat.reshape(q**r, n_obs)
+    _guard(q ** (2 * n), cap, "codeword-pair enumeration")
+    _guard(q ** (2 * n), 2**53, "exact float64 counting")
+    n_seed = q ** g.shape[0]
+    seed_digits = digits(np.arange(n_seed), q, g.shape[0])
+    radix_r = q ** np.arange(g.shape[0], dtype=np.int64)
+    c1 = np.arange(q)[:, None, None]
+    joint = np.zeros((n_seed, 1))
+    joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
+    for j in range(n):
+        table = _coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j])
+        source = ((seed_digits - c1 * g[:, j]) % q) @ radix_r  # source[c1, s] = s - c1 g_j
+        joint = np.tensordot(joint[source], table, axes=(0, 0)).reshape(n_seed, -1)
+    # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
+    joint = joint.reshape((n_seed,) + (q, 2) * n).transpose(
+        [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
+    )
+    return joint.astype(np.int64, order="C").reshape(n_seed, (2 * q) ** n)
 
 
 def exact_seed_leakage(
@@ -203,8 +210,10 @@ def exact_seed_leakage(
 ) -> float:
     """Exact I(g(t1); observation) in bits under uniform independent t1, t2.
 
-    Enumerates all q^(2N) codeword pairs; the observation is (mod-coarse
-    sum, wrap integer) which determines the relay's noiseless view.
+    The observation is (mod-coarse sum, wrap bits), which determines the
+    relay's noiseless view.  The joint table covers all q^(2N) codeword
+    pairs, and ``cap`` bounds that count, but it is composed from
+    per-coordinate tables (see ``_seed_obs_counts``) rather than enumerated.
     """
     g = np.array(g, dtype=np.int64) % pair.q
     if g.shape[0] == 0:
@@ -329,22 +338,24 @@ def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
 
     Addition is exercised through the real vectors: point(a) + point(b),
     reduced mod the coarse lattice and re-decoded, must land on the
-    coordinate-wise mod-q sum.
+    coordinate-wise mod-q sum.  All size^2 pairs go through the batched
+    lattice functions at once; the counterexample is the first failing
+    (a, b) in row-major order over (index(a), index(b)).
     """
     size = pair.q**pair.N
     _guard(size * size, cap, "isomorphism census")
-    coords = [index_to_coords(pair, k) for k in range(size)]
+    coords = index_to_coords(pair, np.arange(size))
     images = {tuple(coords_to_field(pair, c)) for c in coords}
     if len(images) != size:
         return False, "coordinate map is not a bijection"
-    for a in coords:
-        pa = codebook_point(pair, a)
-        for b in coords:
-            geometric = mod_coarse(pair, pa + codebook_point(pair, b))
-            got = decode_fine_mod_coarse(pair, geometric)
-            want = lattice_add(pair, a, b)
-            if not np.array_equal(got, want):
-                return False, (tuple(a), tuple(b))
+    points = codebook_point(pair, coords)
+    geometric = mod_coarse(pair, points[:, None, :] + points[None, :, :])
+    got = decode_fine_mod_coarse(pair, geometric)
+    want = lattice_add(pair, coords[:, None, :], coords[None, :, :])
+    bad = np.any(got != want, axis=-1).ravel()
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), size)
+        return False, (tuple(coords[i]), tuple(coords[j]))
     return True, None
 
 

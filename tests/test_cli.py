@@ -239,3 +239,9 @@ def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
     })
     assert main(["scan", "--config", path, "--seed", "0"]) == 2
     assert "no full-row-rank candidate" in capsys.readouterr().err
+
+
+def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 4, "r": 1, "values": [1]}})
+    assert main(["scan", "--config", path]) == 2
+    assert "q=4 is not prime" in capsys.readouterr().err

@@ -14,12 +14,13 @@ from relaysec.lattice import (
     codebook_point,
     decode_fine_mod_coarse,
     index_to_coords,
+    lattice_add,
+    mod_coarse,
     represent_sum,
 )
 from relaysec.oracle import (
     JointDistribution,
     SizeGuardError,
-    _observation_index,
     _seed_obs_counts,
     best_extractor_exhaustive,
     exact_amd_win_census,
@@ -101,16 +102,38 @@ def test_leakage_two_paths_agree():
         assert abs(direct - decomposed) < 1e-10
 
 
-def test_observation_composition_matches_direct_path():
-    for q, n, d1, d2 in [(5, 2, None, None), (3, 2, (0.25, -0.5), (0.5, 0.0))]:
-        kwargs = {}
-        if d1 is not None:
-            kwargs = {"d1": d1, "d2": d2}
+def _seed_obs_counts_direct(pair, g):
+    """Joint counts [seed, observation] by a bincount over every (t1, t2) pair."""
+    q, n = pair.q, pair.N
+    size = q**n
+    obs, n_obs = _observation_index_direct(pair)
+    radix_r = q ** np.arange(g.shape[0], dtype=np.int64)
+    seed = ((index_to_coords(pair, np.arange(size)) @ g.T) % q) @ radix_r
+    n_seed = q ** g.shape[0]
+    flat = np.repeat(seed, size) * n_obs + obs
+    return np.bincount(flat, minlength=n_seed * n_obs).reshape(n_seed, n_obs)
+
+
+def test_seed_obs_counts_match_direct_path():
+    """The per-coordinate composition equals the pair-by-pair table cell for cell."""
+    cases = [
+        (3, 1, None, [[1]]),
+        (5, 2, None, [[1, 2]]),
+        (5, 2, None, [[1, 0], [3, 4]]),
+        (3, 3, None, [[0, 1, 2], [1, 1, 0]]),
+        (3, 2, ((0.25, -0.5), (0.5, 0.0)), [[2, 1]]),
+        (3, 3, ((0.25, -0.5, 1.0), (0.5, 0.0, -1.5)), [[1, 2, 2]]),
+        (3, 3, ((0.25, -0.5, 1.0), (0.5, 0.0, -1.5)), [[1, 0, 2], [0, 1, 1]]),
+        (5, 2, ((1.5, -2.5), (2.0, 0.75)), [[1, 1], [0, 0]]),
+    ]
+    for q, n, dithers, g in cases:
+        kwargs = {} if dithers is None else {"d1": dithers[0], "d2": dithers[1]}
         pair = NestedLatticePair(N=n, q=q, **kwargs)
-        fast, nf = _observation_index(pair)
-        slow, ns = _observation_index_direct(pair)
-        assert nf == ns
-        assert np.array_equal(fast, slow)
+        g = np.array(g, dtype=np.int64)
+        fast = _seed_obs_counts(pair, g, oracle.MAX_PAIR_ENUM)
+        slow = _seed_obs_counts_direct(pair, g)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert np.array_equal(fast, slow), (q, n, dithers, g.tolist())
 
 
 def test_leakage_size_guard():
@@ -119,20 +142,12 @@ def test_leakage_size_guard():
         exact_seed_leakage(pair, np.array([[1, 0, 0]]), cap=100)
 
 
-def test_observation_cache_bounded_and_guarded_per_call():
-    oracle._cached_observation_index.cache_clear()
-    pairs = [NestedLatticePair(N=n, q=11) for n in (1, 2, 3)]
-    for _ in range(2):  # a leakage scan over N = 1..3 hits all three entries
-        for pair in pairs:
-            exact_seed_leakage(pair, np.ones((1, pair.N), dtype=int))
-    info = oracle._cached_observation_index.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-    with pytest.raises(SizeGuardError):  # a warm entry does not widen the cap
-        exact_seed_leakage(pairs[1], np.array([[1, 1]]), cap=100)
-    for n in (1, 2, 3, 4, 5):
-        exact_seed_leakage(NestedLatticePair(N=n, q=3), np.ones((1, n), dtype=int))
-    assert oracle._cached_observation_index.cache_info().currsize == 4
-    oracle._cached_observation_index.cache_clear()
+def test_leakage_guard_applies_with_cached_coordinate_tables():
+    pair = NestedLatticePair(N=2, q=11)
+    exact_seed_leakage(pair, np.array([[1, 1]]))  # fills the per-coordinate tables
+    with pytest.raises(SizeGuardError):  # 11^4 pairs exceed the cap all the same
+        exact_seed_leakage(pair, np.array([[1, 1]]), cap=11**4 - 1)
+    assert exact_seed_leakage(pair, np.array([[1, 1]]), cap=11**4) > 0
 
 
 def test_best_extractor_monotone_small():
@@ -223,6 +238,39 @@ def test_representation_census_examples():
     assert ok and witness is None
     ok, _ = representation_census(NestedLatticePair(N=3, q=2))
     assert ok
+
+
+def _isomorphism_census_scalar(pair):
+    """Pair-by-pair additivity loop: the first failing (a, b) or None."""
+    coords = [index_to_coords(pair, k) for k in range(pair.q**pair.N)]
+    for a in coords:
+        pa = codebook_point(pair, a)
+        for b in coords:
+            geometric = mod_coarse(pair, pa + codebook_point(pair, b))
+            got = oracle.decode_fine_mod_coarse(pair, geometric)
+            if not np.array_equal(got, lattice_add(pair, a, b)):
+                return tuple(a), tuple(b)
+    return None
+
+
+@pytest.mark.parametrize("q, n, faulty_sum", [(5, 2, 3), (3, 3, 4), (2, 3, 2)])
+def test_isomorphism_census_first_counterexample_matches_scalar_loop(
+    monkeypatch, q, n, faulty_sum
+):
+    """A decoder wrong on every sum whose digits add to faulty_sum."""
+    real = oracle.decode_fine_mod_coarse
+
+    def faulty(pair, y, dither_offset=None):
+        got = real(pair, y, dither_offset)
+        wrong = got.sum(axis=-1) == faulty_sum
+        got[..., 0] = (got[..., 0] + wrong) % pair.q
+        return got
+
+    monkeypatch.setattr(oracle, "decode_fine_mod_coarse", faulty)
+    pair = NestedLatticePair(N=n, q=q)
+    want = _isomorphism_census_scalar(pair)
+    assert want is not None and want[0] == (0,) * n != want[1]  # (a, b) order shows
+    assert isomorphism_census(pair) == (False, want)
 
 
 def test_census_guards():
