@@ -35,7 +35,8 @@ print("ever more jammed dimensions")
 print()
 print("=== matrix-averaged leakage vs the entropy budget (q=11, N=2, r=1) ===")
 pair = NestedLatticePair(N=2, q=11)
-leaks = {tuple(m[0].tolist()): exact_seed_leakage(pair, m) for m in all_matrices(11, 1, 2)}
+mats = all_matrices(11, 1, 2)
+leaks = dict(zip(map(tuple, mats[:, 0].tolist()), exact_seed_leakage(pair, mats).tolist()))
 budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
 print(f"average over all {len(leaks)} matrices: {np.mean(list(leaks.values())):.4f} bits")
 print(f"budget from the leftover-hash floor:   {budget.budget_bits:.4f} bits "

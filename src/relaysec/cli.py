@@ -213,7 +213,7 @@ def _check_leftover_entropy(vcfg: dict, seed: int):
     budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
     pair = NestedLatticePair(N=2, q=11)
     matrices = all_matrices(11, 1, 2)
-    avg = sum(oracle.exact_seed_leakage(pair, m, cap=pair_cap) for m in matrices) / len(matrices)
+    avg = sum(oracle.exact_seed_leakage(pair, matrices, cap=pair_cap).tolist()) / len(matrices)
     yield avg <= budget.budget_bits + 1e-9, {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
                                              "averaged_leakage": avg,
                                              "budget": budget.budget_bits}

@@ -359,28 +359,30 @@ def search_good_extractor(
 ) -> SearchResult:
     """Sample uniform matrices, keep full-rank ones, minimize exact leakage.
 
-    ``oracle_hook(matrix)`` must return the exact leakage in bits for a
-    candidate matrix.  Deterministic given the rng state.  Raises
-    RuntimeError when no full-rank candidate appears within the budget.
+    ``oracle_hook(stack)`` gets the (k, r, N) stack of full-rank candidates,
+    in draw order, and must return their exact leakages in bits, one per
+    matrix in the same order (``oracle.exact_seed_leakage`` takes such a
+    stack in one call).  The first minimum wins.  Deterministic given the
+    rng state.  Raises RuntimeError when no full-rank candidate appears
+    within the budget.
     """
     if r == 0:
         empty = ExtractorMap(np.zeros((0, N), dtype=np.int64), q)
         return SearchResult(best=empty, best_leakage=0.0, leakages=[0.0], sampled=0)
-    best_m = None
-    best_leak = math.inf
-    leakages: list[float] = []
     # one draw of the whole stack reads the same stream as one draw per candidate
     draws = rng.integers(0, q, size=(candidates, r, N), dtype=np.int64)
-    for m in draws[matrix_row_rank(draws, q) == r]:
-        leak = float(oracle_hook(m))
-        leakages.append(leak)
-        if leak < best_leak:
-            best_leak = leak
-            best_m = m
-    if best_m is None:
+    full = draws[matrix_row_rank(draws, q) == r]
+    if len(full) == 0:
         raise RuntimeError(
             f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={N})"
         )
+    leakages = [float(leak) for leak in oracle_hook(full)]
+    best_m = None
+    best_leak = math.inf
+    for m, leak in zip(full, leakages, strict=True):
+        if leak < best_leak:
+            best_leak = leak
+            best_m = m
     return SearchResult(
         best=ExtractorMap(best_m, q),
         best_leakage=best_leak,

@@ -23,7 +23,7 @@ bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,8 @@ class NestedLatticePair:
     d1: tuple[float, ...] | None = None
     d2: tuple[float, ...] | None = None
     d3: tuple[float, ...] | None = None
+    # read-only arrays (zero, d1, d2, d3), built once and handed out by dither()
+    _dithers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -78,17 +80,24 @@ class NestedLatticePair:
             object.__setattr__(self, name, d)
             if not np.array_equal(mod_coarse(self, np.array(d)), np.array(d)):
                 raise ValueError(f"dither {name} lies outside the Voronoi region")
+        dithers = (np.zeros(self.N),) + tuple(np.array(d) for d in (self.d1, self.d2, self.d3))
+        for d in dithers:
+            d.setflags(write=False)
+        object.__setattr__(self, "_dithers", dithers)
+
+    def __reduce__(self):  # a copy or unpickled pair rebuilds its read-only arrays
+        return type(self), (self.N, self.q, self.alpha, self.d1, self.d2, self.d3)
 
     @property
     def coarse_step(self) -> float:
         return self.q * self.alpha
 
     def dither(self, index: int | None) -> np.ndarray:
-        """Dither vector by index 1/2/3; 0 or None means zero."""
+        """Dither vector by index 1/2/3; 0 or None means zero.  The array is read-only."""
         if index in (None, 0):
-            return np.zeros(self.N)
+            return self._dithers[0]
         if index in (1, 2, 3):
-            return np.array(getattr(self, f"d{index}"))
+            return self._dithers[index]
         raise ValueError(f"dither index must be one of None,0,1,2,3, got {index}")
 
 

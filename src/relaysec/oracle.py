@@ -13,11 +13,15 @@ one.  The lattice acts coordinate-wise and the seed is linear in t1, so
 the joint table [seed, observation] is composed from one small table per
 coordinate: a cyclic convolution over Z_q^r along the seed axis and an
 outer product along the observation axis.  The size guard still bounds
-q^(2N), the number of pairs the table covers.
+q^(2N), the number of pairs the table covers.  A call takes one extractor
+or a stack of them; a stack runs the guards once and fills one workspace
+of buffers in place for each matrix.
 
-Mutual information is computed from integer counts (converted to bits at
+Mutual information is computed from exact counts (converted to bits at
 the very end) so that equality-sensitive checks do not accumulate float
-error.
+error.  One term kernel (``_mi_from_cells``) serves every caller, so a
+table gives bit-identical bits whether it arrives alone, in a stack, or
+through ``mutual_information_bits``.
 """
 
 from __future__ import annotations
@@ -115,15 +119,27 @@ class JointDistribution:
 def mutual_information_bits(joint: np.ndarray) -> float:
     """I(A;B) in bits from a joint array (rows A, columns B)."""
     joint = np.asarray(joint, dtype=float)
-    total = joint.sum()
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
     nz = joint > 0
-    rows, cols = np.nonzero(nz)
-    vals = joint[rows, cols]
-    return float(
-        np.sum(vals / total * (np.log2(vals * total) - np.log2(pa[rows] * pb[cols])))
-    )
+    papb = np.multiply.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
+    return _mi_from_cells(joint[nz], joint.sum(), papb)
+
+
+def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray, work=None) -> float:
+    """The one MI term kernel: sum of v/total (log2(v total) - log2(pa pb)) over cells.
+
+    ``vals`` holds the nonzero cells in row-major order and ``papb`` the
+    products of their row and column marginals.  The terms are formed in
+    place (``papb`` is overwritten; ``work``, if given, is a buffer of the
+    same length) and summed by one ``np.sum`` over a 1-D array, so every
+    caller gets the same terms in the same pairwise-summation tree.
+    """
+    work = np.multiply(vals, total, out=work)
+    np.log2(work, out=work)
+    np.log2(papb, out=papb)
+    np.subtract(work, papb, out=work)
+    np.divide(vals, total, out=papb)
+    np.multiply(papb, work, out=work)
+    return float(np.sum(work))
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,8 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     (c1, c2) at j.  The table is built through the real 1-D geometry
     (codebook_point, represent_sum, decode_fine_mod_coarse); a test
     cross-checks the composed joint table against the direct N-D path.
-    The counts are stored as float64 for the matmul in ``_seed_obs_counts``.
+    The counts are stored as float64, read-only, for the matmuls of
+    ``_LeakageWorkspace.fill``; a workspace looks its N tables up once.
     """
     sub = NestedLatticePair(N=1, q=q, alpha=alpha, d1=(d1,), d2=(d2,))
     coords = np.arange(q)[:, None]
@@ -169,56 +186,118 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     return table
 
 
-def _seed_obs_counts(pair: NestedLatticePair, g: np.ndarray, cap: int) -> np.ndarray:
-    """Joint counts [seed index, observation id] under uniform t1, t2.
+class _LeakageWorkspace:
+    """Every buffer one exact-leakage call needs, reused for each matrix of a stack.
 
-    The observation id is (sum_j sd_j q^j) 2^N + sum_j w_j 2^j, for the
-    mod-coarse sum digit sd_j and wrap bit w_j of coordinate j.  No pair is
-    enumerated: the seed g t1 = sum_j t1_j g[:, j] is a sum of
-    per-coordinate terms and the observation is a tuple of per-coordinate
-    parts, so the joint table is the convolution over Z_q^r of the
+    The [seed index, observation id] joint table under uniform t1, t2 is
+    built without enumerating pairs.  The observation id is
+    (sum_j sd_j q^j) 2^N + sum_j w_j 2^j, for the mod-coarse sum digit sd_j
+    and wrap bit w_j of coordinate j.  The seed g t1 = sum_j t1_j g[:, j] is
+    a sum of per-coordinate terms and the observation is a tuple of
+    per-coordinate parts, so the table is the convolution over Z_q^r of the
     per-coordinate tables along the seed axis and their outer product along
-    the observation axis.  Coordinate j takes one matmul: the table so far,
-    shifted by c1 g[:, j] for each c1, times the (q, 2q) coordinate table.
-    The counts are summed in float64, which is exact because every partial
-    sum is an integer no larger than the q^(2N) total, guarded below 2^53.
+    the observation axis.  Coordinate j takes one gather and one matmul:
+    the table so far, shifted by c1 g[:, j] for each c1, times the (q, 2q)
+    coordinate table.  The counts are summed in float64, which is exact
+    because every partial sum is an integer no larger than the q^(2N)
+    total, guarded below 2^53; so the table needs no int64 round trip.
+
+    The guards run once, at construction.  ``fill`` writes one matrix's
+    table in place (``np.take``, ``np.matmul``, ``np.copyto`` with ``out``)
+    and ``mutual_information`` feeds its nonzero cells to the MI kernel
+    shared with ``mutual_information_bits``, so a stack pays for its
+    buffers once and gets bit-identical values.
     """
+
+    def __init__(self, pair: NestedLatticePair, r: int, cap: int):
+        q, n = pair.q, pair.N
+        _guard(q ** (2 * n), cap, "codeword-pair enumeration")
+        _guard(q ** (2 * n), 2**53, "exact float64 counting")
+        self.q, self.n_seed = q, q**r
+        self.tables = [
+            _coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)
+        ]
+        self.seed_digits = digits(np.arange(self.n_seed), q, r)
+        self.radix_r = q ** np.arange(r, dtype=np.int64)
+        cells = self.n_seed * (2 * q) ** n
+        self.gather = np.empty(cells // 2)  # (q, n_seed, (2q)^j) before the last matmul
+        self.joint = np.empty(cells)  # the table so far; later the marginal outer product
+        self.table = np.empty((self.n_seed, (2 * q) ** n))  # observation-id layout
+        self.mask = np.empty(cells, dtype=bool)
+        self.vals = np.empty(cells)
+        self.papb = np.empty(cells)
+        # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
+        self.split = (self.n_seed,) + (q, 2) * n
+        self.order = [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
+        self.obs_shape = (self.n_seed,) + (q,) * n + (2,) * n
+
+    def fill(self, g: np.ndarray) -> np.ndarray:
+        """The joint table of extractor g (r, N), written into ``self.table``."""
+        q, n_seed = self.q, self.n_seed
+        c1 = np.arange(q)[:, None, None]
+        # source[j, c1, s] = s - c1 g[:, j], the seed index before coordinate j
+        source = ((self.seed_digits - c1 * g.T[:, None, None, :]) % q) @ self.radix_r
+        width = 1
+        joint = self.joint[:n_seed].reshape(n_seed, 1)
+        joint.fill(0.0)
+        joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
+        for src, table in zip(source, self.tables):
+            shifted = self.gather[: q * n_seed * width].reshape(q, n_seed, width)
+            # the indices are in range; mode "clip" writes to out without buffering
+            np.take(joint, src, axis=0, out=shifted, mode="clip")
+            width *= 2 * q
+            joint = self.joint[: n_seed * width].reshape(n_seed, width)
+            np.matmul(shifted.reshape(q, -1).T, table, out=joint.reshape(-1, 2 * q))
+        np.copyto(
+            self.table.reshape(self.obs_shape),
+            joint.reshape(self.split).transpose(self.order),
+        )
+        return self.table
+
+    def mutual_information(self) -> float:
+        """I(seed; observation) in bits of the table last filled."""
+        table, mask = self.table, self.mask.reshape(self.table.shape)
+        np.greater(table, 0, out=mask)
+        k = int(np.count_nonzero(mask))
+        vals = np.compress(self.mask, table.reshape(-1), out=self.vals[:k])
+        pa = table.sum(axis=1)
+        outer = np.multiply.outer(pa, table.sum(axis=0), out=self.joint.reshape(table.shape))
+        papb = np.compress(self.mask, outer.reshape(-1), out=self.papb[:k])
+        return _mi_from_cells(vals, pa.sum(), papb, work=self.joint[:k])
+
+
+def _seed_obs_counts(pair: NestedLatticePair, g: np.ndarray, cap: int) -> np.ndarray:
+    """Joint counts [seed index, observation id] of one extractor, as int64."""
     if g.shape[1] != pair.N:
         raise ValueError(f"extractor must have {pair.N} columns")
-    q, n = pair.q, pair.N
-    _guard(q ** (2 * n), cap, "codeword-pair enumeration")
-    _guard(q ** (2 * n), 2**53, "exact float64 counting")
-    n_seed = q ** g.shape[0]
-    seed_digits = digits(np.arange(n_seed), q, g.shape[0])
-    radix_r = q ** np.arange(g.shape[0], dtype=np.int64)
-    c1 = np.arange(q)[:, None, None]
-    joint = np.zeros((n_seed, 1))
-    joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
-    for j in range(n):
-        table = _coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j])
-        source = ((seed_digits - c1 * g[:, j]) % q) @ radix_r  # source[c1, s] = s - c1 g_j
-        joint = np.tensordot(joint[source], table, axes=(0, 0)).reshape(n_seed, -1)
-    # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
-    joint = joint.reshape((n_seed,) + (q, 2) * n).transpose(
-        [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
-    )
-    return joint.astype(np.int64, order="C").reshape(n_seed, (2 * q) ** n)
+    return _LeakageWorkspace(pair, g.shape[0], cap).fill(g).astype(np.int64)
 
 
 def exact_seed_leakage(
     pair: NestedLatticePair, g: np.ndarray, cap: int = MAX_PAIR_ENUM
-) -> float:
+) -> float | np.ndarray:
     """Exact I(g(t1); observation) in bits under uniform independent t1, t2.
 
     The observation is (mod-coarse sum, wrap bits), which determines the
-    relay's noiseless view.  The joint table covers all q^(2N) codeword
-    pairs, and ``cap`` bounds that count, but it is composed from
-    per-coordinate tables (see ``_seed_obs_counts``) rather than enumerated.
+    relay's noiseless view.  ``g`` is one (r, N) extractor, which gives a
+    float, or a stack (..., r, N), which gives a float64 array of shape
+    (...), one value per matrix.  The joint table covers all q^(2N)
+    codeword pairs, and ``cap`` bounds that count, but it is composed from
+    per-coordinate tables (see ``_LeakageWorkspace``) rather than
+    enumerated.  The guards run once per call and the whole stack shares
+    one workspace; each value is bit-identical to a call on its matrix
+    alone.
     """
     g = np.array(g, dtype=np.int64) % pair.q
-    if g.shape[0] == 0:
-        return 0.0
-    return mutual_information_bits(_seed_obs_counts(pair, g, cap))
+    out = np.zeros(g.shape[:-2])  # an empty extractor (r = 0) leaks nothing
+    if g.shape[-2] > 0:
+        if g.shape[-1] != pair.N:
+            raise ValueError(f"extractor must have {pair.N} columns")
+        ws = _LeakageWorkspace(pair, g.shape[-2], cap)
+        for idx in np.ndindex(out.shape):
+            ws.fill(g[idx])
+            out[idx] = ws.mutual_information()
+    return float(out) if g.ndim == 2 else out
 
 
 def best_extractor_exhaustive(
@@ -230,22 +309,22 @@ def best_extractor_exhaustive(
     space: an invertible change of basis permutes the seed alphabet
     bijectively, which leaves the mutual information unchanged, so one
     representative per row space is exact.  For r = 1 these are the rows
-    whose first nonzero entry is 1.
+    whose first nonzero entry is 1.  The representatives go to
+    ``exact_seed_leakage`` as one stack; the first minimum wins.
     """
     q, n = pair.q, pair.N
     _guard(q ** (r * n), cap, "extractor-matrix enumeration")
     mats = all_matrices(q, r, n)
     rref, rank = row_reduce(mats, q)
-    best = None
-    for m in mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]:
-        mi = exact_seed_leakage(pair, m, cap=cap)
-        if best is None or mi < best.exact_mi_bits:
-            best = LeakageRecord(
-                matrix=tuple(map(tuple, m.tolist())), exact_mi_bits=mi, q=q, N=n, r=r
-            )
-    if best is None:
+    reps = mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]
+    if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
-    return best
+    mis = exact_seed_leakage(pair, reps, cap=cap)
+    best = int(np.argmin(mis))
+    return LeakageRecord(
+        matrix=tuple(map(tuple, reps[best].tolist())),
+        exact_mi_bits=float(mis[best]), q=q, N=n, r=r,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,23 @@ def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 4, "r": 1, "values": [1]}})
     assert main(["scan", "--config", path]) == 2
     assert "q=4 is not prime" in capsys.readouterr().err
+
+
+def test_scan_leakage_golden_best_leakage(tmp_path):
+    # bestLeakage reprs recorded at seed 1 before leakage calls took stacks;
+    # the first config is perfbench's SCAN dict
+    golden = [
+        ({"kind": "leakage", "q": 11, "r": 1, "values": [1, 2, 3], "candidates": 64},
+         ["0.7106503409564706", "0.04932220086690804", "0.0032811265796502146"]),
+        ({"kind": "leakage", "q": 5, "r": 2, "values": [2, 3, 4], "candidates": 64},
+         ["1.354302951473624", "0.42056213960097416", "0.10374386776500746"]),
+    ]
+    for scan, want in golden:
+        path = write_config(tmp_path, {"scan": scan})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert [r[0] for r in rows] == ["ok"] * 3
+        assert [int(r[2]) for r in rows] == scan["values"]
+        assert [r[3] for r in rows] == want

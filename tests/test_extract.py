@@ -281,9 +281,9 @@ def test_build_encoder_validation():
 # ---------------------------------------------------------------------
 
 
-def _toy_oracle(m):
-    # deterministic stand-in leakage: sum of entries, so the search is testable
-    return float(np.sum(m))
+def _toy_oracle(stack):
+    # deterministic stand-in leakage per matrix: sum of entries, so the search is testable
+    return [float(np.sum(m)) for m in stack]
 
 
 def test_search_r0_is_exactly_zero():
@@ -298,6 +298,23 @@ def test_search_deterministic_and_minimizing():
     assert np.array_equal(res1.best.matrix, res2.best.matrix)
     assert res1.best_leakage == min(res1.leakages)
     assert res1.best_leakage <= float(np.mean(res1.leakages))
+
+
+def test_search_hook_gets_full_rank_stack_and_first_minimum_wins():
+    seen = []
+
+    def hook(stack):  # a coarse stand-in with many ties
+        seen.append(stack.copy())
+        return [float(np.sum(m) % 3) for m in stack]
+
+    res = search_good_extractor(11, 2, 1, 50, np.random.default_rng(4), hook)
+    draws = np.random.default_rng(4).integers(0, 11, size=(50, 1, 2), dtype=np.int64)
+    full = draws[np.any(draws != 0, axis=(1, 2))]  # rank 1 unless zero
+    assert len(seen) == 1 and np.array_equal(seen[0], full)
+    assert res.leakages == [float(np.sum(m) % 3) for m in full]
+    first = res.leakages.index(min(res.leakages))
+    assert res.leakages.count(min(res.leakages)) > 1  # ties exist, so the order matters
+    assert np.array_equal(res.best.matrix, full[first])
 
 
 def test_search_markov_property():

@@ -300,3 +300,21 @@ def test_dither_accessor_rejects_bad_index():
     pair = NestedLatticePair(N=1, q=3)
     with pytest.raises(ValueError):
         pair.dither(4)
+
+
+def test_dither_arrays_are_read_only_and_survive_copies():
+    import copy
+    import pickle
+
+    pair = NestedLatticePair(N=2, q=5, d1=(0.5, -1.0), d3=(1.25, 0.0))
+    copies = [pair, pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair), copy.copy(pair)]
+    for p in copies:
+        assert p == pair and hash(p) == hash(pair)
+        for index, want in [(None, (0.0, 0.0)), (0, (0.0, 0.0)), (1, pair.d1),
+                            (2, pair.d2), (3, pair.d3)]:
+            d = p.dither(index)
+            assert d.dtype == float and tuple(d.tolist()) == want
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d += 1.0
+    assert pair.dither(1) is pair.dither(1)  # built once, not per call

@@ -42,6 +42,85 @@ from relaysec.oracle import (
 def test_leakage_empty_extractor_is_zero():
     pair = NestedLatticePair(N=2, q=3)
     assert exact_seed_leakage(pair, np.zeros((0, 2), dtype=int)) == 0.0
+    stacked = exact_seed_leakage(pair, np.zeros((4, 0, 2), dtype=int))
+    assert stacked.shape == (4,) and not stacked.any()
+
+
+def _mi_reference(joint):
+    """I(A;B) by the formula as written before the shared MI kernel: the bit-for-bit reference."""
+    joint = np.asarray(joint, dtype=float)
+    total = joint.sum()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    rows, cols = np.nonzero(nz)
+    vals = joint[rows, cols]
+    return float(
+        np.sum(vals / total * (np.log2(vals * total) - np.log2(pa[rows] * pb[cols])))
+    )
+
+
+@pytest.mark.parametrize("dithered", [False, True])
+@pytest.mark.parametrize(
+    "q,n,r", [(11, 1, 1), (11, 2, 1), (11, 3, 1), (5, 3, 2), (5, 4, 2), (3, 4, 2), (7, 3, 3)]
+)
+def test_leakage_mi_bit_identical_to_reference(q, n, r, dithered):
+    rng = np.random.default_rng(100 * q + 10 * n + r)
+    kwargs = {}
+    if dithered:
+        half = 0.99 * q * 1.3 / 2  # inside the Voronoi region [-q alpha/2, q alpha/2)
+        kwargs = {"alpha": 1.3, "d1": tuple(rng.uniform(-half, half, n)),
+                  "d2": tuple(rng.uniform(-half, half, n))}
+    pair = NestedLatticePair(N=n, q=q, **kwargs)
+    stack = rng.integers(0, q, size=(3, r, n))
+    stacked = exact_seed_leakage(pair, stack)
+    for m, got in zip(stack, stacked.tolist()):
+        table = _seed_obs_counts(pair, m, oracle.MAX_PAIR_ENUM)
+        want = _mi_reference(table)
+        assert got == want
+        assert exact_seed_leakage(pair, m) == want
+        assert mutual_information_bits(table) == want
+
+
+def test_mutual_information_bits_bit_identical_to_reference():
+    rng = np.random.default_rng(31)
+    raws = [rng.random((3, 4)) for _ in range(200)]  # verify's pinsker joints
+    raws += [rng.random((int(rng.integers(2, 5)), int(rng.integers(2, 6)))) for _ in range(200)]
+    counts = rng.integers(0, 3, size=(100, 4, 5))
+    counts[:50, 1, :] = 0  # zero rows
+    counts[25:75, :, 2] = 0  # zero columns
+    for joint in [raw / raw.sum() for raw in raws] + list(counts):
+        assert mutual_information_bits(joint) == _mi_reference(joint)
+
+
+def test_leakage_stack_matches_single_calls():
+    rng = np.random.default_rng(8)
+    r2 = rng.integers(0, 5, size=(6, 2, 3))
+    r2[2] = [[1, 2, 3], [2, 4, 1]]  # rank 1
+    r2[4] = 0
+    cases = [
+        (NestedLatticePair(N=2, q=11), np.array([[[3, 7]]])),  # a stack of one
+        (NestedLatticePair(N=3, q=5, d1=(0.5, -1.0, 2.0)), r2),
+        (NestedLatticePair(N=2, q=11), all_matrices(11, 1, 2)),  # the zero matrix first
+    ]
+    for pair, stack in cases:
+        stacked = exact_seed_leakage(pair, stack)
+        assert stacked.dtype == float and stacked.shape == stack.shape[:-2]
+        assert stacked.tolist() == [exact_seed_leakage(pair, m) for m in stack]
+    assert stacked[0] == 0.0  # a constant seed leaks nothing
+    pair, stack = cases[1]
+    nested = exact_seed_leakage(pair, stack.reshape(2, 3, 2, 3))
+    assert nested.shape == (2, 3) and nested.ravel().tolist() == exact_seed_leakage(pair, stack).tolist()
+
+
+def test_leakage_stack_guard_raises_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a coordinate table was built before the size guard")
+
+    monkeypatch.setattr(oracle, "_coordinate_table", no_work)
+    pair = NestedLatticePair(N=2, q=11)
+    with pytest.raises(SizeGuardError):
+        exact_seed_leakage(pair, all_matrices(11, 1, 2), cap=11**4 - 1)
 
 
 def test_leakage_q3_overextraction_hand_value():
@@ -182,6 +261,20 @@ def test_best_extractor_r2_matches_brute_force():
     mats = all_matrices(3, 2, 3)
     brute = min(exact_seed_leakage(pair, m) for m in mats[matrix_row_rank(mats, 3) == 2])
     assert best_extractor_exhaustive(pair, 2).exact_mi_bits == pytest.approx(brute, abs=1e-12)
+
+
+def test_best_extractor_first_minimum_in_rref_order():
+    # the q=11 N=2 row spaces tie in pairs, so the winner depends on the order
+    pair = NestedLatticePair(N=2, q=11)
+    reps = [m for m in all_matrices(11, 1, 2) if m[0][m[0] != 0][:1].tolist() == [1]]
+    best, best_mi = None, math.inf
+    for m in reps:
+        mi = exact_seed_leakage(pair, m)
+        if mi < best_mi:
+            best, best_mi = m, mi
+    rec = best_extractor_exhaustive(pair, 1)
+    assert [exact_seed_leakage(pair, m) for m in reps].count(best_mi) > 1
+    assert rec.matrix == tuple(map(tuple, best.tolist())) and rec.exact_mi_bits == best_mi
 
 
 def test_leakage_deterministic():
