@@ -17,7 +17,9 @@ the whole array.
 The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sum`` packs those
 bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
-``reconstruct_sum`` inverts it exactly.
+``reconstruct_sum`` inverts it exactly; ``represent_sums`` and
+``reconstruct_sums`` do the same over leading batch axes, and the
+single-pair functions are their one-pair view.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "lattice_sub",
     "represent_sum",
     "reconstruct_sum",
+    "represent_sums",
+    "reconstruct_sums",
     "decode_fine_mod_coarse",
     "codebook_rate",
     "rate_condition_ok",
@@ -135,7 +139,8 @@ def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
     c = np.asarray(c, dtype=np.int64)
     if c.ndim < 1 or c.shape[-1] != pair.N:
         raise ValueError(f"coords must have shape (..., {pair.N}), got {c.shape}")
-    if c.size and (c.min() < 0 or c.max() >= pair.q):
+    # one pass: a negative coord viewed as uint64 exceeds every q
+    if c.size and c.view(np.uint64).max() >= pair.q:
         raise ValueError(f"coords must be canonical in [0, {pair.q})")
     return c
 
@@ -201,8 +206,8 @@ class SumRepresentation:
     T: int
 
 
-def represent_sum(pair: NestedLatticePair, u1, u2) -> SumRepresentation:
-    """Represent u1 + u2 (both in the Voronoi region) as (residue, T)."""
+def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, T) of u1 + u2 over leading batch axes; all inputs in the Voronoi region."""
     u1 = _check_len(pair, u1)
     u2 = _check_len(pair, u2)
     if not in_fundamental_region(pair, u1) or not in_fundamental_region(pair, u2):
@@ -210,23 +215,33 @@ def represent_sum(pair: NestedLatticePair, u1, u2) -> SumRepresentation:
     s = u1 + u2
     step = pair.coarse_step
     wraps = np.floor(s / step + 0.5).astype(np.int64)  # each in {-1, 0, 1}
-    sum_mod = s - wraps * step
     bits = (wraps != 0).astype(np.int64)
-    t = 1 + int(np.sum(bits << np.arange(pair.N)))
-    return SumRepresentation(tuple(float(v) for v in sum_mod), t)
+    return s - wraps * step, 1 + bits @ (1 << np.arange(pair.N, dtype=np.int64))
 
 
-def reconstruct_sum(pair: NestedLatticePair, rep: SumRepresentation) -> np.ndarray:
-    """Invert represent_sum exactly."""
-    if not 1 <= rep.T <= 2**pair.N:
+def reconstruct_sums(pair: NestedLatticePair, sum_mod, T) -> np.ndarray:
+    """Invert represent_sums exactly, over leading batch axes."""
+    T = np.asarray(T, dtype=np.int64)
+    if np.any(T < 1) or np.any(T > 2**pair.N):
         raise ValueError(f"T must be in [1, {2**pair.N}]")
-    bits = ((rep.T - 1) >> np.arange(pair.N)) & 1
-    sum_mod = np.array(rep.sum_mod, dtype=float)
+    bits = ((T[..., None] - 1) >> np.arange(pair.N)) & 1
+    sum_mod = np.asarray(sum_mod, dtype=float)
     step = pair.coarse_step
     # conditional on the residue, only one unwrapped sum per wrap bit is
     # feasible: negative residues wrapped down, nonnegative ones wrapped up
     shift = np.where(sum_mod < 0, step, -step)
     return sum_mod + bits * shift
+
+
+def represent_sum(pair: NestedLatticePair, u1, u2) -> SumRepresentation:
+    """Represent u1 + u2 (one pair, both in the Voronoi region) as (residue, T)."""
+    sum_mod, t = represent_sums(pair, u1, u2)
+    return SumRepresentation(tuple(sum_mod.tolist()), int(t))
+
+
+def reconstruct_sum(pair: NestedLatticePair, rep: SumRepresentation) -> np.ndarray:
+    """Invert represent_sum exactly."""
+    return reconstruct_sums(pair, rep.sum_mod, rep.T)
 
 
 def decode_fine_mod_coarse(

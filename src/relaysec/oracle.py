@@ -44,8 +44,8 @@ from .lattice import (
     index_to_coords,
     lattice_add,
     mod_coarse,
-    reconstruct_sum,
-    represent_sum,
+    reconstruct_sums,
+    represent_sums,
 )
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
 # default enumeration caps; callers may widen them explicitly
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
 MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
+_CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
 
 
 class SizeGuardError(ValueError):
@@ -163,22 +164,18 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     The scaled integer lattice acts coordinate-wise, so the mod-coarse sum
     digit and the wrap bit of coordinate j depend only on the digit pair
     (c1, c2) at j.  The table is built through the real 1-D geometry
-    (codebook_point, represent_sum, decode_fine_mod_coarse); a test
+    (codebook_point, represent_sums, decode_fine_mod_coarse); a test
     cross-checks the composed joint table against the direct N-D path.
     The counts are stored as float64, read-only, for the matmuls of
     ``_LeakageWorkspace.fill``; a workspace looks its N tables up once.
     """
     sub = NestedLatticePair(N=1, q=q, alpha=alpha, d1=(d1,), d2=(d2,))
     coords = np.arange(q)[:, None]
-    reps = [
-        represent_sum(sub, p1, p2)
-        for p1 in codebook_point(sub, coords, 1)
-        for p2 in codebook_point(sub, coords, 2)
-    ]
+    sum_mod, t = represent_sums(
+        sub, codebook_point(sub, coords, 1)[:, None], codebook_point(sub, coords, 2)[None, :])
     sum_digit = decode_fine_mod_coarse(
-        sub, np.array([rep.sum_mod for rep in reps]), sub.dither(1) + sub.dither(2)
-    )[:, 0]
-    wrap = np.array([rep.T - 1 for rep in reps], dtype=np.int64)
+        sub, sum_mod.reshape(-1, 1), sub.dither(1) + sub.dither(2))[:, 0]
+    wrap = (t - 1).ravel()
     c1 = np.repeat(np.arange(q), q)
     table = np.bincount((c1 * q + sum_digit) * 2 + wrap, minlength=2 * q * q)
     table = table.reshape(q, 2 * q).astype(float)
@@ -395,20 +392,27 @@ def exact_amd_win_census(
 def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     """Round-trip and wrap-range check over every codebook pair.
 
-    Returns (passed, counterexample); the counterexample is the first
-    failing (coords1, coords2) or None.
+    The size^2 pairs go through the batched ``represent_sums`` and
+    ``reconstruct_sums`` in blocks of rows i, each under
+    ``_CENSUS_BLOCK_ELEMS`` vector entries, so memory stays bounded
+    whatever the cap admits.  Returns (passed, counterexample); the
+    counterexample is the first failing (index1, index2) in row-major
+    order, or None.
     """
     size = pair.q**pair.N
     _guard(size * size, cap, "representation census")
-    points = [codebook_point(pair, index_to_coords(pair, k)) for k in range(size)]
-    for i in range(size):
-        for j in range(size):
-            rep = represent_sum(pair, points[i], points[j])
-            if not 1 <= rep.T <= 2**pair.N:
-                return False, (i, j)
-            back = reconstruct_sum(pair, rep)
-            if not np.allclose(back, points[i] + points[j], rtol=0, atol=0):
-                return False, (i, j)
+    points = codebook_point(pair, index_to_coords(pair, np.arange(size)))
+    rows = max(1, _CENSUS_BLOCK_ELEMS // (size * pair.N))
+    u2 = points[None, :, :]
+    for i0 in range(0, size, rows):
+        u1 = points[i0 : i0 + rows, None, :]
+        sum_mod, t = represent_sums(pair, u1, u2)
+        in_range = (t >= 1) & (t <= 2**pair.N)
+        back = reconstruct_sums(pair, sum_mod, np.where(in_range, t, 1))
+        bad = (~in_range | np.any(back != u1 + u2, axis=-1)).ravel()
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), size)
+            return False, (i0 + i, j)
     return True, None
 
 

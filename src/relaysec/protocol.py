@@ -23,6 +23,8 @@ generator ``numpy.random.Philox(key=S)`` (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
 (S, i) whatever the batch size or worker count.  ``draw_layout`` gives the
 word layout; ``uniform_ints`` and ``box_muller`` turn words into draws.
+Each stage is one hop of k consecutive exchanges, coords ``(B, k, N)``:
+k = 2 for the seed stages, 1 for the tag, ``blocks`` for the message.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class TrialBatch:
     """Trials start..stop-1 as arrays, one row per trial; elements are ints.
 
     ``s_hat`` rows are meaningful only where ``decodable``; ``records``
-    holds one PhaseRecord of ``(B, dim)`` arrays per hop when kept.
+    holds one PhaseRecord of ``(B, dim)`` views per exchange when kept.
     """
 
     s: np.ndarray  # (B, d)
@@ -280,7 +282,7 @@ def box_muller(words: np.ndarray) -> np.ndarray:
 def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     """Word ranges of one trial's draws, in order, and its padded length W.
 
-    With n = 2N + r + blocks*msg_N channel uses per trial (hops in order:
+    With n = 2N + r + blocks*msg_N channel uses per trial (exchanges in order:
     seed stage 0, seed stage 1, tag stage, message blocks):
 
     message   d words, the message symbols, uniform in [0, q^r)
@@ -343,7 +345,7 @@ class _Chunk:
     relay_words: np.ndarray  # (B, n) raw words
     noise: np.ndarray | None  # (B, 2n) normals, Gaussian mode only
     relay_rng: np.random.Generator | None  # custom relays only
-    records: list
+    records: list | None  # one PhaseRecord per exchange, when kept
     use: int = 0  # first channel use of the next hop
 
 
@@ -410,7 +412,7 @@ class TwoHopProtocol:
 
     # -- randomness ---------------------------------------------------------
 
-    def _draws(self, behavior, seed: int, start: int, stop: int) -> _Chunk:
+    def _draws(self, behavior, seed: int, start: int, stop: int, keep: bool) -> _Chunk:
         """Layout words of trials start..stop-1 from one Philox call."""
         p, lay, per_trial = self.params, self.layout, self.trial_words
         bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
@@ -430,27 +432,25 @@ class TwoHopProtocol:
             relay_words=words[:, lay["relay"]],
             noise=noise,
             relay_rng=_custom_relay_rng(seed, start) if custom else None,
-            records=[],
+            records=[] if keep else None,
         )
 
     # -- stage primitives -------------------------------------------------
 
-    def _hop(
-        self,
-        pair: NestedLatticePair,
-        t1: np.ndarray,
-        t2: np.ndarray | None,
-        behavior,
-        w,
-        chunk: _Chunk,
-    ) -> np.ndarray:
-        """One two-phase exchange; returns the destination's decoded coords."""
-        a, b = chunk.use, chunk.use + pair.N
+    def _hop(self, pair: NestedLatticePair, t1: np.ndarray, t2: np.ndarray | None,
+             behavior, w, chunk: _Chunk) -> np.ndarray:
+        """k consecutive two-phase exchanges, coords ``(B, k, N)``; returns the decoded coords.
+
+        Exchange j takes the next channel uses a + jN .. a + (j+1)N - 1.  A
+        custom relay is called once per exchange, with that block as its history.
+        """
+        a, b = chunk.use, chunk.use + t1.shape[1] * pair.N
         chunk.use = b
         noise_r = noise_d = None
         if chunk.noise is not None:
             uses = chunk.noise.shape[1] // 2
-            noise_r, noise_d = chunk.noise[:, a:b], chunk.noise[:, uses + a : uses + b]
+            noise_r = chunk.noise[:, a:b].reshape(t1.shape)
+            noise_d = chunk.noise[:, uses + a : uses + b].reshape(t1.shape)
         x1 = codebook_point(pair, t1, 1)
         if t2 is None:
             x2 = np.zeros_like(x1)
@@ -459,23 +459,28 @@ class TwoHopProtocol:
             x2 = codebook_point(pair, t2, 2)
             in_dither = pair.dither(1) + pair.dither(2)
         yr = phase1(self.channel, x1, x2, None, noise=noise_r)
-        if isinstance(behavior, CustomRelay):  # its callable sees one trial
-            xr = relay_step(behavior, pair, [yr[0]], chunk.relay_rng, w, in_dither, 3,
-                            power_limit=self.params.power_limit)[None]
+        if isinstance(behavior, CustomRelay):  # its callable sees one block of one trial
+            xr = np.stack([relay_step(behavior, pair, [block], chunk.relay_rng, w, in_dither,
+                                      3, power_limit=self.params.power_limit)
+                           for block in yr[0]])[None]
         else:
             garble = None
             if isinstance(behavior, RandomGarble):
-                garble = uniform_ints(chunk.relay_words[:, a:b], pair.q)
+                garble = uniform_ints(chunk.relay_words[:, a:b], pair.q).reshape(t1.shape)
             xr = relay_step(behavior, pair, [yr], None, w, in_dither, 3,
                             power_limit=self.params.power_limit, draws=garble)
         y2 = phase2(self.channel, xr, None, noise=noise_d)
-        chunk.records.append(PhaseRecord(x1=x1, x2=x2, yr=yr, xr=xr, y2=y2,
-                                         node2_active=t2 is not None))
+        if chunk.records is not None:
+            chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
+                              for j in range(t1.shape[1])]
         return decode_fine_mod_coarse(pair, y2, pair.dither(3))
 
-    def _seed_stage(self, behavior, w, chunk: _Chunk, stage: int):
-        """Stages 0/1: jammed exchange, hashed on both sides."""
-        t1, t2 = chunk.seed[:, stage, 0], chunk.seed[:, stage, 1]
+    def _seed_stage(self, behavior, w, chunk: _Chunk):
+        """Stages 0/1 in one hop: jammed exchanges, hashed on both sides.
+
+        Returns (B, 2) source and destination seeds, columns x and k.
+        """
+        t1, t2 = chunk.seed[:, :, 0], chunk.seed[:, :, 1]
         t_hat = self._hop(self.seed_pair, t1, t2, behavior, w, chunk)
         t1_hat = lattice_sub(self.seed_pair, t_hat, t2)
         source = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1))
@@ -484,32 +489,25 @@ class TwoHopProtocol:
 
     def _tag_stage(self, behavior, w, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
         """Stage 2: node 2 silent, u rides the r-dimensional code directly."""
-        u_coords = index_to_coords(self.tag_pair, u)
+        u_coords = index_to_coords(self.tag_pair, u)[:, None]
         u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, w, chunk)
-        return coords_to_index(self.tag_pair, u_hat_coords)
+        return coords_to_index(self.tag_pair, u_hat_coords[:, 0])
 
     def _message_stage(self, behavior, w, s: np.ndarray, chunk: _Chunk):
-        """Stage 3: serialized bits through the encoder, block by block.
+        """Stage 3: serialized bits through the encoder, all blocks in one hop.
 
         Returns the decoded symbols and the rows whose every block landed
         in K with zero padding and an in-range value.
         """
-        r0 = self.params.msg_r0
-        bits = self._symbols_to_bits(s)
-        padded = np.zeros((len(s), self.blocks * r0), dtype=np.int64)
-        padded[:, : self.payload_bits] = bits
-        out_bits = np.zeros_like(padded)
-        ok = np.ones(len(s), dtype=bool)
-        for b in range(self.blocks):
-            sl = slice(b * r0, (b + 1) * r0)
-            t1 = encode_message(self.encoder, padded[:, sl], chunk.randomizer[:, b])
-            t2 = chunk.block_jam[:, b]
-            t_hat = self._hop(self.msg_pair, t1, t2, behavior, w, chunk)
-            ranks = self.encoder.ranks(lattice_sub(self.msg_pair, t_hat, t2))
-            ok &= ranks >= 0
-            out_bits[:, sl] = decode_ranks(self.encoder, np.maximum(ranks, 0))
+        padded = np.zeros((len(s), self.blocks * self.params.msg_r0), dtype=np.int64)
+        padded[:, : self.payload_bits] = self._symbols_to_bits(s)
+        t1 = encode_message(self.encoder, padded.reshape(len(s), self.blocks, -1),
+                            chunk.randomizer)
+        t_hat = self._hop(self.msg_pair, t1, chunk.block_jam, behavior, w, chunk)
+        ranks = self.encoder.ranks(lattice_sub(self.msg_pair, t_hat, chunk.block_jam))
+        out_bits = decode_ranks(self.encoder, np.maximum(ranks, 0)).reshape(len(s), -1)
         # padding must stay zero for a well-formed message
-        ok &= ~np.any(out_bits[:, self.payload_bits :], axis=1)
+        ok = np.all(ranks >= 0, axis=1) & ~np.any(out_bits[:, self.payload_bits :], axis=1)
         s_hat, fits = self._bits_to_symbols(out_bits[:, : self.payload_bits])
         return s_hat, ok & fits
 
@@ -532,12 +530,12 @@ class TwoHopProtocol:
         """
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
-        chunk = self._draws(behavior, seed, start, stop)
+        chunk = self._draws(behavior, seed, start, stop, keep_records)
         s = chunk.message if messages is None else np.asarray(messages, dtype=np.int64)
         w = tuple(s[0].tolist()) if chunk.relay_rng is not None else None
 
-        x, x_hat = self._seed_stage(behavior, w, chunk, 0)
-        k, k_hat = self._seed_stage(behavior, w, chunk, 1)
+        source, dest = self._seed_stage(behavior, w, chunk)
+        (x, k), (x_hat, k_hat) = source.T, dest.T
         h = amd_tag(self.amd, s, x)
         u = self._add[h, k]
         u_hat = self._tag_stage(behavior, w, u, chunk)
@@ -548,7 +546,7 @@ class TwoHopProtocol:
         return TrialBatch(
             s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
             x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
-            records=tuple(chunk.records) if keep_records else (),
+            records=tuple(chunk.records or ()),
         )
 
     def run_trial(
@@ -582,11 +580,8 @@ class TwoHopProtocol:
             honest_decode_ok=s_hat == s_out,
             x=int(b.x[0]), x_hat=int(b.x_hat[0]), k=int(b.k[0]), k_hat=int(b.k_hat[0]),
             u=int(b.u[0]), u_hat=int(b.u_hat[0]), h_hat=int(b.h_hat[0]),
-            records=tuple(
-                PhaseRecord(x1=rec.x1[0], x2=rec.x2[0], yr=rec.yr[0], xr=rec.xr[0],
-                            y2=rec.y2[0], node2_active=rec.node2_active)
-                for rec in b.records
-            ),
+            records=tuple(PhaseRecord(rec.x1[0], rec.x2[0], rec.yr[0], rec.xr[0], rec.y2[0],
+                                      rec.node2_active) for rec in b.records),
         )
 
     def trial_counts(self, behavior, seed: int, start: int, stop: int) -> np.ndarray:

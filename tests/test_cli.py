@@ -1,5 +1,6 @@
 """CLI contract: config validation, reports, CSV determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -155,6 +156,21 @@ def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
         ]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+# sha256 of `simulate --seed 1` under the default (noiseless) config, four
+# behaviors, recorded while every message block still took its own hop.
+# No Gaussian hash is pinned: Box-Muller's log/cos/sin may differ by an ulp
+# across CPUs and numpy builds; test_engine.py checks Gaussian trials against
+# a scalar per-hop reference instead.
+DEFAULT_SIMULATE_SHA256 = "727c781a95846e137bb12aa34070444150ce70fbf5c757a6cefe363974dc18c4"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_default_config_golden_hash(tmp_path, workers):
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--seed", "1", "--workers", str(workers), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SIMULATE_SHA256
 
 
 def test_simulate_json_format(tmp_path):

@@ -11,8 +11,11 @@ from relaysec.channel import (
     AdditiveLatticeOffset,
     CustomRelay,
     HonestRelay,
+    PhaseRecord,
     RandomGarble,
     SubstituteLattice,
+    power_audit,
+    relay_step,
 )
 from relaysec.extract import decode_message, encode_message, extract_seed
 from relaysec.fields import ExtField, _poly_mod
@@ -158,11 +161,13 @@ def _normals(words):
     return z
 
 
-def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
+def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=None):
     """One trial through the per-vector lattice and extract functions.
 
     Field elements are ints; a seed vector v is the element sum v_j q^j, and
-    the tag is the term-by-term power sum.
+    the tag is the term-by-term power sum.  A custom relay goes through
+    ``relay_step`` once per hop with ``relay_rng`` and the hop's block as its
+    history.  ``records`` holds one PhaseRecord per hop.
     """
     p, f, enc = proto.params, proto.ext_field, proto.encoder
     add, sub = f.tables()["add"], f.tables()["sub"]
@@ -182,6 +187,7 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     relay_words = take(uses)
     z = _normals(take(2 * uses)) if not p.noiseless else [0.0] * (2 * uses)
     use = 0
+    records = []
 
     def hop(pair, t1, t2):
         nonlocal use
@@ -198,10 +204,16 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
             t3 = pattern
         elif isinstance(behavior, AdditiveLatticeOffset):
             t3 = lattice_add(pair, decode_fine_mod_coarse(pair, yr, in_dither), pattern)
-        else:
+        elif isinstance(behavior, RandomGarble):
             t3 = np.array([_unif(w, pair.q) for w in relay_words[a:b]])
-        y2 = codebook_point(pair, t3, 3) + math.sqrt(p.noise_var_dest) * np.array(
-            z[uses + a : uses + b])
+        if isinstance(behavior, CustomRelay):
+            xr = relay_step(behavior, pair, [yr], relay_rng, s, in_dither, 3,
+                            power_limit=p.power_limit)
+        else:
+            xr = codebook_point(pair, t3, 3)
+        y2 = xr + math.sqrt(p.noise_var_dest) * np.array(z[uses + a : uses + b])
+        records.append(PhaseRecord(x1=x1, x2=x2, yr=yr, xr=xr, y2=y2,
+                                   node2_active=t2 is not None))
         return decode_fine_mod_coarse(pair, y2, pair.dither(3))
 
     seeds = []
@@ -237,7 +249,35 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     h_hat = sub[u_hat, k_hat]
     accepted = s_hat is not None and _power_sum_tag(proto.amd, s_hat, x_hat) == h_hat
     return {"x": x, "x_hat": x_hat, "k": k, "k_hat": k_hat, "u": u, "u_hat": u_hat,
-            "s": s, "s_hat": s_hat, "accepted": accepted}
+            "s": s, "s_hat": s_hat, "accepted": accepted, "records": records}
+
+
+def _logging_relay(alpha):
+    """Forward the received block plus a random fine-lattice step per coordinate.
+
+    Each call appends (history shapes, message) to the returned log.
+    """
+    log = []
+
+    def fn(mr, history, w):
+        log.append(([np.shape(h) for h in history], w))
+        return history[-1] + alpha * mr.integers(0, 2, size=len(history[-1]))
+
+    return CustomRelay(fn, enforce_power=False), log
+
+
+def _custom_rng(seed, index):
+    """A custom relay's generator in trial index, as documented by run_trial."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + (index << 64)))
+
+
+def _assert_same_audit(proto, records, ref_records):
+    got, want = power_audit(records, proto.channel), power_audit(ref_records, proto.channel)
+    for node in want:
+        assert got[node]["channel_uses"] == want[node]["channel_uses"]
+        assert got[node]["violates_limit"] == want[node]["violates_limit"]
+        assert got[node]["average_power"] == pytest.approx(want[node]["average_power"],
+                                                           rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("params,trials", [
@@ -245,20 +285,39 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     (GAUSSIAN, 200),
     (ProtocolParams(d=30), 200),  # a 140-bit payload: serialization past 63 bits
 ])
-@pytest.mark.parametrize("behavior", BEHAVIORS)
+@pytest.mark.parametrize("behavior", BEHAVIORS + ["custom"])
 def test_engine_matches_scalar_reference(params, trials, behavior):
     proto = TwoHopProtocol(params)
     seed = 4242
     words, n_rand, blocks, uses = _layout_words(params, seed, trials)
-    batch = proto.run_batch(behavior, seed, 0, trials)
+    custom = behavior == "custom"
+    if custom:  # one trial per engine call; its log is one entry per exchange
+        behavior, log = _logging_relay(params.alpha)
+        dims = [params.N] * 2 + [params.r] + [params.msg_N] * blocks
+    else:
+        batch = proto.run_batch(behavior, seed, 0, trials)
     for i in range(trials):
-        ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
+        if custom:
+            log.clear()
+            batch, row = proto.run_batch(behavior, seed, i, i + 1), 0
+            engine_log = list(log)
+            log.clear()
+            ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses,
+                                   relay_rng=_custom_rng(seed, i))
+            assert engine_log == log == [([(dim,)], ref["s"]) for dim in dims], i
+        else:
+            row = i
+            ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
         for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat"):
-            assert int(getattr(batch, name)[i]) == ref[name], (i, name)
-        assert tuple(batch.s[i].tolist()) == ref["s"]
-        s_hat = tuple(batch.s_hat[i].tolist()) if batch.decodable[i] else None
+            assert int(getattr(batch, name)[row]) == ref[name], (i, name)
+        assert tuple(batch.s[row].tolist()) == ref["s"]
+        s_hat = tuple(batch.s_hat[row].tolist()) if batch.decodable[row] else None
         assert s_hat == ref["s_hat"], i
-        assert bool(batch.accepted[i]) == ref["accepted"], i
+        assert bool(batch.accepted[row]) == ref["accepted"], i
+        if i % 40 == 0:
+            out = proto.run_trial(behavior, (seed, i), keep_records=True)
+            assert len(out.records) == len(ref["records"]) == 3 + blocks
+            _assert_same_audit(proto, out.records, ref["records"])
 
 
 # ---------------------------------------------------------------------
@@ -306,6 +365,30 @@ def test_run_trial_is_row_of_batch(params):
             for rec, brec in zip(out.records, batch.records):
                 for name in ("x1", "x2", "yr", "xr", "y2"):
                     assert np.array_equal(getattr(rec, name), getattr(brec, name)[i])
+
+
+def test_one_hop_per_stage(monkeypatch):
+    """Seed stages, tag stage and message blocks: three batched hops a batch."""
+    proto = TwoHopProtocol(NOISELESS)
+    calls = []
+    real_hop, real_seed = TwoHopProtocol._hop, TwoHopProtocol._seed_stage
+
+    def hop(self, pair, t1, *args):
+        calls.append(("hop", t1.shape))
+        return real_hop(self, pair, t1, *args)
+
+    def seed_stage(self, *args):
+        calls.append(("seed",))
+        return real_seed(self, *args)
+
+    monkeypatch.setattr(TwoHopProtocol, "_hop", hop)
+    monkeypatch.setattr(TwoHopProtocol, "_seed_stage", seed_stage)
+    for behavior in BEHAVIORS:
+        calls.clear()
+        batch = proto.run_batch(behavior, 9, 0, 50)
+        assert calls == [("seed",), ("hop", (50, 2, 4)), ("hop", (50, 1, 2)),
+                         ("hop", (50, proto.blocks, 2))]
+        assert batch.records == ()
 
 
 def test_every_behavior_sees_the_same_messages_and_jams():

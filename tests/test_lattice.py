@@ -18,9 +18,13 @@ from relaysec.lattice import (
     lattice_add,
     mod_coarse,
     quantize_coarse,
+    coords_to_index,
+    lattice_sub,
     rate_condition_ok,
     reconstruct_sum,
+    reconstruct_sums,
     represent_sum,
+    represent_sums,
 )
 
 
@@ -179,6 +183,24 @@ def test_sum_representation_round_trip_exhaustive(q, n):
             assert np.array_equal(reconstruct_sum(pair, rep), u1 + u2)
 
 
+def test_batched_sums_match_single_pair_view():
+    pair = NestedLatticePair(N=2, q=5, alpha=1.3, d1=(0.4, -0.2), d2=(0.1, 0.6))
+    points = codebook_point(pair, np.array(list(enumerate_coords(pair))), 1)
+    sum_mod, t = represent_sums(pair, points[:, None], points[None, :])
+    assert sum_mod.shape == (25, 25, 2) and t.shape == (25, 25)
+    for i in range(25):
+        for j in range(25):
+            rep = represent_sum(pair, points[i], points[j])
+            assert rep.sum_mod == tuple(sum_mod[i, j]) and rep.T == t[i, j]
+    assert np.array_equal(reconstruct_sums(pair, sum_mod, t),
+                          points[:, None] + points[None, :])
+    for bad in (0, 5):
+        with pytest.raises(ValueError):
+            reconstruct_sums(pair, sum_mod, np.where(t == t[3, 4], bad, t))
+    with pytest.raises(ValueError):
+        represent_sums(pair, points[:, None], points[None, :] + np.array([0.0, 7.0]))
+
+
 # ---------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------
@@ -264,6 +286,27 @@ def test_pair_validation():
         NestedLatticePair(N=1, q=3, alpha=0.0)
     with pytest.raises(ValueError):
         NestedLatticePair(N=1, q=3, d1=(5.0,))  # dither outside the region
+
+
+def test_coords_range_check_on_stacks_and_broadcasts():
+    pair = NestedLatticePair(N=3, q=5)
+    ok = np.broadcast_to(np.array([0, 4, 2]), (6, 2, 3))  # zero strides
+    assert np.array_equal(lattice_sub(pair, ok, np.zeros((6, 2, 3), dtype=np.int64)), ok)
+    assert coords_to_index(pair, ok).tolist() == [[4 * 5 + 2 * 25] * 2] * 6
+    big = np.full((4, 2, 3), 1, dtype=np.int64)
+    big[3, 1, 2] = 5
+    neg = big.copy()
+    neg[3, 1, 2] = -1
+    bad = [big, neg, np.iinfo(np.int64).min + big,
+           np.broadcast_to(np.array([0, -3, 1]), (4, 2, 3)),
+           np.broadcast_to(np.array([7, 0, 1]), (4, 2, 3)),
+           big[::-1, :, ::-1], neg.transpose(1, 0, 2)]
+    for c in bad:
+        for call in (lambda c: codebook_point(pair, c), lambda c: coords_to_index(pair, c),
+                     lambda c: lattice_sub(pair, c, np.zeros_like(c)),
+                     lambda c: lattice_sub(pair, np.zeros_like(c), c)):
+            with pytest.raises(ValueError, match="canonical"):
+                call(c)
 
 
 def test_index_coords_round_trip():

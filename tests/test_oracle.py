@@ -1,6 +1,7 @@
 """Exhaustive oracle routines: exact values, guards, self-consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,68 @@ def test_isomorphism_census_first_counterexample_matches_scalar_loop(
     want = _isomorphism_census_scalar(pair)
     assert want is not None and want[0] == (0,) * n != want[1]  # (a, b) order shows
     assert isomorphism_census(pair) == (False, want)
+
+
+def _representation_census_scalar(pair):
+    """The pair-by-pair round-trip loop: the first failing (i, j) or None."""
+    size = pair.q**pair.N
+    points = [codebook_point(pair, index_to_coords(pair, k)) for k in range(size)]
+    for i in range(size):
+        for j in range(size):
+            sum_mod, t = oracle.represent_sums(pair, points[i], points[j])
+            if not 1 <= t <= 2**pair.N:
+                return i, j
+            back = oracle.reconstruct_sums(pair, sum_mod, t)
+            if not np.array_equal(back, points[i] + points[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+@pytest.mark.parametrize("q, n, fault", [(5, 2, "T"), (5, 2, "back"), (2, 3, "T")])
+def test_representation_census_first_counterexample_matches_scalar_loop(
+    monkeypatch, q, n, fault, block_rows
+):
+    """An out-of-range T, or a wrong reconstruction, on some sums; in one
+    block or in blocks of four rows."""
+    real_rep, real_rec = oracle.represent_sums, oracle.reconstruct_sums
+
+    def represent(pair, u1, u2):
+        sum_mod, t = real_rep(pair, u1, u2)
+        if fault == "T":
+            t = np.where((t == 1) & (np.sum(sum_mod, axis=-1) < 0), 0, t)
+        return sum_mod, t
+
+    def reconstruct(pair, sum_mod, t):
+        back = real_rec(pair, sum_mod, t)
+        if fault == "back":
+            back = back + ((t == 2**pair.N) & (sum_mod[..., -1] < 0))[..., None]
+        return back
+
+    pair = NestedLatticePair(N=n, q=q)
+    if block_rows is not None:
+        monkeypatch.setattr(oracle, "_CENSUS_BLOCK_ELEMS", block_rows * q**n * n)
+    assert representation_census(pair) == (True, None) and _representation_census_scalar(pair) is None
+    monkeypatch.setattr(oracle, "represent_sums", represent)
+    monkeypatch.setattr(oracle, "reconstruct_sums", reconstruct)
+    want = _representation_census_scalar(pair)
+    assert want is not None and want[0] != want[1]  # (i, j) order shows
+    assert representation_census(pair) == (False, want)
+
+
+def test_representation_census_memory_is_bounded_by_its_block(monkeypatch):
+    """Each block holds at most _CENSUS_BLOCK_ELEMS vector entries, so the
+    peak does not grow with size^2 (in one block, q=3 N=5 peaks near 12 MB)."""
+    budget = 2**14
+    monkeypatch.setattr(oracle, "_CENSUS_BLOCK_ELEMS", budget)
+    pair = NestedLatticePair(N=5, q=3)
+    tracemalloc.start()
+    try:
+        assert representation_census(pair) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * budget
 
 
 def test_census_guards():
