@@ -21,10 +21,10 @@ from relaysec import (
     digits,
     lattice_add,
     mod_coarse,
-    reconstruct_sum,
-    represent_sum,
+    reconstruct_sums,
+    represent_sums,
 )
-from relaysec.lattice import enumerate_coords
+from relaysec.lattice import index_to_coords
 
 print("=== extension field GF(3^2) ===")
 gf9 = ExtField(3, 2)
@@ -43,8 +43,9 @@ print()
 print("=== nested lattice codebook, q = 3, N = 2 ===")
 pair = NestedLatticePair(N=2, q=3)
 print("coords -> transmitted point (coarse region is [-1.5, 1.5)^2):")
-for c in enumerate_coords(pair):
-    print(f"  {tuple(int(v) for v in c)} -> {codebook_point(pair, c)}")
+coords = index_to_coords(pair, np.arange(pair.q**pair.N))  # lexicographic order
+for c, point in zip(coords, codebook_point(pair, coords)):
+    print(f"  {tuple(int(v) for v in c)} -> {point}")
 
 print()
 print("addition of points matches addition of their GF(3)^2 images:")
@@ -59,13 +60,11 @@ print()
 print("=== sum representation: residue + wrap id ===")
 p5 = NestedLatticePair(N=1, q=5)
 u1 = u2 = np.array([2.0])
-rep = represent_sum(p5, u1, u2)
-print(f"u1 = u2 = 2.0; mod-coarse residue {rep.sum_mod[0]}, wrap id T = {rep.T}")
-print(f"reconstructed sum: {reconstruct_sum(p5, rep)[0]}  (= 4.0 exactly)")
+sum_mod, t = represent_sums(p5, u1, u2)
+print(f"u1 = u2 = 2.0; mod-coarse residue {sum_mod[0]}, wrap id T = {t}")
+print(f"reconstructed sum: {reconstruct_sums(p5, sum_mod, t)[0]}  (= 4.0 exactly)")
 
-wraps = sum(
-    represent_sum(p5, np.array([a]), np.array([b])).T > 1
-    for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
-    for b in (-2.0, -1.0, 0.0, 1.0, 2.0)
-)
-print(f"{wraps} of 25 codeword pairs wrap around the coarse cell")
+# all 25 codeword pairs in one call; each point is a length-1 vector
+points = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
+_, t = represent_sums(p5, points[:, None], points[None, :])
+print(f"{int(np.sum(t > 1))} of {t.size} codeword pairs wrap around the coarse cell")

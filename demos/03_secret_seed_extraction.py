@@ -20,7 +20,7 @@ from relaysec.oracle import best_extractor_exhaustive, exact_seed_leakage
 
 print("=== exact uniformity of the extracted seed ===")
 emap = ExtractorMap(np.array([[1, 1]]), 3)
-dist, uniform = seed_uniformity(emap)
+dist, uniform = seed_uniformity(emap.matrix, emap.q)
 print(f"g = [1 1] over GF(3): outputs {dict(dist.probs)} -> uniform: {uniform}")
 
 print()

@@ -29,7 +29,7 @@ from .extract import (
     ExtractorMap,
     ExtractorParams,
     build_encoder,
-    decode_message,
+    decode_ranks,
     encode_message,
     extract_seed,
     leakage_budget,
@@ -53,7 +53,6 @@ from .fields import (
 )
 from .lattice import (
     NestedLatticePair,
-    SumRepresentation,
     average_codebook_power,
     codebook_point,
     codebook_rate,
@@ -63,11 +62,10 @@ from .lattice import (
     mod_coarse,
     quantize_coarse,
     rate_condition_ok,
-    reconstruct_sum,
-    represent_sum,
+    reconstruct_sums,
+    represent_sums,
 )
 from .protocol import (
-    ProtocolOutcome,
     ProtocolParams,
     RateReport,
     SimReport,

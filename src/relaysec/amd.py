@@ -18,11 +18,24 @@ from .fields import ExtField
 
 __all__ = [
     "AmdParams",
+    "check_premises",
     "amd_tag",
     "amd_verify",
     "amd_rate",
     "win_bound",
 ]
+
+
+def check_premises(q: int, d: int) -> None:
+    """Raise ValueError unless d >= 1 and q does not divide d + 2.
+
+    These are the premises of the (d+1)/q^r bound, for any extension
+    degree r of the prime field GF(q).
+    """
+    if d < 1:
+        raise ValueError("message length d must be >= 1")
+    if (d + 2) % q == 0:
+        raise ValueError(f"d + 2 = {d + 2} must not be divisible by q = {q}")
 
 
 @dataclass(frozen=True)
@@ -33,12 +46,7 @@ class AmdParams:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("message length d must be >= 1")
-        if (self.d + 2) % self.field.q == 0:
-            raise ValueError(
-                f"d + 2 = {self.d + 2} must not be divisible by q = {self.field.q}"
-            )
+        check_premises(self.field.q, self.d)
 
 
 def _check_elements(field: ExtField, *arrays) -> list[np.ndarray]:

@@ -1,11 +1,13 @@
 """Two-phase half-duplex Gaussian two-hop channel with pluggable relays.
 
-Phase 1: the relay hears the superposition of both end nodes plus unit
-variance Gaussian noise (or the exact sum in noiseless mode).  Phase 2:
-the destination hears the relay's transmission plus its own noise.  The
-relay's behavior is a strategy object that may only see its local
-randomness, its received history, and the message — never the
-destination noise.
+Phase 1: the relay hears the superposition of both end nodes plus
+Gaussian noise (or the exact sum in noiseless mode).  Phase 2: the
+destination hears the relay's transmission plus its own noise.  Noise is
+never drawn here: the caller passes standard normals of the signal's
+shape (the trial engine takes them from its fixed word layout), and each
+phase scales them by its noise deviation.  The relay's behavior is a
+strategy object that may only see its local randomness, its received
+history, and the message — never the destination noise.
 """
 
 from __future__ import annotations
@@ -65,22 +67,18 @@ class PhaseRecord:
     node2_active: bool = True
 
 
-def _add_noise(y: np.ndarray, var: float, rng, noise) -> np.ndarray:
-    if noise is None:
-        return y + rng.normal(0.0, np.sqrt(var), size=y.shape)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != y.shape:
-        raise ValueError(f"noise shape {noise.shape} does not match {y.shape}")
-    return y + np.sqrt(var) * noise
+def _add_noise(y: np.ndarray, var: float, noise) -> np.ndarray:
+    if noise is None or np.shape(noise) != y.shape:
+        raise ValueError(f"noise must be standard normals of shape {y.shape}")
+    return y + np.sqrt(var) * np.asarray(noise, dtype=float)
 
 
-def phase1(cfg: ChannelConfig, x1, x2, rng: np.random.Generator | None,
-           noise=None) -> np.ndarray:
+def phase1(cfg: ChannelConfig, x1, x2, noise=None) -> np.ndarray:
     """Relay observation: x1 + x2 + Zr (exact sum in noiseless mode).
 
-    Zr is drawn from ``rng``, or scaled from ``noise`` (standard normal
-    draws of the signal's shape) when given; arrays may carry leading
-    batch axes.
+    Zr is ``noise``, the caller's standard normal draws of the signal's
+    shape, scaled by the relay's noise deviation; it is ignored in
+    noiseless mode.  Arrays may carry leading batch axes.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -88,16 +86,15 @@ def phase1(cfg: ChannelConfig, x1, x2, rng: np.random.Generator | None,
         raise ValueError(f"length mismatch: {x1.shape} vs {x2.shape}")
     y = x1 + x2
     if not cfg.noiseless:
-        y = _add_noise(y, cfg.noise_var_relay, rng, noise)
+        y = _add_noise(y, cfg.noise_var_relay, noise)
     return y
 
 
-def phase2(cfg: ChannelConfig, xr, rng: np.random.Generator | None,
-           noise=None) -> np.ndarray:
-    """Destination observation: xr + Z_R, with Z_R as Zr in phase1."""
+def phase2(cfg: ChannelConfig, xr, noise=None) -> np.ndarray:
+    """Destination observation: xr + Z_R, with Z_R from ``noise`` as Zr in phase1."""
     y = np.asarray(xr, dtype=float)
     if not cfg.noiseless:
-        y = _add_noise(y, cfg.noise_var_dest, rng, noise)
+        y = _add_noise(y, cfg.noise_var_dest, noise)
     return y
 
 
@@ -157,10 +154,9 @@ def relay_step(
     behavior,
     pair: NestedLatticePair,
     yr_history: list[np.ndarray],
-    mr: np.random.Generator,
+    mr: np.random.Generator | None,
     w,
     in_dither: np.ndarray,
-    out_dither_index: int,
     power_limit: float | None = None,
     draws=None,
 ) -> np.ndarray:
@@ -168,27 +164,28 @@ def relay_step(
 
     ``in_dither`` is the dither sum the honest relay removes before
     decoding (d1 + d2 when both end nodes transmit, d1 alone when node 2
-    is silent); the forward uses dither index ``out_dither_index``.  ``w``
-    is the message, the d symbol ints; only ``CustomRelay`` reads it.
-    Received blocks may carry leading batch axes, one row per trial, for
-    every behavior but ``CustomRelay``.  ``draws`` are the random garble's
-    uniform coords in [0, q) of the block's shape; when None they are
-    drawn from ``mr``.
+    is silent); every forward uses the outgoing dither d3.  ``w`` is the
+    message, the d symbol ints; only ``CustomRelay`` reads it, and ``mr``
+    is its local randomness.  Received blocks may carry leading batch
+    axes, one row per trial, for every behavior but ``CustomRelay``.
+    ``draws`` are the random garble's uniform coords in [0, q) of the
+    block's shape, which ``RandomGarble`` requires.
     """
     yr = yr_history[-1]
     if isinstance(behavior, HonestRelay):
         t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
-        return codebook_point(pair, t_hat, out_dither_index)
+        return codebook_point(pair, t_hat, 3)
     if isinstance(behavior, SubstituteLattice):
         t3 = _cycle_pattern(behavior.pattern, pair.N, pair.q)
-        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)), out_dither_index)
+        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)), 3)
     if isinstance(behavior, AdditiveLatticeOffset):
         t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
         delta = _cycle_pattern(behavior.pattern, pair.N, pair.q)
-        return codebook_point(pair, lattice_add(pair, t_hat, delta), out_dither_index)
+        return codebook_point(pair, lattice_add(pair, t_hat, delta), 3)
     if isinstance(behavior, RandomGarble):
-        t = mr.integers(0, pair.q, size=np.shape(yr)) if draws is None else draws
-        return codebook_point(pair, t, out_dither_index)
+        if draws is None:
+            raise ValueError("the random garble needs its coords as draws")
+        return codebook_point(pair, draws, 3)
     if isinstance(behavior, CustomRelay):
         xr = np.asarray(behavior.fn(mr, list(yr_history), w), dtype=float)
         if xr.shape != (pair.N,):
@@ -212,17 +209,21 @@ def relay_step(
 
 
 def power_audit(records: list[PhaseRecord], cfg: ChannelConfig) -> dict:
-    """Per-node average power over that node's transmitting channel uses."""
+    """Per-node average power over that node's transmitting channel uses.
+
+    A record's arrays may carry leading batch axes (the ``(B, N)`` records
+    of ``run_batch``); every entry counts as one channel use.
+    """
     sums = {"node1": 0.0, "node2": 0.0, "relay": 0.0}
     uses = {"node1": 0, "node2": 0, "relay": 0}
     for rec in records:
         sums["node1"] += float(np.sum(np.asarray(rec.x1) ** 2))
-        uses["node1"] += len(rec.x1)
+        uses["node1"] += np.size(rec.x1)
         if rec.node2_active:
             sums["node2"] += float(np.sum(np.asarray(rec.x2) ** 2))
-            uses["node2"] += len(rec.x2)
+            uses["node2"] += np.size(rec.x2)
         sums["relay"] += float(np.sum(np.asarray(rec.xr) ** 2))
-        uses["relay"] += len(rec.xr)
+        uses["relay"] += np.size(rec.xr)
     report = {}
     for node in sums:
         avg = sums[node] / uses[node] if uses[node] else 0.0

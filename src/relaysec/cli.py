@@ -25,7 +25,7 @@ import jsonschema
 import numpy as np
 
 from . import oracle
-from .amd import AmdParams
+from .amd import AmdParams, check_premises
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
 from .extract import (
     DiscreteDistribution,
@@ -33,7 +33,7 @@ from .extract import (
     leakage_budget,
     r_max,
     search_good_extractor,
-    seed_uniformity_raw,
+    seed_uniformity,
 )
 from .fields import ExtField, all_matrices, is_prime, matrix_row_rank, sample_matrix
 from .lattice import NestedLatticePair
@@ -201,7 +201,7 @@ def _check_seed_uniformity(vcfg: dict, seed: int):
                     break
             matrices.append((m, q, f"sampled q={q} N={n}"))
     for m, mq, label in matrices:
-        _, uniform = seed_uniformity_raw(m, mq)
+        _, uniform = seed_uniformity(m, mq)
         yield uniform, {"matrix": m.tolist(), "label": label, "q": mq}
 
 
@@ -326,8 +326,14 @@ def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
         header = ["status", "param", "value", "n", "RT", "halfRe"]
     elif kind == "r":
         d, q = scan.get("d", 2), scan.get("q", 5)
+        if not is_prime(q):
+            raise ConfigError(f"r scan: q={q} is not prime")
+        try:
+            check_premises(q, d)
+        except ValueError as exc:
+            raise ConfigError(f"r scan: {exc}") from exc
         for r in scan.get("values", [1, 2, 3]):
-            bound = (d + 1) / q**r
+            bound = (d + 1) / q**r  # amd.win_bound, without building GF(q^r)
             rows.append({"status": "ok", "param": "r", "value": r,
                          "winBound": repr(bound)})
         header = ["status", "param", "value", "winBound"]

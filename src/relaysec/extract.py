@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import complete_and_invert, digits, matrix_row_rank
-from .lattice import (
-    NestedLatticePair,
-    codebook_point,
-    coords_to_index,
-    enumerate_coords,
-)
+from .lattice import NestedLatticePair, codebook_point, coords_to_index, index_to_coords
 
 __all__ = [
     "ExtractorMap",
@@ -51,7 +46,6 @@ __all__ = [
     "LeakageBudget",
     "build_encoder",
     "encode_message",
-    "decode_message",
     "decode_ranks",
     "search_good_extractor",
     "SearchResult",
@@ -90,18 +84,14 @@ def extract_seed(emap: ExtractorMap, t1) -> np.ndarray:
     return (t1 @ emap.matrix.T) % emap.q
 
 
-def seed_uniformity(emap: ExtractorMap) -> tuple["DiscreteDistribution", bool]:
-    """Exact output distribution under a uniform input, by enumeration.
+def seed_uniformity(matrix: np.ndarray, q: int) -> tuple["DiscreteDistribution", bool]:
+    """Exact output distribution of an r x N matrix under a uniform input.
 
-    Returns (distribution over output indices, is-exactly-uniform flag); a
-    rank-deficient map would concentrate mass and fail the flag, which is
-    why ExtractorMap refuses such matrices — pass raw matrices through
-    ``seed_uniformity_raw`` to inspect that failure mode.
+    Enumerates GF(q)^N and returns (distribution over output indices,
+    is-exactly-uniform flag).  Any matrix is accepted: a rank-deficient
+    one concentrates mass and fails the flag, which is why ExtractorMap
+    refuses such matrices (pass ``emap.matrix, emap.q`` for a built map).
     """
-    return seed_uniformity_raw(emap.matrix, emap.q)
-
-
-def seed_uniformity_raw(matrix: np.ndarray, q: int) -> tuple["DiscreteDistribution", bool]:
     matrix = np.array(matrix, dtype=np.int64) % q
     r, n = matrix.shape
     total, n_out = q**n, q**r
@@ -265,38 +255,27 @@ class EncoderMap:
         """v(t1) over any leading batch axes, -1 where t1 is outside K."""
         return self.rank_table[coords_to_index(self.pair, t1)]
 
-    def contains(self, t1) -> bool:
-        return bool(self.ranks(t1) >= 0)
 
-
-def build_encoder(
-    g: np.ndarray, pair: NestedLatticePair, N0: int | None = None
-) -> EncoderMap:
-    """Build the encoder for a binary full-row-rank matrix g.
+def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
+    """Build the encoder for a binary full-row-rank matrix g with N0 columns.
 
     N0 = floor(N log2 q); the subset K holds the 2^N0 codebook points of
     smallest Euclidean norm (transmit dither d1 applied), ties broken by
     lexicographic coordinate order, and v is the rank within K with bit 0
     least significant.
     """
-    expected_n0 = int(math.floor(pair.N * math.log2(pair.q)))
-    if N0 is None:
-        N0 = expected_n0
-    if N0 != expected_n0:
-        raise ValueError(f"N0 must be floor(N log2 q) = {expected_n0}, got {N0}")
+    N0 = int(math.floor(pair.N * math.log2(pair.q)))
     g = np.array(g, dtype=np.int64) % 2
     r0, cols = g.shape
     if cols != N0:
-        raise ValueError(f"g must have {N0} columns, got {cols}")
+        raise ValueError(f"g must have N0 = floor(N log2 q) = {N0} columns, got {cols}")
     g_prime, a = complete_and_invert(g, 2)  # raises unless g has full row rank
 
-    ranked = []
-    for c in enumerate_coords(pair):
-        point = codebook_point(pair, c, dither=1)
-        norm2 = round(float(np.dot(point, point)), 12)
-        ranked.append((norm2, tuple(int(v) for v in c)))
-    ranked.sort()
-    subset_coords = np.array([coords for _, coords in ranked[: 2**N0]], dtype=np.int64)
+    coords = index_to_coords(pair, np.arange(pair.q**pair.N))
+    points = codebook_point(pair, coords, dither=1)
+    ranked = sorted((round(float(np.dot(p, p)), 12), tuple(c.tolist()))
+                    for p, c in zip(points, coords))
+    subset_coords = np.array([c for _, c in ranked[: 2**N0]], dtype=np.int64)
     rank_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
     rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset_coords))
     return EncoderMap(
@@ -326,14 +305,6 @@ def decode_ranks(enc: EncoderMap, ranks) -> np.ndarray:
     """S = g v for ranks v in [0, 2^N0), over any leading batch axes."""
     bits = (np.asarray(ranks, dtype=np.int64)[..., None] >> np.arange(enc.N0)) & 1
     return (bits @ enc.g.T) % 2
-
-
-def decode_message(enc: EncoderMap, t1) -> np.ndarray:
-    """S = g v(t1); raises KeyError when t1 is outside the subset K."""
-    ranks = enc.ranks(t1)
-    if np.any(ranks < 0):
-        raise KeyError(f"coords {np.asarray(t1).tolist()} are not in the encoder subset")
-    return decode_ranks(enc, ranks)
 
 
 # ---------------------------------------------------------------------------

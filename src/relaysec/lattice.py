@@ -15,11 +15,11 @@ axes, shape ``(..., N)``, and validate shape and range once per call over
 the whole array.
 
 The sum of two Voronoi-region vectors is recoverable from its mod-coarse
-residue plus one wrap bit per coordinate; ``represent_sum`` packs those
+residue plus one wrap bit per coordinate; ``represent_sums`` packs those
 bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
-``reconstruct_sum`` inverts it exactly; ``represent_sums`` and
-``reconstruct_sums`` do the same over leading batch axes, and the
-single-pair functions are their one-pair view.
+``reconstruct_sums`` inverts it exactly, both over leading batch axes
+(one pair is the call without them).  ``index_to_coords`` of
+``arange(q^N)`` lists the whole codebook's coords in lexicographic order.
 """
 
 from __future__ import annotations
@@ -33,17 +33,13 @@ from .fields import digits, is_prime
 
 __all__ = [
     "NestedLatticePair",
-    "SumRepresentation",
     "quantize_coarse",
     "mod_coarse",
     "in_fundamental_region",
     "codebook_point",
-    "enumerate_coords",
     "coords_to_field",
     "lattice_add",
     "lattice_sub",
-    "represent_sum",
-    "reconstruct_sum",
     "represent_sums",
     "reconstruct_sums",
     "decode_fine_mod_coarse",
@@ -153,11 +149,6 @@ def codebook_point(
     return mod_coarse(pair, pair.alpha * c + pair.dither(dither))
 
 
-def enumerate_coords(pair: NestedLatticePair):
-    """All q^N canonical coordinate vectors in lexicographic order."""
-    yield from index_to_coords(pair, np.arange(pair.q**pair.N))
-
-
 def _radix(pair: NestedLatticePair) -> np.ndarray:
     return pair.q ** np.arange(pair.N, dtype=np.int64)
 
@@ -198,14 +189,6 @@ def lattice_sub(pair: NestedLatticePair, a, b) -> np.ndarray:
     return (a - b) % pair.q
 
 
-@dataclass(frozen=True)
-class SumRepresentation:
-    """Mod-coarse residue of a two-term sum plus its packed wrap bits."""
-
-    sum_mod: tuple[float, ...]
-    T: int
-
-
 def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndarray]:
     """(residues, T) of u1 + u2 over leading batch axes; all inputs in the Voronoi region."""
     u1 = _check_len(pair, u1)
@@ -231,17 +214,6 @@ def reconstruct_sums(pair: NestedLatticePair, sum_mod, T) -> np.ndarray:
     # feasible: negative residues wrapped down, nonnegative ones wrapped up
     shift = np.where(sum_mod < 0, step, -step)
     return sum_mod + bits * shift
-
-
-def represent_sum(pair: NestedLatticePair, u1, u2) -> SumRepresentation:
-    """Represent u1 + u2 (one pair, both in the Voronoi region) as (residue, T)."""
-    sum_mod, t = represent_sums(pair, u1, u2)
-    return SumRepresentation(tuple(sum_mod.tolist()), int(t))
-
-
-def reconstruct_sum(pair: NestedLatticePair, rep: SumRepresentation) -> np.ndarray:
-    """Invert represent_sum exactly."""
-    return reconstruct_sums(pair, rep.sum_mod, rep.T)
 
 
 def decode_fine_mod_coarse(

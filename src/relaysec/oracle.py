@@ -389,31 +389,44 @@ def exact_amd_win_census(
 # ---------------------------------------------------------------------------
 
 
+def _first_bad_pair(size: int, n: int, block_bad) -> tuple[int, int] | None:
+    """First (i, j) in row-major order of a size x size pair grid that fails.
+
+    ``block_bad(i0, i1)`` returns the (i1 - i0, size) failure mask of rows
+    i0..i1-1; the rows come in blocks of at most ``_CENSUS_BLOCK_ELEMS``
+    vector entries (n per pair), so memory stays bounded whatever the cap
+    admits.
+    """
+    rows = max(1, _CENSUS_BLOCK_ELEMS // (size * n))
+    for i0 in range(0, size, rows):
+        bad = block_bad(i0, min(i0 + rows, size)).ravel()
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), size)
+            return i0 + i, j
+    return None
+
+
 def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     """Round-trip and wrap-range check over every codebook pair.
 
     The size^2 pairs go through the batched ``represent_sums`` and
-    ``reconstruct_sums`` in blocks of rows i, each under
-    ``_CENSUS_BLOCK_ELEMS`` vector entries, so memory stays bounded
-    whatever the cap admits.  Returns (passed, counterexample); the
-    counterexample is the first failing (index1, index2) in row-major
-    order, or None.
+    ``reconstruct_sums`` in row blocks (``_first_bad_pair``).  Returns
+    (passed, counterexample); the counterexample is the first failing
+    (index1, index2) in row-major order, or None.
     """
     size = pair.q**pair.N
     _guard(size * size, cap, "representation census")
     points = codebook_point(pair, index_to_coords(pair, np.arange(size)))
-    rows = max(1, _CENSUS_BLOCK_ELEMS // (size * pair.N))
-    u2 = points[None, :, :]
-    for i0 in range(0, size, rows):
-        u1 = points[i0 : i0 + rows, None, :]
+
+    def block_bad(i0, i1):
+        u1, u2 = points[i0:i1, None, :], points[None, :, :]
         sum_mod, t = represent_sums(pair, u1, u2)
         in_range = (t >= 1) & (t <= 2**pair.N)
         back = reconstruct_sums(pair, sum_mod, np.where(in_range, t, 1))
-        bad = (~in_range | np.any(back != u1 + u2, axis=-1)).ravel()
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), size)
-            return False, (i0 + i, j)
-    return True, None
+        return ~in_range | np.any(back != u1 + u2, axis=-1)
+
+    first = _first_bad_pair(size, pair.N, block_bad)
+    return first is None, first
 
 
 def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
@@ -421,9 +434,10 @@ def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
 
     Addition is exercised through the real vectors: point(a) + point(b),
     reduced mod the coarse lattice and re-decoded, must land on the
-    coordinate-wise mod-q sum.  All size^2 pairs go through the batched
-    lattice functions at once; the counterexample is the first failing
-    (a, b) in row-major order over (index(a), index(b)).
+    coordinate-wise mod-q sum.  The size^2 pairs go through the batched
+    lattice functions in row blocks (``_first_bad_pair``); the
+    counterexample is the first failing (a, b) in row-major order over
+    (index(a), index(b)).
     """
     size = pair.q**pair.N
     _guard(size * size, cap, "isomorphism census")
@@ -432,14 +446,17 @@ def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     if len(images) != size:
         return False, "coordinate map is not a bijection"
     points = codebook_point(pair, coords)
-    geometric = mod_coarse(pair, points[:, None, :] + points[None, :, :])
-    got = decode_fine_mod_coarse(pair, geometric)
-    want = lattice_add(pair, coords[:, None, :], coords[None, :, :])
-    bad = np.any(got != want, axis=-1).ravel()
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), size)
-        return False, (tuple(coords[i]), tuple(coords[j]))
-    return True, None
+
+    def block_bad(i0, i1):
+        geometric = mod_coarse(pair, points[i0:i1, None, :] + points[None, :, :])
+        want = lattice_add(pair, coords[i0:i1, None, :], coords[None, :, :])
+        return np.any(decode_fine_mod_coarse(pair, geometric) != want, axis=-1)
+
+    first = _first_bad_pair(size, pair.N, block_bad)
+    if first is None:
+        return True, None
+    i, j = first
+    return False, (tuple(coords[i]), tuple(coords[j]))
 
 
 def full_rank_census(q: int, rows: int, cols: int, enum_cap: int = 10**5):

@@ -14,10 +14,11 @@ decoded message verifies against (x_hat, h_hat).  A Byzantine relay that
 forces a different message survives that check with probability at most
 (d+1)/q^r plus a term that vanishes with the block length.
 
-Trials run in batches: every stage works on ``(B, ...)`` integer arrays,
-one row per trial, and GF(q^r) elements are ints in ``[0, q^r)`` (base-q
-digits = polynomial coefficients, lowest degree first, which are also the
-coords of the r-dimensional tag code).  Trial i of seed S draws all its
+Trials run only in batches (``TwoHopProtocol.run_batch``; one trial is a
+batch of one): every stage works on ``(B, ...)`` integer arrays, one row
+per trial, and GF(q^r) elements are ints in ``[0, q^r)`` (base-q digits =
+polynomial coefficients, lowest degree first, which are also the coords
+of the r-dimensional tag code).  Trial i of seed S draws all its
 randomness from a fixed block of 64-bit words of the counter-based
 generator ``numpy.random.Philox(key=S)`` (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
@@ -69,7 +70,6 @@ from .lattice import (
 
 __all__ = [
     "ProtocolParams",
-    "ProtocolOutcome",
     "RateReport",
     "SimReport",
     "TrialBatch",
@@ -128,28 +128,6 @@ class ProtocolParams:
             )
         # AMD hypothesis is enforced eagerly so bad configs die before a run
         AmdParams(field=ExtField(self.q, self.r), d=self.d)
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """One trial: the decision plus per-stage diagnostics.
-
-    ``s`` and ``s_hat`` are tuples of d symbol ints (``s_hat`` None when
-    the message did not decode); the other elements are ints in [0, q^r).
-    """
-
-    s: tuple[int, ...]
-    s_hat: tuple[int, ...] | None
-    accepted: bool
-    honest_decode_ok: bool
-    x: int
-    x_hat: int
-    k: int
-    k_hat: int
-    u: int
-    u_hat: int
-    h_hat: int
-    records: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -313,19 +291,6 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     return layout, -(-at // 4) * 4
 
 
-def _trial_key(trial_seed) -> tuple[int, int]:
-    """(seed, index) of a trial; an int or 1-tuple seed means index 0."""
-    key = tuple(trial_seed) if isinstance(trial_seed, (tuple, list)) else (trial_seed,)
-    if len(key) == 1:
-        key += (0,)
-    if len(key) != 2:
-        raise ValueError(f"trial seed must be (seed, index), got {trial_seed!r}")
-    seed, index = (int(v) for v in key)
-    if seed < 0 or index < 0:
-        raise ValueError("trial seed and index must be nonnegative")
-    return seed, index
-
-
 def _custom_relay_rng(seed: int, index: int) -> np.random.Generator:
     """A custom relay's local randomness in trial index: its own counter block.
 
@@ -458,18 +423,18 @@ class TwoHopProtocol:
         else:
             x2 = codebook_point(pair, t2, 2)
             in_dither = pair.dither(1) + pair.dither(2)
-        yr = phase1(self.channel, x1, x2, None, noise=noise_r)
+        yr = phase1(self.channel, x1, x2, noise_r)
         if isinstance(behavior, CustomRelay):  # its callable sees one block of one trial
             xr = np.stack([relay_step(behavior, pair, [block], chunk.relay_rng, w, in_dither,
-                                      3, power_limit=self.params.power_limit)
+                                      power_limit=self.params.power_limit)
                            for block in yr[0]])[None]
         else:
             garble = None
             if isinstance(behavior, RandomGarble):
                 garble = uniform_ints(chunk.relay_words[:, a:b], pair.q).reshape(t1.shape)
-            xr = relay_step(behavior, pair, [yr], None, w, in_dither, 3,
+            xr = relay_step(behavior, pair, [yr], None, w, in_dither,
                             power_limit=self.params.power_limit, draws=garble)
-        y2 = phase2(self.channel, xr, None, noise=noise_d)
+        y2 = phase2(self.channel, xr, noise_d)
         if chunk.records is not None:
             chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
                               for j in range(t1.shape[1])]
@@ -524,8 +489,15 @@ class TwoHopProtocol:
     ) -> TrialBatch:
         """Execute stages 0-3 and the acceptance decision for trials start..stop-1.
 
-        Row j is trial start + j of ``seed``, drawn from its words of the
-        layout (see ``draw_layout``); ``messages`` (B, d) symbol ints
+        Row j is trial i = start + j of ``seed``, the same whatever batch
+        holds it: its words are words i*W .. (i+1)*W - 1 of the stream of
+        ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
+        uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
+        noise by ``box_muller``.  A custom relay's local randomness is a
+        Generator on its own counter block, 2^192 + i*2^64.  So a trial is
+        a pure function of (seed, i, params, behavior, message), and row 0
+        of ``run_batch(behavior, seed, i, i + 1, keep_records=True)``
+        replays trial i with its records.  ``messages`` (B, d) symbol ints
         replace the drawn messages.  Custom relays take one trial per call.
         """
         if not 0 <= start < stop:
@@ -547,41 +519,6 @@ class TwoHopProtocol:
             s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
             x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
             records=tuple(chunk.records or ()),
-        )
-
-    def run_trial(
-        self,
-        behavior,
-        trial_seed,
-        s: tuple[int, ...] | None = None,
-        keep_records: bool = False,
-    ) -> ProtocolOutcome:
-        """One trial: the B=1 view of ``run_batch``.
-
-        ``trial_seed`` is (seed, i), and the trial is row i of any batch of
-        that seed: its words are words i*W .. (i+1)*W - 1 of the stream of
-        ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
-        uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
-        noise by ``box_muller``.  An int or 1-tuple seed means i = 0.  A
-        custom relay's local randomness is a Generator on its own counter
-        block, 2^192 + i*2^64.  So a trial is a pure function of (seed, i,
-        params, behavior, message).  ``s``, d symbol ints, replaces the
-        drawn message.
-        """
-        seed, index = _trial_key(trial_seed)
-        messages = None if s is None else np.array([s], dtype=np.int64)
-        b = self.run_batch(behavior, seed, index, index + 1, messages, keep_records)
-        s_out = tuple(b.s[0].tolist())
-        s_hat = tuple(b.s_hat[0].tolist()) if b.decodable[0] else None
-        return ProtocolOutcome(
-            s=s_out,
-            s_hat=s_hat,
-            accepted=bool(b.accepted[0]),
-            honest_decode_ok=s_hat == s_out,
-            x=int(b.x[0]), x_hat=int(b.x_hat[0]), k=int(b.k[0]), k_hat=int(b.k_hat[0]),
-            u=int(b.u[0]), u_hat=int(b.u_hat[0]), h_hat=int(b.h_hat[0]),
-            records=tuple(PhaseRecord(rec.x1[0], rec.x2[0], rec.yr[0], rec.xr[0], rec.y2[0],
-                                      rec.node2_active) for rec in b.records),
         )
 
     def trial_counts(self, behavior, seed: int, start: int, stop: int) -> np.ndarray:
@@ -633,12 +570,13 @@ class TwoHopProtocol:
     ) -> SimReport:
         """Estimate decode-error, false-reject, and adversary-win rates.
 
-        Trial i is ``run_trial(behavior, (seed, i))``: a pure function of
-        (seed, i) under the word layout of ``draw_layout`` (Philox keyed by
-        the seed, trial i at counter i*W/4), so reports are identical for
-        any worker count and batch size.  Batches of built-in behaviors
-        spread over ``workers`` processes; custom relays, whose callables
-        need not pickle, run in this process one trial at a time.
+        Trial i is row 0 of ``run_batch(behavior, seed, i, i + 1)``: a pure
+        function of (seed, i) under the word layout of ``draw_layout``
+        (Philox keyed by the seed, trial i at counter i*W/4), so reports
+        are identical for any worker count and batch size.  Batches of
+        built-in behaviors spread over ``workers`` processes; custom
+        relays, whose callables need not pickle, run in this process one
+        trial at a time.
         """
         if trials < 1:
             raise ValueError("need at least one trial")

@@ -11,6 +11,7 @@ from relaysec.amd import (
     amd_rate,
     amd_tag,
     amd_verify,
+    check_premises,
     win_bound,
 )
 from relaysec.fields import ExtField
@@ -103,6 +104,14 @@ def test_hypothesis_enforced():
         AmdParams(field=ExtField(3, 1), d=1)  # d + 2 = 3 divisible by q
     with pytest.raises(ValueError):
         AmdParams(field=GF5, d=0)
+    with pytest.raises(ValueError, match="divisible"):
+        AmdParams(field=ExtField(5, 2), d=3)  # the premise is on q, not q^r
+    # the same premises without building a field
+    for q, d in [(5, 3), (3, 1), (5, 0), (2, 2)]:
+        with pytest.raises(ValueError):
+            check_premises(q, d)
+    for q, d in [(5, 2), (2, 1), (3, 2), (11, 8)]:
+        check_premises(q, d)
 
 
 def test_attack_success_example():

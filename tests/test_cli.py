@@ -216,6 +216,32 @@ def test_scan_r_sweep_win_bound_column(tmp_path):
         assert float(row[3]) == 3 / 5**r
 
 
+# sha256 of `scan --seed 1` for {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]},
+# recorded before the r scan checked the detection code's premises
+SCAN_R_SHA256 = "8c8b746d7d6f4318858297ce6283a47d20231ff28bc9bfdf137dd7f8a8ed7251"
+
+
+def test_scan_r_golden_hash(tmp_path):
+    path = write_config(tmp_path, {"scan": {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_R_SHA256
+
+
+@pytest.mark.parametrize("scan, message", [
+    # the r kind alone inherits the d scan's q = 2, and d = 2: 2 divides d + 2
+    ({"kind": "r"}, "d + 2 = 4 must not be divisible by q = 2"),
+    ({"kind": "r", "q": 3, "d": 1}, "d + 2 = 3 must not be divisible by q = 3"),
+    ({"kind": "r", "q": 4, "d": 1}, "q=4 is not prime"),
+])
+def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
+    path = write_config(tmp_path, {"scan": scan})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point_subprocess(tmp_path):
     path = write_config(tmp_path, {
         "scan": {"kind": "r", "values": [1, 2], "d": 2, "q": 5}

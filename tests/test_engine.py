@@ -17,7 +17,7 @@ from relaysec.channel import (
     power_audit,
     relay_step,
 )
-from relaysec.extract import decode_message, encode_message, extract_seed
+from relaysec.extract import decode_ranks, encode_message, extract_seed
 from relaysec.fields import ExtField, _poly_mod
 from relaysec.lattice import (
     codebook_point,
@@ -207,7 +207,7 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=Non
         elif isinstance(behavior, RandomGarble):
             t3 = np.array([_unif(w, pair.q) for w in relay_words[a:b]])
         if isinstance(behavior, CustomRelay):
-            xr = relay_step(behavior, pair, [yr], relay_rng, s, in_dither, 3,
+            xr = relay_step(behavior, pair, [yr], relay_rng, s, in_dither,
                             power_limit=p.power_limit)
         else:
             xr = codebook_point(pair, t3, 3)
@@ -237,8 +237,9 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=Non
         t2 = np.array([_unif(w, p.msg_q) for w in jam_w])
         t1 = encode_message(enc, bits, s_prime)
         t1_hat = lattice_sub(proto.msg_pair, hop(proto.msg_pair, t1, t2), t2)
-        if enc.contains(t1_hat):
-            out_bits += [int(v) for v in decode_message(enc, t1_hat)]
+        rank = enc.ranks(t1_hat)
+        if rank >= 0:
+            out_bits += [int(v) for v in decode_ranks(enc, rank)]
         else:
             ok = False
             out_bits += [0] * p.msg_r0
@@ -267,7 +268,7 @@ def _logging_relay(alpha):
 
 
 def _custom_rng(seed, index):
-    """A custom relay's generator in trial index, as documented by run_trial."""
+    """A custom relay's generator in trial index, as documented by run_batch."""
     return np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + (index << 64)))
 
 
@@ -314,10 +315,10 @@ def test_engine_matches_scalar_reference(params, trials, behavior):
         s_hat = tuple(batch.s_hat[row].tolist()) if batch.decodable[row] else None
         assert s_hat == ref["s_hat"], i
         assert bool(batch.accepted[row]) == ref["accepted"], i
-        if i % 40 == 0:
-            out = proto.run_trial(behavior, (seed, i), keep_records=True)
-            assert len(out.records) == len(ref["records"]) == 3 + blocks
-            _assert_same_audit(proto, out.records, ref["records"])
+        if i % 40 == 0:  # trial i alone, with its (1, dim) records
+            records = proto.run_batch(behavior, seed, i, i + 1, keep_records=True).records
+            assert len(records) == len(ref["records"]) == 3 + blocks
+            _assert_same_audit(proto, records, ref["records"])
 
 
 # ---------------------------------------------------------------------
@@ -340,31 +341,23 @@ def test_reports_identical_across_batch_sizes_and_workers(monkeypatch, params):
 
 @pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
 def test_batch_rows_independent_of_chunking(params):
+    """Every row and record row is the same in one batch, in chunks of 7, and
+    alone (chunks of 1, how a single trial is replayed)."""
     proto = TwoHopProtocol(params)
     for behavior in BEHAVIORS:
-        whole = proto.run_batch(behavior, 12, 0, 60)
-        parts = [proto.run_batch(behavior, 12, a, min(a + 7, 60)) for a in range(0, 60, 7)]
-        for name in FIELDS + ("s_hat",):
-            joined = np.concatenate([getattr(b, name) for b in parts])
-            assert np.array_equal(getattr(whole, name), joined), (behavior, name)
-
-
-@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
-def test_run_trial_is_row_of_batch(params):
-    proto = TwoHopProtocol(params)
-    for behavior in BEHAVIORS:
-        batch = proto.run_batch(behavior, 5, 0, 30, keep_records=True)
-        for i in (0, 1, 17, 29):
-            out = proto.run_trial(behavior, (5, i), keep_records=True)
-            for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat", "h_hat"):
-                assert getattr(out, name) == batch.__dict__[name][i]
-            assert list(out.s) == batch.s[i].tolist()
-            assert out.accepted == batch.accepted[i]
-            assert (out.s_hat is not None) == batch.decodable[i]
-            assert len(out.records) == len(batch.records) == 3 + proto.blocks
-            for rec, brec in zip(out.records, batch.records):
+        whole = proto.run_batch(behavior, 12, 0, 60, keep_records=True)
+        assert len(whole.records) == 3 + proto.blocks
+        for step in (1, 7):
+            parts = [proto.run_batch(behavior, 12, a, min(a + step, 60), keep_records=True)
+                     for a in range(0, 60, step)]
+            for name in FIELDS + ("s_hat", "h_hat"):
+                joined = np.concatenate([getattr(b, name) for b in parts])
+                assert np.array_equal(getattr(whole, name), joined), (behavior, step, name)
+            for j, rec in enumerate(whole.records):
+                assert all(b.records[j].node2_active == rec.node2_active for b in parts)
                 for name in ("x1", "x2", "yr", "xr", "y2"):
-                    assert np.array_equal(getattr(rec, name), getattr(brec, name)[i])
+                    joined = np.concatenate([getattr(b.records[j], name) for b in parts])
+                    assert np.array_equal(getattr(rec, name), joined), (behavior, step, j, name)
 
 
 def test_one_hop_per_stage(monkeypatch):
@@ -424,10 +417,10 @@ def test_custom_relay_randomness_is_its_own_counter_block():
         seen.append(int(mr.bit_generator.random_raw()))
         return history[-1]
 
-    proto.run_trial(CustomRelay(relay), (6, 3))
+    proto.run_batch(CustomRelay(relay), 6, 3, 4)
     first = list(seen)
     seen.clear()
-    proto.run_trial(CustomRelay(relay), (6, 3))
+    proto.run_batch(CustomRelay(relay), 6, 3, 4)
     assert seen == first and len(set(first)) == len(first) == 3 + proto.blocks
     words, *_ = _layout_words(NOISELESS, 6, 4)
     assert not set(first) & {int(w) for w in words.ravel()}

@@ -11,7 +11,7 @@ from relaysec.extract import (
     ExtractorMap,
     ExtractorParams,
     build_encoder,
-    decode_message,
+    decode_ranks,
     encode_message,
     extract_seed,
     leakage_budget,
@@ -23,7 +23,6 @@ from relaysec.extract import (
     secrecy_rate,
     secrecy_rate_from_power,
     seed_uniformity,
-    seed_uniformity_raw,
     shannon_entropy,
 )
 from relaysec.fields import all_matrices, matrix_row_rank
@@ -50,14 +49,15 @@ def test_extractor_map_rejects_rank_deficient():
 
 
 def test_seed_uniformity_examples():
-    dist, uniform = seed_uniformity(ExtractorMap(np.array([[1, 1]]), 3))
+    emap = ExtractorMap(np.array([[1, 1]]), 3)
+    dist, uniform = seed_uniformity(emap.matrix, emap.q)
     assert uniform
     assert all(p == pytest.approx(1 / 3) for p in dist.probs.values())
 
-    dist, uniform = seed_uniformity(ExtractorMap(np.eye(2, dtype=int), 3))
+    dist, uniform = seed_uniformity(np.eye(2, dtype=int), 3)
     assert uniform
 
-    dist, uniform = seed_uniformity_raw(np.array([[0, 0]]), 3)
+    dist, uniform = seed_uniformity(np.array([[0, 0]]), 3)
     assert not uniform
     assert dist.probs[0] == pytest.approx(1.0)
 
@@ -69,7 +69,7 @@ def test_full_rank_implies_exact_uniformity_exhaustive(q, n):
         mats = all_matrices(q, r, n)
         for m, rank in zip(mats, matrix_row_rank(mats, q)):
             full = rank == r
-            _, uniform = seed_uniformity_raw(m, q)
+            _, uniform = seed_uniformity(m, q)
             if full:
                 assert uniform
             # rank-deficient maps are never exactly uniform over q^r outcomes
@@ -210,7 +210,7 @@ def test_build_encoder_subset_example():
     assert enc.N0 == 3
     assert len(enc.subset_coords) == 8
     # the lex-largest of the four norm-2 points is excluded
-    assert not enc.contains((2, 2))
+    assert enc.ranks((2, 2)) == -1
     assert enc.subset_coords[0].tolist() == [0, 0]
 
 
@@ -228,13 +228,11 @@ def test_encoder_round_trip_exhaustive():
         for r0 in range(1, n0 + 1):
             g = np.hstack([np.eye(r0, dtype=int), np.ones((r0, n0 - r0), dtype=int)]) % 2
             enc = build_encoder(g, pair)
-            seen = set()
-            for s_bits in itertools.product(range(2), repeat=r0):
-                for sp_bits in itertools.product(range(2), repeat=n0 - r0):
-                    t1 = encode_message(enc, np.array(s_bits), np.array(sp_bits))
-                    seen.add(tuple(t1))
-                    assert np.array_equal(decode_message(enc, t1), np.array(s_bits))
-            assert len(seen) == 2**n0  # uniform inputs cover K exactly once
+            bits = np.array(list(itertools.product(range(2), repeat=n0)))  # every (S', S)
+            s_bits = bits[:, n0 - r0 :]
+            ranks = enc.ranks(encode_message(enc, s_bits, bits[:, : n0 - r0]))
+            assert np.array_equal(decode_ranks(enc, ranks), s_bits)
+            assert sorted(ranks.tolist()) == list(range(2**n0))  # uniform inputs cover K once
 
 
 def test_encoder_injective_in_message_for_fixed_randomizer():
@@ -262,16 +260,17 @@ def test_decoder_linear_in_bit_vector():
 
 
 def test_decode_outside_subset_rejected():
+    """Coords outside K rank -1, the flag the message stage rejects on."""
     pair = NestedLatticePair(N=2, q=3)
     enc = build_encoder(np.array([[1, 0, 0]]), pair)
-    with pytest.raises(KeyError):
-        decode_message(enc, (2, 2))
+    ranks = enc.ranks([[a, b] for a in range(3) for b in range(3)])
+    assert ranks.tolist().count(-1) == 1 and ranks[-1] == -1  # only (2, 2)
 
 
 def test_build_encoder_validation():
     pair = NestedLatticePair(N=2, q=3)
-    with pytest.raises(ValueError):
-        build_encoder(np.array([[1, 0, 0]]), pair, N0=4)
+    with pytest.raises(ValueError, match="3 columns"):
+        build_encoder(np.array([[1, 0, 0, 0]]), pair)  # N0 = floor(2 log2 3) = 3
     with pytest.raises(ValueError):
         build_encoder(np.array([[1, 0, 0], [1, 0, 0]]), pair)  # rank deficient
 

@@ -12,7 +12,6 @@ from relaysec.lattice import (
     codebook_rate,
     coords_to_field,
     decode_fine_mod_coarse,
-    enumerate_coords,
     in_fundamental_region,
     index_to_coords,
     lattice_add,
@@ -21,15 +20,18 @@ from relaysec.lattice import (
     coords_to_index,
     lattice_sub,
     rate_condition_ok,
-    reconstruct_sum,
     reconstruct_sums,
-    represent_sum,
     represent_sums,
 )
 
 
 def v(*vals):
     return np.array(vals, dtype=float)
+
+
+def all_coords(pair):
+    """The q^N canonical coordinate vectors in lexicographic order."""
+    return index_to_coords(pair, np.arange(pair.q**pair.N))
 
 
 # ---------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_codebook_point_examples():
 
 def test_codebook_points_distinct():
     pair = NestedLatticePair(N=2, q=5, d1=(0.25, -0.75))
-    points = {tuple(codebook_point(pair, c, dither=1)) for c in enumerate_coords(pair)}
+    points = {tuple(codebook_point(pair, c, dither=1)) for c in all_coords(pair)}
     assert len(points) == 25
 
 
@@ -128,7 +130,7 @@ def test_lattice_add_examples():
 def test_isomorphism_bijective_and_additive(q, n):
     """Geometric addition of codebook points matches the field image."""
     pair = NestedLatticePair(N=n, q=q)
-    coords = list(enumerate_coords(pair))
+    coords = all_coords(pair)
     images = {tuple(coords_to_field(pair, c)) for c in coords}
     assert len(images) == q**n
     for a in coords:
@@ -149,49 +151,49 @@ def test_isomorphism_bijective_and_additive(q, n):
 
 def test_represent_sum_examples():
     p5 = NestedLatticePair(N=1, q=5)
-    rep = represent_sum(p5, v(2.0), v(2.0))
-    assert rep.sum_mod == (-1.0,) and rep.T == 2
-    rep0 = represent_sum(p5, v(0.0), v(0.0))
-    assert rep0.sum_mod == (0.0,) and rep0.T == 1
+    sum_mod, t = represent_sums(p5, v(2.0), v(2.0))
+    assert sum_mod.tolist() == [-1.0] and t == 2 and t.shape == ()
+    sum_mod, t = represent_sums(p5, v(0.0), v(0.0))
+    assert sum_mod.tolist() == [0.0] and t == 1
     p52 = NestedLatticePair(N=2, q=5)
-    rep2 = represent_sum(p52, v(2.0, 0.0), v(2.0, 0.0))
-    assert rep2.sum_mod == (-1.0, 0.0) and rep2.T == 2  # bit 0 least significant
+    sum_mod, t = represent_sums(p52, v(2.0, 0.0), v(2.0, 0.0))
+    assert sum_mod.tolist() == [-1.0, 0.0] and t == 2  # bit 0 least significant
 
 
 def test_represent_sum_rejects_out_of_region():
     p5 = NestedLatticePair(N=1, q=5)
     with pytest.raises(ValueError):
-        represent_sum(p5, v(3.0), v(0.0))
+        represent_sums(p5, v(3.0), v(0.0))
 
 
 def test_reconstruct_examples():
     p5 = NestedLatticePair(N=1, q=5)
-    from relaysec.lattice import SumRepresentation
-
-    assert reconstruct_sum(p5, SumRepresentation((-1.0,), 2))[0] == 4.0
-    assert reconstruct_sum(p5, SumRepresentation((0.0,), 1))[0] == 0.0
+    assert reconstruct_sums(p5, v(-1.0), 2).tolist() == [4.0]
+    assert reconstruct_sums(p5, v(0.0), 1).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (2, 1), (2, 2), (2, 3)])
 def test_sum_representation_round_trip_exhaustive(q, n):
     pair = NestedLatticePair(N=n, q=q)
-    points = [codebook_point(pair, c) for c in enumerate_coords(pair)]
-    for u1 in points:
-        for u2 in points:
-            rep = represent_sum(pair, u1, u2)
-            assert 1 <= rep.T <= 2**n
-            assert np.array_equal(reconstruct_sum(pair, rep), u1 + u2)
+    points = codebook_point(pair, all_coords(pair))
+    u1, u2 = points[:, None], points[None, :]
+    sum_mod, t = represent_sums(pair, u1, u2)
+    assert np.all((1 <= t) & (t <= 2**n))
+    assert np.array_equal(reconstruct_sums(pair, sum_mod, t), u1 + u2)
 
 
 def test_batched_sums_match_single_pair_view():
+    """The (25, 25) grid in one call, cell for cell against one-pair calls."""
     pair = NestedLatticePair(N=2, q=5, alpha=1.3, d1=(0.4, -0.2), d2=(0.1, 0.6))
-    points = codebook_point(pair, np.array(list(enumerate_coords(pair))), 1)
+    points = codebook_point(pair, all_coords(pair), 1)
     sum_mod, t = represent_sums(pair, points[:, None], points[None, :])
     assert sum_mod.shape == (25, 25, 2) and t.shape == (25, 25)
     for i in range(25):
         for j in range(25):
-            rep = represent_sum(pair, points[i], points[j])
-            assert rep.sum_mod == tuple(sum_mod[i, j]) and rep.T == t[i, j]
+            one_mod, one_t = represent_sums(pair, points[i], points[j])
+            assert np.array_equal(one_mod, sum_mod[i, j]) and one_t == t[i, j]
+            assert np.array_equal(reconstruct_sums(pair, one_mod, one_t),
+                                  points[i] + points[j])
     assert np.array_equal(reconstruct_sums(pair, sum_mod, t),
                           points[:, None] + points[None, :])
     for bad in (0, 5):
@@ -215,7 +217,7 @@ def test_decode_examples():
 def test_decode_round_trip_exhaustive_q5():
     for n in (1, 2, 3):
         pair = NestedLatticePair(N=n, q=5, d1=(0.3,) * n)
-        for c in enumerate_coords(pair):
+        for c in all_coords(pair):
             y = codebook_point(pair, c, dither=1)
             assert np.array_equal(
                 decode_fine_mod_coarse(pair, y, pair.dither(1)), c
@@ -224,8 +226,8 @@ def test_decode_round_trip_exhaustive_q5():
 
 def test_noiseless_aggregate_decode_matches_lattice_add():
     pair = NestedLatticePair(N=2, q=5)
-    for a in enumerate_coords(pair):
-        for b in enumerate_coords(pair):
+    for a in all_coords(pair):
+        for b in all_coords(pair):
             agg = codebook_point(pair, a) + codebook_point(pair, b)
             got = decode_fine_mod_coarse(pair, mod_coarse(pair, agg))
             assert np.array_equal(got, lattice_add(pair, a, b))
@@ -271,7 +273,7 @@ def test_average_power_scales_with_alpha_squared():
 def test_average_power_matches_full_enumeration():
     pair = NestedLatticePair(N=2, q=5, alpha=0.8, d1=(0.3, -0.5))
     total = 0.0
-    for c in enumerate_coords(pair):
+    for c in all_coords(pair):
         p = codebook_point(pair, c, dither=1)
         total += float(np.dot(p, p)) / pair.N
     assert math.isclose(average_codebook_power(pair, 1), total / 25, rel_tol=1e-12)
@@ -324,9 +326,9 @@ def test_represent_sum_boundary_endpoint():
     pair = NestedLatticePair(N=1, q=3)  # region [-1.5, 1.5)
     u = v(-1.5)
     assert in_fundamental_region(pair, u)
-    rep = represent_sum(pair, u, u)  # real sum -3.0 wraps
-    assert rep.T == 2
-    assert reconstruct_sum(pair, rep)[0] == -3.0
+    sum_mod, t = represent_sums(pair, u, u)  # real sum -3.0 wraps
+    assert t == 2
+    assert reconstruct_sums(pair, sum_mod, t)[0] == -3.0
 
 
 def test_alpha_for_power_targets():

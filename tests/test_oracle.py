@@ -17,7 +17,7 @@ from relaysec.lattice import (
     index_to_coords,
     lattice_add,
     mod_coarse,
-    represent_sum,
+    represent_sums,
 )
 from relaysec.oracle import (
     JointDistribution,
@@ -169,9 +169,9 @@ def _observation_index_direct(pair):
     radix = q ** np.arange(n, dtype=np.int64)
     for i in range(size):
         for j in range(size):
-            rep = represent_sum(pair, points1[i], points2[j])
-            coords = decode_fine_mod_coarse(pair, np.array(rep.sum_mod), offset)
-            obs[i, j] = int(np.dot(coords, radix)) * t_count + (rep.T - 1)
+            sum_mod, t = represent_sums(pair, points1[i], points2[j])
+            coords = decode_fine_mod_coarse(pair, sum_mod, offset)
+            obs[i, j] = int(np.dot(coords, radix)) * t_count + (int(t) - 1)
     return obs.reshape(-1), q**n * t_count
 
 
@@ -364,7 +364,10 @@ def test_isomorphism_census_first_counterexample_matches_scalar_loop(
     pair = NestedLatticePair(N=n, q=q)
     want = _isomorphism_census_scalar(pair)
     assert want is not None and want[0] == (0,) * n != want[1]  # (a, b) order shows
-    assert isomorphism_census(pair) == (False, want)
+    size = q**n
+    for block_rows in (size, 4, 1):  # one whole-grid block, then row blocks
+        monkeypatch.setattr(oracle, "_CENSUS_BLOCK_ELEMS", block_rows * size * n)
+        assert isomorphism_census(pair) == (False, want), block_rows
 
 
 def _representation_census_scalar(pair):
@@ -427,6 +430,18 @@ def test_representation_census_memory_is_bounded_by_its_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * budget
+
+
+def test_isomorphism_census_memory_is_bounded_by_its_block():
+    """q=3, N=6 (531,441 pairs) at the default block: one whole-grid block
+    peaked near 100 MB."""
+    tracemalloc.start()
+    try:
+        assert isomorphism_census(NestedLatticePair(N=6, q=3)) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_census_guards():

@@ -10,6 +10,7 @@ from relaysec.channel import (
     AdditiveLatticeOffset,
     CustomRelay,
     HonestRelay,
+    PhaseRecord,
     RandomGarble,
     SubstituteLattice,
     power_audit,
@@ -82,35 +83,30 @@ def test_params_validation():
 def test_honest_noiseless_exhaustive_messages():
     p = proto(TINY)
     for s_val in range(p.ext_field.order):
-        s = (s_val,)
-        for trial in range(3):
-            out = p.run_trial(HonestRelay(), (s_val, trial), s=s)
-            assert out.s_hat == s
-            assert out.accepted
-            assert out.honest_decode_ok
-            assert out.x == out.x_hat and out.k == out.k_hat and out.u == out.u_hat
+        b = p.run_batch(HonestRelay(), s_val, 0, 3, messages=np.full((3, 1), s_val))
+        assert b.decodable.all() and np.all(b.s_hat == s_val)
+        assert b.accepted.all() and not b.decode_errors().any()
+        for a, a_hat in [(b.x, b.x_hat), (b.k, b.k_hat), (b.u, b.u_hat)]:
+            assert np.array_equal(a, a_hat)
 
 
 def test_honest_default_params_many_trials():
-    p = proto()
-    for i in range(100):
-        out = p.run_trial(HonestRelay(), (7, i))
-        assert out.accepted and out.s_hat == out.s
+    b = proto().run_batch(HonestRelay(), 7, 0, 100)
+    assert b.accepted.all() and not b.decode_errors().any()
 
 
 def test_stage_diagnostics_consistent():
     p = proto()
-    out = p.run_trial(HonestRelay(), (1, 2))
-    assert out.h_hat == p.ext_field.tables()["sub"][out.u_hat, out.k_hat]
+    b = p.run_batch(HonestRelay(), 1, 0, 50)
+    assert np.array_equal(b.h_hat, p.ext_field.tables()["sub"][b.u_hat, b.k_hat])
 
 
 def test_acceptance_is_pure_replay():
     p = proto()
     for behavior in [HonestRelay(), SubstituteLattice((1,)), RandomGarble()]:
-        for i in range(30):
-            out = p.run_trial(behavior, (11, i))
-            verifies = out.s_hat is not None and amd_verify(p.amd, out.s_hat, out.x_hat, out.h_hat)
-            assert verifies == out.accepted
+        b = p.run_batch(behavior, 11, 0, 30)
+        verifies = b.decodable & amd_verify(p.amd, b.s_hat, b.x_hat, b.h_hat)
+        assert np.array_equal(verifies, b.accepted)
 
 
 # ---------------------------------------------------------------------
@@ -134,41 +130,38 @@ def test_substitution_seed_is_g_of_t3_minus_jam():
     uses = 2 * prm.N + prm.r + blocks * prm.msg_N
     words = prm.d + 4 * prm.N + blocks * (n_rand + prm.msg_N) + 3 * uses
     words += -words % 4
-    outs = set()
-    for i in range(50):
-        out = p.run_trial(SubstituteLattice(tuple(t3)), (3, i))
-        raw = np.random.Philox(key=3).random_raw((i + 1) * words)[i * words:]
-        jam = raw[prm.d + prm.N : prm.d + 2 * prm.N]
+    trials = 50
+    b = p.run_batch(SubstituteLattice(tuple(t3)), 3, 0, trials)
+    raw = np.random.Philox(key=3).random_raw(trials * words).reshape(trials, words)
+    for i in range(trials):
+        jam = raw[i, prm.d + prm.N : prm.d + 2 * prm.N]
         t2 = np.array([(int(w) * prm.q) >> 64 for w in jam])
         want = (p.extractor.matrix @ ((t3 - t2) % p.params.q)) % p.params.q
-        assert out.x_hat == int(want[0])  # r = 1: the seed is its one coordinate
-        outs.add(out.x_hat)
-    assert len(outs) > 1  # varies with the jamming, not pinned to x
+        assert b.x_hat[i] == want[0]  # r = 1: the seed is its one coordinate
+    assert len(set(b.x_hat.tolist())) > 1  # varies with the jamming, not pinned to x
 
 
 def test_additive_offset_shifts_seed_by_extractor_image():
     p = proto()
     delta = (1, 0, 2, 1)
-    behavior = AdditiveLatticeOffset(delta)
-    for i in range(20):
-        out = p.run_trial(behavior, (5, i))
-        shift = (p.extractor.matrix @ np.array(delta)) % p.params.q
-        shift_int = int(shift @ p.params.q ** np.arange(p.params.r))
-        assert out.x_hat == p.ext_field.tables()["add"][out.x, shift_int]
+    b = p.run_batch(AdditiveLatticeOffset(delta), 5, 0, 20)
+    shift = (p.extractor.matrix @ np.array(delta)) % p.params.q
+    shift_int = int(shift @ p.params.q ** np.arange(p.params.r))
+    assert np.array_equal(b.x_hat, p.ext_field.tables()["add"][b.x, shift_int])
 
 
 def test_otp_stage_offset_becomes_additive_tag_error():
     """A fine-lattice offset on the silent hop shifts u-hat additively."""
     p = proto()
     relay = StagedRelay(p, {2: (1, 0)})
-    out = p.run_trial(CustomRelay(relay), (21, 0))
+    b = p.run_batch(CustomRelay(relay), 21, 0, 1)
     add, sub = p.ext_field.tables()["add"], p.ext_field.tables()["sub"]
     eps = 1  # coords (1, 0)
-    assert out.u_hat == add[out.u, eps]
-    assert out.h_hat == sub[add[out.u, eps], out.k_hat]
+    assert b.u_hat[0] == add[b.u[0], eps]
+    assert b.h_hat[0] == sub[add[b.u[0], eps], b.k_hat[0]]
     # seeds and message rode honest hops: an h-only forgery never verifies
-    assert out.s_hat == out.s
-    assert not out.accepted
+    assert not b.decode_errors()[0]
+    assert not b.accepted[0]
 
 
 def test_substitution_win_rate_within_bound():
@@ -191,10 +184,10 @@ def test_message_only_offset_wins_occur_but_stay_bounded():
     forged = 0
     for i in range(trials):
         relay = StagedRelay(p, {"msg": (1, 2)})
-        out = p.run_trial(CustomRelay(relay), (77, i))
-        if out.s_hat is not None and out.s_hat != out.s:
+        b = p.run_batch(CustomRelay(relay), 77, i, i + 1)
+        if b.decodable[0] and np.any(b.s_hat[0] != b.s[0]):
             forged += 1
-            wins += int(out.accepted)
+            wins += int(b.accepted[0])
     bound = win_bound(p.amd)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     assert wins / trials <= bound + 3 * sigma
@@ -246,17 +239,39 @@ def test_block_count_and_rate_examples():
 
 def test_rate_report_matches_power_audit_identity():
     p = proto()
-    out = p.run_trial(HonestRelay(), (13, 5), keep_records=True)
-    records = list(out.records)
+    # trial 5 of seed 13: one (1, N) row per exchange record
+    records = list(p.run_batch(HonestRelay(), 13, 5, 6, keep_records=True).records)
     stage01, stage2, stage3 = records[:2], records[2], records[3:]
     p1 = sum(float(np.sum(rec.x1**2)) for rec in stage01) / (2 * p.params.N)
     p2 = float(np.sum(stage2.x1**2)) / p.params.r
-    msg_uses = sum(len(rec.x1) for rec in stage3)
+    msg_uses = sum(np.size(rec.x1) for rec in stage3)
     p3 = sum(float(np.sum(rec.x1**2)) for rec in stage3) / msg_uses
     report = p.rate_report(p1, p2, p3)
     audit = power_audit(records, p.channel)
     assert report.PT == pytest.approx(audit["node1"]["average_power"], abs=1e-9)
     assert audit["node1"]["channel_uses"] == report.n
+
+
+def test_power_audit_of_batch_records_averages_the_rows():
+    """(B, N) records: B*n uses per node, and the mean of the per-row powers.
+
+    Every trial transmits on the same number of uses, so the batch's
+    average power is the mean of its trials' averages.
+    """
+    p = proto()
+    trials = 40
+    batch = p.run_batch(RandomGarble(), 13, 0, trials, keep_records=True)
+    audit = power_audit(batch.records, p.channel)
+    rows = [power_audit([PhaseRecord(*(getattr(rec, k)[i : i + 1] for k in
+                                       ("x1", "x2", "yr", "xr", "y2")), rec.node2_active)
+                         for rec in batch.records], p.channel) for i in range(trials)]
+    n, prm = p.rate_report().n, p.params
+    node2_uses = 2 * prm.N + p.blocks * prm.msg_N  # node 2 is silent in the tag stage
+    for node, uses in [("node1", n), ("node2", node2_uses), ("relay", n)]:
+        assert audit[node]["channel_uses"] == trials * uses
+        assert all(row[node]["channel_uses"] == uses for row in rows)
+        mean = np.mean([row[node]["average_power"] for row in rows])
+        assert audit[node]["average_power"] == pytest.approx(mean, rel=1e-12)
 
 
 def test_rate_monotone_toward_half_Re():
@@ -297,7 +312,7 @@ def test_monte_carlo_deterministic_across_workers():
 def test_source_seed_uniform_chi_square():
     p = proto(TINY)
     trials = 10_000
-    # row i is run_trial(HonestRelay(), (101, i))
+    # row i is trial i of seed 101
     counts = np.bincount(p.run_batch(HonestRelay(), 101, 0, trials).x, minlength=5)
     expected = trials / 5
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -316,10 +331,9 @@ def test_zero_variance_gaussian_equals_noiseless_outcomes():
         ProtocolParams(noiseless=False, noise_var_relay=0.0, noise_var_dest=0.0)
     )
     b = TwoHopProtocol(ProtocolParams(noiseless=True))
-    for i in range(20):
-        oa = a.run_trial(HonestRelay(), (55, i))
-        ob = b.run_trial(HonestRelay(), (55, i))
-        assert oa.s == ob.s and oa.s_hat == ob.s_hat and oa.accepted == ob.accepted
+    ba, bb = (proto.run_batch(HonestRelay(), 55, 0, 20) for proto in (a, b))
+    for name in ("s", "s_hat", "decodable", "accepted"):
+        assert np.array_equal(getattr(ba, name), getattr(bb, name)), name
 
 
 def test_low_noise_gaussian_honest_still_clean():
