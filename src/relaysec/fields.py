@@ -10,6 +10,9 @@ shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
 kernel, ``row_reduce``, which reduces a whole stack per pass; rank,
 inverse and basis completion are thin views over it, and
 ``all_matrices`` enumerates every matrix of a shape as one stack.
+``row_spaces`` finds them all by prefix transitions: row operations on M'
+keep its row space, so RREF([M'; v]) = RREF([RREF(M'); v]) and row k needs
+one reduction per (distinct RREF of the first k - 1 rows, row v).
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -30,6 +33,7 @@ __all__ = [
     "is_prime",
     "all_matrices",
     "row_reduce",
+    "row_spaces",
     "matrix_row_rank",
     "sample_matrix",
     "matrix_inverse",
@@ -243,6 +247,27 @@ def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
         rref[start : start + _REDUCE_BATCH] = a
     rref = rref.reshape(m.shape)
     return (rref, rank.reshape(stack)) if stack else (rref, int(rank[0]))
+
+
+def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rrefs, index): the distinct RREFs of all rows x cols matrices over GF(q).
+
+    ``rrefs`` is in ``all_matrices`` (lexicographic) order and ``rrefs[index]``
+    equals ``row_reduce(all_matrices(q, rows, cols), q)[0]``.  Row k reduces one
+    stack, (distinct RREFs of k - 1 rows) x q^cols, deduped by a base-q key.
+    """
+    vecs = all_matrices(q, 1, cols)
+    rrefs, index = vecs[:1, :0], np.zeros(1, dtype=np.int64)  # the one 0 x cols matrix
+    for k in range(1, rows + 1):
+        stacked = np.concatenate(
+            [np.repeat(rrefs, len(vecs), axis=0), np.tile(vecs, (len(rrefs), 1, 1))], axis=1)
+        reduced = row_reduce(stacked, q)[0].reshape(len(stacked), k * cols)
+        keys = reduced @ q ** np.arange(k * cols - 1, -1, -1, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rrefs = reduced[first].reshape(len(first), k, cols)
+        # matrix i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v]
+        index = inverse[(index[:, None] * len(vecs) + np.arange(len(vecs))).ravel()]
+    return rrefs, index
 
 
 def matrix_row_rank(m, q: int):

@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .amd import AmdParams, amd_tag
 from .extract import DiscreteDistribution, leftover_bound, renyi_entropy
-from .fields import all_matrices, digits, full_rank_fraction, matrix_row_rank, row_reduce
+from .fields import all_matrices, digits, full_rank_fraction, row_spaces
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -71,6 +70,7 @@ __all__ = [
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
 MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
+_AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
 
 
 class SizeGuardError(ValueError):
@@ -88,33 +88,31 @@ def _guard(size: int, cap: int, what: str):
 
 
 class JointDistribution:
-    """Joint law over a finite grid: probs[a, b] with recoverable marginals."""
+    """Joint law over a finite grid: probs[a, b], validated on construction."""
 
     def __init__(self, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 2:
+        self.probs = _check_laws(probs)
+        if self.probs.ndim != 2:
             raise ValueError("joint distribution must be a 2-D array")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("entries must be a probability distribution")
-        self.probs = probs
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "JointDistribution":
         counts = np.asarray(counts, dtype=float)
         return cls(counts / counts.sum())
 
-    def marginal_a(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
     def mutual_information(self) -> float:
         return mutual_information_bits(self.probs)
 
-    def variational_to_product(self) -> float:
-        outer = np.outer(self.marginal_a(), self.marginal_b())
-        return float(np.abs(self.probs - outer).sum())
+
+def _check_laws(probs) -> np.ndarray:
+    """``probs`` as floats; raise unless each (a, b) law on its last two axes is a law."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim < 2:
+        raise ValueError("joint distribution must be a 2-D array or a stack of them")
+    totals = probs.reshape(*probs.shape[:-2], -1).sum(axis=-1)
+    if np.any(probs < 0) or np.any(np.abs(totals - 1.0) > 1e-12):
+        raise ValueError("entries must be a probability distribution")
+    return probs
 
 
 def mutual_information_bits(joint: np.ndarray) -> float:
@@ -122,16 +120,16 @@ def mutual_information_bits(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=float)
     nz = joint > 0
     papb = np.multiply.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
-    return _mi_from_cells(joint[nz], joint.sum(), papb)
+    return float(_mi_from_cells(joint[nz], joint.sum(), papb))
 
 
-def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray, work=None) -> float:
+def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray, work=None) -> float | np.ndarray:
     """The one MI term kernel: sum of v/total (log2(v total) - log2(pa pb)) over cells.
 
     ``vals`` holds the nonzero cells in row-major order and ``papb`` the
     products of their row and column marginals.  The terms are formed in
     place (``papb`` is overwritten; ``work``, if given, is a buffer of the
-    same length) and summed by one ``np.sum`` over a 1-D array, so every
+    same shape) and summed by one ``np.sum`` along the last axis, so every
     caller gets the same terms in the same pairwise-summation tree.
     """
     work = np.multiply(vals, total, out=work)
@@ -140,7 +138,7 @@ def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray, work=None) -> floa
     np.subtract(work, papb, out=work)
     np.divide(vals, total, out=papb)
     np.multiply(papb, work, out=work)
-    return float(np.sum(work))
+    return np.sum(work, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -260,14 +258,7 @@ class _LeakageWorkspace:
         pa = table.sum(axis=1)
         outer = np.multiply.outer(pa, table.sum(axis=0), out=self.joint.reshape(table.shape))
         papb = np.compress(self.mask, outer.reshape(-1), out=self.papb[:k])
-        return _mi_from_cells(vals, pa.sum(), papb, work=self.joint[:k])
-
-
-def _seed_obs_counts(pair: NestedLatticePair, g: np.ndarray, cap: int) -> np.ndarray:
-    """Joint counts [seed index, observation id] of one extractor, as int64."""
-    if g.shape[1] != pair.N:
-        raise ValueError(f"extractor must have {pair.N} columns")
-    return _LeakageWorkspace(pair, g.shape[0], cap).fill(g).astype(np.int64)
+        return float(_mi_from_cells(vals, pa.sum(), papb, work=self.joint[:k]))
 
 
 def exact_seed_leakage(
@@ -306,14 +297,14 @@ def best_extractor_exhaustive(
     space: an invertible change of basis permutes the seed alphabet
     bijectively, which leaves the mutual information unchanged, so one
     representative per row space is exact.  For r = 1 these are the rows
-    whose first nonzero entry is 1.  The representatives go to
+    whose first nonzero entry is 1.  They are the rank-r RREFs of ``fields.row_spaces``
+    (RREF([M'; v]) = RREF([RREF(M'); v])), in lexicographic order, and go to
     ``exact_seed_leakage`` as one stack; the first minimum wins.
     """
     q, n = pair.q, pair.N
     _guard(q ** (r * n), cap, "extractor-matrix enumeration")
-    mats = all_matrices(q, r, n)
-    rref, rank = row_reduce(mats, q)
-    reps = mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]
+    rrefs, _ = row_spaces(q, r, n)
+    reps = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]  # rank: nonzero rows
     if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
     mis = exact_seed_leakage(pair, reps, cap=cap)
@@ -359,18 +350,18 @@ def exact_amd_win_census(
     add, sub = tables["add"], tables["sub"]
     xs = np.arange(order)
     shifted = add[:, xs]  # shifted[dx, x] = x + dx
-    cells = xs[:, None] * order  # row offsets flattening (dx, dh)
+    block = max(1, _AMD_BLOCK_CELLS // (order * order))  # forged messages s' per block
+    cells = (np.arange(block)[:, None] * order + xs)[:, :, None] * order  # flattens (s', dx, dh)
     base_tag = amd_tag(params, s_int, xs)
     hist = np.zeros(order + 1, dtype=np.int64)
     max_hits = 0
-    for s_prime in product(range(order), repeat=d):
-        sp = np.array(s_prime, dtype=np.int64)
-        diff = sub[amd_tag(params, sp, shifted), base_tag]  # forged dh making x pass
-        # counts[dx, dh]: seeds x that verify under the attack (s', dx, dh)
-        counts = np.bincount((diff + cells).ravel(), minlength=order * order)
-        if np.array_equal(sp, s_int):
-            counts[0] = -1  # no perturbation at all
-        hist += np.bincount(counts + 1, minlength=order + 2)[1:]
+    for k0 in range(0, order**d, block):
+        sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
+        # counts[b, dx * order + dh]: seeds x passing (sp[b], dx, dh); x lands on the dh it needs
+        cell = sub[amd_tag(params, sp[:, None, None, :], shifted), base_tag] + cells[: len(sp)]
+        counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(sp), order * order)
+        counts[np.all(sp == s_int, axis=1), 0] = -1  # no perturbation at all
+        hist += np.bincount(counts.ravel() + 1, minlength=order + 2)[1:]
         max_hits = max(max_hits, int(counts.max()))
     histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
     attacks = int(hist.sum())
@@ -464,11 +455,13 @@ def full_rank_census(q: int, rows: int, cols: int, enum_cap: int = 10**5):
 
     Returns (count, total, bound_holds) where bound_holds checks the
     fraction against 1 - q^(rows - cols).  Direct enumeration runs when
-    q^(rows*cols) <= enum_cap and must agree with the product formula.
+    q^(rows*cols) <= enum_cap and must agree with the product formula.  Ranks
+    come from ``fields.row_spaces``, by RREF([M'; v]) = RREF([RREF(M'); v]).
     """
     count, total = full_rank_fraction(q, rows, cols)
     if q ** (rows * cols) <= enum_cap:
-        seen = np.count_nonzero(matrix_row_rank(all_matrices(q, rows, cols), q) == rows)
+        rrefs, index = row_spaces(q, rows, cols)
+        seen = np.count_nonzero(np.count_nonzero(rrefs.any(axis=-1), axis=-1)[index] == rows)
         if seen != count:
             raise AssertionError(
                 f"enumeration ({seen}) disagrees with product count ({count})"
@@ -504,12 +497,23 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
     return max_coll / n_mat, holds
 
 
-def pinsker_check(joint: JointDistribution) -> tuple[float, float]:
-    """Both sides of I(A;B) >= D^2 / (2 ln 2), D the L1 distance to the product."""
-    lhs = joint.mutual_information()
-    dist = joint.variational_to_product()
+def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Both sides of I(A;B) >= D^2 / (2 ln 2), D the L1 distance to the product.
+
+    ``joints`` is a JointDistribution, one (a, b) law or a stack (..., a, b)
+    of laws, each validated as JointDistribution validates.  A stack gives
+    two arrays of shape (...), each entry equal to a call on its law alone.
+    """
+    probs = joints.probs if isinstance(joints, JointDistribution) else _check_laws(joints)
+    cells = probs.reshape(*probs.shape[:-2], -1)
+    pa, pb = probs.sum(axis=-1), probs.sum(axis=-2)
+    papb = (pa[..., :, None] * pb[..., None, :]).reshape(cells.shape)
+    dist = np.abs(cells - papb).sum(axis=-1)
     rhs = dist * dist / (2.0 * math.log(2))
-    return lhs, rhs
+    total, nz = cells.sum(axis=-1, keepdims=True), cells > 0
+    # a zero cell enters as v = total, pa pb = total^2: a term of exactly 0
+    lhs = _mi_from_cells(np.where(nz, cells, total), total, np.where(nz, papb, total * total))
+    return (float(lhs), float(rhs)) if probs.ndim == 2 else (lhs, rhs)
 
 
 def leftover_census(q: int, N: int, r: int, dist: DiscreteDistribution, cap: int = 10**7):

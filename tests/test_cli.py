@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,31 @@ def test_verify_default_all_checks_pass(tmp_path):
         "full-rank-fraction", "hash-collision", "seed-uniformity",
         "leftover-entropy", "pinsker",
     }
+
+
+def _same_value(got, want):
+    """Floats to 1e-12 (the log2-based ones may move by an ulp across CPUs), the rest exactly."""
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _same_value(g, w) for g, w in zip(got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_verify_default_records(tmp_path):
+    # the seed-1 report as the per-matrix censuses and per-joint Pinsker loop wrote it
+    want = json.loads((Path(__file__).parent / "verify_seed1_report.json").read_text())
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "1", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert (got["seed"], got["all_passed"]) == (want["seed"], want["all_passed"]) == (1, True)
+    assert len(got["checks"]) == len(want["checks"]) == 53
+    for g, w in zip(got["checks"], want["checks"]):
+        assert (g["name"], g["passed"], sorted(g["details"])) == (
+            w["name"], w["passed"], sorted(w["details"])), w
+        for key, value in w["details"].items():
+            assert _same_value(g["details"][key], value), (w["name"], key, g["details"][key])
 
 
 def test_verify_subset_passes(tmp_path):
@@ -233,6 +260,8 @@ def test_scan_r_golden_hash(tmp_path):
     ({"kind": "r"}, "d + 2 = 4 must not be divisible by q = 2"),
     ({"kind": "r", "q": 3, "d": 1}, "d + 2 = 3 must not be divisible by q = 3"),
     ({"kind": "r", "q": 4, "d": 1}, "q=4 is not prime"),
+    # a tag of length 0 would report a "probability" (d+1)/q^0 = 3
+    ({"kind": "r", "q": 5, "d": 2, "values": [0, 1]}, "tag length r=0 must be >= 1"),
 ])
 def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})

@@ -17,6 +17,7 @@ from relaysec.fields import (
     matrix_inverse,
     matrix_row_rank,
     row_reduce,
+    row_spaces,
     sample_matrix,
 )
 
@@ -327,6 +328,42 @@ def test_stacked_reduction_matches_single_matrices(q, monkeypatch):
             assert rref[i].tolist() == one_rref.tolist() == ref
         grid = mats.reshape(3, 20, rows, cols)  # any leading axes
         assert np.array_equal(matrix_row_rank(grid, q), rank.reshape(3, 20))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_row_spaces_match_row_reduce_matrix_by_matrix(q, monkeypatch):
+    # small passes, so the stacks of the later rows span several of them
+    monkeypatch.setattr(fields, "_REDUCE_BATCH", 97)
+    shapes = [(rows, cols) for cols in range(5) for rows in range(cols + 1)]
+    shapes += [(2, 1), (3, 2), (3, 1), (4, 2)]  # rows > cols
+    for rows, cols in shapes:
+        if q ** (rows * cols) > 10**5:  # full_rank_census's enumeration cap
+            continue
+        mats = all_matrices(q, rows, cols)
+        want_rref, want_rank = row_reduce(mats, q)
+        rrefs, index = row_spaces(q, rows, cols)
+        assert rrefs.dtype == want_rref.dtype and rrefs.shape[1:] == (rows, cols)
+        assert index.shape == (len(mats),)
+        assert np.array_equal(rrefs[index], want_rref), (rows, cols)
+        rank = np.count_nonzero(rrefs.any(axis=-1), axis=-1)
+        assert np.array_equal(rank[index], want_rank), (rows, cols)
+        # distinct, in all_matrices (lexicographic) order, and each its own RREF
+        flat = rrefs.reshape(len(rrefs), -1).tolist()
+        assert flat == sorted(flat) and len(set(map(tuple, flat))) == len(flat)
+        assert np.array_equal(row_reduce(rrefs, q)[0], rrefs)
+
+
+def test_row_spaces_count_subspaces():
+    # one RREF per subspace of dimension <= rows: the Gaussian binomials
+    def gaussian(n, k, q):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+    for q, rows, cols in [(2, 4, 4), (3, 2, 4), (5, 2, 3), (2, 0, 3), (3, 3, 2)]:
+        rrefs, _ = row_spaces(q, rows, cols)
+        assert len(rrefs) == sum(gaussian(cols, k, q) for k in range(min(rows, cols) + 1))
 
 
 def test_matrix_inverse_stack_with_singular_member_raises():

@@ -1,5 +1,6 @@
 """Exhaustive oracle routines: exact values, guards, self-consistency."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 from relaysec import oracle
 from relaysec.amd import AmdParams
 from relaysec.extract import DiscreteDistribution
-from relaysec.fields import ExtField, all_matrices, matrix_row_rank
+from relaysec.amd import amd_tag
+from relaysec.fields import ExtField, all_matrices, matrix_row_rank, row_reduce
 from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
@@ -22,7 +24,7 @@ from relaysec.lattice import (
 from relaysec.oracle import (
     JointDistribution,
     SizeGuardError,
-    _seed_obs_counts,
+    _LeakageWorkspace,
     best_extractor_exhaustive,
     exact_amd_win_census,
     exact_seed_leakage,
@@ -38,6 +40,11 @@ from relaysec.oracle import (
 # ---------------------------------------------------------------------
 # exact seed leakage
 # ---------------------------------------------------------------------
+
+
+def _seed_obs_counts(pair, g, cap):
+    """Joint counts [seed index, observation id] of one extractor, as int64."""
+    return _LeakageWorkspace(pair, g.shape[0], cap).fill(g).astype(np.int64)
 
 
 def test_leakage_empty_extractor_is_zero():
@@ -278,6 +285,28 @@ def test_best_extractor_first_minimum_in_rref_order():
     assert rec.matrix == tuple(map(tuple, best.tolist())) and rec.exact_mi_bits == best_mi
 
 
+@pytest.mark.parametrize("q, r, n", [(5, 2, 3), (3, 2, 3)])
+def test_best_extractor_representatives_match_rref_filter(q, r, n, monkeypatch):
+    # the row_spaces representatives are the matrices that are their own rank-r RREF
+    mats = all_matrices(q, r, n)
+    rref, rank = row_reduce(mats, q)
+    want = mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]
+    seen = []
+
+    def leakage(pair, g, cap):
+        seen.append(np.array(g))
+        return exact_seed_leakage(pair, g, cap=cap)
+
+    monkeypatch.setattr(oracle, "exact_seed_leakage", leakage)
+    pair = NestedLatticePair(N=n, q=q)
+    rec = best_extractor_exhaustive(pair, r)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    mis = exact_seed_leakage(pair, want)
+    best = int(np.argmin(mis))
+    assert rec.matrix == tuple(map(tuple, want[best].tolist()))
+    assert rec.exact_mi_bits == mis[best]
+
+
 def test_leakage_deterministic():
     pair = NestedLatticePair(N=2, q=11)
     m = np.array([[2, 5]])
@@ -315,6 +344,41 @@ def test_amd_census_excludes_zero_perturbation():
     # the all-zero tuple would pass for every seed; its absence means no
     # attack is counted at success 5/5
     assert 5 not in census.histogram
+
+
+def _amd_census_reference(params, s):
+    """The census one forged message s' at a time: (histogram, max hits)."""
+    order, d = params.field.order, params.d
+    add, sub = params.field.tables()["add"], params.field.tables()["sub"]
+    xs = np.arange(order)
+    shifted = add[:, xs]
+    base_tag = amd_tag(params, np.asarray(s), xs)
+    hist, max_hits = np.zeros(order + 1, dtype=np.int64), 0
+    for s_prime in itertools.product(range(order), repeat=d):
+        sp = np.array(s_prime)
+        diff = sub[amd_tag(params, sp, shifted), base_tag]
+        counts = np.bincount((diff + xs[:, None] * order).ravel(), minlength=order * order)
+        if np.array_equal(sp, s):
+            counts[0] = -1
+        hist += np.bincount(counts + 1, minlength=order + 2)[1:]
+        max_hits = max(max_hits, int(counts.max()))
+    return {hits: int(n) for hits, n in enumerate(hist) if n}, max_hits
+
+
+@pytest.mark.parametrize("q, r, d, s", [
+    (5, 1, 1, (3,)), (5, 1, 2, (0, 0)), (5, 1, 2, (4, 1)), (2, 2, 1, (2,)), (3, 1, 2, (2, 1)),
+])
+@pytest.mark.parametrize("block_cells", [None, 1, 3 * 5 * 5])
+def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monkeypatch):
+    # None: the default block; 1: one forged message per block; 75: a ragged last block
+    if block_cells is not None:
+        monkeypatch.setattr(oracle, "_AMD_BLOCK_CELLS", block_cells)
+    params = AmdParams(field=ExtField(q, r), d=d)
+    census = exact_amd_win_census(params, s=s)
+    histogram, max_hits = _amd_census_reference(params, s)
+    assert census.histogram == histogram
+    assert census.max_success == max_hits / q**r
+    assert census.attacks == q ** (r * (d + 2)) - 1  # only the zero perturbation is left out
 
 
 def test_amd_census_size_guard():
@@ -516,6 +580,40 @@ def test_pinsker_randomized_sweep():
         joint = JointDistribution(raw / raw.sum())
         lhs, rhs = pinsker_check(joint)
         assert lhs >= rhs - 1e-12
+
+
+def test_pinsker_stack_matches_per_joint_calls():
+    rng = np.random.default_rng(41)
+    raw = rng.random((4, 5, 3, 4))
+    raw[0, :2, 1, :] = 0  # zero cells
+    raw[1, 3] = np.eye(3, 4)
+    laws = raw / raw.sum(axis=(-2, -1), keepdims=True)
+    lhs, rhs = pinsker_check(laws)
+    assert lhs.shape == rhs.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        one = pinsker_check(laws[idx])
+        assert isinstance(one[0], float) and one == (lhs[idx], rhs[idx])
+        assert pinsker_check(JointDistribution(laws[idx])) == one
+        assert one[0] == pytest.approx(mutual_information_bits(laws[idx]), abs=1e-12)
+    strict = laws[2:]  # no zero cells: bit-identical to mutual_information_bits
+    assert pinsker_check(strict)[0].tolist() == [
+        [mutual_information_bits(j) for j in row] for row in strict]
+
+
+def test_pinsker_stack_rejects_an_invalid_law_anywhere():
+    laws = np.full((3, 4, 2, 2), 0.25)
+    for pos in [(0, 0), (1, 2), (2, 3)]:  # the first law, one inside, the last
+        bad = laws.copy()
+        bad[pos][0, 0] = 0.3  # sums to 1.05
+        with pytest.raises(ValueError):
+            pinsker_check(bad)
+    negative = laws.copy()
+    negative[1, 2] = [[0.75, -0.25], [0.25, 0.25]]  # sums to 1
+    with pytest.raises(ValueError):
+        pinsker_check(negative)
+    with pytest.raises(ValueError):
+        pinsker_check(np.array([0.5, 0.5]))
+    assert pinsker_check(laws)[0].shape == (3, 4)
 
 
 def test_mutual_information_from_counts_matches_float_path():
