@@ -6,8 +6,9 @@ destination hears the relay's transmission plus its own noise.  Noise is
 never drawn here: the caller passes standard normals of the signal's
 shape (the trial engine takes them from its fixed word layout), and each
 phase scales them by its noise deviation.  The relay's behavior is a
-strategy object that may only see its local randomness, its received
-history, and the message — never the destination noise.
+strategy object; every behavior gets the same inputs, one batched call
+per hop: the received blocks, the incoming dither, the relay's own
+layout words and the messages — never the destination noise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "phase2",
     "relay_step",
     "power_audit",
+    "uniform_ints",
 ]
 
 log = logging.getLogger(__name__)
@@ -132,15 +134,34 @@ class RandomGarble:
 
 @dataclass(frozen=True)
 class CustomRelay:
-    """Arbitrary strategy fn(local_randomness, received_history, w).
+    """Arbitrary strategy ``fn(words, yr, s)``, called once per exchange, in order.
 
-    ``w`` is the message: a tuple of the d symbol ints in [0, q^r).  The
-    callable sees nothing else by construction; its output is clipped to
-    the relay power limit unless enforcement is disabled.
+    For a batch of B trials, ``yr`` is the exchange's received block (B, N),
+    ``words`` the exchange's raw uint64 relay words of the draw layout (B, N),
+    the same words ``RandomGarble`` turns into coords, and ``s`` the (B, d)
+    messages, symbol ints in [0, q^r).  The callable sees nothing else by
+    construction; one that needs earlier blocks keeps them as its own state.
+    It returns the (B, N) transmission: non-finite output is rejected and
+    each row above the relay power limit is scaled down to it.
     """
 
     fn: object
-    enforce_power: bool = True
+
+
+def uniform_ints(words: np.ndarray, q: int) -> np.ndarray:
+    """Uniform ints in [0, q) from 64-bit words: floor(w * q / 2^64), exactly.
+
+    Each value is hit by floor(2^64/q) or ceil(2^64/q) words, so its
+    probability is within 2^-64 of 1/q.  The product is split into 32-bit
+    halves so no intermediate exceeds 64 bits (q < 2^32).
+    """
+    if not 1 <= q < 2**32:
+        raise ValueError(f"q = {q} must lie in [1, 2^32)")
+    w = np.asarray(words, dtype=np.uint64)
+    qq = np.uint64(q)
+    half = np.uint64(32)
+    low = (w & np.uint64(0xFFFFFFFF)) * qq
+    return (((w >> half) * qq + (low >> half)) >> half).astype(np.int64)
 
 
 def _cycle_pattern(pattern: tuple[int, ...], n: int, q: int) -> np.ndarray:
@@ -153,25 +174,27 @@ def _cycle_pattern(pattern: tuple[int, ...], n: int, q: int) -> np.ndarray:
 def relay_step(
     behavior,
     pair: NestedLatticePair,
-    yr_history: list[np.ndarray],
-    mr: np.random.Generator | None,
-    w,
+    yr: np.ndarray,
     in_dither: np.ndarray,
-    power_limit: float | None = None,
-    draws=None,
+    words: np.ndarray,
+    s,
+    power_limit: float,
 ) -> np.ndarray:
-    """Relay transmission for the latest received block.
+    """Relay transmissions for received blocks ``yr`` of shape (..., k, N).
 
+    The last two axes are a hop's k consecutive exchanges and their N
+    channel uses; leading axes are trials, one row per trial.
     ``in_dither`` is the dither sum the honest relay removes before
     decoding (d1 + d2 when both end nodes transmit, d1 alone when node 2
-    is silent); every forward uses the outgoing dither d3.  ``w`` is the
-    message, the d symbol ints; only ``CustomRelay`` reads it, and ``mr``
-    is its local randomness.  Received blocks may carry leading batch
-    axes, one row per trial, for every behavior but ``CustomRelay``.
-    ``draws`` are the random garble's uniform coords in [0, q) of the
-    block's shape, which ``RandomGarble`` requires.
+    is silent); every forward uses the outgoing dither d3.  ``words`` are
+    the relay's raw uint64 layout words of ``yr``'s shape, which
+    ``RandomGarble`` maps to uniform coords in [0, q) and ``CustomRelay``
+    reads raw; ``s`` are the messages, which only ``CustomRelay`` reads.
+    A custom relay's callable is called once per exchange, in order; rows
+    it sends above ``power_limit`` are scaled down to it, with one warning.
     """
-    yr = yr_history[-1]
+    if np.shape(words) != np.shape(yr):
+        raise ValueError(f"relay words must have the received shape {np.shape(yr)}")
     if isinstance(behavior, HonestRelay):
         t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
         return codebook_point(pair, t_hat, 3)
@@ -183,22 +206,25 @@ def relay_step(
         delta = _cycle_pattern(behavior.pattern, pair.N, pair.q)
         return codebook_point(pair, lattice_add(pair, t_hat, delta), 3)
     if isinstance(behavior, RandomGarble):
-        if draws is None:
-            raise ValueError("the random garble needs its coords as draws")
-        return codebook_point(pair, draws, 3)
+        return codebook_point(pair, uniform_ints(words, pair.q), 3)
     if isinstance(behavior, CustomRelay):
-        xr = np.asarray(behavior.fn(mr, list(yr_history), w), dtype=float)
-        if xr.shape != (pair.N,):
-            raise ValueError(f"custom relay output must have shape ({pair.N},)")
-        if behavior.enforce_power and power_limit is not None:
-            p = float(np.mean(xr**2))
-            if p > power_limit:
-                scale = np.sqrt(power_limit / p)
-                log.warning(
-                    "custom relay output clipped: %.3f -> %.3f per-use power",
-                    p, power_limit,
-                )
-                xr = xr * scale
+        xr = np.empty(np.shape(yr))
+        for j in range(xr.shape[-2]):  # in exchange order, so the relay stays causal
+            out = np.asarray(behavior.fn(words[..., j, :], yr[..., j, :], s), dtype=float)
+            if out.shape != xr[..., j, :].shape:
+                raise ValueError(f"custom relay output in exchange {j} of the hop must "
+                                 f"have shape {xr[..., j, :].shape}, got {out.shape}")
+            if not np.all(np.isfinite(out)):
+                raise ValueError(f"custom relay output in exchange {j} of the hop is not finite")
+            xr[..., j, :] = out
+        power = np.mean(xr**2, axis=-1)
+        clipped = power > power_limit
+        if clipped.any():
+            log.warning("custom relay output clipped in %d of %d (trial, exchange) rows: "
+                        "worst per-use power %.3f -> %.3f",
+                        clipped.sum(), clipped.size, power.max(), power_limit)
+            # rows at or below the limit are scaled by exactly 1
+            xr *= np.sqrt(power_limit / np.maximum(power, power_limit))[..., None]
         return xr
     raise TypeError(f"unknown relay behavior: {behavior!r}")
 

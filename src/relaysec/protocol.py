@@ -26,6 +26,9 @@ Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
 word layout; ``uniform_ints`` and ``box_muller`` turn words into draws.
 Each stage is one hop of k consecutive exchanges, coords ``(B, k, N)``:
 k = 2 for the seed stages, 1 for the tag, ``blocks`` for the message.
+Every relay behavior, custom strategies included, makes one batched
+``relay_step`` call per hop and draws its randomness only from the
+layout's relay words.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from .channel import (
     ChannelConfig,
     CustomRelay,
     PhaseRecord,
-    RandomGarble,
     phase1,
     phase2,
     relay_step,
+    uniform_ints,
 )
 from .extract import (
     EncoderMap,
@@ -78,7 +81,6 @@ __all__ = [
     "draw_layout",
     "rate_accounting",
     "payload_bits",
-    "uniform_ints",
     "wilson_interval",
 ]
 
@@ -219,22 +221,6 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
-def uniform_ints(words: np.ndarray, q: int) -> np.ndarray:
-    """Uniform ints in [0, q) from 64-bit words: floor(w * q / 2^64), exactly.
-
-    Each value is hit by floor(2^64/q) or ceil(2^64/q) words, so its
-    probability is within 2^-64 of 1/q.  The product is split into 32-bit
-    halves so no intermediate exceeds 64 bits (q < 2^32).
-    """
-    if not 1 <= q < 2**32:
-        raise ValueError(f"q = {q} must lie in [1, 2^32)")
-    w = np.asarray(words, dtype=np.uint64)
-    qq = np.uint64(q)
-    half = np.uint64(32)
-    low = (w & np.uint64(0xFFFFFFFF)) * qq
-    return (((w >> half) * qq + (low >> half)) >> half).astype(np.int64)
-
-
 def box_muller(words: np.ndarray) -> np.ndarray:
     """Standard normals from 64-bit words, one per word, by Box-Muller.
 
@@ -269,7 +255,8 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     blocks    per message block, N0 - r0 randomizer bits (uniform in
               [0, 2)) then msg_N jam coords (uniform in [0, msg_q))
     relay     n words, one per channel use: the random garble's coords,
-              uniform in [0, q) of that hop's code
+              uniform in [0, q) of that hop's code, or a custom
+              relay's raw words
     noise     2n words through Box-Muller: normals 0..n-1 are the relay's
               noise per channel use, normals n..2n-1 the destination's
               (drawn in every mode, used only in Gaussian mode)
@@ -291,14 +278,6 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     return layout, -(-at // 4) * 4
 
 
-def _custom_relay_rng(seed: int, index: int) -> np.random.Generator:
-    """A custom relay's local randomness in trial index: its own counter block.
-
-    Counter 2^192 + index * 2^64 keeps it clear of every layout word.
-    """
-    return np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + (index << 64)))
-
-
 @dataclass
 class _Chunk:
     """The layout draws of trials start..stop-1 and the hop in progress."""
@@ -309,7 +288,6 @@ class _Chunk:
     block_jam: np.ndarray  # (B, blocks, msg_N)
     relay_words: np.ndarray  # (B, n) raw words
     noise: np.ndarray | None  # (B, 2n) normals, Gaussian mode only
-    relay_rng: np.random.Generator | None  # custom relays only
     records: list | None  # one PhaseRecord per exchange, when kept
     use: int = 0  # first channel use of the next hop
 
@@ -377,7 +355,7 @@ class TwoHopProtocol:
 
     # -- randomness ---------------------------------------------------------
 
-    def _draws(self, behavior, seed: int, start: int, stop: int, keep: bool) -> _Chunk:
+    def _draws(self, seed: int, start: int, stop: int, keep: bool) -> _Chunk:
         """Layout words of trials start..stop-1 from one Philox call."""
         p, lay, per_trial = self.params, self.layout, self.trial_words
         bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
@@ -386,9 +364,6 @@ class TwoHopProtocol:
         blocks = words[:, lay["blocks"]].reshape(b, self.blocks, -1)
         n_rand = self.encoder.N0 - self.encoder.r0
         noise = None if p.noiseless else box_muller(words[:, lay["noise"]])
-        custom = isinstance(behavior, CustomRelay)
-        if custom and b != 1:
-            raise ValueError("custom relays run one trial per call")
         return _Chunk(
             message=uniform_ints(words[:, lay["message"]], self.ext_field.order),
             seed=uniform_ints(words[:, lay["seed"]], p.q).reshape(b, 2, 2, p.N),
@@ -396,18 +371,17 @@ class TwoHopProtocol:
             block_jam=uniform_ints(blocks[:, :, n_rand:], p.msg_q),
             relay_words=words[:, lay["relay"]],
             noise=noise,
-            relay_rng=_custom_relay_rng(seed, start) if custom else None,
             records=[] if keep else None,
         )
 
     # -- stage primitives -------------------------------------------------
 
     def _hop(self, pair: NestedLatticePair, t1: np.ndarray, t2: np.ndarray | None,
-             behavior, w, chunk: _Chunk) -> np.ndarray:
+             behavior, chunk: _Chunk) -> np.ndarray:
         """k consecutive two-phase exchanges, coords ``(B, k, N)``; returns the decoded coords.
 
-        Exchange j takes the next channel uses a + jN .. a + (j+1)N - 1.  A
-        custom relay is called once per exchange, with that block as its history.
+        Exchange j takes the next channel uses a + jN .. a + (j+1)N - 1, and
+        the relay words of those uses.
         """
         a, b = chunk.use, chunk.use + t1.shape[1] * pair.N
         chunk.use = b
@@ -424,41 +398,34 @@ class TwoHopProtocol:
             x2 = codebook_point(pair, t2, 2)
             in_dither = pair.dither(1) + pair.dither(2)
         yr = phase1(self.channel, x1, x2, noise_r)
-        if isinstance(behavior, CustomRelay):  # its callable sees one block of one trial
-            xr = np.stack([relay_step(behavior, pair, [block], chunk.relay_rng, w, in_dither,
-                                      power_limit=self.params.power_limit)
-                           for block in yr[0]])[None]
-        else:
-            garble = None
-            if isinstance(behavior, RandomGarble):
-                garble = uniform_ints(chunk.relay_words[:, a:b], pair.q).reshape(t1.shape)
-            xr = relay_step(behavior, pair, [yr], None, w, in_dither,
-                            power_limit=self.params.power_limit, draws=garble)
+        words = chunk.relay_words[:, a:b].reshape(t1.shape)
+        xr = relay_step(behavior, pair, yr, in_dither, words, chunk.message,
+                        self.params.power_limit)
         y2 = phase2(self.channel, xr, noise_d)
         if chunk.records is not None:
             chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
                               for j in range(t1.shape[1])]
         return decode_fine_mod_coarse(pair, y2, pair.dither(3))
 
-    def _seed_stage(self, behavior, w, chunk: _Chunk):
+    def _seed_stage(self, behavior, chunk: _Chunk):
         """Stages 0/1 in one hop: jammed exchanges, hashed on both sides.
 
         Returns (B, 2) source and destination seeds, columns x and k.
         """
         t1, t2 = chunk.seed[:, :, 0], chunk.seed[:, :, 1]
-        t_hat = self._hop(self.seed_pair, t1, t2, behavior, w, chunk)
+        t_hat = self._hop(self.seed_pair, t1, t2, behavior, chunk)
         t1_hat = lattice_sub(self.seed_pair, t_hat, t2)
         source = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1))
         dest = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1_hat))
         return source, dest
 
-    def _tag_stage(self, behavior, w, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
+    def _tag_stage(self, behavior, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
         """Stage 2: node 2 silent, u rides the r-dimensional code directly."""
         u_coords = index_to_coords(self.tag_pair, u)[:, None]
-        u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, w, chunk)
+        u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, chunk)
         return coords_to_index(self.tag_pair, u_hat_coords[:, 0])
 
-    def _message_stage(self, behavior, w, s: np.ndarray, chunk: _Chunk):
+    def _message_stage(self, behavior, s: np.ndarray, chunk: _Chunk):
         """Stage 3: serialized bits through the encoder, all blocks in one hop.
 
         Returns the decoded symbols and the rows whose every block landed
@@ -468,7 +435,7 @@ class TwoHopProtocol:
         padded[:, : self.payload_bits] = self._symbols_to_bits(s)
         t1 = encode_message(self.encoder, padded.reshape(len(s), self.blocks, -1),
                             chunk.randomizer)
-        t_hat = self._hop(self.msg_pair, t1, chunk.block_jam, behavior, w, chunk)
+        t_hat = self._hop(self.msg_pair, t1, chunk.block_jam, behavior, chunk)
         ranks = self.encoder.ranks(lattice_sub(self.msg_pair, t_hat, chunk.block_jam))
         out_bits = decode_ranks(self.encoder, np.maximum(ranks, 0)).reshape(len(s), -1)
         # padding must stay zero for a well-formed message
@@ -493,25 +460,27 @@ class TwoHopProtocol:
         holds it: its words are words i*W .. (i+1)*W - 1 of the stream of
         ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
         uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
-        noise by ``box_muller``.  A custom relay's local randomness is a
-        Generator on its own counter block, 2^192 + i*2^64.  So a trial is
-        a pure function of (seed, i, params, behavior, message), and row 0
-        of ``run_batch(behavior, seed, i, i + 1, keep_records=True)``
-        replays trial i with its records.  ``messages`` (B, d) symbol ints
-        replace the drawn messages.  Custom relays take one trial per call.
+        noise by ``box_muller``.  Every relay behavior reads only the
+        trial's relay words, so a trial is a pure function of (seed, i,
+        params, behavior, message) for any stateless relay, and row 0 of
+        ``run_batch(behavior, seed, i, i + 1, keep_records=True)`` replays
+        trial i with its records.  ``messages`` (B, d) symbol ints replace
+        the drawn messages.  A custom relay's callable is called once per
+        exchange, 3 + blocks times, each call covering all B trials.
         """
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
-        chunk = self._draws(behavior, seed, start, stop, keep_records)
-        s = chunk.message if messages is None else np.asarray(messages, dtype=np.int64)
-        w = tuple(s[0].tolist()) if chunk.relay_rng is not None else None
+        chunk = self._draws(seed, start, stop, keep_records)
+        if messages is not None:
+            chunk.message = np.asarray(messages, dtype=np.int64)
+        s = chunk.message
 
-        source, dest = self._seed_stage(behavior, w, chunk)
+        source, dest = self._seed_stage(behavior, chunk)
         (x, k), (x_hat, k_hat) = source.T, dest.T
         h = amd_tag(self.amd, s, x)
         u = self._add[h, k]
-        u_hat = self._tag_stage(behavior, w, u, chunk)
-        s_hat, decodable = self._message_stage(behavior, w, s, chunk)
+        u_hat = self._tag_stage(behavior, u, chunk)
+        s_hat, decodable = self._message_stage(behavior, s, chunk)
 
         h_hat = self._sub[u_hat, k_hat]
         accepted = decodable & amd_verify(self.amd, s_hat, x_hat, h_hat)
@@ -523,10 +492,9 @@ class TwoHopProtocol:
 
     def trial_counts(self, behavior, seed: int, start: int, stop: int) -> np.ndarray:
         """(decode errors, false rejects, adversary wins) over trials start..stop-1."""
-        step = 1 if isinstance(behavior, CustomRelay) else BATCH_TRIALS
         total = np.zeros(3, dtype=np.int64)
-        for a in range(start, stop, step):
-            total += self.run_batch(behavior, seed, a, min(a + step, stop)).counts()
+        for a in range(start, stop, BATCH_TRIALS):
+            total += self.run_batch(behavior, seed, a, min(a + BATCH_TRIALS, stop)).counts()
         return total
 
     # -- accounting ---------------------------------------------------------
@@ -574,9 +542,9 @@ class TwoHopProtocol:
         function of (seed, i) under the word layout of ``draw_layout``
         (Philox keyed by the seed, trial i at counter i*W/4), so reports
         are identical for any worker count and batch size.  Batches of
-        built-in behaviors spread over ``workers`` processes; custom
-        relays, whose callables need not pickle, run in this process one
-        trial at a time.
+        ``BATCH_TRIALS`` trials of built-in behaviors spread over
+        ``workers`` processes; custom relays, whose callables need not
+        pickle, run their batches in this process.
         """
         if trials < 1:
             raise ValueError("need at least one trial")

@@ -15,6 +15,7 @@ from relaysec.channel import (
     phase2,
     power_audit,
     relay_step,
+    uniform_ints,
 )
 from relaysec.lattice import (
     NestedLatticePair,
@@ -98,13 +99,14 @@ def test_zero_variance_matches_noiseless():
 # ---------------------------------------------------------------------
 
 
-def _forward(pair, behavior, t1, t2, draws=None):
+def _forward(pair, behavior, t1, t2, words=None):
     x1 = codebook_point(pair, t1, 1)
     x2 = codebook_point(pair, t2, 2)
     yr = x1 + x2
     in_dither = pair.dither(1) + pair.dither(2)
-    xr = relay_step(behavior, pair, [yr], None, None, in_dither,
-                    power_limit=10.0, draws=draws)
+    if words is None:
+        words = np.zeros(yr.shape, dtype=np.uint64)
+    xr = relay_step(behavior, pair, yr, in_dither, words, None, 10.0)
     return decode_fine_mod_coarse(pair, xr, pair.dither(3))
 
 
@@ -134,50 +136,77 @@ def test_additive_offset_shifts_decoded_coords():
 
 
 def test_garble_emits_codebook_points():
-    """The garble forwards the codebook points of its supplied coords, which
-    it requires."""
+    """The garble forwards the codebook points of its words' uniform coords,
+    and its words must have the received shape."""
     pair = NestedLatticePair(N=2, q=3, d3=(0.5, -0.25))
-    draws = rng(0).integers(0, 3, size=(10, 2))
+    words = rng(0).integers(0, 2**64, size=(10, 2), dtype=np.uint64)
     zeros = np.zeros((10, 2), dtype=np.int64)
-    assert np.array_equal(_forward(pair, RandomGarble(), zeros, zeros, draws), draws)
-    with pytest.raises(ValueError, match="draws"):
-        _forward(pair, RandomGarble(), zeros, zeros)
+    got = _forward(pair, RandomGarble(), zeros, zeros, words)
+    assert np.array_equal(got, uniform_ints(words, 3))
+    with pytest.raises(ValueError, match="words"):
+        _forward(pair, RandomGarble(), zeros, zeros, words[:, :1])
 
 
-def test_custom_relay_interface_and_clipping():
-    pair = NestedLatticePair(N=2, q=3)
-    seen = {}
+def _custom_step(fn, yr, power_limit=4.0):
+    """One custom-relay hop of received blocks yr (B, k, N), words 0..size-1."""
+    pair = NestedLatticePair(N=yr.shape[-1], q=3)
+    words = np.arange(yr.size, dtype=np.uint64).reshape(yr.shape)
+    messages = np.arange(2 * len(yr)).reshape(len(yr), 2)
+    return relay_step(CustomRelay(fn), pair, yr, np.zeros(pair.N), words, messages,
+                      power_limit)
 
-    def strategy(mr, history, w):
-        seen["args"] = (mr, history, w)
-        return np.array([10.0, 10.0])  # per-use power 100, above the limit
 
-    xr = relay_step(CustomRelay(strategy), pair, [np.zeros(2)], rng(3), "msg",
-                    np.zeros(2), power_limit=4.0)
-    mr, history, w = seen["args"]
-    assert isinstance(mr, np.random.Generator)
-    assert isinstance(history, list) and len(history) == 1
-    assert w == "msg"
-    assert np.mean(xr**2) == pytest.approx(4.0)
+def test_custom_relay_interface_and_clipping(caplog):
+    """One call per exchange, in order, each covering every row; only the rows
+    above the power limit are scaled down to it, with one warning per hop."""
+    seen = []
 
-    unclipped = relay_step(CustomRelay(strategy, enforce_power=False), pair,
-                           [np.zeros(2)], rng(3), "msg", np.zeros(2),
-                           power_limit=4.0)
-    assert np.mean(unclipped**2) == pytest.approx(100.0)
+    def strategy(words, yr, s):
+        seen.append((words.copy(), yr.copy(), s))
+        return yr
+
+    yr = np.array([[[10.0, 10.0], [1.0, -1.0]],  # per-use powers 100, 1
+                   [[1.0, 1.0], [3.0, 1.0]]])  # 1, 5
+    with caplog.at_level("WARNING", logger="relaysec.channel"):
+        xr = _custom_step(strategy, yr)
+    assert len(seen) == 2
+    for j, (words, got_yr, s) in enumerate(seen):
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.arange(8).reshape(2, 2, 2)[:, j])
+        assert np.array_equal(got_yr, yr[:, j])
+        assert s.tolist() == [[0, 1], [2, 3]]
+    power = np.mean(xr**2, axis=-1)
+    assert power[0, 0] == pytest.approx(4.0) and power[1, 1] == pytest.approx(4.0)
+    assert np.array_equal(xr[0, 1], yr[0, 1]) and np.array_equal(xr[1, 0], yr[1, 0])
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert "2 of 4 (trial, exchange) rows: worst per-use power 100.000 -> 4.000" in warning
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_relay_rejects_non_finite_output(bad):
+    calls = []
+
+    def strategy(words, yr, s):  # one bad entry in exchange 1
+        calls.append(None)
+        out = yr.copy()
+        if len(calls) == 2:
+            out[1, 0] = bad
+        return out
+
+    with pytest.raises(ValueError, match="exchange 1 of the hop is not finite"):
+        _custom_step(strategy, np.zeros((2, 3, 2)))
 
 
 def test_custom_relay_sees_only_three_inputs():
-    # the strategy signature is (local randomness, received history, message):
+    # the strategy signature is (relay words, received block, messages):
     # destination-side quantities are not part of the call by construction
     captured = []
 
     def strategy(*args):
         captured.append(args)
-        return np.zeros(2)
+        return np.zeros((1, 2))
 
-    pair = NestedLatticePair(N=2, q=3)
-    relay_step(CustomRelay(strategy), pair, [np.zeros(2)], rng(0), None,
-               np.zeros(2), power_limit=1.0)
+    _custom_step(strategy, np.zeros((1, 1, 2)))
     assert len(captured[0]) == 3
 
 

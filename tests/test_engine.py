@@ -15,7 +15,7 @@ from relaysec.channel import (
     RandomGarble,
     SubstituteLattice,
     power_audit,
-    relay_step,
+    uniform_ints,
 )
 from relaysec.extract import decode_ranks, encode_message, extract_seed
 from relaysec.fields import ExtField, _poly_mod
@@ -30,7 +30,6 @@ from relaysec.protocol import (
     TwoHopProtocol,
     box_muller,
     payload_bits,
-    uniform_ints,
 )
 
 NOISELESS = ProtocolParams()
@@ -161,13 +160,13 @@ def _normals(words):
     return z
 
 
-def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=None):
+def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     """One trial through the per-vector lattice and extract functions.
 
     Field elements are ints; a seed vector v is the element sum v_j q^j, and
-    the tag is the term-by-term power sum.  A custom relay goes through
-    ``relay_step`` once per hop with ``relay_rng`` and the hop's block as its
-    history.  ``records`` holds one PhaseRecord per hop.
+    the tag is the term-by-term power sum.  A custom relay's callable gets
+    each exchange as a batch of one, its output scaled down to the power
+    limit when above it.  ``records`` holds one PhaseRecord per exchange.
     """
     p, f, enc = proto.params, proto.ext_field, proto.encoder
     add, sub = f.tables()["add"], f.tables()["sub"]
@@ -207,8 +206,10 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=Non
         elif isinstance(behavior, RandomGarble):
             t3 = np.array([_unif(w, pair.q) for w in relay_words[a:b]])
         if isinstance(behavior, CustomRelay):
-            xr = relay_step(behavior, pair, [yr], relay_rng, s, in_dither,
-                            power_limit=p.power_limit)
+            xr = behavior.fn(relay_words[None, a:b], yr[None], np.array([s]))[0]
+            power = np.mean(xr**2)
+            if power > p.power_limit:
+                xr = xr * math.sqrt(p.power_limit / power)
         else:
             xr = codebook_point(pair, t3, 3)
         y2 = xr + math.sqrt(p.noise_var_dest) * np.array(z[uses + a : uses + b])
@@ -253,23 +254,18 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses, relay_rng=Non
             "s": s, "s_hat": s_hat, "accepted": accepted, "records": records}
 
 
-def _logging_relay(alpha):
-    """Forward the received block plus a random fine-lattice step per coordinate.
+def _step_relay(alpha, log=None):
+    """Forward the received block plus a fine-lattice step where the relay word is odd.
 
-    Each call appends (history shapes, message) to the returned log.
+    Stateless; each call appends (block shape, messages) to ``log`` when given.
     """
-    log = []
 
-    def fn(mr, history, w):
-        log.append(([np.shape(h) for h in history], w))
-        return history[-1] + alpha * mr.integers(0, 2, size=len(history[-1]))
+    def fn(words, yr, s):
+        if log is not None:
+            log.append((yr.shape, s.tolist()))
+        return yr + alpha * (words % 2)
 
-    return CustomRelay(fn, enforce_power=False), log
-
-
-def _custom_rng(seed, index):
-    """A custom relay's generator in trial index, as documented by run_batch."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + (index << 64)))
+    return CustomRelay(fn)
 
 
 def _assert_same_audit(proto, records, ref_records):
@@ -291,30 +287,21 @@ def test_engine_matches_scalar_reference(params, trials, behavior):
     proto = TwoHopProtocol(params)
     seed = 4242
     words, n_rand, blocks, uses = _layout_words(params, seed, trials)
-    custom = behavior == "custom"
-    if custom:  # one trial per engine call; its log is one entry per exchange
-        behavior, log = _logging_relay(params.alpha)
+    log = []
+    if behavior == "custom":
+        behavior = _step_relay(params.alpha, log)
+    batch = proto.run_batch(behavior, seed, 0, trials)
+    if log:  # one call per exchange, each covering every trial
         dims = [params.N] * 2 + [params.r] + [params.msg_N] * blocks
-    else:
-        batch = proto.run_batch(behavior, seed, 0, trials)
+        assert log == [((trials, dim), batch.s.tolist()) for dim in dims]
     for i in range(trials):
-        if custom:
-            log.clear()
-            batch, row = proto.run_batch(behavior, seed, i, i + 1), 0
-            engine_log = list(log)
-            log.clear()
-            ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses,
-                                   relay_rng=_custom_rng(seed, i))
-            assert engine_log == log == [([(dim,)], ref["s"]) for dim in dims], i
-        else:
-            row = i
-            ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
+        ref = _reference_trial(proto, behavior, words[i], n_rand, blocks, uses)
         for name in ("x", "x_hat", "k", "k_hat", "u", "u_hat"):
-            assert int(getattr(batch, name)[row]) == ref[name], (i, name)
-        assert tuple(batch.s[row].tolist()) == ref["s"]
-        s_hat = tuple(batch.s_hat[row].tolist()) if batch.decodable[row] else None
+            assert int(getattr(batch, name)[i]) == ref[name], (i, name)
+        assert tuple(batch.s[i].tolist()) == ref["s"]
+        s_hat = tuple(batch.s_hat[i].tolist()) if batch.decodable[i] else None
         assert s_hat == ref["s_hat"], i
-        assert bool(batch.accepted[row]) == ref["accepted"], i
+        assert bool(batch.accepted[i]) == ref["accepted"], i
         if i % 40 == 0:  # trial i alone, with its (1, dim) records
             records = proto.run_batch(behavior, seed, i, i + 1, keep_records=True).records
             assert len(records) == len(ref["records"]) == 3 + blocks
@@ -330,7 +317,7 @@ def test_engine_matches_scalar_reference(params, trials, behavior):
 def test_reports_identical_across_batch_sizes_and_workers(monkeypatch, params):
     proto = TwoHopProtocol(params)
     trials = 120
-    for behavior in BEHAVIORS:
+    for behavior in BEHAVIORS + [_step_relay(params.alpha)]:
         reports = []
         for size in (1, 7, 50, trials):
             monkeypatch.setattr(protocol, "BATCH_TRIALS", size)
@@ -344,7 +331,7 @@ def test_batch_rows_independent_of_chunking(params):
     """Every row and record row is the same in one batch, in chunks of 7, and
     alone (chunks of 1, how a single trial is replayed)."""
     proto = TwoHopProtocol(params)
-    for behavior in BEHAVIORS:
+    for behavior in BEHAVIORS + [_step_relay(params.alpha)]:
         whole = proto.run_batch(behavior, 12, 0, 60, keep_records=True)
         assert len(whole.records) == 3 + proto.blocks
         for step in (1, 7):
@@ -401,29 +388,32 @@ def test_every_behavior_sees_the_same_messages_and_jams():
 
 def test_custom_lambda_relay_runs_with_workers():
     proto = TwoHopProtocol(NOISELESS)
-    # amplify-and-forward, plus a zero multiple of the relay's own draws
-    relay = CustomRelay(lambda mr, history, w: history[-1] + 0.0 * mr.random(len(history[-1])))
+    # amplify-and-forward, plus a zero multiple of the relay's own words
+    relay = CustomRelay(lambda words, yr, s: yr + 0.0 * words)
     one = proto.monte_carlo(relay, 25, workers=1, seed=8)
     two = proto.monte_carlo(relay, 25, workers=2, seed=8)
     assert one == two
     assert one.decode_error_rate == 0.0 and one.false_reject_rate == 0.0
 
 
-def test_custom_relay_randomness_is_its_own_counter_block():
-    proto = TwoHopProtocol(NOISELESS)
+def test_custom_relay_words_are_the_layout_relay_words():
+    """Exchange j's words are the relay words of its channel uses in each trial."""
+    proto, p = TwoHopProtocol(NOISELESS), NOISELESS
     seen = []
 
-    def relay(mr, history, w):
-        seen.append(int(mr.bit_generator.random_raw()))
-        return history[-1]
+    def relay(words, yr, s):
+        seen.append(words.copy())
+        return yr
 
-    proto.run_batch(CustomRelay(relay), 6, 3, 4)
-    first = list(seen)
-    seen.clear()
-    proto.run_batch(CustomRelay(relay), 6, 3, 4)
-    assert seen == first and len(set(first)) == len(first) == 3 + proto.blocks
-    words, *_ = _layout_words(NOISELESS, 6, 4)
-    assert not set(first) & {int(w) for w in words.ravel()}
+    proto.run_batch(CustomRelay(relay), 6, 3, 9)
+    words, n_rand, blocks, uses = _layout_words(p, 6, 9)
+    at = p.d + 4 * p.N + blocks * (n_rand + p.msg_N)  # the first relay word
+    dims = [p.N] * 2 + [p.r] + [p.msg_N] * blocks
+    assert len(seen) == len(dims) and sum(dims) == uses
+    for got, dim in zip(seen, dims):
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, words[3:9, at : at + dim])
+        at += dim
 
 
 def test_protocol_cache_is_bounded():
