@@ -16,7 +16,6 @@ from relaysec import (
     ExtField,
     NestedLatticePair,
     codebook_point,
-    coords_to_field,
     decode_fine_mod_coarse,
     digits,
     lattice_add,
@@ -48,13 +47,13 @@ for c, point in zip(coords, codebook_point(pair, coords)):
     print(f"  {tuple(int(v) for v in c)} -> {point}")
 
 print()
-print("addition of points matches addition of their GF(3)^2 images:")
+print("addition of points matches addition of their coords over GF(3)^2:")
 a, b = np.array([2, 1]), np.array([2, 2])
 geometric = mod_coarse(pair, codebook_point(pair, a) + codebook_point(pair, b))
 decoded = decode_fine_mod_coarse(pair, geometric)
-print(f"  point({tuple(a)}) + point({tuple(b)}) mod coarse -> coords {tuple(int(v) for v in decoded)}")
-print(f"  field images: {coords_to_field(pair, a)} + {coords_to_field(pair, b)} "
-      f"= {coords_to_field(pair, lattice_add(pair, a, b))} (mod 3)")
+print(f"  point({tuple(a.tolist())}) + point({tuple(b.tolist())}) mod coarse "
+      f"-> coords {tuple(decoded.tolist())}")
+print(f"  coords: {a} + {b} = {lattice_add(pair, a, b)} (mod 3)")
 
 print()
 print("=== sum representation: residue + wrap id ===")

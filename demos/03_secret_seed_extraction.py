@@ -20,8 +20,8 @@ from relaysec.oracle import best_extractor_exhaustive, exact_seed_leakage
 
 print("=== exact uniformity of the extracted seed ===")
 emap = ExtractorMap(np.array([[1, 1]]), 3)
-dist, uniform = seed_uniformity(emap.matrix, emap.q)
-print(f"g = [1 1] over GF(3): outputs {dict(dist.probs)} -> uniform: {uniform}")
+probs, uniform = seed_uniformity(emap.matrix, emap.q)
+print(f"g = [1 1] over GF(3): outputs {dict(enumerate(probs.tolist()))} -> uniform: {uniform}")
 
 print()
 print("=== exact leakage of the best map, q = 11, r = 1 ===")

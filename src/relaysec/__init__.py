@@ -24,7 +24,6 @@ from .channel import (
     relay_step,
 )
 from .extract import (
-    DiscreteDistribution,
     EncoderMap,
     ExtractorMap,
     ExtractorParams,
@@ -50,13 +49,13 @@ from .fields import (
     find_irreducible,
     matrix_row_rank,
     sample_matrix,
+    undigits,
 )
 from .lattice import (
     NestedLatticePair,
     average_codebook_power,
     codebook_point,
     codebook_rate,
-    coords_to_field,
     decode_fine_mod_coarse,
     lattice_add,
     mod_coarse,

@@ -28,7 +28,6 @@ from . import oracle
 from .amd import AmdParams, check_premises
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
 from .extract import (
-    DiscreteDistribution,
     ExtractorParams,
     leakage_budget,
     r_max,
@@ -208,7 +207,7 @@ def _check_seed_uniformity(vcfg: dict, seed: int):
 def _check_leftover_entropy(vcfg: dict, seed: int):
     pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
     for q, n, r in [(2, 2, 1), (3, 2, 1)]:
-        avg, bound, holds = oracle.leftover_census(q, n, r, DiscreteDistribution.uniform(q**n))
+        avg, bound, holds = oracle.leftover_census(q, n, r, np.full(q**n, 1.0 / q**n))
         yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
     budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
     pair = NestedLatticePair(N=2, q=11)

@@ -15,7 +15,8 @@ Two constructions live here:
 
 Entropy utilities and the parameter formulas (max extractable lengths,
 achieved secrecy rate) are shared by the protocol and the verification
-oracles.
+oracles.  A probability law is a float array of probabilities, indexed by
+outcome; the entropies validate it on entry.
 """
 
 from __future__ import annotations
@@ -25,18 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import complete_and_invert, digits, matrix_row_rank
+from .fields import complete_and_invert, digits, matrix_row_rank, undigits
 from .lattice import NestedLatticePair, codebook_point, coords_to_index, index_to_coords
 
 __all__ = [
     "ExtractorMap",
     "ExtractorParams",
     "EncoderMap",
-    "DiscreteDistribution",
     "extract_seed",
     "seed_uniformity",
     "r_max",
     "r0_max",
+    "encoder_bits",
     "secrecy_rate",
     "secrecy_rate_from_power",
     "renyi_entropy",
@@ -84,21 +85,21 @@ def extract_seed(emap: ExtractorMap, t1) -> np.ndarray:
     return (t1 @ emap.matrix.T) % emap.q
 
 
-def seed_uniformity(matrix: np.ndarray, q: int) -> tuple["DiscreteDistribution", bool]:
-    """Exact output distribution of an r x N matrix under a uniform input.
+def seed_uniformity(matrix: np.ndarray, q: int) -> tuple[np.ndarray, bool]:
+    """Exact output law of an r x N matrix under a uniform input.
 
-    Enumerates GF(q)^N and returns (distribution over output indices,
-    is-exactly-uniform flag).  Any matrix is accepted: a rank-deficient
-    one concentrates mass and fails the flag, which is why ExtractorMap
-    refuses such matrices (pass ``emap.matrix, emap.q`` for a built map).
+    Enumerates GF(q)^N and returns (probabilities of the q^r output
+    indices, is-exactly-uniform flag).  Any matrix is accepted: a
+    rank-deficient one concentrates mass and fails the flag, which is why
+    ExtractorMap refuses such matrices (pass ``emap.matrix, emap.q`` for a
+    built map).
     """
     matrix = np.array(matrix, dtype=np.int64) % q
     r, n = matrix.shape
     total, n_out = q**n, q**r
     out = (digits(np.arange(total), q, n) @ matrix.T) % q
-    counts = np.bincount(out @ (q ** np.arange(r, dtype=np.int64)), minlength=n_out)
-    dist = DiscreteDistribution({key: int(c) / total for key, c in enumerate(counts)})
-    return dist, bool(np.all(counts * n_out == total))
+    counts = np.bincount(undigits(out, q), minlength=n_out)
+    return counts / total, bool(np.all(counts * n_out == total))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,11 @@ def r0_max(N: int, R0: float, epsilon: float) -> int:
     return int(math.floor(N * (R0 - 1.0 - epsilon)))
 
 
+def encoder_bits(N: int, q: int) -> int:
+    """N0 = floor(N log2 q): the bits the binary encoder carries per (N, q) block."""
+    return int(math.floor(N * math.log2(q)))
+
+
 def secrecy_rate(R0: float, epsilon: float) -> float:
     """Achieved secrecy rate [R0 - 1 - eps]^+ in bits per channel use."""
     return max(R0 - 1.0 - epsilon, 0.0)
@@ -139,39 +145,23 @@ def secrecy_rate_from_power(power: float, epsilon: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-class DiscreteDistribution:
-    """Finite distribution: outcome -> probability, validated on build."""
-
-    def __init__(self, probs: dict):
-        total = float(sum(probs.values()))
-        if any(p < 0 for p in probs.values()):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-        self.probs = dict(probs)
-
-    @classmethod
-    def from_counts(cls, counts: dict) -> "DiscreteDistribution":
-        total = sum(counts.values())
-        return cls({k: v / total for k, v in counts.items()})
-
-    @classmethod
-    def uniform(cls, n: int) -> "DiscreteDistribution":
-        return cls({k: 1.0 / n for k in range(n)})
-
-    def values(self) -> np.ndarray:
-        return np.array(list(self.probs.values()), dtype=float)
+def _check_law(p) -> np.ndarray:
+    """``p`` as a float vector; raise unless it is a probability law."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-12):
+        raise ValueError("a law must be a vector of nonnegative probabilities summing to 1")
+    return p
 
 
-def renyi_entropy(dist: DiscreteDistribution) -> float:
-    """Collision entropy H2 = -log2 sum p^2, in bits."""
-    p = dist.values()
+def renyi_entropy(p) -> float:
+    """Collision entropy H2 = -log2 sum p^2 of a probability vector, in bits."""
+    p = _check_law(p)
     return -math.log2(float(np.sum(p * p)))
 
 
-def shannon_entropy(dist: DiscreteDistribution) -> float:
-    """H = -sum p log2 p with 0*log 0 = 0, in bits."""
-    p = dist.values()
+def shannon_entropy(p) -> float:
+    """H = -sum p log2 p of a probability vector, with 0*log 0 = 0, in bits."""
+    p = _check_law(p)
     p = p[p > 0]
     return float(-np.sum(p * np.log2(p)))
 
@@ -264,7 +254,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     lexicographic coordinate order, and v is the rank within K with bit 0
     least significant.
     """
-    N0 = int(math.floor(pair.N * math.log2(pair.q)))
+    N0 = encoder_bits(pair.N, pair.q)
     g = np.array(g, dtype=np.int64) % 2
     r0, cols = g.shape
     if cols != N0:
@@ -297,14 +287,12 @@ def encode_message(enc: EncoderMap, s_bits, s_prime_bits) -> np.ndarray:
         raise ValueError(f"randomizer bits must have length {enc.N0 - enc.r0}")
     stacked = np.concatenate([s_prime_bits, s_bits], axis=-1)
     bits = (stacked @ enc.A.T) % 2
-    rank = bits @ (1 << np.arange(enc.N0, dtype=np.int64))
-    return enc.subset_coords[rank]
+    return enc.subset_coords[undigits(bits, 2)]
 
 
 def decode_ranks(enc: EncoderMap, ranks) -> np.ndarray:
     """S = g v for ranks v in [0, 2^N0), over any leading batch axes."""
-    bits = (np.asarray(ranks, dtype=np.int64)[..., None] >> np.arange(enc.N0)) & 1
-    return (bits @ enc.g.T) % 2
+    return (digits(ranks, 2, enc.N0) @ enc.g.T) % 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ GF(q) elements are the ints in [0, q).  GF(q^r) elements are the ints in
 x^k in the polynomial basis, and ``ExtField.tables`` holds the add, sub,
 mul and neg tables indexed by those ints.
 
+``digits`` and its inverse ``undigits`` are the package's one int <-> digits
+codec, in any base (q for elements, coords and seeds; 2 for ranks and bits).
+
 Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
 shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
 kernel, ``row_reduce``, which reduces a whole stack per pass; rank,
@@ -29,6 +32,7 @@ import numpy as np
 __all__ = [
     "ExtField",
     "digits",
+    "undigits",
     "find_irreducible",
     "is_prime",
     "all_matrices",
@@ -65,6 +69,12 @@ def digits(k, q: int, length: int) -> np.ndarray:
     ``k`` may be an int or an int array; digit j is (k // q^j) mod q.
     """
     return (np.asarray(k, dtype=np.int64)[..., None] // q ** np.arange(length, dtype=np.int64)) % q
+
+
+def undigits(d, q: int) -> np.ndarray:
+    """Inverse of ``digits``: sum_j d[..., j] q^j over the last axis, as int64."""
+    d = np.asarray(d, dtype=np.int64)
+    return d @ q ** np.arange(d.shape[-1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +184,9 @@ class ExtField:
 def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray]:
     """Operation tables of GF(q^r), computed on coefficient arrays."""
     n = q**r
-    radix = q ** np.arange(r, dtype=np.int64)
     coeffs = digits(np.arange(n), q, r)
     a, b = coeffs[:, None, :], coeffs[None, :, :]
-    add = ((a + b) % q) @ radix
+    add = undigits((a + b) % q, q)
     prod = np.zeros((n, n, 2 * r - 1), dtype=np.int64)
     for i in range(r):
         prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
@@ -185,8 +194,8 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
     for deg in range(2 * r - 2, r - 1, -1):  # reduce by the monic modulus
         lead = prod[:, :, deg] % q
         prod[:, :, deg - r : deg + 1] -= lead[:, :, None] * mod
-    mul = (prod[:, :, :r] % q) @ radix
-    neg = ((-coeffs) % q) @ radix
+    mul = undigits(prod[:, :, :r] % q, q)
+    neg = undigits((-coeffs) % q, q)
     tables = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg}
     for table in tables.values():
         table.flags.writeable = False
@@ -262,7 +271,7 @@ def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
         stacked = np.concatenate(
             [np.repeat(rrefs, len(vecs), axis=0), np.tile(vecs, (len(rrefs), 1, 1))], axis=1)
         reduced = row_reduce(stacked, q)[0].reshape(len(stacked), k * cols)
-        keys = reduced @ q ** np.arange(k * cols - 1, -1, -1, dtype=np.int64)
+        keys = undigits(reduced[:, ::-1], q)  # first entry most significant
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         rrefs = reduced[first].reshape(len(first), k, cols)
         # matrix i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v]

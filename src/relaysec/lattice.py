@@ -5,8 +5,8 @@ it, for a prime nesting ratio q.  The codebook is the set of fine points
 inside the coarse Voronoi region ``V = [-q*alpha/2, q*alpha/2)^N`` (half
 open; at a quantization tie the residue lands on the negative endpoint).
 Each codebook point is identified by its canonical coordinate vector in
-``[0, q)^N``, and coordinate-wise reduction mod q is an isomorphism onto
-GF(q)^N for the mod-coarse addition.
+``[0, q)^N``, which is already its GF(q)^N image: the mod-coarse addition
+of points is coordinate-wise addition mod q (``lattice_add``).
 
 The per-vector functions (``quantize_coarse``, ``mod_coarse``,
 ``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``,
@@ -18,8 +18,10 @@ The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sums`` packs those
 bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
 ``reconstruct_sums`` inverts it exactly, both over leading batch axes
-(one pair is the call without them).  ``index_to_coords`` of
-``arange(q^N)`` lists the whole codebook's coords in lexicographic order.
+(one pair is the call without them).  Index <-> coords and T - 1 <->
+wrap bits go through ``fields.digits`` / ``fields.undigits``;
+``index_to_coords`` of ``arange(q^N)`` lists the whole codebook's coords
+in lexicographic order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import digits, is_prime
+from .fields import digits, is_prime, undigits
 
 __all__ = [
     "NestedLatticePair",
@@ -37,7 +39,6 @@ __all__ = [
     "mod_coarse",
     "in_fundamental_region",
     "codebook_point",
-    "coords_to_field",
     "lattice_add",
     "lattice_sub",
     "represent_sums",
@@ -149,10 +150,6 @@ def codebook_point(
     return mod_coarse(pair, pair.alpha * c + pair.dither(dither))
 
 
-def _radix(pair: NestedLatticePair) -> np.ndarray:
-    return pair.q ** np.arange(pair.N, dtype=np.int64)
-
-
 def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
     """Mixed-radix decoding: coordinate 0 is the least significant digit.
 
@@ -163,17 +160,8 @@ def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
 
 def coords_to_index(pair: NestedLatticePair, c):
     """Inverse of index_to_coords, over any leading batch axes."""
-    c = _check_coords(pair, c)
-    k = c @ _radix(pair)
+    k = undigits(_check_coords(pair, c), pair.q)
     return int(k) if k.ndim == 0 else k
-
-
-def coords_to_field(pair: NestedLatticePair, c) -> np.ndarray:
-    """Per-coordinate reduction mod q: the isomorphism onto GF(q)^N."""
-    c = np.asarray(c, dtype=np.int64)
-    if c.shape != (pair.N,):
-        raise ValueError(f"coords must have shape ({pair.N},)")
-    return c % pair.q
 
 
 def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:
@@ -198,8 +186,7 @@ def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndar
     s = u1 + u2
     step = pair.coarse_step
     wraps = np.floor(s / step + 0.5).astype(np.int64)  # each in {-1, 0, 1}
-    bits = (wraps != 0).astype(np.int64)
-    return s - wraps * step, 1 + bits @ (1 << np.arange(pair.N, dtype=np.int64))
+    return s - wraps * step, 1 + undigits(wraps != 0, 2)
 
 
 def reconstruct_sums(pair: NestedLatticePair, sum_mod, T) -> np.ndarray:
@@ -207,7 +194,7 @@ def reconstruct_sums(pair: NestedLatticePair, sum_mod, T) -> np.ndarray:
     T = np.asarray(T, dtype=np.int64)
     if np.any(T < 1) or np.any(T > 2**pair.N):
         raise ValueError(f"T must be in [1, {2**pair.N}]")
-    bits = ((T[..., None] - 1) >> np.arange(pair.N)) & 1
+    bits = digits(T - 1, 2, pair.N)
     sum_mod = np.asarray(sum_mod, dtype=float)
     step = pair.coarse_step
     # conditional on the residue, only one unwrapped sum per wrap bit is

@@ -33,12 +33,11 @@ from functools import lru_cache
 import numpy as np
 
 from .amd import AmdParams, amd_tag
-from .extract import DiscreteDistribution, leftover_bound, renyi_entropy
-from .fields import all_matrices, digits, full_rank_fraction, row_spaces
+from .extract import leftover_bound, renyi_entropy, shannon_entropy
+from .fields import all_matrices, digits, full_rank_fraction, row_spaces, undigits
 from .lattice import (
     NestedLatticePair,
     codebook_point,
-    coords_to_field,
     decode_fine_mod_coarse,
     index_to_coords,
     lattice_add,
@@ -51,7 +50,6 @@ __all__ = [
     "SizeGuardError",
     "MAX_PAIR_ENUM",
     "MAX_ATTACK_ENUM",
-    "JointDistribution",
     "LeakageRecord",
     "exact_seed_leakage",
     "best_extractor_exhaustive",
@@ -83,36 +81,8 @@ def _guard(size: int, cap: int, what: str):
 
 
 # ---------------------------------------------------------------------------
-# distributions
+# mutual information
 # ---------------------------------------------------------------------------
-
-
-class JointDistribution:
-    """Joint law over a finite grid: probs[a, b], validated on construction."""
-
-    def __init__(self, probs: np.ndarray):
-        self.probs = _check_laws(probs)
-        if self.probs.ndim != 2:
-            raise ValueError("joint distribution must be a 2-D array")
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "JointDistribution":
-        counts = np.asarray(counts, dtype=float)
-        return cls(counts / counts.sum())
-
-    def mutual_information(self) -> float:
-        return mutual_information_bits(self.probs)
-
-
-def _check_laws(probs) -> np.ndarray:
-    """``probs`` as floats; raise unless each (a, b) law on its last two axes is a law."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim < 2:
-        raise ValueError("joint distribution must be a 2-D array or a stack of them")
-    totals = probs.reshape(*probs.shape[:-2], -1).sum(axis=-1)
-    if np.any(probs < 0) or np.any(np.abs(totals - 1.0) > 1e-12):
-        raise ValueError("entries must be a probability distribution")
-    return probs
 
 
 def mutual_information_bits(joint: np.ndarray) -> float:
@@ -213,7 +183,6 @@ class _LeakageWorkspace:
             _coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)
         ]
         self.seed_digits = digits(np.arange(self.n_seed), q, r)
-        self.radix_r = q ** np.arange(r, dtype=np.int64)
         cells = self.n_seed * (2 * q) ** n
         self.gather = np.empty(cells // 2)  # (q, n_seed, (2q)^j) before the last matmul
         self.joint = np.empty(cells)  # the table so far; later the marginal outer product
@@ -231,7 +200,7 @@ class _LeakageWorkspace:
         q, n_seed = self.q, self.n_seed
         c1 = np.arange(q)[:, None, None]
         # source[j, c1, s] = s - c1 g[:, j], the seed index before coordinate j
-        source = ((self.seed_digits - c1 * g.T[:, None, None, :]) % q) @ self.radix_r
+        source = undigits((self.seed_digits - c1 * g.T[:, None, None, :]) % q, q)
         width = 1
         joint = self.joint[:n_seed].reshape(n_seed, 1)
         joint.fill(0.0)
@@ -423,20 +392,20 @@ def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
 def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     """Bijectivity plus additivity of the coordinate map, geometrically.
 
-    Addition is exercised through the real vectors: point(a) + point(b),
-    reduced mod the coarse lattice and re-decoded, must land on the
-    coordinate-wise mod-q sum.  The size^2 pairs go through the batched
-    lattice functions in row blocks (``_first_bad_pair``); the
-    counterexample is the first failing (a, b) in row-major order over
-    (index(a), index(b)).
+    Every codebook point must decode back to its own coords, so the map
+    from coords to points is one-to-one.  Addition is exercised through
+    the real vectors: point(a) + point(b), reduced mod the coarse lattice
+    and re-decoded, must land on the coordinate-wise mod-q sum.  The size^2
+    pairs go through the batched lattice functions in row blocks
+    (``_first_bad_pair``); the counterexample is the first failing (a, b)
+    in row-major order over (index(a), index(b)).
     """
     size = pair.q**pair.N
     _guard(size * size, cap, "isomorphism census")
     coords = index_to_coords(pair, np.arange(size))
-    images = {tuple(coords_to_field(pair, c)) for c in coords}
-    if len(images) != size:
-        return False, "coordinate map is not a bijection"
     points = codebook_point(pair, coords)
+    if not np.array_equal(decode_fine_mod_coarse(pair, points), coords):
+        return False, "coordinate map is not a bijection"
 
     def block_bad(i0, i1):
         geometric = mod_coarse(pair, points[i0:i1, None, :] + points[None, :, :])
@@ -486,8 +455,8 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
     n_vec = q**N
     _guard(n_mat * n_vec, cap, "universal hash census")
     vecs = digits(np.arange(n_vec), q, N)
-    radix = q ** np.arange(r, dtype=np.int64)
-    images = radix @ ((all_matrices(q, r, N) @ vecs.T) % q)  # images[G, x]: index of G x
+    # images[G, x]: index of G x
+    images = undigits((vecs @ all_matrices(q, r, N).transpose(0, 2, 1)) % q, q)
     onehot = images[:, :, None] == np.arange(q**r)
     collisions = np.einsum("gax,gbx->ab", onehot, onehot, dtype=np.int64)
     np.fill_diagonal(collisions, 0)
@@ -500,46 +469,49 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
 def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Both sides of I(A;B) >= D^2 / (2 ln 2), D the L1 distance to the product.
 
-    ``joints`` is a JointDistribution, one (a, b) law or a stack (..., a, b)
-    of laws, each validated as JointDistribution validates.  A stack gives
-    two arrays of shape (...), each entry equal to a call on its law alone.
+    ``joints`` is one (a, b) law or a stack (..., a, b) of laws, float
+    arrays each of nonnegative entries summing to 1.  A stack gives two
+    arrays of shape (...), each entry equal to a call on its law alone.
     """
-    probs = joints.probs if isinstance(joints, JointDistribution) else _check_laws(joints)
+    probs = np.asarray(joints, dtype=float)
+    if probs.ndim < 2:
+        raise ValueError("joint distribution must be a 2-D array or a stack of them")
     cells = probs.reshape(*probs.shape[:-2], -1)
+    total = cells.sum(axis=-1, keepdims=True)
+    if not (np.all(cells >= 0) and np.all(np.abs(total - 1.0) <= 1e-12)):  # NaN fails too
+        raise ValueError("entries must be a probability distribution")
     pa, pb = probs.sum(axis=-1), probs.sum(axis=-2)
     papb = (pa[..., :, None] * pb[..., None, :]).reshape(cells.shape)
     dist = np.abs(cells - papb).sum(axis=-1)
     rhs = dist * dist / (2.0 * math.log(2))
-    total, nz = cells.sum(axis=-1, keepdims=True), cells > 0
+    nz = cells > 0
     # a zero cell enters as v = total, pa pb = total^2: a term of exactly 0
     lhs = _mi_from_cells(np.where(nz, cells, total), total, np.where(nz, papb, total * total))
     return (float(lhs), float(rhs)) if probs.ndim == 2 else (lhs, rhs)
 
 
-def leftover_census(q: int, N: int, r: int, dist: DiscreteDistribution, cap: int = 10**7):
+def leftover_census(q: int, N: int, r: int, probs, cap: int = 10**7):
     """Matrix-averaged output entropy versus the leftover-hash floor.
 
-    ``dist`` is the conditional source law over GF(q)^N indices.  Averages
-    the Shannon entropy of G(A) over every matrix G and compares with
-    leftover_bound(r log2 q, H2(dist)).  Returns (average, bound, holds);
-    a nonpositive bound is vacuous and reported as holding.
+    ``probs`` is the conditional source law, a probability vector over the
+    q^N indices of GF(q)^N.  Averages the Shannon entropy of G(A) over
+    every matrix G and compares with leftover_bound(r log2 q, H2(probs)).
+    Returns (average, bound, holds); a nonpositive bound is vacuous and
+    reported as holding.
     """
     n_mat = q ** (r * N)
     n_vec = q**N
     _guard(n_mat * n_vec, cap, "leftover-hash census")
-    probs = np.zeros(n_vec, dtype=float)
-    for key, p in dist.probs.items():
-        probs[int(key)] = p
+    probs = np.asarray(probs, dtype=float)
+    c = renyi_entropy(probs)  # validates the law
+    if probs.shape != (n_vec,):
+        raise ValueError(f"source law must have {n_vec} entries, got shape {probs.shape}")
     vecs = digits(np.arange(n_vec), q, N)
-    radix = q ** np.arange(r, dtype=np.int64)
     total = 0.0
     for m in all_matrices(q, r, N):  # one matrix at a time keeps the float sum's order
-        out = ((vecs @ m.T) % q) @ radix
-        pushed = np.bincount(out, weights=probs, minlength=q**r)
-        nz = pushed[pushed > 0]
-        total += float(-np.sum(nz * np.log2(nz)))
+        pushed = np.bincount(undigits((vecs @ m.T) % q, q), weights=probs, minlength=q**r)
+        total += shannon_entropy(pushed)
     average = total / n_mat
-    c = renyi_entropy(dist)
     bound = leftover_bound(r * math.log2(q), c)
     holds = bound <= 0 or average > bound or math.isclose(average, bound, rel_tol=1e-12)
     return average, bound, holds

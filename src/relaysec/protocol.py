@@ -56,6 +56,7 @@ from .extract import (
     build_encoder,
     decode_ranks,
     encode_message,
+    encoder_bits,
     extract_seed,
     r0_max,
     r_max,
@@ -243,6 +244,12 @@ def box_muller(words: np.ndarray) -> np.ndarray:
     return z
 
 
+def _dimensions(p: ProtocolParams) -> tuple[int, int, int]:
+    """(N0, blocks, n = 2N + r + blocks * msg_N): block bits, blocks, uses per trial."""
+    blocks = math.ceil(payload_bits(p.q, p.r, p.d) / p.msg_r0)
+    return encoder_bits(p.msg_N, p.msg_q), blocks, 2 * p.N + p.r + blocks * p.msg_N
+
+
 def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     """Word ranges of one trial's draws, in order, and its padded length W.
 
@@ -265,9 +272,7 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     counter block.
     """
     p = params
-    n0 = int(math.floor(p.msg_N * math.log2(p.msg_q)))
-    blocks = math.ceil(payload_bits(p.q, p.r, p.d) / p.msg_r0)
-    uses = 2 * p.N + p.r + blocks * p.msg_N
+    n0, blocks, uses = _dimensions(p)
     sizes = [("message", p.d), ("seed", 4 * p.N),
              ("blocks", blocks * (n0 - p.msg_r0 + p.msg_N)),
              ("relay", uses), ("noise", 2 * uses)]
@@ -314,12 +319,11 @@ class TwoHopProtocol:
         self.tag_pair = NestedLatticePair(N=p.r, q=p.q, alpha=p.alpha)
         self.msg_pair = NestedLatticePair(N=p.msg_N, q=p.msg_q, alpha=p.alpha)
         self.extractor = _default_extractor(p.q, p.r, p.N)
-        n0 = int(math.floor(p.msg_N * math.log2(p.msg_q)))
+        n0, self.blocks, self.uses = _dimensions(p)
         self.encoder: EncoderMap = build_encoder(
             _default_msg_matrix(p.msg_r0, n0), self.msg_pair
         )
         self.payload_bits = payload_bits(p.q, p.r, p.d)
-        self.blocks = math.ceil(self.payload_bits / p.msg_r0)
         self.channel = ChannelConfig(
             power_limit=p.power_limit,
             noise_var_relay=p.noise_var_relay,
@@ -523,8 +527,7 @@ class TwoHopProtocol:
         """
         p = self.params
         info_bits = p.d * p.r * math.log2(p.q)
-        msg_uses = self.blocks * p.msg_N
-        n = 2 * p.N + p.r + msg_uses
+        n, msg_uses = self.uses, self.blocks * p.msg_N
         rt = info_bits / (2 * n)
         pt = (P1 * 2 * p.N + P2 * p.r + P * msg_uses) / n
         return RateReport(n=n, RT=float(rt), PT=float(pt), blocks=self.blocks)

@@ -255,6 +255,17 @@ def test_scan_r_golden_hash(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_R_SHA256
 
 
+# sha256 of `scan --seed 1` under the default config, the d scan at q = 2
+# (exact log2); recorded before the digit conversions shared one codec
+SCAN_D_SHA256 = "d8cf1ae744980ac4f6c785fa75b3bb6d25f141542ea1203dacbfea8b59b0f04f"
+
+
+def test_scan_d_default_golden_hash(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_D_SHA256
+
+
 @pytest.mark.parametrize("scan, message", [
     # the r kind alone inherits the d scan's q = 2, and d = 2: 2 divides d + 2
     ({"kind": "r"}, "d + 2 = 4 must not be divisible by q = 2"),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relaysec.extract import (
-    DiscreteDistribution,
     ExtractorMap,
     ExtractorParams,
     build_encoder,
@@ -50,16 +49,17 @@ def test_extractor_map_rejects_rank_deficient():
 
 def test_seed_uniformity_examples():
     emap = ExtractorMap(np.array([[1, 1]]), 3)
-    dist, uniform = seed_uniformity(emap.matrix, emap.q)
+    probs, uniform = seed_uniformity(emap.matrix, emap.q)
     assert uniform
-    assert all(p == pytest.approx(1 / 3) for p in dist.probs.values())
+    assert probs.shape == (3,) and all(p == pytest.approx(1 / 3) for p in probs)
 
-    dist, uniform = seed_uniformity(np.eye(2, dtype=int), 3)
+    probs, uniform = seed_uniformity(np.eye(2, dtype=int), 3)
     assert uniform
+    assert probs.tolist() == [1 / 9] * 9  # exactly counts / q^N
 
-    dist, uniform = seed_uniformity(np.array([[0, 0]]), 3)
+    probs, uniform = seed_uniformity(np.array([[0, 0]]), 3)
     assert not uniform
-    assert dist.probs[0] == pytest.approx(1.0)
+    assert probs.tolist() == [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -93,9 +93,9 @@ def test_conditional_of_summand_given_sum_is_uniform():
             by_sum[key][k1] = by_sum[key].get(k1, 0) + 1
     assert len(by_sum) == size
     for counts in by_sum.values():
-        dist = DiscreteDistribution.from_counts(counts)
-        assert renyi_entropy(dist) == pytest.approx(n * math.log2(q))
-        assert shannon_entropy(dist) == pytest.approx(n * math.log2(q))
+        law = np.array(list(counts.values())) / sum(counts.values())
+        assert renyi_entropy(law) == pytest.approx(n * math.log2(q))
+        assert shannon_entropy(law) == pytest.approx(n * math.log2(q))
 
 
 # ---------------------------------------------------------------------
@@ -127,19 +127,20 @@ def test_secrecy_rate_examples():
 
 
 def test_renyi_examples():
-    assert renyi_entropy(DiscreteDistribution.uniform(8)) == pytest.approx(3.0)
-    assert renyi_entropy(DiscreteDistribution({0: 1.0})) == pytest.approx(0.0)
-    tri = DiscreteDistribution({0: 0.5, 1: 0.25, 2: 0.25})
+    assert renyi_entropy(np.full(8, 1 / 8)) == pytest.approx(3.0)
+    assert renyi_entropy([1.0]) == pytest.approx(0.0)
+    tri = np.array([0.5, 0.25, 0.25])
     assert renyi_entropy(tri) == pytest.approx(-math.log2(6 / 16))
 
 
 def test_shannon_examples():
     for q, n in [(3, 2), (5, 1)]:
-        u = DiscreteDistribution.uniform(q**n)
+        u = np.full(q**n, 1.0 / q**n)
         assert shannon_entropy(u) == pytest.approx(n * math.log2(q))
         assert renyi_entropy(u) == pytest.approx(n * math.log2(q))
-    assert shannon_entropy(DiscreteDistribution({0: 1.0})) == 0.0
-    tri = DiscreteDistribution({0: 0.5, 1: 0.25, 2: 0.25})
+    assert shannon_entropy([1.0]) == 0.0
+    assert shannon_entropy([0.0, 1.0, 0.0]) == 0.0  # 0 log 0 = 0
+    tri = np.array([0.5, 0.25, 0.25])
     assert shannon_entropy(tri) == pytest.approx(1.5)
 
 
@@ -148,18 +149,24 @@ def test_renyi_below_shannon_randomized():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         raw = rng.random(n) + 1e-9
-        dist = DiscreteDistribution.from_counts({i: raw[i] for i in range(n)})
-        h2, h = renyi_entropy(dist), shannon_entropy(dist)
+        law = raw / raw.sum()
+        h2, h = renyi_entropy(law), shannon_entropy(law)
         assert h2 <= h + 1e-12
-    u = DiscreteDistribution.uniform(6)
+    u = np.full(6, 1 / 6)
     assert renyi_entropy(u) == pytest.approx(shannon_entropy(u))
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        DiscreteDistribution({0: 0.5, 1: 0.6})
-    with pytest.raises(ValueError):
-        DiscreteDistribution({0: 1.5, 1: -0.5})
+    bad_laws = [[0.5, 0.6],  # sums to 1.1
+                [1.5, -0.5],  # sums to 1, one entry negative
+                [0.5, 0.5 + 2e-12],  # off 1 by more than 1e-12
+                [0.5, np.nan, 0.5],  # not a number
+                np.full((2, 2), 0.25)]  # a joint table, not a vector
+    for entropy in (renyi_entropy, shannon_entropy):
+        for bad in bad_laws:
+            with pytest.raises(ValueError):
+                entropy(bad)
+        assert entropy([0.5, 0.5 + 5e-13]) == pytest.approx(1.0)  # within 1e-12
 
 
 # ---------------------------------------------------------------------

@@ -19,6 +19,7 @@ from relaysec.fields import (
     row_reduce,
     row_spaces,
     sample_matrix,
+    undigits,
 )
 
 
@@ -139,6 +140,23 @@ def test_int_round_trip():
     assert digits(np.array([[0, 24]]), 5, 2).tolist() == [[[0, 0], [4, 4]]]
     ks = np.arange(25)
     assert np.array_equal(digits(ks, 5, 2) @ np.array([1, 5]), ks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 11])
+def test_undigits_inverts_digits(q):
+    n = 4
+    ks = np.arange(q**n).reshape(q, -1, 1, q)  # leading batch axes
+    d = digits(ks, q, n)
+    assert d.shape == ks.shape + (n,)
+    back = undigits(d, q)
+    assert back.dtype == np.int64 and np.array_equal(back, ks)
+    # uint8 digit stacks, as row_spaces passes them, and every digit tuple
+    every = all_matrices(q, 1, n)[:, 0, :]
+    assert every.dtype == np.uint8
+    assert np.array_equal(digits(undigits(every, q), q, n), every)
+    assert np.array_equal(undigits(every[:, ::-1], q), np.arange(q**n))  # first digit high
+    assert undigits(digits(7, q, 3), q) == 7 % q**3
+    assert undigits(np.zeros((2, 0), dtype=np.uint8), q).tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------

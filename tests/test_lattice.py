@@ -10,7 +10,6 @@ from relaysec.lattice import (
     average_codebook_power,
     codebook_point,
     codebook_rate,
-    coords_to_field,
     decode_fine_mod_coarse,
     in_fundamental_region,
     index_to_coords,
@@ -108,14 +107,6 @@ def test_codebook_points_distinct():
     assert len(points) == 25
 
 
-def test_coords_to_field_examples():
-    pair = NestedLatticePair(N=1, q=3)
-    assert coords_to_field(pair, [2])[0] == 2
-    assert coords_to_field(pair, [0])[0] == 0
-    pair2 = NestedLatticePair(N=2, q=5)
-    assert list(coords_to_field(pair2, [7 % 5, 3])) == [2, 3]
-
-
 def test_lattice_add_examples():
     p3 = NestedLatticePair(N=1, q=3)
     assert lattice_add(p3, [1], [1])[0] == 2
@@ -128,20 +119,18 @@ def test_lattice_add_examples():
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_isomorphism_bijective_and_additive(q, n):
-    """Geometric addition of codebook points matches the field image."""
+    """Each codebook point decodes to its own coords, and geometric addition
+    of points matches coordinate-wise addition over GF(q)."""
     pair = NestedLatticePair(N=n, q=q)
     coords = all_coords(pair)
-    images = {tuple(coords_to_field(pair, c)) for c in coords}
-    assert len(images) == q**n
+    for c in coords:
+        assert np.array_equal(decode_fine_mod_coarse(pair, codebook_point(pair, c)), c)
     for a in coords:
         pa = codebook_point(pair, a)
         for b in coords:
             s = mod_coarse(pair, pa + codebook_point(pair, b))
             got = decode_fine_mod_coarse(pair, s)
-            assert np.array_equal(
-                coords_to_field(pair, got),
-                (coords_to_field(pair, a) + coords_to_field(pair, b)) % q,
-            )
+            assert np.array_equal(got, (a + b) % q)
 
 
 # ---------------------------------------------------------------------

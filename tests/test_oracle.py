@@ -9,7 +9,6 @@ import pytest
 
 from relaysec import oracle
 from relaysec.amd import AmdParams
-from relaysec.extract import DiscreteDistribution
 from relaysec.amd import amd_tag
 from relaysec.fields import ExtField, all_matrices, matrix_row_rank, row_reduce
 from relaysec.lattice import (
@@ -18,11 +17,9 @@ from relaysec.lattice import (
     decode_fine_mod_coarse,
     index_to_coords,
     lattice_add,
-    mod_coarse,
     represent_sums,
 )
 from relaysec.oracle import (
-    JointDistribution,
     SizeGuardError,
     _LeakageWorkspace,
     best_extractor_exhaustive,
@@ -404,7 +401,7 @@ def _isomorphism_census_scalar(pair):
     for a in coords:
         pa = codebook_point(pair, a)
         for b in coords:
-            geometric = mod_coarse(pair, pa + codebook_point(pair, b))
+            geometric = oracle.mod_coarse(pair, pa + codebook_point(pair, b))
             got = oracle.decode_fine_mod_coarse(pair, geometric)
             if not np.array_equal(got, lattice_add(pair, a, b)):
                 return tuple(a), tuple(b)
@@ -415,17 +412,30 @@ def _isomorphism_census_scalar(pair):
 def test_isomorphism_census_first_counterexample_matches_scalar_loop(
     monkeypatch, q, n, faulty_sum
 ):
-    """A decoder wrong on every sum whose digits add to faulty_sum."""
-    real = oracle.decode_fine_mod_coarse
+    """A mod-coarse sum one fine step off wherever its digits add to faulty_sum.
 
-    def faulty(pair, y, dither_offset=None):
-        got = real(pair, y, dither_offset)
+    The fault sits in the census's sum path only: a decoder with the same
+    fault also decodes some codebook points to the wrong coords, which the
+    bijection check reports first.
+    """
+    real_decode, real_mod = oracle.decode_fine_mod_coarse, oracle.mod_coarse
+
+    def faulty_decode(pair, y, dither_offset=None):
+        got = real_decode(pair, y, dither_offset)
         wrong = got.sum(axis=-1) == faulty_sum
         got[..., 0] = (got[..., 0] + wrong) % pair.q
         return got
 
-    monkeypatch.setattr(oracle, "decode_fine_mod_coarse", faulty)
+    def faulty_mod(pair, x):
+        y = real_mod(pair, x)
+        y[..., 0] += (real_decode(pair, y).sum(axis=-1) == faulty_sum) * pair.alpha
+        return y
+
     pair = NestedLatticePair(N=n, q=q)
+    monkeypatch.setattr(oracle, "decode_fine_mod_coarse", faulty_decode)
+    assert isomorphism_census(pair) == (False, "coordinate map is not a bijection")
+    monkeypatch.setattr(oracle, "decode_fine_mod_coarse", real_decode)
+    monkeypatch.setattr(oracle, "mod_coarse", faulty_mod)
     want = _isomorphism_census_scalar(pair)
     assert want is not None and want[0] == (0,) * n != want[1]  # (a, b) order shows
     size = q**n
@@ -479,6 +489,21 @@ def test_representation_census_first_counterexample_matches_scalar_loop(
     want = _representation_census_scalar(pair)
     assert want is not None and want[0] != want[1]  # (i, j) order shows
     assert representation_census(pair) == (False, want)
+
+
+def test_isomorphism_census_rejects_a_collapsing_coordinate_map(monkeypatch):
+    """Coords (1, 1) sent to the point of (0, 0): the census must report the
+    collision, which a check of coords alone cannot see."""
+    real = oracle.codebook_point
+
+    def collapsing(pair, c, dither=None):
+        c = np.array(c)
+        c[np.all(c == 1, axis=-1)] = 0
+        return real(pair, c, dither)
+
+    monkeypatch.setattr(oracle, "codebook_point", collapsing)
+    assert isomorphism_census(NestedLatticePair(N=2, q=3)) == (
+        False, "coordinate map is not a bijection")
 
 
 def test_representation_census_memory_is_bounded_by_its_block(monkeypatch):
@@ -539,34 +564,40 @@ def test_universal_hash_census_grid():
 
 
 def test_leftover_census_uniform_gf2():
-    avg, bound, holds = leftover_census(2, 2, 1, DiscreteDistribution.uniform(4))
+    avg, bound, holds = leftover_census(2, 2, 1, np.full(4, 0.25))
     assert avg == pytest.approx(0.75)  # three informative maps out of four
     assert bound == pytest.approx(1 - 2 ** (1 - 2) / math.log(2))
     assert holds
 
 
 def test_leftover_census_point_mass_vacuous():
-    dist = DiscreteDistribution({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0})
-    avg, bound, holds = leftover_census(2, 2, 1, dist)
+    avg, bound, holds = leftover_census(2, 2, 1, np.array([1.0, 0.0, 0.0, 0.0]))
     assert avg == 0.0
     assert bound < 0  # vacuous
     assert holds
 
 
 def test_leftover_census_uniform_gf3():
-    avg, bound, holds = leftover_census(3, 2, 1, DiscreteDistribution.uniform(9))
+    avg, bound, holds = leftover_census(3, 2, 1, np.full(9, 1 / 9))
     assert holds
     assert avg == pytest.approx((8 / 9) * math.log2(3))
 
 
+def test_leftover_census_rejects_a_bad_source_law():
+    for bad in (np.array([0.5, 0.5, 0.25, -0.25]),  # a negative entry
+                np.array([0.25, 0.25, 0.25, 0.25 + 2e-12]),  # sum off 1 by more than 1e-12
+                np.full(8, 1 / 8),  # a law over 8 outcomes, not q^N = 4
+                np.full((2, 2), 0.25)):  # a table, not a vector
+        with pytest.raises(ValueError):
+            leftover_census(2, 2, 1, bad)
+
+
 def test_pinsker_examples():
-    independent = JointDistribution(np.full((2, 2), 0.25))
-    lhs, rhs = pinsker_check(independent)
+    lhs, rhs = pinsker_check(np.full((2, 2), 0.25))
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
 
-    correlated = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    lhs, rhs = pinsker_check(correlated)
+    lhs, rhs = pinsker_check(np.array([[0.5, 0.0], [0.0, 0.5]]))
     assert lhs == pytest.approx(1.0)
     assert rhs == pytest.approx(1 / (2 * math.log(2)))
     assert lhs >= rhs
@@ -577,8 +608,7 @@ def test_pinsker_randomized_sweep():
     for _ in range(1000):
         shape = (int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         raw = rng.random(shape)
-        joint = JointDistribution(raw / raw.sum())
-        lhs, rhs = pinsker_check(joint)
+        lhs, rhs = pinsker_check(raw / raw.sum())
         assert lhs >= rhs - 1e-12
 
 
@@ -593,7 +623,6 @@ def test_pinsker_stack_matches_per_joint_calls():
     for idx in np.ndindex(4, 5):
         one = pinsker_check(laws[idx])
         assert isinstance(one[0], float) and one == (lhs[idx], rhs[idx])
-        assert pinsker_check(JointDistribution(laws[idx])) == one
         assert one[0] == pytest.approx(mutual_information_bits(laws[idx]), abs=1e-12)
     strict = laws[2:]  # no zero cells: bit-identical to mutual_information_bits
     assert pinsker_check(strict)[0].tolist() == [
@@ -623,13 +652,15 @@ def test_mutual_information_from_counts_matches_float_path():
         if counts.sum() == 0:
             continue
         mi = mutual_information_bits(counts)
-        jd = JointDistribution.from_counts(counts)
-        assert mi == pytest.approx(jd.mutual_information(), abs=1e-12)
+        assert mi == pytest.approx(mutual_information_bits(counts / counts.sum()), abs=1e-12)
         assert mi >= -1e-12
 
 
 def test_joint_distribution_validation():
-    with pytest.raises(ValueError):
-        JointDistribution(np.array([[0.5, 0.6]]))
-    with pytest.raises(ValueError):
-        JointDistribution(np.array([0.5, 0.5]))
+    for bad in (np.array([[0.5, 0.6]]),  # sums to 1.1
+                np.array([[0.5, 0.5 + 2e-12]]),  # off 1 by more than 1e-12
+                np.array([[0.75, -0.25], [0.25, 0.25]]),  # sums to 1, one entry negative
+                np.array([[0.5, np.nan], [0.25, 0.25]]),  # not a number
+                np.array([0.5, 0.5])):  # a vector, not a joint table
+        with pytest.raises(ValueError):
+            pinsker_check(bad)
