@@ -18,10 +18,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from functools import cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import oracle
@@ -62,13 +63,77 @@ class ConfigError(ValueError):
     pass
 
 
+@cache
 def _schema() -> dict:
     text = resources.files("relaysec").joinpath("config_schema.json").read_text()
     return json.loads(text)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON type -> (test, noun for the error message).  Stricter than JSON Schema
+# in two ways: an integer is an int literal (10.0 is not one, and the runs
+# need real ints), and a number is finite (NaN slips past every minimum).
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "integer": (_is_int, "an integer literal"),
+    "number": (
+        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number",
+    ),
+}
+
+
+def _rejected(where: str, problem: str) -> ConfigError:
+    return ConfigError(f"config rejected: {where} {problem}")
+
+
+def _validate(value, schema: dict, path: str = "") -> None:
+    """Check ``value`` against ``schema``, raising ConfigError that names the key path.
+
+    Implements exactly the keywords config_schema.json uses: type, enum,
+    minimum, exclusiveMinimum, minItems, items, required, properties and
+    additionalProperties (false only).  As in JSON Schema, each keyword
+    applies only to values of its own JSON type.
+    """
+    where = path or "config"
+    if "type" in schema:
+        test, noun = _TYPES[schema["type"]]
+        if not test(value):
+            raise _rejected(where, f"is not {noun}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _rejected(where, f"is not one of {schema['enum']}")
+    if _is_int(value) or isinstance(value, float):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise _rejected(where, f"must be >= {schema['minimum']}, got {value!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise _rejected(where, f"must be > {schema['exclusiveMinimum']}, got {value!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _rejected(where, f"needs at least {schema['minItems']} item(s)")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], f"{where}[{i}]")
+    elif isinstance(value, dict):
+        prefix = f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _rejected(prefix + key, "is required")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], prefix + key)
+            elif schema.get("additionalProperties", True) is False:
+                raise _rejected(prefix + key, "is not an allowed key")
+
+
 def load_config(path: str | None) -> dict:
-    """Merge the config file over the defaults and schema-validate."""
+    """Merge the config file over the defaults and check it against the schema."""
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
         try:
@@ -76,15 +141,14 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(user, dict):
+            raise _rejected("config", "is not an object")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(merged.get(key), dict):
                 merged[key].update(value)
             else:
                 merged[key] = value
-    try:
-        jsonschema.validate(merged, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    _validate(merged, _schema())
     return merged
 
 

@@ -34,7 +34,6 @@ layout's relay words.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -554,6 +553,9 @@ class TwoHopProtocol:
         if workers <= 1 or isinstance(behavior, CustomRelay):
             counts = self.trial_counts(behavior, seed, 0, trials)
         else:
+            # imported here: the pool loads multiprocessing, which one worker never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             args = [(self.params, behavior, seed, a, min(a + BATCH_TRIALS, trials))
                     for a in range(0, trials, BATCH_TRIALS)]
             with ProcessPoolExecutor(max_workers=workers) as pool:

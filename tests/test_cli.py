@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from relaysec import cli
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 
 
@@ -58,6 +59,155 @@ def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["verify", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("override, where", [
+    ({"bogus": 1}, "config rejected: bogus is not an allowed key"),
+    ({"protocol": {"bogus": 2}}, "config rejected: protocol.bogus is not an allowed key"),
+    ({"simulate": {"behaviors": [{"kind": "honest"}, {"kind": "x"}]}},
+     "config rejected: simulate.behaviors[1].kind is not one of ["),
+    ({"simulate": {"behaviors": [{"kind": "additive", "pattern": [1, -1]}]}},
+     "config rejected: simulate.behaviors[0].pattern[1] must be >= 0"),
+    ({"simulate": {"behaviors": [{"pattern": [1]}]}},
+     "config rejected: simulate.behaviors[0].kind is required"),
+    ({"verify": {"checks": []}}, "config rejected: verify.checks needs at least 1 item"),
+    # integral floats and non-finite numbers passed JSON Schema and then crashed the run
+    ({"simulate": {"trials": 10.0}}, "config rejected: simulate.trials is not an integer literal"),
+    ({"protocol": {"alpha": math.nan}}, "config rejected: protocol.alpha is not a finite number"),
+    ({"protocol": {"alpha": math.inf}}, "config rejected: protocol.alpha is not a finite number"),
+    ({"seed": 1.0}, "config rejected: seed is not an integer literal"),
+    ([1], "config rejected: config is not an object"),
+])
+def test_rejected_config_exits_2_naming_the_key_path(tmp_path, capsys, override, where):
+    path = write_config(tmp_path, override)
+    assert main(["simulate", "--config", path]) == 2
+    assert where in capsys.readouterr().err
+
+
+def _schema_nodes(schema, path=()):
+    """Yield (path, subschema) for every subschema; a path step is a key, or 0 for array items."""
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_nodes(sub, path + (key,))
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"], path + (0,))
+
+
+def _dotted(path):
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).lstrip(".")
+
+
+def test_schema_uses_only_the_supported_keywords():
+    supported = {"type", "minimum", "exclusiveMinimum", "enum", "properties",
+                 "additionalProperties", "items", "minItems", "required"}
+    for path, node in _schema_nodes(cli._schema()):
+        allowed = supported | ({"$schema", "title"} if path == () else set())
+        assert set(node) <= allowed, (_dotted(path), set(node) - allowed)
+        # the validator implements additionalProperties: false and nothing else
+        assert node.get("additionalProperties", False) is False, _dotted(path)
+        assert "type" not in node or node["type"] in cli._TYPES, _dotted(path)
+
+
+def _config_with(path, value):
+    """The default config with the node at ``path`` set to ``value`` (missing parents made)."""
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    node = cfg
+    for step, nxt in zip(path, path[1:]):
+        empty = [] if isinstance(nxt, int) else {}
+        if isinstance(step, int):
+            if not node:
+                node.append(empty)
+            node = node[step]
+        else:
+            node = node.setdefault(step, empty)
+    if isinstance(path[-1], int) and not node:
+        node.append(value)
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+def _differential_corpus(schema):
+    """(label, config) pairs: every schema node with its boundary and wrong-type values."""
+    common = [True, 1.0, math.nan, math.inf, -math.inf, "x", None, [], {}, 10**30]
+    for path, node in _schema_nodes(schema):
+        values = list(common) if path else []
+        for bound in ("minimum", "exclusiveMinimum"):
+            if bound in node:
+                b = node[bound]
+                values += [b - 1, b, b + 1]
+                if node["type"] == "number":
+                    values += [b - 0.5, b + 0.5]
+        values += node.get("enum", [])
+        for value in values:
+            yield (_dotted(path), repr(value)), _config_with(path, value)
+        if node.get("type") == "object":
+            # an unknown key next to the required ones, then each required key missing
+            base = {key: node["properties"][key]["enum"][0] for key in node.get("required", [])}
+            yield (_dotted(path), "bogus"), _config_with(path, {**base, "bogus": 1})
+            for key in base:
+                yield (_dotted(path), f"no {key}"), _config_with(
+                    path, {k: v for k, v in base.items() if k != key})
+
+
+# Configs JSON Schema accepts that cli._validate rejects on purpose: an integral
+# float at an integer key (10.0 crashed range() in the run) and a non-finite
+# number (NaN passes every minimum and crashed the protocol).
+STRICTER = {
+    ("seed", "1.0"), ("workers", "1.0"),
+    ("protocol.r", "1.0"), ("protocol.d", "1.0"), ("protocol.N", "1.0"),
+    ("protocol.msg_N", "1.0"), ("protocol.msg_r0", "1.0"),
+    ("simulate.trials", "1.0"), ("simulate.behaviors[0].pattern[0]", "1.0"),
+    ("verify.max_pair_enum", "1.0"), ("verify.max_attack_enum", "1.0"),
+    ("verify.inject_g[0][0]", "1.0"),
+    ("scan.values[0]", "1.0"), ("scan.N", "1.0"), ("scan.r", "1.0"), ("scan.d", "1.0"),
+    ("scan.candidates", "1.0"), ("scan.max_pair_enum", "1.0"),
+    ("protocol.epsilon", "nan"), ("protocol.epsilon", "inf"),
+    ("protocol.alpha", "nan"), ("protocol.alpha", "inf"),
+    ("protocol.power_limit", "nan"), ("protocol.power_limit", "inf"),
+    ("protocol.noise_var_relay", "nan"), ("protocol.noise_var_relay", "inf"),
+    ("protocol.noise_var_dest", "nan"), ("protocol.noise_var_dest", "inf"),
+    ("scan.Re", "nan"), ("scan.Re", "inf"),
+}
+
+
+def test_validator_agrees_with_jsonschema_on_a_boundary_corpus():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = cli._schema()
+    oracle = jsonschema.Draft202012Validator(schema)
+    labels, verdicts = [], {}
+    for label, cfg in _differential_corpus(schema):
+        try:
+            cli._validate(cfg, schema)
+            ours = True
+        except ConfigError:
+            ours = False
+        labels.append(label)
+        verdicts[label] = (ours, oracle.is_valid(cfg))
+    assert len(labels) == len(verdicts) > 500
+    for label, (ours, theirs) in verdicts.items():
+        assert (ours, theirs) == ((False, True) if label in STRICTER else (theirs, theirs)), label
+    assert STRICTER <= set(verdicts)
+    assert {True, False} == {ours for ours, _ in verdicts.values()}
+
+
+def test_cli_runs_without_jsonschema_or_the_process_pool(tmp_path):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"workers": 1, "simulate": {"trials": 20}}))
+    ver = tmp_path / "verify.json"
+    ver.write_text(json.dumps({"verify": {"checks": ["pinsker"]}}))
+    script = f"""
+import sys
+sys.modules["jsonschema"] = None  # any import of it now fails
+from relaysec.cli import main
+assert main(["simulate", "--config", {str(sim)!r}, "--out", {str(tmp_path / "s.csv")!r}]) == 0
+assert main(["verify", "--config", {str(ver)!r}, "--out", {str(tmp_path / "v.json")!r}]) == 0
+assert "concurrent.futures.process" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------
