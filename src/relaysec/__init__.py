@@ -36,7 +36,6 @@ from .extract import (
     r0_max,
     r_max,
     renyi_entropy,
-    search_good_extractor,
     secrecy_rate,
     secrecy_rate_from_power,
     seed_uniformity,

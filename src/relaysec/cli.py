@@ -22,41 +22,19 @@ import math
 import sys
 from functools import cache
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import oracle
 from .amd import AmdParams, check_premises
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
-from .extract import (
-    ExtractorParams,
-    leakage_budget,
-    r_max,
-    search_good_extractor,
-    seed_uniformity,
-)
-from .fields import ExtField, all_matrices, is_prime, matrix_row_rank, sample_matrix
+from .extract import ExtractorParams, leakage_budget, r_max, seed_uniformity
+from .fields import ExtField, is_prime, matrix_row_rank, row_spaces, sample_matrix
 from .lattice import NestedLatticePair
 from .protocol import ProtocolParams, _protocol_cache, rate_accounting
 
-__all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS"]
-
-DEFAULT_CONFIG: dict = {
-    "seed": 1,
-    "workers": 1,
-    "protocol": {},
-    "simulate": {
-        "trials": 1000,
-        "behaviors": [
-            {"kind": "honest"},
-            {"kind": "substitute", "pattern": [1]},
-            {"kind": "additive", "pattern": [1]},
-            {"kind": "garble"},
-        ],
-    },
-    "verify": {},
-    "scan": {"kind": "d", "values": list(range(1, 17)), "N": 25, "r": 25, "q": 2, "Re": 1.0},
-}
+__all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS", "SCANS"]
 
 
 class ConfigError(ValueError):
@@ -133,7 +111,11 @@ def _validate(value, schema: dict, path: str = "") -> None:
 
 
 def load_config(path: str | None) -> dict:
-    """Merge the config file over the defaults and check it against the schema."""
+    """Merge the config file over the defaults and check it against the schema.
+
+    A scan section is merged over the defaults of its own kind (``SCANS``),
+    and a key that kind does not read is rejected.
+    """
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
         try:
@@ -145,10 +127,17 @@ def load_config(path: str | None) -> dict:
             raise _rejected("config", "is not an object")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(merged.get(key), dict):
+                kind = value.get("kind") if key == "scan" else None
+                if isinstance(kind, str) and kind in SCANS:
+                    merged[key] = json.loads(json.dumps({"kind": kind, **SCANS[kind].defaults}))
                 merged[key].update(value)
             else:
                 merged[key] = value
     _validate(merged, _schema())
+    scan = merged["scan"]
+    for key in scan:
+        if key != "kind" and key not in SCANS[scan["kind"]].defaults:
+            raise _rejected(f"scan.{key}", f"is not a key of the {scan['kind']} scan")
     return merged
 
 
@@ -274,9 +263,10 @@ def _check_leftover_entropy(vcfg: dict, seed: int):
         avg, bound, holds = oracle.leftover_census(q, n, r, np.full(q**n, 1.0 / q**n))
         yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
     budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
-    pair = NestedLatticePair(N=2, q=11)
-    matrices = all_matrices(11, 1, 2)
-    avg = sum(oracle.exact_seed_leakage(pair, matrices, cap=pair_cap).tolist()) / len(matrices)
+    # leakage depends only on the row space: one evaluation per space, summed in matrix order
+    rrefs, index = row_spaces(11, 1, 2)
+    leakages = oracle.exact_seed_leakage(NestedLatticePair(N=2, q=11), rrefs, cap=pair_cap)
+    avg = sum(leakages[index].tolist()) / len(index)
     yield avg <= budget.budget_bits + 1e-9, {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
                                              "averaged_leakage": avg,
                                              "budget": budget.budget_bits}
@@ -370,62 +360,91 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
-    scan = cfg.get("scan", {})
-    kind = scan.get("kind")
-    rows: list[dict] = []
-    if kind == "d":
-        n, r, q, re = scan.get("N", 25), scan.get("r", 25), scan.get("q", 2), scan.get("Re", 1.0)
-        for d in scan.get("values", list(range(1, 17))):
-            uses, rt = rate_accounting(n, r, q, d, re)
-            rows.append({"status": "ok", "param": "d", "value": d,
-                         "n": uses, "RT": repr(rt), "halfRe": repr(re / 2)})
-        header = ["status", "param", "value", "n", "RT", "halfRe"]
-    elif kind == "r":
-        d, q = scan.get("d", 2), scan.get("q", 5)
-        if not is_prime(q):
-            raise ConfigError(f"r scan: q={q} is not prime")
+def _scan_d(scan: dict, seed: int):
+    n, r, q, re = scan["N"], scan["r"], scan["q"], scan["Re"]
+    for d in scan["values"]:
+        uses, rt = rate_accounting(n, r, q, d, re)
+        yield {"status": "ok", "param": "d", "value": d,
+               "n": uses, "RT": repr(rt), "halfRe": repr(re / 2)}
+
+
+def _scan_r(scan: dict, seed: int):
+    d, q = scan["d"], scan["q"]
+    if not is_prime(q):
+        raise ConfigError(f"r scan: q={q} is not prime")
+    try:
+        check_premises(q, d)
+    except ValueError as exc:
+        raise ConfigError(f"r scan: {exc}") from exc
+    for r in scan["values"]:
+        if r < 1:  # rows are written after the whole scan, so no row goes out
+            raise ConfigError(f"r scan: tag length r={r} must be >= 1")
+        # amd.win_bound, without building GF(q^r)
+        yield {"status": "ok", "param": "r", "value": r, "winBound": repr((d + 1) / q**r)}
+
+
+def _scan_leakage(scan: dict, seed: int):
+    q, r = scan["q"], scan["r"]
+    if not is_prime(q):
+        raise ConfigError(f"leakage scan: q={q} is not prime")
+    rng = np.random.default_rng(seed)
+    for n in scan["values"]:
+        if r > n:
+            raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
+        pair = NestedLatticePair(N=n, q=q)
         try:
-            check_premises(q, d)
-        except ValueError as exc:
-            raise ConfigError(f"r scan: {exc}") from exc
-        for r in scan.get("values", [1, 2, 3]):
-            if r < 1:  # rows are written after the loop, so no row goes out
-                raise ConfigError(f"r scan: tag length r={r} must be >= 1")
-            bound = (d + 1) / q**r  # amd.win_bound, without building GF(q^r)
-            rows.append({"status": "ok", "param": "r", "value": r,
-                         "winBound": repr(bound)})
-        header = ["status", "param", "value", "winBound"]
-    elif kind == "leakage":
-        q = scan.get("q", 11)
-        r = scan.get("r", 1)
-        candidates = scan.get("candidates", 64)
-        cap = scan.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
-        if not is_prime(q):
-            raise ConfigError(f"leakage scan: q={q} is not prime")
-        rng = np.random.default_rng(seed)
-        for n in scan.get("values", [1, 2]):
-            if r > n:
-                raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
-            try:
-                result = search_good_extractor(
-                    q, n, r, candidates, rng,
-                    lambda m, _n=n: oracle.exact_seed_leakage(
-                        NestedLatticePair(N=_n, q=q), m, cap=cap
-                    ),
-                )
-                rows.append({"status": "ok", "param": "N", "value": n,
-                             "bestLeakage": repr(result.best_leakage)})
-            except oracle.SizeGuardError:
-                rows.append({"status": "skipped", "param": "N", "value": n,
-                             "bestLeakage": ""})
-            except RuntimeError as exc:  # no full-rank candidate among the samples
-                raise ConfigError(f"leakage scan: {exc}") from exc
-        header = ["status", "param", "value", "bestLeakage"]
-    else:
-        raise ConfigError(f"unknown scan kind {kind!r}")
+            record = oracle.best_sampled_extractor(
+                pair, r, scan["candidates"], rng, scan["max_pair_enum"])
+            leakage = repr(record.exact_mi_bits)
+        except oracle.SizeGuardError:
+            leakage = ""
+        except RuntimeError as exc:  # no full-rank candidate among the samples
+            raise ConfigError(f"leakage scan: {exc}") from exc
+        yield {"status": "ok" if leakage else "skipped", "param": "N", "value": n,
+               "bestLeakage": leakage}
+
+
+class Scan(NamedTuple):
+    defaults: dict  # every key the kind reads, with its default value
+    header: list[str]
+    rows: Callable  # rows(scan section, seed) yields one dict per grid point
+
+
+# Every scan kind: a config's scan section is merged over its kind's defaults.
+SCANS = {
+    "d": Scan({"values": list(range(1, 17)), "N": 25, "r": 25, "q": 2, "Re": 1.0},
+              ["status", "param", "value", "n", "RT", "halfRe"], _scan_d),
+    "r": Scan({"values": [1, 2, 3], "q": 5, "d": 2},
+              ["status", "param", "value", "winBound"], _scan_r),
+    "leakage": Scan({"values": [1, 2], "q": 11, "r": 1, "candidates": 64,
+                     "max_pair_enum": oracle.MAX_PAIR_ENUM},
+                    ["status", "param", "value", "bestLeakage"], _scan_leakage),
+}
+
+# defined after SCANS because the default scan is the d kind on its own defaults
+DEFAULT_CONFIG: dict = {
+    "seed": 1,
+    "workers": 1,
+    "protocol": {},
+    "simulate": {
+        "trials": 1000,
+        "behaviors": [
+            {"kind": "honest"},
+            {"kind": "substitute", "pattern": [1]},
+            {"kind": "additive", "pattern": [1]},
+            {"kind": "garble"},
+        ],
+    },
+    "verify": {},
+    "scan": {"kind": "d", **SCANS["d"].defaults},
+}
+
+
+def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
+    spec = SCANS[cfg["scan"]["kind"]]
+    rows = list(spec.rows(cfg["scan"], seed))
     meta = {"config": cfg, "seed": seed}
-    text = _rows_to_csv(rows, header, meta) if fmt == "csv" else _rows_to_json(rows, meta)
+    text = _rows_to_csv(rows, spec.header, meta) if fmt == "csv" else _rows_to_json(rows, meta)
     _emit(text, out)
     return 0
 
@@ -449,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for flag in ("seed", "workers"):  # flags meet the schema's rules for their keys
+            if getattr(args, flag) is not None:
+                _validate(getattr(args, flag), _schema()["properties"][flag], f"--{flag}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 1)
         workers = args.workers if args.workers is not None else cfg.get("workers", 1)

@@ -48,8 +48,6 @@ __all__ = [
     "build_encoder",
     "encode_message",
     "decode_ranks",
-    "search_good_extractor",
-    "SearchResult",
 ]
 
 
@@ -293,58 +291,3 @@ def encode_message(enc: EncoderMap, s_bits, s_prime_bits) -> np.ndarray:
 def decode_ranks(enc: EncoderMap, ranks) -> np.ndarray:
     """S = g v for ranks v in [0, 2^N0), over any leading batch axes."""
     return (digits(ranks, 2, enc.N0) @ enc.g.T) % 2
-
-
-# ---------------------------------------------------------------------------
-# sampled search for a low-leakage extractor
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SearchResult:
-    best: ExtractorMap
-    best_leakage: float
-    leakages: list[float]
-    sampled: int
-
-
-def search_good_extractor(
-    q: int,
-    N: int,
-    r: int,
-    candidates: int,
-    rng: np.random.Generator,
-    oracle_hook,
-) -> SearchResult:
-    """Sample uniform matrices, keep full-rank ones, minimize exact leakage.
-
-    ``oracle_hook(stack)`` gets the (k, r, N) stack of full-rank candidates,
-    in draw order, and must return their exact leakages in bits, one per
-    matrix in the same order (``oracle.exact_seed_leakage`` takes such a
-    stack in one call).  The first minimum wins.  Deterministic given the
-    rng state.  Raises RuntimeError when no full-rank candidate appears
-    within the budget.
-    """
-    if r == 0:
-        empty = ExtractorMap(np.zeros((0, N), dtype=np.int64), q)
-        return SearchResult(best=empty, best_leakage=0.0, leakages=[0.0], sampled=0)
-    # one draw of the whole stack reads the same stream as one draw per candidate
-    draws = rng.integers(0, q, size=(candidates, r, N), dtype=np.int64)
-    full = draws[matrix_row_rank(draws, q) == r]
-    if len(full) == 0:
-        raise RuntimeError(
-            f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={N})"
-        )
-    leakages = [float(leak) for leak in oracle_hook(full)]
-    best_m = None
-    best_leak = math.inf
-    for m, leak in zip(full, leakages, strict=True):
-        if leak < best_leak:
-            best_leak = leak
-            best_m = m
-    return SearchResult(
-        best=ExtractorMap(best_m, q),
-        best_leakage=best_leak,
-        leakages=leakages,
-        sampled=len(leakages),
-    )

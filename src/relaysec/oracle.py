@@ -34,7 +34,7 @@ import numpy as np
 
 from .amd import AmdParams, amd_tag
 from .extract import leftover_bound, renyi_entropy, shannon_entropy
-from .fields import all_matrices, digits, full_rank_fraction, row_spaces, undigits
+from .fields import all_matrices, digits, full_rank_fraction, matrix_row_rank, row_spaces, undigits
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -53,6 +53,7 @@ __all__ = [
     "LeakageRecord",
     "exact_seed_leakage",
     "best_extractor_exhaustive",
+    "best_sampled_extractor",
     "exact_amd_win_census",
     "AmdCensus",
     "representation_census",
@@ -257,6 +258,16 @@ def exact_seed_leakage(
     return float(out) if g.ndim == 2 else out
 
 
+def _least_leaky(pair: NestedLatticePair, stack: np.ndarray, cap: int) -> LeakageRecord:
+    """The first leakage minimizer of a (k, r, N) stack, from one stacked leakage call."""
+    mis = exact_seed_leakage(pair, stack, cap=cap)
+    best = int(np.argmin(mis))
+    return LeakageRecord(
+        matrix=tuple(map(tuple, stack[best].tolist())),
+        exact_mi_bits=float(mis[best]), q=pair.q, N=pair.N, r=stack.shape[-2],
+    )
+
+
 def best_extractor_exhaustive(
     pair: NestedLatticePair, r: int, cap: int = MAX_PAIR_ENUM
 ) -> LeakageRecord:
@@ -276,12 +287,29 @@ def best_extractor_exhaustive(
     reps = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]  # rank: nonzero rows
     if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
-    mis = exact_seed_leakage(pair, reps, cap=cap)
-    best = int(np.argmin(mis))
-    return LeakageRecord(
-        matrix=tuple(map(tuple, reps[best].tolist())),
-        exact_mi_bits=float(mis[best]), q=q, N=n, r=r,
-    )
+    return _least_leaky(pair, reps, cap)
+
+
+def best_sampled_extractor(
+    pair: NestedLatticePair, r: int, candidates: int, rng: np.random.Generator,
+    cap: int = MAX_PAIR_ENUM,
+) -> LeakageRecord:
+    """The least leaky of ``candidates`` uniform r x N draws that have full row rank.
+
+    The candidates are one ``rng.integers(0, q, size=(candidates, r, N))``
+    draw, which reads the same stream as one draw per candidate; the
+    full-rank ones go to ``exact_seed_leakage`` as one stack in draw order,
+    and the first minimum wins.  An r = 0 draw reads no stream and leaks
+    0.0.  Raises RuntimeError when no candidate has full row rank.
+    """
+    q, n = pair.q, pair.N
+    draws = rng.integers(0, q, size=(candidates, r, n), dtype=np.int64)
+    full = draws[matrix_row_rank(draws, q) == r]
+    if len(full) == 0:
+        raise RuntimeError(
+            f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={n})"
+        )
+    return _least_leaky(pair, full, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,21 @@ def test_simulate_seed_beyond_philox_key_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--seed", str(2**128 - 1)]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-1"], "config rejected: --seed must be >= 0, got -1"),
+    (["scan", "--seed", "-5"], "config rejected: --seed must be >= 0, got -5"),
+    (["simulate", "--workers", "0"], "config rejected: --workers must be >= 1, got 0"),
+    (["simulate", "--seed", "1", "--workers", "-2"], "config rejected: --workers must be >= 1"),
+])
+def test_out_of_range_flag_exits_2_naming_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # the schema's minimum itself is accepted
+    assert main(["scan", "--seed", "0", "--workers", "1", "--out", str(out)]) == 0
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -394,14 +409,19 @@ def test_scan_r_sweep_win_bound_column(tmp_path):
 
 
 # sha256 of `scan --seed 1` for {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]},
-# recorded before the r scan checked the detection code's premises
-SCAN_R_SHA256 = "8c8b746d7d6f4318858297ce6283a47d20231ff28bc9bfdf137dd7f8a8ed7251"
+# recorded when each scan kind got its own defaults, so the `# config=` line
+# holds only the r scan's keys; every line below it is the one recorded before
+# the r scan checked the detection code's premises
+SCAN_R_SHA256 = "97dc56d5c66768430d6c2e4c66178895c09998a26ca31519eda2e9d0f530a394"
+SCAN_R_BODY = b"# seed=1\r\nstatus,param,value,winBound\r\nok,r,1,0.6\r\nok,r,2,0.12\r\nok,r,3,0.024\r\n"
 
 
 def test_scan_r_golden_hash(tmp_path):
     path = write_config(tmp_path, {"scan": {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]}})
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    config_line, body = out.read_bytes().split(b"\r\n", 1)
+    assert config_line.startswith(b"# config=") and body == SCAN_R_BODY
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_R_SHA256
 
 
@@ -417,8 +437,8 @@ def test_scan_d_default_golden_hash(tmp_path):
 
 
 @pytest.mark.parametrize("scan, message", [
-    # the r kind alone inherits the d scan's q = 2, and d = 2: 2 divides d + 2
-    ({"kind": "r"}, "d + 2 = 4 must not be divisible by q = 2"),
+    # the r scan's default d = 2 with q = 2: 2 divides d + 2
+    ({"kind": "r", "q": 2}, "d + 2 = 4 must not be divisible by q = 2"),
     ({"kind": "r", "q": 3, "d": 1}, "d + 2 = 3 must not be divisible by q = 3"),
     ({"kind": "r", "q": 4, "d": 1}, "q=4 is not prime"),
     # a tag of length 0 would report a "probability" (d+1)/q^0 = 3
@@ -430,6 +450,43 @@ def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message)
     assert main(["scan", "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["d", "r", "leakage"])
+def test_scan_kind_alone_runs_on_its_own_defaults(tmp_path, kind):
+    path = write_config(tmp_path, {"scan": {"kind": kind}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    config_line = out.read_text().splitlines()[0]
+    assert config_line.startswith("# config=")
+    scan = json.loads(config_line[len("# config="):])["scan"]
+    assert scan == {"kind": kind, **cli.SCANS[kind].defaults}
+
+
+@pytest.mark.parametrize("scan, message", [
+    ({"kind": "d", "candidates": 4}, "scan.candidates is not a key of the d scan"),
+    ({"candidates": 4}, "scan.candidates is not a key of the d scan"),  # the default kind
+    ({"kind": "r", "N": 3}, "scan.N is not a key of the r scan"),
+    ({"kind": "r", "values": [1], "r": 2}, "scan.r is not a key of the r scan"),
+    ({"kind": "leakage", "Re": 1.0}, "scan.Re is not a key of the leakage scan"),
+    ({"kind": "leakage", "d": 2}, "scan.d is not a key of the leakage scan"),
+])
+def test_scan_key_outside_its_kind_exits_2(tmp_path, capsys, scan, message):
+    path = write_config(tmp_path, {"scan": scan})
+    assert main(["scan", "--config", path]) == 2
+    assert f"config rejected: {message}" in capsys.readouterr().err
+    assert main(["simulate", "--config", path]) == 2  # every command loads the same config
+
+
+def test_scan_table_matches_the_schema():
+    scan_schema = cli._schema()["properties"]["scan"]
+    assert list(cli.SCANS) == scan_schema["properties"]["kind"]["enum"]
+    keys = set()
+    for kind, spec in cli.SCANS.items():
+        cli._validate({"kind": kind, **spec.defaults}, scan_schema)
+        keys |= set(spec.defaults)
+    assert keys | {"kind"} == set(scan_schema["properties"])  # every key is some kind's
+    assert DEFAULT_CONFIG["scan"] == {"kind": "d", **cli.SCANS["d"].defaults}
 
 
 def test_module_entry_point_subprocess(tmp_path):
@@ -461,8 +518,8 @@ def test_scan_leakage_with_skip(tmp_path):
 
 
 def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
-    # the leakage kind alone inherits the d-scan's r = 25 > N
-    path = write_config(tmp_path, {"scan": {"kind": "leakage"}})
+    # r = 25 exceeds the first default N = 1
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "r": 25}})
     assert main(["scan", "--config", path]) == 2
     assert "r=25 exceeds N=1" in capsys.readouterr().err
     # one 3 x 3 binary sample at seed 0 has rank 1: no full-rank candidate

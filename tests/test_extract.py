@@ -18,7 +18,6 @@ from relaysec.extract import (
     r0_max,
     r_max,
     renyi_entropy,
-    search_good_extractor,
     secrecy_rate,
     secrecy_rate_from_power,
     seed_uniformity,
@@ -282,79 +281,43 @@ def test_build_encoder_validation():
         build_encoder(np.array([[1, 0, 0], [1, 0, 0]]), pair)  # rank deficient
 
 
+
 # ---------------------------------------------------------------------
-# sampled extractor search
+# sampled extractor search (oracle.best_sampled_extractor)
 # ---------------------------------------------------------------------
 
 
-def _toy_oracle(stack):
-    # deterministic stand-in leakage per matrix: sum of entries, so the search is testable
-    return [float(np.sum(m)) for m in stack]
+def _sampled_leakages(pair, r, candidates, seed):
+    # the exact leakages of the full-rank draws, in draw order
+    from relaysec.oracle import exact_seed_leakage
 
-
-def test_search_r0_is_exactly_zero():
-    res = search_good_extractor(5, 3, 0, 10, np.random.default_rng(0), _toy_oracle)
-    assert res.best_leakage == 0.0
-    assert res.best.r == 0
-
-
-def test_search_deterministic_and_minimizing():
-    res1 = search_good_extractor(11, 2, 1, 50, np.random.default_rng(4), _toy_oracle)
-    res2 = search_good_extractor(11, 2, 1, 50, np.random.default_rng(4), _toy_oracle)
-    assert np.array_equal(res1.best.matrix, res2.best.matrix)
-    assert res1.best_leakage == min(res1.leakages)
-    assert res1.best_leakage <= float(np.mean(res1.leakages))
-
-
-def test_search_hook_gets_full_rank_stack_and_first_minimum_wins():
-    seen = []
-
-    def hook(stack):  # a coarse stand-in with many ties
-        seen.append(stack.copy())
-        return [float(np.sum(m) % 3) for m in stack]
-
-    res = search_good_extractor(11, 2, 1, 50, np.random.default_rng(4), hook)
-    draws = np.random.default_rng(4).integers(0, 11, size=(50, 1, 2), dtype=np.int64)
-    full = draws[np.any(draws != 0, axis=(1, 2))]  # rank 1 unless zero
-    assert len(seen) == 1 and np.array_equal(seen[0], full)
-    assert res.leakages == [float(np.sum(m) % 3) for m in full]
-    first = res.leakages.index(min(res.leakages))
-    assert res.leakages.count(min(res.leakages)) > 1  # ties exist, so the order matters
-    assert np.array_equal(res.best.matrix, full[first])
+    draws = np.random.default_rng(seed).integers(0, pair.q, size=(candidates, r, pair.N), dtype=np.int64)
+    full = draws[matrix_row_rank(draws, pair.q) == r]
+    return full, exact_seed_leakage(pair, full)
 
 
 def test_search_markov_property():
     # at least half the sampled leakages are within twice the sample mean
-    res = search_good_extractor(11, 2, 1, 200, np.random.default_rng(9), _toy_oracle)
-    mean = float(np.mean(res.leakages))
-    within = sum(1 for v in res.leakages if v <= 2 * mean)
-    assert within >= len(res.leakages) / 2
+    from relaysec.oracle import best_sampled_extractor
+
+    pair = NestedLatticePair(N=2, q=11)
+    rec = best_sampled_extractor(pair, 1, 200, np.random.default_rng(9))
+    _, leakages = _sampled_leakages(pair, 1, 200, 9)
+    mean = float(np.mean(leakages))
+    assert rec.exact_mi_bits <= mean
+    assert np.count_nonzero(leakages <= 2 * mean) >= len(leakages) / 2
 
 
 def test_search_with_exact_leakage_oracle():
-    from relaysec.oracle import exact_seed_leakage
+    from relaysec.oracle import best_sampled_extractor
 
     pair = NestedLatticePair(N=2, q=11)
-    res = search_good_extractor(
-        11, 2, 1, 200, np.random.default_rng(14),
-        lambda m: exact_seed_leakage(pair, m),
-    )
-    assert res.best_leakage <= float(np.mean(res.leakages))
-    mean = float(np.mean(res.leakages))
-    within = sum(1 for v in res.leakages if v <= 2 * mean)
-    assert within >= len(res.leakages) / 2
-
-
-def test_search_failure_without_full_rank():
-    # q=2, r=2, N=2 has few full-rank matrices; an rng that always returns
-    # zeros cannot find one
-    class ZeroRng:
-        def integers(self, lo, hi, size=None, dtype=None):
-            return np.zeros(size, dtype=np.int64)
-
-    with pytest.raises(RuntimeError):
-        search_good_extractor(2, 2, 2, 5, ZeroRng(), _toy_oracle)
-
+    rec = best_sampled_extractor(pair, 1, 200, np.random.default_rng(14))
+    full, leakages = _sampled_leakages(pair, 1, 200, 14)
+    first = int(np.argmin(leakages))
+    assert rec.exact_mi_bits == float(leakages[first])
+    assert rec.matrix == tuple(map(tuple, full[first].tolist()))
+    assert rec.exact_mi_bits <= float(np.mean(leakages))
 
 def test_build_encoder_completion_identity_binary():
     # g = [0 1] completes to the identity, so A is the identity too

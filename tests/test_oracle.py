@@ -23,6 +23,7 @@ from relaysec.oracle import (
     SizeGuardError,
     _LeakageWorkspace,
     best_extractor_exhaustive,
+    best_sampled_extractor,
     exact_amd_win_census,
     exact_seed_leakage,
     isomorphism_census,
@@ -302,6 +303,52 @@ def test_best_extractor_representatives_match_rref_filter(q, r, n, monkeypatch):
     best = int(np.argmin(mis))
     assert rec.matrix == tuple(map(tuple, want[best].tolist()))
     assert rec.exact_mi_bits == mis[best]
+
+
+def test_sampled_search_deterministic_and_minimizing():
+    pair = NestedLatticePair(N=2, q=11)
+    rec1 = best_sampled_extractor(pair, 1, 50, np.random.default_rng(4))
+    rec2 = best_sampled_extractor(pair, 1, 50, np.random.default_rng(4))
+    assert rec1 == rec2
+    assert (rec1.q, rec1.N, rec1.r) == (11, 2, 1)
+    draws = np.random.default_rng(4).integers(0, 11, size=(50, 1, 2), dtype=np.int64)
+    assert rec1.exact_mi_bits == float(np.min(exact_seed_leakage(pair, draws[draws.any(axis=(1, 2))])))
+
+
+def test_sampled_search_gets_full_rank_stack_and_first_minimum_wins(monkeypatch):
+    seen = []
+
+    def leakage(pair, g, cap):  # a coarse stand-in with many ties
+        seen.append(np.array(g))
+        return np.sum(g, axis=(1, 2)) % 3.0
+
+    monkeypatch.setattr(oracle, "exact_seed_leakage", leakage)
+    rec = best_sampled_extractor(NestedLatticePair(N=2, q=2), 2, 50, np.random.default_rng(4))
+    draws = np.random.default_rng(4).integers(0, 2, size=(50, 2, 2), dtype=np.int64)
+    det = draws[:, 0, 0] * draws[:, 1, 1] - draws[:, 0, 1] * draws[:, 1, 0]
+    full = draws[det % 2 == 1]  # a 2 x 2 binary matrix has rank 2 iff its determinant is odd
+    assert 0 < len(full) < len(draws)
+    assert len(seen) == 1 and np.array_equal(seen[0], full)
+    values = (np.sum(full, axis=(1, 2)) % 3).tolist()
+    assert values.count(min(values)) > 1  # ties exist, so the order matters
+    assert rec.matrix == tuple(map(tuple, full[values.index(min(values))].tolist()))
+    assert rec.exact_mi_bits == min(values)
+
+
+def test_sampled_search_r0_is_exactly_zero_and_reads_no_stream():
+    rng = np.random.default_rng(0)
+    rec = best_sampled_extractor(NestedLatticePair(N=3, q=5), 0, 10, rng)
+    assert rec.exact_mi_bits == 0.0 and rec.matrix == () and rec.r == 0
+    assert rng.integers(0, 100, 8).tolist() == np.random.default_rng(0).integers(0, 100, 8).tolist()
+
+
+def test_sampled_search_failure_without_full_rank():
+    class ZeroRng:  # every draw is the zero matrix, which has rank 0
+        def integers(self, lo, hi, size=None, dtype=None):
+            return np.zeros(size, dtype=np.int64)
+
+    with pytest.raises(RuntimeError, match="no full-row-rank candidate in 5 samples"):
+        best_sampled_extractor(NestedLatticePair(N=2, q=2), 2, 5, ZeroRng())
 
 
 def test_leakage_deterministic():
