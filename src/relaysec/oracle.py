@@ -2,26 +2,30 @@
 
 Every routine here enumerates its probability space exactly (guarded by
 explicit size caps) and fails loudly rather than truncating: exact
-mutual information of an extracted seed against the relay's noiseless
-observation, the exhaustive additive-attack census for the detection
-code, bijectivity/additivity of the coordinate map, full-rank and
-collision censuses for random linear maps, and the entropy/Pinsker
-inequalities used by the protocol analysis.
+mutual information and guessing probability of an extracted seed against
+the relay's noiseless observation, the exhaustive additive-attack census
+for the detection code, bijectivity/additivity of the coordinate map,
+full-rank and collision censuses for random linear maps, and the
+entropy/Pinsker inequalities used by the protocol analysis.
 
-Exact seed leakage does not enumerate the q^(2N) codeword pairs one by
-one.  The lattice acts coordinate-wise and the seed is linear in t1, so
-the joint table [seed, observation] is composed from one small table per
-coordinate: a cyclic convolution over Z_q^r along the seed axis and an
-outer product along the observation axis.  The size guard still bounds
-q^(2N), the number of pairs the table covers.  A call takes one extractor
-or a stack of them; a stack runs the guards once and fills one workspace
-of buffers in place for each matrix.
+Exact seed leakage does not enumerate the q^(2N) codeword pairs, nor
+build their [seed, observation] table.  The lattice acts coordinate-wise:
+given the relay's observation at coordinate j (sum digit and wrap bit),
+the source digit t1_j is uniform on a cyclic interval of Z_q.  So given
+the whole observation the seed g t1 has, up to a translation, a law fixed
+by the tuple of interval shapes, one of at most q^N posterior classes.
+The class laws are integer counts built coordinate by coordinate (one
+gather and one matmul each, exact in float64), and the leakage and the
+guessing probability are read off them through exact integer vectors; the
+only float step is one fixed-order sum per matrix.  The size guard still
+bounds q^(2N), the number of pairs the law covers.  A call takes one
+extractor or a stack of them, and each value is bit-identical to a call
+on its matrix alone.
 
-Mutual information is computed from exact counts (converted to bits at
-the very end) so that equality-sensitive checks do not accumulate float
-error.  One term kernel (``_mi_from_cells``) serves every caller, so a
-table gives bit-identical bits whether it arrives alone, in a stack, or
-through ``mutual_information_bits``.
+Mutual information of an explicit joint table is computed from exact
+counts (converted to bits at the very end).  One term kernel
+(``_mi_from_cells``) serves ``mutual_information_bits`` and
+``pinsker_check``, so a law gives bit-identical bits through either.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "MAX_ATTACK_ENUM",
     "LeakageRecord",
     "exact_seed_leakage",
+    "guessing_probability",
     "best_extractor_exhaustive",
     "best_sampled_extractor",
     "exact_amd_win_census",
@@ -69,6 +74,7 @@ __all__ = [
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
 MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
+_LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
 
 
@@ -94,16 +100,16 @@ def mutual_information_bits(joint: np.ndarray) -> float:
     return float(_mi_from_cells(joint[nz], joint.sum(), papb))
 
 
-def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray, work=None) -> float | np.ndarray:
+def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray) -> float | np.ndarray:
     """The one MI term kernel: sum of v/total (log2(v total) - log2(pa pb)) over cells.
 
     ``vals`` holds the nonzero cells in row-major order and ``papb`` the
     products of their row and column marginals.  The terms are formed in
-    place (``papb`` is overwritten; ``work``, if given, is a buffer of the
-    same shape) and summed by one ``np.sum`` along the last axis, so every
-    caller gets the same terms in the same pairwise-summation tree.
+    place (``papb`` is overwritten) and summed by one ``np.sum`` along the
+    last axis, so every caller gets the same terms in the same
+    pairwise-summation tree.
     """
-    work = np.multiply(vals, total, out=work)
+    work = np.multiply(vals, total)
     np.log2(work, out=work)
     np.log2(papb, out=papb)
     np.subtract(work, papb, out=work)
@@ -135,8 +141,9 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     (c1, c2) at j.  The table is built through the real 1-D geometry
     (codebook_point, represent_sums, decode_fine_mod_coarse); a test
     cross-checks the composed joint table against the direct N-D path.
-    The counts are stored as float64, read-only, for the matmuls of
-    ``_LeakageWorkspace.fill``; a workspace looks its N tables up once.
+    Column o's support {c1 : table[c1, o] > 0} is the posterior support of
+    t1_j given observation o; ``_coordinate_classes`` groups the columns by
+    it.  Stored as float64, read-only.
     """
     sub = NestedLatticePair(N=1, q=q, alpha=alpha, d1=(d1,), d2=(d2,))
     coords = np.arange(q)[:, None]
@@ -152,83 +159,115 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     return table
 
 
-class _LeakageWorkspace:
-    """Every buffer one exact-leakage call needs, reused for each matrix of a stack.
+@lru_cache(maxsize=64)
+def _coordinate_classes(q: int, alpha: float, d1: float, d2: float):
+    """(members, columns): the posterior shapes of t1_j at one coordinate.
 
-    The [seed index, observation id] joint table under uniform t1, t2 is
-    built without enumerating pairs.  The observation id is
-    (sum_j sd_j q^j) 2^N + sum_j w_j 2^j, for the mod-coarse sum digit sd_j
-    and wrap bit w_j of coordinate j.  The seed g t1 = sum_j t1_j g[:, j] is
-    a sum of per-coordinate terms and the observation is a tuple of
-    per-coordinate parts, so the table is the convolution over Z_q^r of the
-    per-coordinate tables along the seed axis and their outer product along
-    the observation axis.  Coordinate j takes one gather and one matmul:
-    the table so far, shifted by c1 g[:, j] for each c1, times the (q, 2q)
-    coordinate table.  The counts are summed in float64, which is exact
-    because every partial sum is an integer no larger than the q^(2N)
-    total, guarded below 2^53; so the table needs no int64 round trip.
-
-    The guards run once, at construction.  ``fill`` writes one matrix's
-    table in place (``np.take``, ``np.matmul``, ``np.copyto`` with ``out``)
-    and ``mutual_information`` feeds its nonzero cells to the MI kernel
-    shared with ``mutual_information_bits``, so a stack pays for its
-    buffers once and gets bit-identical values.
+    Each observation column of ``_coordinate_table`` holds 0 or 1 per c1,
+    because c1 and the sum digit fix c2; so given the column, t1_j is
+    uniform on its c1-support.  Columns whose supports are cyclic
+    translates of each other give translated seed posteriors, with the
+    same entropy and the same largest mass, so they form one shape:
+    ``members[s]`` is shape s's 0/1 indicator over Z_q (float64, for the
+    class pass's matmul) and ``columns[s]`` (int64) counts its columns.
+    Empty columns are dropped.  Under the dithers in use every support is
+    a cyclic interval, so there are q shapes, one per length.
     """
+    table = _coordinate_table(q, alpha, d1, d2)
+    if not np.all((table == 0) | (table == 1)):
+        raise AssertionError(f"a coordinate table cell exceeds 1 at q={q}: (c1, sd) must fix c2")
+    columns = {}
+    for support in table.T.astype(bool):
+        if support.any():  # the canonical translate: the largest rotation, as bytes
+            key = max(np.roll(support, -s).tobytes() for s in range(q))
+            columns[key] = columns.get(key, 0) + 1
+    members = np.array([np.frombuffer(key, dtype=bool) for key in columns], dtype=float)
+    counts = np.array(list(columns.values()), dtype=np.int64)
+    members.setflags(write=False)
+    counts.setflags(write=False)
+    return members, counts
 
-    def __init__(self, pair: NestedLatticePair, r: int, cap: int):
-        q, n = pair.q, pair.N
-        _guard(q ** (2 * n), cap, "codeword-pair enumeration")
-        _guard(q ** (2 * n), 2**53, "exact float64 counting")
-        self.q, self.n_seed = q, q**r
-        self.tables = [
-            _coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)
-        ]
-        self.seed_digits = digits(np.arange(self.n_seed), q, r)
-        cells = self.n_seed * (2 * q) ** n
-        self.gather = np.empty(cells // 2)  # (q, n_seed, (2q)^j) before the last matmul
-        self.joint = np.empty(cells)  # the table so far; later the marginal outer product
-        self.table = np.empty((self.n_seed, (2 * q) ** n))  # observation-id layout
-        self.mask = np.empty(cells, dtype=bool)
-        self.vals = np.empty(cells)
-        self.papb = np.empty(cells)
-        # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
-        self.split = (self.n_seed,) + (q, 2) * n
-        self.order = [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
-        self.obs_shape = (self.n_seed,) + (q,) * n + (2,) * n
 
-    def fill(self, g: np.ndarray) -> np.ndarray:
-        """The joint table of extractor g (r, N), written into ``self.table``."""
-        q, n_seed = self.q, self.n_seed
-        c1 = np.arange(q)[:, None, None]
-        # source[j, c1, s] = s - c1 g[:, j], the seed index before coordinate j
-        source = undigits((self.seed_digits - c1 * g.T[:, None, None, :]) % q, q)
-        width = 1
-        joint = self.joint[:n_seed].reshape(n_seed, 1)
-        joint.fill(0.0)
-        joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
-        for src, table in zip(source, self.tables):
-            shifted = self.gather[: q * n_seed * width].reshape(q, n_seed, width)
-            # the indices are in range; mode "clip" writes to out without buffering
-            np.take(joint, src, axis=0, out=shifted, mode="clip")
-            width *= 2 * q
-            joint = self.joint[: n_seed * width].reshape(n_seed, width)
-            np.matmul(shifted.reshape(q, -1).T, table, out=joint.reshape(-1, 2 * q))
-        np.copyto(
-            self.table.reshape(self.obs_shape),
-            joint.reshape(self.split).transpose(self.order),
-        )
-        return self.table
+def _class_pass(pair: NestedLatticePair, g: np.ndarray, cap: int, fold) -> np.ndarray:
+    """fold(laws, weights, sizes) over the posterior classes of a (k, r, N) stack, in blocks.
 
-    def mutual_information(self) -> float:
-        """I(seed; observation) in bits of the table last filled."""
-        table, mask = self.table, self.mask.reshape(self.table.shape)
-        np.greater(table, 0, out=mask)
-        k = int(np.count_nonzero(mask))
-        vals = np.compress(self.mask, table.reshape(-1), out=self.vals[:k])
-        pa = table.sum(axis=1)
-        outer = np.multiply.outer(pa, table.sum(axis=0), out=self.joint.reshape(table.shape))
-        papb = np.compress(self.mask, outer.reshape(-1), out=self.papb[:k])
-        return float(_mi_from_cells(vals, pa.sum(), papb, work=self.joint[:k]))
+    A class is a tuple of one shape per coordinate.  Given an observation
+    of class c, t1 is uniform on a product of translated shapes, so the
+    seed g t1 has, up to a translation, the law laws[x, c] = #{t1 in the
+    canonical product : g t1 = x}; ``sizes[c]`` = prod_j |shape_j| is its
+    total and ``weights[c]`` = prod_j columns_j the number of observations
+    in the class.  Each observation of the class covers sizes[c] of the
+    q^(2N) pairs.
+
+    The laws are built by prefix transitions over the coordinates, as
+    ``fields.row_spaces`` builds RREFs: coordinate j shifts the laws of
+    every class prefix by c1 g[:, j] for each c1 (one gather) and sums the
+    shifts of each shape (one matmul with its membership matrix).  Every
+    entry is an integer no larger than q^N, so float64 holds it exactly.
+    ``fold`` gets each block of the stack as a (b, q^r, classes) array of
+    laws, of at most ``_LEAKAGE_BLOCK_CELLS`` cells (one matrix at least,
+    the gather counted), and returns one value per matrix.  The pair guard
+    runs before any table is built.
+    """
+    q, n, r = pair.q, pair.N, g.shape[-2]
+    n_seed = q**r
+    _guard(q ** (2 * n), cap, "codeword-pair enumeration")
+    coords = [_coordinate_classes(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)]
+    weights = sizes = np.ones(1, dtype=np.int64)
+    for members, columns in coords:  # the newest coordinate's shape is the major index
+        weights = np.multiply.outer(columns, weights).ravel()
+        sizes = np.multiply.outer(members.sum(axis=1).astype(np.int64), sizes).ravel()
+    # folds sum weights over (class, seed) cells and weights * sizes = pairs, both exactly
+    _guard(max(int(weights.sum()) * n_seed, q ** (2 * n)), 2**53, "exact float64 counting")
+    per_matrix = n_seed * max(len(weights), q * len(weights) // len(coords[-1][1]))
+    block = max(1, _LEAKAGE_BLOCK_CELLS // per_matrix)
+    seed_digits = digits(np.arange(n_seed), q, r)[:, None, :]
+    c1 = np.arange(q)[:, None]
+    out = np.empty(len(g))
+    for k0 in range(0, len(g), block):
+        gb = g[k0:k0 + block]
+        rows = np.arange(len(gb))[:, None, None]
+        laws = np.zeros((len(gb), n_seed, 1))
+        laws[:, 0, 0] = 1.0  # before any coordinate: one empty class, seed 0
+        for j, (members, _) in enumerate(coords):
+            # source[b, x, c1]: the seed index x - c1 g[b, :, j] before coordinate j
+            source = undigits((seed_digits - c1 * gb[:, None, None, :, j]) % q, q)
+            shifted = laws[rows, source]  # (b, seed, c1, class prefix)
+            laws = (members @ shifted).reshape(len(gb), n_seed, -1)
+        out[k0:k0 + len(gb)] = fold(laws, weights, sizes)
+    return out
+
+
+def _entropy_fold(laws, weights, sizes) -> np.ndarray:
+    """sum_v (B[v] - A[v]) v log2 v per matrix: q^(2N) H(seed | observation).
+
+    A[v] = sum_c weights[c] #{x : laws[x, c] = v} and
+    B[v] = sum_c weights[c] [sizes[c] = v] are exact integer vectors (B does
+    not depend on g), so the one float step is this fixed-order sum over v.
+    """
+    b, width = len(laws), int(sizes.max()) + 1  # laws and sizes take values 0..max size
+    cells = laws.astype(np.int64) + (np.arange(b) * width)[:, None, None]
+    a = np.bincount(cells.ravel(), weights=np.broadcast_to(weights, laws.shape).ravel(),
+                    minlength=b * width)
+    diff = np.bincount(sizes, weights=weights, minlength=width) - a.reshape(b, width)
+    v = np.arange(width, dtype=float)
+    return np.sum(diff * (v * np.log2(np.maximum(v, 1.0))), axis=-1)
+
+
+def _guess_fold(laws, weights, sizes) -> np.ndarray:
+    """sum_c weights[c] max_x laws[x, c] per matrix: q^(2N) P_guess, an exact integer."""
+    return laws.max(axis=1).astype(np.int64) @ weights
+
+
+def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.ndarray:
+    """statistic(stack) for one (r, N) extractor or a stack (..., r, N); ``empty`` when r = 0."""
+    g = np.array(g, dtype=np.int64) % pair.q
+    out = np.full(g.shape[:-2], empty)
+    if g.shape[-2] > 0:
+        if g.shape[-1] != pair.N:
+            raise ValueError(f"extractor must have {pair.N} columns")
+        out = statistic(g.reshape(-1, *g.shape[-2:])).reshape(out.shape)
+    return float(out) if g.ndim == 2 else out
 
 
 def exact_seed_leakage(
@@ -239,23 +278,36 @@ def exact_seed_leakage(
     The observation is (mod-coarse sum, wrap bits), which determines the
     relay's noiseless view.  ``g`` is one (r, N) extractor, which gives a
     float, or a stack (..., r, N), which gives a float64 array of shape
-    (...), one value per matrix.  The joint table covers all q^(2N)
-    codeword pairs, and ``cap`` bounds that count, but it is composed from
-    per-coordinate tables (see ``_LeakageWorkspace``) rather than
-    enumerated.  The guards run once per call and the whole stack shares
-    one workspace; each value is bit-identical to a call on its matrix
-    alone.
+    (...), one value per matrix.  ``cap`` bounds the q^(2N) codeword pairs
+    the law covers, but nothing enumerates them: I = rank(g) log2 q -
+    H(seed | observation), with the conditional entropy counted by
+    posterior class (``_class_pass``, ``_entropy_fold``).  Its g-dependent
+    part is an exact integer vector, so equal counts give bit-identical
+    bits: a stack equals its single calls, and extractors related by a
+    change of basis or a permutation of identical coordinates tie exactly.
+    An empty extractor leaks 0.0.
     """
-    g = np.array(g, dtype=np.int64) % pair.q
-    out = np.zeros(g.shape[:-2])  # an empty extractor (r = 0) leaks nothing
-    if g.shape[-2] > 0:
-        if g.shape[-1] != pair.N:
-            raise ValueError(f"extractor must have {pair.N} columns")
-        ws = _LeakageWorkspace(pair, g.shape[-2], cap)
-        for idx in np.ndindex(out.shape):
-            ws.fill(g[idx])
-            out[idx] = ws.mutual_information()
-    return float(out) if g.ndim == 2 else out
+    def leakage(stack):
+        rank_bits = matrix_row_rank(stack, pair.q) * math.log2(pair.q)
+        return rank_bits - _class_pass(pair, stack, cap, _entropy_fold) / pair.q ** (2 * pair.N)
+
+    return _stacked(pair, g, 0.0, leakage)
+
+
+def guessing_probability(
+    pair: NestedLatticePair, g: np.ndarray, cap: int = MAX_PAIR_ENUM
+) -> float | np.ndarray:
+    """Exact P_guess = sum_obs max_x P(x, obs): the relay's best chance of guessing g t1.
+
+    P_guess = 2^-H_inf(seed | observation), the average min-entropy of
+    Dodis-Ostrovsky-Reyzin-Smith (Fuzzy Extractors, SIAM J. Comput. 2008).
+    Shapes, guards and the stack convention are those of
+    ``exact_seed_leakage``; the numerator (``_guess_fold``) is an exact
+    integer, divided by q^(2N) once.  An empty extractor gives 1.0, since
+    its seed is constant.
+    """
+    return _stacked(pair, g, 1.0, lambda stack: _class_pass(
+        pair, stack, cap, _guess_fold) / pair.q ** (2 * pair.N))
 
 
 def _least_leaky(pair: NestedLatticePair, stack: np.ndarray, cap: int) -> LeakageRecord:

@@ -537,15 +537,18 @@ def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):
 
 
 def test_scan_leakage_golden_best_leakage(tmp_path):
-    # bestLeakage reprs recorded at seed 1 before leakage calls took stacks;
-    # the first config is perfbench's SCAN dict
+    # bestLeakage reprs at seed 1 from the posterior-class pass; the first config is
+    # perfbench's SCAN dict.  The joint-table path gave the old reprs, within 1e-12
     golden = [
         ({"kind": "leakage", "q": 11, "r": 1, "values": [1, 2, 3], "candidates": 64},
+         ["0.7106503409564708", "0.049322200866908084", "0.00328112657964974"],
          ["0.7106503409564706", "0.04932220086690804", "0.0032811265796502146"]),
         ({"kind": "leakage", "q": 5, "r": 2, "values": [2, 3, 4], "candidates": 64},
+         ["1.3543029514736236", "0.4205621396009738", "0.1037438677650071"],
          ["1.354302951473624", "0.42056213960097416", "0.10374386776500746"]),
     ]
-    for scan, want in golden:
+    for scan, want, old in golden:
+        assert all(abs(float(a) - float(b)) < 1e-12 for a, b in zip(want, old))
         path = write_config(tmp_path, {"scan": scan})
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0

@@ -10,7 +10,7 @@ import pytest
 from relaysec import oracle
 from relaysec.amd import AmdParams
 from relaysec.amd import amd_tag
-from relaysec.fields import ExtField, all_matrices, matrix_row_rank, row_reduce
+from relaysec.fields import ExtField, all_matrices, digits, matrix_row_rank, row_reduce, undigits
 from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
@@ -21,11 +21,11 @@ from relaysec.lattice import (
 )
 from relaysec.oracle import (
     SizeGuardError,
-    _LeakageWorkspace,
     best_extractor_exhaustive,
     best_sampled_extractor,
     exact_amd_win_census,
     exact_seed_leakage,
+    guessing_probability,
     isomorphism_census,
     leftover_census,
     mutual_information_bits,
@@ -40,9 +40,31 @@ from relaysec.oracle import (
 # ---------------------------------------------------------------------
 
 
-def _seed_obs_counts(pair, g, cap):
-    """Joint counts [seed index, observation id] of one extractor, as int64."""
-    return _LeakageWorkspace(pair, g.shape[0], cap).fill(g).astype(np.int64)
+def _seed_obs_counts(pair, g):
+    """Joint counts [seed index, observation id] of one extractor, as int64.
+
+    The reference composition of per-coordinate tables, without the
+    posterior classes.  The observation id is (sum_j sd_j q^j) 2^N +
+    sum_j w_j 2^j, for the sum digit sd_j and wrap bit w_j of coordinate j.
+    The seed g t1 is a sum of per-coordinate terms and the observation a
+    tuple of per-coordinate parts, so coordinate j takes one gather (the
+    table so far, shifted by c1 g[:, j] for each c1) and one matmul with
+    its (q, 2q) coordinate table.
+    """
+    q, n, r = pair.q, pair.N, g.shape[0]
+    n_seed = q**r
+    c1 = np.arange(q)[:, None, None]
+    # source[j, c1, s] = s - c1 g[:, j], the seed index before coordinate j
+    source = undigits((digits(np.arange(n_seed), q, r) - c1 * g.T[:, None, None, :]) % q, q)
+    joint = np.zeros((n_seed, 1))
+    joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
+    for j, src in enumerate(source):
+        table = oracle._coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j])
+        joint = (joint[src].reshape(q, -1).T @ table).reshape(n_seed, -1)
+    # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
+    order = [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
+    joint = joint.reshape((n_seed,) + (q, 2) * n).transpose(order)
+    return joint.reshape(n_seed, -1).astype(np.int64)
 
 
 def test_leakage_empty_extractor_is_zero():
@@ -68,9 +90,12 @@ def _mi_reference(joint):
 
 @pytest.mark.parametrize("dithered", [False, True])
 @pytest.mark.parametrize(
-    "q,n,r", [(11, 1, 1), (11, 2, 1), (11, 3, 1), (5, 3, 2), (5, 4, 2), (3, 4, 2), (7, 3, 3)]
+    "q,n,r",
+    [(11, 1, 1), (11, 2, 1), (11, 3, 1), (5, 3, 2), (5, 4, 2), (3, 4, 2), (7, 3, 3), (5, 5, 2)],
 )
 def test_leakage_mi_bit_identical_to_reference(q, n, r, dithered):
+    # the class pass sums by another formula than the table's MI kernel, so the two
+    # agree to rounding; the kernel itself stays bit-identical to the reference
     rng = np.random.default_rng(100 * q + 10 * n + r)
     kwargs = {}
     if dithered:
@@ -80,12 +105,14 @@ def test_leakage_mi_bit_identical_to_reference(q, n, r, dithered):
     pair = NestedLatticePair(N=n, q=q, **kwargs)
     stack = rng.integers(0, q, size=(3, r, n))
     stacked = exact_seed_leakage(pair, stack)
-    for m, got in zip(stack, stacked.tolist()):
-        table = _seed_obs_counts(pair, m, oracle.MAX_PAIR_ENUM)
+    guesses = guessing_probability(pair, stack)
+    for m, got, guess in zip(stack, stacked.tolist(), guesses.tolist()):
+        table = _seed_obs_counts(pair, m)
         want = _mi_reference(table)
-        assert got == want
-        assert exact_seed_leakage(pair, m) == want
+        assert got == pytest.approx(want, abs=1e-12)
+        assert exact_seed_leakage(pair, m) == got
         assert mutual_information_bits(table) == want
+        assert guess == int(table.max(axis=0).sum()) / q ** (2 * n)
 
 
 def test_mutual_information_bits_bit_identical_to_reference():
@@ -147,7 +174,7 @@ def _entropy_from_counts(counts):
 
 def seed_leakage_two_path(pair, g):
     """Leakage via the direct sum and via H(seed) + H(obs) - H(joint)."""
-    joint = _seed_obs_counts(pair, np.array(g, dtype=np.int64) % pair.q, oracle.MAX_PAIR_ENUM)
+    joint = _seed_obs_counts(pair, np.array(g, dtype=np.int64) % pair.q)
     direct = mutual_information_bits(joint)
     decomposed = (
         _entropy_from_counts(joint.sum(axis=1))
@@ -215,10 +242,12 @@ def test_seed_obs_counts_match_direct_path():
         kwargs = {} if dithers is None else {"d1": dithers[0], "d2": dithers[1]}
         pair = NestedLatticePair(N=n, q=q, **kwargs)
         g = np.array(g, dtype=np.int64)
-        fast = _seed_obs_counts(pair, g, oracle.MAX_PAIR_ENUM)
+        fast = _seed_obs_counts(pair, g)
         slow = _seed_obs_counts_direct(pair, g)
         assert fast.dtype == slow.dtype and fast.shape == slow.shape
         assert np.array_equal(fast, slow), (q, n, dithers, g.tolist())
+        # the relay's best guess of the seed from each observation, summed over them
+        assert guessing_probability(pair, g) == int(slow.max(axis=0).sum()) / q ** (2 * n)
 
 
 def test_leakage_size_guard():
@@ -245,28 +274,40 @@ def test_best_extractor_monotone_small():
 
 def test_best_extractor_scaling_classes_are_equivalent():
     # leakage is invariant under output relabeling, the basis of evaluating
-    # one representative per row space
+    # one representative per row space; equal class counts give equal bits
     pair = NestedLatticePair(N=2, q=5)
     base = exact_seed_leakage(pair, np.array([[1, 3]]))
     for c in (2, 3, 4):
-        scaled = exact_seed_leakage(pair, (c * np.array([[1, 3]])) % 5)
-        assert scaled == pytest.approx(base, abs=1e-12)
+        assert exact_seed_leakage(pair, (c * np.array([[1, 3]])) % 5) == base
     # r = 2: an invertible change of basis keeps the row space
     pair = NestedLatticePair(N=3, q=5)
     g = np.array([[1, 0, 2], [0, 1, 3]])
     base = exact_seed_leakage(pair, g)
     for b in ([[1, 1], [0, 1]], [[2, 0], [3, 1]], [[0, 1], [1, 0]]):
-        changed = exact_seed_leakage(pair, (np.array(b) @ g) % 5)
-        assert changed == pytest.approx(base, abs=1e-12)
+        assert exact_seed_leakage(pair, (np.array(b) @ g) % 5) == base
+
+
+def test_leakage_ties_exactly_under_coordinate_permutation():
+    # undithered coordinates share one table, so permuting the columns of g
+    # permutes the posterior classes and keeps every count
+    rng = np.random.default_rng(12)
+    for q, n, r in [(5, 4, 2), (11, 3, 1), (3, 4, 3)]:
+        pair = NestedLatticePair(N=n, q=q)
+        g = rng.integers(0, q, size=(r, n))
+        perms = np.array(list(itertools.permutations(range(n))))
+        stack = g[:, perms].transpose(1, 0, 2)  # stack[p] = g[:, perms[p]]
+        leaks = exact_seed_leakage(pair, stack)
+        guesses = guessing_probability(pair, stack)
+        assert len(set(leaks.tolist())) == 1 and len(set(guesses.tolist())) == 1, (q, n, r)
 
 
 def test_best_extractor_r2_matches_brute_force():
     # one reduced row-echelon form per row space finds the minimum over
-    # every full-rank matrix; the two agree to about 1 ulp, not bit for bit
+    # every full-rank matrix, bit for bit
     pair = NestedLatticePair(N=3, q=3)
     mats = all_matrices(3, 2, 3)
     brute = min(exact_seed_leakage(pair, m) for m in mats[matrix_row_rank(mats, 3) == 2])
-    assert best_extractor_exhaustive(pair, 2).exact_mi_bits == pytest.approx(brute, abs=1e-12)
+    assert best_extractor_exhaustive(pair, 2).exact_mi_bits == brute
 
 
 def test_best_extractor_first_minimum_in_rref_order():
@@ -355,6 +396,75 @@ def test_leakage_deterministic():
     pair = NestedLatticePair(N=2, q=11)
     m = np.array([[2, 5]])
     assert exact_seed_leakage(pair, m) == exact_seed_leakage(pair, m)
+
+
+def test_guessing_probability_roadmap_values():
+    # P_guess from one seed stage at the default lattice (q=5, N=4) for two r = 2 extractors
+    pair = NestedLatticePair(N=4, q=5)
+    stack = np.array([[[1, 1, 1, 1], [0, 1, 2, 3]], [[1, 0, 1, 1], [0, 1, 1, 1]]])
+    guesses = guessing_probability(pair, stack)
+    assert guesses.tolist() == [20665 / 5**8, 24785 / 5**8]
+    assert guesses.tolist() == [0.0529024, 0.0634496]
+    assert [guessing_probability(pair, m) for m in stack] == guesses.tolist()
+
+
+def test_guessing_probability_edge_cases():
+    pair = NestedLatticePair(N=2, q=5)
+    assert guessing_probability(pair, np.zeros((0, 2), dtype=int)) == 1.0  # a constant seed
+    assert guessing_probability(pair, np.zeros((1, 2), dtype=int)) == 1.0
+    stacked = guessing_probability(pair, np.zeros((3, 0, 2), dtype=int))
+    assert stacked.shape == (3,) and stacked.tolist() == [1.0] * 3
+    with pytest.raises(SizeGuardError):
+        guessing_probability(pair, np.array([[1, 2]]), cap=5**4 - 1)
+    with pytest.raises(ValueError, match="2 columns"):
+        guessing_probability(pair, np.array([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("q, dithers", [(5, (0.0, 0.0)), (11, (0.0, 0.0)), (7, (1.1, -2.3))])
+def test_coordinate_classes_are_q_interval_shapes(q, dithers):
+    members, columns = oracle._coordinate_classes(q, 1.0, *dithers)
+    sizes = members.sum(axis=1).astype(int)
+    assert sorted(sizes.tolist()) == list(range(1, q + 1))  # one shape per interval length
+    for shape in members.astype(bool):  # a cyclic interval: one run of ones around Z_q
+        assert np.count_nonzero(shape != np.roll(shape, 1)) in (0, 2)
+    # a length-m interval has probability 2m/q^2 (m < q) and 1/q (m = q): 2 columns, then 1
+    assert dict(zip(sizes.tolist(), columns.tolist())) == {m: 2 if m < q else 1 for m in range(1, q + 1)}
+
+
+def test_coordinate_classes_reject_a_table_cell_above_one(monkeypatch):
+    def doubled(q, alpha, d1, d2):
+        return np.full((q, 2 * q), 2.0)
+
+    oracle._coordinate_classes.cache_clear()  # a cached entry would never read the table
+    monkeypatch.setattr(oracle, "_coordinate_table", doubled)
+    with pytest.raises(AssertionError, match="must fix c2"):
+        oracle._coordinate_classes(3, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("block_cells", [1, 3 * 25 * 125])
+def test_leakage_blocks_are_bit_identical(block_cells, monkeypatch):
+    # 1: one matrix per block; 3 * 25 * 125: three per block, with a ragged last block
+    pair = NestedLatticePair(N=3, q=5, d1=(0.5, -1.0, 2.0))
+    stack = np.random.default_rng(3).integers(0, 5, size=(7, 2, 3))
+    leaks, guesses = exact_seed_leakage(pair, stack), guessing_probability(pair, stack)
+    monkeypatch.setattr(oracle, "_LEAKAGE_BLOCK_CELLS", block_cells)
+    assert exact_seed_leakage(pair, stack).tolist() == leaks.tolist()
+    assert guessing_probability(pair, stack).tolist() == guesses.tolist()
+
+
+def test_leakage_memory_is_bounded_by_its_block():
+    """64 q=11 N=3 extractors in one block peaked near 37 MB; in blocks of
+    2^16 cells (four matrices), near 2.3 MB."""
+    pair = NestedLatticePair(N=3, q=11)
+    stack = np.random.default_rng(5).integers(0, 11, size=(64, 1, 3))
+    exact_seed_leakage(pair, stack[:1])  # the cached coordinate tables are not the block's
+    tracemalloc.start()
+    try:
+        exact_seed_leakage(pair, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * oracle._LEAKAGE_BLOCK_CELLS
 
 
 # ---------------------------------------------------------------------
