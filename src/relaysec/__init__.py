@@ -12,7 +12,6 @@ protocol runner (``protocol``), exhaustive verification oracles
 from .amd import AmdParams, amd_rate, amd_tag, amd_verify, win_bound
 from .channel import (
     AdditiveLatticeOffset,
-    ChannelConfig,
     CustomRelay,
     HonestRelay,
     PhaseRecord,

@@ -5,7 +5,9 @@ Gaussian noise (or the exact sum in noiseless mode).  Phase 2: the
 destination hears the relay's transmission plus its own noise.  Noise is
 never drawn here: the caller passes standard normals of the signal's
 shape (the trial engine takes them from its fixed word layout), and each
-phase scales them by its noise deviation.  The relay's behavior is a
+phase scales them by its noise deviation; passing none is noiseless
+mode.  The power limit and noise variances live in
+``protocol.ProtocolParams``, which checks them.  The relay's behavior is a
 strategy object; every behavior gets the same inputs, one batched call
 per hop: the received blocks, the incoming dither, the relay's own
 layout words and the messages — never the destination noise.
@@ -26,7 +28,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "ChannelConfig",
     "PhaseRecord",
     "HonestRelay",
     "SubstituteLattice",
@@ -43,20 +44,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    power_limit: float
-    noise_var_relay: float = 1.0
-    noise_var_dest: float = 1.0
-    noiseless: bool = False
-
-    def __post_init__(self):
-        if self.power_limit <= 0:
-            raise ValueError("power limit must be positive")
-        if self.noise_var_relay < 0 or self.noise_var_dest < 0:
-            raise ValueError("noise variances must be nonnegative")
-
-
 @dataclass
 class PhaseRecord:
     """One phase-1/phase-2 round; node-2 silence is tracked for the audit."""
@@ -69,35 +56,34 @@ class PhaseRecord:
     node2_active: bool = True
 
 
-def _add_noise(y: np.ndarray, var: float, noise) -> np.ndarray:
-    if noise is None or np.shape(noise) != y.shape:
+def _add_noise(y: np.ndarray, noise, var: float) -> np.ndarray:
+    if noise is None:
+        return y
+    if np.shape(noise) != y.shape:
         raise ValueError(f"noise must be standard normals of shape {y.shape}")
     return y + np.sqrt(var) * np.asarray(noise, dtype=float)
 
 
-def phase1(cfg: ChannelConfig, x1, x2, noise=None) -> np.ndarray:
-    """Relay observation: x1 + x2 + Zr (exact sum in noiseless mode).
+def phase1(x1, x2, noise=None, var: float = 1.0) -> np.ndarray:
+    """Relay observation: x1 + x2 + Zr, the exact sum when ``noise`` is None.
 
     Zr is ``noise``, the caller's standard normal draws of the signal's
-    shape, scaled by the relay's noise deviation; it is ignored in
-    noiseless mode.  Arrays may carry leading batch axes.
+    shape, scaled by the relay's noise deviation sqrt(``var``).  Arrays
+    may carry leading batch axes.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != x2.shape:
         raise ValueError(f"length mismatch: {x1.shape} vs {x2.shape}")
-    y = x1 + x2
-    if not cfg.noiseless:
-        y = _add_noise(y, cfg.noise_var_relay, noise)
-    return y
+    return _add_noise(x1 + x2, noise, var)
 
 
-def phase2(cfg: ChannelConfig, xr, noise=None) -> np.ndarray:
-    """Destination observation: xr + Z_R, with Z_R from ``noise`` as Zr in phase1."""
-    y = np.asarray(xr, dtype=float)
-    if not cfg.noiseless:
-        y = _add_noise(y, cfg.noise_var_dest, noise)
-    return y
+def phase2(xr, noise=None, var: float = 1.0) -> np.ndarray:
+    """Destination observation: xr + Z_R, exactly xr when ``noise`` is None.
+
+    Z_R is ``noise`` scaled by sqrt(``var``), as Zr in ``phase1``.
+    """
+    return _add_noise(np.asarray(xr, dtype=float), noise, var)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,7 @@ def relay_step(
 # ---------------------------------------------------------------------------
 
 
-def power_audit(records: list[PhaseRecord], cfg: ChannelConfig) -> dict:
+def power_audit(records: list[PhaseRecord], power_limit: float) -> dict:
     """Per-node average power over that node's transmitting channel uses.
 
     A record's arrays may carry leading batch axes (the ``(B, N)`` records
@@ -256,6 +242,6 @@ def power_audit(records: list[PhaseRecord], cfg: ChannelConfig) -> dict:
         report[node] = {
             "average_power": avg,
             "channel_uses": uses[node],
-            "violates_limit": avg > cfg.power_limit,
+            "violates_limit": avg > power_limit,
         }
     return report

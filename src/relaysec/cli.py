@@ -195,31 +195,28 @@ def _rows_to_json(rows: list[dict], meta: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_amd_attack_bound(vcfg: dict, seed: int):
-    attack_cap = vcfg.get("max_attack_enum", oracle.MAX_ATTACK_ENUM)
+def _check_amd_attack_bound(seed: int):
     for q, r, d in [(5, 1, 1), (5, 2, 2)]:
-        census = oracle.exact_amd_win_census(AmdParams(field=ExtField(q, r), d=d), cap=attack_cap)
+        census = oracle.exact_amd_win_census(AmdParams(field=ExtField(q, r), d=d))
         yield census.holds, {"q": q, "r": r, "d": d,
                              "max_success": census.max_success, "bound": census.bound}
 
 
-def _check_coords_isomorphism(vcfg: dict, seed: int):
-    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+def _check_coords_isomorphism(seed: int):
     for q in (2, 3, 5):
         for n in (1, 2, 3):
-            ok, witness = oracle.isomorphism_census(NestedLatticePair(N=n, q=q), cap=pair_cap)
+            ok, witness = oracle.isomorphism_census(NestedLatticePair(N=n, q=q))
             yield ok, {"q": q, "N": n, "counterexample": witness}
 
 
-def _check_sum_representation(vcfg: dict, seed: int):
-    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+def _check_sum_representation(seed: int):
     for q, dims in [(5, (1, 2)), (2, (1, 2, 3))]:
         for n in dims:
-            ok, witness = oracle.representation_census(NestedLatticePair(N=n, q=q), cap=pair_cap)
+            ok, witness = oracle.representation_census(NestedLatticePair(N=n, q=q))
             yield ok, {"q": q, "N": n, "counterexample": witness}
 
 
-def _check_full_rank_fraction(vcfg: dict, seed: int):
+def _check_full_rank_fraction(seed: int):
     for q in (2, 3):
         for n in range(1, 5):
             for r in range(1, n + 1):
@@ -227,7 +224,7 @@ def _check_full_rank_fraction(vcfg: dict, seed: int):
                 yield holds, {"q": q, "rows": r, "cols": n, "fraction": f"{count}/{total}"}
 
 
-def _check_hash_collision(vcfg: dict, seed: int):
+def _check_hash_collision(seed: int):
     for q in (2, 3):
         for n in (1, 2, 3):
             for r in (1, 2):
@@ -237,42 +234,33 @@ def _check_hash_collision(vcfg: dict, seed: int):
                 yield holds, {"q": q, "N": n, "r": r, "max_collision": prob}
 
 
-def _check_seed_uniformity(vcfg: dict, seed: int):
-    inject = vcfg.get("inject_g")
-    if inject is not None:
-        mq = int(vcfg.get("inject_q", 2))
-        matrices = [(np.array(inject, dtype=np.int64), mq, "injected")]
-    else:
-        matrices = []
-        rng = np.random.default_rng(seed)
-        for q, n in [(2, 2), (3, 2), (5, 3)]:
-            r = max(1, min(r_max(n, q, 0.1), n)) if q > 2 else 1
-            while True:
-                m = sample_matrix(rng, r, n, q)
-                if matrix_row_rank(m, q) == r:
-                    break
-            matrices.append((m, q, f"sampled q={q} N={n}"))
-    for m, mq, label in matrices:
-        _, uniform = seed_uniformity(m, mq)
-        yield uniform, {"matrix": m.tolist(), "label": label, "q": mq}
+def _check_seed_uniformity(seed: int):
+    rng = np.random.default_rng(seed)
+    for q, n in [(2, 2), (3, 2), (5, 3)]:
+        r = max(1, min(r_max(n, q, 0.1), n)) if q > 2 else 1
+        while True:
+            m = sample_matrix(rng, r, n, q)
+            if matrix_row_rank(m, q) == r:
+                break
+        _, uniform = seed_uniformity(m, q)
+        yield uniform, {"matrix": m.tolist(), "label": f"sampled q={q} N={n}", "q": q}
 
 
-def _check_leftover_entropy(vcfg: dict, seed: int):
-    pair_cap = vcfg.get("max_pair_enum", oracle.MAX_PAIR_ENUM)
+def _check_leftover_entropy(seed: int):
     for q, n, r in [(2, 2, 1), (3, 2, 1)]:
         avg, bound, holds = oracle.leftover_census(q, n, r, np.full(q**n, 1.0 / q**n))
         yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
     budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
     # leakage depends only on the row space: one evaluation per space, summed in matrix order
     rrefs, index = row_spaces(11, 1, 2)
-    leakages = oracle.exact_seed_leakage(NestedLatticePair(N=2, q=11), rrefs, cap=pair_cap)
+    leakages = oracle.exact_seed_leakage(NestedLatticePair(N=2, q=11), rrefs)
     avg = sum(leakages[index].tolist()) / len(index)
     yield avg <= budget.budget_bits + 1e-9, {"q": 11, "N": 2, "r": 1, "smoothing": 6.0,
                                              "averaged_leakage": avg,
                                              "budget": budget.budget_bits}
 
 
-def _check_pinsker(vcfg: dict, seed: int):
+def _check_pinsker(seed: int):
     raw = np.random.default_rng(seed).random((1000, 3, 4))  # the stream of 1000 (3, 4) draws
     lhs, rhs = oracle.pinsker_check(raw / raw.reshape(1000, -1).sum(axis=-1)[:, None, None])
     # the smallest slack lhs - rhs shows how close the inequality comes; it fails below -1e-12
@@ -280,8 +268,8 @@ def _check_pinsker(vcfg: dict, seed: int):
                                             "min_slack": float(np.min(lhs - rhs))}
 
 
-# Every verify check in report order: name -> check(verify config, seed),
-# which yields (passed, details) for each case of its parameter grid.
+# Every verify check in report order: name -> check(seed), which yields
+# (passed, details) for each case of its parameter grid.
 CHECKS = {
     "amd-attack-bound": _check_amd_attack_bound,
     "coords-isomorphism": _check_coords_isomorphism,
@@ -296,15 +284,14 @@ CHECKS = {
 
 def _run_checks(cfg: dict, seed: int) -> list[dict]:
     """Run the selected checks in table order, whatever the config's order."""
-    vcfg = cfg.get("verify", {})
-    selected = vcfg.get("checks", CHECKS)
+    selected = cfg.get("verify", {}).get("checks", CHECKS)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown verify check {unknown[0]!r}")
     return [
         {"name": name, "passed": bool(passed), "details": details}
         for name, check in CHECKS.items() if name in selected
-        for passed, details in check(vcfg, seed)
+        for passed, details in check(seed)
     ]
 
 
@@ -371,31 +358,24 @@ def _scan_d(scan: dict, seed: int):
 
 def _scan_r(scan: dict, seed: int):
     d, q = scan["d"], scan["q"]
-    if not is_prime(q):
-        raise ConfigError(f"r scan: q={q} is not prime")
     try:
         check_premises(q, d)
     except ValueError as exc:
         raise ConfigError(f"r scan: {exc}") from exc
     for r in scan["values"]:
-        if r < 1:  # rows are written after the whole scan, so no row goes out
-            raise ConfigError(f"r scan: tag length r={r} must be >= 1")
         # amd.win_bound, without building GF(q^r)
         yield {"status": "ok", "param": "r", "value": r, "winBound": repr((d + 1) / q**r)}
 
 
 def _scan_leakage(scan: dict, seed: int):
     q, r = scan["q"], scan["r"]
-    if not is_prime(q):
-        raise ConfigError(f"leakage scan: q={q} is not prime")
     rng = np.random.default_rng(seed)
     for n in scan["values"]:
         if r > n:
             raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
         pair = NestedLatticePair(N=n, q=q)
         try:
-            record = oracle.best_sampled_extractor(
-                pair, r, scan["candidates"], rng, scan["max_pair_enum"])
+            record = oracle.best_sampled_extractor(pair, r, scan["candidates"], rng)
             leakage = repr(record.exact_mi_bits)
         except oracle.SizeGuardError:
             leakage = ""
@@ -417,8 +397,7 @@ SCANS = {
               ["status", "param", "value", "n", "RT", "halfRe"], _scan_d),
     "r": Scan({"values": [1, 2, 3], "q": 5, "d": 2},
               ["status", "param", "value", "winBound"], _scan_r),
-    "leakage": Scan({"values": [1, 2], "q": 11, "r": 1, "candidates": 64,
-                     "max_pair_enum": oracle.MAX_PAIR_ENUM},
+    "leakage": Scan({"values": [1, 2], "q": 11, "r": 1, "candidates": 64},
                     ["status", "param", "value", "bestLeakage"], _scan_leakage),
 }
 
@@ -442,7 +421,10 @@ DEFAULT_CONFIG: dict = {
 
 
 def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
-    spec = SCANS[cfg["scan"]["kind"]]
+    kind, q = cfg["scan"]["kind"], cfg["scan"]["q"]
+    if not is_prime(q):  # every kind's rows assume a prime field
+        raise ConfigError(f"{kind} scan: q={q} is not prime")
+    spec = SCANS[kind]
     rows = list(spec.rows(cfg["scan"], seed))
     meta = {"config": cfg, "seed": seed}
     text = _rows_to_csv(rows, spec.header, meta) if fmt == "csv" else _rows_to_json(rows, meta)

@@ -239,19 +239,11 @@ def average_codebook_power(
     Coordinates are independent, so the q^N-point average reduces to a
     per-coordinate average over q residues.
     """
-    d = pair.dither(dither)
+    residues = mod_coarse(pair, pair.alpha * np.arange(pair.q)[:, None] + pair.dither(dither))
     total = 0.0
-    for j in range(pair.N):
-        vals = [
-            _mod_scalar(pair.alpha * c + float(d[j]), pair.coarse_step)
-            for c in range(pair.q)
-        ]
-        total += sum(v * v for v in vals) / pair.q
+    for j in range(pair.N):  # summed in Python order, residue by residue
+        total += sum(v * v for v in residues[:, j].tolist()) / pair.q
     return float(total / pair.N)
-
-
-def _mod_scalar(x: float, step: float) -> float:
-    return x - math.floor(x / step + 0.5) * step
 
 
 def alpha_for_power(q: int, target_power: float) -> float:

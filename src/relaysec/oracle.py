@@ -1,7 +1,8 @@
 """Brute-force ground-truth calculators for the desk-scale regime.
 
 Every routine here enumerates its probability space exactly (guarded by
-explicit size caps) and fails loudly rather than truncating: exact
+fixed size caps, module constants each guard reads when it runs) and
+fails loudly rather than truncating: exact
 mutual information and guessing probability of an extracted seed against
 the relay's noiseless observation, the exhaustive additive-attack census
 for the detection code, bijectivity/additivity of the coordinate map,
@@ -70,16 +71,18 @@ __all__ = [
     "mutual_information_bits",
 ]
 
-# default enumeration caps; callers may widen them explicitly
+# enumeration caps, read by each guard when it runs
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
 MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
+_MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
+_MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated by the full-rank census
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
 _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
 
 
 class SizeGuardError(ValueError):
-    """An enumeration would exceed its configured cap."""
+    """An enumeration would exceed its cap."""
 
 
 def _guard(size: int, cap: int, what: str):
@@ -188,7 +191,7 @@ def _coordinate_classes(q: int, alpha: float, d1: float, d2: float):
     return members, counts
 
 
-def _class_pass(pair: NestedLatticePair, g: np.ndarray, cap: int, fold) -> np.ndarray:
+def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     """fold(laws, weights, sizes) over the posterior classes of a (k, r, N) stack, in blocks.
 
     A class is a tuple of one shape per coordinate.  Given an observation
@@ -211,7 +214,7 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, cap: int, fold) -> np.nd
     """
     q, n, r = pair.q, pair.N, g.shape[-2]
     n_seed = q**r
-    _guard(q ** (2 * n), cap, "codeword-pair enumeration")
+    _guard(q ** (2 * n), MAX_PAIR_ENUM, "codeword-pair enumeration")
     coords = [_coordinate_classes(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)]
     weights = sizes = np.ones(1, dtype=np.int64)
     for members, columns in coords:  # the newest coordinate's shape is the major index
@@ -270,16 +273,14 @@ def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.
     return float(out) if g.ndim == 2 else out
 
 
-def exact_seed_leakage(
-    pair: NestedLatticePair, g: np.ndarray, cap: int = MAX_PAIR_ENUM
-) -> float | np.ndarray:
+def exact_seed_leakage(pair: NestedLatticePair, g: np.ndarray) -> float | np.ndarray:
     """Exact I(g(t1); observation) in bits under uniform independent t1, t2.
 
     The observation is (mod-coarse sum, wrap bits), which determines the
     relay's noiseless view.  ``g`` is one (r, N) extractor, which gives a
     float, or a stack (..., r, N), which gives a float64 array of shape
-    (...), one value per matrix.  ``cap`` bounds the q^(2N) codeword pairs
-    the law covers, but nothing enumerates them: I = rank(g) log2 q -
+    (...), one value per matrix.  ``MAX_PAIR_ENUM`` bounds the q^(2N)
+    codeword pairs the law covers, but nothing enumerates them: I = rank(g) log2 q -
     H(seed | observation), with the conditional entropy counted by
     posterior class (``_class_pass``, ``_entropy_fold``).  Its g-dependent
     part is an exact integer vector, so equal counts give bit-identical
@@ -289,14 +290,12 @@ def exact_seed_leakage(
     """
     def leakage(stack):
         rank_bits = matrix_row_rank(stack, pair.q) * math.log2(pair.q)
-        return rank_bits - _class_pass(pair, stack, cap, _entropy_fold) / pair.q ** (2 * pair.N)
+        return rank_bits - _class_pass(pair, stack, _entropy_fold) / pair.q ** (2 * pair.N)
 
     return _stacked(pair, g, 0.0, leakage)
 
 
-def guessing_probability(
-    pair: NestedLatticePair, g: np.ndarray, cap: int = MAX_PAIR_ENUM
-) -> float | np.ndarray:
+def guessing_probability(pair: NestedLatticePair, g: np.ndarray) -> float | np.ndarray:
     """Exact P_guess = sum_obs max_x P(x, obs): the relay's best chance of guessing g t1.
 
     P_guess = 2^-H_inf(seed | observation), the average min-entropy of
@@ -307,12 +306,12 @@ def guessing_probability(
     its seed is constant.
     """
     return _stacked(pair, g, 1.0, lambda stack: _class_pass(
-        pair, stack, cap, _guess_fold) / pair.q ** (2 * pair.N))
+        pair, stack, _guess_fold) / pair.q ** (2 * pair.N))
 
 
-def _least_leaky(pair: NestedLatticePair, stack: np.ndarray, cap: int) -> LeakageRecord:
+def _least_leaky(pair: NestedLatticePair, stack: np.ndarray) -> LeakageRecord:
     """The first leakage minimizer of a (k, r, N) stack, from one stacked leakage call."""
-    mis = exact_seed_leakage(pair, stack, cap=cap)
+    mis = exact_seed_leakage(pair, stack)
     best = int(np.argmin(mis))
     return LeakageRecord(
         matrix=tuple(map(tuple, stack[best].tolist())),
@@ -320,9 +319,7 @@ def _least_leaky(pair: NestedLatticePair, stack: np.ndarray, cap: int) -> Leakag
     )
 
 
-def best_extractor_exhaustive(
-    pair: NestedLatticePair, r: int, cap: int = MAX_PAIR_ENUM
-) -> LeakageRecord:
+def best_extractor_exhaustive(pair: NestedLatticePair, r: int) -> LeakageRecord:
     """Scan every full-row-rank r x N row space and return the leakage minimizer.
 
     Only matrices in reduced row-echelon form are evaluated, one per row
@@ -334,17 +331,16 @@ def best_extractor_exhaustive(
     ``exact_seed_leakage`` as one stack; the first minimum wins.
     """
     q, n = pair.q, pair.N
-    _guard(q ** (r * n), cap, "extractor-matrix enumeration")
+    _guard(q ** (r * n), MAX_PAIR_ENUM, "extractor-matrix enumeration")
     rrefs, _ = row_spaces(q, r, n)
     reps = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]  # rank: nonzero rows
     if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
-    return _least_leaky(pair, reps, cap)
+    return _least_leaky(pair, reps)
 
 
 def best_sampled_extractor(
-    pair: NestedLatticePair, r: int, candidates: int, rng: np.random.Generator,
-    cap: int = MAX_PAIR_ENUM,
+    pair: NestedLatticePair, r: int, candidates: int, rng: np.random.Generator
 ) -> LeakageRecord:
     """The least leaky of ``candidates`` uniform r x N draws that have full row rank.
 
@@ -361,7 +357,7 @@ def best_sampled_extractor(
         raise RuntimeError(
             f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={n})"
         )
-    return _least_leaky(pair, full, cap)
+    return _least_leaky(pair, full)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +374,7 @@ class AmdCensus:
     holds: bool
 
 
-def exact_amd_win_census(
-    params: AmdParams, s=None, cap: int = MAX_ATTACK_ENUM
-) -> AmdCensus:
+def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     """Exact max acceptance probability over all additive attacks on s.
 
     Enumerates all (s', dx, dh) with (s'-s, dx, dh) not identically zero
@@ -393,7 +387,7 @@ def exact_amd_win_census(
     f = params.field
     d = params.d
     order = f.order
-    _guard(order ** (d + 2), cap, "attack enumeration")
+    _guard(order ** (d + 2), MAX_ATTACK_ENUM, "attack enumeration")
     s_int = np.zeros(d, dtype=np.int64) if s is None else np.asarray(s, dtype=np.int64)
     tables = f.tables()
     add, sub = tables["add"], tables["sub"]
@@ -446,7 +440,7 @@ def _first_bad_pair(size: int, n: int, block_bad) -> tuple[int, int] | None:
     return None
 
 
-def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
+def representation_census(pair: NestedLatticePair):
     """Round-trip and wrap-range check over every codebook pair.
 
     The size^2 pairs go through the batched ``represent_sums`` and
@@ -455,7 +449,7 @@ def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     (index1, index2) in row-major order, or None.
     """
     size = pair.q**pair.N
-    _guard(size * size, cap, "representation census")
+    _guard(size * size, MAX_PAIR_ENUM, "representation census")
     points = codebook_point(pair, index_to_coords(pair, np.arange(size)))
 
     def block_bad(i0, i1):
@@ -469,7 +463,7 @@ def representation_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     return first is None, first
 
 
-def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
+def isomorphism_census(pair: NestedLatticePair):
     """Bijectivity plus additivity of the coordinate map, geometrically.
 
     Every codebook point must decode back to its own coords, so the map
@@ -481,7 +475,7 @@ def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     in row-major order over (index(a), index(b)).
     """
     size = pair.q**pair.N
-    _guard(size * size, cap, "isomorphism census")
+    _guard(size * size, MAX_PAIR_ENUM, "isomorphism census")
     coords = index_to_coords(pair, np.arange(size))
     points = codebook_point(pair, coords)
     if not np.array_equal(decode_fine_mod_coarse(pair, points), coords):
@@ -499,16 +493,16 @@ def isomorphism_census(pair: NestedLatticePair, cap: int = MAX_PAIR_ENUM):
     return False, (tuple(coords[i]), tuple(coords[j]))
 
 
-def full_rank_census(q: int, rows: int, cols: int, enum_cap: int = 10**5):
+def full_rank_census(q: int, rows: int, cols: int):
     """Exact full-row-rank fraction, enumerated when small, counted exactly.
 
     Returns (count, total, bound_holds) where bound_holds checks the
     fraction against 1 - q^(rows - cols).  Direct enumeration runs when
-    q^(rows*cols) <= enum_cap and must agree with the product formula.  Ranks
+    q^(rows*cols) <= ``_MAX_RANK_ENUM`` and must agree with the product formula.  Ranks
     come from ``fields.row_spaces``, by RREF([M'; v]) = RREF([RREF(M'); v]).
     """
     count, total = full_rank_fraction(q, rows, cols)
-    if q ** (rows * cols) <= enum_cap:
+    if q ** (rows * cols) <= _MAX_RANK_ENUM:
         rrefs, index = row_spaces(q, rows, cols)
         seen = np.count_nonzero(np.count_nonzero(rrefs.any(axis=-1), axis=-1)[index] == rows)
         if seen != count:
@@ -525,7 +519,7 @@ def full_rank_census(q: int, rows: int, cols: int, enum_cap: int = 10**5):
 # ---------------------------------------------------------------------------
 
 
-def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
+def universal_hash_census(q: int, N: int, r: int):
     """Max collision probability of the linear-map family, exactly.
 
     For every ordered pair x1 != x2, counts matrices G with G x1 = G x2;
@@ -533,7 +527,7 @@ def universal_hash_census(q: int, N: int, r: int, cap: int = 10**7):
     """
     n_mat = q ** (r * N)
     n_vec = q**N
-    _guard(n_mat * n_vec, cap, "universal hash census")
+    _guard(n_mat * n_vec, _MAX_HASH_ENUM, "universal hash census")
     vecs = digits(np.arange(n_vec), q, N)
     # images[G, x]: index of G x
     images = undigits((vecs @ all_matrices(q, r, N).transpose(0, 2, 1)) % q, q)
@@ -570,7 +564,7 @@ def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]
     return (float(lhs), float(rhs)) if probs.ndim == 2 else (lhs, rhs)
 
 
-def leftover_census(q: int, N: int, r: int, probs, cap: int = 10**7):
+def leftover_census(q: int, N: int, r: int, probs):
     """Matrix-averaged output entropy versus the leftover-hash floor.
 
     ``probs`` is the conditional source law, a probability vector over the
@@ -581,7 +575,7 @@ def leftover_census(q: int, N: int, r: int, probs, cap: int = 10**7):
     """
     n_mat = q ** (r * N)
     n_vec = q**N
-    _guard(n_mat * n_vec, cap, "leftover-hash census")
+    _guard(n_mat * n_vec, _MAX_HASH_ENUM, "leftover-hash census")
     probs = np.asarray(probs, dtype=float)
     c = renyi_entropy(probs)  # validates the law
     if probs.shape != (n_vec,):

@@ -41,7 +41,6 @@ import numpy as np
 
 from .amd import AmdParams, amd_tag, amd_verify, win_bound
 from .channel import (
-    ChannelConfig,
     CustomRelay,
     PhaseRecord,
     phase1,
@@ -95,7 +94,8 @@ class ProtocolParams:
     Seed stages use an N-dimensional code with nesting ratio q; the tag
     stage reuses the same construction at dimension r; the message stage
     has its own (msg_q, msg_N) code and a binary encoder of msg_r0 bits
-    per block.
+    per block.  The channel's power limit and noise variances live here
+    too; in noiseless mode the engine passes the channel no noise.
     """
 
     q: int = 5
@@ -113,6 +113,10 @@ class ProtocolParams:
     noise_var_dest: float = 1.0
 
     def __post_init__(self):
+        if not self.power_limit > 0:
+            raise ValueError("power limit must be positive")
+        if self.noise_var_relay < 0 or self.noise_var_dest < 0:
+            raise ValueError("noise variances must be nonnegative")
         if self.r < 1:
             raise ValueError("seed length r must be >= 1")
         cap = r_max(self.N, self.q, self.epsilon)
@@ -323,12 +327,6 @@ class TwoHopProtocol:
             _default_msg_matrix(p.msg_r0, n0), self.msg_pair
         )
         self.payload_bits = payload_bits(p.q, p.r, p.d)
-        self.channel = ChannelConfig(
-            power_limit=p.power_limit,
-            noise_var_relay=p.noise_var_relay,
-            noise_var_dest=p.noise_var_dest,
-            noiseless=p.noiseless,
-        )
         self.layout, self.trial_words = draw_layout(p)
         tables = self.ext_field.tables()
         self._add, self._sub = tables["add"], tables["sub"]
@@ -400,11 +398,11 @@ class TwoHopProtocol:
         else:
             x2 = codebook_point(pair, t2, 2)
             in_dither = pair.dither(1) + pair.dither(2)
-        yr = phase1(self.channel, x1, x2, noise_r)
+        yr = phase1(x1, x2, noise_r, self.params.noise_var_relay)
         words = chunk.relay_words[:, a:b].reshape(t1.shape)
         xr = relay_step(behavior, pair, yr, in_dither, words, chunk.message,
                         self.params.power_limit)
-        y2 = phase2(self.channel, xr, noise_d)
+        y2 = phase2(xr, noise_d, self.params.noise_var_dest)
         if chunk.records is not None:
             chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
                               for j in range(t1.shape[1])]

@@ -42,7 +42,7 @@ def criterion(cid, description, budget_s):
 
 def passing_cases(name, seed=0):
     """Details of every case of verify's check ``name``, each asserted to pass."""
-    cases = list(CHECKS[name]({}, seed))
+    cases = list(CHECKS[name](seed))
     failed = [details for passed, details in cases if not passed]
     assert cases and not failed, (name, failed)
     return [details for _, details in cases]

@@ -5,7 +5,6 @@ import pytest
 
 from relaysec.channel import (
     AdditiveLatticeOffset,
-    ChannelConfig,
     CustomRelay,
     HonestRelay,
     PhaseRecord,
@@ -26,9 +25,6 @@ from relaysec.lattice import (
     lattice_add,
 )
 
-NOISELESS = ChannelConfig(power_limit=10.0, noiseless=True)
-
-
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -43,38 +39,38 @@ def all_coords(pair):
 
 
 def test_phase1_noiseless_sum():
-    y = phase1(NOISELESS, np.array([1.0, 0.0]), np.array([-0.5, 2.0]))
-    assert np.array_equal(y, [0.5, 2.0])
+    # no noise is noiseless mode, whatever the variance
+    for var in (1.0, 4.0):
+        y = phase1(np.array([1.0, 0.0]), np.array([-0.5, 2.0]), None, var)
+        assert np.array_equal(y, [0.5, 2.0])
 
 
 def test_phase_length_mismatch():
     with pytest.raises(ValueError):
-        phase1(NOISELESS, np.zeros(2), np.zeros(3))
+        phase1(np.zeros(2), np.zeros(3))
 
 
 def test_phase1_gaussian_reproducible():
-    """The observation is a function of the supplied normals, which Gaussian
-    mode requires in the signal's shape."""
-    cfg = ChannelConfig(power_limit=10.0)
+    """The observation is a function of the supplied normals, which must
+    have the signal's shape."""
     z = rng(42).standard_normal(4)
-    y1 = phase1(cfg, np.zeros(4), np.zeros(4), z)
-    y2 = phase1(cfg, np.zeros(4), np.zeros(4), z.copy())
+    y1 = phase1(np.zeros(4), np.zeros(4), z)
+    y2 = phase1(np.zeros(4), np.zeros(4), z.copy())
     assert np.array_equal(y1, y2) and np.array_equal(y1, z)
-    for bad in (None, z[:3], z.reshape(2, 2)):
+    for bad in (z[:3], z.reshape(2, 2)):
         with pytest.raises(ValueError, match="standard normals"):
-            phase1(cfg, np.zeros(4), np.zeros(4), bad)
+            phase1(np.zeros(4), np.zeros(4), bad)
         with pytest.raises(ValueError, match="standard normals"):
-            phase2(cfg, np.zeros(4), bad)
+            phase2(np.zeros(4), bad)
 
 
 def test_phase_noise_moments():
     """One batched call per phase: the noise is sqrt(var) times the normals."""
-    cfg = ChannelConfig(power_limit=10.0, noise_var_relay=0.25, noise_var_dest=4.0)
     n = 100_000
     x1, x2 = np.ones((n, 2)), -np.full((n, 2), 0.5)
     z1, z2 = rng(123).standard_normal((2, n, 2))
-    relay = phase1(cfg, x1, x2, z1) - (x1 + x2)
-    dest = phase2(cfg, x1, z2) - x1
+    relay = phase1(x1, x2, z1, 0.25) - (x1 + x2)
+    dest = phase2(x1, z2, 4.0) - x1
     for noise, z, var in [(relay, z1, 0.25), (dest, z2, 4.0)]:
         assert np.allclose(noise, np.sqrt(var) * z, rtol=0, atol=1e-12)
         assert abs(noise.mean()) < 0.02 * np.sqrt(var)
@@ -83,15 +79,15 @@ def test_phase_noise_moments():
 
 def test_phase2_noiseless_identity():
     xr = np.array([0.25, -1.5])
-    assert np.array_equal(phase2(NOISELESS, xr), xr)
+    for var in (1.0, 4.0):
+        assert np.array_equal(phase2(xr, None, var), xr)
 
 
 def test_zero_variance_matches_noiseless():
-    zero_var = ChannelConfig(power_limit=10.0, noise_var_relay=0.0, noise_var_dest=0.0)
     x1, x2 = np.array([1.0, 2.0]), np.array([0.5, -0.25])
     z1, z2 = rng(1).standard_normal((2, 2))
-    assert np.array_equal(phase1(zero_var, x1, x2, z1), phase1(NOISELESS, x1, x2))
-    assert np.array_equal(phase2(zero_var, x1, z2), phase2(NOISELESS, x1))
+    assert np.array_equal(phase1(x1, x2, z1, 0.0), phase1(x1, x2))
+    assert np.array_equal(phase2(x1, z2, 0.0), phase2(x1))
 
 
 # ---------------------------------------------------------------------
@@ -218,7 +214,7 @@ def test_custom_relay_sees_only_three_inputs():
 def test_power_audit_zero_transmissions():
     rec = PhaseRecord(x1=np.zeros(3), x2=np.zeros(3), yr=np.zeros(3),
                       xr=np.zeros(3), y2=np.zeros(3))
-    report = power_audit([rec], NOISELESS)
+    report = power_audit([rec], 10.0)
     assert report["node1"]["average_power"] == 0.0
     assert not report["node1"]["violates_limit"]
 
@@ -230,7 +226,7 @@ def test_power_audit_matches_codebook_average():
         x1 = codebook_point(pair, [c])
         records.append(PhaseRecord(x1=x1, x2=np.zeros(1), yr=x1,
                                    xr=np.zeros(1), y2=np.zeros(1)))
-    report = power_audit(records, ChannelConfig(power_limit=1.0, noiseless=True))
+    report = power_audit(records, 1.0)
     assert report["node1"]["average_power"] == pytest.approx(
         average_codebook_power(pair)
     )
@@ -242,16 +238,15 @@ def test_power_audit_skips_silent_node2():
                        xr=np.zeros(2), y2=np.zeros(2), node2_active=True)
     silent = PhaseRecord(x1=np.ones(2), x2=np.zeros(2), yr=np.zeros(2),
                          xr=np.zeros(2), y2=np.zeros(2), node2_active=False)
-    report = power_audit([loud, silent], NOISELESS)
+    report = power_audit([loud, silent], 10.0)
     assert report["node2"]["channel_uses"] == 2
     assert report["node2"]["average_power"] == pytest.approx(9.0)
     assert report["node1"]["channel_uses"] == 4
 
 
 def test_power_audit_flags_violation():
-    cfg = ChannelConfig(power_limit=0.5, noiseless=True)
     hot = PhaseRecord(x1=np.ones(2) * 2, x2=np.zeros(2), yr=np.zeros(2),
                       xr=np.zeros(2), y2=np.zeros(2))
-    report = power_audit([hot], cfg)
+    report = power_audit([hot], 0.5)
     assert report["node1"]["violates_limit"]
     assert not report["relay"]["violates_limit"]

@@ -11,6 +11,7 @@ import pytest
 
 from relaysec import cli
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
+from relaysec.extract import seed_uniformity
 
 
 def write_config(tmp_path, overrides):
@@ -175,10 +176,8 @@ STRICTER = {
     ("protocol.r", "1.0"), ("protocol.d", "1.0"), ("protocol.N", "1.0"),
     ("protocol.msg_N", "1.0"), ("protocol.msg_r0", "1.0"),
     ("simulate.trials", "1.0"), ("simulate.behaviors[0].pattern[0]", "1.0"),
-    ("verify.max_pair_enum", "1.0"), ("verify.max_attack_enum", "1.0"),
-    ("verify.inject_g[0][0]", "1.0"),
     ("scan.values[0]", "1.0"), ("scan.N", "1.0"), ("scan.r", "1.0"), ("scan.d", "1.0"),
-    ("scan.candidates", "1.0"), ("scan.max_pair_enum", "1.0"),
+    ("scan.candidates", "1.0"),
     ("protocol.epsilon", "nan"), ("protocol.epsilon", "inf"),
     ("protocol.alpha", "nan"), ("protocol.alpha", "inf"),
     ("protocol.power_limit", "nan"), ("protocol.power_limit", "inf"),
@@ -201,7 +200,8 @@ def test_validator_agrees_with_jsonschema_on_a_boundary_corpus():
             ours = False
         labels.append(label)
         verdicts[label] = (ours, oracle.is_valid(cfg))
-    assert len(labels) == len(verdicts) > 500
+    assert len(labels) == len(verdicts) > 400
+    assert {path for path, _ in labels} == {_dotted(path) for path, _ in _schema_nodes(schema)}
     for label, (ours, theirs) in verdicts.items():
         assert (ours, theirs) == ((False, True) if label in STRICTER else (theirs, theirs)), label
     assert STRICTER <= set(verdicts)
@@ -290,10 +290,13 @@ def test_verify_unknown_check_exits_2(tmp_path, capsys):
     assert "no-such-check" in err
 
 
-def test_verify_injected_rank_deficient_map_fails(tmp_path):
-    path = write_config(tmp_path, {
-        "verify": {"checks": ["seed-uniformity"], "inject_g": [[0, 0]], "inject_q": 3}
-    })
+def test_verify_injected_rank_deficient_map_fails(tmp_path, monkeypatch):
+    def rank_deficient(seed):
+        _, uniform = seed_uniformity([[0, 0]], 3)
+        yield uniform, {"matrix": [[0, 0]], "label": "injected", "q": 3}
+
+    monkeypatch.setitem(cli.CHECKS, "seed-uniformity", rank_deficient)
+    path = write_config(tmp_path, {"verify": {"checks": ["seed-uniformity"]}})
     out = tmp_path / "report.json"
     code = main(["verify", "--config", path, "--out", str(out)])
     assert code == 1
@@ -301,6 +304,22 @@ def test_verify_injected_rank_deficient_map_fails(tmp_path):
     assert not report["all_passed"]
     failing = [c for c in report["checks"] if not c["passed"]]
     assert failing and failing[0]["details"]["matrix"] == [[0, 0]]
+
+
+@pytest.mark.parametrize("command, section", [
+    ("verify", {"verify": {"max_pair_enum": 10**8}}),
+    ("verify", {"verify": {"max_attack_enum": 10**8}}),
+    ("verify", {"verify": {"inject_g": [[0, 0]]}}),
+    ("verify", {"verify": {"inject_q": 3}}),
+    ("scan", {"scan": {"kind": "leakage", "max_pair_enum": 10**8}}),
+])
+def test_removed_size_and_inject_keys_exit_2(tmp_path, capsys, command, section):
+    # the enumeration caps are oracle constants, and no config injects a matrix
+    (where, body), = section.items()
+    key = next(k for k in body if k != "kind")
+    path = write_config(tmp_path, section)
+    assert main([command, "--config", path]) == 2
+    assert f"config rejected: {where}.{key} is not an allowed key" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------
@@ -442,9 +461,25 @@ def test_scan_d_default_golden_hash(tmp_path):
     ({"kind": "r", "q": 3, "d": 1}, "d + 2 = 3 must not be divisible by q = 3"),
     ({"kind": "r", "q": 4, "d": 1}, "q=4 is not prime"),
     # a tag of length 0 would report a "probability" (d+1)/q^0 = 3
-    ({"kind": "r", "q": 5, "d": 2, "values": [0, 1]}, "tag length r=0 must be >= 1"),
+    ({"kind": "r", "q": 5, "d": 2, "values": [0, 1]},
+     "config rejected: scan.values[0] must be >= 1, got 0"),
 ])
 def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
+    path = write_config(tmp_path, {"scan": scan})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scan, message", [
+    # d >= 1 is a premise of the detection code; N = 0 is no lattice
+    ({"kind": "d", "values": [0]}, "config rejected: scan.values[0] must be >= 1, got 0"),
+    ({"kind": "leakage", "r": 0, "values": [0]},
+     "config rejected: scan.values[0] must be >= 1, got 0"),
+    ({"kind": "d", "q": 4}, "d scan: q=4 is not prime"),
+])
+def test_scan_grid_outside_the_premises_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 2
@@ -503,18 +538,17 @@ def test_module_entry_point_subprocess(tmp_path):
 
 def test_scan_leakage_with_skip(tmp_path):
     path = write_config(tmp_path, {
-        "scan": {"kind": "leakage", "values": [1, 2, 3], "q": 11, "r": 1,
-                 "candidates": 16, "max_pair_enum": 15000}
+        "scan": {"kind": "leakage", "values": [1, 2, 3, 4], "q": 11, "r": 1, "candidates": 16}
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--seed", "8", "--out", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines()
             if l and not l.startswith("#")][1:]
     status = {int(r[2]): r[0] for r in rows}
-    assert status[1] == "ok" and status[2] == "ok"
-    assert status[3] == "skipped"  # 11^6 pairs exceed the configured cap
+    assert status[1] == status[2] == status[3] == "ok"
+    assert status[4] == "skipped"  # 11^8 pairs exceed oracle.MAX_PAIR_ENUM = 10^8
     leak = {int(r[2]): r[3] for r in rows if r[0] == "ok"}
-    assert float(leak[2]) <= float(leak[1])
+    assert float(leak[3]) <= float(leak[2]) <= float(leak[1])
 
 
 def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):

@@ -269,7 +269,8 @@ def _step_relay(alpha, log=None):
 
 
 def _assert_same_audit(proto, records, ref_records):
-    got, want = power_audit(records, proto.channel), power_audit(ref_records, proto.channel)
+    limit = proto.params.power_limit
+    got, want = power_audit(records, limit), power_audit(ref_records, limit)
     for node in want:
         assert got[node]["channel_uses"] == want[node]["channel_uses"]
         assert got[node]["violates_limit"] == want[node]["violates_limit"]

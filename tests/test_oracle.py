@@ -151,9 +151,10 @@ def test_leakage_stack_guard_raises_before_any_work(monkeypatch):
         raise AssertionError("a coordinate table was built before the size guard")
 
     monkeypatch.setattr(oracle, "_coordinate_table", no_work)
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4 - 1)
     pair = NestedLatticePair(N=2, q=11)
     with pytest.raises(SizeGuardError):
-        exact_seed_leakage(pair, all_matrices(11, 1, 2), cap=11**4 - 1)
+        exact_seed_leakage(pair, all_matrices(11, 1, 2))
 
 
 def test_leakage_q3_overextraction_hand_value():
@@ -250,18 +251,21 @@ def test_seed_obs_counts_match_direct_path():
         assert guessing_probability(pair, g) == int(slow.max(axis=0).sum()) / q ** (2 * n)
 
 
-def test_leakage_size_guard():
+def test_leakage_size_guard(monkeypatch):
     pair = NestedLatticePair(N=3, q=5)
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 100)
     with pytest.raises(SizeGuardError):
-        exact_seed_leakage(pair, np.array([[1, 0, 0]]), cap=100)
+        exact_seed_leakage(pair, np.array([[1, 0, 0]]))
 
 
-def test_leakage_guard_applies_with_cached_coordinate_tables():
+def test_leakage_guard_applies_with_cached_coordinate_tables(monkeypatch):
     pair = NestedLatticePair(N=2, q=11)
     exact_seed_leakage(pair, np.array([[1, 1]]))  # fills the per-coordinate tables
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4 - 1)
     with pytest.raises(SizeGuardError):  # 11^4 pairs exceed the cap all the same
-        exact_seed_leakage(pair, np.array([[1, 1]]), cap=11**4 - 1)
-    assert exact_seed_leakage(pair, np.array([[1, 1]]), cap=11**4) > 0
+        exact_seed_leakage(pair, np.array([[1, 1]]))
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4)
+    assert exact_seed_leakage(pair, np.array([[1, 1]])) > 0
 
 
 def test_best_extractor_monotone_small():
@@ -332,9 +336,9 @@ def test_best_extractor_representatives_match_rref_filter(q, r, n, monkeypatch):
     want = mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]
     seen = []
 
-    def leakage(pair, g, cap):
+    def leakage(pair, g):
         seen.append(np.array(g))
-        return exact_seed_leakage(pair, g, cap=cap)
+        return exact_seed_leakage(pair, g)
 
     monkeypatch.setattr(oracle, "exact_seed_leakage", leakage)
     pair = NestedLatticePair(N=n, q=q)
@@ -359,7 +363,7 @@ def test_sampled_search_deterministic_and_minimizing():
 def test_sampled_search_gets_full_rank_stack_and_first_minimum_wins(monkeypatch):
     seen = []
 
-    def leakage(pair, g, cap):  # a coarse stand-in with many ties
+    def leakage(pair, g):  # a coarse stand-in with many ties
         seen.append(np.array(g))
         return np.sum(g, axis=(1, 2)) % 3.0
 
@@ -408,14 +412,15 @@ def test_guessing_probability_roadmap_values():
     assert [guessing_probability(pair, m) for m in stack] == guesses.tolist()
 
 
-def test_guessing_probability_edge_cases():
+def test_guessing_probability_edge_cases(monkeypatch):
     pair = NestedLatticePair(N=2, q=5)
     assert guessing_probability(pair, np.zeros((0, 2), dtype=int)) == 1.0  # a constant seed
     assert guessing_probability(pair, np.zeros((1, 2), dtype=int)) == 1.0
     stacked = guessing_probability(pair, np.zeros((3, 0, 2), dtype=int))
     assert stacked.shape == (3,) and stacked.tolist() == [1.0] * 3
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 5**4 - 1)
     with pytest.raises(SizeGuardError):
-        guessing_probability(pair, np.array([[1, 2]]), cap=5**4 - 1)
+        guessing_probability(pair, np.array([[1, 2]]))
     with pytest.raises(ValueError, match="2 columns"):
         guessing_probability(pair, np.array([[1, 2, 3]]))
 
@@ -535,9 +540,10 @@ def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monke
     assert census.attacks == q ** (r * (d + 2)) - 1  # only the zero perturbation is left out
 
 
-def test_amd_census_size_guard():
+def test_amd_census_size_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ATTACK_ENUM", 1000)
     with pytest.raises(SizeGuardError):
-        exact_amd_win_census(AmdParams(field=ExtField(5, 2), d=2), cap=1000)
+        exact_amd_win_census(AmdParams(field=ExtField(5, 2), d=2))
 
 
 # ---------------------------------------------------------------------
@@ -690,16 +696,26 @@ def test_isomorphism_census_memory_is_bounded_by_its_block():
     assert peak < 32 * 2**20
 
 
-def test_census_guards():
+def test_census_guards(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 10)
     with pytest.raises(SizeGuardError):
-        representation_census(NestedLatticePair(N=2, q=5), cap=10)
+        representation_census(NestedLatticePair(N=2, q=5))
     with pytest.raises(SizeGuardError):
-        isomorphism_census(NestedLatticePair(N=2, q=5), cap=10)
+        isomorphism_census(NestedLatticePair(N=2, q=5))
 
 
 # ---------------------------------------------------------------------
 # hashing, leftover, pinsker
 # ---------------------------------------------------------------------
+
+
+def test_hashing_census_guards_at_the_fixed_cap():
+    # 2^16 matrices times 2^8 vectors exceed the 10^7 cap; both guards run before any work
+    want = "needs 16777216 states, cap is 10000000"
+    with pytest.raises(SizeGuardError, match="universal hash census " + want):
+        universal_hash_census(2, 8, 2)
+    with pytest.raises(SizeGuardError, match="leftover-hash census " + want):
+        leftover_census(2, 8, 2, np.full(2**8, 2.0**-8))
 
 
 def test_universal_hash_census_examples():

@@ -74,6 +74,17 @@ def test_params_validation():
         ProtocolParams(msg_q=2, msg_N=4, msg_r0=1)  # binary code has no margin
 
 
+@pytest.mark.parametrize("channel, message", [
+    ({"power_limit": 0.0}, "power limit must be positive"),
+    ({"power_limit": -1.0}, "power limit must be positive"),
+    ({"noise_var_relay": -0.5}, "noise variances must be nonnegative"),
+    ({"noise_var_dest": -1e-9}, "noise variances must be nonnegative"),
+])
+def test_params_reject_bad_channel_settings(channel, message):
+    with pytest.raises(ValueError, match=message):
+        ProtocolParams(**channel)
+
+
 # ---------------------------------------------------------------------
 # honest runs
 # ---------------------------------------------------------------------
@@ -243,7 +254,7 @@ def test_rate_report_matches_power_audit_identity():
     msg_uses = sum(np.size(rec.x1) for rec in stage3)
     p3 = sum(float(np.sum(rec.x1**2)) for rec in stage3) / msg_uses
     report = p.rate_report(p1, p2, p3)
-    audit = power_audit(records, p.channel)
+    audit = power_audit(records, p.params.power_limit)
     assert report.PT == pytest.approx(audit["node1"]["average_power"], abs=1e-9)
     assert audit["node1"]["channel_uses"] == report.n
 
@@ -257,10 +268,10 @@ def test_power_audit_of_batch_records_averages_the_rows():
     p = proto()
     trials = 40
     batch = p.run_batch(RandomGarble(), 13, 0, trials, keep_records=True)
-    audit = power_audit(batch.records, p.channel)
+    audit = power_audit(batch.records, p.params.power_limit)
     rows = [power_audit([PhaseRecord(*(getattr(rec, k)[i : i + 1] for k in
                                        ("x1", "x2", "yr", "xr", "y2")), rec.node2_active)
-                         for rec in batch.records], p.channel) for i in range(trials)]
+                         for rec in batch.records], p.params.power_limit) for i in range(trials)]
     n, prm = p.rate_report().n, p.params
     node2_uses = 2 * prm.N + p.blocks * prm.msg_N  # node 2 is silent in the tag stage
     for node, uses in [("node1", n), ("node2", node2_uses), ("relay", n)]:
