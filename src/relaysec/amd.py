@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExtField
+from .fields import ExtField, is_prime
 
 __all__ = [
     "AmdParams",
@@ -27,11 +27,13 @@ __all__ = [
 
 
 def check_premises(q: int, d: int) -> None:
-    """Raise ValueError unless d >= 1 and q does not divide d + 2.
+    """Raise ValueError unless q is prime, d >= 1 and q does not divide d + 2.
 
     These are the premises of the (d+1)/q^r bound, for any extension
     degree r of the prime field GF(q).
     """
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     if d < 1:
         raise ValueError("message length d must be >= 1")
     if (d + 2) % q == 0:

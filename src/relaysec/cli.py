@@ -3,7 +3,11 @@
 ``verify`` runs the exhaustive correctness censuses and emits a JSON
 report (exit 0 iff everything passes).  ``simulate`` runs protocol Monte
 Carlo batches per relay behavior and emits CSV or JSON rows.  ``scan``
-sweeps one parameter and emits one row per grid point.
+sweeps one parameter and emits one row per grid point: a ``point`` scan
+sets d or r of the protocol section to each grid value and reports that
+operating point's rates and detection bound, built and checked by
+``ProtocolParams`` like simulate's; a ``leakage`` scan reports the best
+sampled extractor's exact seed leakage per lattice dimension N.
 
 All output is a pure function of (config, seed): CSV files start with
 '#'-prefixed comment lines carrying both, rows are written by a single
@@ -27,12 +31,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import oracle
-from .amd import AmdParams, check_premises
+from .amd import AmdParams, win_bound
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
 from .extract import ExtractorParams, leakage_budget, r_max, seed_uniformity
 from .fields import ExtField, is_prime, matrix_row_rank, row_spaces, sample_matrix
 from .lattice import NestedLatticePair
-from .protocol import ProtocolParams, _protocol_cache, rate_accounting
+from .protocol import ProtocolParams, _protocol_cache, operating_rates
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS", "SCANS"]
 
@@ -141,11 +145,11 @@ def load_config(path: str | None) -> dict:
     return merged
 
 
-def _build_params(cfg: dict) -> ProtocolParams:
+def _build_params(cfg: dict, where: str = "protocol config") -> ProtocolParams:
     try:
         return ProtocolParams(**cfg.get("protocol", {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"protocol config rejected: {exc}") from exc
+        raise ConfigError(f"{where} rejected: {exc}") from exc
 
 
 def _build_behavior(entry: dict):
@@ -348,34 +352,28 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
 # ---------------------------------------------------------------------------
 
 
-def _scan_d(scan: dict, seed: int):
-    n, r, q, re = scan["N"], scan["r"], scan["q"], scan["Re"]
-    for d in scan["values"]:
-        uses, rt = rate_accounting(n, r, q, d, re)
-        yield {"status": "ok", "param": "d", "value": d,
-               "n": uses, "RT": repr(rt), "halfRe": repr(re / 2)}
+def _scan_point(cfg: dict, seed: int):
+    param = cfg["scan"]["param"]
+    for value in cfg["scan"]["values"]:
+        p = _build_params({"protocol": {**cfg.get("protocol", {}), param: value}},
+                          f"point scan row {param}={value}")
+        n, rt, half_re = operating_rates(p)
+        bound = win_bound(AmdParams(field=ExtField(p.q, p.r), d=p.d))
+        yield {"status": "ok", "param": param, "value": value, "n": n, "RT": repr(rt),
+               "halfRe": repr(half_re), "winBound": repr(bound)}
 
 
-def _scan_r(scan: dict, seed: int):
-    d, q = scan["d"], scan["q"]
-    try:
-        check_premises(q, d)
-    except ValueError as exc:
-        raise ConfigError(f"r scan: {exc}") from exc
-    for r in scan["values"]:
-        # amd.win_bound, without building GF(q^r)
-        yield {"status": "ok", "param": "r", "value": r, "winBound": repr((d + 1) / q**r)}
-
-
-def _scan_leakage(scan: dict, seed: int):
-    q, r = scan["q"], scan["r"]
+def _scan_leakage(cfg: dict, seed: int):
+    q, r = cfg["scan"]["q"], cfg["scan"]["r"]
+    if not is_prime(q):
+        raise ConfigError(f"leakage scan: q={q} is not prime")
     rng = np.random.default_rng(seed)
-    for n in scan["values"]:
+    for n in cfg["scan"]["values"]:
         if r > n:
             raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
         pair = NestedLatticePair(N=n, q=q)
         try:
-            record = oracle.best_sampled_extractor(pair, r, scan["candidates"], rng)
+            record = oracle.best_sampled_extractor(pair, r, cfg["scan"]["candidates"], rng)
             leakage = repr(record.exact_mi_bits)
         except oracle.SizeGuardError:
             leakage = ""
@@ -388,20 +386,19 @@ def _scan_leakage(scan: dict, seed: int):
 class Scan(NamedTuple):
     defaults: dict  # every key the kind reads, with its default value
     header: list[str]
-    rows: Callable  # rows(scan section, seed) yields one dict per grid point
+    rows: Callable  # rows(config, seed) yields one dict per grid point
 
 
 # Every scan kind: a config's scan section is merged over its kind's defaults.
+# The point kind's default d values skip those where the default q = 5 divides d + 2.
 SCANS = {
-    "d": Scan({"values": list(range(1, 17)), "N": 25, "r": 25, "q": 2, "Re": 1.0},
-              ["status", "param", "value", "n", "RT", "halfRe"], _scan_d),
-    "r": Scan({"values": [1, 2, 3], "q": 5, "d": 2},
-              ["status", "param", "value", "winBound"], _scan_r),
+    "point": Scan({"param": "d", "values": [1, 2, 4, 6, 9, 16]},
+                  ["status", "param", "value", "n", "RT", "halfRe", "winBound"], _scan_point),
     "leakage": Scan({"values": [1, 2], "q": 11, "r": 1, "candidates": 64},
                     ["status", "param", "value", "bestLeakage"], _scan_leakage),
 }
 
-# defined after SCANS because the default scan is the d kind on its own defaults
+# defined after SCANS because the default scan is the point kind on its own defaults
 DEFAULT_CONFIG: dict = {
     "seed": 1,
     "workers": 1,
@@ -416,16 +413,13 @@ DEFAULT_CONFIG: dict = {
         ],
     },
     "verify": {},
-    "scan": {"kind": "d", **SCANS["d"].defaults},
+    "scan": {"kind": "point", **SCANS["point"].defaults},
 }
 
 
 def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
-    kind, q = cfg["scan"]["kind"], cfg["scan"]["q"]
-    if not is_prime(q):  # every kind's rows assume a prime field
-        raise ConfigError(f"{kind} scan: q={q} is not prime")
-    spec = SCANS[kind]
-    rows = list(spec.rows(cfg["scan"], seed))
+    spec = SCANS[cfg["scan"]["kind"]]
+    rows = list(spec.rows(cfg, seed))
     meta = {"config": cfg, "seed": seed}
     text = _rows_to_csv(rows, spec.header, meta) if fmt == "csv" else _rows_to_json(rows, meta)
     _emit(text, out)

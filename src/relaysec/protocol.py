@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, amd_verify, win_bound
+from .amd import AmdParams, amd_tag, amd_verify, check_premises, win_bound
 from .channel import (
     CustomRelay,
     PhaseRecord,
@@ -80,6 +80,7 @@ __all__ = [
     "draw_layout",
     "rate_accounting",
     "payload_bits",
+    "operating_rates",
     "wilson_interval",
 ]
 
@@ -113,6 +114,7 @@ class ProtocolParams:
     noise_var_dest: float = 1.0
 
     def __post_init__(self):
+        check_premises(self.q, self.d)  # first, since they do not depend on r or N
         if not self.power_limit > 0:
             raise ValueError("power limit must be positive")
         if self.noise_var_relay < 0 or self.noise_var_dest < 0:
@@ -132,8 +134,6 @@ class ProtocolParams:
             raise ValueError(
                 f"msg_r0 = {self.msg_r0} outside [1, {msg_cap}] for the message code"
             )
-        # AMD hypothesis is enforced eagerly so bad configs die before a run
-        AmdParams(field=ExtField(self.q, self.r), d=self.d)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,6 @@ class RateReport:
     n: int
     RT: float
     PT: float
-    blocks: int
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,6 @@ class SimReport:
     decode_error_rate: float
     false_reject_rate: float
     adversary_win_rate: float
-    decode_error_ci: tuple[float, float]
-    false_reject_ci: tuple[float, float]
-    adversary_win_ci: tuple[float, float]
     win_bound: float
     n: int
     RT: float
@@ -251,6 +247,17 @@ def _dimensions(p: ProtocolParams) -> tuple[int, int, int]:
     """(N0, blocks, n = 2N + r + blocks * msg_N): block bits, blocks, uses per trial."""
     blocks = math.ceil(payload_bits(p.q, p.r, p.d) / p.msg_r0)
     return encoder_bits(p.msg_N, p.msg_q), blocks, 2 * p.N + p.r + blocks * p.msg_N
+
+
+def operating_rates(p: ProtocolParams) -> tuple[int, float, float]:
+    """(n, RT, Re/2): channel uses per trial, RT = d*r*log2(q) / (2n), and RT's limit.
+
+    Re = msg_r0 / msg_N is the message code's rate in bits per use; RT stays
+    below Re/2 and approaches it as d grows, not monotonically, because the
+    block count is rounded up.
+    """
+    n = _dimensions(p)[2]
+    return n, p.d * p.r * math.log2(p.q) / (2 * n), p.msg_r0 / (2 * p.msg_N)
 
 
 def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
@@ -523,11 +530,9 @@ class TwoHopProtocol:
         power audit when fed realized per-stage powers.
         """
         p = self.params
-        info_bits = p.d * p.r * math.log2(p.q)
-        n, msg_uses = self.uses, self.blocks * p.msg_N
-        rt = info_bits / (2 * n)
-        pt = (P1 * 2 * p.N + P2 * p.r + P * msg_uses) / n
-        return RateReport(n=n, RT=float(rt), PT=float(pt), blocks=self.blocks)
+        n, rt, _ = operating_rates(p)
+        pt = (P1 * 2 * p.N + P2 * p.r + P * (self.blocks * p.msg_N)) / n
+        return RateReport(n=n, RT=rt, PT=float(pt))
 
     def monte_carlo(
         self,
@@ -566,9 +571,6 @@ class TwoHopProtocol:
             decode_error_rate=decode_err / trials,
             false_reject_rate=false_rej / trials,
             adversary_win_rate=wins / trials,
-            decode_error_ci=wilson_interval(decode_err, trials),
-            false_reject_ci=wilson_interval(false_rej, trials),
-            adversary_win_ci=wilson_interval(wins, trials),
             win_bound=win_bound(self.amd),
             n=rr.n,
             RT=rr.RT,

@@ -110,6 +110,8 @@ def test_hypothesis_enforced():
     for q, d in [(5, 3), (3, 1), (5, 0), (2, 2)]:
         with pytest.raises(ValueError):
             check_premises(q, d)
+    with pytest.raises(ValueError, match="q=4 is not prime"):
+        check_premises(4, 1)
     for q, d in [(5, 2), (2, 1), (3, 2), (11, 8)]:
         check_premises(q, d)
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from relaysec import cli
+from relaysec.amd import win_bound
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
+from relaysec.protocol import ProtocolParams, TwoHopProtocol, rate_accounting
 
 
 def write_config(tmp_path, overrides):
@@ -176,14 +178,12 @@ STRICTER = {
     ("protocol.r", "1.0"), ("protocol.d", "1.0"), ("protocol.N", "1.0"),
     ("protocol.msg_N", "1.0"), ("protocol.msg_r0", "1.0"),
     ("simulate.trials", "1.0"), ("simulate.behaviors[0].pattern[0]", "1.0"),
-    ("scan.values[0]", "1.0"), ("scan.N", "1.0"), ("scan.r", "1.0"), ("scan.d", "1.0"),
-    ("scan.candidates", "1.0"),
+    ("scan.values[0]", "1.0"), ("scan.r", "1.0"), ("scan.candidates", "1.0"),
     ("protocol.epsilon", "nan"), ("protocol.epsilon", "inf"),
     ("protocol.alpha", "nan"), ("protocol.alpha", "inf"),
     ("protocol.power_limit", "nan"), ("protocol.power_limit", "inf"),
     ("protocol.noise_var_relay", "nan"), ("protocol.noise_var_relay", "inf"),
     ("protocol.noise_var_dest", "nan"), ("protocol.noise_var_dest", "inf"),
-    ("scan.Re", "nan"), ("scan.Re", "inf"),
 }
 
 
@@ -370,17 +370,28 @@ def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
 
 
 # sha256 of `simulate --seed 1` under the default (noiseless) config, four
-# behaviors, recorded while every message block still took its own hop.
-# No Gaussian hash is pinned: Box-Muller's log/cos/sin may differ by an ulp
-# across CPUs and numpy builds; test_engine.py checks Gaussian trials against
-# a scalar per-hop reference instead.
-DEFAULT_SIMULATE_SHA256 = "727c781a95846e137bb12aa34070444150ce70fbf5c757a6cefe363974dc18c4"
+# behaviors, recorded when the default scan section became the point kind's;
+# every line below the `# config=` line is the one recorded while every
+# message block still took its own hop.  No Gaussian hash is pinned:
+# Box-Muller's log/cos/sin may differ by an ulp across CPUs and numpy builds;
+# test_engine.py checks Gaussian trials against a scalar per-hop reference instead.
+DEFAULT_SIMULATE_SHA256 = "e5db6555641da53dfe745dcc3602ebaf8dd126660c5fff32ec5697656f920366"
+DEFAULT_SIMULATE_BODY = (
+    b"# seed=1\r\n"
+    b"behavior,trials,decodeErrRate,falseRejectRate,adversaryWinRate,winBound,n,RT,PT,seed\r\n"
+    b"honest,1000,0.0,0.0,0.0,0.12,20,0.23219280948873622,1.671875,1\r\n"
+    b"substitute[1],1000,1.0,0.0,0.003,0.12,20,0.23219280948873622,1.671875,1\r\n"
+    b"additive[1],1000,0.998,0.002,0.004,0.12,20,0.23219280948873622,1.671875,1\r\n"
+    b"garble,1000,1.0,0.0,0.002,0.12,20,0.23219280948873622,1.671875,1\r\n"
+)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_simulate_default_config_golden_hash(tmp_path, workers):
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--seed", "1", "--workers", str(workers), "--out", str(out)]) == 0
+    config_line, body = out.read_bytes().split(b"\r\n", 1)
+    assert config_line.startswith(b"# config=") and body == DEFAULT_SIMULATE_BODY
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SIMULATE_SHA256
 
 
@@ -399,44 +410,81 @@ def test_simulate_json_format(tmp_path):
 # ---------------------------------------------------------------------
 
 
-def test_scan_d_sweep_monotone(tmp_path):
+def _scan_rows(path):
+    return [l.split(",") for l in Path(path).read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+
+
+def test_scan_point_d_sweep_matches_closed_form(tmp_path):
+    # with msg_N = N = 4 and msg_r0 = 4 the message code carries Re = 1 bit per use,
+    # so the protocol's (n, RT) is the paper's closed form rate_accounting(N, r, q, d, Re)
+    values = [d for d in range(1, 65) if (d + 2) % 5]
     path = write_config(tmp_path, {
-        "scan": {"kind": "d", "values": list(range(1, 33)),
-                 "N": 25, "r": 25, "q": 2, "Re": 1.0}
+        "protocol": {"N": 4, "msg_N": 4, "msg_r0": 4},
+        "scan": {"kind": "point", "param": "d", "values": values},
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 0
-    rows = [l.split(",") for l in out.read_text().splitlines()
-            if l and not l.startswith("#")][1:]
-    rts = [float(r[4]) for r in rows]
-    half_re = float(rows[0][5])
-    assert all(b >= a for a, b in zip(rts, rts[1:]))
-    assert all(v < half_re for v in rts)
+    rows = _scan_rows(out)
+    assert [int(r[2]) for r in rows] == values
+    for row in rows:
+        n, rt = rate_accounting(4, 2, 5, int(row[2]), 1.0)
+        assert (int(row[3]), float(row[4]), row[5]) == (n, rt, "0.5")
+        assert float(row[4]) < float(row[5])  # RT stays below Re/2
+
+
+@pytest.mark.parametrize("protocol, scan", [
+    ({}, {"kind": "point"}),
+    ({"N": 6}, {"kind": "point", "param": "r", "values": [1, 2, 3]}),
+    ({"q": 11, "r": 1, "N": 12, "msg_N": 3}, {"kind": "point", "values": [1, 2, 5, 8]}),
+])
+def test_scan_point_rows_match_the_protocol(tmp_path, protocol, scan):
+    path = write_config(tmp_path, {"protocol": protocol, "scan": scan})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    cfg = load_config(path)
+    rows = _scan_rows(out)
+    assert [int(r[2]) for r in rows] == cfg["scan"]["values"]
+    for row in rows:
+        proto = TwoHopProtocol(ProtocolParams(**{**protocol, row[1]: int(row[2])}))
+        report = proto.rate_report()
+        assert row[0] == "ok"
+        assert row[3:] == [str(report.n), repr(report.RT),
+                           repr(proto.params.msg_r0 / (2 * proto.params.msg_N)),
+                           repr(win_bound(proto.amd))]
+    if not protocol:  # simulate's operating point
+        assert rows[1][1:] == ["d", "2", "20", "0.23219280948873622", "0.5", "0.12"]
 
 
 def test_scan_r_sweep_win_bound_column(tmp_path):
     path = write_config(tmp_path, {
-        "scan": {"kind": "r", "values": [1, 2, 3], "d": 2, "q": 5}
+        "protocol": {"N": 6},
+        "scan": {"kind": "point", "param": "r", "values": [1, 2, 3]},
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 0
-    rows = [l.split(",") for l in out.read_text().splitlines()
-            if l and not l.startswith("#")][1:]
+    rows = _scan_rows(out)
+    assert [r[6] for r in rows] == ["0.6", "0.12", "0.024"]
     for row in rows:
         r = int(row[2])
-        assert float(row[3]) == 3 / 5**r
+        assert float(row[6]) == 3 / 5**r
 
 
-# sha256 of `scan --seed 1` for {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]},
-# recorded when each scan kind got its own defaults, so the `# config=` line
-# holds only the r scan's keys; every line below it is the one recorded before
-# the r scan checked the detection code's premises
-SCAN_R_SHA256 = "97dc56d5c66768430d6c2e4c66178895c09998a26ca31519eda2e9d0f530a394"
-SCAN_R_BODY = b"# seed=1\r\nstatus,param,value,winBound\r\nok,r,1,0.6\r\nok,r,2,0.12\r\nok,r,3,0.024\r\n"
+# sha256 of `scan --seed 1` for {"protocol": {"N": 6}} and the point scan over
+# r = 1, 2, 3, recorded when the point scan replaced the d and r kinds; its
+# winBound column repeats the old r scan's 0.6, 0.12 and 0.024 (q = 5, d = 2)
+SCAN_R_SHA256 = "9e8482453bf2a6b9af5b51a4ed05d85320d1ae5ab5dec29e229a3a4b826bfcf4"
+SCAN_R_BODY = (b"# seed=1\r\nstatus,param,value,n,RT,halfRe,winBound\r\n"
+               b"ok,r,1,19,0.12220674183617695,0.5,0.6\r\n"
+               b"ok,r,2,24,0.1934940079072802,0.5,0.12\r\n"
+               b"ok,r,3,29,0.2401994580917961,0.5,0.024\r\n")
 
 
 def test_scan_r_golden_hash(tmp_path):
-    path = write_config(tmp_path, {"scan": {"kind": "r", "q": 5, "d": 2, "values": [1, 2, 3]}})
+    path = write_config(tmp_path, {
+        "protocol": {"N": 6},
+        "scan": {"kind": "point", "param": "r", "values": [1, 2, 3]},
+    })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
     config_line, body = out.read_bytes().split(b"\r\n", 1)
@@ -444,9 +492,9 @@ def test_scan_r_golden_hash(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_R_SHA256
 
 
-# sha256 of `scan --seed 1` under the default config, the d scan at q = 2
-# (exact log2); recorded before the digit conversions shared one codec
-SCAN_D_SHA256 = "d8cf1ae744980ac4f6c785fa75b3bb6d25f141542ea1203dacbfea8b59b0f04f"
+# sha256 of `scan --seed 1` under the default config, the point scan over d at
+# the protocol defaults; recorded when the point scan replaced the d and r kinds
+SCAN_D_SHA256 = "b364fede003ed7d215d92ec759d6c8ab5c0bf476bea8e28670e0b0fb667a4590"
 
 
 def test_scan_d_default_golden_hash(tmp_path):
@@ -455,17 +503,56 @@ def test_scan_d_default_golden_hash(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_D_SHA256
 
 
+# Each case is the config of one scan run.  Every row goes through ProtocolParams,
+# so a premise a row breaks exits 2 with the row named and nothing written.
 @pytest.mark.parametrize("scan, message", [
-    # the r scan's default d = 2 with q = 2: 2 divides d + 2
-    ({"kind": "r", "q": 2}, "d + 2 = 4 must not be divisible by q = 2"),
-    ({"kind": "r", "q": 3, "d": 1}, "d + 2 = 3 must not be divisible by q = 3"),
-    ({"kind": "r", "q": 4, "d": 1}, "q=4 is not prime"),
+    # the old r scan's default d = 2 with q = 2: 2 divides d + 2
+    ({"protocol": {"q": 2}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+     "d + 2 = 4 must not be divisible by q = 2"),
+    ({"protocol": {"q": 3, "d": 1}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+     "d + 2 = 3 must not be divisible by q = 3"),
+    ({"protocol": {"q": 4, "d": 1}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+     "q=4 is not prime"),
     # a tag of length 0 would report a "probability" (d+1)/q^0 = 3
-    ({"kind": "r", "q": 5, "d": 2, "values": [0, 1]},
+    ({"scan": {"kind": "point", "param": "r", "values": [0, 1]}},
      "config rejected: scan.values[0] must be >= 1, got 0"),
+    ({"scan": {"kind": "point", "param": "r", "values": [1, 2, 3]}},
+     "point scan row r=3 rejected: r = 3 exceeds the extractable cap 2"),
+    ({"protocol": {"q": 11, "N": 12}, "scan": {"kind": "point", "param": "r", "values": [3]}},
+     "point scan row r=3 rejected: GF(11^3) has more than 1024 elements"),
+    ({"protocol": {"r": 0}, "scan": {"kind": "point", "param": "d"}},
+     "config rejected: protocol.r must be >= 1, got 0"),
 ])
 def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
-    path = write_config(tmp_path, {"scan": scan})
+    path = write_config(tmp_path, scan)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scan, message", [
+    # the old d scan printed ok rows here: q = 2 with d = 2, where 2 divides d + 2
+    ({"protocol": {"q": 2}, "scan": {"kind": "point", "values": [2]}},
+     "point scan row d=2 rejected: d + 2 = 4 must not be divisible by q = 2"),
+    # a valid row before the rejected one writes nothing either
+    ({"scan": {"kind": "point", "values": [1, 3]}},
+     "point scan row d=3 rejected: d + 2 = 5 must not be divisible by q = 5"),
+    ({"protocol": {"q": 4}, "scan": {"kind": "point"}},
+     "point scan row d=1 rejected: q=4 is not prime"),
+    ({"scan": {"kind": "point", "values": [1, 0]}},
+     "config rejected: scan.values[1] must be >= 1, got 0"),
+    # the old d scan read its own r, which could be 0: the point scan reads the protocol's
+    ({"scan": {"kind": "point", "r": 0, "values": [1, 2]}},
+     "config rejected: scan.r is not a key of the point scan"),
+    # the removed kind, with the premise-breaking configs it used to print
+    ({"scan": {"kind": "d", "q": 2, "values": [2]}},
+     "config rejected: scan.kind is not one of ['point', 'leakage']"),
+    ({"scan": {"kind": "d", "r": 0, "values": [1, 2]}},
+     "config rejected: scan.kind is not one of ['point', 'leakage']"),
+])
+def test_scan_d_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
+    path = write_config(tmp_path, scan)
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -474,10 +561,10 @@ def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message)
 
 @pytest.mark.parametrize("scan, message", [
     # d >= 1 is a premise of the detection code; N = 0 is no lattice
-    ({"kind": "d", "values": [0]}, "config rejected: scan.values[0] must be >= 1, got 0"),
+    ({"kind": "point", "values": [0]}, "config rejected: scan.values[0] must be >= 1, got 0"),
     ({"kind": "leakage", "r": 0, "values": [0]},
      "config rejected: scan.values[0] must be >= 1, got 0"),
-    ({"kind": "d", "q": 4}, "d scan: q=4 is not prime"),
+    ({"kind": "point", "param": "q"}, "config rejected: scan.param is not one of ['d', 'r']"),
 ])
 def test_scan_grid_outside_the_premises_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})
@@ -487,7 +574,7 @@ def test_scan_grid_outside_the_premises_exits_2(tmp_path, capsys, scan, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["d", "r", "leakage"])
+@pytest.mark.parametrize("kind", ["point", "leakage"])
 def test_scan_kind_alone_runs_on_its_own_defaults(tmp_path, kind):
     path = write_config(tmp_path, {"scan": {"kind": kind}})
     out = tmp_path / "scan.csv"
@@ -499,12 +586,14 @@ def test_scan_kind_alone_runs_on_its_own_defaults(tmp_path, kind):
 
 
 @pytest.mark.parametrize("scan, message", [
-    ({"kind": "d", "candidates": 4}, "scan.candidates is not a key of the d scan"),
-    ({"candidates": 4}, "scan.candidates is not a key of the d scan"),  # the default kind
-    ({"kind": "r", "N": 3}, "scan.N is not a key of the r scan"),
-    ({"kind": "r", "values": [1], "r": 2}, "scan.r is not a key of the r scan"),
-    ({"kind": "leakage", "Re": 1.0}, "scan.Re is not a key of the leakage scan"),
-    ({"kind": "leakage", "d": 2}, "scan.d is not a key of the leakage scan"),
+    ({"kind": "point", "candidates": 4}, "scan.candidates is not a key of the point scan"),
+    ({"candidates": 4}, "scan.candidates is not a key of the point scan"),  # the default kind
+    ({"kind": "point", "q": 3}, "scan.q is not a key of the point scan"),
+    ({"kind": "leakage", "param": "d"}, "scan.param is not a key of the leakage scan"),
+    # the old d and r scans' own operating point: the point scan reads the protocol section
+    ({"kind": "point", "N": 3}, "scan.N is not an allowed key"),
+    ({"kind": "point", "d": 2}, "scan.d is not an allowed key"),
+    ({"kind": "leakage", "Re": 1.0}, "scan.Re is not an allowed key"),
 ])
 def test_scan_key_outside_its_kind_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})
@@ -515,19 +604,17 @@ def test_scan_key_outside_its_kind_exits_2(tmp_path, capsys, scan, message):
 
 def test_scan_table_matches_the_schema():
     scan_schema = cli._schema()["properties"]["scan"]
-    assert list(cli.SCANS) == scan_schema["properties"]["kind"]["enum"]
+    assert list(cli.SCANS) == scan_schema["properties"]["kind"]["enum"] == ["point", "leakage"]
     keys = set()
     for kind, spec in cli.SCANS.items():
         cli._validate({"kind": kind, **spec.defaults}, scan_schema)
         keys |= set(spec.defaults)
     assert keys | {"kind"} == set(scan_schema["properties"])  # every key is some kind's
-    assert DEFAULT_CONFIG["scan"] == {"kind": "d", **cli.SCANS["d"].defaults}
+    assert DEFAULT_CONFIG["scan"] == {"kind": "point", **cli.SCANS["point"].defaults}
 
 
 def test_module_entry_point_subprocess(tmp_path):
-    path = write_config(tmp_path, {
-        "scan": {"kind": "r", "values": [1, 2], "d": 2, "q": 5}
-    })
+    path = write_config(tmp_path, {"scan": {"kind": "point", "param": "r", "values": [1, 2]}})
     result = subprocess.run(
         [sys.executable, "-m", "relaysec.cli", "scan", "--config", path],
         capture_output=True, text=True,

@@ -72,6 +72,11 @@ def test_params_validation():
         ProtocolParams(q=5, r=3, N=4)  # beyond the extractable cap
     with pytest.raises(ValueError):
         ProtocolParams(msg_q=2, msg_N=4, msg_r0=1)  # binary code has no margin
+    # the field's premises are checked before the caps that depend on r and N
+    with pytest.raises(ValueError, match="q=4 is not prime"):
+        ProtocolParams(q=4)
+    with pytest.raises(ValueError, match="d \\+ 2 = 4 must not be divisible by q = 2"):
+        ProtocolParams(q=2)
 
 
 @pytest.mark.parametrize("channel, message", [
