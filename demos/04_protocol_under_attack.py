@@ -3,7 +3,7 @@
 An honest relay delivers every message; a Byzantine one can corrupt what
 it forwards but almost never gets a forged message accepted: the
 destination recomputes the detection tag under a seed the relay never
-learns.  This script runs Monte Carlo batches per behavior and prints
+learns.  This script runs one Monte Carlo pass over the behaviors and prints
 the rate/power accounting for the configuration.
 
 Run: python demos/04_protocol_under_attack.py
@@ -16,6 +16,7 @@ from relaysec import (
     RandomGarble,
     SubstituteLattice,
     TwoHopProtocol,
+    operating_rates,
     win_bound,
 )
 
@@ -26,10 +27,10 @@ print("=== configuration ===")
 print(f"seed stages: q={params.q}, N={params.N}; tag stage dimension r={params.r}")
 print(f"message: d={params.d} symbols of GF({params.q}^{params.r}) "
       f"= {proto.payload_bits} bits in {proto.blocks} blocks")
-p1, p2, p3 = proto.stage_powers()
-report = proto.rate_report(p1, p2, p3)
-print(f"channel uses per direction n = {report.n}, overall secrecy rate "
-      f"RT = {report.RT:.4f} bits/use, average power PT = {report.PT:.3f}")
+n, rt, _ = operating_rates(params)
+pt = proto.average_power(*proto.stage_powers())
+print(f"channel uses per direction n = {n}, overall secrecy rate "
+      f"RT = {rt:.4f} bits/use, average power PT = {pt:.3f}")
 
 print()
 print("=== Monte Carlo, 4000 noiseless trials per behavior ===")
@@ -40,10 +41,9 @@ behaviors = [
     ("forward random codewords", RandomGarble()),
 ]
 print(f"{'behavior':34}{'decode err':>12}{'false rej':>12}{'adv wins':>12}")
-for label, behavior in behaviors:
-    r = proto.monte_carlo(behavior, 4000, seed=2024)
-    print(f"{label:34}{r.decode_error_rate:>12.4f}"
-          f"{r.false_reject_rate:>12.4f}{r.adversary_win_rate:>12.4f}")
+counts = proto.monte_carlo([behavior for _, behavior in behaviors], 4000, seed=2024)
+for (label, _), (errors, rejects, wins) in zip(behaviors, counts / 4000):
+    print(f"{label:34}{errors:>12.4f}{rejects:>12.4f}{wins:>12.4f}")
 print(f"\nwin-probability bound for any additive attack: {win_bound(proto.amd):.3f}")
 print("honest runs decode everything and reject nothing; every attack that")
 print("changes the message is caught except for a bound-sized sliver")

@@ -64,9 +64,8 @@ from .lattice import (
 )
 from .protocol import (
     ProtocolParams,
-    RateReport,
-    SimReport,
     TwoHopProtocol,
+    operating_rates,
     rate_accounting,
 )
 

@@ -325,22 +325,17 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
     proto = _protocol_cache(params)
     sim_cfg = cfg.get("simulate", {})
     trials = sim_cfg.get("trials", 1000)
-    rows = []
-    for entry in sim_cfg.get("behaviors", [{"kind": "honest"}]):
-        behavior, label = _build_behavior(entry)
-        report = proto.monte_carlo(behavior, trials, workers=workers, seed=seed)
-        rows.append({
-            "behavior": label,
-            "trials": report.trials,
-            "decodeErrRate": repr(report.decode_error_rate),
-            "falseRejectRate": repr(report.false_reject_rate),
-            "adversaryWinRate": repr(report.adversary_win_rate),
-            "winBound": repr(report.win_bound),
-            "n": report.n,
-            "RT": repr(report.RT),
-            "PT": repr(report.PT),
-            "seed": seed,
-        })
+    behaviors, labels = zip(*map(_build_behavior, sim_cfg.get("behaviors", [{"kind": "honest"}])))
+    counts = proto.monte_carlo(behaviors, trials, workers=workers, seed=seed)
+    # the columns every row shares: constants of the protocol
+    n, rt, _ = operating_rates(params)
+    shared = {"trials": trials, "winBound": repr(win_bound(proto.amd)), "n": n,
+              "RT": repr(rt), "PT": repr(proto.average_power(*proto.stage_powers())),
+              "seed": seed}
+    rows = [{"behavior": label, **shared, "decodeErrRate": repr(int(errors) / trials),
+             "falseRejectRate": repr(int(rejects) / trials),
+             "adversaryWinRate": repr(int(wins) / trials)}
+            for label, (errors, rejects, wins) in zip(labels, counts)]
     meta = {"config": cfg, "seed": seed}
     text = _rows_to_csv(rows, SIM_COLUMNS, meta) if fmt == "csv" else _rows_to_json(rows, meta)
     _emit(text, out)

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag
+from .amd import AmdParams, amd_tag, win_bound
 from .extract import leftover_bound, renyi_entropy, shannon_entropy
 from .fields import all_matrices, digits, full_rank_fraction, matrix_row_rank, row_spaces, undigits
 from .lattice import (
@@ -408,10 +408,9 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
         max_hits = max(max_hits, int(counts.max()))
     histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
     attacks = int(hist.sum())
-    bound = (d + 1) / order
     return AmdCensus(
         max_success=max_hits / order,
-        bound=bound,
+        bound=win_bound(params),
         histogram=histogram,
         attacks=attacks,
         holds=max_hits <= d + 1,

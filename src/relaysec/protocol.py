@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, amd_verify, check_premises, win_bound
+from .amd import AmdParams, amd_tag, amd_verify, check_premises
 from .channel import (
     CustomRelay,
     PhaseRecord,
@@ -72,8 +72,6 @@ from .lattice import (
 
 __all__ = [
     "ProtocolParams",
-    "RateReport",
-    "SimReport",
     "TrialBatch",
     "TwoHopProtocol",
     "box_muller",
@@ -129,6 +127,9 @@ class ProtocolParams:
                 f"GF({self.q}^{self.r}) has more than {MAX_FIELD_ORDER} elements, "
                 "the largest field the simulator tabulates"
             )
+        if self.d + 1 >= self.q**self.r:
+            raise ValueError(f"detection bound (d+1)/q^r = {self.d + 1}/{self.q**self.r} "
+                             "is not below 1: d + 1 must be less than q^r")
         msg_cap = r0_max(self.msg_N, math.log2(self.msg_q), self.epsilon)
         if self.msg_r0 > msg_cap or self.msg_r0 < 1:
             raise ValueError(
@@ -166,26 +167,6 @@ class TrialBatch:
         err = self.decode_errors()
         return np.array([err.sum(), (~err & ~self.accepted).sum(),
                          (err & self.accepted).sum()], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    n: int
-    RT: float
-    PT: float
-
-
-@dataclass(frozen=True)
-class SimReport:
-    trials: int
-    decode_error_rate: float
-    false_reject_rate: float
-    adversary_win_rate: float
-    win_bound: float
-    n: int
-    RT: float
-    PT: float
-    seed: int
 
 
 def payload_bits(q: int, r: int, d: int) -> int:
@@ -498,13 +479,6 @@ class TwoHopProtocol:
             records=tuple(chunk.records or ()),
         )
 
-    def trial_counts(self, behavior, seed: int, start: int, stop: int) -> np.ndarray:
-        """(decode errors, false rejects, adversary wins) over trials start..stop-1."""
-        total = np.zeros(3, dtype=np.int64)
-        for a in range(start, stop, BATCH_TRIALS):
-            total += self.run_batch(behavior, seed, a, min(a + BATCH_TRIALS, stop)).counts()
-        return total
-
     # -- accounting ---------------------------------------------------------
 
     def stage_powers(self) -> tuple[float, float, float]:
@@ -520,68 +494,50 @@ class TwoHopProtocol:
             self._powers = (p1, p2, p3)
         return self._powers
 
-    def rate_report(
-        self, P1: float = 0.0, P2: float = 0.0, P: float = 0.0
-    ) -> RateReport:
-        """Channel-use, rate, and power accounting for this instance.
+    def average_power(self, P1: float, P2: float, P: float) -> float:
+        """PT, the average power per channel use of one trial.
 
         PT charges 2N uses at P1, r uses at P2, and the actual (ceiled)
         message-stage uses at P, so it agrees exactly with a measured
         power audit when fed realized per-stage powers.
         """
         p = self.params
-        n, rt, _ = operating_rates(p)
-        pt = (P1 * 2 * p.N + P2 * p.r + P * (self.blocks * p.msg_N)) / n
-        return RateReport(n=n, RT=rt, PT=float(pt))
+        return float((P1 * 2 * p.N + P2 * p.r + P * (self.blocks * p.msg_N)) / self.uses)
 
-    def monte_carlo(
-        self,
-        behavior,
-        trials: int,
-        workers: int = 1,
-        seed: int = 0,
-    ) -> SimReport:
-        """Estimate decode-error, false-reject, and adversary-win rates.
+    def monte_carlo(self, behaviors, trials: int, workers: int = 1, seed: int = 0) -> np.ndarray:
+        """(decode errors, false rejects, adversary wins) of each behavior, as int64 rows.
 
-        Trial i is row 0 of ``run_batch(behavior, seed, i, i + 1)``: a pure
-        function of (seed, i) under the word layout of ``draw_layout``
-        (Philox keyed by the seed, trial i at counter i*W/4), so reports
-        are identical for any worker count and batch size.  Batches of
-        ``BATCH_TRIALS`` trials of built-in behaviors spread over
-        ``workers`` processes; custom relays, whose callables need not
-        pickle, run their batches in this process.
+        Trial i of every behavior is row 0 of ``run_batch(behavior, seed, i,
+        i + 1)``: a pure function of (seed, i) under the word layout of
+        ``draw_layout`` (Philox keyed by the seed, trial i at counter
+        i*W/4), so the counts are identical for any worker count and batch
+        size.  The batches of ``BATCH_TRIALS`` trials of all behaviors form
+        one task list, run in this process or, at ``workers`` > 1, over one
+        pool of that many processes; a list holding a custom relay, whose
+        callable need not pickle, runs in this process.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
-        if workers <= 1 or isinstance(behavior, CustomRelay):
-            counts = self.trial_counts(behavior, seed, 0, trials)
+        chunks = range(0, trials, BATCH_TRIALS)
+        tasks = [(b, a, min(a + BATCH_TRIALS, trials)) for b in behaviors for a in chunks]
+        count = partial(self._task_counts, seed)
+        if workers <= 1 or any(isinstance(b, CustomRelay) for b in behaviors):
+            counts = list(map(count, tasks))
         else:
             # imported here: the pool loads multiprocessing, which one worker never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            args = [(self.params, behavior, seed, a, min(a + BATCH_TRIALS, trials))
-                    for a in range(0, trials, BATCH_TRIALS)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                counts = sum(pool.map(_trial_counts, args))
-        decode_err, false_rej, wins = (int(c) for c in counts)
-        p1, p2, p3 = self.stage_powers()
-        rr = self.rate_report(p1, p2, p3)
-        return SimReport(
-            trials=trials,
-            decode_error_rate=decode_err / trials,
-            false_reject_rate=false_rej / trials,
-            adversary_win_rate=wins / trials,
-            win_bound=win_bound(self.amd),
-            n=rr.n,
-            RT=rr.RT,
-            PT=rr.PT,
-            seed=seed,
-        )
+                counts = list(pool.map(count, tasks))
+        return np.array(counts, dtype=np.int64).reshape(len(behaviors), len(chunks), 3).sum(axis=1)
 
+    def _task_counts(self, seed: int, task) -> np.ndarray:
+        behavior, start, stop = task
+        return self.run_batch(behavior, seed, start, stop).counts()
 
-def _trial_counts(args) -> np.ndarray:
-    params, behavior, seed, start, stop = args
-    return _protocol_cache(params).trial_counts(behavior, seed, start, stop)
+    def __reduce__(self):
+        # pickled as its params: a pool worker runs its own cached instance
+        return _protocol_cache, (self.params,)
 
 
 @lru_cache(maxsize=8)

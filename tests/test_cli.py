@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from relaysec import cli
-from relaysec.amd import win_bound
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
-from relaysec.protocol import ProtocolParams, TwoHopProtocol, rate_accounting
+from relaysec.protocol import ProtocolParams, rate_accounting
 
 
 def write_config(tmp_path, overrides):
@@ -43,12 +42,15 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_invalid_amd_config_exits_2(tmp_path, capsys):
-    # d + 2 divisible by q must be rejected before any run
-    path = write_config(tmp_path, {"protocol": {"d": 3}})
-    code = main(["simulate", "--config", path])
-    assert code == 2
-    assert "rejected" in capsys.readouterr().err
-    assert main(["verify", "--config", path]) == 2
+    # d + 2 divisible by q, or a vacuous bound (d+1)/q^r >= 1, is rejected before any run
+    for d, why in [(3, "d + 2 = 5 must not be divisible by q = 5"),
+                   (24, "detection bound (d+1)/q^r = 25/25 is not below 1")]:
+        path = write_config(tmp_path, {"protocol": {"d": d}})
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert f"protocol config rejected: {why}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "--config", path]) == 2
 
 
 def test_simulate_seed_beyond_philox_key_exits_2(tmp_path, capsys):
@@ -219,7 +221,7 @@ sys.modules["jsonschema"] = None  # any import of it now fails
 from relaysec.cli import main
 assert main(["simulate", "--config", {str(sim)!r}, "--out", {str(tmp_path / "s.csv")!r}]) == 0
 assert main(["verify", "--config", {str(ver)!r}, "--out", {str(tmp_path / "v.json")!r}]) == 0
-assert "concurrent.futures.process" not in sys.modules
+assert "concurrent.futures" not in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -395,6 +397,26 @@ def test_simulate_default_config_golden_hash(tmp_path, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SIMULATE_SHA256
 
 
+def test_simulate_builds_one_pool_per_command(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    outs = []
+    for workers in ("2", "1"):  # the default four behaviors
+        out = tmp_path / f"rows{workers}.csv"
+        assert main(["simulate", "--workers", workers, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+        assert built == [{"max_workers": 2}]
+    assert outs[0] == outs[1]
+
+
 def test_simulate_json_format(tmp_path):
     path = write_config(tmp_path, FAST_SIM)
     out = tmp_path / "rows.json"
@@ -415,10 +437,11 @@ def _scan_rows(path):
             if l and not l.startswith("#")][1:]
 
 
-def test_scan_point_d_sweep_matches_closed_form(tmp_path):
+def test_scan_point_d_sweep_matches_closed_form(tmp_path, capsys):
     # with msg_N = N = 4 and msg_r0 = 4 the message code carries Re = 1 bit per use,
     # so the protocol's (n, RT) is the paper's closed form rate_accounting(N, r, q, d, Re)
-    values = [d for d in range(1, 65) if (d + 2) % 5]
+    # d <= 23 keeps the detection bound (d+1)/q^r below 1 at q^r = 25
+    values = [d for d in range(1, 24) if (d + 2) % 5]
     path = write_config(tmp_path, {
         "protocol": {"N": 4, "msg_N": 4, "msg_r0": 4},
         "scan": {"kind": "point", "param": "d", "values": values},
@@ -431,6 +454,12 @@ def test_scan_point_d_sweep_matches_closed_form(tmp_path):
         n, rt = rate_accounting(4, 2, 5, int(row[2]), 1.0)
         assert (int(row[3]), float(row[4]), row[5]) == (n, rt, "0.5")
         assert float(row[4]) < float(row[5])  # RT stays below Re/2
+    out.unlink()
+    for d in (24, 64):  # (d+1)/q^r >= 1: the row is rejected, naming it
+        path = write_config(tmp_path, {"scan": {"kind": "point", "values": [1, d]}})
+        assert main(["scan", "--config", path, "--out", str(out)]) == 2
+        assert f"point scan row d={d} rejected: detection bound" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("protocol, scan", [
@@ -446,12 +475,18 @@ def test_scan_point_rows_match_the_protocol(tmp_path, protocol, scan):
     rows = _scan_rows(out)
     assert [int(r[2]) for r in rows] == cfg["scan"]["values"]
     for row in rows:
-        proto = TwoHopProtocol(ProtocolParams(**{**protocol, row[1]: int(row[2])}))
-        report = proto.rate_report()
+        # simulate's row at the same protocol section
+        point = {**protocol, row[1]: int(row[2])}
+        sim_path = write_config(tmp_path, {"protocol": point, "simulate": {
+            "trials": 1, "behaviors": [{"kind": "honest"}]}})
+        sim_out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", sim_path, "--format", "json",
+                     "--out", str(sim_out)]) == 0
+        (sim,) = json.loads(sim_out.read_text())["rows"]
+        params = ProtocolParams(**point)
         assert row[0] == "ok"
-        assert row[3:] == [str(report.n), repr(report.RT),
-                           repr(proto.params.msg_r0 / (2 * proto.params.msg_N)),
-                           repr(win_bound(proto.amd))]
+        assert row[3:] == [str(sim["n"]), sim["RT"],
+                           repr(params.msg_r0 / (2 * params.msg_N)), sim["winBound"]]
     if not protocol:  # simulate's operating point
         assert rows[1][1:] == ["d", "2", "20", "0.23219280948873622", "0.5", "0.12"]
 
