@@ -9,8 +9,8 @@ phase scales them by its noise deviation; passing none is noiseless
 mode.  The power limit and noise variances live in
 ``protocol.ProtocolParams``, which checks them.  The relay's behavior is a
 strategy object; every behavior gets the same inputs, one batched call
-per hop: the received blocks, the incoming dither, the relay's own
-layout words and the messages — never the destination noise.
+per hop: the received blocks, the relay's own layout words and the
+messages — never the destination noise.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def phase2(xr, noise=None, var: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HonestRelay:
-    """Decode the mod-coarse sum and forward it on the outgoing dither."""
+    """Decode the mod-coarse sum and forward its codebook point."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,6 @@ def relay_step(
     behavior,
     pair: NestedLatticePair,
     yr: np.ndarray,
-    in_dither: np.ndarray,
     words: np.ndarray,
     s,
     power_limit: float,
@@ -169,11 +168,8 @@ def relay_step(
     """Relay transmissions for received blocks ``yr`` of shape (..., k, N).
 
     The last two axes are a hop's k consecutive exchanges and their N
-    channel uses; leading axes are trials, one row per trial.
-    ``in_dither`` is the dither sum the honest relay removes before
-    decoding (d1 + d2 when both end nodes transmit, d1 alone when node 2
-    is silent); every forward uses the outgoing dither d3.  ``words`` are
-    the relay's raw uint64 layout words of ``yr``'s shape, which
+    channel uses; leading axes are trials, one row per trial.  ``words``
+    are the relay's raw uint64 layout words of ``yr``'s shape, which
     ``RandomGarble`` maps to uniform coords in [0, q) and ``CustomRelay``
     reads raw; ``s`` are the messages, which only ``CustomRelay`` reads.
     A custom relay's callable is called once per exchange, in order; rows
@@ -182,17 +178,15 @@ def relay_step(
     if np.shape(words) != np.shape(yr):
         raise ValueError(f"relay words must have the received shape {np.shape(yr)}")
     if isinstance(behavior, HonestRelay):
-        t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
-        return codebook_point(pair, t_hat, 3)
+        return codebook_point(pair, decode_fine_mod_coarse(pair, yr))
     if isinstance(behavior, SubstituteLattice):
         t3 = _cycle_pattern(behavior.pattern, pair.N, pair.q)
-        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)), 3)
+        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)))
     if isinstance(behavior, AdditiveLatticeOffset):
-        t_hat = decode_fine_mod_coarse(pair, yr, in_dither)
         delta = _cycle_pattern(behavior.pattern, pair.N, pair.q)
-        return codebook_point(pair, lattice_add(pair, t_hat, delta), 3)
+        return codebook_point(pair, lattice_add(pair, decode_fine_mod_coarse(pair, yr), delta))
     if isinstance(behavior, RandomGarble):
-        return codebook_point(pair, uniform_ints(words, pair.q), 3)
+        return codebook_point(pair, uniform_ints(words, pair.q))
     if isinstance(behavior, CustomRelay):
         xr = np.empty(np.shape(yr))
         for j in range(xr.shape[-2]):  # in exchange order, so the relay stays causal

@@ -248,9 +248,8 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     """Build the encoder for a binary full-row-rank matrix g with N0 columns.
 
     N0 = floor(N log2 q); the subset K holds the 2^N0 codebook points of
-    smallest Euclidean norm (transmit dither d1 applied), ties broken by
-    lexicographic coordinate order, and v is the rank within K with bit 0
-    least significant.
+    smallest Euclidean norm, ties broken by lexicographic coordinate order,
+    and v is the rank within K with bit 0 least significant.
     """
     N0 = encoder_bits(pair.N, pair.q)
     g = np.array(g, dtype=np.int64) % 2
@@ -260,7 +259,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     g_prime, a = complete_and_invert(g, 2)  # raises unless g has full row rank
 
     coords = index_to_coords(pair, np.arange(pair.q**pair.N))
-    points = codebook_point(pair, coords, dither=1)
+    points = codebook_point(pair, coords)
     ranked = sorted((round(float(np.dot(p, p)), 12), tuple(c.tolist()))
                     for p, c in zip(points, coords))
     subset_coords = np.array([c for _, c in ranked[: 2**N0]], dtype=np.int64)

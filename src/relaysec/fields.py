@@ -24,7 +24,7 @@ degree, so GF(q^r) has one canonical representation per (q, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -147,26 +147,17 @@ class ExtField:
     """GF(q^r) in the polynomial basis modulo a monic irreducible polynomial.
 
     Elements are the ints in [0, q^r); base-q digit k of an element is its
-    coefficient of x^k.  If no modulus is given, the canonical (lex-first)
-    irreducible is used, so two ExtField(q, r) instances are equal and
-    share their tables.
+    coefficient of x^k.  The modulus is the canonical (lex-first)
+    irreducible of ``find_irreducible``, so two ExtField(q, r) instances
+    are equal and share their tables.
     """
 
     q: int
     r: int
-    modulus: tuple[int, ...] | None = None
+    modulus: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        _check_prime(self.q)
-        modulus = self.modulus
-        if modulus is None:
-            modulus = find_irreducible(self.q, self.r)
-        modulus = tuple(int(c) % self.q for c in modulus)
-        if len(modulus) != self.r + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree r")
-        if not _poly_is_irreducible(list(modulus), self.q):
-            raise ValueError(f"modulus {modulus} is reducible over GF({self.q})")
-        object.__setattr__(self, "modulus", modulus)
+    def __post_init__(self):  # find_irreducible also checks q and r
+        object.__setattr__(self, "modulus", find_irreducible(self.q, self.r))
 
     @property
     def order(self) -> int:

@@ -27,7 +27,7 @@ in lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class NestedLatticePair:
     N: int
     q: int
     alpha: float = 1.0
-    d1: tuple[float, ...] | None = None
-    d2: tuple[float, ...] | None = None
-    d3: tuple[float, ...] | None = None
-    # read-only arrays (zero, d1, d2, d3), built once and handed out by dither()
-    _dithers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -71,35 +66,10 @@ class NestedLatticePair:
             raise ValueError(f"nesting ratio q={self.q} must be prime")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        for name in ("d1", "d2", "d3"):
-            d = getattr(self, name)
-            if d is None:
-                d = (0.0,) * self.N
-            d = tuple(float(x) for x in d)
-            if len(d) != self.N:
-                raise ValueError(f"dither {name} must have length {self.N}")
-            object.__setattr__(self, name, d)
-            if not np.array_equal(mod_coarse(self, np.array(d)), np.array(d)):
-                raise ValueError(f"dither {name} lies outside the Voronoi region")
-        dithers = (np.zeros(self.N),) + tuple(np.array(d) for d in (self.d1, self.d2, self.d3))
-        for d in dithers:
-            d.setflags(write=False)
-        object.__setattr__(self, "_dithers", dithers)
-
-    def __reduce__(self):  # a copy or unpickled pair rebuilds its read-only arrays
-        return type(self), (self.N, self.q, self.alpha, self.d1, self.d2, self.d3)
 
     @property
     def coarse_step(self) -> float:
         return self.q * self.alpha
-
-    def dither(self, index: int | None) -> np.ndarray:
-        """Dither vector by index 1/2/3; 0 or None means zero.  The array is read-only."""
-        if index in (None, 0):
-            return self._dithers[0]
-        if index in (1, 2, 3):
-            return self._dithers[index]
-        raise ValueError(f"dither index must be one of None,0,1,2,3, got {index}")
 
 
 def _check_len(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
@@ -142,12 +112,10 @@ def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
     return c
 
 
-def codebook_point(
-    pair: NestedLatticePair, c, dither: int | None = None
-) -> np.ndarray:
-    """Transmitted point for canonical coords c: (alpha*c + d) mod coarse."""
+def codebook_point(pair: NestedLatticePair, c) -> np.ndarray:
+    """Transmitted point for canonical coords c: alpha*c mod coarse."""
     c = _check_coords(pair, c)
-    return mod_coarse(pair, pair.alpha * c + pair.dither(dither))
+    return mod_coarse(pair, pair.alpha * c)
 
 
 def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
@@ -165,7 +133,7 @@ def coords_to_index(pair: NestedLatticePair, c):
 
 
 def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:
-    """Coords of (point(a) + point(b)) mod coarse, for undithered points."""
+    """Coords of (point(a) + point(b)) mod coarse."""
     a = _check_coords(pair, a)
     b = _check_coords(pair, b)
     return (a + b) % pair.q
@@ -203,17 +171,13 @@ def reconstruct_sums(pair: NestedLatticePair, sum_mod, T) -> np.ndarray:
     return sum_mod + bits * shift
 
 
-def decode_fine_mod_coarse(
-    pair: NestedLatticePair, y, dither_offset=None
-) -> np.ndarray:
+def decode_fine_mod_coarse(pair: NestedLatticePair, y) -> np.ndarray:
     """Nearest-fine-point decoding to canonical coords.
 
-    Subtracts the known dither offset, scales by 1/alpha, rounds each
-    coordinate to the nearest integer (ties toward -inf), reduces mod q.
+    Scales by 1/alpha, rounds each coordinate to the nearest integer (ties
+    toward -inf), reduces mod q.
     """
     y = _check_len(pair, y)
-    if dither_offset is not None:
-        y = y - np.asarray(dither_offset, dtype=float)
     z = y / pair.alpha
     rounded = np.ceil(z - 0.5).astype(np.int64)
     return rounded % pair.q
@@ -231,23 +195,23 @@ def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:
     return codebook_rate(pair) < 0.5 * math.log2(0.5 + power)
 
 
-def average_codebook_power(
-    pair: NestedLatticePair, dither: int | None = None
-) -> float:
+def average_codebook_power(pair: NestedLatticePair) -> float:
     """Mean squared norm per channel use over the full codebook.
 
-    Coordinates are independent, so the q^N-point average reduces to a
-    per-coordinate average over q residues.
+    Coordinates are independent and alike, so the q^N-point average reduces
+    to one per-coordinate average over q residues.
     """
-    residues = mod_coarse(pair, pair.alpha * np.arange(pair.q)[:, None] + pair.dither(dither))
+    line = NestedLatticePair(N=1, q=pair.q, alpha=pair.alpha)
+    residues = codebook_point(line, np.arange(pair.q)[:, None])[:, 0]
+    per_coordinate = sum(v * v for v in residues.tolist()) / pair.q
     total = 0.0
-    for j in range(pair.N):  # summed in Python order, residue by residue
-        total += sum(v * v for v in residues[:, j].tolist()) / pair.q
+    for _ in range(pair.N):  # an N-term sum, not N * x: PT stays bit-identical
+        total += per_coordinate
     return float(total / pair.N)
 
 
 def alpha_for_power(q: int, target_power: float) -> float:
-    """Scale making the zero-dither codebook meet an average power target."""
+    """Scale making the codebook meet an average power target."""
     if target_power < 0:
         raise ValueError("power target must be nonnegative")
     base = average_codebook_power(NestedLatticePair(N=1, q=q, alpha=1.0))

@@ -135,8 +135,8 @@ class LeakageRecord:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)  # keyed by scalars: undithered coordinates share one entry
-def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _coordinate_table(q: int, alpha: float) -> np.ndarray:
     """table[c1, 2*sd + w]: count of c2 with sum digit sd and wrap bit w at one coordinate.
 
     The scaled integer lattice acts coordinate-wise, so the mod-coarse sum
@@ -148,12 +148,10 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
     t1_j given observation o; ``_coordinate_classes`` groups the columns by
     it.  Stored as float64, read-only.
     """
-    sub = NestedLatticePair(N=1, q=q, alpha=alpha, d1=(d1,), d2=(d2,))
-    coords = np.arange(q)[:, None]
-    sum_mod, t = represent_sums(
-        sub, codebook_point(sub, coords, 1)[:, None], codebook_point(sub, coords, 2)[None, :])
-    sum_digit = decode_fine_mod_coarse(
-        sub, sum_mod.reshape(-1, 1), sub.dither(1) + sub.dither(2))[:, 0]
+    sub = NestedLatticePair(N=1, q=q, alpha=alpha)
+    points = codebook_point(sub, np.arange(q)[:, None])
+    sum_mod, t = represent_sums(sub, points[:, None], points[None, :])
+    sum_digit = decode_fine_mod_coarse(sub, sum_mod.reshape(-1, 1))[:, 0]
     wrap = (t - 1).ravel()
     c1 = np.repeat(np.arange(q), q)
     table = np.bincount((c1 * q + sum_digit) * 2 + wrap, minlength=2 * q * q)
@@ -163,7 +161,7 @@ def _coordinate_table(q: int, alpha: float, d1: float, d2: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _coordinate_classes(q: int, alpha: float, d1: float, d2: float):
+def _coordinate_classes(q: int, alpha: float):
     """(members, columns): the posterior shapes of t1_j at one coordinate.
 
     Each observation column of ``_coordinate_table`` holds 0 or 1 per c1,
@@ -173,10 +171,10 @@ def _coordinate_classes(q: int, alpha: float, d1: float, d2: float):
     same entropy and the same largest mass, so they form one shape:
     ``members[s]`` is shape s's 0/1 indicator over Z_q (float64, for the
     class pass's matmul) and ``columns[s]`` (int64) counts its columns.
-    Empty columns are dropped.  Under the dithers in use every support is
-    a cyclic interval, so there are q shapes, one per length.
+    Empty columns are dropped.  Every support is a cyclic interval, so
+    there are q shapes, one per length.
     """
-    table = _coordinate_table(q, alpha, d1, d2)
+    table = _coordinate_table(q, alpha)
     if not np.all((table == 0) | (table == 1)):
         raise AssertionError(f"a coordinate table cell exceeds 1 at q={q}: (c1, sd) must fix c2")
     columns = {}
@@ -215,14 +213,14 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     q, n, r = pair.q, pair.N, g.shape[-2]
     n_seed = q**r
     _guard(q ** (2 * n), MAX_PAIR_ENUM, "codeword-pair enumeration")
-    coords = [_coordinate_classes(q, pair.alpha, pair.d1[j], pair.d2[j]) for j in range(n)]
+    members, columns = _coordinate_classes(q, pair.alpha)  # alike at every coordinate
     weights = sizes = np.ones(1, dtype=np.int64)
-    for members, columns in coords:  # the newest coordinate's shape is the major index
+    for _ in range(n):  # the newest coordinate's shape is the major index
         weights = np.multiply.outer(columns, weights).ravel()
         sizes = np.multiply.outer(members.sum(axis=1).astype(np.int64), sizes).ravel()
     # folds sum weights over (class, seed) cells and weights * sizes = pairs, both exactly
     _guard(max(int(weights.sum()) * n_seed, q ** (2 * n)), 2**53, "exact float64 counting")
-    per_matrix = n_seed * max(len(weights), q * len(weights) // len(coords[-1][1]))
+    per_matrix = n_seed * max(len(weights), q * len(weights) // len(columns))
     block = max(1, _LEAKAGE_BLOCK_CELLS // per_matrix)
     seed_digits = digits(np.arange(n_seed), q, r)[:, None, :]
     c1 = np.arange(q)[:, None]
@@ -232,7 +230,7 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
         rows = np.arange(len(gb))[:, None, None]
         laws = np.zeros((len(gb), n_seed, 1))
         laws[:, 0, 0] = 1.0  # before any coordinate: one empty class, seed 0
-        for j, (members, _) in enumerate(coords):
+        for j in range(n):
             # source[b, x, c1]: the seed index x - c1 g[b, :, j] before coordinate j
             source = undigits((seed_digits - c1 * gb[:, None, None, :, j]) % q, q)
             shifted = laws[rows, source]  # (b, seed, c1, class prefix)

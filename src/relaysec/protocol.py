@@ -379,22 +379,16 @@ class TwoHopProtocol:
             uses = chunk.noise.shape[1] // 2
             noise_r = chunk.noise[:, a:b].reshape(t1.shape)
             noise_d = chunk.noise[:, uses + a : uses + b].reshape(t1.shape)
-        x1 = codebook_point(pair, t1, 1)
-        if t2 is None:
-            x2 = np.zeros_like(x1)
-            in_dither = pair.dither(1)
-        else:
-            x2 = codebook_point(pair, t2, 2)
-            in_dither = pair.dither(1) + pair.dither(2)
+        x1 = codebook_point(pair, t1)
+        x2 = np.zeros_like(x1) if t2 is None else codebook_point(pair, t2)
         yr = phase1(x1, x2, noise_r, self.params.noise_var_relay)
         words = chunk.relay_words[:, a:b].reshape(t1.shape)
-        xr = relay_step(behavior, pair, yr, in_dither, words, chunk.message,
-                        self.params.power_limit)
+        xr = relay_step(behavior, pair, yr, words, chunk.message, self.params.power_limit)
         y2 = phase2(xr, noise_d, self.params.noise_var_dest)
         if chunk.records is not None:
             chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
                               for j in range(t1.shape[1])]
-        return decode_fine_mod_coarse(pair, y2, pair.dither(3))
+        return decode_fine_mod_coarse(pair, y2)
 
     def _seed_stage(self, behavior, chunk: _Chunk):
         """Stages 0/1 in one hop: jammed exchanges, hashed on both sides.
@@ -453,15 +447,22 @@ class TwoHopProtocol:
         trial's relay words, so a trial is a pure function of (seed, i,
         params, behavior, message) for any stateless relay, and row 0 of
         ``run_batch(behavior, seed, i, i + 1, keep_records=True)`` replays
-        trial i with its records.  ``messages`` (B, d) symbol ints replace
-        the drawn messages.  A custom relay's callable is called once per
-        exchange, 3 + blocks times, each call covering all B trials.
+        trial i with its records.  ``messages``, an integer array of shape
+        (B, d) = (stop - start, d) of symbol ints, replaces the drawn
+        messages.  A custom relay's callable is called once per exchange,
+        3 + blocks times, each call covering all B trials.
         """
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
+        if messages is not None:
+            messages = np.asarray(messages)
+            shape = (stop - start, self.params.d)
+            if messages.dtype.kind not in "iu" or messages.shape != shape:
+                raise ValueError(f"messages must be an integer array of shape {shape}, "
+                                 f"got {messages.dtype} of shape {messages.shape}")
         chunk = self._draws(seed, start, stop, keep_records)
         if messages is not None:
-            chunk.message = np.asarray(messages, dtype=np.int64)
+            chunk.message = messages.astype(np.int64)
         s = chunk.message
 
         source, dest = self._seed_stage(behavior, chunk)
@@ -484,11 +485,11 @@ class TwoHopProtocol:
     def stage_powers(self) -> tuple[float, float, float]:
         """Measured per-use powers (seed stages, tag stage, message stage)."""
         if self._powers is None:
-            p1 = average_codebook_power(self.seed_pair, 1)
-            p2 = average_codebook_power(self.tag_pair, 1)
+            p1 = average_codebook_power(self.seed_pair)
+            p2 = average_codebook_power(self.tag_pair)
             total = 0.0
             for coords in self.encoder.subset_coords:
-                pt = codebook_point(self.msg_pair, coords, 1)
+                pt = codebook_point(self.msg_pair, coords)
                 total += float(np.dot(pt, pt)) / self.msg_pair.N
             p3 = total / len(self.encoder.subset_coords)
             self._powers = (p1, p2, p3)

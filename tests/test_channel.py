@@ -96,18 +96,15 @@ def test_zero_variance_matches_noiseless():
 
 
 def _forward(pair, behavior, t1, t2, words=None):
-    x1 = codebook_point(pair, t1, 1)
-    x2 = codebook_point(pair, t2, 2)
-    yr = x1 + x2
-    in_dither = pair.dither(1) + pair.dither(2)
+    yr = codebook_point(pair, t1) + codebook_point(pair, t2)
     if words is None:
         words = np.zeros(yr.shape, dtype=np.uint64)
-    xr = relay_step(behavior, pair, yr, in_dither, words, None, 10.0)
-    return decode_fine_mod_coarse(pair, xr, pair.dither(3))
+    xr = relay_step(behavior, pair, yr, words, None, 10.0)
+    return decode_fine_mod_coarse(pair, xr)
 
 
 def test_honest_relay_forwards_mod_sum_exhaustive():
-    pair = NestedLatticePair(N=2, q=5, d1=(0.2, 0.0), d2=(0.0, -0.4), d3=(0.1, 0.1))
+    pair = NestedLatticePair(N=2, q=5, alpha=1.3)
     t1, t2 = all_coords(pair)[:, None], all_coords(pair)[None, :]
     got = _forward(pair, HonestRelay(), t1, t2)  # all 25 x 25 pairs in one call
     assert np.array_equal(got, lattice_add(pair, t1, t2))
@@ -134,7 +131,7 @@ def test_additive_offset_shifts_decoded_coords():
 def test_garble_emits_codebook_points():
     """The garble forwards the codebook points of its words' uniform coords,
     and its words must have the received shape."""
-    pair = NestedLatticePair(N=2, q=3, d3=(0.5, -0.25))
+    pair = NestedLatticePair(N=2, q=3)
     words = rng(0).integers(0, 2**64, size=(10, 2), dtype=np.uint64)
     zeros = np.zeros((10, 2), dtype=np.int64)
     got = _forward(pair, RandomGarble(), zeros, zeros, words)
@@ -148,8 +145,7 @@ def _custom_step(fn, yr, power_limit=4.0):
     pair = NestedLatticePair(N=yr.shape[-1], q=3)
     words = np.arange(yr.size, dtype=np.uint64).reshape(yr.shape)
     messages = np.arange(2 * len(yr)).reshape(len(yr), 2)
-    return relay_step(CustomRelay(fn), pair, yr, np.zeros(pair.N), words, messages,
-                      power_limit)
+    return relay_step(CustomRelay(fn), pair, yr, words, messages, power_limit)
 
 
 def test_custom_relay_interface_and_clipping(caplog):

@@ -374,9 +374,7 @@ def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
 # sha256 of `simulate --seed 1` under the default (noiseless) config, four
 # behaviors, recorded when the default scan section became the point kind's;
 # every line below the `# config=` line is the one recorded while every
-# message block still took its own hop.  No Gaussian hash is pinned:
-# Box-Muller's log/cos/sin may differ by an ulp across CPUs and numpy builds;
-# test_engine.py checks Gaussian trials against a scalar per-hop reference instead.
+# message block still took its own hop.
 DEFAULT_SIMULATE_SHA256 = "e5db6555641da53dfe745dcc3602ebaf8dd126660c5fff32ec5697656f920366"
 DEFAULT_SIMULATE_BODY = (
     b"# seed=1\r\n"
@@ -395,6 +393,27 @@ def test_simulate_default_config_golden_hash(tmp_path, workers):
     config_line, body = out.read_bytes().split(b"\r\n", 1)
     assert config_line.startswith(b"# config=") and body == DEFAULT_SIMULATE_BODY
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SIMULATE_SHA256
+
+
+# sha256 of `simulate --seed 3` on a Gaussian operating point (alpha = 3.6,
+# where the rate condition holds) at 1,500 trials, recorded while the lattice
+# code still carried fixed dithers.  Box-Muller's log/cos/sin may differ by an
+# ulp across CPUs and numpy builds, so a platform may fail this hash alone;
+# test_engine.py also checks Gaussian trials against a scalar per-hop reference.
+GAUSSIAN_SIMULATE_SHA256 = "a20d349ca1f6a4ed2c0f4d22819d94e2a85f09ead16ba404e62ea36a91cd8d2a"
+GAUSSIAN_SIM = {
+    "protocol": {"noiseless": False, "alpha": 3.6, "noise_var_relay": 0.1, "noise_var_dest": 0.1},
+    "simulate": {"trials": 1500},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_gaussian_golden_hash(tmp_path, workers):
+    path = write_config(tmp_path, GAUSSIAN_SIM)
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", path, "--seed", "3",
+                 "--workers", str(workers), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GAUSSIAN_SIMULATE_SHA256
 
 
 def test_simulate_builds_one_pool_per_command(tmp_path, monkeypatch):

@@ -86,9 +86,7 @@ def _poly_mul(a, b, q):
 
 def test_field_tables_match_polynomial_arithmetic():
     """Every table entry against the scalar polynomial routines."""
-    fields = [ExtField(2, 3), ExtField(3, 2), ExtField(5, 2), ExtField(7, 1),
-              ExtField(3, 2, modulus=(2, 2, 1))]
-    for f in fields:
+    for f in [ExtField(2, 3), ExtField(3, 2), ExtField(5, 2), ExtField(7, 1)]:
         q, r, t = f.q, f.r, f.tables()
 
         def element(coeffs):
@@ -192,17 +190,16 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         nonlocal use
         a, b = use, use + pair.N
         use = b
-        x1 = codebook_point(pair, t1, 1)
-        x2 = np.zeros(pair.N) if t2 is None else codebook_point(pair, t2, 2)
-        in_dither = pair.dither(1) + (0 if t2 is None else pair.dither(2))
+        x1 = codebook_point(pair, t1)
+        x2 = np.zeros(pair.N) if t2 is None else codebook_point(pair, t2)
         yr = x1 + x2 + math.sqrt(p.noise_var_relay) * np.array(z[a:b])
         pattern = np.array([1] * pair.N)
         if isinstance(behavior, HonestRelay):
-            t3 = decode_fine_mod_coarse(pair, yr, in_dither)
+            t3 = decode_fine_mod_coarse(pair, yr)
         elif isinstance(behavior, SubstituteLattice):
             t3 = pattern
         elif isinstance(behavior, AdditiveLatticeOffset):
-            t3 = lattice_add(pair, decode_fine_mod_coarse(pair, yr, in_dither), pattern)
+            t3 = lattice_add(pair, decode_fine_mod_coarse(pair, yr), pattern)
         elif isinstance(behavior, RandomGarble):
             t3 = np.array([_unif(w, pair.q) for w in relay_words[a:b]])
         if isinstance(behavior, CustomRelay):
@@ -211,11 +208,11 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
             if power > p.power_limit:
                 xr = xr * math.sqrt(p.power_limit / power)
         else:
-            xr = codebook_point(pair, t3, 3)
+            xr = codebook_point(pair, t3)
         y2 = xr + math.sqrt(p.noise_var_dest) * np.array(z[uses + a : uses + b])
         records.append(PhaseRecord(x1=x1, x2=x2, yr=yr, xr=xr, y2=y2,
                                    node2_active=t2 is not None))
-        return decode_fine_mod_coarse(pair, y2, pair.dither(3))
+        return decode_fine_mod_coarse(pair, y2)
 
     seeds = []
     for stage in range(2):

@@ -87,6 +87,16 @@ def test_find_irreducible_examples():
         assert find_irreducible(q, 1) == (0, 1)  # x
 
 
+def test_ext_field_modulus_is_the_canonical_irreducible():
+    # the modulus is read-only state: GF(q^r) has one representation per (q, r)
+    assert ExtField(3, 2).modulus == find_irreducible(3, 2) == (1, 0, 1)
+    assert ExtField(3, 2) == ExtField(3, 2)
+    with pytest.raises(TypeError):
+        ExtField(3, 2, modulus=(2, 2, 1))
+    with pytest.raises(ValueError, match="degree"):
+        ExtField(3, 0)
+
+
 def test_ext_mul_examples():
     gf4 = ExtField(2, 2)
     add, mul = gf4.tables()["add"], gf4.tables()["mul"]
@@ -275,17 +285,6 @@ def test_matrix_inverse_round_trip():
                 continue
             inv = matrix_inverse(m, q)
             assert np.array_equal((m @ inv) % q, np.eye(n, dtype=int))
-
-
-def test_ext_field_explicit_and_reducible_modulus():
-    # an alternative irreducible modulus is accepted and changes arithmetic
-    alt = ExtField(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2, no roots mod 3
-    assert alt.tables()["mul"][3, 3] == 4  # x^2 = -2x - 2 = 1 + x
-    assert ExtField(3, 2) == ExtField(3, 2, modulus=(1, 0, 1)) != alt
-    with pytest.raises(ValueError):
-        ExtField(3, 2, modulus=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(ValueError):
-        ExtField(3, 2, modulus=(1, 1))  # wrong degree
 
 
 # ---------------------------------------------------------------------

@@ -97,13 +97,11 @@ def test_codebook_point_examples():
     pair = NestedLatticePair(N=1, q=3)
     assert codebook_point(pair, [2])[0] == -1.0
     assert codebook_point(pair, [0])[0] == 0.0
-    dithered = NestedLatticePair(N=1, q=3, d1=(0.5,))
-    assert codebook_point(dithered, [2], dither=1)[0] == -0.5
 
 
 def test_codebook_points_distinct():
-    pair = NestedLatticePair(N=2, q=5, d1=(0.25, -0.75))
-    points = {tuple(codebook_point(pair, c, dither=1)) for c in all_coords(pair)}
+    pair = NestedLatticePair(N=2, q=5)
+    points = {tuple(codebook_point(pair, c)) for c in all_coords(pair)}
     assert len(points) == 25
 
 
@@ -173,8 +171,8 @@ def test_sum_representation_round_trip_exhaustive(q, n):
 
 def test_batched_sums_match_single_pair_view():
     """The (25, 25) grid in one call, cell for cell against one-pair calls."""
-    pair = NestedLatticePair(N=2, q=5, alpha=1.3, d1=(0.4, -0.2), d2=(0.1, 0.6))
-    points = codebook_point(pair, all_coords(pair), 1)
+    pair = NestedLatticePair(N=2, q=5, alpha=1.3)
+    points = codebook_point(pair, all_coords(pair))
     sum_mod, t = represent_sums(pair, points[:, None], points[None, :])
     assert sum_mod.shape == (25, 25, 2) and t.shape == (25, 25)
     for i in range(25):
@@ -205,12 +203,9 @@ def test_decode_examples():
 
 def test_decode_round_trip_exhaustive_q5():
     for n in (1, 2, 3):
-        pair = NestedLatticePair(N=n, q=5, d1=(0.3,) * n)
+        pair = NestedLatticePair(N=n, q=5, alpha=0.3)
         for c in all_coords(pair):
-            y = codebook_point(pair, c, dither=1)
-            assert np.array_equal(
-                decode_fine_mod_coarse(pair, y, pair.dither(1)), c
-            )
+            assert np.array_equal(decode_fine_mod_coarse(pair, codebook_point(pair, c)), c)
 
 
 def test_noiseless_aggregate_decode_matches_lattice_add():
@@ -260,12 +255,12 @@ def test_average_power_scales_with_alpha_squared():
 
 
 def test_average_power_matches_full_enumeration():
-    pair = NestedLatticePair(N=2, q=5, alpha=0.8, d1=(0.3, -0.5))
+    pair = NestedLatticePair(N=3, q=5, alpha=0.8)
     total = 0.0
     for c in all_coords(pair):
-        p = codebook_point(pair, c, dither=1)
+        p = codebook_point(pair, c)
         total += float(np.dot(p, p)) / pair.N
-    assert math.isclose(average_codebook_power(pair, 1), total / 25, rel_tol=1e-12)
+    assert math.isclose(average_codebook_power(pair), total / 125, rel_tol=1e-12)
 
 
 def test_pair_validation():
@@ -275,8 +270,6 @@ def test_pair_validation():
         NestedLatticePair(N=1, q=1)
     with pytest.raises(ValueError):
         NestedLatticePair(N=1, q=3, alpha=0.0)
-    with pytest.raises(ValueError):
-        NestedLatticePair(N=1, q=3, d1=(5.0,))  # dither outside the region
 
 
 def test_coords_range_check_on_stacks_and_broadcasts():
@@ -328,27 +321,3 @@ def test_alpha_for_power_targets():
         a = alpha_for_power(q, target)
         got = average_codebook_power(NestedLatticePair(N=1, q=q, alpha=a))
         assert got == pytest.approx(target, rel=1e-12)
-
-
-def test_dither_accessor_rejects_bad_index():
-    pair = NestedLatticePair(N=1, q=3)
-    with pytest.raises(ValueError):
-        pair.dither(4)
-
-
-def test_dither_arrays_are_read_only_and_survive_copies():
-    import copy
-    import pickle
-
-    pair = NestedLatticePair(N=2, q=5, d1=(0.5, -1.0), d3=(1.25, 0.0))
-    copies = [pair, pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair), copy.copy(pair)]
-    for p in copies:
-        assert p == pair and hash(p) == hash(pair)
-        for index, want in [(None, (0.0, 0.0)), (0, (0.0, 0.0)), (1, pair.d1),
-                            (2, pair.d2), (3, pair.d3)]:
-            d = p.dither(index)
-            assert d.dtype == float and tuple(d.tolist()) == want
-            assert not d.flags.writeable
-            with pytest.raises(ValueError):
-                d += 1.0
-    assert pair.dither(1) is pair.dither(1)  # built once, not per call

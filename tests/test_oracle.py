@@ -58,8 +58,8 @@ def _seed_obs_counts(pair, g):
     source = undigits((digits(np.arange(n_seed), q, r) - c1 * g.T[:, None, None, :]) % q, q)
     joint = np.zeros((n_seed, 1))
     joint[0, 0] = 1.0  # before any coordinate: seed 0, empty observation
-    for j, src in enumerate(source):
-        table = oracle._coordinate_table(q, pair.alpha, pair.d1[j], pair.d2[j])
+    table = oracle._coordinate_table(q, pair.alpha)
+    for src in source:
         joint = (joint[src].reshape(q, -1).T @ table).reshape(n_seed, -1)
     # axes (seed, sd_0, w_0, ..., sd_{N-1}, w_{N-1}) -> the observation id's digit order
     order = [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
@@ -88,21 +88,16 @@ def _mi_reference(joint):
     )
 
 
-@pytest.mark.parametrize("dithered", [False, True])
+@pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize(
     "q,n,r",
     [(11, 1, 1), (11, 2, 1), (11, 3, 1), (5, 3, 2), (5, 4, 2), (3, 4, 2), (7, 3, 3), (5, 5, 2)],
 )
-def test_leakage_mi_bit_identical_to_reference(q, n, r, dithered):
+def test_leakage_mi_bit_identical_to_reference(q, n, r, scaled):
     # the class pass sums by another formula than the table's MI kernel, so the two
     # agree to rounding; the kernel itself stays bit-identical to the reference
     rng = np.random.default_rng(100 * q + 10 * n + r)
-    kwargs = {}
-    if dithered:
-        half = 0.99 * q * 1.3 / 2  # inside the Voronoi region [-q alpha/2, q alpha/2)
-        kwargs = {"alpha": 1.3, "d1": tuple(rng.uniform(-half, half, n)),
-                  "d2": tuple(rng.uniform(-half, half, n))}
-    pair = NestedLatticePair(N=n, q=q, **kwargs)
+    pair = NestedLatticePair(N=n, q=q, alpha=1.3 if scaled else 1.0)
     stack = rng.integers(0, q, size=(3, r, n))
     stacked = exact_seed_leakage(pair, stack)
     guesses = guessing_probability(pair, stack)
@@ -133,7 +128,7 @@ def test_leakage_stack_matches_single_calls():
     r2[4] = 0
     cases = [
         (NestedLatticePair(N=2, q=11), np.array([[[3, 7]]])),  # a stack of one
-        (NestedLatticePair(N=3, q=5, d1=(0.5, -1.0, 2.0)), r2),
+        (NestedLatticePair(N=3, q=5, alpha=1.3), r2),
         (NestedLatticePair(N=2, q=11), all_matrices(11, 1, 2)),  # the zero matrix first
     ]
     for pair, stack in cases:
@@ -194,16 +189,14 @@ def _observation_index_direct(pair):
     """
     q, n = pair.q, pair.N
     size = q**n
-    points1 = [codebook_point(pair, index_to_coords(pair, k), 1) for k in range(size)]
-    points2 = [codebook_point(pair, index_to_coords(pair, k), 2) for k in range(size)]
-    offset = pair.dither(1) + pair.dither(2)
+    points = [codebook_point(pair, index_to_coords(pair, k)) for k in range(size)]
     t_count = 2**n
     obs = np.zeros((size, size), dtype=np.int64)
     radix = q ** np.arange(n, dtype=np.int64)
     for i in range(size):
         for j in range(size):
-            sum_mod, t = represent_sums(pair, points1[i], points2[j])
-            coords = decode_fine_mod_coarse(pair, sum_mod, offset)
+            sum_mod, t = represent_sums(pair, points[i], points[j])
+            coords = decode_fine_mod_coarse(pair, sum_mod)
             obs[i, j] = int(np.dot(coords, radix)) * t_count + (int(t) - 1)
     return obs.reshape(-1), q**n * t_count
 
@@ -230,23 +223,22 @@ def _seed_obs_counts_direct(pair, g):
 def test_seed_obs_counts_match_direct_path():
     """The per-coordinate composition equals the pair-by-pair table cell for cell."""
     cases = [
-        (3, 1, None, [[1]]),
-        (5, 2, None, [[1, 2]]),
-        (5, 2, None, [[1, 0], [3, 4]]),
-        (3, 3, None, [[0, 1, 2], [1, 1, 0]]),
-        (3, 2, ((0.25, -0.5), (0.5, 0.0)), [[2, 1]]),
-        (3, 3, ((0.25, -0.5, 1.0), (0.5, 0.0, -1.5)), [[1, 2, 2]]),
-        (3, 3, ((0.25, -0.5, 1.0), (0.5, 0.0, -1.5)), [[1, 0, 2], [0, 1, 1]]),
-        (5, 2, ((1.5, -2.5), (2.0, 0.75)), [[1, 1], [0, 0]]),
+        (3, 1, 1.0, [[1]]),
+        (5, 2, 1.0, [[1, 2]]),
+        (5, 2, 1.0, [[1, 0], [3, 4]]),
+        (3, 3, 1.0, [[0, 1, 2], [1, 1, 0]]),
+        (3, 2, 0.7, [[2, 1]]),
+        (3, 3, 1.3, [[1, 2, 2]]),
+        (3, 3, 1.3, [[1, 0, 2], [0, 1, 1]]),
+        (5, 2, 2.5, [[1, 1], [0, 0]]),
     ]
-    for q, n, dithers, g in cases:
-        kwargs = {} if dithers is None else {"d1": dithers[0], "d2": dithers[1]}
-        pair = NestedLatticePair(N=n, q=q, **kwargs)
+    for q, n, alpha, g in cases:
+        pair = NestedLatticePair(N=n, q=q, alpha=alpha)
         g = np.array(g, dtype=np.int64)
         fast = _seed_obs_counts(pair, g)
         slow = _seed_obs_counts_direct(pair, g)
         assert fast.dtype == slow.dtype and fast.shape == slow.shape
-        assert np.array_equal(fast, slow), (q, n, dithers, g.tolist())
+        assert np.array_equal(fast, slow), (q, n, alpha, g.tolist())
         # the relay's best guess of the seed from each observation, summed over them
         assert guessing_probability(pair, g) == int(slow.max(axis=0).sum()) / q ** (2 * n)
 
@@ -292,7 +284,7 @@ def test_best_extractor_scaling_classes_are_equivalent():
 
 
 def test_leakage_ties_exactly_under_coordinate_permutation():
-    # undithered coordinates share one table, so permuting the columns of g
+    # every coordinate shares one table, so permuting the columns of g
     # permutes the posterior classes and keeps every count
     rng = np.random.default_rng(12)
     for q, n, r in [(5, 4, 2), (11, 3, 1), (3, 4, 3)]:
@@ -425,9 +417,9 @@ def test_guessing_probability_edge_cases(monkeypatch):
         guessing_probability(pair, np.array([[1, 2, 3]]))
 
 
-@pytest.mark.parametrize("q, dithers", [(5, (0.0, 0.0)), (11, (0.0, 0.0)), (7, (1.1, -2.3))])
-def test_coordinate_classes_are_q_interval_shapes(q, dithers):
-    members, columns = oracle._coordinate_classes(q, 1.0, *dithers)
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_coordinate_classes_are_q_interval_shapes(q):
+    members, columns = oracle._coordinate_classes(q, 1.0)
     sizes = members.sum(axis=1).astype(int)
     assert sorted(sizes.tolist()) == list(range(1, q + 1))  # one shape per interval length
     for shape in members.astype(bool):  # a cyclic interval: one run of ones around Z_q
@@ -437,19 +429,19 @@ def test_coordinate_classes_are_q_interval_shapes(q, dithers):
 
 
 def test_coordinate_classes_reject_a_table_cell_above_one(monkeypatch):
-    def doubled(q, alpha, d1, d2):
+    def doubled(q, alpha):
         return np.full((q, 2 * q), 2.0)
 
     oracle._coordinate_classes.cache_clear()  # a cached entry would never read the table
     monkeypatch.setattr(oracle, "_coordinate_table", doubled)
     with pytest.raises(AssertionError, match="must fix c2"):
-        oracle._coordinate_classes(3, 1.0, 0.0, 0.0)
+        oracle._coordinate_classes(3, 1.0)
 
 
 @pytest.mark.parametrize("block_cells", [1, 3 * 25 * 125])
 def test_leakage_blocks_are_bit_identical(block_cells, monkeypatch):
     # 1: one matrix per block; 3 * 25 * 125: three per block, with a ragged last block
-    pair = NestedLatticePair(N=3, q=5, d1=(0.5, -1.0, 2.0))
+    pair = NestedLatticePair(N=3, q=5)
     stack = np.random.default_rng(3).integers(0, 5, size=(7, 2, 3))
     leaks, guesses = exact_seed_leakage(pair, stack), guessing_probability(pair, stack)
     monkeypatch.setattr(oracle, "_LEAKAGE_BLOCK_CELLS", block_cells)
@@ -583,8 +575,8 @@ def test_isomorphism_census_first_counterexample_matches_scalar_loop(
     """
     real_decode, real_mod = oracle.decode_fine_mod_coarse, oracle.mod_coarse
 
-    def faulty_decode(pair, y, dither_offset=None):
-        got = real_decode(pair, y, dither_offset)
+    def faulty_decode(pair, y):
+        got = real_decode(pair, y)
         wrong = got.sum(axis=-1) == faulty_sum
         got[..., 0] = (got[..., 0] + wrong) % pair.q
         return got
@@ -659,10 +651,10 @@ def test_isomorphism_census_rejects_a_collapsing_coordinate_map(monkeypatch):
     collision, which a check of coords alone cannot see."""
     real = oracle.codebook_point
 
-    def collapsing(pair, c, dither=None):
+    def collapsing(pair, c):
         c = np.array(c)
         c[np.all(c == 1, axis=-1)] = 0
-        return real(pair, c, dither)
+        return real(pair, c)
 
     monkeypatch.setattr(oracle, "codebook_point", collapsing)
     assert isomorphism_census(NestedLatticePair(N=2, q=3)) == (

@@ -37,8 +37,7 @@ class StagedRelay:
     """Test helper: honest forwarding with a coords offset on chosen stages.
 
     Exchange positions within a batch: 0 and 1 are the seed exchanges, 2
-    is the silent tag exchange, 3.. are the message blocks.  Zero-dither
-    codes only (the honest decode inside uses no dither offset).
+    is the silent tag exchange, 3.. are the message blocks.
     """
 
     def __init__(self, protocol, offsets):
@@ -104,6 +103,17 @@ def test_honest_noiseless_exhaustive_messages():
         assert b.accepted.all() and not b.decode_errors().any()
         for a, a_hat in [(b.x, b.x_hat), (b.k, b.k_hat), (b.u, b.u_hat)]:
             assert np.array_equal(a, a_hat)
+
+
+def test_run_batch_rejects_messages_of_the_wrong_type_or_shape():
+    p = proto()  # d = 2
+    good = np.zeros((4, 2), dtype=np.int64)
+    assert np.array_equal(p.run_batch(HonestRelay(), 1, 0, 4, messages=good).s, good)
+    for bad in (np.full((4, 2), 0.5),  # float symbols, which int64 would truncate to 0
+                np.zeros((1, 2), dtype=np.int64),  # one row for four trials
+                np.zeros((3, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"integer array of shape \(4, 2\)"):
+            p.run_batch(HonestRelay(), 1, 0, 4, messages=bad)
 
 
 def test_honest_default_params_many_trials():
