@@ -12,18 +12,17 @@ Run: python demos/01_field_and_lattice_basics.py
 
 import numpy as np
 
-from relaysec import (
-    ExtField,
+from relaysec.fields import ExtField, digits
+from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
     decode_fine_mod_coarse,
-    digits,
+    index_to_coords,
     lattice_add,
     mod_coarse,
     reconstruct_sums,
     represent_sums,
 )
-from relaysec.lattice import index_to_coords
 
 print("=== extension field GF(3^2) ===")
 gf9 = ExtField(3, 2)

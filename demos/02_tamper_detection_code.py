@@ -11,7 +11,8 @@ Run: python demos/02_tamper_detection_code.py
 
 import numpy as np
 
-from relaysec import AmdParams, ExtField, amd_rate, amd_tag, amd_verify, digits, win_bound
+from relaysec.amd import AmdParams, amd_rate, amd_tag, amd_verify, win_bound
+from relaysec.fields import ExtField, digits
 from relaysec.oracle import exact_amd_win_census
 
 rng = np.random.default_rng(7)

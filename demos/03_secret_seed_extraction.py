@@ -13,7 +13,7 @@ Run: python demos/03_secret_seed_extraction.py
 
 import numpy as np
 
-from relaysec import ExtractorMap, ExtractorParams, leakage_budget, seed_uniformity
+from relaysec.extract import ExtractorMap, leakage_budget, seed_uniformity
 from relaysec.fields import all_matrices
 from relaysec.lattice import NestedLatticePair
 from relaysec.oracle import best_extractor_exhaustive, exact_seed_leakage
@@ -37,7 +37,7 @@ print("=== matrix-averaged leakage vs the entropy budget (q=11, N=2, r=1) ===")
 pair = NestedLatticePair(N=2, q=11)
 mats = all_matrices(11, 1, 2)
 leaks = dict(zip(map(tuple, mats[:, 0].tolist()), exact_seed_leakage(pair, mats).tolist()))
-budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
+budget = leakage_budget(N=2, q=11, r=1, smoothing=6.0)
 print(f"average over all {len(leaks)} matrices: {np.mean(list(leaks.values())):.4f} bits")
 print(f"budget from the leftover-hash floor:   {budget.budget_bits:.4f} bits "
       f"(vacuous: {budget.vacuous})")

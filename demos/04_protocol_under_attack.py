@@ -9,16 +9,9 @@ the rate/power accounting for the configuration.
 Run: python demos/04_protocol_under_attack.py
 """
 
-from relaysec import (
-    AdditiveLatticeOffset,
-    HonestRelay,
-    ProtocolParams,
-    RandomGarble,
-    SubstituteLattice,
-    TwoHopProtocol,
-    operating_rates,
-    win_bound,
-)
+from relaysec.amd import win_bound
+from relaysec.channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
+from relaysec.protocol import ProtocolParams, TwoHopProtocol, operating_rates
 
 params = ProtocolParams(q=5, r=2, d=2, N=4)
 proto = TwoHopProtocol(params)

@@ -33,8 +33,8 @@ import numpy as np
 from . import oracle
 from .amd import AmdParams, win_bound
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
-from .extract import ExtractorParams, leakage_budget, r_max, seed_uniformity
-from .fields import ExtField, is_prime, matrix_row_rank, row_spaces, sample_matrix
+from .extract import leakage_budget, r_max, seed_uniformity
+from .fields import ExtField, is_prime, matrix_row_rank, row_spaces
 from .lattice import NestedLatticePair
 from .protocol import ProtocolParams, _protocol_cache, operating_rates
 
@@ -243,7 +243,7 @@ def _check_seed_uniformity(seed: int):
     for q, n in [(2, 2), (3, 2), (5, 3)]:
         r = max(1, min(r_max(n, q, 0.1), n)) if q > 2 else 1
         while True:
-            m = sample_matrix(rng, r, n, q)
+            m = rng.integers(0, q, size=(r, n), dtype=np.int64)
             if matrix_row_rank(m, q) == r:
                 break
         _, uniform = seed_uniformity(m, q)
@@ -254,7 +254,7 @@ def _check_leftover_entropy(seed: int):
     for q, n, r in [(2, 2, 1), (3, 2, 1)]:
         avg, bound, holds = oracle.leftover_census(q, n, r, np.full(q**n, 1.0 / q**n))
         yield holds, {"q": q, "N": n, "r": r, "average": avg, "bound": bound}
-    budget = leakage_budget(ExtractorParams(N=2, q=11, epsilon=0.2, smoothing=6.0), 1)
+    budget = leakage_budget(N=2, q=11, r=1, smoothing=6.0)
     # leakage depends only on the row space: one evaluation per space, summed in matrix order
     rrefs, index = row_spaces(11, 1, 2)
     leakages = oracle.exact_seed_leakage(NestedLatticePair(N=2, q=11), rrefs)

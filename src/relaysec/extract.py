@@ -14,7 +14,7 @@ Two constructions live here:
   map S = g * v(t1).
 
 Entropy utilities and the parameter formulas (max extractable lengths,
-achieved secrecy rate) are shared by the protocol and the verification
+encoder bits) are shared by the protocol and the verification
 oracles.  A probability law is a float array of probabilities, indexed by
 outcome; the entropies validate it on entry.
 """
@@ -31,15 +31,12 @@ from .lattice import NestedLatticePair, codebook_point, coords_to_index, index_t
 
 __all__ = [
     "ExtractorMap",
-    "ExtractorParams",
     "EncoderMap",
     "extract_seed",
     "seed_uniformity",
     "r_max",
     "r0_max",
     "encoder_bits",
-    "secrecy_rate",
-    "secrecy_rate_from_power",
     "renyi_entropy",
     "shannon_entropy",
     "leftover_bound",
@@ -128,16 +125,6 @@ def encoder_bits(N: int, q: int) -> int:
     return int(math.floor(N * math.log2(q)))
 
 
-def secrecy_rate(R0: float, epsilon: float) -> float:
-    """Achieved secrecy rate [R0 - 1 - eps]^+ in bits per channel use."""
-    return max(R0 - 1.0 - epsilon, 0.0)
-
-
-def secrecy_rate_from_power(power: float, epsilon: float = 0.0) -> float:
-    """Secrecy rate with R0 at its power-limited ceiling 0.5*log2(0.5 + P)."""
-    return secrecy_rate(0.5 * math.log2(0.5 + power), epsilon)
-
-
 # ---------------------------------------------------------------------------
 # entropies and leftover-hash bounds
 # ---------------------------------------------------------------------------
@@ -174,45 +161,27 @@ def leftover_bound(r_bits: float, c: float) -> float:
 
 
 @dataclass(frozen=True)
-class ExtractorParams:
-    """Block length, alphabet, slack and smoothing for the budget.
-
-    ``smoothing`` defaults to epsilon * N.
-    """
-
-    N: int
-    q: int
-    epsilon: float
-    smoothing: float | None = None
-
-    def __post_init__(self):
-        if self.smoothing is None:
-            object.__setattr__(self, "smoothing", self.epsilon * self.N)
-
-
-@dataclass(frozen=True)
 class LeakageBudget:
     budget_bits: float
     vacuous: bool
-    c: float
 
 
-def leakage_budget(params: ExtractorParams, r: int) -> LeakageBudget:
-    """Upper budget on the matrix-averaged seed leakage, in bits.
+def leakage_budget(N: int, q: int, r: int, smoothing: float) -> LeakageBudget:
+    """Upper budget on the matrix-averaged leakage of an r-symbol seed, in bits.
 
-    With c = N(log2 q - 1) - s, the averaged output entropy is at least
-    (1 - 2^-(s/2 - 1)) * leftover_bound(r log2 q, c), so the leakage cannot
-    exceed r log2 q minus that floor.  For s <= 2 the prefactor dies and
-    the budget degenerates to the vacuous r log2 q, flagged as such.
+    With c = N(log2 q - 1) - s for the smoothing s, the averaged output
+    entropy is at least (1 - 2^-(s/2 - 1)) * leftover_bound(r log2 q, c),
+    so the leakage cannot exceed r log2 q minus that floor.  For s <= 2 the
+    prefactor dies and the budget degenerates to the vacuous r log2 q,
+    flagged as such.
     """
-    r_bits = r * math.log2(params.q)
-    s = params.smoothing
-    c = params.N * (math.log2(params.q) - 1.0) - s
-    if s <= 2:
-        return LeakageBudget(budget_bits=r_bits, vacuous=True, c=c)
-    prefactor = 1.0 - 2.0 ** (-(s / 2.0 - 1.0))
+    r_bits = r * math.log2(q)
+    if smoothing <= 2:
+        return LeakageBudget(budget_bits=r_bits, vacuous=True)
+    c = N * (math.log2(q) - 1.0) - smoothing
+    prefactor = 1.0 - 2.0 ** (-(smoothing / 2.0 - 1.0))
     floor = prefactor * leftover_bound(r_bits, c)
-    return LeakageBudget(budget_bits=r_bits - floor, vacuous=False, c=c)
+    return LeakageBudget(budget_bits=r_bits - floor, vacuous=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +200,6 @@ class EncoderMap:
     """
 
     g: np.ndarray
-    g_prime: np.ndarray
     A: np.ndarray
     pair: NestedLatticePair
     N0: int
@@ -256,7 +224,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     r0, cols = g.shape
     if cols != N0:
         raise ValueError(f"g must have N0 = floor(N log2 q) = {N0} columns, got {cols}")
-    g_prime, a = complete_and_invert(g, 2)  # raises unless g has full row rank
+    _, a = complete_and_invert(g, 2)  # raises unless g has full row rank
 
     coords = index_to_coords(pair, np.arange(pair.q**pair.N))
     points = codebook_point(pair, coords)
@@ -266,7 +234,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     rank_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
     rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset_coords))
     return EncoderMap(
-        g=g, g_prime=g_prime, A=a, pair=pair, N0=N0, r0=r0,
+        g=g, A=a, pair=pair, N0=N0, r0=r0,
         subset_coords=subset_coords, rank_table=rank_table,
     )
 

@@ -39,7 +39,6 @@ __all__ = [
     "row_reduce",
     "row_spaces",
     "matrix_row_rank",
-    "sample_matrix",
     "matrix_inverse",
     "complete_and_invert",
     "full_rank_fraction",
@@ -273,11 +272,6 @@ def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 def matrix_row_rank(m, q: int):
     """Row rank over GF(q): an int, or an array of ranks for a stack."""
     return row_reduce(m, q)[1]
-
-
-def sample_matrix(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.ndarray:
-    """i.i.d. uniform matrix over GF(q); deterministic given the rng state."""
-    return rng.integers(0, q, size=(rows, cols), dtype=np.int64)
 
 
 def matrix_inverse(m, q: int) -> np.ndarray:

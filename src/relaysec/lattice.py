@@ -44,7 +44,6 @@ __all__ = [
     "represent_sums",
     "reconstruct_sums",
     "decode_fine_mod_coarse",
-    "codebook_rate",
     "rate_condition_ok",
     "average_codebook_power",
     "alpha_for_power",
@@ -183,16 +182,11 @@ def decode_fine_mod_coarse(pair: NestedLatticePair, y) -> np.ndarray:
     return rounded % pair.q
 
 
-def codebook_rate(pair: NestedLatticePair) -> float:
-    """Bits per channel use: (1/N) log2 of the codebook size q^N."""
-    return math.log2(pair.q)
-
-
 def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:
-    """Reliable-decoding rate condition: R0 < 0.5*log2(0.5 + P), strict."""
+    """Reliable-decoding rate condition: R0 = log2 q < 0.5*log2(0.5 + P), strict."""
     if power <= 0:
         raise ValueError("power must be positive")
-    return codebook_rate(pair) < 0.5 * math.log2(0.5 + power)
+    return math.log2(pair.q) < 0.5 * math.log2(0.5 + power)
 
 
 def average_codebook_power(pair: NestedLatticePair) -> float:

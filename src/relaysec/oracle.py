@@ -22,11 +22,6 @@ only float step is one fixed-order sum per matrix.  The size guard still
 bounds q^(2N), the number of pairs the law covers.  A call takes one
 extractor or a stack of them, and each value is bit-identical to a call
 on its matrix alone.
-
-Mutual information of an explicit joint table is computed from exact
-counts (converted to bits at the very end).  One term kernel
-(``_mi_from_cells``) serves ``mutual_information_bits`` and
-``pinsker_check``, so a law gives bit-identical bits through either.
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ __all__ = [
     "pinsker_check",
     "universal_hash_census",
     "leftover_census",
-    "mutual_information_bits",
 ]
 
 # enumeration caps, read by each guard when it runs
@@ -90,44 +84,10 @@ def _guard(size: int, cap: int, what: str):
         raise SizeGuardError(f"{what} needs {size} states, cap is {cap}")
 
 
-# ---------------------------------------------------------------------------
-# mutual information
-# ---------------------------------------------------------------------------
-
-
-def mutual_information_bits(joint: np.ndarray) -> float:
-    """I(A;B) in bits from a joint array (rows A, columns B)."""
-    joint = np.asarray(joint, dtype=float)
-    nz = joint > 0
-    papb = np.multiply.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
-    return float(_mi_from_cells(joint[nz], joint.sum(), papb))
-
-
-def _mi_from_cells(vals: np.ndarray, total, papb: np.ndarray) -> float | np.ndarray:
-    """The one MI term kernel: sum of v/total (log2(v total) - log2(pa pb)) over cells.
-
-    ``vals`` holds the nonzero cells in row-major order and ``papb`` the
-    products of their row and column marginals.  The terms are formed in
-    place (``papb`` is overwritten) and summed by one ``np.sum`` along the
-    last axis, so every caller gets the same terms in the same
-    pairwise-summation tree.
-    """
-    work = np.multiply(vals, total)
-    np.log2(work, out=work)
-    np.log2(papb, out=papb)
-    np.subtract(work, papb, out=work)
-    np.divide(vals, total, out=papb)
-    np.multiply(papb, work, out=work)
-    return np.sum(work, axis=-1)
-
-
 @dataclass(frozen=True)
 class LeakageRecord:
     matrix: tuple
     exact_mi_bits: float
-    q: int
-    N: int
-    r: int
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +271,8 @@ def _least_leaky(pair: NestedLatticePair, stack: np.ndarray) -> LeakageRecord:
     """The first leakage minimizer of a (k, r, N) stack, from one stacked leakage call."""
     mis = exact_seed_leakage(pair, stack)
     best = int(np.argmin(mis))
-    return LeakageRecord(
-        matrix=tuple(map(tuple, stack[best].tolist())),
-        exact_mi_bits=float(mis[best]), q=pair.q, N=pair.N, r=stack.shape[-2],
-    )
+    return LeakageRecord(matrix=tuple(map(tuple, stack[best].tolist())),
+                         exact_mi_bits=float(mis[best]))
 
 
 def best_extractor_exhaustive(pair: NestedLatticePair, r: int) -> LeakageRecord:
@@ -543,6 +501,9 @@ def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]
     ``joints`` is one (a, b) law or a stack (..., a, b) of laws, float
     arrays each of nonnegative entries summing to 1.  A stack gives two
     arrays of shape (...), each entry equal to a call on its law alone.
+    I(A;B) is the sum over cells of v/total (log2(v total) - log2(pa pb)),
+    the terms formed in place and summed by one ``np.sum`` along the last
+    axis, so a law and its place in a stack give the same pairwise sum.
     """
     probs = np.asarray(joints, dtype=float)
     if probs.ndim < 2:
@@ -557,7 +518,15 @@ def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]
     rhs = dist * dist / (2.0 * math.log(2))
     nz = cells > 0
     # a zero cell enters as v = total, pa pb = total^2: a term of exactly 0
-    lhs = _mi_from_cells(np.where(nz, cells, total), total, np.where(nz, papb, total * total))
+    vals = np.where(nz, cells, total)
+    papb = np.where(nz, papb, total * total)
+    work = np.multiply(vals, total)
+    np.log2(work, out=work)
+    np.log2(papb, out=papb)
+    np.subtract(work, papb, out=work)
+    np.divide(vals, total, out=papb)
+    np.multiply(papb, work, out=work)
+    lhs = np.sum(work, axis=-1)
     return (float(lhs), float(rhs)) if probs.ndim == 2 else (lhs, rhs)
 
 

@@ -59,7 +59,7 @@ from .extract import (
     r0_max,
     r_max,
 )
-from .fields import ExtField
+from .fields import ExtField, is_prime
 from .lattice import (
     NestedLatticePair,
     average_codebook_power,
@@ -76,7 +76,6 @@ __all__ = [
     "TwoHopProtocol",
     "box_muller",
     "draw_layout",
-    "rate_accounting",
     "payload_bits",
     "operating_rates",
     "wilson_interval",
@@ -113,6 +112,9 @@ class ProtocolParams:
 
     def __post_init__(self):
         check_premises(self.q, self.d)  # first, since they do not depend on r or N
+        if not is_prime(self.msg_q):
+            raise ValueError(f"msg_q={self.msg_q} is not prime: the message code needs a prime "
+                             "nesting ratio")
         if not self.power_limit > 0:
             raise ValueError("power limit must be positive")
         if self.noise_var_relay < 0 or self.noise_var_dest < 0:
@@ -172,18 +174,6 @@ class TrialBatch:
 def payload_bits(q: int, r: int, d: int) -> int:
     """Exact bit length of a d-symbol GF(q^r) message: ceil(d*r*log2 q)."""
     return (q ** (r * d) - 1).bit_length()
-
-
-def rate_accounting(N: int, r: int, q: int, d: int, Re: float) -> tuple[int, float]:
-    """Channel uses per direction and the overall secrecy rate.
-
-    n = 2N + r + ceil(d*r*log2(q) / (N*Re)) * N and RT = d*r*log2(q)/(2n);
-    RT stays strictly below Re/2 and approaches it for large d.
-    """
-    info_bits = d * r * math.log2(q)
-    blocks = math.ceil(info_bits / (N * Re))
-    n = 2 * N + r + blocks * N
-    return n, info_bits / (2 * n)
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -288,14 +278,9 @@ class _Chunk:
     use: int = 0  # first channel use of the next hop
 
 
-def _default_extractor(q: int, r: int, N: int) -> ExtractorMap:
-    """Deterministic full-row-rank map: identity block padded with ones."""
-    m = np.hstack([np.eye(r, dtype=np.int64), np.ones((r, N - r), dtype=np.int64)])
-    return ExtractorMap(m % q, q)
-
-
-def _default_msg_matrix(r0: int, n0: int) -> np.ndarray:
-    return np.hstack([np.eye(r0, dtype=np.int64), np.ones((r0, n0 - r0), dtype=np.int64)]) % 2
+def _identity_ones(rows: int, cols: int) -> np.ndarray:
+    """[I | ones]: full row rank over every GF(q), the default extractor and encoder matrix."""
+    return np.hstack([np.eye(rows, dtype=np.int64), np.ones((rows, cols - rows), dtype=np.int64)])
 
 
 class TwoHopProtocol:
@@ -309,11 +294,9 @@ class TwoHopProtocol:
         self.seed_pair = NestedLatticePair(N=p.N, q=p.q, alpha=p.alpha)
         self.tag_pair = NestedLatticePair(N=p.r, q=p.q, alpha=p.alpha)
         self.msg_pair = NestedLatticePair(N=p.msg_N, q=p.msg_q, alpha=p.alpha)
-        self.extractor = _default_extractor(p.q, p.r, p.N)
+        self.extractor = ExtractorMap(_identity_ones(p.r, p.N), p.q)
         n0, self.blocks, self.uses = _dimensions(p)
-        self.encoder: EncoderMap = build_encoder(
-            _default_msg_matrix(p.msg_r0, n0), self.msg_pair
-        )
+        self.encoder: EncoderMap = build_encoder(_identity_ones(p.msg_r0, n0), self.msg_pair)
         self.payload_bits = payload_bits(p.q, p.r, p.d)
         self.layout, self.trial_words = draw_layout(p)
         tables = self.ext_field.tables()

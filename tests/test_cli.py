@@ -12,7 +12,9 @@ import pytest
 from relaysec import cli
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
-from relaysec.protocol import ProtocolParams, rate_accounting
+from relaysec.protocol import ProtocolParams
+
+from closed_form import rate_accounting
 
 
 def write_config(tmp_path, overrides):
@@ -51,6 +53,20 @@ def test_invalid_amd_config_exits_2(tmp_path, capsys):
         assert f"protocol config rejected: {why}" in capsys.readouterr().err
         assert not out.exists()
         assert main(["verify", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("command, where", [
+    ("verify", "protocol config"),
+    ("simulate", "protocol config"),
+    ("scan", "point scan row d=1"),  # the default scan names its first row
+])
+def test_non_prime_msg_q_exits_2_writing_nothing(tmp_path, capsys, command, where):
+    # msg_q = 4 passes the message code's length check, but no nested lattice has ratio 4
+    path = write_config(tmp_path, {"protocol": {"msg_q": 4, "msg_r0": 1}})
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert f"{where} rejected: msg_q=4 is not prime" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_seed_beyond_philox_key_exits_2(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from relaysec.extract import (
     ExtractorMap,
-    ExtractorParams,
     build_encoder,
     decode_ranks,
     encode_message,
@@ -18,12 +17,10 @@ from relaysec.extract import (
     r0_max,
     r_max,
     renyi_entropy,
-    secrecy_rate,
-    secrecy_rate_from_power,
     seed_uniformity,
     shannon_entropy,
 )
-from relaysec.fields import all_matrices, matrix_row_rank
+from relaysec.fields import all_matrices, complete_and_invert, matrix_row_rank
 from relaysec.lattice import NestedLatticePair
 
 
@@ -114,12 +111,6 @@ def test_r0_max_examples():
     assert r0_max(4, 3.46, 0.46) == 8
 
 
-def test_secrecy_rate_examples():
-    assert secrecy_rate_from_power(7.5) == pytest.approx(0.5)
-    assert secrecy_rate(1.05, 0.1) == 0.0
-    assert secrecy_rate(2.32, 0.1) == pytest.approx(1.22)
-
-
 # ---------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------
@@ -182,24 +173,21 @@ def test_leftover_bound_examples():
 
 
 def test_leakage_budget_example():
-    params = ExtractorParams(N=4, q=11, epsilon=0.2, smoothing=6.0)
-    budget = leakage_budget(params, 1)
+    budget = leakage_budget(N=4, q=11, r=1, smoothing=6.0)
     assert not budget.vacuous
     assert budget.budget_bits == pytest.approx(1.6973, abs=1e-3)
     assert round(budget.budget_bits, 2) == 1.70
-    assert ExtractorParams(N=4, q=11, epsilon=0.2).smoothing == pytest.approx(0.8)
 
 
 def test_leakage_budget_vacuous_flag():
-    params = ExtractorParams(N=4, q=11, epsilon=0.2, smoothing=2.0)
-    budget = leakage_budget(params, 1)
+    budget = leakage_budget(N=4, q=11, r=1, smoothing=2.0)
     assert budget.vacuous
     assert budget.budget_bits == pytest.approx(math.log2(11))
 
 
 def test_leakage_budget_monotone_in_N():
     budgets = [
-        leakage_budget(ExtractorParams(N=n, q=11, epsilon=0.2, smoothing=6.0), 1).budget_bits
+        leakage_budget(N=n, q=11, r=1, smoothing=6.0).budget_bits
         for n in range(2, 9)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(budgets, budgets[1:]))
@@ -324,6 +312,7 @@ def test_build_encoder_completion_identity_binary():
     pair = NestedLatticePair(N=2, q=2)
     enc = build_encoder(np.array([[0, 1]]), pair)
     assert np.array_equal(enc.A, np.eye(2, dtype=int))
-    assert np.array_equal(enc.g_prime, [[1, 0]])
-    stacked = np.vstack([enc.g_prime, enc.g])
+    g_prime, _ = complete_and_invert(enc.g, 2)
+    assert np.array_equal(g_prime, [[1, 0]])
+    stacked = np.vstack([g_prime, enc.g])
     assert np.array_equal((stacked @ enc.A) % 2, np.eye(2, dtype=int))

@@ -9,7 +9,6 @@ from relaysec.lattice import (
     NestedLatticePair,
     average_codebook_power,
     codebook_point,
-    codebook_rate,
     decode_fine_mod_coarse,
     in_fundamental_region,
     index_to_coords,
@@ -222,18 +221,12 @@ def test_noiseless_aggregate_decode_matches_lattice_add():
 # ---------------------------------------------------------------------
 
 
-def test_codebook_rate_examples():
-    assert math.isclose(codebook_rate(NestedLatticePair(N=1, q=5)), 2.321928, abs_tol=1e-4)
-    assert codebook_rate(NestedLatticePair(N=3, q=2)) == 1.0
-    assert math.isclose(codebook_rate(NestedLatticePair(N=1, q=11)), 3.459432, abs_tol=1e-4)
-
-
 def test_rate_condition_examples():
     assert rate_condition_ok(NestedLatticePair(N=1, q=2), 7.5) is True
     assert rate_condition_ok(NestedLatticePair(N=1, q=5), 7.5) is False
     # exactly at the threshold the strict inequality fails
     pair = NestedLatticePair(N=1, q=2)
-    p_threshold = 2.0 ** (2 * codebook_rate(pair)) - 0.5  # 0.5 + P == 2^(2 R0)
+    p_threshold = 2.0 ** (2 * math.log2(pair.q)) - 0.5  # 0.5 + P == 2^(2 R0), R0 = log2 q
     assert rate_condition_ok(pair, p_threshold) is False
 
 

@@ -28,7 +28,6 @@ from relaysec.oracle import (
     guessing_probability,
     isomorphism_census,
     leftover_census,
-    mutual_information_bits,
     pinsker_check,
     representation_census,
     universal_hash_census,
@@ -75,7 +74,7 @@ def test_leakage_empty_extractor_is_zero():
 
 
 def _mi_reference(joint):
-    """I(A;B) by the formula as written before the shared MI kernel: the bit-for-bit reference."""
+    """I(A;B) in bits of a joint table of counts or probabilities, by the formula as written."""
     joint = np.asarray(joint, dtype=float)
     total = joint.sum()
     pa = joint.sum(axis=1)
@@ -94,8 +93,8 @@ def _mi_reference(joint):
     [(11, 1, 1), (11, 2, 1), (11, 3, 1), (5, 3, 2), (5, 4, 2), (3, 4, 2), (7, 3, 3), (5, 5, 2)],
 )
 def test_leakage_mi_bit_identical_to_reference(q, n, r, scaled):
-    # the class pass sums by another formula than the table's MI kernel, so the two
-    # agree to rounding; the kernel itself stays bit-identical to the reference
+    # the class pass sums by another formula than the joint table's MI, so the two
+    # agree to rounding
     rng = np.random.default_rng(100 * q + 10 * n + r)
     pair = NestedLatticePair(N=n, q=q, alpha=1.3 if scaled else 1.0)
     stack = rng.integers(0, q, size=(3, r, n))
@@ -106,19 +105,16 @@ def test_leakage_mi_bit_identical_to_reference(q, n, r, scaled):
         want = _mi_reference(table)
         assert got == pytest.approx(want, abs=1e-12)
         assert exact_seed_leakage(pair, m) == got
-        assert mutual_information_bits(table) == want
         assert guess == int(table.max(axis=0).sum()) / q ** (2 * n)
 
 
-def test_mutual_information_bits_bit_identical_to_reference():
+def test_pinsker_mi_bit_identical_to_reference():
+    # laws without zero cells: pinsker_check's I(A;B) sums the reference's terms in its order
     rng = np.random.default_rng(31)
     raws = [rng.random((3, 4)) for _ in range(200)]  # verify's pinsker joints
     raws += [rng.random((int(rng.integers(2, 5)), int(rng.integers(2, 6)))) for _ in range(200)]
-    counts = rng.integers(0, 3, size=(100, 4, 5))
-    counts[:50, 1, :] = 0  # zero rows
-    counts[25:75, :, 2] = 0  # zero columns
-    for joint in [raw / raw.sum() for raw in raws] + list(counts):
-        assert mutual_information_bits(joint) == _mi_reference(joint)
+    for joint in [raw / raw.sum() for raw in raws]:
+        assert pinsker_check(joint)[0] == _mi_reference(joint)
 
 
 def test_leakage_stack_matches_single_calls():
@@ -171,7 +167,7 @@ def _entropy_from_counts(counts):
 def seed_leakage_two_path(pair, g):
     """Leakage via the direct sum and via H(seed) + H(obs) - H(joint)."""
     joint = _seed_obs_counts(pair, np.array(g, dtype=np.int64) % pair.q)
-    direct = mutual_information_bits(joint)
+    direct = _mi_reference(joint)
     decomposed = (
         _entropy_from_counts(joint.sum(axis=1))
         + _entropy_from_counts(joint.sum(axis=0))
@@ -347,7 +343,7 @@ def test_sampled_search_deterministic_and_minimizing():
     rec1 = best_sampled_extractor(pair, 1, 50, np.random.default_rng(4))
     rec2 = best_sampled_extractor(pair, 1, 50, np.random.default_rng(4))
     assert rec1 == rec2
-    assert (rec1.q, rec1.N, rec1.r) == (11, 2, 1)
+    assert np.shape(rec1.matrix) == (1, 2)  # r x N
     draws = np.random.default_rng(4).integers(0, 11, size=(50, 1, 2), dtype=np.int64)
     assert rec1.exact_mi_bits == float(np.min(exact_seed_leakage(pair, draws[draws.any(axis=(1, 2))])))
 
@@ -375,7 +371,7 @@ def test_sampled_search_gets_full_rank_stack_and_first_minimum_wins(monkeypatch)
 def test_sampled_search_r0_is_exactly_zero_and_reads_no_stream():
     rng = np.random.default_rng(0)
     rec = best_sampled_extractor(NestedLatticePair(N=3, q=5), 0, 10, rng)
-    assert rec.exact_mi_bits == 0.0 and rec.matrix == () and rec.r == 0
+    assert rec.exact_mi_bits == 0.0 and rec.matrix == ()
     assert rng.integers(0, 100, 8).tolist() == np.random.default_rng(0).integers(0, 100, 8).tolist()
 
 
@@ -788,10 +784,9 @@ def test_pinsker_stack_matches_per_joint_calls():
     for idx in np.ndindex(4, 5):
         one = pinsker_check(laws[idx])
         assert isinstance(one[0], float) and one == (lhs[idx], rhs[idx])
-        assert one[0] == pytest.approx(mutual_information_bits(laws[idx]), abs=1e-12)
-    strict = laws[2:]  # no zero cells: bit-identical to mutual_information_bits
-    assert pinsker_check(strict)[0].tolist() == [
-        [mutual_information_bits(j) for j in row] for row in strict]
+        assert one[0] == pytest.approx(_mi_reference(laws[idx]), abs=1e-12)
+    strict = laws[2:]  # no zero cells: bit-identical to the reference
+    assert pinsker_check(strict)[0].tolist() == [[_mi_reference(j) for j in row] for row in strict]
 
 
 def test_pinsker_stack_rejects_an_invalid_law_anywhere():
@@ -810,14 +805,15 @@ def test_pinsker_stack_rejects_an_invalid_law_anywhere():
     assert pinsker_check(laws)[0].shape == (3, 4)
 
 
-def test_mutual_information_from_counts_matches_float_path():
+def test_pinsker_mi_matches_count_table_reference():
+    # count tables with zero cells, rows and columns: the law's I(A;B) is the counts' one
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        counts = rng.integers(0, 50, size=(3, 4))
-        if counts.sum() == 0:
-            continue
-        mi = mutual_information_bits(counts)
-        assert mi == pytest.approx(mutual_information_bits(counts / counts.sum()), abs=1e-12)
+    counts = rng.integers(0, 3, size=(100, 4, 5))
+    counts[:50, 1, :] = 0  # zero rows
+    counts[25:75, :, 2] = 0  # zero columns
+    for table in list(counts) + [rng.integers(0, 50, size=(3, 4)) for _ in range(100)]:
+        mi = pinsker_check(table / table.sum())[0]
+        assert mi == pytest.approx(_mi_reference(table), abs=1e-12)
         assert mi >= -1e-12
 
 

@@ -21,9 +21,10 @@ from relaysec.protocol import (
     TwoHopProtocol,
     operating_rates,
     payload_bits,
-    rate_accounting,
     wilson_interval,
 )
+
+from closed_form import rate_accounting
 
 TINY = ProtocolParams(q=5, r=1, d=1, N=2, msg_q=5, msg_N=1, msg_r0=1)
 DEFAULT = ProtocolParams()
