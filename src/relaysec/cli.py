@@ -223,8 +223,7 @@ def _check_sum_representation(seed: int):
 def _check_full_rank_fraction(seed: int):
     for q in (2, 3):
         for n in range(1, 5):
-            for r in range(1, n + 1):
-                count, total, holds = oracle.full_rank_census(q, r, n)
+            for r, count, total, holds in oracle.full_rank_census(q, n):
                 yield holds, {"q": q, "rows": r, "cols": n, "fraction": f"{count}/{total}"}
 
 
@@ -359,6 +358,7 @@ def _scan_point(cfg: dict, seed: int):
 
 
 def _scan_leakage(cfg: dict, seed: int):
+    _build_params(cfg)  # reads no protocol key, but rejects the sections verify rejects
     q, r = cfg["scan"]["q"], cfg["scan"]["r"]
     if not is_prime(q):
         raise ConfigError(f"leakage scan: q={q} is not prime")

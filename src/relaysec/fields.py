@@ -13,9 +13,11 @@ shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
 kernel, ``row_reduce``, which reduces a whole stack per pass; rank,
 inverse and basis completion are thin views over it, and
 ``all_matrices`` enumerates every matrix of a shape as one stack.
-``row_spaces`` finds them all by prefix transitions: row operations on M'
-keep its row space, so RREF([M'; v]) = RREF([RREF(M'); v]) and row k needs
-one reduction per (distinct RREF of the first k - 1 rows, row v).
+``row_space_levels`` finds them all by prefix transitions: row operations
+on M' keep its row space, so RREF([M'; v]) = RREF([RREF(M'); v]) and row k
+needs one reduction per (distinct RREF of the first k - 1 rows, row v).  One
+pass yields every row count of a width in turn, level k from level k - 1;
+``row_spaces`` is its level ``rows``.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -24,6 +26,7 @@ degree, so GF(q^r) has one canonical representation per (q, r).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,6 +40,7 @@ __all__ = [
     "is_prime",
     "all_matrices",
     "row_reduce",
+    "row_space_levels",
     "row_spaces",
     "matrix_row_rank",
     "matrix_inverse",
@@ -248,16 +252,20 @@ def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
     return (rref, rank.reshape(stack)) if stack else (rref, int(rank[0]))
 
 
-def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rrefs, index): the distinct RREFs of all rows x cols matrices over GF(q).
+def row_space_levels(q: int, cols: int):
+    """Yield (rrefs, index) of ``row_spaces(q, k, cols)`` for k = 0, 1, 2, ... in one pass.
 
-    ``rrefs`` is in ``all_matrices`` (lexicographic) order and ``rrefs[index]``
-    equals ``row_reduce(all_matrices(q, rows, cols), q)[0]``.  Row k reduces one
-    stack, (distinct RREFs of k - 1 rows) x q^cols, deduped by a base-q key.
+    Level k is built from level k - 1 alone, so a caller that needs several
+    row counts of one width reads them from one pass instead of rebuilding
+    every prefix level per count.  Level k reduces one stack, (distinct
+    RREFs of k - 1 rows) x q^cols, deduped by a base-q key; its index has
+    q^(k*cols) entries, so the caller stops the pass when it has enough.
     """
     vecs = all_matrices(q, 1, cols)
     rrefs, index = vecs[:1, :0], np.zeros(1, dtype=np.int64)  # the one 0 x cols matrix
-    for k in range(1, rows + 1):
+    while True:
+        yield rrefs, index
+        k = rrefs.shape[1] + 1
         stacked = np.concatenate(
             [np.repeat(rrefs, len(vecs), axis=0), np.tile(vecs, (len(rrefs), 1, 1))], axis=1)
         reduced = row_reduce(stacked, q)[0].reshape(len(stacked), k * cols)
@@ -266,7 +274,16 @@ def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
         rrefs = reduced[first].reshape(len(first), k, cols)
         # matrix i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v]
         index = inverse[(index[:, None] * len(vecs) + np.arange(len(vecs))).ravel()]
-    return rrefs, index
+
+
+def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rrefs, index): the distinct RREFs of all rows x cols matrices over GF(q).
+
+    ``rrefs`` is in ``all_matrices`` (lexicographic) order and ``rrefs[index]``
+    equals ``row_reduce(all_matrices(q, rows, cols), q)[0]``.  It is level
+    ``rows`` of ``row_space_levels``.
+    """
+    return next(itertools.islice(row_space_levels(q, cols), rows, None))
 
 
 def matrix_row_rank(m, q: int):

@@ -34,7 +34,15 @@ import numpy as np
 
 from .amd import AmdParams, amd_tag, win_bound
 from .extract import leftover_bound, renyi_entropy, shannon_entropy
-from .fields import all_matrices, digits, full_rank_fraction, matrix_row_rank, row_spaces, undigits
+from .fields import (
+    all_matrices,
+    digits,
+    full_rank_fraction,
+    matrix_row_rank,
+    row_space_levels,
+    row_spaces,
+    undigits,
+)
 from .lattice import (
     NestedLatticePair,
     codebook_point,
@@ -69,7 +77,7 @@ __all__ = [
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
 MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
 _MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
-_MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated by the full-rank census
+_MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated per row count of the full-rank census
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
 _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
@@ -338,7 +346,9 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     maximum is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
     s-dependent terms can contribute; the small-field tests confirm that
-    by sweeping s.  ``s`` is d symbol ints, all zero by default.
+    by sweeping s.  ``s`` is d symbol ints, all zero by default.  Each
+    block of forged messages is tagged once per (s', seed), and the tags
+    at x + dx are gathered from that table.
     """
     f = params.field
     d = params.d
@@ -356,8 +366,9 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     max_hits = 0
     for k0 in range(0, order**d, block):
         sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
+        tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
         # counts[b, dx * order + dh]: seeds x passing (sp[b], dx, dh); x lands on the dh it needs
-        cell = sub[amd_tag(params, sp[:, None, None, :], shifted), base_tag] + cells[: len(sp)]
+        cell = sub[tags[:, shifted], base_tag] + cells[: len(sp)]
         counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(sp), order * order)
         counts[np.all(sp == s_int, axis=1), 0] = -1  # no perturbation at all
         hist += np.bincount(counts.ravel() + 1, minlength=order + 2)[1:]
@@ -448,25 +459,32 @@ def isomorphism_census(pair: NestedLatticePair):
     return False, (tuple(coords[i]), tuple(coords[j]))
 
 
-def full_rank_census(q: int, rows: int, cols: int):
-    """Exact full-row-rank fraction, enumerated when small, counted exactly.
+def full_rank_census(q: int, cols: int) -> list[tuple[int, int, int, bool]]:
+    """Exact full-row-rank fractions of rows x cols matrices, for rows = 1..cols.
 
-    Returns (count, total, bound_holds) where bound_holds checks the
-    fraction against 1 - q^(rows - cols).  Direct enumeration runs when
-    q^(rows*cols) <= ``_MAX_RANK_ENUM`` and must agree with the product formula.  Ranks
-    come from ``fields.row_spaces``, by RREF([M'; v]) = RREF([RREF(M'); v]).
+    Returns one (rows, count, total, bound_holds) per row count, where
+    bound_holds checks count/total against 1 - q^(rows - cols).  The counts
+    are the product formula; while q^(rows*cols) <= ``_MAX_RANK_ENUM`` every
+    matrix is also enumerated, and the enumeration must agree.  Ranks come
+    from one ``fields.row_space_levels`` pass per call, by
+    RREF([M'; v]) = RREF([RREF(M'); v]): level rows gives the rows x cols
+    RREFs, and the pass stops at the first row count over the cap.
     """
-    count, total = full_rank_fraction(q, rows, cols)
-    if q ** (rows * cols) <= _MAX_RANK_ENUM:
-        rrefs, index = row_spaces(q, rows, cols)
-        seen = np.count_nonzero(np.count_nonzero(rrefs.any(axis=-1), axis=-1)[index] == rows)
-        if seen != count:
-            raise AssertionError(
-                f"enumeration ({seen}) disagrees with product count ({count})"
-            )
-    bound_holds = count * q ** (cols - rows) >= (q ** (cols - rows) - 1) * total \
-        if cols >= rows else count == 0
-    return count, total, bound_holds
+    levels = row_space_levels(q, cols)
+    next(levels)  # level 0, the empty matrix
+    census = []
+    for rows in range(1, cols + 1):
+        count, total = full_rank_fraction(q, rows, cols)
+        if q ** (rows * cols) <= _MAX_RANK_ENUM:
+            rrefs, index = next(levels)
+            seen = np.count_nonzero(np.count_nonzero(rrefs.any(axis=-1), axis=-1)[index] == rows)
+            if seen != count:
+                raise AssertionError(
+                    f"enumeration ({seen}) disagrees with product count ({count})"
+                )
+        holds = count * q ** (cols - rows) >= (q ** (cols - rows) - 1) * total
+        census.append((rows, count, total, holds))
+    return census
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +496,22 @@ def universal_hash_census(q: int, N: int, r: int):
     """Max collision probability of the linear-map family, exactly.
 
     For every ordered pair x1 != x2, counts matrices G with G x1 = G x2;
-    asserts the fraction never exceeds q^-r.  Exact in integers.
+    asserts the fraction never exceeds q^-r.  The counts come from one
+    float32 matmul of the G x one-hot table with itself, exact because every
+    partial sum is an integer of at most q^(rN) <= 10^7 < 2^24.
     """
     n_mat = q ** (r * N)
     n_vec = q**N
     _guard(n_mat * n_vec, _MAX_HASH_ENUM, "universal hash census")
     vecs = digits(np.arange(n_vec), q, N)
-    # images[G, x]: index of G x
-    images = undigits((vecs @ all_matrices(q, r, N).transpose(0, 2, 1)) % q, q)
-    onehot = images[:, :, None] == np.arange(q**r)
-    collisions = np.einsum("gax,gbx->ab", onehot, onehot, dtype=np.int64)
+    images = vecs @ all_matrices(q, r, N).transpose(0, 2, 1)
+    images %= q  # in place: this int64 stack of products is the census's largest array
+    images = undigits(images, q)  # images[G, x]: index of G x
+    # onehot[x, G q^r + y] = [G x = y], so (onehot onehot^T)[a, b] = #{G : G a = G b}
+    onehot = np.empty((n_vec, n_mat, q**r), dtype=np.float32)
+    np.equal(images.T[:, :, None], np.arange(q**r), out=onehot)
+    onehot = onehot.reshape(n_vec, -1)
+    collisions = (onehot @ onehot.T).astype(np.int64)
     np.fill_diagonal(collisions, 0)
     max_coll = int(collisions.max())
     # integer form of max_coll / n_mat <= q^-r

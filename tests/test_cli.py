@@ -721,6 +721,17 @@ def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
     assert "no full-row-rank candidate" in capsys.readouterr().err
 
 
+def test_scan_leakage_rejects_the_protocol_section_as_verify_does(tmp_path, capsys):
+    path = write_config(tmp_path, {"protocol": {"d": 3}, "scan": {"kind": "leakage"}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    message = "protocol config rejected: d + 2 = 5 must not be divisible by q = 5"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 4, "r": 1, "values": [1]}})
     assert main(["scan", "--config", path]) == 2

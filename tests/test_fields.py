@@ -17,6 +17,7 @@ from relaysec.fields import (
     matrix_inverse,
     matrix_row_rank,
     row_reduce,
+    row_space_levels,
     row_spaces,
     undigits,
 )
@@ -351,6 +352,21 @@ def test_row_spaces_match_row_reduce_matrix_by_matrix(q, monkeypatch):
         flat = rrefs.reshape(len(rrefs), -1).tolist()
         assert flat == sorted(flat) and len(set(map(tuple, flat))) == len(flat)
         assert np.array_equal(row_reduce(rrefs, q)[0], rrefs)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_space_levels_match_row_spaces_level_by_level(q):
+    # the widths of verify's full-rank grid, each level while it stays under the enumeration cap
+    for cols in range(1, 5):
+        levels = row_space_levels(q, cols)
+        for k in range(cols + 1):
+            if q ** (k * cols) > 10**5:
+                break
+            rrefs, index = next(levels)
+            want_rrefs, want_index = row_spaces(q, k, cols)
+            assert rrefs.dtype == want_rrefs.dtype and rrefs.shape[1:] == (k, cols)
+            assert np.array_equal(rrefs, want_rrefs) and np.array_equal(index, want_index)
+            assert np.array_equal(rrefs[index], row_reduce(all_matrices(q, k, cols), q)[0])
 
 
 def test_row_spaces_count_subspaces():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,16 @@ import pytest
 from relaysec import oracle
 from relaysec.amd import AmdParams
 from relaysec.amd import amd_tag
-from relaysec.fields import ExtField, all_matrices, digits, matrix_row_rank, row_reduce, undigits
+from relaysec.fields import (
+    ExtField,
+    all_matrices,
+    digits,
+    full_rank_fraction,
+    matrix_row_rank,
+    row_reduce,
+    row_space_levels,
+    undigits,
+)
 from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
@@ -711,6 +721,56 @@ def test_universal_hash_census_examples():
     assert prob == pytest.approx(0.5) and holds
     prob, holds = universal_hash_census(3, 2, 1)
     assert prob <= 1 / 3 + 1e-15 and holds
+
+
+def _hash_collisions_reference(q, n, r):
+    """max over ordered pairs a != b of #{G : G a = G b}, one pair at a time."""
+    mats = all_matrices(q, r, n).astype(np.int64)
+    vecs = digits(np.arange(q**n), q, n)
+    return max(int(np.count_nonzero(np.all((mats @ (a - b)) % q == 0, axis=1)))
+               for a, b in itertools.permutations(vecs, 2))
+
+
+@pytest.mark.parametrize("q, n, r", [
+    (q, n, r) for q in (2, 3) for n in (1, 2, 3) for r in (1, 2) if r <= n])
+def test_universal_hash_census_matches_per_pair_loop(q, n, r):
+    prob, holds = universal_hash_census(q, n, r)
+    max_coll = _hash_collisions_reference(q, n, r)
+    assert prob == max_coll / q ** (r * n)
+    assert holds == (max_coll * q**r <= q ** (r * n))
+
+
+def test_universal_hash_census_memory():
+    """q=2, N=7, r=2: the int64 products and their remainder held at once peaked at 64 MiB."""
+    tracemalloc.start()
+    try:
+        assert universal_hash_census(2, 7, 2) == (0.25, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (2^14, 2^7, 2) products, then the images and the float32 one-hot, each 48 MiB
+    assert peak < 56 * 2**20
+
+
+def test_full_rank_census_one_level_pass_per_width(monkeypatch):
+    levels_drawn = []
+
+    def counting_levels(q, cols):
+        levels_drawn.append(0)
+        for level in row_space_levels(q, cols):
+            levels_drawn[-1] += 1
+            yield level
+
+    monkeypatch.setattr(oracle, "row_space_levels", counting_levels)
+    for q, cols, drawn in [(2, 1, 2), (2, 4, 5), (3, 3, 4), (3, 4, 3)]:
+        # at q=3, cols=4 only rows 1 and 2 are enumerated: 3^12 matrices exceed the cap
+        census = oracle.full_rank_census(q, cols)
+        assert [row[0] for row in census] == list(range(1, cols + 1))
+        for rows, count, total, holds in census:
+            assert (count, total) == full_rank_fraction(q, rows, cols)
+            assert holds == (Fraction(count, total) >= 1 - Fraction(q) ** (rows - cols))
+        assert levels_drawn.pop() == drawn and not levels_drawn
+    assert oracle.full_rank_census(2, 3)[1] == (2, 42, 64, True)
 
 
 def test_universal_hash_census_grid():
