@@ -432,6 +432,27 @@ def test_simulate_gaussian_golden_hash(tmp_path, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GAUSSIAN_SIMULATE_SHA256
 
 
+# sha256 of `simulate --seed 1` at the two edges of the message codec's
+# int64 range, recorded while the message still went out as payload bit
+# vectors: a 70-bit payload, which needs Python ints, and a 62-bit payload
+# padded to 16 blocks of 4 bits, a 64-bit padded value.
+MESSAGE_EDGE_SIMULATE_SHA256 = [
+    ({"q": 11, "r": 2, "N": 3, "d": 10},
+     "b8d7bd87d3fc63e4e06d09b103459fa7685a43a8e8eef15be879158d9b519ed7"),
+    ({"q": 7, "r": 2, "d": 11, "N": 4, "msg_q": 11, "msg_N": 2, "msg_r0": 4},
+     "522fc74c597968b71971af0000b82ee1c06d0206caca7e4bb576b5255974ad4f"),
+]
+
+
+@pytest.mark.parametrize("protocol,digest", MESSAGE_EDGE_SIMULATE_SHA256,
+                         ids=["70-bit", "62-bit-in-64"])
+def test_simulate_message_edge_golden_hash(tmp_path, protocol, digest):
+    path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_builds_one_pool_per_command(tmp_path, monkeypatch):
     import concurrent.futures
 
