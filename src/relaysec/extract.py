@@ -8,10 +8,11 @@ Two constructions live here:
   leftover-hash entropy bound whose numeric form is ``leakage_budget``.
 
 * ``EncoderMap`` — an invertible message encoder built from a binary
-  full-row-rank matrix g: complete g to a square invertible matrix, index
-  the 2^N0 smallest-norm codebook points, and map (randomizer bits S',
-  message bits S) through the inverse so that the decoder is the linear
-  map S = g * v(t1).
+  full-row-rank matrix g: complete g to a square invertible matrix
+  [g'; g], rank the 2^N0 smallest-norm codebook points, and let the point
+  of rank v carry the word [g'; g] v, randomizer S' = g' v then block value
+  S = g v.  Two lookup tables, built without a matrix inverse, hold the
+  whole map; decoding is the linear map S = g * v(t1).
 
 Entropy utilities and the parameter formulas (max extractable lengths,
 encoder bits) are shared by the protocol and the verification
@@ -43,8 +44,6 @@ __all__ = [
     "leakage_budget",
     "LeakageBudget",
     "build_encoder",
-    "encode_message",
-    "decode_ranks",
 ]
 
 
@@ -72,12 +71,16 @@ class ExtractorMap:
         return f"ExtractorMap(q={self.q}, r={self.r}, N={self.N})"
 
 
-def extract_seed(emap: ExtractorMap, t1) -> np.ndarray:
-    """Matrix-vector product over GF(q), over any leading batch axes."""
+def extract_seed(emap: ExtractorMap, t1):
+    """The seed of t1 as a GF(q^r) element int, over any leading batch axes.
+
+    The seed's r coords are the matrix-vector product over GF(q); they are
+    the base-q digits of the element, lowest degree first.
+    """
     t1 = np.asarray(t1, dtype=np.int64)
     if t1.ndim < 1 or t1.shape[-1] != emap.N:
         raise ValueError(f"input must have shape (..., {emap.N}), got {t1.shape}")
-    return (t1 @ emap.matrix.T) % emap.q
+    return undigits(t1 @ emap.matrix.T % emap.q, emap.q)
 
 
 def seed_uniformity(matrix: np.ndarray, q: int) -> tuple[np.ndarray, bool]:
@@ -191,25 +194,21 @@ def leakage_budget(N: int, q: int, r: int, smoothing: float) -> LeakageBudget:
 
 @dataclass
 class EncoderMap:
-    """Invertible encoder between bit vectors and a codebook subset K.
+    """Invertible encoder between r0-bit block values and a codebook subset K.
 
-    ``v`` ranks the 2^N0 smallest-norm codebook points;
-    encode: t1 = v^-1(A [S'; S]), decode: S = g v(t1).  ``rank_table`` is
-    v as a dense array over coords indices (see ``coords_to_index``), -1
-    outside K.
+    K holds the 2^N0 smallest-norm codebook points, ranked; the point of
+    rank v carries the N0-bit word [g'; g] v, bit 0 first, so its word is
+    rho + 2^(N0 - r0) b for randomizer rho = g' v and block value b = g v.
+    ``encode_table[rho + 2^(N0 - r0) b]`` is the coords carrying b with
+    randomizer rho, and ``decode_table[coords index]`` (see
+    ``coords_to_index``) is the block value g v, -1 outside K.
     """
 
-    g: np.ndarray
-    A: np.ndarray
-    pair: NestedLatticePair
     N0: int
     r0: int
     subset_coords: np.ndarray  # rank -> canonical coords, a (2^N0, N) array
-    rank_table: np.ndarray
-
-    def ranks(self, t1) -> np.ndarray:
-        """v(t1) over any leading batch axes, -1 where t1 is outside K."""
-        return self.rank_table[coords_to_index(self.pair, t1)]
+    encode_table: np.ndarray  # word -> coords, a (2^N0, N) array
+    decode_table: np.ndarray  # coords index -> block value, a (q^N,) array
 
 
 def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
@@ -217,44 +216,25 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
 
     N0 = floor(N log2 q); the subset K holds the 2^N0 codebook points of
     smallest Euclidean norm, ties broken by lexicographic coordinate order,
-    and v is the rank within K with bit 0 least significant.
+    and v is the rank within K with bit 0 least significant.  Uniform
+    (rho, b) gives a uniform point of K.
     """
     N0 = encoder_bits(pair.N, pair.q)
     g = np.array(g, dtype=np.int64) % 2
     r0, cols = g.shape
     if cols != N0:
         raise ValueError(f"g must have N0 = floor(N log2 q) = {N0} columns, got {cols}")
-    _, a = complete_and_invert(g, 2)  # raises unless g has full row rank
+    g_prime = complete_and_invert(g, 2)  # raises unless g has full row rank
 
     coords = index_to_coords(pair, np.arange(pair.q**pair.N))
     points = codebook_point(pair, coords)
     ranked = sorted((round(float(np.dot(p, p)), 12), tuple(c.tolist()))
                     for p, c in zip(points, coords))
     subset_coords = np.array([c for _, c in ranked[: 2**N0]], dtype=np.int64)
-    rank_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
-    rank_table[coords_to_index(pair, subset_coords)] = np.arange(len(subset_coords))
-    return EncoderMap(
-        g=g, A=a, pair=pair, N0=N0, r0=r0,
-        subset_coords=subset_coords, rank_table=rank_table,
-    )
-
-
-def encode_message(enc: EncoderMap, s_bits, s_prime_bits) -> np.ndarray:
-    """t1 = v^-1(A [S'; S]); uniform (S, S') gives uniform t1 over K.
-
-    Bit vectors may carry leading batch axes; t1 gets the same ones.
-    """
-    s_bits = np.asarray(s_bits, dtype=np.int64) % 2
-    s_prime_bits = np.asarray(s_prime_bits, dtype=np.int64) % 2
-    if s_bits.ndim < 1 or s_bits.shape[-1] != enc.r0:
-        raise ValueError(f"message bits must have length {enc.r0}")
-    if s_prime_bits.shape != s_bits.shape[:-1] + (enc.N0 - enc.r0,):
-        raise ValueError(f"randomizer bits must have length {enc.N0 - enc.r0}")
-    stacked = np.concatenate([s_prime_bits, s_bits], axis=-1)
-    bits = (stacked @ enc.A.T) % 2
-    return enc.subset_coords[undigits(bits, 2)]
-
-
-def decode_ranks(enc: EncoderMap, ranks) -> np.ndarray:
-    """S = g v for ranks v in [0, 2^N0), over any leading batch axes."""
-    return (digits(ranks, 2, enc.N0) @ enc.g.T) % 2
+    words = undigits(digits(np.arange(2**N0), 2, N0) @ np.vstack([g_prime, g]).T % 2, 2)
+    encode_table = np.empty_like(subset_coords)
+    encode_table[words] = subset_coords
+    decode_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
+    decode_table[coords_to_index(pair, subset_coords)] = words >> (N0 - r0)
+    return EncoderMap(N0=N0, r0=r0, subset_coords=subset_coords,
+                      encode_table=encode_table, decode_table=decode_table)

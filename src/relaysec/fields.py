@@ -10,9 +10,9 @@ codec, in any base (q for elements, coords and seeds; 2 for ranks and bits).
 
 Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
 shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
-kernel, ``row_reduce``, which reduces a whole stack per pass; rank,
-inverse and basis completion are thin views over it, and
-``all_matrices`` enumerates every matrix of a shape as one stack.
+kernel, ``row_reduce``, which reduces a whole stack per pass; rank and
+basis completion are thin views over it, and ``all_matrices`` enumerates
+every matrix of a shape as one stack.
 ``row_space_levels`` finds them all by prefix transitions: row operations
 on M' keep its row space, so RREF([M'; v]) = RREF([RREF(M'); v]) and row k
 needs one reduction per (distinct RREF of the first k - 1 rows, row v).  One
@@ -43,7 +43,6 @@ __all__ = [
     "row_space_levels",
     "row_spaces",
     "matrix_row_rank",
-    "matrix_inverse",
     "complete_and_invert",
     "full_rank_fraction",
 ]
@@ -291,27 +290,14 @@ def matrix_row_rank(m, q: int):
     return row_reduce(m, q)[1]
 
 
-def matrix_inverse(m, q: int) -> np.ndarray:
-    """Inverse over GF(q) of a square matrix or a stack: the RREF of [A | I]."""
-    m = np.asarray(m, dtype=np.int64) % q
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)
-    rref, _ = row_reduce(np.concatenate([m, eye], axis=-1), q)
-    if not np.array_equal(rref[..., :n], eye):
-        raise ValueError("matrix is singular over GF(q)")
-    return rref[..., n:].astype(np.int64)
-
-
-def complete_and_invert(g, q: int) -> tuple[np.ndarray, np.ndarray]:
+def complete_and_invert(g, q: int) -> np.ndarray:
     """Complete full-row-rank r x N matrices to invertible square ones.
 
-    Returns (g_prime, A) where g_prime is (N - r) x N, the stacked matrix
-    [g_prime; g] is invertible, and A is its inverse; a stack of g gives
-    stacks.  The completion rows are the e_i, in index order, such that no
-    row-space vector of g has its highest nonzero entry at i: exactly the
-    rows a greedy scan of e_0, e_1, ... keeps when each raises the rank.
+    Returns g_prime, (N - r) x N, such that the stacked matrix [g_prime; g]
+    is invertible; a stack of g gives a stack.  The completion rows are the
+    e_i, in index order, such that no row-space vector of g has its highest
+    nonzero entry at i: exactly the rows a greedy scan of e_0, e_1, ...
+    keeps when each raises the rank.
     """
     g = np.asarray(g, dtype=np.int64) % q
     *stack, r, n = g.shape
@@ -321,8 +307,7 @@ def complete_and_invert(g, q: int) -> tuple[np.ndarray, np.ndarray]:
     # the leading entry of each RREF row of reversed g is the highest entry of a row-space vector
     free = np.ones((*stack, n), dtype=bool)
     np.put_along_axis(free, n - 1 - np.argmax(rref != 0, axis=-1), False, axis=-1)
-    g_prime = np.eye(n, dtype=np.int64)[np.nonzero(free)[-1].reshape(*stack, n - r)]
-    return g_prime, matrix_inverse(np.concatenate([g_prime, g], axis=-2), q)
+    return np.eye(n, dtype=np.int64)[np.nonzero(free)[-1].reshape(*stack, n - r)]
 
 
 def full_rank_fraction(q: int, rows: int, cols: int) -> tuple[int, int]:

@@ -6,8 +6,9 @@ Stage 0   node 1 sends a uniform lattice point, node 2 jams; both sides
 Stage 1   same exchange again, yielding the one-time-pad key k.
 Stage 2   node 1 sends u = h + k over an r-dimensional lattice block
           (node 2 silent), where h is the detection tag of the message.
-Stage 3   the message symbols are serialized to bits and shipped in
-          blocks through the invertible encoder, node 2 jamming.
+Stage 3   the message value is cut into base-2^msg_r0 block values; each
+          block value and a uniform randomizer pick its codebook point from
+          the invertible encoder's table, node 2 jamming.
 
 The destination recovers h_hat = u_hat - k_hat and accepts iff the
 decoded message verifies against (x_hat, h_hat).  A Byzantine relay that
@@ -52,14 +53,12 @@ from .extract import (
     EncoderMap,
     ExtractorMap,
     build_encoder,
-    decode_ranks,
-    encode_message,
     encoder_bits,
     extract_seed,
     r0_max,
     r_max,
 )
-from .fields import ExtField, is_prime
+from .fields import ExtField, is_prime, undigits
 from .lattice import (
     NestedLatticePair,
     average_codebook_power,
@@ -117,6 +116,8 @@ class ProtocolParams:
                              "nesting ratio")
         if not self.power_limit > 0:
             raise ValueError("power limit must be positive")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
         if self.noise_var_relay < 0 or self.noise_var_dest < 0:
             raise ValueError("noise variances must be nonnegative")
         if self.r < 1:
@@ -270,7 +271,7 @@ class _Chunk:
 
     message: np.ndarray  # (B, d) symbol ints
     seed: np.ndarray  # (B, stage, source/jam, N)
-    randomizer: np.ndarray  # (B, blocks, N0 - r0) bits
+    randomizer: np.ndarray  # (B, blocks) ints in [0, 2^(N0 - r0)), bit 0 drawn first
     block_jam: np.ndarray  # (B, blocks, msg_N)
     relay_words: np.ndarray  # (B, n) raw words
     noise: np.ndarray | None  # (B, 2n) normals, Gaussian mode only
@@ -301,25 +302,26 @@ class TwoHopProtocol:
         self.layout, self.trial_words = draw_layout(p)
         tables = self.ext_field.tables()
         self._add, self._sub = tables["add"], tables["sub"]
-        # message value <-> bits; python ints keep payloads beyond 62 bits exact
-        big = np.int64 if self.payload_bits <= 62 else object
+        # message value <-> block values; python ints keep padded values beyond 62 bits exact
+        big = np.int64 if self.blocks * p.msg_r0 <= 62 else object
         self._symbol_weights = np.array(
             [self.ext_field.order**j for j in range(p.d)], dtype=big)
-        self._bit_shifts = np.arange(self.payload_bits).astype(big)
+        self._block_weights = np.array(
+            [2 ** (p.msg_r0 * j) for j in range(self.blocks)], dtype=big)
         self._powers: tuple[float, float, float] | None = None
 
     # -- message serialization ------------------------------------------
 
-    def _symbols_to_bits(self, s: np.ndarray) -> np.ndarray:
-        """(B, d) symbol ints -> (B, payload_bits) bits, least significant first."""
+    def _symbols_to_blocks(self, s: np.ndarray) -> np.ndarray:
+        """(B, d) symbol ints -> (B, blocks) base-2^msg_r0 digits of the message value."""
         value = s.astype(self._symbol_weights.dtype) @ self._symbol_weights
-        return ((value[:, None] >> self._bit_shifts) & 1).astype(np.int64)
+        return (value[:, None] // self._block_weights % 2**self.params.msg_r0).astype(np.int64)
 
-    def _bits_to_symbols(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of _symbols_to_bits, with a mask of in-range values."""
-        value = bits.astype(self._bit_shifts.dtype) @ (1 << self._bit_shifts)
+    def _blocks_to_symbols(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of _symbols_to_blocks, with a mask of values below q^(rd)."""
+        value = blocks.astype(self._block_weights.dtype) @ self._block_weights
         order = self.ext_field.order
-        symbols = np.empty((len(bits), self.params.d), dtype=np.int64)
+        symbols = np.empty((len(blocks), self.params.d), dtype=np.int64)
         for j in range(self.params.d):
             symbols[:, j] = value % order
             value = value // order
@@ -339,7 +341,7 @@ class TwoHopProtocol:
         return _Chunk(
             message=uniform_ints(words[:, lay["message"]], self.ext_field.order),
             seed=uniform_ints(words[:, lay["seed"]], p.q).reshape(b, 2, 2, p.N),
-            randomizer=uniform_ints(blocks[:, :, :n_rand], 2),
+            randomizer=undigits(uniform_ints(blocks[:, :, :n_rand], 2), 2),
             block_jam=uniform_ints(blocks[:, :, n_rand:], p.msg_q),
             relay_words=words[:, lay["relay"]],
             noise=noise,
@@ -381,9 +383,7 @@ class TwoHopProtocol:
         t1, t2 = chunk.seed[:, :, 0], chunk.seed[:, :, 1]
         t_hat = self._hop(self.seed_pair, t1, t2, behavior, chunk)
         t1_hat = lattice_sub(self.seed_pair, t_hat, t2)
-        source = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1))
-        dest = coords_to_index(self.tag_pair, extract_seed(self.extractor, t1_hat))
-        return source, dest
+        return extract_seed(self.extractor, t1), extract_seed(self.extractor, t1_hat)
 
     def _tag_stage(self, behavior, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
         """Stage 2: node 2 silent, u rides the r-dimensional code directly."""
@@ -392,22 +392,18 @@ class TwoHopProtocol:
         return coords_to_index(self.tag_pair, u_hat_coords[:, 0])
 
     def _message_stage(self, behavior, s: np.ndarray, chunk: _Chunk):
-        """Stage 3: serialized bits through the encoder, all blocks in one hop.
+        """Stage 3: block values through the encoder, all blocks in one hop.
 
         Returns the decoded symbols and the rows whose every block landed
-        in K with zero padding and an in-range value.
+        in K with a value below q^(rd), which also rules out nonzero padding.
         """
-        padded = np.zeros((len(s), self.blocks * self.params.msg_r0), dtype=np.int64)
-        padded[:, : self.payload_bits] = self._symbols_to_bits(s)
-        t1 = encode_message(self.encoder, padded.reshape(len(s), self.blocks, -1),
-                            chunk.randomizer)
-        t_hat = self._hop(self.msg_pair, t1, chunk.block_jam, behavior, chunk)
-        ranks = self.encoder.ranks(lattice_sub(self.msg_pair, t_hat, chunk.block_jam))
-        out_bits = decode_ranks(self.encoder, np.maximum(ranks, 0)).reshape(len(s), -1)
-        # padding must stay zero for a well-formed message
-        ok = np.all(ranks >= 0, axis=1) & ~np.any(out_bits[:, self.payload_bits :], axis=1)
-        s_hat, fits = self._bits_to_symbols(out_bits[:, : self.payload_bits])
-        return s_hat, ok & fits
+        enc = self.encoder
+        words = chunk.randomizer + (self._symbols_to_blocks(s) << (enc.N0 - enc.r0))
+        t_hat = self._hop(self.msg_pair, enc.encode_table[words], chunk.block_jam, behavior, chunk)
+        t1_hat = lattice_sub(self.msg_pair, t_hat, chunk.block_jam)
+        values = enc.decode_table[coords_to_index(self.msg_pair, t1_hat)]
+        s_hat, fits = self._blocks_to_symbols(np.maximum(values, 0))
+        return s_hat, np.all(values >= 0, axis=1) & fits
 
     # -- trials -------------------------------------------------------------
 

@@ -273,7 +273,7 @@ def _same_value(got, want):
 
 
 def test_verify_default_records(tmp_path):
-    # the seed-1 report as the per-matrix censuses and per-joint Pinsker loop wrote it
+    # the exact bytes of `relaysec verify --seed 1`; floats are compared to 1e-12 all the same
     want = json.loads((Path(__file__).parent / "verify_seed1_report.json").read_text())
     out = tmp_path / "report.json"
     assert main(["verify", "--seed", "1", "--out", str(out)]) == 0

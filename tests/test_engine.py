@@ -17,10 +17,10 @@ from relaysec.channel import (
     power_audit,
     uniform_ints,
 )
-from relaysec.extract import decode_ranks, encode_message, extract_seed
 from relaysec.fields import ExtField, _poly_mod
 from relaysec.lattice import (
     codebook_point,
+    coords_to_index,
     decode_fine_mod_coarse,
     lattice_add,
     lattice_sub,
@@ -159,7 +159,7 @@ def _normals(words):
 
 
 def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
-    """One trial through the per-vector lattice and extract functions.
+    """One trial through the per-vector lattice functions and the encoder tables.
 
     Field elements are ints; a seed vector v is the element sum v_j q^j, and
     the tag is the term-by-term power sum.  A custom relay's callable gets
@@ -219,8 +219,8 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         t1 = np.array([_unif(w, p.q) for w in seed_words[2 * stage]])
         t2 = np.array([_unif(w, p.q) for w in seed_words[2 * stage + 1]])
         t1_hat = lattice_sub(proto.seed_pair, hop(proto.seed_pair, t1, t2), t2)
-        seeds += [element(extract_seed(proto.extractor, t1)),
-                  element(extract_seed(proto.extractor, t1_hat))]
+        seeds += [element(proto.extractor.matrix @ t1 % p.q),
+                  element(proto.extractor.matrix @ t1_hat % p.q)]
     x, x_hat, k, k_hat = seeds
     u = int(add[_power_sum_tag(proto.amd, s, x), k])
     u_coords = np.array([(u // p.q**j) % p.q for j in range(p.r)])
@@ -231,13 +231,13 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     out_bits, ok = [], True
     for blk, (rand_w, jam_w) in enumerate(block_words):
         bits = padded[blk * p.msg_r0 : (blk + 1) * p.msg_r0]
-        s_prime = [_unif(w, 2) for w in rand_w]
+        word = [_unif(w, 2) for w in rand_w] + bits  # (S', S), bit 0 first
         t2 = np.array([_unif(w, p.msg_q) for w in jam_w])
-        t1 = encode_message(enc, bits, s_prime)
+        t1 = enc.encode_table[sum(bit << i for i, bit in enumerate(word))]
         t1_hat = lattice_sub(proto.msg_pair, hop(proto.msg_pair, t1, t2), t2)
-        rank = enc.ranks(t1_hat)
-        if rank >= 0:
-            out_bits += [int(v) for v in decode_ranks(enc, rank)]
+        value = int(enc.decode_table[coords_to_index(proto.msg_pair, t1_hat)])
+        if value >= 0:
+            out_bits += [(value >> i) & 1 for i in range(p.msg_r0)]
         else:
             ok = False
             out_bits += [0] * p.msg_r0

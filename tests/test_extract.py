@@ -9,8 +9,6 @@ import pytest
 from relaysec.extract import (
     ExtractorMap,
     build_encoder,
-    decode_ranks,
-    encode_message,
     extract_seed,
     leakage_budget,
     leftover_bound,
@@ -21,7 +19,7 @@ from relaysec.extract import (
     shannon_entropy,
 )
 from relaysec.fields import all_matrices, complete_and_invert, matrix_row_rank
-from relaysec.lattice import NestedLatticePair
+from relaysec.lattice import NestedLatticePair, coords_to_index
 
 
 # ---------------------------------------------------------------------
@@ -30,12 +28,15 @@ from relaysec.lattice import NestedLatticePair
 
 
 def test_extract_seed_examples():
+    # the seed is the element int whose base-q digits are the product's coords
     m = ExtractorMap(np.array([[1, 1]]), 3)
-    assert extract_seed(m, [1, 2])[0] == 0
+    assert extract_seed(m, [1, 2]) == 0
     ident = ExtractorMap(np.eye(3, dtype=int), 5)
-    assert np.array_equal(extract_seed(ident, [4, 0, 2]), [4, 0, 2])
+    assert extract_seed(ident, [4, 0, 2]) == 4 + 0 * 5 + 2 * 25
     parity = ExtractorMap(np.array([[1, 0, 1]]), 2)
-    assert extract_seed(parity, [1, 1, 1])[0] == 0
+    assert extract_seed(parity, [1, 1, 1]) == 0
+    two = ExtractorMap(np.array([[1, 0, 0], [0, 1, 1]]), 3)
+    assert np.array_equal(extract_seed(two, [[2, 1, 1], [0, 0, 0]]), [2 + 2 * 3, 0])
 
 
 def test_extractor_map_rejects_rank_deficient():
@@ -204,7 +205,7 @@ def test_build_encoder_subset_example():
     assert enc.N0 == 3
     assert len(enc.subset_coords) == 8
     # the lex-largest of the four norm-2 points is excluded
-    assert enc.ranks((2, 2)) == -1
+    assert enc.decode_table[coords_to_index(pair, (2, 2))] == -1
     assert enc.subset_coords[0].tolist() == [0, 0]
 
 
@@ -222,43 +223,68 @@ def test_encoder_round_trip_exhaustive():
         for r0 in range(1, n0 + 1):
             g = np.hstack([np.eye(r0, dtype=int), np.ones((r0, n0 - r0), dtype=int)]) % 2
             enc = build_encoder(g, pair)
-            bits = np.array(list(itertools.product(range(2), repeat=n0)))  # every (S', S)
-            s_bits = bits[:, n0 - r0 :]
-            ranks = enc.ranks(encode_message(enc, s_bits, bits[:, : n0 - r0]))
-            assert np.array_equal(decode_ranks(enc, ranks), s_bits)
-            assert sorted(ranks.tolist()) == list(range(2**n0))  # uniform inputs cover K once
+            words = np.arange(2**n0)  # every (randomizer, block value)
+            values = enc.decode_table[coords_to_index(pair, enc.encode_table[words])]
+            assert np.array_equal(values, words >> (n0 - r0))
+            # uniform inputs cover K once
+            assert sorted(map(tuple, enc.encode_table.tolist())) == sorted(
+                map(tuple, enc.subset_coords.tolist()))
 
 
 def test_encoder_injective_in_message_for_fixed_randomizer():
     pair = NestedLatticePair(N=2, q=5)
     enc = build_encoder(np.array([[1, 0, 1, 1], [0, 1, 0, 1]]), pair)
-    sp = np.array([1, 0])
-    outs = {
-        tuple(encode_message(enc, np.array(s), sp))
-        for s in itertools.product(range(2), repeat=2)
-    }
+    rho = 1
+    outs = {tuple(enc.encode_table[rho + 4 * b]) for b in range(4)}
     assert len(outs) == 4
 
 
+def _bits(k, n):
+    return [(k >> i) & 1 for i in range(n)]
+
+
+def _binary_product(m, bits):
+    """m times a bit vector over GF(2), as an int with bit 0 first."""
+    return sum((sum(a * b for a, b in zip(row, bits)) % 2) << i for i, row in enumerate(m))
+
+
+def test_encoder_tables_match_the_definition():
+    # every full-rank binary g at small (q, N): the point of rank v decodes to
+    # g v, and encoding word w gives the point whose rank v solves [g'; g] v = w
+    for q, n in [(2, 3), (3, 2), (5, 1)]:
+        pair = NestedLatticePair(N=n, q=q)
+        n0 = int(math.floor(n * math.log2(q)))
+        for r0 in range(1, n0 + 1):
+            mats = all_matrices(2, r0, n0)
+            for g in mats[matrix_row_rank(mats, 2) == r0].tolist():
+                enc = build_encoder(np.array(g), pair)
+                stacked = complete_and_invert(np.array(g), 2).tolist() + g
+                for v in range(2**n0):
+                    point = enc.subset_coords[v]
+                    assert enc.decode_table[coords_to_index(pair, point)] == _binary_product(
+                        g, _bits(v, n0))
+                for w in range(2**n0):
+                    (v,) = [v for v in range(2**n0)
+                            if _binary_product(stacked, _bits(v, n0)) == w]
+                    assert enc.encode_table[w].tolist() == enc.subset_coords[v].tolist()
+
+
 def test_decoder_linear_in_bit_vector():
+    # S = g v is linear in the bits of the rank v: rank a XOR b decodes to the XOR of theirs
     pair = NestedLatticePair(N=2, q=5)
     enc = build_encoder(np.array([[1, 1, 0, 1]]), pair)
+    values = enc.decode_table[coords_to_index(pair, enc.subset_coords)]
     for a in range(16):
         for b in range(16):
-            bits_a = (a >> np.arange(4)) & 1
-            bits_b = (b >> np.arange(4)) & 1
-            da = (enc.g @ bits_a) % 2
-            db = (enc.g @ bits_b) % 2
-            dxor = (enc.g @ ((bits_a + bits_b) % 2)) % 2
-            assert np.array_equal(dxor, (da + db) % 2)
+            assert values[a ^ b] == values[a] ^ values[b]
 
 
 def test_decode_outside_subset_rejected():
-    """Coords outside K rank -1, the flag the message stage rejects on."""
+    """Coords outside K decode to -1, the flag the message stage rejects on."""
     pair = NestedLatticePair(N=2, q=3)
     enc = build_encoder(np.array([[1, 0, 0]]), pair)
-    ranks = enc.ranks([[a, b] for a in range(3) for b in range(3)])
-    assert ranks.tolist().count(-1) == 1 and ranks[-1] == -1  # only (2, 2)
+    values = enc.decode_table[coords_to_index(pair, [[a, b] for a in range(3) for b in range(3)])]
+    assert values.tolist().count(-1) == 1 and values[-1] == -1  # only (2, 2)
 
 
 def test_build_encoder_validation():
@@ -308,11 +334,10 @@ def test_search_with_exact_leakage_oracle():
     assert rec.exact_mi_bits <= float(np.mean(leakages))
 
 def test_build_encoder_completion_identity_binary():
-    # g = [0 1] completes to the identity, so A is the identity too
+    # g = [0 1] completes to the identity, so the point of rank v carries word v
     pair = NestedLatticePair(N=2, q=2)
     enc = build_encoder(np.array([[0, 1]]), pair)
-    assert np.array_equal(enc.A, np.eye(2, dtype=int))
-    g_prime, _ = complete_and_invert(enc.g, 2)
-    assert np.array_equal(g_prime, [[1, 0]])
-    stacked = np.vstack([g_prime, enc.g])
-    assert np.array_equal((stacked @ enc.A) % 2, np.eye(2, dtype=int))
+    assert np.array_equal(complete_and_invert(np.array([[0, 1]]), 2), [[1, 0]])
+    assert np.array_equal(enc.encode_table, enc.subset_coords)
+    values = enc.decode_table[coords_to_index(pair, enc.subset_coords)]
+    assert values.tolist() == [v >> 1 for v in range(4)]

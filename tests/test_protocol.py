@@ -78,6 +78,10 @@ def test_params_validation():
         ProtocolParams(q=4)
     with pytest.raises(ValueError, match="d \\+ 2 = 4 must not be divisible by q = 2"):
         ProtocolParams(q=2)
+    # epsilon = -5 lifted the extractable cap above N = 2, and NaN crashed r_max
+    for epsilon in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ProtocolParams(epsilon=epsilon, r=3, N=2)
 
 
 @pytest.mark.parametrize("channel, message", [
@@ -246,11 +250,33 @@ def test_payload_bits_examples():
 def test_message_bit_round_trip():
     p = proto()
     s = np.random.default_rng(3).integers(0, p.ext_field.order, size=(50, p.params.d))
-    symbols, fits = p._bits_to_symbols(p._symbols_to_bits(s))
+    symbols, fits = p._blocks_to_symbols(p._symbols_to_blocks(s))
     assert np.array_equal(symbols, s) and fits.all()
-    # 10 ones encode 1023 >= 25^2: no message has that value
-    _, fits = p._bits_to_symbols(np.ones((1, p.payload_bits), dtype=np.int64))
+    # five 2-bit blocks of ones encode 1023 >= 25^2: no message has that value
+    _, fits = p._blocks_to_symbols(np.full((1, p.blocks), 3))
     assert not fits[0]
+
+
+def test_message_block_round_trip_at_64_padded_bits():
+    # a 62-bit payload in 16 blocks of 4 bits: the padded value needs Python ints
+    p = proto(ProtocolParams(q=7, r=2, d=11, N=4, msg_q=11, msg_N=2, msg_r0=4))
+    assert (p.payload_bits, p.blocks) == (62, 16)
+    order = p.ext_field.order
+    s = np.random.default_rng(5).integers(0, order, size=(50, p.params.d))
+    s[0], s[1] = 0, order - 1  # the values 0 and q^(rd) - 1
+    blocks = p._symbols_to_blocks(s)
+    assert blocks.dtype == np.int64 and blocks.min() >= 0 and blocks.max() < 16
+    for row, sym in zip(blocks, s):
+        value = sum(int(v) * order**j for j, v in enumerate(sym))
+        assert [int(b) for b in row] == [(value >> 4 * j) & 15 for j in range(16)]
+    symbols, fits = p._blocks_to_symbols(blocks)
+    assert np.array_equal(symbols, s) and fits.all()
+    # 2^64 - 1, and 2^62 with zero payload bits: both at least q^(rd) = 49^11 > 2^61
+    ones = np.full((1, 16), 15)
+    top = np.zeros((1, 16), dtype=np.int64)
+    top[0, 15] = 4
+    _, fits = p._blocks_to_symbols(np.vstack([ones, top]))
+    assert not fits.any()
 
 
 def test_block_count_and_rate_examples():
