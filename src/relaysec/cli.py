@@ -118,7 +118,8 @@ def load_config(path: str | None) -> dict:
     """Merge the config file over the defaults and check it against the schema.
 
     A scan section is merged over the defaults of its own kind (``SCANS``),
-    and a key that kind does not read is rejected.
+    and a key that kind does not read is rejected, as is a ``pattern`` on a
+    behavior kind that reads none.
     """
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
@@ -142,6 +143,10 @@ def load_config(path: str | None) -> dict:
     for key in scan:
         if key != "kind" and key not in SCANS[scan["kind"]].defaults:
             raise _rejected(f"scan.{key}", f"is not a key of the {scan['kind']} scan")
+    for i, behavior in enumerate(merged["simulate"]["behaviors"]):
+        if "pattern" in behavior and behavior["kind"] in ("honest", "garble"):
+            raise _rejected(f"simulate.behaviors[{i}].pattern",
+                            f"is not a key of the {behavior['kind']} behavior")
     return merged
 
 
@@ -322,9 +327,8 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
     if not 0 <= seed < 2**128:
         raise ConfigError(f"simulate seed {seed} must lie in [0, 2^128), the Philox key range")
     proto = _protocol_cache(params)
-    sim_cfg = cfg.get("simulate", {})
-    trials = sim_cfg.get("trials", 1000)
-    behaviors, labels = zip(*map(_build_behavior, sim_cfg.get("behaviors", [{"kind": "honest"}])))
+    trials = cfg["simulate"]["trials"]
+    behaviors, labels = zip(*map(_build_behavior, cfg["simulate"]["behaviors"]))
     counts = proto.monte_carlo(behaviors, trials, workers=workers, seed=seed)
     # the columns every row shares: constants of the protocol
     n, rt, _ = operating_rates(params)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import complete_and_invert, digits, matrix_row_rank, undigits
+from .fields import complete_rows, digits, matrix_row_rank, undigits
 from .lattice import NestedLatticePair, codebook_point, coords_to_index, index_to_coords
 
 __all__ = [
@@ -224,7 +224,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     r0, cols = g.shape
     if cols != N0:
         raise ValueError(f"g must have N0 = floor(N log2 q) = {N0} columns, got {cols}")
-    g_prime = complete_and_invert(g, 2)  # raises unless g has full row rank
+    g_prime = complete_rows(g, 2)  # raises unless g has full row rank
 
     coords = index_to_coords(pair, np.arange(pair.q**pair.N))
     points = codebook_point(pair, coords)

@@ -43,7 +43,7 @@ __all__ = [
     "row_space_levels",
     "row_spaces",
     "matrix_row_rank",
-    "complete_and_invert",
+    "complete_rows",
     "full_rank_fraction",
 ]
 
@@ -80,44 +80,22 @@ def undigits(d, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(q); coefficient lists are lowest-degree first
+# polynomials over GF(q): coefficient arrays, lowest degree first
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+def _poly_rem(a: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """Remainders of the int64 array a (..., n) by the monic m (..., e + 1) over GF(q).
 
-
-def _poly_mod(a: list[int], m: list[int], q: int) -> list[int]:
-    """Remainder of a by monic m over GF(q)."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        lead = a[-1]
-        if lead == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - lead * mi) % q
-        a = _poly_trim(a)
-    return _poly_trim(a)
-
-
-def _poly_is_irreducible(p: list[int], q: int) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(p) - 1
-    if deg == 1:
-        return True
-    if p[0] == 0:  # divisible by x
-        return False
-    for ddeg in range(1, deg // 2 + 1):
-        for low in digits(np.arange(q**ddeg), q, ddeg).tolist():
-            if _poly_mod(p, low + [1], q) == [0]:
-                return False
-    return True
+    ``a`` is reduced in place, so m's leading axes must broadcast to a's:
+    each step cancels the top coefficient with lead x^(deg - e) m.  Returns
+    the e low coefficients, each in [0, q).
+    """
+    e = m.shape[-1] - 1
+    for deg in range(a.shape[-1] - 1, e - 1, -1):
+        lead = a[..., deg] % q
+        a[..., deg - e : deg + 1] -= lead[..., None] * m
+    return a[..., :e] % q
 
 
 @lru_cache(maxsize=None)
@@ -127,15 +105,20 @@ def find_irreducible(q: int, r: int) -> tuple[int, ...]:
     Returned as a coefficient tuple of length r + 1, lowest degree first,
     leading coefficient 1.  Candidates are scanned in ascending order of the
     non-leading coefficient vector read as a base-q integer (constant term
-    least significant), so the result is deterministic.
+    least significant), so the result is deterministic.  A candidate is
+    reducible iff a monic of degree e <= r/2 divides it; the monics of
+    degree e are the ints [q^e, 2 q^e) read as digits, and one ``_poly_rem``
+    call per e divides the candidate by all of them.
     """
     _check_prime(q)
     if r < 1:
         raise ValueError(f"degree must be >= 1, got {r}")
-    for k in range(q**r):
-        cand = digits(k, q, r).tolist() + [1]
-        if _poly_is_irreducible(cand, q):
-            return tuple(cand)
+    for cand in range(q**r, 2 * q**r):  # the monic candidates, as ints
+        rems = (_poly_rem(digits(np.full(q**e, cand), q, r + 1),
+                          digits(np.arange(q**e, 2 * q**e), q, e + 1), q)
+                for e in range(1, r // 2 + 1))
+        if all(rem.any(axis=-1).all() for rem in rems):  # no zero remainder: no factor
+            return tuple(digits(cand, q, r + 1).tolist())
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
@@ -183,11 +166,7 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
     prod = np.zeros((n, n, 2 * r - 1), dtype=np.int64)
     for i in range(r):
         prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
-    mod = np.array(modulus, dtype=np.int64)
-    for deg in range(2 * r - 2, r - 1, -1):  # reduce by the monic modulus
-        lead = prod[:, :, deg] % q
-        prod[:, :, deg - r : deg + 1] -= lead[:, :, None] * mod
-    mul = undigits(prod[:, :, :r] % q, q)
+    mul = undigits(_poly_rem(prod, np.array(modulus, dtype=np.int64), q), q)
     neg = undigits((-coeffs) % q, q)
     tables = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg}
     for table in tables.values():
@@ -290,7 +269,7 @@ def matrix_row_rank(m, q: int):
     return row_reduce(m, q)[1]
 
 
-def complete_and_invert(g, q: int) -> np.ndarray:
+def complete_rows(g, q: int) -> np.ndarray:
     """Complete full-row-rank r x N matrices to invertible square ones.
 
     Returns g_prime, (N - r) x N, such that the stacked matrix [g_prime; g]

@@ -114,7 +114,7 @@ def _coordinate_table(q: int, alpha: float) -> np.ndarray:
     cross-checks the composed joint table against the direct N-D path.
     Column o's support {c1 : table[c1, o] > 0} is the posterior support of
     t1_j given observation o; ``_coordinate_classes`` groups the columns by
-    it.  Stored as float64, read-only.
+    its length.  Stored as float64, read-only.
     """
     sub = NestedLatticePair(N=1, q=q, alpha=alpha)
     points = codebook_point(sub, np.arange(q)[:, None])
@@ -134,24 +134,23 @@ def _coordinate_classes(q: int, alpha: float):
 
     Each observation column of ``_coordinate_table`` holds 0 or 1 per c1,
     because c1 and the sum digit fix c2; so given the column, t1_j is
-    uniform on its c1-support.  Columns whose supports are cyclic
-    translates of each other give translated seed posteriors, with the
-    same entropy and the same largest mass, so they form one shape:
-    ``members[s]`` is shape s's 0/1 indicator over Z_q (float64, for the
-    class pass's matmul) and ``columns[s]`` (int64) counts its columns.
-    Empty columns are dropped.  Every support is a cyclic interval, so
-    there are q shapes, one per length.
+    uniform on its c1-support.  Every support is a cyclic interval (which
+    is asserted), and intervals of one length are cyclic translates of each
+    other; they give translated seed posteriors, with the same entropy and
+    the same largest mass, so they form one shape.  ``members[s]`` is the
+    0/1 indicator over Z_q (float64, for the class pass's matmul) of the
+    interval {0, ..., m - 1}, m the s-th support length in ascending order,
+    and ``columns[s]`` counts the columns of that length.  Empty
+    columns are dropped.
     """
     table = _coordinate_table(q, alpha)
     if not np.all((table == 0) | (table == 1)):
         raise AssertionError(f"a coordinate table cell exceeds 1 at q={q}: (c1, sd) must fix c2")
-    columns = {}
-    for support in table.T.astype(bool):
-        if support.any():  # the canonical translate: the largest rotation, as bytes
-            key = max(np.roll(support, -s).tobytes() for s in range(q))
-            columns[key] = columns.get(key, 0) + 1
-    members = np.array([np.frombuffer(key, dtype=bool) for key in columns], dtype=float)
-    counts = np.array(list(columns.values()), dtype=np.int64)
+    supports = table.T[table.any(axis=0)].astype(bool)
+    if np.any(np.count_nonzero(supports & ~np.roll(supports, 1, axis=1), axis=1) > 1):
+        raise AssertionError(f"a posterior support at q={q} is not a cyclic interval")
+    lengths, counts = np.unique(np.count_nonzero(supports, axis=1), return_counts=True)
+    members = (np.arange(q) < lengths[:, None]).astype(float)
     members.setflags(write=False)
     counts.setflags(write=False)
     return members, counts
@@ -496,24 +495,17 @@ def universal_hash_census(q: int, N: int, r: int):
     """Max collision probability of the linear-map family, exactly.
 
     For every ordered pair x1 != x2, counts matrices G with G x1 = G x2;
-    asserts the fraction never exceeds q^-r.  The counts come from one
-    float32 matmul of the G x one-hot table with itself, exact because every
-    partial sum is an integer of at most q^(rN) <= 10^7 < 2^24.
+    asserts the fraction never exceeds q^-r.  G x1 = G x2 exactly when
+    G (x1 - x2) = 0, so the largest count is the largest kernel count
+    #{G : G x = 0} over the nonzero x.
     """
     n_mat = q ** (r * N)
     n_vec = q**N
     _guard(n_mat * n_vec, _MAX_HASH_ENUM, "universal hash census")
-    vecs = digits(np.arange(n_vec), q, N)
+    vecs = digits(np.arange(1, n_vec), q, N)  # the nonzero differences x
     images = vecs @ all_matrices(q, r, N).transpose(0, 2, 1)
     images %= q  # in place: this int64 stack of products is the census's largest array
-    images = undigits(images, q)  # images[G, x]: index of G x
-    # onehot[x, G q^r + y] = [G x = y], so (onehot onehot^T)[a, b] = #{G : G a = G b}
-    onehot = np.empty((n_vec, n_mat, q**r), dtype=np.float32)
-    np.equal(images.T[:, :, None], np.arange(q**r), out=onehot)
-    onehot = onehot.reshape(n_vec, -1)
-    collisions = (onehot @ onehot.T).astype(np.int64)
-    np.fill_diagonal(collisions, 0)
-    max_coll = int(collisions.max())
+    max_coll = int(np.count_nonzero(~images.any(axis=-1), axis=0).max(initial=0))  # N = 0: no pair
     # integer form of max_coll / n_mat <= q^-r
     holds = max_coll * (q**r) <= n_mat
     return max_coll / n_mat, holds
@@ -526,7 +518,7 @@ def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]
     arrays each of nonnegative entries summing to 1.  A stack gives two
     arrays of shape (...), each entry equal to a call on its law alone.
     I(A;B) is the sum over cells of v/total (log2(v total) - log2(pa pb)),
-    the terms formed in place and summed by one ``np.sum`` along the last
+    the terms formed elementwise and summed by one ``np.sum`` along the last
     axis, so a law and its place in a stack give the same pairwise sum.
     """
     probs = np.asarray(joints, dtype=float)
@@ -544,13 +536,7 @@ def pinsker_check(joints) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]
     # a zero cell enters as v = total, pa pb = total^2: a term of exactly 0
     vals = np.where(nz, cells, total)
     papb = np.where(nz, papb, total * total)
-    work = np.multiply(vals, total)
-    np.log2(work, out=work)
-    np.log2(papb, out=papb)
-    np.subtract(work, papb, out=work)
-    np.divide(vals, total, out=papb)
-    np.multiply(papb, work, out=work)
-    lhs = np.sum(work, axis=-1)
+    lhs = np.sum(vals / total * (np.log2(vals * total) - np.log2(papb)), axis=-1)
     return (float(lhs), float(rhs)) if probs.ndim == 2 else (lhs, rhs)
 
 

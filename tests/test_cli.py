@@ -693,6 +693,17 @@ def test_scan_key_outside_its_kind_exits_2(tmp_path, capsys, scan, message):
     assert main(["simulate", "--config", path]) == 2  # every command loads the same config
 
 
+@pytest.mark.parametrize("kind", ["honest", "garble"])
+def test_pattern_on_a_behavior_that_reads_none_exits_2(tmp_path, capsys, kind):
+    # such a pattern was accepted and ignored: the row matched the one without it
+    behaviors = [{"kind": "additive", "pattern": [2]}, {"kind": kind, "pattern": [3, 4]}]
+    path = write_config(tmp_path, {"simulate": {"behaviors": behaviors}})
+    for command in ("simulate", "verify", "scan"):  # every command loads the same config
+        assert main([command, "--config", path]) == 2
+        assert (f"config rejected: simulate.behaviors[1].pattern is not a key of the {kind} "
+                "behavior") in capsys.readouterr().err
+
+
 def test_scan_table_matches_the_schema():
     scan_schema = cli._schema()["properties"]["scan"]
     assert list(cli.SCANS) == scan_schema["properties"]["kind"]["enum"] == ["point", "leakage"]

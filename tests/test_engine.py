@@ -17,7 +17,7 @@ from relaysec.channel import (
     power_audit,
     uniform_ints,
 )
-from relaysec.fields import ExtField, _poly_mod
+from relaysec.fields import ExtField, find_irreducible, is_prime
 from relaysec.lattice import (
     codebook_point,
     coords_to_index,
@@ -73,15 +73,35 @@ def test_box_muller_matches_formula():
     assert np.all(np.isfinite(extreme))
 
 
+def _poly_trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mod(a, m, q):
+    """Remainder of the coefficient list a by the monic m over GF(q), trimmed."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and any(a):
+        lead = a[-1]
+        if lead == 0:
+            a.pop()
+            continue
+        shift = len(a) - 1 - dm
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - lead * mi) % q
+        a = _poly_trim(a)
+    return _poly_trim(a)
+
+
 def _poly_mul(a, b, q):
     """Product of coefficient lists over GF(q), lowest degree first, trimmed."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % q
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return _poly_trim(out)
 
 
 def test_field_tables_match_polynomial_arithmetic():
@@ -100,6 +120,34 @@ def test_field_tables_match_polynomial_arithmetic():
                 assert t["sub"][i, j] == element([(u - v) % q for u, v in zip(a, b)])
                 prod = _poly_mod(_poly_mul(a, b, q), list(f.modulus), q)
                 assert t["mul"][i, j] == element(prod)
+
+
+def _monic(k, q, deg):
+    """The monic of degree deg whose lower coefficients are the base-q digits of k."""
+    return [(k // q**j) % q for j in range(deg)] + [1]
+
+
+def _is_reducible(p, q):
+    """Some monic of degree 1..deg/2 divides p: trial division, one divisor at a time."""
+    deg = len(p) - 1
+    return any(_poly_mod(p, _monic(k, q, e), q) == [0]
+               for e in range(1, deg // 2 + 1) for k in range(q**e))
+
+
+def test_find_irreducible_is_the_first_irreducible():
+    """Every q^r <= 1024: the modulus gives a field, and every earlier candidate is reducible."""
+    for q in filter(is_prime, range(2, 1025)):
+        r = 1
+        while q**r <= 1024:
+            modulus = list(find_irreducible(q, r))
+            first = next(k for k in range(q**r) if _monic(k, q, r) == modulus)
+            assert all(_is_reducible(_monic(k, q, r), q) for k in range(first))
+            if r > 1:  # at r = 1 the modulus is x and mul is the product mod the prime q
+                mul = ExtField(q, r).tables()["mul"]
+                assert np.all(mul[1:, 1:] != 0)  # no zero divisor
+            else:
+                assert modulus == [0, 1]
+            r += 1
 
 
 def _power_sum_tag(params, s, x):

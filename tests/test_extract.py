@@ -18,7 +18,7 @@ from relaysec.extract import (
     seed_uniformity,
     shannon_entropy,
 )
-from relaysec.fields import all_matrices, complete_and_invert, matrix_row_rank
+from relaysec.fields import all_matrices, complete_rows, matrix_row_rank
 from relaysec.lattice import NestedLatticePair, coords_to_index
 
 
@@ -258,7 +258,7 @@ def test_encoder_tables_match_the_definition():
             mats = all_matrices(2, r0, n0)
             for g in mats[matrix_row_rank(mats, 2) == r0].tolist():
                 enc = build_encoder(np.array(g), pair)
-                stacked = complete_and_invert(np.array(g), 2).tolist() + g
+                stacked = complete_rows(np.array(g), 2).tolist() + g
                 for v in range(2**n0):
                     point = enc.subset_coords[v]
                     assert enc.decode_table[coords_to_index(pair, point)] == _binary_product(
@@ -337,7 +337,7 @@ def test_build_encoder_completion_identity_binary():
     # g = [0 1] completes to the identity, so the point of rank v carries word v
     pair = NestedLatticePair(N=2, q=2)
     enc = build_encoder(np.array([[0, 1]]), pair)
-    assert np.array_equal(complete_and_invert(np.array([[0, 1]]), 2), [[1, 0]])
+    assert np.array_equal(complete_rows(np.array([[0, 1]]), 2), [[1, 0]])
     assert np.array_equal(enc.encode_table, enc.subset_coords)
     values = enc.decode_table[coords_to_index(pair, enc.subset_coords)]
     assert values.tolist() == [v >> 1 for v in range(4)]

@@ -9,7 +9,7 @@ from relaysec import fields
 from relaysec.fields import (
     ExtField,
     all_matrices,
-    complete_and_invert,
+    complete_rows,
     digits,
     find_irreducible,
     full_rank_fraction,
@@ -216,18 +216,18 @@ def test_binary_rank_agrees_with_elimination():
         assert matrix_row_rank(m, 2) == _binary_rank_bits(ints)
 
 
-def test_complete_and_invert_examples():
-    assert np.array_equal(complete_and_invert(np.array([[0, 1]]), 2), [[1, 0]])
-    assert complete_and_invert(np.eye(3, dtype=int), 2).shape == (0, 3)
+def test_complete_rows_examples():
+    assert np.array_equal(complete_rows(np.array([[0, 1]]), 2), [[1, 0]])
+    assert complete_rows(np.eye(3, dtype=int), 2).shape == (0, 3)
     g = np.array([[1, 1]])
-    g_prime = complete_and_invert(g, 3)
+    g_prime = complete_rows(g, 3)
     assert np.array_equal(g_prime, [[1, 0]])
     assert matrix_row_rank(np.vstack([g_prime, g]), 3) == 2
 
 
-def test_complete_and_invert_rejects_rank_deficient():
+def test_complete_rows_rejects_rank_deficient():
     with pytest.raises(ValueError):
-        complete_and_invert(np.array([[1, 1], [2, 2]]), 3)
+        complete_rows(np.array([[1, 1], [2, 2]]), 3)
 
 
 def _row_ints(mats):
@@ -236,13 +236,13 @@ def _row_ints(mats):
     return (mats @ (1 << np.arange(cols - 1, -1, -1))).tolist()
 
 
-def test_complete_and_invert_exhaustive_gf2():
+def test_complete_rows_exhaustive_gf2():
     for n in range(1, 5):
         for r in range(1, n + 1):
             mats = all_matrices(2, r, n)
             full = [_binary_rank_bits(rows) == r for rows in _row_ints(mats)]
             g = mats[full].astype(np.int64)
-            stacked = np.concatenate([complete_and_invert(g, 2), g], axis=-2)
+            stacked = np.concatenate([complete_rows(g, 2), g], axis=-2)
             assert [_binary_rank_bits(rows) for rows in _row_ints(stacked)] == [n] * len(g)
 
 
@@ -369,15 +369,15 @@ def _greedy_completion(g, q):
     return kept
 
 
-def test_complete_and_invert_stack_matches_single_and_greedy():
+def test_complete_rows_stack_matches_single_and_greedy():
     for q, n_max in [(2, 4), (3, 3), (5, 2)]:
         for n in range(2, n_max + 1):
             for r in range(1, n):
                 mats = all_matrices(q, r, n)
                 g = mats[matrix_row_rank(mats, q) == r]
-                g_prime = complete_and_invert(g, q)
+                g_prime = complete_rows(g, q)
                 assert g_prime.shape == (len(g), n - r, n)
                 for i in range(len(g)):
                     assert g_prime[i].tolist() == _greedy_completion(g[i].tolist(), q)
                 for i in range(0, len(g), 37):
-                    assert np.array_equal(complete_and_invert(g[i], q), g_prime[i])
+                    assert np.array_equal(complete_rows(g[i], q), g_prime[i])

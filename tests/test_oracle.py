@@ -444,6 +444,18 @@ def test_coordinate_classes_reject_a_table_cell_above_one(monkeypatch):
         oracle._coordinate_classes(3, 1.0)
 
 
+def test_coordinate_classes_reject_a_support_that_is_not_a_cyclic_interval(monkeypatch):
+    def split(q, alpha):
+        table = np.zeros((q, 2 * q))
+        table[[0, 2], 0] = 1.0  # column 0's support {0, 2} is no cyclic interval of Z_5
+        return table
+
+    oracle._coordinate_classes.cache_clear()  # a cached entry would never read the table
+    monkeypatch.setattr(oracle, "_coordinate_table", split)
+    with pytest.raises(AssertionError, match="not a cyclic interval"):
+        oracle._coordinate_classes(5, 1.0)
+
+
 @pytest.mark.parametrize("block_cells", [1, 3 * 25 * 125])
 def test_leakage_blocks_are_bit_identical(block_cells, monkeypatch):
     # 1: one matrix per block; 3 * 25 * 125: three per block, with a ragged last block
@@ -741,15 +753,15 @@ def test_universal_hash_census_matches_per_pair_loop(q, n, r):
 
 
 def test_universal_hash_census_memory():
-    """q=2, N=7, r=2: the int64 products and their remainder held at once peaked at 64 MiB."""
+    """q=2, N=7, r=2: the int64 products are the census's one large array."""
     tracemalloc.start()
     try:
         assert universal_hash_census(2, 7, 2) == (0.25, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (2^14, 2^7, 2) products, then the images and the float32 one-hot, each 48 MiB
-    assert peak < 56 * 2**20
+    # the (2^14, 2^7 - 1, 2) products, reduced in place, 32 MiB, and a 2 MiB kernel mask
+    assert peak < 40 * 2**20
 
 
 def test_full_rank_census_one_level_pass_per_width(monkeypatch):
