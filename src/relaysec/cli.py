@@ -168,7 +168,6 @@ def _build_behavior(entry: dict):
         return AdditiveLatticeOffset(pattern), f"additive{list(pattern)}"
     if kind == "garble":
         return RandomGarble(), "garble"
-    raise ConfigError(f"unknown behavior kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

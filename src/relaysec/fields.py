@@ -9,15 +9,18 @@ mul and neg tables indexed by those ints.
 codec, in any base (q for elements, coords and seeds; 2 for ranks and bits).
 
 Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
-shape (..., rows, cols).  All matrix work goes through one Gauss-Jordan
+shape (..., rows, cols).  Arbitrary stacks go through one Gauss-Jordan
 kernel, ``row_reduce``, which reduces a whole stack per pass; rank and
 basis completion are thin views over it, and ``all_matrices`` enumerates
 every matrix of a shape as one stack.
-``row_space_levels`` finds them all by prefix transitions: row operations
-on M' keep its row space, so RREF([M'; v]) = RREF([RREF(M'); v]) and row k
-needs one reduction per (distinct RREF of the first k - 1 rows, row v).  One
-pass yields every row count of a width in turn, level k from level k - 1;
-``row_spaces`` is its level ``rows``.
+``row_space_levels`` finds the RREFs of all matrices of a shape by prefix
+transitions: row operations on M' keep its row space, so RREF([M'; v]) =
+RREF([RREF(M'); v]), and row k only inserts each vector v into each
+distinct RREF of the first k - 1 rows (eliminate v against its pivots,
+scale it, clear its leading column from the other rows, put it in pivot
+order).  One pass yields every row count of a width in turn, level k from
+level k - 1, each with its step: the id of RREF([R; v]) per (R, v).
+``row_spaces`` composes the steps into its level ``rows``.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -85,11 +88,12 @@ def undigits(d, q: int) -> np.ndarray:
 
 
 def _poly_rem(a: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """Remainders of the int64 array a (..., n) by the monic m (..., e + 1) over GF(q).
+    """Remainders of the signed int array a (..., n) by the monic m (..., e + 1) over GF(q).
 
-    ``a`` is reduced in place, so m's leading axes must broadcast to a's:
-    each step cancels the top coefficient with lead x^(deg - e) m.  Returns
-    the e low coefficients, each in [0, q).
+    ``a`` is reduced in place, so m's leading axes must broadcast to a's and
+    a's dtype must hold the partial remainders: each step cancels the top
+    coefficient with lead x^(deg - e) m.  Returns the e low coefficients,
+    each in [0, q).
     """
     e = m.shape[-1] - 1
     for deg in range(a.shape[-1] - 1, e - 1, -1):
@@ -156,17 +160,32 @@ class ExtField:
         return _op_tables(self.q, self.r, self.modulus)
 
 
+_TABLE_BLOCK_CELLS = 2**18  # product coefficients per row block of a table build
+
+
 @lru_cache(maxsize=8)
 def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Operation tables of GF(q^r), computed on coefficient arrays."""
+    """Operation tables of GF(q^r), computed on coefficient arrays in row blocks.
+
+    A block of rows a holds the (rows, n, 2r - 1) products a * b of every
+    b before ``_poly_rem`` reduces them, so the scratch stays within
+    ``_TABLE_BLOCK_CELLS`` coefficients (one row at least) beside the tables,
+    in the smallest signed dtype that holds the partial remainders.
+    """
     n = q**r
-    coeffs = digits(np.arange(n), q, r)
-    a, b = coeffs[:, None, :], coeffs[None, :, :]
-    add = undigits((a + b) % q, q)
-    prod = np.zeros((n, n, 2 * r - 1), dtype=np.int64)
-    for i in range(r):
-        prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
-    mul = undigits(_poly_rem(prod, np.array(modulus, dtype=np.int64), q), q)
+    work = np.min_scalar_type(-2 * r * q * q)  # |coefficient| <= r (q-1)^2, plus as much reduced
+    coeffs = digits(np.arange(n), q, r).astype(work)
+    m = np.array(modulus, dtype=work)
+    add, mul = np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64)
+    rows = max(1, _TABLE_BLOCK_CELLS // (n * (2 * r - 1)))
+    b = coeffs[None, :, :]
+    for a0 in range(0, n, rows):
+        a = coeffs[a0 : a0 + rows, None, :]
+        add[a0 : a0 + rows] = undigits((a + b) % q, q)
+        prod = np.zeros((len(a), n, 2 * r - 1), dtype=work)
+        for i in range(r):
+            prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
+        mul[a0 : a0 + rows] = undigits(_poly_rem(prod, m, q), q)
     neg = undigits((-coeffs) % q, q)
     tables = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg}
     for table in tables.values():
@@ -178,7 +197,7 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
 # matrices over GF(q): stacks of shape (..., rows, cols), one elimination kernel
 # ---------------------------------------------------------------------------
 
-_REDUCE_BATCH = 4096  # matrices per elimination pass; bounds the scratch memory
+_REDUCE_BATCH = 4096  # matrices per elimination pass, or (R, v) pairs per insertion block
 
 
 def all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
@@ -231,27 +250,56 @@ def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
 
 
 def row_space_levels(q: int, cols: int):
-    """Yield (rrefs, index) of ``row_spaces(q, k, cols)`` for k = 0, 1, 2, ... in one pass.
+    """Yield (rrefs, step) for k = 0, 1, 2, ... rows of width cols over GF(q), in one pass.
 
-    Level k is built from level k - 1 alone, so a caller that needs several
-    row counts of one width reads them from one pass instead of rebuilding
-    every prefix level per count.  Level k reduces one stack, (distinct
-    RREFs of k - 1 rows) x q^cols, deduped by a base-q key; its index has
-    q^(k*cols) entries, so the caller stops the pass when it has enough.
+    ``rrefs`` holds the distinct RREFs of all k x cols matrices, in
+    ``all_matrices`` (lexicographic) order.  ``step[i, v]`` is the id of
+    RREF([R_i; v]), R_i the i-th RREF of k - 1 rows and v the v-th vector
+    of ``all_matrices(q, 1, cols)``; level 0's step is [[0]].  Matrix
+    i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v], so
+    the composed steps map every matrix to its RREF (``row_spaces``).  Each
+    level is built from the one before, and the caller stops the pass.
+
+    Since RREF([M'; v]) = RREF([RREF(M'); v]), only v is eliminated: less
+    its pivot-column entries times R's rows (one matmul), scaled to a
+    leading 1, its leading column cleared from R's rows, and sorted in, as
+    an RREF's rows are in descending order read as base-q ints.  The (R, v)
+    pairs go in blocks of ``_REDUCE_BATCH``.
     """
-    vecs = all_matrices(q, 1, cols)
-    rrefs, index = vecs[:1, :0], np.zeros(1, dtype=np.int64)  # the one 0 x cols matrix
+    _check_prime(q)
+    work = np.min_scalar_type(-q * q * max(cols, 1))  # holds v @ project and R - c w
+    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=work)
+    vecs = all_matrices(q, 1, cols)[:, 0]
+    row_key = q ** np.arange(cols - 1, -1, -1, dtype=np.int64)  # a vector's index in vecs
+    lead = np.logical_and.accumulate(vecs == 0, axis=-1).sum(axis=-1)  # cols for the zero vector
+    pivot = (np.arange(cols) == lead[:, None]).astype(work)  # 0/1 leading column of each vector
+    # scaled[u]: the index of vector u over its leading entry (0 for the zero vector)
+    scaled = (vecs * inverse[(vecs * pivot).sum(axis=-1)][:, None]) % q @ row_key
+    rrefs = np.zeros((1, 0, cols), dtype=vecs.dtype)  # the one 0 x cols matrix
+    step = np.zeros((1, 1), dtype=np.int64)
+    n_vec = len(vecs)
     while True:
-        yield rrefs, index
-        k = rrefs.shape[1] + 1
-        stacked = np.concatenate(
-            [np.repeat(rrefs, len(vecs), axis=0), np.tile(vecs, (len(rrefs), 1, 1))], axis=1)
-        reduced = row_reduce(stacked, q)[0].reshape(len(stacked), k * cols)
-        keys = undigits(reduced[:, ::-1], q)  # first entry most significant
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        rrefs = reduced[first].reshape(len(first), k, cols)
-        # matrix i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v]
-        index = inverse[(index[:, None] * len(vecs) + np.arange(len(vecs))).ravel()]
+        yield rrefs, step
+        m, k = len(rrefs), rrefs.shape[1] + 1
+        r = rrefs.astype(work)
+        # project[i] = I - E, where E holds R_i's row j at row p_j, its pivot column, so
+        # v @ project[i] = v - sum_j v[p_j] R_i[j]; a zero row's pivot is the dropped row cols
+        project = np.zeros((m, cols + 1, cols), dtype=work)
+        project[np.arange(m)[:, None], lead[r @ row_key]] = -r
+        project = project[:, :cols] + np.eye(cols, dtype=work)
+        place = n_vec ** np.arange(k, dtype=np.int64)  # row j of k from the bottom: place[j]
+        keys = np.empty(m * n_vec, dtype=np.int64)
+        for p0 in range(0, len(keys), _REDUCE_BATCH):
+            i, v = np.divmod(np.arange(p0, min(p0 + _REDUCE_BATCH, len(keys))), n_vec)
+            w = (vecs[v, None, :] @ project[i])[:, 0] % q @ row_key  # the index of v's residue
+            rb = r[i]
+            rb = (rb - (rb @ pivot[w][:, :, None]) * vecs[scaled[w], None, :]) % q
+            row_keys = np.concatenate([rb @ row_key, scaled[w][:, None]], axis=1)
+            row_keys.sort(axis=1)  # ascending: the RREF's last row first
+            keys[p0 : p0 + len(row_keys)] = row_keys @ place
+        found, step = np.unique(keys, return_inverse=True)
+        rrefs = vecs[digits(found, n_vec, k)[:, ::-1]]
+        step = step.reshape(m, n_vec)
 
 
 def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +307,12 @@ def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``rrefs`` is in ``all_matrices`` (lexicographic) order and ``rrefs[index]``
     equals ``row_reduce(all_matrices(q, rows, cols), q)[0]``.  It is level
-    ``rows`` of ``row_space_levels``.
+    ``rows`` of ``row_space_levels``, its index the composed steps.
     """
-    return next(itertools.islice(row_space_levels(q, cols), rows, None))
+    index = np.zeros(1, dtype=np.int64)
+    for rrefs, step in itertools.islice(row_space_levels(q, cols), rows + 1):
+        index = step[index].ravel()  # [matrix i' of k - 1 rows; vector v] is i' * q^cols + v
+    return rrefs, index
 
 
 def matrix_row_rank(m, q: int):

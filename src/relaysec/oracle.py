@@ -345,35 +345,45 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     maximum is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
     s-dependent terms can contribute; the small-field tests confirm that
-    by sweeping s.  ``s`` is d symbol ints, all zero by default.  Each
-    block of forged messages is tagged once per (s', seed), and the tags
-    at x + dx are gathered from that table.
+    by sweeping s.  ``s`` is d symbol ints, all zero by default.
+
+    A forged (s', dx, dh) passes at seed x iff dh = tag(s', y) - tag(s, x)
+    with y = x + dx, so one table answers every forgery: need[y, t, dx] is
+    the flat (dx, dh) cell that seed y - dx lands on when s' has tag t at
+    y.  Each block of forged messages is tagged once per (s', seed) and
+    reads its cells from ``need`` in one gather.  ``need`` has order^3
+    entries, so it is built per block of dx; every array but the field
+    tables stays within ``_AMD_BLOCK_CELLS`` cells, or order^2 when one dx
+    needs more.
     """
     f = params.field
     d = params.d
     order = f.order
     _guard(order ** (d + 2), MAX_ATTACK_ENUM, "attack enumeration")
     s_int = np.zeros(d, dtype=np.int64) if s is None else np.asarray(s, dtype=np.int64)
-    tables = f.tables()
-    add, sub = tables["add"], tables["sub"]
+    sub = f.tables()["sub"]
     xs = np.arange(order)
-    shifted = add[:, xs]  # shifted[dx, x] = x + dx
-    block = max(1, _AMD_BLOCK_CELLS // (order * order))  # forged messages s' per block
-    cells = (np.arange(block)[:, None] * order + xs)[:, :, None] * order  # flattens (s', dx, dh)
     base_tag = amd_tag(params, s_int, xs)
-    hist = np.zeros(order + 1, dtype=np.int64)
-    max_hits = 0
-    for k0 in range(0, order**d, block):
-        sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
-        tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
-        # counts[b, dx * order + dh]: seeds x passing (sp[b], dx, dh); x lands on the dh it needs
-        cell = sub[tags[:, shifted], base_tag] + cells[: len(sp)]
-        counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(sp), order * order)
-        counts[np.all(sp == s_int, axis=1), 0] = -1  # no perturbation at all
-        hist += np.bincount(counts.ravel() + 1, minlength=order + 2)[1:]
-        max_hits = max(max_hits, int(counts.max()))
+    dx_block = max(1, _AMD_BLOCK_CELLS // (order * order))
+    hist = np.zeros(order + 1, dtype=np.int64)  # (s', dx, dh) cells per count of passing seeds
+    for dx0 in range(0, order, dx_block):
+        dxs = np.arange(dx0, min(dx0 + dx_block, order))
+        cells = len(dxs) * order  # (dx, dh) cells per forged message
+        # need[y * order + t, j]: (dx0 + j = dx, dh) flattened, for x = y - dx
+        need = sub[xs[None, :, None], base_tag[sub[xs[:, None], dxs]][:, None, :]]
+        need = (need + np.arange(len(dxs)) * order).reshape(order * order, len(dxs))
+        block = max(1, _AMD_BLOCK_CELLS // cells)  # forged messages s' per block
+        for k0 in range(0, order**d, block):
+            sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
+            tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
+            cell = need[tags + xs * order]  # (b, y, dx - dx0): the (dx, dh) cell of each seed
+            cell += (np.arange(len(sp)) * cells)[:, None, None]
+            hist += np.bincount(np.bincount(cell.ravel(), minlength=cell.size),
+                                minlength=order + 1)
+    hist[order] -= 1  # no perturbation at all, which every seed passes
     histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
     attacks = int(hist.sum())
+    max_hits = int(np.flatnonzero(hist).max())
     return AmdCensus(
         max_success=max_hits / order,
         bound=win_bound(params),
@@ -466,17 +476,23 @@ def full_rank_census(q: int, cols: int) -> list[tuple[int, int, int, bool]]:
     are the product formula; while q^(rows*cols) <= ``_MAX_RANK_ENUM`` every
     matrix is also enumerated, and the enumeration must agree.  Ranks come
     from one ``fields.row_space_levels`` pass per call, by
-    RREF([M'; v]) = RREF([RREF(M'); v]): level rows gives the rows x cols
-    RREFs, and the pass stops at the first row count over the cap.
+    RREF([M'; v]) = RREF([RREF(M'); v]): each level's step carries the
+    count of matrices per RREF of k - 1 rows to the RREFs of k rows, exactly
+    in float64 under the cap, and the pass stops at the first row count
+    over the cap.
     """
     levels = row_space_levels(q, cols)
     next(levels)  # level 0, the empty matrix
+    per_rref = np.ones(1)  # matrices per RREF of the level
     census = []
     for rows in range(1, cols + 1):
         count, total = full_rank_fraction(q, rows, cols)
         if q ** (rows * cols) <= _MAX_RANK_ENUM:
-            rrefs, index = next(levels)
-            seen = np.count_nonzero(np.count_nonzero(rrefs.any(axis=-1), axis=-1)[index] == rows)
+            rrefs, step = next(levels)
+            per_rref = np.bincount(step.ravel(), weights=np.repeat(per_rref, step.shape[1]),
+                                   minlength=len(rrefs))
+            rank = np.count_nonzero(rrefs.any(axis=-1), axis=-1)  # nonzero rows
+            seen = int(per_rref[rank == rows].sum())
             if seen != count:
                 raise AssertionError(
                     f"enumeration ({seen}) disagrees with product count ({count})"

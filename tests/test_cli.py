@@ -120,6 +120,18 @@ def test_rejected_config_exits_2_naming_the_key_path(tmp_path, capsys, override,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate", "scan"])
+def test_unknown_behavior_kind_exits_2_from_load_config(tmp_path, capsys, command):
+    # the schema's kind enum is the only guard: no command builds a behavior before it
+    path = write_config(tmp_path, {"simulate": {"behaviors": [{"kind": "sniff"}]}})
+    with pytest.raises(ConfigError, match=r"simulate\.behaviors\[0\]\.kind is not one of"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "simulate.behaviors[0].kind is not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _schema_nodes(schema, path=()):
     """Yield (path, subschema) for every subschema; a path step is a key, or 0 for array items."""
     yield path, schema

@@ -1,6 +1,7 @@
 """Field arithmetic on int-encoded elements and GF(q) linear algebra."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,50 @@ def test_ext_mul_examples():
     a = 3  # 1 + x
     assert mul[a, one] == a
     assert ExtField(3, 2).tables()["mul"][3, 3] == 2  # x * x = 2 in GF(9)
+
+
+def _product_mod(a, b, modulus, q):
+    """Coefficients of a * b mod the monic modulus over GF(q), by schoolbook long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    e = len(modulus) - 1
+    for deg in range(len(prod) - 1, e - 1, -1):
+        lead = prod[deg] % q
+        for k in range(e + 1):
+            prod[deg - e + k] -= lead * modulus[k]
+    return [c % q for c in prod[:e]]
+
+
+@pytest.mark.parametrize("q, r", [(2, 5), (3, 3), (5, 2), (7, 1), (31, 1)])
+def test_tables_match_schoolbook_arithmetic(q, r, monkeypatch):
+    # 7 coefficients per block row: one row per block, or ragged blocks at 2r - 1 > 1
+    monkeypatch.setattr(fields, "_TABLE_BLOCK_CELLS", 7)
+    f = ExtField(q, r)
+    t = fields._op_tables.__wrapped__(q, r, f.modulus)  # not the cached build
+    coeffs = digits(np.arange(f.order), q, r).tolist()
+    for a in range(f.order):
+        want_add = [undigits([(x + y) % q for x, y in zip(coeffs[a], cb)], q) for cb in coeffs]
+        want_mul = [undigits(_product_mod(coeffs[a], cb, f.modulus, q), q) for cb in coeffs]
+        assert t["add"][a].tolist() == want_add and t["mul"][a].tolist() == want_mul
+    for name, table in f.tables().items():
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.array_equal(t[name], table), name  # equal across block sizes
+
+
+def test_table_build_memory():
+    """GF(2^10): the add, sub and mul tables take 24 MiB; building every product
+    at once, (1024, 1024, 19) int64 coefficients, peaked near 256 MiB."""
+    modulus = find_irreducible(2, 10)
+    tracemalloc.start()
+    try:
+        tables = fields._op_tables.__wrapped__(2, 10, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables["mul"][2, 2**9] == undigits(modulus[:10], 2)  # x * x^9 = x^10
+    assert peak <= 48 * 2**20
 
 
 def test_ext_pow_examples():
@@ -334,14 +379,36 @@ def test_row_space_levels_match_row_spaces_level_by_level(q):
     # the widths of verify's full-rank grid, each level while it stays under the enumeration cap
     for cols in range(1, 5):
         levels = row_space_levels(q, cols)
+        index = np.zeros(1, dtype=np.int64)  # level 0 steps from one virtual matrix
+        n_prev = 1
         for k in range(cols + 1):
             if q ** (k * cols) > 10**5:
                 break
-            rrefs, index = next(levels)
+            rrefs, step = next(levels)
+            assert step.shape == (n_prev, 1 if k == 0 else q**cols)
+            assert np.array_equal(np.unique(step), np.arange(len(rrefs)))  # each RREF reached
+            index = step[index].ravel()  # the composed steps: matrix -> its RREF's id
+            n_prev = len(rrefs)
+            want_rref = row_reduce(all_matrices(q, k, cols), q)[0]
+            assert rrefs[index].dtype == want_rref.dtype
+            assert np.array_equal(rrefs[index], want_rref), (q, k, cols)
             want_rrefs, want_index = row_spaces(q, k, cols)
             assert rrefs.dtype == want_rrefs.dtype and rrefs.shape[1:] == (k, cols)
             assert np.array_equal(rrefs, want_rrefs) and np.array_equal(index, want_index)
-            assert np.array_equal(rrefs[index], row_reduce(all_matrices(q, k, cols), q)[0])
+
+
+def test_row_spaces_memory():
+    """q=5, 2 x 4: 390,625 matrices; re-reducing each [RREF; v] from scratch peaked
+    near 9.0 MiB, an int64 insertion without blocks near 27 MiB."""
+    row_spaces(5, 1, 4)  # numpy's own first-call allocations are not the census's
+    tracemalloc.start()
+    try:
+        rrefs, index = row_spaces(5, 2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rrefs) == 963 and len(index) == 5**8
+    assert peak <= 9.0 * 2**20
 
 
 def test_row_spaces_count_subspaces():

@@ -550,6 +550,22 @@ def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monke
     assert census.attacks == q ** (r * (d + 2)) - 1  # only the zero perturbation is left out
 
 
+def test_amd_census_memory_is_bounded_by_its_block():
+    """GF(2^8), d=1: one dx per need block, since order^2 = 65,536 cells exceed the
+    block.  The parent's two-gather census peaked near 2.6 MiB; a need table for
+    every dx at once would take 134 MB."""
+    params = AmdParams(field=ExtField(2, 8), d=1)
+    params.field.tables()  # the cached field tables are not the census's
+    tracemalloc.start()
+    try:
+        census = exact_amd_win_census(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.holds and census.attacks == 2**24 - 1
+    assert peak <= 4 * 2**20
+
+
 def test_amd_census_size_guard(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ATTACK_ENUM", 1000)
     with pytest.raises(SizeGuardError):
@@ -762,6 +778,32 @@ def test_universal_hash_census_memory():
         tracemalloc.stop()
     # the (2^14, 2^7 - 1, 2) products, reduced in place, 32 MiB, and a 2 MiB kernel mask
     assert peak < 40 * 2**20
+
+
+def test_full_rank_census_enumeration_matches_matrix_row_rank(monkeypatch):
+    # the census raises unless its enumerated count equals full_rank_fraction's count;
+    # with that count replaced by an independent rank count, it checks the two paths agree
+    enumerated = []
+
+    def rank_count(q, rows, cols):
+        total = q ** (rows * cols)
+        if total > oracle._MAX_RANK_ENUM:
+            return full_rank_fraction(q, rows, cols)
+        enumerated.append((q, rows, cols))
+        count = np.count_nonzero(matrix_row_rank(all_matrices(q, rows, cols), q) == rows)
+        return int(count), total
+
+    monkeypatch.setattr(oracle, "full_rank_fraction", rank_count)
+    grid = [(q, cols) for q in (2, 3, 5) for cols in range(1, 5)]
+    for q, cols in grid:
+        oracle.full_rank_census(q, cols)
+    assert enumerated == [(q, rows, cols) for q, cols in grid for rows in range(1, cols + 1)
+                          if q ** (rows * cols) <= oracle._MAX_RANK_ENUM]
+    assert len(enumerated) == 24
+    monkeypatch.setattr(oracle, "full_rank_fraction",
+                        lambda q, rows, cols: (full_rank_fraction(q, rows, cols)[0] + 1, 1))
+    with pytest.raises(AssertionError, match="disagrees with product count"):
+        oracle.full_rank_census(2, 2)
 
 
 def test_full_rank_census_one_level_pass_per_width(monkeypatch):
