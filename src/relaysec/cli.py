@@ -3,11 +3,11 @@
 ``verify`` runs the exhaustive correctness censuses and emits a JSON
 report (exit 0 iff everything passes).  ``simulate`` runs protocol Monte
 Carlo batches per relay behavior and emits CSV or JSON rows.  ``scan``
-sweeps one parameter and emits one row per grid point: a ``point`` scan
-sets d or r of the protocol section to each grid value and reports that
-operating point's rates and detection bound, built and checked by
-``ProtocolParams`` like simulate's; a ``leakage`` scan reports the best
-sampled extractor's exact seed leakage per lattice dimension N.
+emits one row per grid point: each point of a ``point`` scan is a
+protocol section merged over the config's, built and checked by
+``ProtocolParams`` like simulate's, and its row is that operating point's
+rates and detection bound; a ``leakage`` scan reports the best sampled
+extractor's exact seed leakage per lattice dimension N.
 
 All output is a pure function of (config, seed): CSV files start with
 '#'-prefixed comment lines carrying both, rows are written by a single
@@ -24,19 +24,19 @@ import io
 import json
 import math
 import sys
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import oracle
-from .amd import AmdParams, win_bound
+from .amd import AmdParams
 from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, SubstituteLattice
 from .extract import leakage_budget, r_max, seed_uniformity
 from .fields import ExtField, is_prime, matrix_row_rank, row_spaces
 from .lattice import NestedLatticePair
-from .protocol import ProtocolParams, _protocol_cache, operating_rates
+from .protocol import ProtocolParams, _protocol_cache, operating_point
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS", "SCANS"]
 
@@ -79,10 +79,13 @@ def _validate(value, schema: dict, path: str = "") -> None:
     """Check ``value`` against ``schema``, raising ConfigError that names the key path.
 
     Implements exactly the keywords config_schema.json uses: type, enum,
-    minimum, exclusiveMinimum, minItems, items, required, properties and
-    additionalProperties (false only).  As in JSON Schema, each keyword
-    applies only to values of its own JSON type.
+    minimum, exclusiveMinimum, minItems, items, required, properties,
+    additionalProperties (false only) and $ref (alone in its node, a local
+    pointer into the file).  As in JSON Schema, each keyword applies only
+    to values of its own JSON type.
     """
+    if "$ref" in schema:
+        schema = reduce(dict.__getitem__, schema["$ref"].split("/")[1:], _schema())
     where = path or "config"
     if "type" in schema:
         test, noun = _TYPES[schema["type"]]
@@ -330,15 +333,14 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
     behaviors, labels = zip(*map(_build_behavior, cfg["simulate"]["behaviors"]))
     counts = proto.monte_carlo(behaviors, trials, workers=workers, seed=seed)
     # the columns every row shares: constants of the protocol
-    n, rt, _ = operating_rates(params)
-    shared = {"trials": trials, "winBound": repr(win_bound(proto.amd)), "n": n,
-              "RT": repr(rt), "PT": repr(proto.average_power(*proto.stage_powers())),
-              "seed": seed}
+    n, rt, _, bound = operating_point(params)
+    shared = {"trials": trials, "winBound": repr(bound), "n": n, "RT": repr(rt),
+              "PT": repr(proto.average_power(*proto.stage_powers())), "seed": seed}
     rows = [{"behavior": label, **shared, "decodeErrRate": repr(int(errors) / trials),
              "falseRejectRate": repr(int(rejects) / trials),
              "adversaryWinRate": repr(int(wins) / trials)}
             for label, (errors, rejects, wins) in zip(labels, counts)]
-    meta = {"config": cfg, "seed": seed}
+    meta = {"config": {key: cfg[key] for key in ("protocol", "simulate")}, "seed": seed}
     text = _rows_to_csv(rows, SIM_COLUMNS, meta) if fmt == "csv" else _rows_to_json(rows, meta)
     _emit(text, out)
     return 0
@@ -350,13 +352,11 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
 
 
 def _scan_point(cfg: dict, seed: int):
-    param = cfg["scan"]["param"]
-    for value in cfg["scan"]["values"]:
-        p = _build_params({"protocol": {**cfg.get("protocol", {}), param: value}},
-                          f"point scan row {param}={value}")
-        n, rt, half_re = operating_rates(p)
-        bound = win_bound(AmdParams(field=ExtField(p.q, p.r), d=p.d))
-        yield {"status": "ok", "param": param, "value": value, "n": n, "RT": repr(rt),
+    for point in cfg["scan"]["points"]:
+        name = " ".join(f"{key}={json.dumps(value)}" for key, value in point.items())
+        p = _build_params({"protocol": {**cfg["protocol"], **point}}, f"point scan row {name}")
+        n, rt, half_re, bound = operating_point(p)
+        yield {"status": "ok", "point": name, "n": n, "RT": repr(rt),
                "halfRe": repr(half_re), "winBound": repr(bound)}
 
 
@@ -390,8 +390,8 @@ class Scan(NamedTuple):
 # Every scan kind: a config's scan section is merged over its kind's defaults.
 # The point kind's default d values skip those where the default q = 5 divides d + 2.
 SCANS = {
-    "point": Scan({"param": "d", "values": [1, 2, 4, 6, 9, 16]},
-                  ["status", "param", "value", "n", "RT", "halfRe", "winBound"], _scan_point),
+    "point": Scan({"points": [{"d": d} for d in (1, 2, 4, 6, 9, 16)]},
+                  ["status", "point", "n", "RT", "halfRe", "winBound"], _scan_point),
     "leakage": Scan({"values": [1, 2], "q": 11, "r": 1, "candidates": 64},
                     ["status", "param", "value", "bestLeakage"], _scan_leakage),
 }
@@ -418,7 +418,7 @@ DEFAULT_CONFIG: dict = {
 def cmd_scan(cfg: dict, seed: int, out: str | None, fmt: str) -> int:
     spec = SCANS[cfg["scan"]["kind"]]
     rows = list(spec.rows(cfg, seed))
-    meta = {"config": cfg, "seed": seed}
+    meta = {"config": {key: cfg[key] for key in ("protocol", "scan")}, "seed": seed}
     text = _rows_to_csv(rows, spec.header, meta) if fmt == "csv" else _rows_to_json(rows, meta)
     _emit(text, out)
     return 0

@@ -40,7 +40,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, amd_verify, check_premises
+from .amd import AmdParams, amd_tag, amd_verify, check_premises, win_bound
 from .channel import (
     CustomRelay,
     PhaseRecord,
@@ -76,11 +76,12 @@ __all__ = [
     "box_muller",
     "draw_layout",
     "payload_bits",
-    "operating_rates",
+    "operating_point",
     "wilson_interval",
 ]
 
 MAX_FIELD_ORDER = 1024  # q^r cap: the engine keeps q^r x q^r int tables
+MAX_MESSAGE_POINTS = 10**5  # msg_q^msg_N cap: build_encoder sorts every codebook point
 BATCH_TRIALS = 512  # trials per engine call in monte_carlo
 
 
@@ -133,11 +134,31 @@ class ProtocolParams:
         if self.d + 1 >= self.q**self.r:
             raise ValueError(f"detection bound (d+1)/q^r = {self.d + 1}/{self.q**self.r} "
                              "is not below 1: d + 1 must be less than q^r")
+        # msg_q >= 2, so from the cap's bit length on 2^msg_N alone exceeds it: no huge power
+        if (self.msg_N >= MAX_MESSAGE_POINTS.bit_length()
+                or self.msg_q**self.msg_N > MAX_MESSAGE_POINTS):
+            raise ValueError(f"the message code's {self.msg_q}^{self.msg_N} codebook points "
+                             f"exceed {MAX_MESSAGE_POINTS}, the most the simulator enumerates")
         msg_cap = r0_max(self.msg_N, math.log2(self.msg_q), self.epsilon)
         if self.msg_r0 > msg_cap or self.msg_r0 < 1:
             raise ValueError(
                 f"msg_r0 = {self.msg_r0} outside [1, {msg_cap}] for the message code"
             )
+        # the full codebook's power bounds every stage's, the message stage's K-average too
+        for name, ratio in (("q", self.q), ("msg_q", self.msg_q)):
+            power = _code_power(ratio, self.alpha)
+            if not power <= self.power_limit:
+                raise ValueError(f"the ({name}={ratio}, alpha={self.alpha}) code's per-use "
+                                 f"power {power} exceeds power_limit = {self.power_limit}")
+
+
+def _code_power(q: int, alpha: float) -> float:
+    """Per-use power of the full (q, alpha) codebook, q prime, in closed form.
+
+    The mean square of the centered residues mod q, as ``average_codebook_power``
+    sums them: alpha^2 (q^2 - 1)/12 for odd q and alpha^2 / 2 for q = 2.
+    """
+    return alpha * alpha * (q * q - 1 if q % 2 else 6) / 12
 
 
 @dataclass(frozen=True)
@@ -221,15 +242,16 @@ def _dimensions(p: ProtocolParams) -> tuple[int, int, int]:
     return encoder_bits(p.msg_N, p.msg_q), blocks, 2 * p.N + p.r + blocks * p.msg_N
 
 
-def operating_rates(p: ProtocolParams) -> tuple[int, float, float]:
-    """(n, RT, Re/2): channel uses per trial, RT = d*r*log2(q) / (2n), and RT's limit.
+def operating_point(p: ProtocolParams) -> tuple[int, float, float, float]:
+    """(n, RT, Re/2, winBound): uses per trial, RT = d*r*log2(q) / (2n), RT's limit, (d+1)/q^r.
 
     Re = msg_r0 / msg_N is the message code's rate in bits per use; RT stays
     below Re/2 and approaches it as d grows, not monotonically, because the
-    block count is rounded up.
+    block count is rounded up.  winBound is ``amd.win_bound`` of the tag code.
     """
     n = _dimensions(p)[2]
-    return n, p.d * p.r * math.log2(p.q) / (2 * n), p.msg_r0 / (2 * p.msg_N)
+    bound = win_bound(AmdParams(field=ExtField(p.q, p.r), d=p.d))
+    return n, p.d * p.r * math.log2(p.q) / (2 * n), p.msg_r0 / (2 * p.msg_N), bound
 
 
 def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:

@@ -1,6 +1,6 @@
 """The paper's closed-form rate accounting, the reference the engine's rates are checked against.
 
-The protocol computes its rates with ``protocol.operating_rates``, whose
+The protocol computes its rates with ``protocol.operating_point``, whose
 message code has its own (msg_q, msg_N, msg_r0).  The two agree when a
 message block takes N channel uses (msg_N = N) and carries msg_r0 = N * Re
 bits; the tests check the formula and, through the point scan, that

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from relaysec import cli
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
-from relaysec.protocol import ProtocolParams
+from relaysec.protocol import ProtocolParams, operating_point
 
 from closed_form import rate_accounting
 
@@ -132,13 +134,31 @@ def test_unknown_behavior_kind_exits_2_from_load_config(tmp_path, capsys, comman
     assert not out.exists()
 
 
-def _schema_nodes(schema, path=()):
-    """Yield (path, subschema) for every subschema; a path step is a key, or 0 for array items."""
-    yield path, schema
+def _schema_nodes(schema, path=(), home=()):
+    """Yield (path, home, subschema) for every subschema a config can reach.
+
+    A path step is a key, or 0 for array items.  A ``$ref`` node is yielded
+    as it is and then followed to its target, whose subschemas keep their
+    own ``home``, their path in the schema file, under the config's path.
+    """
+    yield path, home, schema
+    if "$ref" in schema:
+        home = tuple(schema["$ref"].split("/")[2::2])  # "#/properties/protocol" -> ("protocol",)
+        schema = _target(schema)
     for key, sub in schema.get("properties", {}).items():
-        yield from _schema_nodes(sub, path + (key,))
+        yield from _schema_nodes(sub, path + (key,), home + (key,))
     if "items" in schema:
-        yield from _schema_nodes(schema["items"], path + (0,))
+        yield from _schema_nodes(schema["items"], path + (0,), home + (0,))
+
+
+def _target(node):
+    """The subschema a ``$ref`` node points to, or the node itself."""
+    if "$ref" not in node:
+        return node
+    target = cli._schema()
+    for step in node["$ref"].split("/")[1:]:
+        target = target[step]
+    return target
 
 
 def _dotted(path):
@@ -147,13 +167,18 @@ def _dotted(path):
 
 def test_schema_uses_only_the_supported_keywords():
     supported = {"type", "minimum", "exclusiveMinimum", "enum", "properties",
-                 "additionalProperties", "items", "minItems", "required"}
-    for path, node in _schema_nodes(cli._schema()):
+                 "additionalProperties", "items", "minItems", "required", "$ref"}
+    refs = 0
+    for path, _, node in _schema_nodes(cli._schema()):
         allowed = supported | ({"$schema", "title"} if path == () else set())
         assert set(node) <= allowed, (_dotted(path), set(node) - allowed)
+        if "$ref" in node:  # the validator reads a $ref node's pointer and nothing beside it
+            assert set(node) == {"$ref"} and node["$ref"].startswith("#/"), _dotted(path)
+            refs += 1
         # the validator implements additionalProperties: false and nothing else
         assert node.get("additionalProperties", False) is False, _dotted(path)
         assert "type" not in node or node["type"] in cli._TYPES, _dotted(path)
+    assert refs == 1  # scan.points[0], a protocol section
 
 
 def _config_with(path, value):
@@ -178,9 +203,14 @@ def _config_with(path, value):
 
 
 def _differential_corpus(schema):
-    """(label, config) pairs: every schema node with its boundary and wrong-type values."""
+    """(label, home label, config): every schema node with its boundary and wrong-type values.
+
+    A label is the config path and the value; the home label names the node's
+    path in the schema file instead, which differs below a ``$ref``.
+    """
     common = [True, 1.0, math.nan, math.inf, -math.inf, "x", None, [], {}, 10**30]
-    for path, node in _schema_nodes(schema):
+    for path, home, node in _schema_nodes(schema):
+        node = _target(node)
         values = list(common) if path else []
         for bound in ("minimum", "exclusiveMinimum"):
             if bound in node:
@@ -189,20 +219,20 @@ def _differential_corpus(schema):
                 if node["type"] == "number":
                     values += [b - 0.5, b + 0.5]
         values += node.get("enum", [])
-        for value in values:
-            yield (_dotted(path), repr(value)), _config_with(path, value)
+        cases = [(repr(value), value) for value in values]
         if node.get("type") == "object":
             # an unknown key next to the required ones, then each required key missing
             base = {key: node["properties"][key]["enum"][0] for key in node.get("required", [])}
-            yield (_dotted(path), "bogus"), _config_with(path, {**base, "bogus": 1})
-            for key in base:
-                yield (_dotted(path), f"no {key}"), _config_with(
-                    path, {k: v for k, v in base.items() if k != key})
+            cases.append(("bogus", {**base, "bogus": 1}))
+            cases += [(f"no {key}", {k: v for k, v in base.items() if k != key}) for key in base]
+        for name, value in cases:
+            yield (_dotted(path), name), (_dotted(home), name), _config_with(path, value)
 
 
 # Configs JSON Schema accepts that cli._validate rejects on purpose: an integral
 # float at an integer key (10.0 crashed range() in the run) and a non-finite
-# number (NaN passes every minimum and crashed the protocol).
+# number (NaN passes every minimum and crashed the protocol).  Each entry names
+# a node by its home, so the protocol's entries cover scan.points[0] too.
 STRICTER = {
     ("seed", "1.0"), ("workers", "1.0"),
     ("protocol.r", "1.0"), ("protocol.d", "1.0"), ("protocol.N", "1.0"),
@@ -221,8 +251,8 @@ def test_validator_agrees_with_jsonschema_on_a_boundary_corpus():
     jsonschema = pytest.importorskip("jsonschema")
     schema = cli._schema()
     oracle = jsonschema.Draft202012Validator(schema)
-    labels, verdicts = [], {}
-    for label, cfg in _differential_corpus(schema):
+    labels, verdicts, homes = [], {}, {}
+    for label, home, cfg in _differential_corpus(schema):
         try:
             cli._validate(cfg, schema)
             ours = True
@@ -230,10 +260,13 @@ def test_validator_agrees_with_jsonschema_on_a_boundary_corpus():
             ours = False
         labels.append(label)
         verdicts[label] = (ours, oracle.is_valid(cfg))
-    assert len(labels) == len(verdicts) > 400
-    assert {path for path, _ in labels} == {_dotted(path) for path, _ in _schema_nodes(schema)}
+        homes[label] = home
+    assert len(labels) == len(verdicts) > 600
+    assert {path for path, _ in labels} == {_dotted(path) for path, _, _ in _schema_nodes(schema)}
+    assert ("scan.points[0].alpha", "nan") in verdicts  # the corpus follows the $ref
     for label, (ours, theirs) in verdicts.items():
-        assert (ours, theirs) == ((False, True) if label in STRICTER else (theirs, theirs)), label
+        strict = homes[label] in STRICTER
+        assert (ours, theirs) == ((False, True) if strict else (theirs, theirs)), label
     assert STRICTER <= set(verdicts)
     assert {True, False} == {ours for ours, _ in verdicts.values()}
 
@@ -400,10 +433,10 @@ def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
 
 
 # sha256 of `simulate --seed 1` under the default (noiseless) config, four
-# behaviors, recorded when the default scan section became the point kind's;
-# every line below the `# config=` line is the one recorded while every
-# message block still took its own hop.
-DEFAULT_SIMULATE_SHA256 = "e5db6555641da53dfe745dcc3602ebaf8dd126660c5fff32ec5697656f920366"
+# behaviors, recorded when the `# config=` line began to carry only the
+# protocol and simulate sections; every line below it is the one recorded
+# while every message block still took its own hop.
+DEFAULT_SIMULATE_SHA256 = "cbbbc5ba2d9cd80083deed282edeb53086ad1f85b0ccf5b7f2e228613b773ab8"
 DEFAULT_SIMULATE_BODY = (
     b"# seed=1\r\n"
     b"behavior,trials,decodeErrRate,falseRejectRate,adversaryWinRate,winBound,n,RT,PT,seed\r\n"
@@ -424,11 +457,13 @@ def test_simulate_default_config_golden_hash(tmp_path, workers):
 
 
 # sha256 of `simulate --seed 3` on a Gaussian operating point (alpha = 3.6,
-# where the rate condition holds) at 1,500 trials, recorded while the lattice
-# code still carried fixed dithers.  Box-Muller's log/cos/sin may differ by an
-# ulp across CPUs and numpy builds, so a platform may fail this hash alone;
-# test_engine.py also checks Gaussian trials against a scalar per-hop reference.
-GAUSSIAN_SIMULATE_SHA256 = "a20d349ca1f6a4ed2c0f4d22819d94e2a85f09ead16ba404e62ea36a91cd8d2a"
+# where the rate condition holds) at 1,500 trials; its rows were recorded while
+# the lattice code still carried fixed dithers, and its `# config=` line when
+# that line began to carry only the protocol and simulate sections.
+# Box-Muller's log/cos/sin may differ by an ulp across CPUs and numpy builds,
+# so a platform may fail this hash alone; test_engine.py also checks Gaussian
+# trials against a scalar per-hop reference.
+GAUSSIAN_SIMULATE_SHA256 = "0f37660b1844a9152d4f6ae0eeeffdb7fe675e35ea2e49ce48fbe50c31b8083d"
 GAUSSIAN_SIM = {
     "protocol": {"noiseless": False, "alpha": 3.6, "noise_var_relay": 0.1, "noise_var_dest": 0.1},
     "simulate": {"trials": 1500},
@@ -445,14 +480,15 @@ def test_simulate_gaussian_golden_hash(tmp_path, workers):
 
 
 # sha256 of `simulate --seed 1` at the two edges of the message codec's
-# int64 range, recorded while the message still went out as payload bit
-# vectors: a 70-bit payload, which needs Python ints, and a 62-bit payload
-# padded to 16 blocks of 4 bits, a 64-bit padded value.
+# int64 range: a 70-bit payload, which needs Python ints, and a 62-bit payload
+# padded to 16 blocks of 4 bits, a 64-bit padded value.  The rows were
+# recorded while the message still went out as payload bit vectors, the
+# `# config=` line when it began to carry only the protocol and simulate sections.
 MESSAGE_EDGE_SIMULATE_SHA256 = [
     ({"q": 11, "r": 2, "N": 3, "d": 10},
-     "b8d7bd87d3fc63e4e06d09b103459fa7685a43a8e8eef15be879158d9b519ed7"),
+     "580585a35aca971b30dfb38c1172e17ab9cbebecde5041137a461acd64d73417"),
     ({"q": 7, "r": 2, "d": 11, "N": 4, "msg_q": 11, "msg_N": 2, "msg_r0": 4},
-     "522fc74c597968b71971af0000b82ee1c06d0206caca7e4bb576b5255974ad4f"),
+     "8885b39b4b96ff925e8f388ac7c2f16bf839d1a0bdf8d4409cc5e93fa72ceb23"),
 ]
 
 
@@ -512,81 +548,121 @@ def test_scan_point_d_sweep_matches_closed_form(tmp_path, capsys):
     values = [d for d in range(1, 24) if (d + 2) % 5]
     path = write_config(tmp_path, {
         "protocol": {"N": 4, "msg_N": 4, "msg_r0": 4},
-        "scan": {"kind": "point", "param": "d", "values": values},
+        "scan": {"kind": "point", "points": [{"d": d} for d in values]},
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 0
     rows = _scan_rows(out)
-    assert [int(r[2]) for r in rows] == values
-    for row in rows:
-        n, rt = rate_accounting(4, 2, 5, int(row[2]), 1.0)
-        assert (int(row[3]), float(row[4]), row[5]) == (n, rt, "0.5")
-        assert float(row[4]) < float(row[5])  # RT stays below Re/2
+    assert [r[1] for r in rows] == [f"d={d}" for d in values]
+    for d, row in zip(values, rows):
+        n, rt = rate_accounting(4, 2, 5, d, 1.0)
+        assert (int(row[2]), float(row[3]), row[4]) == (n, rt, "0.5")
+        assert float(row[3]) < float(row[4])  # RT stays below Re/2
     out.unlink()
     for d in (24, 64):  # (d+1)/q^r >= 1: the row is rejected, naming it
-        path = write_config(tmp_path, {"scan": {"kind": "point", "values": [1, d]}})
+        path = write_config(tmp_path, {"scan": {"kind": "point", "points": [{"d": 1}, {"d": d}]}})
         assert main(["scan", "--config", path, "--out", str(out)]) == 2
         assert f"point scan row d={d} rejected: detection bound" in capsys.readouterr().err
         assert not out.exists()
 
 
+# The d = 2 path along which winBound falls geometrically in n while RT stays
+# near halfRe: (N, r) grow together at q = 5, r = r_max(N) for epsilon = 0.1.
+ASYMPTOTIC_PATH = [{"N": 4, "r": 2}, {"N": 6, "r": 3}, {"N": 8, "r": 4}]
+
+
 @pytest.mark.parametrize("protocol, scan", [
     ({}, {"kind": "point"}),
-    ({"N": 6}, {"kind": "point", "param": "r", "values": [1, 2, 3]}),
-    ({"q": 11, "r": 1, "N": 12, "msg_N": 3}, {"kind": "point", "values": [1, 2, 5, 8]}),
+    ({"N": 6}, {"kind": "point", "points": [{"r": 1}, {"r": 2}, {"r": 3}]}),
+    ({"q": 11, "r": 1, "N": 12, "msg_N": 3},
+     {"kind": "point", "points": [{"d": 1}, {"d": 2}, {"d": 5}, {"d": 8}]}),
+    ({}, {"kind": "point", "points": ASYMPTOTIC_PATH}),
+    # a point sets any protocol key, several at once, over the protocol section's own
+    ({"d": 1, "N": 6}, {"kind": "point", "points": [{"msg_N": 3, "msg_r0": 3}, {"q": 7, "r": 1},
+                                                    {"alpha": 3.0, "epsilon": 0.05}]}),
 ])
 def test_scan_point_rows_match_the_protocol(tmp_path, protocol, scan):
     path = write_config(tmp_path, {"protocol": protocol, "scan": scan})
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 0
-    cfg = load_config(path)
+    points = load_config(path)["scan"]["points"]
     rows = _scan_rows(out)
-    assert [int(r[2]) for r in rows] == cfg["scan"]["values"]
-    for row in rows:
-        # simulate's row at the same protocol section
-        point = {**protocol, row[1]: int(row[2])}
-        sim_path = write_config(tmp_path, {"protocol": point, "simulate": {
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        # operating_point of the directly built params, and simulate's row at the same section
+        params = ProtocolParams(**{**protocol, **point})
+        n, rt, half_re, bound = operating_point(params)
+        sim_path = write_config(tmp_path, {"protocol": {**protocol, **point}, "simulate": {
             "trials": 1, "behaviors": [{"kind": "honest"}]}})
         sim_out = tmp_path / "sim.json"
         assert main(["simulate", "--config", sim_path, "--format", "json",
                      "--out", str(sim_out)]) == 0
         (sim,) = json.loads(sim_out.read_text())["rows"]
-        params = ProtocolParams(**point)
         assert row[0] == "ok"
-        assert row[3:] == [str(sim["n"]), sim["RT"],
+        assert row[2:] == [str(n), repr(rt), repr(half_re), repr(bound)]
+        assert row[2:] == [str(sim["n"]), sim["RT"],
                            repr(params.msg_r0 / (2 * params.msg_N)), sim["winBound"]]
-    if not protocol:  # simulate's operating point
-        assert rows[1][1:] == ["d", "2", "20", "0.23219280948873622", "0.5", "0.12"]
+    if not protocol and "points" not in scan:  # simulate's operating point
+        assert rows[1][1:] == ["d=2", "20", "0.23219280948873622", "0.5", "0.12"]
+
+
+def test_scan_points_along_the_asymptotic_path(tmp_path):
+    # n grows 20 -> 29 -> 40 while winBound = 3/5^r falls five-fold per step
+    path = write_config(tmp_path, {"scan": {"points": ASYMPTOTIC_PATH}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    assert _scan_rows(out) == [
+        ["ok", "N=4 r=2", "20", "0.23219280948873622", "0.5", "0.12"],
+        ["ok", "N=6 r=3", "29", "0.2401994580917961", "0.5", "0.024"],
+        ["ok", "N=8 r=4", "40", "0.23219280948873622", "0.5", "0.0048"],
+    ]
+
+
+def test_scan_point_cell_names_the_point_in_its_own_order(tmp_path, capsys):
+    # each key as key=<its JSON value>, joined by spaces, in the order the config gives them
+    points = [{"r": 1, "N": 6}, {"noiseless": False, "alpha": 2.5}, {"epsilon": 0.05}]
+    path = write_config(tmp_path, {"scan": {"points": points}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    assert [r[1] for r in _scan_rows(out)] == ["r=1 N=6", "noiseless=false alpha=2.5",
+                                              "epsilon=0.05"]
+    # a rejected row names itself the same way
+    path = write_config(tmp_path, {"scan": {"points": [{"N": 4, "r": 2}, {"r": 3, "N": 4}]}})
+    out.unlink()
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    assert ("point scan row r=3 N=4 rejected: r = 3 exceeds the extractable cap 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_scan_r_sweep_win_bound_column(tmp_path):
     path = write_config(tmp_path, {
         "protocol": {"N": 6},
-        "scan": {"kind": "point", "param": "r", "values": [1, 2, 3]},
+        "scan": {"kind": "point", "points": [{"r": 1}, {"r": 2}, {"r": 3}]},
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--out", str(out)]) == 0
     rows = _scan_rows(out)
-    assert [r[6] for r in rows] == ["0.6", "0.12", "0.024"]
-    for row in rows:
-        r = int(row[2])
-        assert float(row[6]) == 3 / 5**r
+    assert [r[5] for r in rows] == ["0.6", "0.12", "0.024"]
+    for r, row in zip((1, 2, 3), rows):
+        assert row[1] == f"r={r}" and float(row[5]) == 3 / 5**r
 
 
 # sha256 of `scan --seed 1` for {"protocol": {"N": 6}} and the point scan over
-# r = 1, 2, 3, recorded when the point scan replaced the d and r kinds; its
-# winBound column repeats the old r scan's 0.6, 0.12 and 0.024 (q = 5, d = 2)
-SCAN_R_SHA256 = "9e8482453bf2a6b9af5b51a4ed05d85320d1ae5ab5dec29e229a3a4b826bfcf4"
-SCAN_R_BODY = (b"# seed=1\r\nstatus,param,value,n,RT,halfRe,winBound\r\n"
-               b"ok,r,1,19,0.12220674183617695,0.5,0.6\r\n"
-               b"ok,r,2,24,0.1934940079072802,0.5,0.12\r\n"
-               b"ok,r,3,29,0.2401994580917961,0.5,0.024\r\n")
+# r = 1, 2, 3, recorded when the point scan's grid became a list of protocol
+# sections; its (n, RT, halfRe, winBound) columns are those of the r scan
+# before it, whose winBound repeated the old r scan's 0.6, 0.12 and 0.024
+SCAN_R_SHA256 = "4dec0bae0f27b730f3b7cd5a047e73e55cd4808c9875ebf9b796c6403a6e6e9e"
+SCAN_R_BODY = (b"# seed=1\r\nstatus,point,n,RT,halfRe,winBound\r\n"
+               b"ok,r=1,19,0.12220674183617695,0.5,0.6\r\n"
+               b"ok,r=2,24,0.1934940079072802,0.5,0.12\r\n"
+               b"ok,r=3,29,0.2401994580917961,0.5,0.024\r\n")
 
 
 def test_scan_r_golden_hash(tmp_path):
     path = write_config(tmp_path, {
         "protocol": {"N": 6},
-        "scan": {"kind": "point", "param": "r", "values": [1, 2, 3]},
+        "scan": {"kind": "point", "points": [{"r": 1}, {"r": 2}, {"r": 3}]},
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--seed", "1", "--out", str(out)]) == 0
@@ -596,34 +672,67 @@ def test_scan_r_golden_hash(tmp_path):
 
 
 # sha256 of `scan --seed 1` under the default config, the point scan over d at
-# the protocol defaults; recorded when the point scan replaced the d and r kinds
-SCAN_D_SHA256 = "b364fede003ed7d215d92ec759d6c8ab5c0bf476bea8e28670e0b0fb667a4590"
+# the protocol defaults; recorded when the point scan's grid became a list of
+# protocol sections.  The six (n, RT, halfRe, winBound) tuples are the d scan's.
+SCAN_D_SHA256 = "accb18d4762631bb48c639411f2bd624bb6e724e3bd6888d3ef25a3fdc03d265"
+SCAN_D_BODY = (b"# seed=1\r\nstatus,point,n,RT,halfRe,winBound\r\n"
+               b"ok,d=1,16,0.14512050593046014,0.5,0.08\r\n"
+               b"ok,d=2,20,0.23219280948873622,0.5,0.12\r\n"
+               b"ok,d=4,30,0.3095904126516483,0.5,0.2\r\n"
+               b"ok,d=6,38,0.3666202255085309,0.5,0.28\r\n"
+               b"ok,d=9,52,0.40187217026896654,0.5,0.4\r\n"
+               b"ok,d=16,86,0.43198662230462553,0.5,0.68\r\n")
 
 
 def test_scan_d_default_golden_hash(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--seed", "1", "--out", str(out)]) == 0
+    config_line, body = out.read_bytes().split(b"\r\n", 1)
+    assert config_line.startswith(b"# config=") and body == SCAN_D_BODY
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_D_SHA256
+
+
+@pytest.mark.parametrize("command, config, sections", [
+    ("simulate", {"simulate": {"trials": 2}}, ["protocol", "simulate"]),
+    ("scan", {}, ["protocol", "scan"]),
+    ("scan", {"scan": {"kind": "leakage", "values": [1]}}, ["protocol", "scan"]),
+])
+def test_outputs_record_only_the_config_sections_they_read(tmp_path, command, config, sections):
+    # sections the command never reads leave its output byte-identical
+    other = {"seed": 4, "workers": 2, "verify": {"checks": ["pinsker"]},
+             "scan": {"points": [{"r": 1}]}, "simulate": {"trials": 3}}
+    outs = []
+    for extra in ({}, {k: v for k, v in other.items() if k not in sections}):
+        path = write_config(tmp_path, {**config, **extra})
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main([command, "--config", path, "--seed", "1", "--format", fmt,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+    assert outs[:2] == outs[2:]
+    config_line = outs[0].split(b"\r\n", 1)[0].decode()
+    assert sorted(json.loads(config_line[len("# config="):])) == sections
+    assert sorted(json.loads(outs[1])["meta"]["config"]) == sections
 
 
 # Each case is the config of one scan run.  Every row goes through ProtocolParams,
 # so a premise a row breaks exits 2 with the row named and nothing written.
 @pytest.mark.parametrize("scan, message", [
     # the old r scan's default d = 2 with q = 2: 2 divides d + 2
-    ({"protocol": {"q": 2}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+    ({"protocol": {"q": 2}, "scan": {"kind": "point", "points": [{"r": 1}]}},
      "d + 2 = 4 must not be divisible by q = 2"),
-    ({"protocol": {"q": 3, "d": 1}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+    ({"protocol": {"q": 3, "d": 1}, "scan": {"kind": "point", "points": [{"r": 1}]}},
      "d + 2 = 3 must not be divisible by q = 3"),
-    ({"protocol": {"q": 4, "d": 1}, "scan": {"kind": "point", "param": "r", "values": [1]}},
+    ({"protocol": {"q": 4, "d": 1}, "scan": {"kind": "point", "points": [{"r": 1}]}},
      "q=4 is not prime"),
     # a tag of length 0 would report a "probability" (d+1)/q^0 = 3
-    ({"scan": {"kind": "point", "param": "r", "values": [0, 1]}},
-     "config rejected: scan.values[0] must be >= 1, got 0"),
-    ({"scan": {"kind": "point", "param": "r", "values": [1, 2, 3]}},
+    ({"scan": {"kind": "point", "points": [{"r": 0}, {"r": 1}]}},
+     "config rejected: scan.points[0].r must be >= 1, got 0"),
+    ({"scan": {"kind": "point", "points": [{"r": 1}, {"r": 2}, {"r": 3}]}},
      "point scan row r=3 rejected: r = 3 exceeds the extractable cap 2"),
-    ({"protocol": {"q": 11, "N": 12}, "scan": {"kind": "point", "param": "r", "values": [3]}},
+    ({"protocol": {"q": 11, "N": 12}, "scan": {"kind": "point", "points": [{"r": 3}]}},
      "point scan row r=3 rejected: GF(11^3) has more than 1024 elements"),
-    ({"protocol": {"r": 0}, "scan": {"kind": "point", "param": "d"}},
+    ({"protocol": {"r": 0}, "scan": {"kind": "point"}},
      "config rejected: protocol.r must be >= 1, got 0"),
 ])
 def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message):
@@ -636,17 +745,17 @@ def test_scan_r_premise_breaking_config_exits_2(tmp_path, capsys, scan, message)
 
 @pytest.mark.parametrize("scan, message", [
     # the old d scan printed ok rows here: q = 2 with d = 2, where 2 divides d + 2
-    ({"protocol": {"q": 2}, "scan": {"kind": "point", "values": [2]}},
+    ({"protocol": {"q": 2}, "scan": {"kind": "point", "points": [{"d": 2}]}},
      "point scan row d=2 rejected: d + 2 = 4 must not be divisible by q = 2"),
     # a valid row before the rejected one writes nothing either
-    ({"scan": {"kind": "point", "values": [1, 3]}},
+    ({"scan": {"kind": "point", "points": [{"d": 1}, {"d": 3}]}},
      "point scan row d=3 rejected: d + 2 = 5 must not be divisible by q = 5"),
     ({"protocol": {"q": 4}, "scan": {"kind": "point"}},
      "point scan row d=1 rejected: q=4 is not prime"),
-    ({"scan": {"kind": "point", "values": [1, 0]}},
-     "config rejected: scan.values[1] must be >= 1, got 0"),
+    ({"scan": {"kind": "point", "points": [{"d": 1}, {"d": 0}]}},
+     "config rejected: scan.points[1].d must be >= 1, got 0"),
     # the old d scan read its own r, which could be 0: the point scan reads the protocol's
-    ({"scan": {"kind": "point", "r": 0, "values": [1, 2]}},
+    ({"scan": {"kind": "point", "r": 0, "points": [{"d": 1}, {"d": 2}]}},
      "config rejected: scan.r is not a key of the point scan"),
     # the removed kind, with the premise-breaking configs it used to print
     ({"scan": {"kind": "d", "q": 2, "values": [2]}},
@@ -664,10 +773,23 @@ def test_scan_d_premise_breaking_config_exits_2(tmp_path, capsys, scan, message)
 
 @pytest.mark.parametrize("scan, message", [
     # d >= 1 is a premise of the detection code; N = 0 is no lattice
-    ({"kind": "point", "values": [0]}, "config rejected: scan.values[0] must be >= 1, got 0"),
+    ({"kind": "point", "points": [{"d": 0}]},
+     "config rejected: scan.points[0].d must be >= 1, got 0"),
     ({"kind": "leakage", "r": 0, "values": [0]},
      "config rejected: scan.values[0] must be >= 1, got 0"),
-    ({"kind": "point", "param": "q"}, "config rejected: scan.param is not one of ['d', 'r']"),
+    # the one-key grid the points replaced
+    ({"kind": "point", "param": "q"}, "config rejected: scan.param is not an allowed key"),
+    ({"kind": "point", "values": [1, 2]},
+     "config rejected: scan.values is not a key of the point scan"),
+    # a point is a protocol section, checked by the protocol's own schema
+    ({"kind": "point", "points": [{"d": 1}, {"d": 2, "bogus": 1}]},
+     "config rejected: scan.points[1].bogus is not an allowed key"),
+    ({"kind": "point", "points": [{"N": 4.0}]},
+     "config rejected: scan.points[0].N is not an integer literal"),
+    ({"kind": "point", "points": [{"alpha": "2"}]},
+     "config rejected: scan.points[0].alpha is not a finite number"),
+    ({"kind": "point", "points": [2]}, "config rejected: scan.points[0] is not an object"),
+    ({"kind": "point", "points": []}, "config rejected: scan.points needs at least 1 item"),
 ])
 def test_scan_grid_outside_the_premises_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})
@@ -692,11 +814,12 @@ def test_scan_kind_alone_runs_on_its_own_defaults(tmp_path, kind):
     ({"kind": "point", "candidates": 4}, "scan.candidates is not a key of the point scan"),
     ({"candidates": 4}, "scan.candidates is not a key of the point scan"),  # the default kind
     ({"kind": "point", "q": 3}, "scan.q is not a key of the point scan"),
-    ({"kind": "leakage", "param": "d"}, "scan.param is not a key of the leakage scan"),
+    ({"kind": "leakage", "param": "d"}, "scan.param is not an allowed key"),
     # the old d and r scans' own operating point: the point scan reads the protocol section
     ({"kind": "point", "N": 3}, "scan.N is not an allowed key"),
     ({"kind": "point", "d": 2}, "scan.d is not an allowed key"),
     ({"kind": "leakage", "Re": 1.0}, "scan.Re is not an allowed key"),
+    ({"kind": "leakage", "points": [{"d": 1}]}, "scan.points is not a key of the leakage scan"),
 ])
 def test_scan_key_outside_its_kind_exits_2(tmp_path, capsys, scan, message):
     path = write_config(tmp_path, {"scan": scan})
@@ -728,13 +851,41 @@ def test_scan_table_matches_the_schema():
 
 
 def test_module_entry_point_subprocess(tmp_path):
-    path = write_config(tmp_path, {"scan": {"kind": "point", "param": "r", "values": [1, 2]}})
+    path = write_config(tmp_path, {"scan": {"kind": "point", "points": [{"r": 1}, {"r": 2}]}})
     result = subprocess.run(
         [sys.executable, "-m", "relaysec.cli", "scan", "--config", path],
         capture_output=True, text=True,
     )
     assert result.returncode == 0
     assert "winBound" in result.stdout
+
+
+def _address_space_cap():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("protocol, message", [
+    # build_encoder's 5^10-point enumeration died with a MemoryError traceback and exit 1
+    ({"msg_N": 10}, "the message code's 5^10 codebook points exceed 100000"),
+    ({"msg_N": 40}, "the message code's 5^40 codebook points exceed 100000"),
+    # these ran, at a per-use power of 32 > 30, and at PT = inf
+    ({"alpha": 4.0}, "the (q=5, alpha=4.0) code's per-use power 32.0 exceeds power_limit = 30.0"),
+    ({"alpha": 1e300}, "the (q=5, alpha=1e+300) code's per-use power inf exceeds"),
+])
+def test_oversized_message_code_or_power_exits_2_from_every_command(tmp_path, protocol, message):
+    # each command in a child process under a 1 GiB address-space cap, so a
+    # regression fails this test instead of exhausting the machine
+    path = write_config(tmp_path, {"protocol": protocol, "simulate": {"trials": 3}})
+    for command, where in [("verify", "protocol config"), ("simulate", "protocol config"),
+                           ("scan", "point scan row d=1")]:
+        result = subprocess.run(
+            [sys.executable, "-m", "relaysec.cli", command, "--config", path],
+            capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (result.returncode, result.stdout) == (2, ""), (command, result.stderr)
+        assert f"config error: {where} rejected: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_scan_leakage_with_skip(tmp_path):

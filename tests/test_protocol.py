@@ -1,6 +1,7 @@
 """Four-stage protocol: correctness, detection, rates, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,18 @@ from relaysec.channel import (
     SubstituteLattice,
     power_audit,
 )
-from relaysec.lattice import codebook_point, decode_fine_mod_coarse, lattice_add
+from relaysec.lattice import (
+    NestedLatticePair,
+    average_codebook_power,
+    codebook_point,
+    decode_fine_mod_coarse,
+    lattice_add,
+)
 from relaysec.protocol import (
     ProtocolParams,
     TwoHopProtocol,
-    operating_rates,
+    _code_power,
+    operating_point,
     payload_bits,
     wilson_interval,
 )
@@ -93,6 +101,36 @@ def test_params_validation():
 def test_params_reject_bad_channel_settings(channel, message):
     with pytest.raises(ValueError, match=message):
         ProtocolParams(**channel)
+
+
+@pytest.mark.parametrize("params, message", [
+    # build_encoder enumerated all 5^10 points and died with a MemoryError
+    ({"msg_N": 10}, "the message code's 5^10 codebook points exceed 100000"),
+    ({"msg_N": 2**63}, f"the message code's 5^{2**63} codebook points exceed 100000"),
+    # these ran, at a per-use power of 32 and with PT = inf
+    ({"alpha": 4.0}, "the (q=5, alpha=4.0) code's per-use power 32.0 exceeds power_limit = 30.0"),
+    ({"alpha": 1e300}, "the (q=5, alpha=1e+300) code's per-use power inf exceeds"),
+    ({"alpha": 2.0, "power_limit": 7.9}, "the (q=5, alpha=2.0) code's per-use power 8.0 exceeds"),
+    ({"msg_q": 23, "msg_r0": 1}, "the (msg_q=23, alpha=1.0) code's per-use power 44.0 exceeds"),
+    ({"q": 23, "r": 1}, "the (q=23, alpha=1.0) code's per-use power 44.0 exceeds"),
+])
+def test_params_reject_an_oversized_message_code_or_codebook_power(params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProtocolParams(**params)
+
+
+def test_codebook_power_premise_matches_the_lattice():
+    # the closed form is the full codebook's per-use power as lattice averages it
+    for q in (2, 3, 5, 7, 11, 19, 1021):
+        for alpha in (0.25, 1.0, 3.6, 4.0):
+            want = average_codebook_power(NestedLatticePair(N=1, q=q, alpha=alpha))
+            assert _code_power(q, alpha) == pytest.approx(want, rel=1e-12)
+    # the edges the premise admits: msg_N = 7 at msg_q = 5, and a power equal to the limit
+    ProtocolParams(msg_N=7)
+    p = TwoHopProtocol(ProtocolParams(alpha=2.0, power_limit=8.0))
+    assert max(p.stage_powers()) <= 8.0  # the message stage's K-average stays below it
+    p = TwoHopProtocol(ProtocolParams(alpha=3.6))  # the Gaussian operating point, power 25.92
+    assert max(p.stage_powers()) == pytest.approx(25.92) and 25.92 < p.params.power_limit
 
 
 # ---------------------------------------------------------------------
@@ -300,7 +338,7 @@ def test_average_power_matches_power_audit_identity():
     audit = power_audit(records, p.params.power_limit)
     assert p.average_power(p1, p2, p3) == pytest.approx(audit["node1"]["average_power"],
                                                         abs=1e-9)
-    assert audit["node1"]["channel_uses"] == operating_rates(p.params)[0]
+    assert audit["node1"]["channel_uses"] == operating_point(p.params)[0]
 
 
 def test_power_audit_of_batch_records_averages_the_rows():
@@ -316,7 +354,7 @@ def test_power_audit_of_batch_records_averages_the_rows():
     rows = [power_audit([PhaseRecord(*(getattr(rec, k)[i : i + 1] for k in
                                        ("x1", "x2", "yr", "xr", "y2")), rec.node2_active)
                          for rec in batch.records], p.params.power_limit) for i in range(trials)]
-    n, prm = operating_rates(p.params)[0], p.params
+    n, prm = operating_point(p.params)[0], p.params
     node2_uses = 2 * prm.N + p.blocks * prm.msg_N  # node 2 is silent in the tag stage
     for node, uses in [("node1", n), ("node2", node2_uses), ("relay", n)]:
         assert audit[node]["channel_uses"] == trials * uses
@@ -412,6 +450,6 @@ def test_gaussian_honest_relay_clean_at_working_power():
     dest = np.concatenate([(rec.y2 - rec.xr).ravel() for rec in batch.records])
     for noise, var in [(relay, params.noise_var_relay), (dest, params.noise_var_dest)]:
         n = len(noise)
-        assert n == trials * operating_rates(params)[0]
+        assert n == trials * operating_point(params)[0]
         assert abs(noise.mean()) <= 4 * math.sqrt(var / n)
         assert abs(noise.var() - var) <= 4 * var * math.sqrt(2 / (n - 1))
