@@ -363,6 +363,9 @@ def _scan_point(cfg: dict, seed: int):
 def _scan_leakage(cfg: dict, seed: int):
     _build_params(cfg)  # reads no protocol key, but rejects the sections verify rejects
     q, r = cfg["scan"]["q"], cfg["scan"]["r"]
+    if q * q > oracle.MAX_PAIR_ENUM:  # before the trial division, which takes sqrt(q) steps
+        raise ConfigError(f"leakage scan: q={q} has q^2 = {q * q} codeword pairs at N = 1, "
+                          f"over the exact-leakage cap {oracle.MAX_PAIR_ENUM}: no row can run")
     if not is_prime(q):
         raise ConfigError(f"leakage scan: q={q} is not prime")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,10 @@ guessing probability are read off them through exact integer vectors; the
 only float step is one fixed-order sum per matrix.  The size guard still
 bounds q^(2N), the number of pairs the law covers.  A call takes one
 extractor or a stack of them, and each value is bit-identical to a call
-on its matrix alone.
+on its matrix alone.  Those vectors depend only on the extractor's orbit
+under a change of basis, a permutation of the columns and a sign flip of
+a column, so a stack runs the class pass once per orbit key
+(``_orbit_keys``) and hands each matrix its key's value.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .fields import (
     digits,
     full_rank_fraction,
     matrix_row_rank,
+    row_reduce,
     row_space_levels,
     row_spaces,
     undigits,
@@ -174,12 +178,11 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     entry is an integer no larger than q^N, so float64 holds it exactly.
     ``fold`` gets each block of the stack as a (b, q^r, classes) array of
     laws, of at most ``_LEAKAGE_BLOCK_CELLS`` cells (one matrix at least,
-    the gather counted), and returns one value per matrix.  The pair guard
-    runs before any table is built.
+    the gather counted), and returns one value per matrix.  ``_stacked``
+    runs the pair guard before any work.
     """
     q, n, r = pair.q, pair.N, g.shape[-2]
     n_seed = q**r
-    _guard(q ** (2 * n), MAX_PAIR_ENUM, "codeword-pair enumeration")
     members, columns = _coordinate_classes(q, pair.alpha)  # alike at every coordinate
     weights = sizes = np.ones(1, dtype=np.int64)
     for _ in range(n):  # the newest coordinate's shape is the major index
@@ -227,14 +230,56 @@ def _guess_fold(laws, weights, sizes) -> np.ndarray:
     return laws.max(axis=1).astype(np.int64) @ weights
 
 
+def _orbit_keys(rref: np.ndarray, q: int) -> np.ndarray:
+    """(k, r * N) orbit keys of a (k, r, N) stack of RREFs; equal keys give equal leakage.
+
+    For each scale lam, every column c of lam * rref becomes the smaller of
+    c and -c (read top row first) and the columns are sorted; the key is
+    the lexicographic minimum of these matrices over lam, flattened.  It is
+    a matrix of the input's orbit under a change of basis, a column
+    permutation and column sign flips.  A sign flip reflects the cyclic
+    interval a coordinate's posterior is uniform on, which translates the
+    class law, so every count the folds read is the same on the whole
+    orbit.  Equal orbits give equal keys when r = 1; when r > 1 one orbit
+    may still get several.  lam and -lam give the same columns, so lam runs
+    to q // 2; nothing is packed into an int, so no width overflows.
+    """
+    k, r, n = rref.shape
+    rows = np.arange(k)
+    best = np.full((k, r * n), q)  # above every key
+    for lam in range(1, q // 2 + 1):
+        m = rref.astype(np.int64) * lam % q
+        lead = np.take_along_axis(m, (m != 0).argmax(axis=1)[:, None, :], axis=1)
+        m = np.where(2 * lead > q, (q - m) % q, m)  # c > -c iff its first nonzero entry > q / 2
+        order = np.lexsort(m[:, ::-1].transpose(1, 0, 2), axis=-1)  # row 0 the primary key
+        key = np.take_along_axis(m, order[:, None, :], axis=2).reshape(k, r * n)
+        at = (key != best).argmax(axis=1)  # the first entry that differs, 0 if none
+        best = np.where((key[rows, at] < best[rows, at])[:, None], key, best)
+    return best
+
+
 def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.ndarray:
-    """statistic(stack) for one (r, N) extractor or a stack (..., r, N); ``empty`` when r = 0."""
-    g = np.array(g, dtype=np.int64) % pair.q
+    """statistic(stack, ranks) of one (r, N) extractor or a stack (..., r, N); ``empty`` if r = 0.
+
+    The pair guard runs first.  One ``row_reduce`` gives the ranks and the
+    orbit keys, and ``statistic`` sees the first matrix of each distinct
+    key, in order of first occurrence; every matrix gets its key's value.
+    """
+    q = pair.q
+    g = np.array(g, dtype=np.int64) % q
     out = np.full(g.shape[:-2], empty)
     if g.shape[-2] > 0:
         if g.shape[-1] != pair.N:
             raise ValueError(f"extractor must have {pair.N} columns")
-        out = statistic(g.reshape(-1, *g.shape[-2:])).reshape(out.shape)
+        _guard(q ** (2 * pair.N), MAX_PAIR_ENUM, "codeword-pair enumeration")
+        flat = g.reshape(-1, *g.shape[-2:])
+        rref, rank = row_reduce(flat, q)
+        _, first, key_id = np.unique(_orbit_keys(rref, q), axis=0,
+                                     return_index=True, return_inverse=True)
+        order = np.argsort(first)  # key ids in order of first occurrence
+        values = np.empty(len(first))
+        values[order] = statistic(flat[first[order]], rank[first[order]])
+        out = values[key_id.reshape(-1)].reshape(out.shape)
     return float(out) if g.ndim == 2 else out
 
 
@@ -250,11 +295,12 @@ def exact_seed_leakage(pair: NestedLatticePair, g: np.ndarray) -> float | np.nda
     posterior class (``_class_pass``, ``_entropy_fold``).  Its g-dependent
     part is an exact integer vector, so equal counts give bit-identical
     bits: a stack equals its single calls, and extractors related by a
-    change of basis or a permutation of identical coordinates tie exactly.
+    change of basis, a column permutation or a column sign flip tie
+    exactly, which is why a stack is evaluated once per orbit key.
     An empty extractor leaks 0.0.
     """
-    def leakage(stack):
-        rank_bits = matrix_row_rank(stack, pair.q) * math.log2(pair.q)
+    def leakage(stack, rank):
+        rank_bits = rank * math.log2(pair.q)
         return rank_bits - _class_pass(pair, stack, _entropy_fold) / pair.q ** (2 * pair.N)
 
     return _stacked(pair, g, 0.0, leakage)
@@ -270,7 +316,7 @@ def guessing_probability(pair: NestedLatticePair, g: np.ndarray) -> float | np.n
     integer, divided by q^(2N) once.  An empty extractor gives 1.0, since
     its seed is constant.
     """
-    return _stacked(pair, g, 1.0, lambda stack: _class_pass(
+    return _stacked(pair, g, 1.0, lambda stack, rank: _class_pass(
         pair, stack, _guess_fold) / pair.q ** (2 * pair.N))
 
 

@@ -82,6 +82,8 @@ __all__ = [
 
 MAX_FIELD_ORDER = 1024  # q^r cap: the engine keeps q^r x q^r int tables
 MAX_MESSAGE_POINTS = 10**5  # msg_q^msg_N cap: build_encoder sorts every codebook point
+_MAX_NORMAL = math.sqrt(106 * math.log(2))  # box_muller's largest |normal|: u1 >= 2^-53
+_DECODE_REACH = 2.0**62  # |y / alpha| the int64 decoder rounds, half its range for margin
 BATCH_TRIALS = 512  # trials per engine call in monte_carlo
 
 
@@ -111,7 +113,15 @@ class ProtocolParams:
     noise_var_dest: float = 1.0
 
     def __post_init__(self):
-        check_premises(self.q, self.d)  # first, since they do not depend on r or N
+        # the two caps that q or msg_q alone can break come before any trial division
+        if self.q > MAX_FIELD_ORDER:
+            raise ValueError(f"GF({self.q}^r) has more than {MAX_FIELD_ORDER} elements at every "
+                             "r >= 1, the largest field the simulator tabulates")
+        if self.msg_q > MAX_MESSAGE_POINTS:
+            raise ValueError(f"the message code's {self.msg_q}^msg_N codebook points exceed "
+                             f"{MAX_MESSAGE_POINTS} at every msg_N >= 1, the most the simulator "
+                             "enumerates")
+        check_premises(self.q, self.d)  # first of the rest, since they do not depend on r or N
         if not is_prime(self.msg_q):
             raise ValueError(f"msg_q={self.msg_q} is not prime: the message code needs a prime "
                              "nesting ratio")
@@ -150,6 +160,16 @@ class ProtocolParams:
             if not power <= self.power_limit:
                 raise ValueError(f"the ({name}={ratio}, alpha={self.alpha}) code's per-use "
                                  f"power {power} exceeds power_limit = {self.power_limit}")
+        if not self.noiseless:
+            # each decoder rounds y / alpha to int64: y is at most a sum of two codebook points,
+            # each coordinate within max(q, msg_q) alpha / 2, plus _MAX_NORMAL noise deviations
+            room = (_DECODE_REACH - max(self.q, self.msg_q)) * self.alpha / _MAX_NORMAL
+            for name in ("noise_var_relay", "noise_var_dest"):
+                var = getattr(self, name)
+                if var and not var < room * room:  # zero draws no noise; NaN and inf fail
+                    raise ValueError(f"{name} = {var}: the largest noise draw, {_MAX_NORMAL:.2f} "
+                                     f"deviations, leaves the int64 decoder's range at "
+                                     f"alpha = {self.alpha}")
 
 
 def _code_power(q: int, alpha: float) -> float:

@@ -871,6 +871,13 @@ def _address_space_cap():
     # these ran, at a per-use power of 32 > 30, and at PT = inf
     ({"alpha": 4.0}, "the (q=5, alpha=4.0) code's per-use power 32.0 exceeds power_limit = 30.0"),
     ({"alpha": 1e300}, "the (q=5, alpha=1e+300) code's per-use power inf exceeds"),
+    # trial division to sqrt(2^61 - 1) ran before the caps, and simulate and scan hung
+    ({"q": 2**61 - 1, "r": 1, "d": 1}, f"GF({2**61 - 1}^r) has more than 1024 elements"),
+    ({"msg_q": 2**61 - 1}, f"the message code's {2**61 - 1}^msg_N codebook points exceed"),
+    # simulate exited 0 with every rate 1.0
+    ({"noiseless": False, "noise_var_relay": 1e308},
+     "noise_var_relay = 1e+308: the largest noise draw, 8.57 deviations, leaves the int64 "
+     "decoder's range at alpha = 1.0"),
 ])
 def test_oversized_message_code_or_power_exits_2_from_every_command(tmp_path, protocol, message):
     # each command in a child process under a 1 GiB address-space cap, so a
@@ -925,6 +932,19 @@ def test_scan_leakage_rejects_the_protocol_section_as_verify_does(tmp_path, caps
     assert not out.exists()
     assert main(["verify", "--config", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 10007])
+def test_scan_leakage_q_beyond_the_pair_cap_exits_2_before_trial_division(
+        tmp_path, capsys, monkeypatch, q):
+    def trial_division(q):
+        raise AssertionError(f"is_prime({q}) ran before the cap")
+
+    monkeypatch.setattr(cli, "is_prime", trial_division)
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": q}})
+    assert main(["scan", "--config", path]) == 2
+    assert (f"leakage scan: q={q} has q^2 = {q * q} codeword pairs at N = 1, over the "
+            "exact-leakage cap 100000000: no row can run") in capsys.readouterr().err
 
 
 def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):

@@ -19,6 +19,7 @@ from relaysec.fields import (
     matrix_row_rank,
     row_reduce,
     row_space_levels,
+    row_spaces,
     undigits,
 )
 from relaysec.lattice import (
@@ -132,15 +133,23 @@ def test_leakage_stack_matches_single_calls():
     r2 = rng.integers(0, 5, size=(6, 2, 3))
     r2[2] = [[1, 2, 3], [2, 4, 1]]  # rank 1
     r2[4] = 0
+    g = np.array([[1, 2, 0], [0, 3, 4]])
+    # repeats, a sign flip and a column permutation of g (its orbit), rank 1 and rank 0
+    orbit = np.array([g, g, g * [1, -1, 1] % 5, g[:, [2, 0, 1]], [[1, 2, 0], [2, 4, 0]],
+                      np.zeros((2, 3)), g, [[0, 0, 0], [3, 1, 0]], np.zeros((2, 3))], dtype=int)
     cases = [
         (NestedLatticePair(N=2, q=11), np.array([[[3, 7]]])),  # a stack of one
         (NestedLatticePair(N=3, q=5, alpha=1.3), r2),
+        (NestedLatticePair(N=3, q=5), orbit),
+        (NestedLatticePair(N=3, q=5, alpha=1.3), np.concatenate([r2, r2[::-1], orbit])),
         (NestedLatticePair(N=2, q=11), all_matrices(11, 1, 2)),  # the zero matrix first
     ]
     for pair, stack in cases:
         stacked = exact_seed_leakage(pair, stack)
         assert stacked.dtype == float and stacked.shape == stack.shape[:-2]
         assert stacked.tolist() == [exact_seed_leakage(pair, m) for m in stack]
+        guesses = guessing_probability(pair, stack)
+        assert guesses.tolist() == [guessing_probability(pair, m) for m in stack]
     assert stacked[0] == 0.0  # a constant seed leaks nothing
     pair, stack = cases[1]
     nested = exact_seed_leakage(pair, stack.reshape(2, 3, 2, 3))
@@ -301,6 +310,76 @@ def test_leakage_ties_exactly_under_coordinate_permutation():
         leaks = exact_seed_leakage(pair, stack)
         guesses = guessing_probability(pair, stack)
         assert len(set(leaks.tolist())) == 1 and len(set(guesses.tolist())) == 1, (q, n, r)
+        # one class pass per matrix: a stack of permutations shares one orbit key
+        assert [exact_seed_leakage(pair, m) for m in stack] == leaks.tolist()
+        assert [guessing_probability(pair, m) for m in stack] == guesses.tolist()
+
+
+def _every_matrix_its_own_key(monkeypatch):
+    """Stack calls then run the class pass on every matrix, as without orbit keys."""
+    monkeypatch.setattr(oracle, "_orbit_keys", lambda rref, q: np.arange(len(rref))[:, None])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+def test_column_sign_flips_leave_leakage_bit_identical(alpha):
+    # a flip reflects the cyclic interval a source digit is uniform on, which translates
+    # the class law; each single call runs its own class pass
+    rng = np.random.default_rng(21)
+    for q, n, r in [(5, 4, 2), (11, 3, 1), (7, 3, 2), (3, 4, 3)]:
+        pair = NestedLatticePair(N=n, q=q, alpha=alpha)
+        g = rng.integers(0, q, size=(r, n))
+        base = exact_seed_leakage(pair, g), guessing_probability(pair, g)
+        for signs in itertools.product((1, -1), repeat=n):
+            flipped = g * np.array(signs) % q
+            assert (exact_seed_leakage(pair, flipped), guessing_probability(pair, flipped)) == base
+
+
+@pytest.mark.parametrize("n, orbits", [(1, 1), (2, 4), (3, 11)])
+def test_orbit_keys_are_complete_at_r1(n, orbits, monkeypatch):
+    # at r = 1 a change of basis is a scale, which the key minimises over
+    q = 11
+    rrefs, _ = row_spaces(q, 1, n)
+    full = rrefs[rrefs.any(axis=(1, 2))]
+    keys = np.unique(oracle._orbit_keys(full, q), axis=0)
+    _every_matrix_its_own_key(monkeypatch)
+    leaks = exact_seed_leakage(NestedLatticePair(N=n, q=q), full)
+    assert len(keys) == len(set(leaks.tolist())) == orbits
+
+
+def test_equal_orbit_keys_give_bit_equal_leakage(monkeypatch):
+    # (q, r, N) = (5, 2, 4): the 806 row spaces take 18 leakage values under 91 keys,
+    # since at r > 1 one orbit may get several keys
+    q, r, n = 5, 2, 4
+    rrefs, _ = row_spaces(q, r, n)
+    full = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]
+    _, key_id = np.unique(oracle._orbit_keys(full, q), axis=0, return_inverse=True)
+    key_id = key_id.reshape(-1)
+    _every_matrix_its_own_key(monkeypatch)
+    pair = NestedLatticePair(N=n, q=q)
+    leaks, guesses = exact_seed_leakage(pair, full), guessing_probability(pair, full)
+    assert (len(full), key_id.max() + 1, len(set(leaks.tolist()))) == (806, 91, 18)
+    for k in range(key_id.max() + 1):
+        assert len(set(leaks[key_id == k].tolist())) == len(set(guesses[key_id == k].tolist())) == 1
+
+
+def test_class_pass_sees_one_matrix_per_orbit_key(monkeypatch):
+    q = 11
+    pair = NestedLatticePair(N=3, q=q)
+    stack = np.random.default_rng(6).integers(0, q, size=(64, 1, 3))
+    _, first = np.unique(oracle._orbit_keys(row_reduce(stack, q)[0], q), axis=0, return_index=True)
+    assert len(first) < len(stack)
+    want = exact_seed_leakage(pair, stack)
+    seen = []
+    class_pass = oracle._class_pass
+
+    def spy(pair, g, fold):
+        seen.append(np.array(g))
+        return class_pass(pair, g, fold)
+
+    monkeypatch.setattr(oracle, "_class_pass", spy)
+    assert exact_seed_leakage(pair, stack).tolist() == want.tolist()
+    # the first matrix of each key, in order of first occurrence
+    assert len(seen) == 1 and np.array_equal(seen[0], stack[np.sort(first)])
 
 
 def test_best_extractor_r2_matches_brute_force():

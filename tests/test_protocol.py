@@ -2,10 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from relaysec import amd, protocol
 from relaysec.amd import amd_verify, win_bound
 from relaysec.channel import (
     AdditiveLatticeOffset,
@@ -97,6 +99,16 @@ def test_params_validation():
     ({"power_limit": -1.0}, "power limit must be positive"),
     ({"noise_var_relay": -0.5}, "noise variances must be nonnegative"),
     ({"noise_var_dest": -1e-9}, "noise variances must be nonnegative"),
+    # every rate read 1.0: a NaN reached the decoder's int64 cast
+    ({"noiseless": False, "noise_var_relay": 1e308},
+     "noise_var_relay = 1e[+]308: the largest noise draw, 8.57 deviations, leaves the int64"),
+    ({"noiseless": False, "noise_var_dest": 1e308}, "noise_var_dest = 1e[+]308: the largest"),
+    # 8.57 sqrt(3e35) = 4.7e18 > 2^62
+    ({"noiseless": False, "noise_var_relay": 3e35}, "noise_var_relay = 3e[+]35: the largest"),
+    ({"noiseless": False, "noise_var_relay": math.inf}, "noise_var_relay = inf: the largest"),
+    ({"noiseless": False, "noise_var_dest": math.nan}, "noise_var_dest = nan: the largest"),
+    # y / alpha leaves the range however small the noise
+    ({"noiseless": False, "alpha": 1e-300}, "noise_var_relay = 1.0: the largest"),
 ])
 def test_params_reject_bad_channel_settings(channel, message):
     with pytest.raises(ValueError, match=message):
@@ -117,6 +129,32 @@ def test_params_reject_bad_channel_settings(channel, message):
 def test_params_reject_an_oversized_message_code_or_codebook_power(params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ProtocolParams(**params)
+
+
+@pytest.mark.parametrize("params, message", [
+    # trial division to sqrt(2^61 - 1) ran first, and simulate and scan hung
+    ({"q": 2**61 - 1, "r": 1, "d": 1}, f"GF({2**61 - 1}^r) has more than 1024 elements"),
+    ({"msg_q": 2**61 - 1}, f"the message code's {2**61 - 1}^msg_N codebook points exceed 100000"),
+])
+def test_params_reject_a_huge_q_before_any_primality_test(params, message, monkeypatch):
+    def trial_division(q):
+        raise AssertionError(f"is_prime({q}) ran before the cap")
+
+    monkeypatch.setattr(protocol, "is_prime", trial_division)
+    monkeypatch.setattr(amd, "is_prime", trial_division)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProtocolParams(**params)
+
+
+def test_gaussian_params_admit_the_noise_the_decoder_holds():
+    ProtocolParams(noise_var_relay=math.nan, noise_var_dest=1e308)  # noiseless: no noise drawn
+    ProtocolParams(noiseless=False, alpha=3.6, noise_var_relay=0.1, noise_var_dest=0.1)
+    ProtocolParams(noiseless=False, alpha=1e-300, noise_var_relay=0.0, noise_var_dest=0.0)
+    p = ProtocolParams(noiseless=False, noise_var_relay=1e35, noise_var_dest=1e35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN or overflowing int64 cast warns
+        counts = TwoHopProtocol(p).run_batch(HonestRelay(), 1, 0, 200).counts()
+    assert counts.sum() > 0
 
 
 def test_codebook_power_premise_matches_the_lattice():
