@@ -9,18 +9,17 @@ mul and neg tables indexed by those ints.
 codec, in any base (q for elements, coords and seeds; 2 for ranks and bits).
 
 Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
-shape (..., rows, cols).  Arbitrary stacks go through one Gauss-Jordan
-kernel, ``row_reduce``, which reduces a whole stack per pass; rank and
-basis completion are thin views over it, and ``all_matrices`` enumerates
-every matrix of a shape as one stack.
-``row_space_levels`` finds the RREFs of all matrices of a shape by prefix
-transitions: row operations on M' keep its row space, so RREF([M'; v]) =
-RREF([RREF(M'); v]), and row k only inserts each vector v into each
-distinct RREF of the first k - 1 rows (eliminate v against its pivots,
-scale it, clear its leading column from the other rows, put it in pivot
-order).  One pass yields every row count of a width in turn, level k from
-level k - 1, each with its step: the id of RREF([R; v]) per (R, v).
-``row_spaces`` composes the steps into its level ``rows``.
+shape (..., rows, cols); ``all_matrices`` enumerates every matrix of a
+shape as one stack.  One elimination step, ``_insert``, adds a row to
+each of a stack of RREFs: it eliminates the row against their pivots,
+scales it to a leading 1 and clears that column from their rows.
+``row_reduce`` inserts the rows of each matrix one at a time; rank and
+basis completion are thin views over it.  ``row_space_levels`` finds the
+RREFs of all matrices of a shape by prefix transitions: RREF([M'; v]) =
+RREF([RREF(M'); v]), so row k only inserts each vector v into each
+distinct RREF of the first k - 1 rows.  One pass yields every row count
+of a width in turn, each level with its step: the id of RREF([R; v]) per
+(R, v).  ``row_spaces`` composes the steps into its level ``rows``.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -197,7 +196,7 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
 # matrices over GF(q): stacks of shape (..., rows, cols), one elimination kernel
 # ---------------------------------------------------------------------------
 
-_REDUCE_BATCH = 4096  # matrices per elimination pass, or (R, v) pairs per insertion block
+_REDUCE_BATCH = 4096  # rows per elimination block: each inserts one row into each of its RREFs
 
 
 def all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
@@ -211,41 +210,53 @@ def all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(grid.T).reshape(q**n, rows, cols)
 
 
-def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
-    """Reduced row-echelon form and rank over GF(q), by Gauss-Jordan elimination.
+def _insert(r, v, q: int, inverse):
+    """The (b, k + 1, cols + 1) RREFs of RREFs r (b, k, cols + 1) and vectors v (b, cols + 1).
 
-    ``m`` is one matrix or a stack of shape (..., rows, cols).  Pivots are
-    taken in column order, each the first nonzero row at or below the
-    current rank.  Returns (rref, rank): the RREF stack in the smallest
-    unsigned dtype, and the ranks, an int for a single matrix.
+    Column cols is the sink: 0 in every RREF row and 1 in every v.  v less
+    its entries at r's pivots times r's rows (one matmul) is the residue,
+    scaled to a leading 1 by ``inverse`` (1/a mod q, 0 for 0); a zero
+    residue leads at the sink.  Its sink entry reset, it clears its leading
+    column from r's rows and joins them as row k.  numpy's integer matmul
+    accumulates in its operands' dtype, so r and v share a signed dtype
+    that holds -cols (q - 1)^2.
+    """
+    b = np.arange(len(v))
+    pivots = (r != 0).argmax(axis=2)  # 0 for a zero row, whose product is 0 anyway
+    w = (v - (v[b[:, None], pivots][:, None, :] @ r)[:, 0]) % q
+    lead = (w != 0).argmax(axis=1)
+    w = w * inverse[w[b, lead]][:, None] % q
+    w[:, -1] = 0
+    return np.concatenate([(r - r[b, :, lead][:, :, None] * w[:, None, :]) % q, w[:, None]], axis=1)
+
+
+def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:
+    """Reduced row-echelon form and rank over GF(q), by inserting rows one at a time.
+
+    ``m`` is one matrix or a stack of shape (..., rows, cols).  Row i of
+    each matrix is inserted (``_insert``) into the RREF of its rows before
+    i, ``_REDUCE_BATCH`` matrices at a time, and the rows are then sorted
+    by pivot, the zero rows last.  Returns (rref, rank): the RREF stack in
+    the smallest unsigned dtype, and the ranks, an int for a single matrix.
     """
     _check_prime(q)
     m = np.asarray(m)
     if m.ndim < 2:
         raise ValueError("matrix must be 2-D or a stack of 2-D matrices")
     *stack, rows, cols = m.shape
-    flat = m.reshape(int(np.prod(stack)), rows, cols)
-    rref = np.empty(flat.shape, dtype=np.min_scalar_type(q - 1))
-    rank = np.zeros(len(flat), dtype=np.int64)
-    work = np.min_scalar_type(-q * q)  # holds a - f * p before reduction mod q
+    work = np.min_scalar_type(-q * q * max(cols, 1))  # the work dtype of _insert
     inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=work)
-    row_ids = np.arange(rows)
-    for start in range(0, len(flat), _REDUCE_BATCH):
-        a = (flat[start : start + _REDUCE_BATCH] % q).astype(work)
-        done = rank[start : start + _REDUCE_BATCH]  # a view: the pass updates it
-        for col in range(cols if rows else 0):
-            below = (a[:, :, col] != 0) & (row_ids >= done[:, None])
-            sel = np.flatnonzero(below.any(axis=1))
-            pivot, top = below[sel].argmax(axis=1), done[sel]
-            a[sel, pivot], a[sel, top] = a[sel, top], a[sel, pivot]
-            pivot_row = a[sel, top] * inverse[a[sel, top, col]][:, None] % q
-            factor = a[sel, :, col]
-            factor[np.arange(len(sel)), top] = 0
-            a[sel] = (a[sel] - factor[:, :, None] * pivot_row[:, None, :]) % q
-            a[sel, top] = pivot_row
-            done[sel] += 1
-        rref[start : start + _REDUCE_BATCH] = a
-    rref = rref.reshape(m.shape)
+    a = np.ones((int(np.prod(stack)), rows, cols + 1), dtype=work)
+    a[..., :cols] = m.reshape(len(a), rows, cols) % q  # the sink column stays 1
+    for start in range(0, len(a), _REDUCE_BATCH):
+        r = a[start : start + _REDUCE_BATCH, :0]
+        for i in range(rows):
+            r = _insert(r, a[start : start + _REDUCE_BATCH, i], q, inverse)
+        a[start : start + _REDUCE_BATCH] = r  # each row's sink entry now 0
+    pivot = np.where(a.any(axis=2), (a != 0).argmax(axis=2), cols)  # cols for a zero row
+    rref = np.take_along_axis(a[..., :cols], pivot.argsort(axis=1, kind="stable")[..., None], 1)
+    rref = rref.astype(np.min_scalar_type(q - 1)).reshape(m.shape)
+    rank = np.count_nonzero(pivot < cols, axis=1)
     return (rref, rank.reshape(stack)) if stack else (rref, int(rank[0]))
 
 
@@ -260,46 +271,33 @@ def row_space_levels(q: int, cols: int):
     the composed steps map every matrix to its RREF (``row_spaces``).  Each
     level is built from the one before, and the caller stops the pass.
 
-    Since RREF([M'; v]) = RREF([RREF(M'); v]), only v is eliminated: less
-    its pivot-column entries times R's rows (one matmul), scaled to a
-    leading 1, its leading column cleared from R's rows, and sorted in, as
-    an RREF's rows are in descending order read as base-q ints.  The (R, v)
-    pairs go in blocks of ``_REDUCE_BATCH``.
+    Since RREF([M'; v]) = RREF([RREF(M'); v]), each vector is inserted
+    (``_insert``) into each distinct RREF of the level before,
+    ``_REDUCE_BATCH`` (R, v) pairs at a time.  An RREF's rows in pivot
+    order descend read as base-q ints, so those ints, sorted, key it.
     """
     _check_prime(q)
-    work = np.min_scalar_type(-q * q * max(cols, 1))  # holds v @ project and R - c w
+    work = np.min_scalar_type(-q * q * max(cols, 1))  # the work dtype of _insert
     inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=work)
     vecs = all_matrices(q, 1, cols)[:, 0]
-    row_key = q ** np.arange(cols - 1, -1, -1, dtype=np.int64)  # a vector's index in vecs
-    lead = np.logical_and.accumulate(vecs == 0, axis=-1).sum(axis=-1)  # cols for the zero vector
-    pivot = (np.arange(cols) == lead[:, None]).astype(work)  # 0/1 leading column of each vector
-    # scaled[u]: the index of vector u over its leading entry (0 for the zero vector)
-    scaled = (vecs * inverse[(vecs * pivot).sum(axis=-1)][:, None]) % q @ row_key
-    rrefs = np.zeros((1, 0, cols), dtype=vecs.dtype)  # the one 0 x cols matrix
-    step = np.zeros((1, 1), dtype=np.int64)
     n_vec = len(vecs)
+    rows = np.zeros((n_vec, cols + 1), dtype=work)  # the vectors as RREF rows, sink entry 0
+    rows[:, :cols] = vecs
+    sunk = rows + (np.arange(cols + 1) == cols).astype(work)  # the vectors, sink entry 1
+    row_key = q ** np.arange(cols, -1, -1, dtype=np.int64) // q  # a row's index in vecs
+    rref_rows, step = np.zeros((1, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
     while True:
-        yield rrefs, step
-        m, k = len(rrefs), rrefs.shape[1] + 1
-        r = rrefs.astype(work)
-        # project[i] = I - E, where E holds R_i's row j at row p_j, its pivot column, so
-        # v @ project[i] = v - sum_j v[p_j] R_i[j]; a zero row's pivot is the dropped row cols
-        project = np.zeros((m, cols + 1, cols), dtype=work)
-        project[np.arange(m)[:, None], lead[r @ row_key]] = -r
-        project = project[:, :cols] + np.eye(cols, dtype=work)
+        yield vecs[rref_rows], step  # level 0: the one 0 x cols matrix
+        m, k = rref_rows.shape[0], rref_rows.shape[1] + 1
         place = n_vec ** np.arange(k, dtype=np.int64)  # row j of k from the bottom: place[j]
         keys = np.empty(m * n_vec, dtype=np.int64)
         for p0 in range(0, len(keys), _REDUCE_BATCH):
             i, v = np.divmod(np.arange(p0, min(p0 + _REDUCE_BATCH, len(keys))), n_vec)
-            w = (vecs[v, None, :] @ project[i])[:, 0] % q @ row_key  # the index of v's residue
-            rb = r[i]
-            rb = (rb - (rb @ pivot[w][:, :, None]) * vecs[scaled[w], None, :]) % q
-            row_keys = np.concatenate([rb @ row_key, scaled[w][:, None]], axis=1)
+            row_keys = _insert(rows[rref_rows[i]], sunk[v], q, inverse) @ row_key
             row_keys.sort(axis=1)  # ascending: the RREF's last row first
-            keys[p0 : p0 + len(row_keys)] = row_keys @ place
+            keys[p0 : p0 + len(i)] = row_keys @ place
         found, step = np.unique(keys, return_inverse=True)
-        rrefs = vecs[digits(found, n_vec, k)[:, ::-1]]
-        step = step.reshape(m, n_vec)
+        rref_rows, step = digits(found, n_vec, k)[:, ::-1], step.reshape(m, n_vec)
 
 
 def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

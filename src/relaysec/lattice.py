@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,6 +190,7 @@ def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:
     return math.log2(pair.q) < 0.5 * math.log2(0.5 + power)
 
 
+@lru_cache(maxsize=64)  # every ProtocolParams checks the power of its two codes
 def average_codebook_power(pair: NestedLatticePair) -> float:
     """Mean squared norm per channel use over the full codebook.
 

@@ -18,13 +18,14 @@ by the tuple of interval shapes, one of at most q^N posterior classes.
 The class laws are integer counts built coordinate by coordinate (one
 gather and one matmul each, exact in float64), and the leakage and the
 guessing probability are read off them through exact integer vectors; the
-only float step is one fixed-order sum per matrix.  The size guard still
-bounds q^(2N), the number of pairs the law covers.  A call takes one
-extractor or a stack of them, and each value is bit-identical to a call
-on its matrix alone.  Those vectors depend only on the extractor's orbit
-under a change of basis, a permutation of the columns and a sign flip of
-a column, so a stack runs the class pass once per orbit key
-(``_orbit_keys``) and hands each matrix its key's value.
+only float step is one fixed-order sum per matrix.  The size guards still
+bound q^(2N), the number of pairs the law covers, and q^(r+N), the cells
+of one extractor's class laws.  A call takes one extractor or a stack of
+them, and each value is bit-identical to a call on its matrix alone.
+Those vectors depend only on the extractor's orbit under a change of
+basis, a permutation of the columns and a sign flip of a column, so a
+stack runs the class pass once per orbit key (``_orbit_keys``) and hands
+each matrix its key's value.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ _MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
 _MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated per row count of the full-rank census
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
 _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
+_MAX_MATRIX_CELLS = 2**22  # q^(r+N) class-law cells of one extractor, the smallest block
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
 
 
@@ -183,6 +185,8 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     """
     q, n, r = pair.q, pair.N, g.shape[-2]
     n_seed = q**r
+    # one matrix's laws: q^r seeds x at most q^N classes, guarded before the coordinate tables
+    _guard(n_seed * q**n, _MAX_MATRIX_CELLS, "one extractor's class laws")
     members, columns = _coordinate_classes(q, pair.alpha)  # alike at every coordinate
     weights = sizes = np.ones(1, dtype=np.int64)
     for _ in range(n):  # the newest coordinate's shape is the major index

@@ -85,6 +85,7 @@ MAX_MESSAGE_POINTS = 10**5  # msg_q^msg_N cap: build_encoder sorts every codeboo
 _MAX_NORMAL = math.sqrt(106 * math.log(2))  # box_muller's largest |normal|: u1 >= 2^-53
 _DECODE_REACH = 2.0**62  # |y / alpha| the int64 decoder rounds, half its range for margin
 BATCH_TRIALS = 512  # trials per engine call in monte_carlo
+MAX_TRIAL_WORDS = 2**14  # W cap: one batch's BATCH_TRIALS x W uint64 draws fill 64 MiB
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,13 @@ class ProtocolParams:
             raise ValueError(
                 f"msg_r0 = {self.msg_r0} outside [1, {msg_cap}] for the message code"
             )
+        words = draw_layout(self)[1]
+        if words > MAX_TRIAL_WORDS:
+            raise ValueError(f"a trial draws {words} words, more than {MAX_TRIAL_WORDS}, the most "
+                             f"the simulator draws per trial in batches of {BATCH_TRIALS}")
         # the full codebook's power bounds every stage's, the message stage's K-average too
         for name, ratio in (("q", self.q), ("msg_q", self.msg_q)):
-            power = _code_power(ratio, self.alpha)
+            power = average_codebook_power(NestedLatticePair(N=1, q=ratio, alpha=self.alpha))
             if not power <= self.power_limit:
                 raise ValueError(f"the ({name}={ratio}, alpha={self.alpha}) code's per-use "
                                  f"power {power} exceeds power_limit = {self.power_limit}")
@@ -170,15 +175,6 @@ class ProtocolParams:
                     raise ValueError(f"{name} = {var}: the largest noise draw, {_MAX_NORMAL:.2f} "
                                      f"deviations, leaves the int64 decoder's range at "
                                      f"alpha = {self.alpha}")
-
-
-def _code_power(q: int, alpha: float) -> float:
-    """Per-use power of the full (q, alpha) codebook, q prime, in closed form.
-
-    The mean square of the centered residues mod q, as ``average_codebook_power``
-    sums them: alpha^2 (q^2 - 1)/12 for odd q and alpha^2 / 2 for q = 2.
-    """
-    return alpha * alpha * (q * q - 1 if q % 2 else 6) / 12
 
 
 @dataclass(frozen=True)

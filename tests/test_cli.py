@@ -878,6 +878,12 @@ def _address_space_cap():
     ({"noiseless": False, "noise_var_relay": 1e308},
      "noise_var_relay = 1e+308: the largest noise draw, 8.57 deviations, leaves the int64 "
      "decoder's range at alpha = 1.0"),
+    # at d = 2, simulate exited 1 with an "array is too big" traceback and the point scan
+    # printed n = 18446744073709551694; d = 1 gives every command the same layout
+    ({"N": 2**63, "d": 1}, f"a trial draws {10 * 2**63 + 40} words, more than 16384, the most "
+                           "the simulator draws per trial in batches of 512"),
+    # at d = 2, simulate exited 1 with a 3.81 GiB MemoryError traceback
+    ({"N": 100000, "d": 1}, "a trial draws 1000040 words, more than 16384"),
 ])
 def test_oversized_message_code_or_power_exits_2_from_every_command(tmp_path, protocol, message):
     # each command in a child process under a 1 GiB address-space cap, so a
@@ -908,6 +914,21 @@ def test_scan_leakage_with_skip(tmp_path):
     assert status[4] == "skipped"  # 11^8 pairs exceed oracle.MAX_PAIR_ENUM = 10^8
     leak = {int(r[2]): r[3] for r in rows if r[0] == "ok"}
     assert float(leak[3]) <= float(leak[2]) <= float(leak[1])
+
+
+def test_scan_leakage_skips_a_row_over_the_matrix_cell_cap(tmp_path):
+    # q^2 pairs at q = 9973 pass MAX_PAIR_ENUM, but one extractor's class laws hold as many
+    # cells: the scan ran over two minutes.  In a child process under a 1 GiB address-space
+    # cap, so a regression fails this test instead of exhausting the machine.
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 9973, "values": [1, 2]}})
+    result = subprocess.run(
+        [sys.executable, "-m", "relaysec.cli", "scan", "--config", path],
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [l.split(",") for l in result.stdout.splitlines() if l and not l.startswith("#")]
+    assert [(r[0], r[2]) for r in rows[1:]] == [("skipped", "1"), ("skipped", "2")]
 
 
 def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):

@@ -374,6 +374,33 @@ def test_row_spaces_match_row_reduce_matrix_by_matrix(q, monkeypatch):
         assert np.array_equal(row_reduce(rrefs, q)[0], rrefs)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_row_reduce_and_row_space_levels_match_scalar_gauss_jordan(q, monkeypatch):
+    # every matrix of each shape with at most 10^4 of them, against _reference_rref
+    monkeypatch.setattr(fields, "_REDUCE_BATCH", 61)  # several blocks per stack and level
+    for cols in range(5):
+        levels = row_space_levels(q, cols)
+        index = np.zeros(1, dtype=np.int64)  # level 0 steps from one virtual matrix
+        for rows in range(6):
+            if q ** (rows * cols) > 10**4:
+                break
+            mats = all_matrices(q, rows, cols)
+            want = [_reference_rref(m, q) for m in mats.tolist()]
+            want_rref = np.array([w[0] for w in want], dtype=np.int64).reshape(mats.shape)
+            want_rank = [w[1] for w in want]
+            rref, rank = row_reduce(mats, q)
+            assert rref.dtype == np.uint8 and rank.dtype == np.int64 and rank.shape == (len(mats),)
+            assert np.array_equal(rref, want_rref) and rank.tolist() == want_rank, (rows, cols)
+            rrefs, step = next(levels)
+            index = step[index].ravel()  # matrix i' * q^cols + v of rows rows -> its RREF's id
+            assert rrefs.dtype == np.uint8 and rrefs.shape[1:] == (rows, cols)
+            assert np.array_equal(rrefs[index], want_rref), (rows, cols)
+            for m, (one_rref, one_rank) in list(zip(mats, want))[:: max(1, len(mats) // 50)]:
+                got_rref, got_rank = row_reduce(m, q)  # a single matrix
+                assert got_rref.dtype == np.uint8 and type(got_rank) is int
+                assert got_rref.tolist() == one_rref and got_rank == one_rank
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_row_space_levels_match_row_spaces_level_by_level(q):
     # the widths of verify's full-rank grid, each level while it stays under the enumeration cap

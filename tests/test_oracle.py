@@ -275,6 +275,23 @@ def test_leakage_guard_applies_with_cached_coordinate_tables(monkeypatch):
     assert exact_seed_leakage(pair, np.array([[1, 1]])) > 0
 
 
+def test_leakage_guards_one_matrix_before_the_coordinate_tables(monkeypatch):
+    # at q = 9973 one matrix's class laws hold q^2 cells, a pair count under MAX_PAIR_ENUM
+    def unbuilt(q, alpha):
+        raise AssertionError(f"the q = {q} coordinate tables were built before the guard")
+
+    monkeypatch.setattr(oracle, "_coordinate_classes", unbuilt)
+    for statistic in (exact_seed_leakage, guessing_probability):
+        with pytest.raises(SizeGuardError, match=f"one extractor's class laws needs {9973**2} "):
+            statistic(NestedLatticePair(N=1, q=9973), np.array([[1]]))
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3 - 1)
+    with pytest.raises(SizeGuardError):  # q^r seeds times q^N classes
+        exact_seed_leakage(NestedLatticePair(N=2, q=11), np.array([[1, 1]]))
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3)
+    assert exact_seed_leakage(NestedLatticePair(N=2, q=11), np.array([[1, 1]])) > 0
+
+
 def test_best_extractor_monotone_small():
     values = [
         best_extractor_exhaustive(NestedLatticePair(N=n, q=5), 1).exact_mi_bits

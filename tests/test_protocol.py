@@ -28,7 +28,7 @@ from relaysec.lattice import (
 from relaysec.protocol import (
     ProtocolParams,
     TwoHopProtocol,
-    _code_power,
+    draw_layout,
     operating_point,
     payload_bits,
     wilson_interval,
@@ -125,6 +125,10 @@ def test_params_reject_bad_channel_settings(channel, message):
     ({"alpha": 2.0, "power_limit": 7.9}, "the (q=5, alpha=2.0) code's per-use power 8.0 exceeds"),
     ({"msg_q": 23, "msg_r0": 1}, "the (msg_q=23, alpha=1.0) code's per-use power 44.0 exceeds"),
     ({"q": 23, "r": 1}, "the (q=23, alpha=1.0) code's per-use power 44.0 exceeds"),
+    # simulate died with an "array is too big" or a 3.81 GiB MemoryError traceback
+    ({"N": 2**63}, f"a trial draws {10 * 2**63 + 60} words, more than 16384, the most the "
+                   "simulator draws per trial in batches of 512"),
+    ({"N": 100000}, "a trial draws 1000060 words, more than 16384"),
 ])
 def test_params_reject_an_oversized_message_code_or_codebook_power(params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -157,12 +161,14 @@ def test_gaussian_params_admit_the_noise_the_decoder_holds():
     assert counts.sum() > 0
 
 
+def test_trial_word_cap_edge():
+    # at the other defaults W grows by about 10 words per unit of N
+    assert draw_layout(ProtocolParams(N=1632))[1] == 16380
+    with pytest.raises(ValueError, match="a trial draws 16388 words, more than 16384"):
+        ProtocolParams(N=1633)
+
+
 def test_codebook_power_premise_matches_the_lattice():
-    # the closed form is the full codebook's per-use power as lattice averages it
-    for q in (2, 3, 5, 7, 11, 19, 1021):
-        for alpha in (0.25, 1.0, 3.6, 4.0):
-            want = average_codebook_power(NestedLatticePair(N=1, q=q, alpha=alpha))
-            assert _code_power(q, alpha) == pytest.approx(want, rel=1e-12)
     # the edges the premise admits: msg_N = 7 at msg_q = 5, and a power equal to the limit
     ProtocolParams(msg_N=7)
     p = TwoHopProtocol(ProtocolParams(alpha=2.0, power_limit=8.0))
