@@ -54,7 +54,8 @@ class AmdParams:
 def _check_elements(field: ExtField, *arrays) -> list[np.ndarray]:
     out = [np.asarray(a, dtype=np.int64) for a in arrays]
     for a in out:
-        if a.size and (a.min() < 0 or a.max() >= field.order):
+        # one pass: a negative element viewed as uint64 exceeds every order
+        if a.size and a.view(np.uint64).max() >= field.order:
             raise ValueError(f"element ints must lie in [0, {field.order})")
     return out
 

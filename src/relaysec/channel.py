@@ -9,8 +9,8 @@ phase scales them by its noise deviation; passing none is noiseless
 mode.  The power limit and noise variances live in
 ``protocol.ProtocolParams``, which checks them.  The relay's behavior is a
 strategy object; every behavior gets the same inputs, one batched call
-per hop: the received blocks, the relay's own layout words and the
-messages — never the destination noise.
+per pass over a trial's exchanges: the received signal, the relay's own
+layout words and the messages — never the destination noise.
 """
 
 from __future__ import annotations
@@ -134,77 +134,102 @@ class CustomRelay:
     fn: object
 
 
-def uniform_ints(words: np.ndarray, q: int) -> np.ndarray:
+def uniform_ints(words: np.ndarray, q) -> np.ndarray:
     """Uniform ints in [0, q) from 64-bit words: floor(w * q / 2^64), exactly.
 
-    Each value is hit by floor(2^64/q) or ceil(2^64/q) words, so its
-    probability is within 2^-64 of 1/q.  The product is split into 32-bit
-    halves so no intermediate exceeds 64 bits (q < 2^32).
+    ``q`` is an int, or an int array that broadcasts to the shape of
+    ``words``, one modulus per word (per column, say).  Each value is hit
+    by floor(2^64/q) or ceil(2^64/q) words, so its probability is within
+    2^-64 of 1/q.  The product is split into 32-bit halves so no
+    intermediate exceeds 64 bits (every q in [1, 2^32)).
     """
-    if not 1 <= q < 2**32:
-        raise ValueError(f"q = {q} must lie in [1, 2^32)")
+    qq = np.asarray(q)
+    if qq.dtype.kind not in "iu" or qq.size and not (qq.min() >= 1 and qq.max() < 2**32):
+        raise ValueError(f"q = {q} must be integers in [1, 2^32)")
     w = np.asarray(words, dtype=np.uint64)
-    qq = np.uint64(q)
+    qq = qq.astype(np.uint64)
     half = np.uint64(32)
-    low = (w & np.uint64(0xFFFFFFFF)) * qq
-    return (((w >> half) * qq + (low >> half)) >> half).astype(np.int64)
+    # in place: two arrays instead of a fresh temporary per step
+    low = w & np.uint64(0xFFFFFFFF)
+    low *= qq
+    low >>= half
+    high = w >> half
+    high *= qq
+    high += low
+    high >>= half
+    return high.view(np.int64)  # every value is below 2^32
 
 
-def _cycle_pattern(pattern: tuple[int, ...], n: int, q: int) -> np.ndarray:
+def _cycle_pattern(pattern: tuple[int, ...], widths: tuple[int, ...], q) -> np.ndarray:
+    """``pattern`` cycled over each exchange's uses from its start, mod each use's q."""
     pattern = tuple(pattern)
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    return np.array([pattern[i % len(pattern)] % q for i in range(n)], dtype=np.int64)
+    cycled = [pattern[i % len(pattern)] for w in widths for i in range(w)]
+    # reduced as Python ints: a config's pattern entries have no upper bound
+    return (np.array(cycled, dtype=object) % q).astype(np.int64)
 
 
 def relay_step(
     behavior,
     pair: NestedLatticePair,
+    widths: tuple[int, ...],
     yr: np.ndarray,
     words: np.ndarray,
     s,
     power_limit: float,
 ) -> np.ndarray:
-    """Relay transmissions for received blocks ``yr`` of shape (..., k, N).
+    """Relay transmissions for the received signal ``yr`` of shape (..., n).
 
-    The last two axes are a hop's k consecutive exchanges and their N
-    channel uses; leading axes are trials, one row per trial.  ``words``
-    are the relay's raw uint64 layout words of ``yr``'s shape, which
-    ``RandomGarble`` maps to uniform coords in [0, q) and ``CustomRelay``
-    reads raw; ``s`` are the messages, which only ``CustomRelay`` reads.
-    A custom relay's callable is called once per exchange, in order; rows
-    it sends above ``power_limit`` are scaled down to it, with one warning.
+    The last axis is a pass over consecutive exchanges of ``widths`` channel
+    uses each (n = sum(widths)), ``pair`` the code of those uses, with one
+    nesting ratio per use when they differ; leading axes are trials, one
+    row per trial.  ``words`` are the relay's raw uint64 layout words of
+    ``yr``'s shape, which ``RandomGarble`` maps to uniform coords in
+    [0, q) of each use's code and ``CustomRelay`` reads raw; ``s`` are the
+    messages, which only ``CustomRelay`` reads.  A pattern restarts at
+    each exchange.  A custom relay's callable is called once per exchange,
+    in order, with that exchange's (..., width) slices; rows it sends above
+    ``power_limit`` are scaled down to it, with one warning per pass.
     """
     if np.shape(words) != np.shape(yr):
         raise ValueError(f"relay words must have the received shape {np.shape(yr)}")
+    if sum(widths) != np.shape(yr)[-1]:
+        raise ValueError(f"exchange widths {widths} do not cover the {np.shape(yr)[-1]} "
+                         "received uses")
     if isinstance(behavior, HonestRelay):
         return codebook_point(pair, decode_fine_mod_coarse(pair, yr))
     if isinstance(behavior, SubstituteLattice):
-        t3 = _cycle_pattern(behavior.pattern, pair.N, pair.q)
+        t3 = _cycle_pattern(behavior.pattern, widths, pair.modulus)
         return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)))
     if isinstance(behavior, AdditiveLatticeOffset):
-        delta = _cycle_pattern(behavior.pattern, pair.N, pair.q)
+        delta = _cycle_pattern(behavior.pattern, widths, pair.modulus)
         return codebook_point(pair, lattice_add(pair, decode_fine_mod_coarse(pair, yr), delta))
     if isinstance(behavior, RandomGarble):
-        return codebook_point(pair, uniform_ints(words, pair.q))
+        return codebook_point(pair, uniform_ints(words, pair.modulus))
     if isinstance(behavior, CustomRelay):
         xr = np.empty(np.shape(yr))
-        for j in range(xr.shape[-2]):  # in exchange order, so the relay stays causal
-            out = np.asarray(behavior.fn(words[..., j, :], yr[..., j, :], s), dtype=float)
-            if out.shape != xr[..., j, :].shape:
-                raise ValueError(f"custom relay output in exchange {j} of the hop must "
-                                 f"have shape {xr[..., j, :].shape}, got {out.shape}")
+        power = np.empty(xr.shape[:-1] + (len(widths),))
+        a = 0
+        for j, w in enumerate(widths):  # in exchange order, so the relay stays causal
+            out = np.asarray(behavior.fn(words[..., a : a + w], yr[..., a : a + w], s),
+                             dtype=float)
+            if out.shape != xr[..., a : a + w].shape:
+                raise ValueError(f"custom relay output in exchange {j} must have shape "
+                                 f"{xr[..., a : a + w].shape}, got {out.shape}")
             if not np.all(np.isfinite(out)):
-                raise ValueError(f"custom relay output in exchange {j} of the hop is not finite")
-            xr[..., j, :] = out
-        power = np.mean(xr**2, axis=-1)
+                raise ValueError(f"custom relay output in exchange {j} is not finite")
+            xr[..., a : a + w] = out
+            power[..., j] = np.mean(out**2, axis=-1)
+            a += w
         clipped = power > power_limit
         if clipped.any():
             log.warning("custom relay output clipped in %d of %d (trial, exchange) rows: "
                         "worst per-use power %.3f -> %.3f",
                         clipped.sum(), clipped.size, power.max(), power_limit)
             # rows at or below the limit are scaled by exactly 1
-            xr *= np.sqrt(power_limit / np.maximum(power, power_limit))[..., None]
+            scale = np.sqrt(power_limit / np.maximum(power, power_limit))
+            xr *= np.repeat(scale, widths, axis=-1)
         return xr
     raise TypeError(f"unknown relay behavior: {behavior!r}")
 

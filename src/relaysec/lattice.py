@@ -12,7 +12,12 @@ The per-vector functions (``quantize_coarse``, ``mod_coarse``,
 ``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``,
 ``lattice_sub``, ``coords_to_index``) also take arrays with leading batch
 axes, shape ``(..., N)``, and validate shape and range once per call over
-the whole array.
+the whole array.  The coordinate-wise ones (all of them but
+``coords_to_index``) also serve a pair whose ``q`` is a tuple of N primes,
+one nesting ratio per coordinate: the coarse lattice is then
+``diag(q) * alpha * Z^N``, the product of N one-dimensional codes, and
+each coordinate's residues, coords and sums are taken mod its own ratio.
+The trial engine runs a trial's every channel use through one such pair.
 
 The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sums`` packs those
@@ -27,7 +32,7 @@ in lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,23 +58,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NestedLatticePair:
-    """Fine lattice alpha*Z^N nested in the coarse lattice q*alpha*Z^N."""
+    """Fine lattice alpha*Z^N nested in the coarse lattice q*alpha*Z^N.
+
+    ``q`` is one prime, or a tuple of N primes for a per-coordinate ratio;
+    ``modulus`` is q as the coordinate-wise functions broadcast it: an int
+    when every coordinate shares it, else an int64 array.
+    """
 
     N: int
-    q: int
+    q: int | tuple[int, ...]
     alpha: float = 1.0
+    modulus: int | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("dimension must be >= 1")
-        if not is_prime(self.q):
-            raise ValueError(f"nesting ratio q={self.q} must be prime")
+        ratios = self.q if isinstance(self.q, tuple) else (self.q,)
+        if isinstance(self.q, tuple) and len(ratios) != self.N:
+            raise ValueError(f"need one nesting ratio per coordinate, got {len(ratios)} "
+                             f"for N = {self.N}")
+        for q in set(ratios):
+            if not is_prime(q):
+                raise ValueError(f"nesting ratio q={q} must be prime")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        # one shared ratio stays an int, which numpy divides by much faster than by an array
+        modulus = ratios[0] if len(set(ratios)) == 1 else np.array(ratios, dtype=np.int64)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
-    def coarse_step(self) -> float:
-        return self.q * self.alpha
+    def coarse_step(self) -> float | np.ndarray:
+        return self.modulus * self.alpha
 
 
 def _check_len(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
@@ -107,7 +126,9 @@ def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
     if c.ndim < 1 or c.shape[-1] != pair.N:
         raise ValueError(f"coords must have shape (..., {pair.N}), got {c.shape}")
     # one pass: a negative coord viewed as uint64 exceeds every q
-    if c.size and c.view(np.uint64).max() >= pair.q:
+    wide = c.view(np.uint64)
+    if c.size and ((wide >= pair.modulus).any() if isinstance(pair.modulus, np.ndarray)
+                   else wide.max() >= pair.modulus):
         raise ValueError(f"coords must be canonical in [0, {pair.q})")
     return c
 
@@ -118,17 +139,23 @@ def codebook_point(pair: NestedLatticePair, c) -> np.ndarray:
     return mod_coarse(pair, pair.alpha * c)
 
 
+def _one_ratio(pair: NestedLatticePair) -> int:
+    if isinstance(pair.q, tuple):
+        raise ValueError("a codebook index needs one nesting ratio for every coordinate")
+    return pair.q
+
+
 def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
-    """Mixed-radix decoding: coordinate 0 is the least significant digit.
+    """Base-q decoding: coordinate 0 is the least significant digit.
 
     ``k`` may be an int or an int array; the coords get a trailing axis.
     """
-    return digits(k, pair.q, pair.N)
+    return digits(k, _one_ratio(pair), pair.N)
 
 
 def coords_to_index(pair: NestedLatticePair, c):
     """Inverse of index_to_coords, over any leading batch axes."""
-    k = undigits(_check_coords(pair, c), pair.q)
+    k = undigits(_check_coords(pair, c), _one_ratio(pair))
     return int(k) if k.ndim == 0 else k
 
 
@@ -136,13 +163,13 @@ def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:
     """Coords of (point(a) + point(b)) mod coarse."""
     a = _check_coords(pair, a)
     b = _check_coords(pair, b)
-    return (a + b) % pair.q
+    return (a + b) % pair.modulus
 
 
 def lattice_sub(pair: NestedLatticePair, a, b) -> np.ndarray:
     a = _check_coords(pair, a)
     b = _check_coords(pair, b)
-    return (a - b) % pair.q
+    return (a - b) % pair.modulus
 
 
 def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +207,7 @@ def decode_fine_mod_coarse(pair: NestedLatticePair, y) -> np.ndarray:
     y = _check_len(pair, y)
     z = y / pair.alpha
     rounded = np.ceil(z - 0.5).astype(np.int64)
-    return rounded % pair.q
+    return rounded % pair.modulus
 
 
 def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:

@@ -25,11 +25,18 @@ generator ``numpy.random.Philox(key=S)`` (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
 (S, i) whatever the batch size or worker count.  ``draw_layout`` gives the
 word layout; ``uniform_ints`` and ``box_muller`` turn words into draws.
-Each stage is one hop of k consecutive exchanges, coords ``(B, k, N)``:
-k = 2 for the seed stages, 1 for the tag, ``blocks`` for the message.
-Every relay behavior, custom strategies included, makes one batched
-``relay_step`` call per hop and draws its randomness only from the
-layout's relay words.
+
+Node 1 never adapts to the relay: u reads only the source's own x and k.
+So the engine first forms both end nodes' coords of all n channel uses
+of a trial from its draws, ``(2, B, n)``: 2N seed-stage uses, r tag
+uses, then msg_N uses per message block.  One pass then runs both phases
+over every use at once on ``pass_pair``, whose nesting ratio is q on the
+seed and tag uses and msg_q on the message uses, and the destination
+splits the decoded uses back into the stages.  Every relay behavior,
+custom strategies included, gets one batched ``relay_step`` call per
+pass, with the exchange widths (N, N, r, msg_N, ...) so that a pattern
+restarts at each exchange and a custom relay is still called once per
+exchange, and draws its randomness only from the layout's relay words.
 """
 
 from __future__ import annotations
@@ -200,7 +207,7 @@ class TrialBatch:
 
     def decode_errors(self) -> np.ndarray:
         """Trials whose destination did not recover the sent message."""
-        return ~self.decodable | np.any(self.s_hat != self.s, axis=1)
+        return ~self.decodable | (self.s_hat != self.s).any(axis=1)
 
     def counts(self) -> np.ndarray:
         """(decode errors, false rejects, adversary wins) over the batch."""
@@ -282,7 +289,7 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
     blocks    per message block, N0 - r0 randomizer bits (uniform in
               [0, 2)) then msg_N jam coords (uniform in [0, msg_q))
     relay     n words, one per channel use: the random garble's coords,
-              uniform in [0, q) of that hop's code, or a custom
+              uniform in [0, q) of that use's code, or a custom
               relay's raw words
     noise     2n words through Box-Muller: normals 0..n-1 are the relay's
               noise per channel use, normals n..2n-1 the destination's
@@ -301,20 +308,6 @@ def draw_layout(params: ProtocolParams) -> tuple[dict[str, slice], int]:
         layout[name] = slice(at, at + size)
         at += size
     return layout, -(-at // 4) * 4
-
-
-@dataclass
-class _Chunk:
-    """The layout draws of trials start..stop-1 and the hop in progress."""
-
-    message: np.ndarray  # (B, d) symbol ints
-    seed: np.ndarray  # (B, stage, source/jam, N)
-    randomizer: np.ndarray  # (B, blocks) ints in [0, 2^(N0 - r0)), bit 0 drawn first
-    block_jam: np.ndarray  # (B, blocks, msg_N)
-    relay_words: np.ndarray  # (B, n) raw words
-    noise: np.ndarray | None  # (B, 2n) normals, Gaussian mode only
-    records: list | None  # one PhaseRecord per exchange, when kept
-    use: int = 0  # first channel use of the next hop
 
 
 def _identity_ones(rows: int, cols: int) -> np.ndarray:
@@ -338,6 +331,14 @@ class TwoHopProtocol:
         self.encoder: EncoderMap = build_encoder(_identity_ones(p.msg_r0, n0), self.msg_pair)
         self.payload_bits = payload_bits(p.q, p.r, p.d)
         self.layout, self.trial_words = draw_layout(p)
+        # one pass over a trial's uses: its exchanges, each on its stage's code
+        self.widths = (p.N, p.N, p.r) + (p.msg_N,) * self.blocks
+        ratios = (p.q,) * (2 * p.N + p.r) + (p.msg_q,) * (self.blocks * p.msg_N)
+        self.pass_pair = NestedLatticePair(N=self.uses, q=ratios, alpha=p.alpha)
+        # the modulus of each word of the message, seed and blocks ranges, which lead the layout
+        block_moduli = [2] * (n0 - p.msg_r0) + [p.msg_q] * p.msg_N
+        self._moduli = np.array([self.ext_field.order] * p.d + [p.q] * (4 * p.N)
+                                + block_moduli * self.blocks, dtype=np.int64)
         tables = self.ext_field.tables()
         self._add, self._sub = tables["add"], tables["sub"]
         # message value <-> block values; python ints keep padded values beyond 62 bits exact
@@ -365,85 +366,76 @@ class TwoHopProtocol:
             value = value // order
         return symbols, (value == 0).astype(bool)
 
-    # -- randomness ---------------------------------------------------------
-
-    def _draws(self, seed: int, start: int, stop: int, keep: bool) -> _Chunk:
-        """Layout words of trials start..stop-1 from one Philox call."""
-        p, lay, per_trial = self.params, self.layout, self.trial_words
-        bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
-        words = bitgen.random_raw((stop - start) * per_trial).reshape(-1, per_trial)
-        b = len(words)
-        blocks = words[:, lay["blocks"]].reshape(b, self.blocks, -1)
-        n_rand = self.encoder.N0 - self.encoder.r0
-        noise = None if p.noiseless else box_muller(words[:, lay["noise"]])
-        return _Chunk(
-            message=uniform_ints(words[:, lay["message"]], self.ext_field.order),
-            seed=uniform_ints(words[:, lay["seed"]], p.q).reshape(b, 2, 2, p.N),
-            randomizer=undigits(uniform_ints(blocks[:, :, :n_rand], 2), 2),
-            block_jam=uniform_ints(blocks[:, :, n_rand:], p.msg_q),
-            relay_words=words[:, lay["relay"]],
-            noise=noise,
-            records=[] if keep else None,
-        )
-
-    # -- stage primitives -------------------------------------------------
-
-    def _hop(self, pair: NestedLatticePair, t1: np.ndarray, t2: np.ndarray | None,
-             behavior, chunk: _Chunk) -> np.ndarray:
-        """k consecutive two-phase exchanges, coords ``(B, k, N)``; returns the decoded coords.
-
-        Exchange j takes the next channel uses a + jN .. a + (j+1)N - 1, and
-        the relay words of those uses.
-        """
-        a, b = chunk.use, chunk.use + t1.shape[1] * pair.N
-        chunk.use = b
-        noise_r = noise_d = None
-        if chunk.noise is not None:
-            uses = chunk.noise.shape[1] // 2
-            noise_r = chunk.noise[:, a:b].reshape(t1.shape)
-            noise_d = chunk.noise[:, uses + a : uses + b].reshape(t1.shape)
-        x1 = codebook_point(pair, t1)
-        x2 = np.zeros_like(x1) if t2 is None else codebook_point(pair, t2)
-        yr = phase1(x1, x2, noise_r, self.params.noise_var_relay)
-        words = chunk.relay_words[:, a:b].reshape(t1.shape)
-        xr = relay_step(behavior, pair, yr, words, chunk.message, self.params.power_limit)
-        y2 = phase2(xr, noise_d, self.params.noise_var_dest)
-        if chunk.records is not None:
-            chunk.records += [PhaseRecord(*(v[:, j] for v in (x1, x2, yr, xr, y2)), t2 is not None)
-                              for j in range(t1.shape[1])]
-        return decode_fine_mod_coarse(pair, y2)
-
-    def _seed_stage(self, behavior, chunk: _Chunk):
-        """Stages 0/1 in one hop: jammed exchanges, hashed on both sides.
-
-        Returns (B, 2) source and destination seeds, columns x and k.
-        """
-        t1, t2 = chunk.seed[:, :, 0], chunk.seed[:, :, 1]
-        t_hat = self._hop(self.seed_pair, t1, t2, behavior, chunk)
-        t1_hat = lattice_sub(self.seed_pair, t_hat, t2)
-        return extract_seed(self.extractor, t1), extract_seed(self.extractor, t1_hat)
-
-    def _tag_stage(self, behavior, u: np.ndarray, chunk: _Chunk) -> np.ndarray:
-        """Stage 2: node 2 silent, u rides the r-dimensional code directly."""
-        u_coords = index_to_coords(self.tag_pair, u)[:, None]
-        u_hat_coords = self._hop(self.tag_pair, u_coords, None, behavior, chunk)
-        return coords_to_index(self.tag_pair, u_hat_coords[:, 0])
-
-    def _message_stage(self, behavior, s: np.ndarray, chunk: _Chunk):
-        """Stage 3: block values through the encoder, all blocks in one hop.
-
-        Returns the decoded symbols and the rows whose every block landed
-        in K with a value below q^(rd), which also rules out nonzero padding.
-        """
-        enc = self.encoder
-        words = chunk.randomizer + (self._symbols_to_blocks(s) << (enc.N0 - enc.r0))
-        t_hat = self._hop(self.msg_pair, enc.encode_table[words], chunk.block_jam, behavior, chunk)
-        t1_hat = lattice_sub(self.msg_pair, t_hat, chunk.block_jam)
-        values = enc.decode_table[coords_to_index(self.msg_pair, t1_hat)]
-        s_hat, fits = self._blocks_to_symbols(np.maximum(values, 0))
-        return s_hat, np.all(values >= 0, axis=1) & fits
-
     # -- trials -------------------------------------------------------------
+
+    def _source(self, words: np.ndarray, messages: np.ndarray | None):
+        """(s, x, k, u, t): the messages, the source's seeds and tag, and both nodes' coords.
+
+        ``words`` are the batch's (B, W) layout words and ``messages``, when
+        given, replace the drawn messages.  ``t`` is (2, B, n): node 1's
+        coords of every channel use, then node 2's, in use order.  Node 2 is
+        silent in the tag stage, so its coords there are 0, whose point is +0.0.
+        """
+        p = self.params
+        ints = uniform_ints(words[:, : len(self._moduli)], self._moduli)
+        b, n_rand, seed_end = len(ints), self.encoder.N0 - self.encoder.r0, p.d + 4 * p.N
+        # a copy: a view would keep every drawn int alive for the whole batch
+        s = ints[:, : p.d].copy() if messages is None else messages.astype(np.int64)
+        seeds = ints[:, p.d : seed_end].reshape(b, 2, 2, p.N)  # (B, stage, source/jam, N)
+        blocks = ints[:, seed_end:].reshape(b, self.blocks, -1)  # randomizer bits, then jam
+        x, k = extract_seed(self.extractor, seeds[:, :, 0]).T
+        u = self._add[amd_tag(self.amd, s, x), k]
+        tag, msg = 2 * p.N, 2 * p.N + p.r  # first use of the tag and of the message blocks
+        t = np.zeros((2, b, self.uses), dtype=np.int64)
+        t[:, :, :tag] = seeds.transpose(2, 0, 1, 3).reshape(2, b, tag)
+        t[0, :, tag:msg] = index_to_coords(self.tag_pair, u)
+        values = undigits(blocks[:, :, :n_rand], 2) + (self._symbols_to_blocks(s) << n_rand)
+        t[0, :, msg:] = self.encoder.encode_table[values].reshape(b, -1)
+        t[1, :, msg:] = blocks[:, :, n_rand:].reshape(b, -1)
+        return s, x, k, u, t
+
+    def _pass(self, behavior, t: np.ndarray, words: np.ndarray, s: np.ndarray, keep: bool):
+        """(y2, records): both phases over every channel use at once, on ``pass_pair``.
+
+        ``y2`` is the destination's (B, n) observation; ``records`` holds one
+        PhaseRecord of (B, width) views per exchange when ``keep``, else is
+        empty.  The end nodes' points are not held through the pass but
+        formed again for the records, which keeps a large batch's heap peak
+        (and its page faults) down.
+        """
+        p, pair, n = self.params, self.pass_pair, self.uses
+        noise_r = noise_d = None
+        if not p.noiseless:
+            noise = box_muller(words[:, self.layout["noise"]])
+            noise_r, noise_d = noise[:, :n], noise[:, n:]
+        yr = phase1(*codebook_point(pair, t), noise_r, p.noise_var_relay)
+        xr = relay_step(behavior, pair, self.widths, yr, words[:, self.layout["relay"]], s,
+                        p.power_limit)
+        y2 = phase2(xr, noise_d, p.noise_var_dest)
+        if not keep:
+            return y2, ()
+        x1, x2 = codebook_point(pair, t)
+        ends = np.cumsum(self.widths)  # exchange 2 is the tag stage, where node 2 is silent
+        return y2, tuple(PhaseRecord(*(v[:, end - w : end] for v in (x1, x2, yr, xr, y2)), j != 2)
+                         for j, (w, end) in enumerate(zip(self.widths, ends)))
+
+    def _destination(self, y2: np.ndarray, jam: np.ndarray):
+        """(x_hat, k_hat, u_hat, s_hat, decodable): the observation split back into stages.
+
+        ``jam`` are node 2's (B, n) coords, which the destination knows and
+        subtracts.  ``decodable`` marks the rows whose every message block
+        landed in K with a value below q^(rd), which also rules out nonzero
+        padding.
+        """
+        p, b, pair = self.params, len(y2), self.pass_pair
+        t1_hat = lattice_sub(pair, decode_fine_mod_coarse(pair, y2), jam)
+        tag, msg = 2 * p.N, 2 * p.N + p.r
+        x_hat, k_hat = extract_seed(self.extractor, t1_hat[:, :tag].reshape(b, 2, p.N)).T
+        u_hat = coords_to_index(self.tag_pair, t1_hat[:, tag:msg])
+        block_coords = t1_hat[:, msg:].reshape(b, self.blocks, p.msg_N)
+        values = self.encoder.decode_table[coords_to_index(self.msg_pair, block_coords)]
+        s_hat, fits = self._blocks_to_symbols(np.maximum(values, 0))
+        return x_hat, k_hat, u_hat, s_hat, (values >= 0).all(axis=1) & fits
 
     def run_batch(
         self,
@@ -477,24 +469,18 @@ class TwoHopProtocol:
             if messages.dtype.kind not in "iu" or messages.shape != shape:
                 raise ValueError(f"messages must be an integer array of shape {shape}, "
                                  f"got {messages.dtype} of shape {messages.shape}")
-        chunk = self._draws(seed, start, stop, keep_records)
-        if messages is not None:
-            chunk.message = messages.astype(np.int64)
-        s = chunk.message
-
-        source, dest = self._seed_stage(behavior, chunk)
-        (x, k), (x_hat, k_hat) = source.T, dest.T
-        h = amd_tag(self.amd, s, x)
-        u = self._add[h, k]
-        u_hat = self._tag_stage(behavior, u, chunk)
-        s_hat, decodable = self._message_stage(behavior, s, chunk)
-
+        per_trial = self.trial_words
+        bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
+        words = bitgen.random_raw((stop - start) * per_trial).reshape(-1, per_trial)
+        s, x, k, u, t = self._source(words, messages)
+        y2, records = self._pass(behavior, t, words, s, keep_records)
+        x_hat, k_hat, u_hat, s_hat, decodable = self._destination(y2, t[1])
         h_hat = self._sub[u_hat, k_hat]
         accepted = decodable & amd_verify(self.amd, s_hat, x_hat, h_hat)
         return TrialBatch(
             s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
             x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
-            records=tuple(chunk.records or ()),
+            records=records,
         )
 
     # -- accounting ---------------------------------------------------------

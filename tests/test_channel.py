@@ -99,7 +99,7 @@ def _forward(pair, behavior, t1, t2, words=None):
     yr = codebook_point(pair, t1) + codebook_point(pair, t2)
     if words is None:
         words = np.zeros(yr.shape, dtype=np.uint64)
-    xr = relay_step(behavior, pair, yr, words, None, 10.0)
+    xr = relay_step(behavior, pair, (pair.N,), yr, words, None, 10.0)
     return decode_fine_mod_coarse(pair, xr)
 
 
@@ -128,6 +128,26 @@ def test_additive_offset_shifts_decoded_coords():
         assert np.array_equal(got, want)
 
 
+def test_patterns_restart_at_each_exchange():
+    """Over a pass of exchanges 3, 2 and 3 uses wide, a pattern starts again
+    at each exchange, taken mod each use's nesting ratio."""
+    pair = NestedLatticePair(N=8, q=(5, 5, 5, 3, 3, 7, 7, 7), alpha=0.9)
+    widths = (3, 2, 3)
+    zeros = np.zeros((4, 8), dtype=np.int64)
+    yr = codebook_point(pair, zeros)
+    words = np.zeros(yr.shape, dtype=np.uint64)
+    # a config's pattern entries are unbounded: 4 + 105 * 2^70 is 4 mod 5, 3 and 7
+    for pattern in [(4, 2), (4 + 105 * 2**70, 2)]:
+        sub = relay_step(SubstituteLattice(pattern), pair, widths, yr, words, None, 10.0)
+        assert decode_fine_mod_coarse(pair, sub).tolist() == [[4, 2, 4, 1, 2, 4, 2, 4]] * 4
+    t = np.array([[1, 2, 3, 0, 1, 6, 5, 4]] * 4)
+    add = relay_step(AdditiveLatticeOffset((6,)), pair, widths, codebook_point(pair, t), words,
+                     None, 10.0)
+    assert decode_fine_mod_coarse(pair, add).tolist() == [[2, 3, 4, 0, 1, 5, 4, 3]] * 4
+    with pytest.raises(ValueError, match="widths"):
+        relay_step(HonestRelay(), pair, (3, 3), yr, words, None, 10.0)
+
+
 def test_garble_emits_codebook_points():
     """The garble forwards the codebook points of its words' uniform coords,
     and its words must have the received shape."""
@@ -141,16 +161,20 @@ def test_garble_emits_codebook_points():
 
 
 def _custom_step(fn, yr, power_limit=4.0):
-    """One custom-relay hop of received blocks yr (B, k, N), words 0..size-1."""
-    pair = NestedLatticePair(N=yr.shape[-1], q=3)
-    words = np.arange(yr.size, dtype=np.uint64).reshape(yr.shape)
-    messages = np.arange(2 * len(yr)).reshape(len(yr), 2)
-    return relay_step(CustomRelay(fn), pair, yr, words, messages, power_limit)
+    """One custom-relay pass over received blocks yr (B, k, N): k exchanges of
+    N uses each, words 0..size-1; returns the transmissions as (B, k, N)."""
+    b, k, n = yr.shape
+    pair = NestedLatticePair(N=k * n, q=3)
+    words = np.arange(yr.size, dtype=np.uint64).reshape(b, k * n)
+    messages = np.arange(2 * b).reshape(b, 2)
+    xr = relay_step(CustomRelay(fn), pair, (n,) * k, yr.reshape(b, k * n), words, messages,
+                    power_limit)
+    return xr.reshape(yr.shape)
 
 
 def test_custom_relay_interface_and_clipping(caplog):
     """One call per exchange, in order, each covering every row; only the rows
-    above the power limit are scaled down to it, with one warning per hop."""
+    above the power limit are scaled down to it, with one warning per pass."""
     seen = []
 
     def strategy(words, yr, s):
@@ -185,7 +209,7 @@ def test_custom_relay_rejects_non_finite_output(bad):
             out[1, 0] = bad
         return out
 
-    with pytest.raises(ValueError, match="exchange 1 of the hop is not finite"):
+    with pytest.raises(ValueError, match="exchange 1 is not finite"):
         _custom_step(strategy, np.zeros((2, 3, 2)))
 
 

@@ -462,7 +462,7 @@ def test_simulate_default_config_golden_hash(tmp_path, workers):
 # that line began to carry only the protocol and simulate sections.
 # Box-Muller's log/cos/sin may differ by an ulp across CPUs and numpy builds,
 # so a platform may fail this hash alone; test_engine.py also checks Gaussian
-# trials against a scalar per-hop reference.
+# trials against a scalar per-exchange reference.
 GAUSSIAN_SIMULATE_SHA256 = "0f37660b1844a9152d4f6ae0eeeffdb7fe675e35ea2e49ce48fbe50c31b8083d"
 GAUSSIAN_SIM = {
     "protocol": {"noiseless": False, "alpha": 3.6, "noise_var_relay": 0.1, "noise_var_dest": 0.1},
@@ -498,6 +498,32 @@ def test_simulate_message_edge_golden_hash(tmp_path, protocol, digest):
     path = write_config(tmp_path, {"protocol": protocol})
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `simulate --seed 5` at 2,000 trials on a point where the seed,
+# tag and message codes differ in nesting ratio (7, 7, 5) and exchange width
+# (4, 2, 3), with patterns longer than one coordinate that restart at each
+# exchange; recorded while each stage still took its own hop.
+MIXED_CODES = {"q": 7, "r": 2, "N": 4, "d": 2, "msg_q": 5, "msg_N": 3, "msg_r0": 2}
+MIXED_CODES_BEHAVIORS = [{"kind": "honest"}, {"kind": "substitute", "pattern": [1, 2, 3]},
+                         {"kind": "additive", "pattern": [2, 4]}, {"kind": "garble"}]
+MIXED_CODES_SIMULATE_SHA256 = [
+    ({}, "7ab5fa5dde27d1136af625c50f81531d05300958d86b6fb725089fe2cd75c600"),
+    ({"noiseless": False, "alpha": 2.5, "noise_var_relay": 0.1, "noise_var_dest": 0.1},
+     "11a5ef793fc55621e8c3fa5608f9355f9dca1e97a59fb1a57891300482fccd19"),
+]
+
+
+@pytest.mark.parametrize("mode,digest", MIXED_CODES_SIMULATE_SHA256,
+                         ids=["noiseless", "gaussian"])
+def test_simulate_mixed_codes_golden_hash(tmp_path, mode, digest):
+    path = write_config(tmp_path, {
+        "protocol": {**MIXED_CODES, **mode},
+        "simulate": {"trials": 2000, "behaviors": MIXED_CODES_BEHAVIORS},
+    })
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", path, "--seed", "5", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -35,8 +35,12 @@ from relaysec.protocol import (
 NOISELESS = ProtocolParams()
 GAUSSIAN = ProtocolParams(noiseless=False, alpha=3.6,
                           noise_var_relay=0.1, noise_var_dest=0.1)
+# seed, tag and message codes of different nesting ratios (7, 7, 5) and exchange widths (4, 2, 3)
+MIXED = ProtocolParams(q=7, r=2, N=4, d=2, msg_q=5, msg_N=3, msg_r0=2)
 BEHAVIORS = [HonestRelay(), SubstituteLattice((1,)), AdditiveLatticeOffset((1,)),
              RandomGarble()]
+# patterns longer than one coordinate, which restart at each exchange
+PATTERNED = [SubstituteLattice((1, 2, 3)), AdditiveLatticeOffset((2, 4))]
 FIELDS = ("x", "x_hat", "k", "k_hat", "u", "u_hat", "h_hat", "s", "accepted", "decodable")
 
 
@@ -51,12 +55,20 @@ def test_uniform_ints_is_exact_floor():
         rng.integers(0, 2**64, size=2000, dtype=np.uint64),
         np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
     ])
-    for q in (1, 2, 3, 5, 25, 1024, 2**31 - 1, 2**32 - 1):
+    moduli = (1, 2, 3, 5, 25, 1024, 2**31 - 1, 2**32 - 1)
+    for q in moduli:
         got = uniform_ints(words, q)
         want = [(int(w) * q) >> 64 for w in words]
         assert got.tolist() == want
     with pytest.raises(ValueError):
         uniform_ints(words, 2**32)
+    # one modulus per column, broadcast over the rows
+    columns = words[:2000].reshape(250, len(moduli))
+    got = uniform_ints(columns, np.array(moduli))
+    assert got.tolist() == [[(int(w) * q) >> 64 for w, q in zip(row, moduli)] for row in columns]
+    for bad in (0, -1, 2**32):  # each entry is range-checked
+        with pytest.raises(ValueError):
+            uniform_ints(columns, np.array(moduli[:3] + (bad,) + moduli[4:]))
 
 
 def test_box_muller_matches_formula():
@@ -241,7 +253,9 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         x1 = codebook_point(pair, t1)
         x2 = np.zeros(pair.N) if t2 is None else codebook_point(pair, t2)
         yr = x1 + x2 + math.sqrt(p.noise_var_relay) * np.array(z[a:b])
-        pattern = np.array([1] * pair.N)
+        if isinstance(behavior, (SubstituteLattice, AdditiveLatticeOffset)):
+            cycle = behavior.pattern  # from its start in every exchange
+            pattern = np.array([cycle[i % len(cycle)] % pair.q for i in range(pair.N)])
         if isinstance(behavior, HonestRelay):
             t3 = decode_fine_mod_coarse(pair, yr)
         elif isinstance(behavior, SubstituteLattice):
@@ -327,8 +341,9 @@ def _assert_same_audit(proto, records, ref_records):
     (NOISELESS, 200),
     (GAUSSIAN, 200),
     (ProtocolParams(q=11, r=2, N=3, d=10), 200),  # a 70-bit payload: serialization past 62 bits
+    (MIXED, 200),
 ])
-@pytest.mark.parametrize("behavior", BEHAVIORS + ["custom"])
+@pytest.mark.parametrize("behavior", BEHAVIORS + PATTERNED + ["custom"])
 def test_engine_matches_scalar_reference(params, trials, behavior):
     proto = TwoHopProtocol(params)
     seed = 4242
@@ -398,28 +413,42 @@ def test_batch_rows_independent_of_chunking(params):
                     assert np.array_equal(getattr(rec, name), joined), (behavior, step, j, name)
 
 
-def test_one_hop_per_stage(monkeypatch):
-    """Seed stages, tag stage and message blocks: three batched hops a batch."""
-    proto = TwoHopProtocol(NOISELESS)
+def test_one_pass_per_batch(monkeypatch):
+    """One relay_step call a batch over all n uses, split into the exchanges'
+    widths; a custom relay is still called once per exchange, in order, and
+    the records split the pass back into exchanges, node 2 silent at +0.0 in
+    the tag's."""
+    proto = TwoHopProtocol(MIXED)
+    p = proto.params
+    widths = (p.N, p.N, p.r) + (p.msg_N,) * proto.blocks
     calls = []
-    real_hop, real_seed = TwoHopProtocol._hop, TwoHopProtocol._seed_stage
+    real_step = protocol.relay_step
 
-    def hop(self, pair, t1, *args):
-        calls.append(("hop", t1.shape))
-        return real_hop(self, pair, t1, *args)
+    def relay_step(behavior, pair, widths, yr, *args):
+        calls.append((widths, yr.shape))
+        return real_step(behavior, pair, widths, yr, *args)
 
-    def seed_stage(self, *args):
-        calls.append(("seed",))
-        return real_seed(self, *args)
-
-    monkeypatch.setattr(TwoHopProtocol, "_hop", hop)
-    monkeypatch.setattr(TwoHopProtocol, "_seed_stage", seed_stage)
-    for behavior in BEHAVIORS:
+    monkeypatch.setattr(protocol, "relay_step", relay_step)
+    for behavior in BEHAVIORS + PATTERNED:
         calls.clear()
         batch = proto.run_batch(behavior, 9, 0, 50)
-        assert calls == [("seed",), ("hop", (50, 2, 4)), ("hop", (50, 1, 2)),
-                         ("hop", (50, proto.blocks, 2))]
+        assert calls == [(widths, (50, proto.uses))]
         assert batch.records == ()
+    seen = []
+
+    def relay(words, yr, s):
+        seen.append(yr.shape)
+        return yr
+
+    batch = proto.run_batch(CustomRelay(relay), 9, 0, 50, keep_records=True)
+    assert seen == [(50, w) for w in widths]  # 4, 4, 2, 3, ...: the exchange order
+    assert len(batch.records) == 3 + proto.blocks == len(widths)
+    for j, (rec, w) in enumerate(zip(batch.records, widths)):
+        assert rec.node2_active == (j != 2)
+        for name in ("x1", "x2", "yr", "xr", "y2"):
+            assert getattr(rec, name).shape == (50, w)
+    silent = batch.records[2].x2
+    assert np.all(silent == 0.0) and not np.any(np.signbit(silent))
 
 
 def test_every_behavior_sees_the_same_messages_and_jams():

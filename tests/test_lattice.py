@@ -286,6 +286,42 @@ def test_coords_range_check_on_stacks_and_broadcasts():
                 call(c)
 
 
+def test_per_coordinate_ratios_match_one_pair_per_coordinate():
+    """A pair with one ratio per coordinate is the product of its 1-D codes:
+    every coordinate-wise function agrees with each coordinate's own pair,
+    bit for bit, and its range check is per coordinate."""
+    ratios = (7, 5, 5, 2, 3)
+    pair = NestedLatticePair(N=5, q=ratios, alpha=1.3)
+    lines = [NestedLatticePair(N=1, q=q, alpha=1.3) for q in ratios]
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 2**10, size=(40, 5)) % np.array(ratios)
+    b = rng.integers(0, 2**10, size=(40, 5)) % np.array(ratios)
+    y = rng.normal(0.0, 6.0, size=(40, 5))
+    for j, line in enumerate(lines):
+        col = np.s_[:, j : j + 1]
+        for name, got, want in [
+            ("point", codebook_point(pair, a)[col], codebook_point(line, a[col])),
+            ("decode", decode_fine_mod_coarse(pair, y)[col], decode_fine_mod_coarse(line, y[col])),
+            ("mod", mod_coarse(pair, y)[col], mod_coarse(line, y[col])),
+            ("add", lattice_add(pair, a, b)[col], lattice_add(line, a[col], b[col])),
+            ("sub", lattice_sub(pair, a, b)[col], lattice_sub(line, a[col], b[col])),
+        ]:
+            assert np.array_equal(got, want) and got.dtype == want.dtype, (name, j)
+    over = a.copy()
+    over[7, 3] = 2  # canonical at q = 7, not at this coordinate's q = 2
+    with pytest.raises(ValueError, match="canonical"):
+        codebook_point(pair, over)
+    with pytest.raises(ValueError, match="one nesting ratio"):
+        coords_to_index(pair, a)
+    with pytest.raises(ValueError, match="one nesting ratio"):
+        index_to_coords(pair, 3)
+    with pytest.raises(ValueError, match="per coordinate"):
+        NestedLatticePair(N=4, q=ratios)
+    with pytest.raises(ValueError, match="prime"):
+        NestedLatticePair(N=2, q=(5, 4))
+    assert pair == NestedLatticePair(N=5, q=ratios, alpha=1.3) != NestedLatticePair(N=5, q=7)
+
+
 def test_index_coords_round_trip():
     pair = NestedLatticePair(N=3, q=3)
     for k in range(27):
