@@ -358,21 +358,28 @@ def _scan_point(cfg: dict, seed: int):
                "halfRe": repr(half_re), "winBound": repr(bound)}
 
 
+MAX_SCAN_DRAW = 10**7  # candidates x r x N int64 words of one leakage-scan row's draw
+
+
 def _scan_leakage(cfg: dict, seed: int):
     _build_params(cfg)  # reads no protocol key, but rejects the sections verify rejects
-    q, r = cfg["scan"]["q"], cfg["scan"]["r"]
+    q, r, candidates = cfg["scan"]["q"], cfg["scan"]["r"], cfg["scan"]["candidates"]
     if q * q > oracle.MAX_PAIR_ENUM:  # before the trial division, which takes sqrt(q) steps
         raise ConfigError(f"leakage scan: q={q} has q^2 = {q * q} codeword pairs at N = 1, "
                           f"over the exact-leakage cap {oracle.MAX_PAIR_ENUM}: no row can run")
     if not is_prime(q):
         raise ConfigError(f"leakage scan: q={q} is not prime")
+    widest = max(cfg["scan"]["values"])
+    if candidates * r * widest > MAX_SCAN_DRAW:  # before any row draws
+        raise ConfigError(f"leakage scan: {candidates} candidates of {r} x {widest} draw "
+                          f"{candidates * r * widest} words, over the cap {MAX_SCAN_DRAW}")
     rng = np.random.default_rng(seed)
     for n in cfg["scan"]["values"]:
         if r > n:
             raise ConfigError(f"leakage scan: r={r} exceeds N={n}, no full-rank extractor")
         pair = NestedLatticePair(N=n, q=q)
         try:
-            record = oracle.best_sampled_extractor(pair, r, cfg["scan"]["candidates"], rng)
+            record = oracle.best_sampled_extractor(pair, r, candidates, rng)
             leakage = repr(record.exact_mi_bits)
         except oracle.SizeGuardError:
             leakage = ""

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .fields import (
     all_matrices,
     digits,
     full_rank_fraction,
-    matrix_row_rank,
     row_reduce,
     row_space_levels,
     row_spaces,
@@ -85,6 +84,7 @@ _MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
 _MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated per row count of the full-rank census
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
 _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
+_ORBIT_BLOCK_CELLS = 2**16  # (scale, matrix, row, column) cells per block of the orbit keys
 _MAX_MATRIX_CELLS = 2**22  # q^(r+N) class-law cells of one extractor, the smallest block
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
 
@@ -93,8 +93,14 @@ class SizeGuardError(ValueError):
     """An enumeration would exceed its cap."""
 
 
-def _guard(size: int, cap: int, what: str):
-    if size > cap:
+def _guard(base: int, exp: int, cap: int, what: str):
+    """Raise SizeGuardError if base^exp > cap, comparing by exponent.
+
+    For base >= 2, base^e > cap at e = cap.bit_length(), so no power beyond
+    that is built, and the message states the size as a power.
+    """
+    if base ** min(exp, cap.bit_length()) > cap:
+        size = f"{base}^{exp}" if exp != 1 else f"{base}"
         raise SizeGuardError(f"{what} needs {size} states, cap is {cap}")
 
 
@@ -180,20 +186,18 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     entry is an integer no larger than q^N, so float64 holds it exactly.
     ``fold`` gets each block of the stack as a (b, q^r, classes) array of
     laws, of at most ``_LEAKAGE_BLOCK_CELLS`` cells (one matrix at least,
-    the gather counted), and returns one value per matrix.  ``_stacked``
-    runs the pair guard before any work.
+    the gather counted), and returns one value per matrix.  The caller
+    runs ``_guard_stack`` before any work.
     """
     q, n, r = pair.q, pair.N, g.shape[-2]
     n_seed = q**r
-    # one matrix's laws: q^r seeds x at most q^N classes, guarded before the coordinate tables
-    _guard(n_seed * q**n, _MAX_MATRIX_CELLS, "one extractor's class laws")
     members, columns = _coordinate_classes(q, pair.alpha)  # alike at every coordinate
     weights = sizes = np.ones(1, dtype=np.int64)
     for _ in range(n):  # the newest coordinate's shape is the major index
         weights = np.multiply.outer(columns, weights).ravel()
         sizes = np.multiply.outer(members.sum(axis=1).astype(np.int64), sizes).ravel()
     # folds sum weights over (class, seed) cells and weights * sizes = pairs, both exactly
-    _guard(max(int(weights.sum()) * n_seed, q ** (2 * n)), 2**53, "exact float64 counting")
+    _guard(max(int(weights.sum()) * n_seed, q ** (2 * n)), 1, 2**53, "exact float64 counting")
     per_matrix = n_seed * max(len(weights), q * len(weights) // len(columns))
     block = max(1, _LEAKAGE_BLOCK_CELLS // per_matrix)
     seed_digits = digits(np.arange(n_seed), q, r)[:, None, :]
@@ -247,27 +251,75 @@ def _orbit_keys(rref: np.ndarray, q: int) -> np.ndarray:
     orbit.  Equal orbits give equal keys when r = 1; when r > 1 one orbit
     may still get several.  lam and -lam give the same columns, so lam runs
     to q // 2; nothing is packed into an int, so no width overflows.
+
+    The scales go in blocks of (lam, k, r, N) arrays of at most
+    ``_ORBIT_BLOCK_CELLS`` cells (one scale at least): one lexsort sorts the
+    columns of every scale in the block, and a second takes the minimum
+    over the block's scales and the previous blocks' minimum.
     """
     k, r, n = rref.shape
-    rows = np.arange(k)
-    best = np.full((k, r * n), q)  # above every key
-    for lam in range(1, q // 2 + 1):
-        m = rref.astype(np.int64) * lam % q
-        lead = np.take_along_axis(m, (m != 0).argmax(axis=1)[:, None, :], axis=1)
+    rref = rref.astype(np.int64)
+    scales = np.arange(1, q // 2 + 1)
+    per_block = max(1, _ORBIT_BLOCK_CELLS // max(1, k * r * n))
+    best = np.empty((0, k, r * n), dtype=np.int64)
+    for s0 in range(0, len(scales), per_block):
+        m = rref * scales[s0:s0 + per_block, None, None, None] % q  # (lam, k, r, N)
+        lead = np.take_along_axis(m, (m != 0).argmax(axis=2)[:, :, None, :], axis=2)
         m = np.where(2 * lead > q, (q - m) % q, m)  # c > -c iff its first nonzero entry > q / 2
-        order = np.lexsort(m[:, ::-1].transpose(1, 0, 2), axis=-1)  # row 0 the primary key
-        key = np.take_along_axis(m, order[:, None, :], axis=2).reshape(k, r * n)
-        at = (key != best).argmax(axis=1)  # the first entry that differs, 0 if none
-        best = np.where((key[rows, at] < best[rows, at])[:, None], key, best)
-    return best
+        order = np.lexsort(m[:, :, ::-1].transpose(2, 0, 1, 3), axis=-1)  # row 0 the primary key
+        keys = np.take_along_axis(m, order[:, :, None, :], axis=3).reshape(len(m), k, r * n)
+        keys = np.concatenate([best, keys])
+        least = np.lexsort(keys[..., ::-1].transpose(2, 0, 1), axis=0)[0]  # entry 0 primary
+        best = keys[least, np.arange(k)][None]
+    return best[0]
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, key_id) of ``np.unique(keys, axis=0, return_index=True, return_inverse=True)``.
+
+    One stable lexsort of the rows (column 0 the primary key) and a compare
+    of each sorted row with the one before it: ``first[i]`` is the first
+    row of the i-th distinct key in sorted order, and ``key_id[j]`` is the
+    sorted position of row j's key.
+    """
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(keys), dtype=bool)
+    np.any(keys[order[1:]] != keys[order[:-1]], axis=1, out=new[1:])
+    key_id = np.empty(len(keys), dtype=np.intp)
+    key_id[order] = np.cumsum(new) - 1
+    return order[new], key_id
+
+
+def _guard_stack(pair: NestedLatticePair, r: int):
+    """The guards of exact leakage over r x N extractors, r > 0, run before any work.
+
+    ``MAX_PAIR_ENUM`` bounds the q^(2N) codeword pairs the law covers, and
+    ``_MAX_MATRIX_CELLS`` the q^(r+N) cells of one extractor's class laws
+    (q^r seeds by at most q^N classes).
+    """
+    _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "codeword-pair enumeration")
+    _guard(pair.q, r + pair.N, _MAX_MATRIX_CELLS, "one extractor's class laws")
+
+
+def _by_orbit_key(q: int, stack: np.ndarray, rref: np.ndarray, rank: np.ndarray,
+                  statistic) -> np.ndarray:
+    """statistic(stack, ranks) of a guarded (k, r, N) stack, r > 0, given its (rref, rank).
+
+    ``statistic`` sees the first matrix of each distinct orbit key, in
+    order of first occurrence; every matrix gets its key's value.
+    """
+    first, key_id = _group_rows(_orbit_keys(rref, q))
+    order = np.argsort(first)  # key ids in order of first occurrence
+    values = np.empty(len(first))
+    values[order] = statistic(stack[first[order]], rank[first[order]])
+    return values[key_id]
 
 
 def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.ndarray:
     """statistic(stack, ranks) of one (r, N) extractor or a stack (..., r, N); ``empty`` if r = 0.
 
-    The pair guard runs first.  One ``row_reduce`` gives the ranks and the
-    orbit keys, and ``statistic`` sees the first matrix of each distinct
-    key, in order of first occurrence; every matrix gets its key's value.
+    The guards run first; one ``row_reduce`` then gives the ranks and the
+    orbit keys (``_by_orbit_key``).
     """
     q = pair.q
     g = np.array(g, dtype=np.int64) % q
@@ -275,16 +327,16 @@ def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.
     if g.shape[-2] > 0:
         if g.shape[-1] != pair.N:
             raise ValueError(f"extractor must have {pair.N} columns")
-        _guard(q ** (2 * pair.N), MAX_PAIR_ENUM, "codeword-pair enumeration")
+        _guard_stack(pair, g.shape[-2])
         flat = g.reshape(-1, *g.shape[-2:])
-        rref, rank = row_reduce(flat, q)
-        _, first, key_id = np.unique(_orbit_keys(rref, q), axis=0,
-                                     return_index=True, return_inverse=True)
-        order = np.argsort(first)  # key ids in order of first occurrence
-        values = np.empty(len(first))
-        values[order] = statistic(flat[first[order]], rank[first[order]])
-        out = values[key_id.reshape(-1)].reshape(out.shape)
+        out = _by_orbit_key(q, flat, *row_reduce(flat, q), statistic).reshape(out.shape)
     return float(out) if g.ndim == 2 else out
+
+
+def _leakage(pair: NestedLatticePair, stack: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """rank(g) log2 q - H(seed | observation) of each matrix of a guarded stack."""
+    rank_bits = rank * math.log2(pair.q)
+    return rank_bits - _class_pass(pair, stack, _entropy_fold) / pair.q ** (2 * pair.N)
 
 
 def exact_seed_leakage(pair: NestedLatticePair, g: np.ndarray) -> float | np.ndarray:
@@ -303,11 +355,7 @@ def exact_seed_leakage(pair: NestedLatticePair, g: np.ndarray) -> float | np.nda
     exactly, which is why a stack is evaluated once per orbit key.
     An empty extractor leaks 0.0.
     """
-    def leakage(stack, rank):
-        rank_bits = rank * math.log2(pair.q)
-        return rank_bits - _class_pass(pair, stack, _entropy_fold) / pair.q ** (2 * pair.N)
-
-    return _stacked(pair, g, 0.0, leakage)
+    return _stacked(pair, g, 0.0, partial(_leakage, pair))
 
 
 def guessing_probability(pair: NestedLatticePair, g: np.ndarray) -> float | np.ndarray:
@@ -324,9 +372,8 @@ def guessing_probability(pair: NestedLatticePair, g: np.ndarray) -> float | np.n
         pair, stack, _guess_fold) / pair.q ** (2 * pair.N))
 
 
-def _least_leaky(pair: NestedLatticePair, stack: np.ndarray) -> LeakageRecord:
-    """The first leakage minimizer of a (k, r, N) stack, from one stacked leakage call."""
-    mis = exact_seed_leakage(pair, stack)
+def _least_leaky(stack: np.ndarray, mis: np.ndarray) -> LeakageRecord:
+    """The first minimizer of the leakages ``mis`` of a (k, r, N) stack."""
     best = int(np.argmin(mis))
     return LeakageRecord(matrix=tuple(map(tuple, stack[best].tolist())),
                          exact_mi_bits=float(mis[best]))
@@ -344,12 +391,12 @@ def best_extractor_exhaustive(pair: NestedLatticePair, r: int) -> LeakageRecord:
     ``exact_seed_leakage`` as one stack; the first minimum wins.
     """
     q, n = pair.q, pair.N
-    _guard(q ** (r * n), MAX_PAIR_ENUM, "extractor-matrix enumeration")
+    _guard(q, r * n, MAX_PAIR_ENUM, "extractor-matrix enumeration")
     rrefs, _ = row_spaces(q, r, n)
     reps = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]  # rank: nonzero rows
     if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
-    return _least_leaky(pair, reps)
+    return _least_leaky(reps, exact_seed_leakage(pair, reps))
 
 
 def best_sampled_extractor(
@@ -358,19 +405,28 @@ def best_sampled_extractor(
     """The least leaky of ``candidates`` uniform r x N draws that have full row rank.
 
     The candidates are one ``rng.integers(0, q, size=(candidates, r, N))``
-    draw, which reads the same stream as one draw per candidate; the
-    full-rank ones go to ``exact_seed_leakage`` as one stack in draw order,
-    and the first minimum wins.  An r = 0 draw reads no stream and leaks
-    0.0.  Raises RuntimeError when no candidate has full row rank.
+    draw, which reads the same stream as one draw per candidate.  The
+    guards of ``exact_seed_leakage`` run next, then one ``row_reduce`` of
+    the draw: its ranks pick the full-rank candidates, and its RREFs give
+    their orbit keys.  The full-rank stack is evaluated in draw order, as
+    ``exact_seed_leakage`` would evaluate it, and the first minimum wins.
+    An r = 0 extractor reads no stream and leaks 0.0.  Raises RuntimeError
+    when no candidate has full row rank.
     """
     q, n = pair.q, pair.N
+    if r == 0 and candidates > 0:  # a constant seed
+        return LeakageRecord(matrix=(), exact_mi_bits=0.0)
     draws = rng.integers(0, q, size=(candidates, r, n), dtype=np.int64)
-    full = draws[matrix_row_rank(draws, q) == r]
-    if len(full) == 0:
+    _guard_stack(pair, r)
+    rref, rank = row_reduce(draws, q)
+    full = rank == r
+    if not full.any():
         raise RuntimeError(
             f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={n})"
         )
-    return _least_leaky(pair, full)
+    stack = draws[full]
+    return _least_leaky(stack, _by_orbit_key(q, stack, rref[full], rank[full],
+                                             partial(_leakage, pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +465,7 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     f = params.field
     d = params.d
     order = f.order
-    _guard(order ** (d + 2), MAX_ATTACK_ENUM, "attack enumeration")
+    _guard(order, d + 2, MAX_ATTACK_ENUM, "attack enumeration")
     s_int = np.zeros(d, dtype=np.int64) if s is None else np.asarray(s, dtype=np.int64)
     sub = f.tables()["sub"]
     xs = np.arange(order)
@@ -473,8 +529,8 @@ def representation_census(pair: NestedLatticePair):
     (passed, counterexample); the counterexample is the first failing
     (index1, index2) in row-major order, or None.
     """
+    _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "representation census")
     size = pair.q**pair.N
-    _guard(size * size, MAX_PAIR_ENUM, "representation census")
     points = codebook_point(pair, index_to_coords(pair, np.arange(size)))
 
     def block_bad(i0, i1):
@@ -499,8 +555,8 @@ def isomorphism_census(pair: NestedLatticePair):
     (``_first_bad_pair``); the counterexample is the first failing (a, b)
     in row-major order over (index(a), index(b)).
     """
+    _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "isomorphism census")
     size = pair.q**pair.N
-    _guard(size * size, MAX_PAIR_ENUM, "isomorphism census")
     coords = index_to_coords(pair, np.arange(size))
     points = codebook_point(pair, coords)
     if not np.array_equal(decode_fine_mod_coarse(pair, points), coords):
@@ -565,9 +621,9 @@ def universal_hash_census(q: int, N: int, r: int):
     G (x1 - x2) = 0, so the largest count is the largest kernel count
     #{G : G x = 0} over the nonzero x.
     """
+    _guard(q, (r + 1) * N, _MAX_HASH_ENUM, "universal hash census")
     n_mat = q ** (r * N)
     n_vec = q**N
-    _guard(n_mat * n_vec, _MAX_HASH_ENUM, "universal hash census")
     vecs = digits(np.arange(1, n_vec), q, N)  # the nonzero differences x
     images = vecs @ all_matrices(q, r, N).transpose(0, 2, 1)
     images %= q  # in place: this int64 stack of products is the census's largest array
@@ -615,9 +671,9 @@ def leftover_census(q: int, N: int, r: int, probs):
     Returns (average, bound, holds); a nonpositive bound is vacuous and
     reported as holding.
     """
+    _guard(q, (r + 1) * N, _MAX_HASH_ENUM, "leftover-hash census")
     n_mat = q ** (r * N)
     n_vec = q**N
-    _guard(n_mat * n_vec, _MAX_HASH_ENUM, "leftover-hash census")
     probs = np.asarray(probs, dtype=float)
     c = renyi_entropy(probs)  # validates the law
     if probs.shape != (n_vec,):

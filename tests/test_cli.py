@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relaysec import cli
+from relaysec import cli, oracle
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
+from relaysec.lattice import NestedLatticePair
 from relaysec.protocol import ProtocolParams, operating_point
 
 from closed_form import rate_accounting
@@ -955,6 +957,43 @@ def test_scan_leakage_skips_a_row_over_the_matrix_cell_cap(tmp_path):
     assert result.returncode == 0, result.stderr
     rows = [l.split(",") for l in result.stdout.splitlines() if l and not l.startswith("#")]
     assert [(r[0], r[2]) for r in rows[1:]] == [("skipped", "1"), ("skipped", "2")]
+
+
+def test_scan_leakage_skips_a_row_over_the_pair_guard_at_a_huge_N(tmp_path):
+    # N = 10^5: the guard's 11^200000 pairs have more digits than Python prints, which
+    # exited 1 with a traceback after row-reducing the draw.  The row still draws, so the
+    # next row reads the stream it read before.
+    path = write_config(tmp_path, {
+        "scan": {"kind": "leakage", "values": [1, 100000, 2], "q": 11, "r": 1, "candidates": 8}
+    })
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--seed", "3", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+    assert [(r[0], r[2]) for r in rows] == [("ok", "1"), ("skipped", "100000"), ("ok", "2")]
+    rng = np.random.default_rng(3)
+    want = [oracle.best_sampled_extractor(NestedLatticePair(N=1, q=11), 1, 8, rng)]
+    rng.integers(0, 11, size=(8, 1, 100000))
+    want.append(oracle.best_sampled_extractor(NestedLatticePair(N=2, q=11), 1, 8, rng))
+    assert [rows[0][3], rows[2][3]] == [repr(w.exact_mi_bits) for w in want]
+
+
+@pytest.mark.parametrize("scan, words", [
+    # at N = 1, a 7.28 TiB draw: exited 1 with a MemoryError traceback
+    ({"candidates": 10**12}, 2 * 10**12),
+    ({"values": [1, 2**62]}, 64 * 2**62),  # exited 1 with an "array is too big" traceback
+    ({"values": [10**7 + 1], "candidates": 1}, 10**7 + 1),  # one word over the cap
+])
+def test_scan_leakage_oversized_draw_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
+                                                            scan, words):
+    def search(*args):
+        raise AssertionError("a row drew before the cap")
+
+    monkeypatch.setattr(oracle, "best_sampled_extractor", search)
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", **scan}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 2
+    assert f"draw {words} words, over the cap 10000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):

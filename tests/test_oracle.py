@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relaysec import oracle
+from relaysec import fields, oracle
 from relaysec.amd import AmdParams
 from relaysec.amd import amd_tag
 from relaysec.fields import (
@@ -265,6 +265,14 @@ def test_leakage_size_guard(monkeypatch):
         exact_seed_leakage(pair, np.array([[1, 0, 0]]))
 
 
+def test_guards_state_a_huge_size_as_a_power():
+    # 11^200000 has more digits than Python's int-to-str conversion allows, and is never built
+    pair = NestedLatticePair(N=10**5, q=11)
+    for statistic in (exact_seed_leakage, guessing_probability):
+        with pytest.raises(SizeGuardError, match=r"pair enumeration needs 11\^200000 states, cap is"):
+            statistic(pair, np.ones((1, 10**5), dtype=np.int64))
+
+
 def test_leakage_guard_applies_with_cached_coordinate_tables(monkeypatch):
     pair = NestedLatticePair(N=2, q=11)
     exact_seed_leakage(pair, np.array([[1, 1]]))  # fills the per-coordinate tables
@@ -282,7 +290,7 @@ def test_leakage_guards_one_matrix_before_the_coordinate_tables(monkeypatch):
 
     monkeypatch.setattr(oracle, "_coordinate_classes", unbuilt)
     for statistic in (exact_seed_leakage, guessing_probability):
-        with pytest.raises(SizeGuardError, match=f"one extractor's class laws needs {9973**2} "):
+        with pytest.raises(SizeGuardError, match=r"one extractor's class laws needs 9973\^2 states"):
             statistic(NestedLatticePair(N=1, q=9973), np.array([[1]]))
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3 - 1)
@@ -399,6 +407,63 @@ def test_class_pass_sees_one_matrix_per_orbit_key(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], stack[np.sort(first)])
 
 
+def _orbit_key_reference(rref, q):
+    """The orbit key of one RREF, scale by scale and column by column."""
+    r, n = rref.shape
+    best = None
+    for lam in range(1, q // 2 + 1):
+        cols = []
+        for c in (int(lam) * rref.astype(int) % q).T.tolist():
+            neg = [(q - v) % q for v in c]
+            cols.append(min(c, neg))  # lists compare lexicographically, top row first
+        key = [v for row in zip(*sorted(cols)) for v in row]  # row-major, columns sorted
+        best = key if best is None else min(best, key)
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_orbit_keys_match_a_scalar_reference(q):
+    rng = np.random.default_rng(q)
+    for r in (1, 2, 3):
+        for n in range(r, 5):
+            rref, _ = row_reduce(rng.integers(0, q, size=(40, r, n)), q)
+            keys = oracle._orbit_keys(rref, q)
+            assert keys.shape == (40, r * n)
+            assert keys.tolist() == [_orbit_key_reference(m, q) for m in rref], (r, n)
+
+
+def test_orbit_keys_blocks_over_scales(monkeypatch):
+    # blocks of one scale each give the keys of one block for every scale
+    q = 101
+    rref, _ = row_reduce(np.random.default_rng(2).integers(0, q, size=(30, 2, 3)), q)
+    whole = oracle._orbit_keys(rref, q)
+    monkeypatch.setattr(oracle, "_ORBIT_BLOCK_CELLS", 1)
+    assert oracle._orbit_keys(rref, q).tolist() == whole.tolist()
+
+
+def test_orbit_keys_memory_is_bounded_over_scales():
+    # q = 9973, N = 1: 4,986 scales, whose keys for 4,096 candidates at once would take 163 MB
+    q = 9973
+    rref, _ = row_reduce(np.random.default_rng(7).integers(1, q, size=(4096, 1, 1)), q)
+    tracemalloc.start()
+    try:
+        keys = oracle._orbit_keys(rref, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.tolist() == [[1]] * 4096  # every nonzero scalar is one orbit
+    assert peak < 16 * 8 * oracle._ORBIT_BLOCK_CELLS
+
+
+def test_group_rows_matches_np_unique():
+    rng = np.random.default_rng(9)
+    for rows, cols, high in [(0, 3, 5), (1, 1, 2), (50, 1, 4), (200, 3, 3), (300, 6, 2), (64, 2, 11)]:
+        keys = rng.integers(0, high, size=(rows, cols))
+        _, first, key_id = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        got_first, got_id = oracle._group_rows(keys)
+        assert got_first.tolist() == first.tolist() and got_id.tolist() == key_id.reshape(-1).tolist()
+
+
 def test_best_extractor_r2_matches_brute_force():
     # one reduced row-echelon form per row space finds the minimum over
     # every full-rank matrix, bit for bit
@@ -455,23 +520,60 @@ def test_sampled_search_deterministic_and_minimizing():
 
 
 def test_sampled_search_gets_full_rank_stack_and_first_minimum_wins(monkeypatch):
+    # the search hands its full-rank draws, with their (rref, rank), to the per-key evaluation
     seen = []
 
-    def leakage(pair, g):  # a coarse stand-in with many ties
-        seen.append(np.array(g))
-        return np.sum(g, axis=(1, 2)) % 3.0
+    def by_orbit_key(q, stack, rref, rank, statistic):  # a coarse stand-in with many ties
+        seen.append((np.array(stack), np.array(rref), np.array(rank)))
+        return np.sum(stack, axis=(1, 2)) % 3.0
 
-    monkeypatch.setattr(oracle, "exact_seed_leakage", leakage)
+    monkeypatch.setattr(oracle, "_by_orbit_key", by_orbit_key)
     rec = best_sampled_extractor(NestedLatticePair(N=2, q=2), 2, 50, np.random.default_rng(4))
     draws = np.random.default_rng(4).integers(0, 2, size=(50, 2, 2), dtype=np.int64)
     det = draws[:, 0, 0] * draws[:, 1, 1] - draws[:, 0, 1] * draws[:, 1, 0]
     full = draws[det % 2 == 1]  # a 2 x 2 binary matrix has rank 2 iff its determinant is odd
     assert 0 < len(full) < len(draws)
-    assert len(seen) == 1 and np.array_equal(seen[0], full)
+    assert len(seen) == 1 and np.array_equal(seen[0][0], full)
+    rref, rank = row_reduce(full, 2)
+    assert np.array_equal(seen[0][1], rref) and seen[0][2].tolist() == rank.tolist() == [2] * len(full)
     values = (np.sum(full, axis=(1, 2)) % 3).tolist()
     assert values.count(min(values)) > 1  # ties exist, so the order matters
     assert rec.matrix == tuple(map(tuple, full[values.index(min(values))].tolist()))
     assert rec.exact_mi_bits == min(values)
+
+
+def test_sampled_search_row_reduces_its_draws_once(monkeypatch):
+    calls = []
+    reduce = fields.row_reduce
+
+    def counted(m, q):
+        calls.append(np.shape(m))
+        return reduce(m, q)
+
+    monkeypatch.setattr(fields, "row_reduce", counted)  # what matrix_row_rank would call
+    monkeypatch.setattr(oracle, "row_reduce", counted)
+    pair = NestedLatticePair(N=3, q=11)
+    rec = best_sampled_extractor(pair, 1, 64, np.random.default_rng(3))
+    assert calls == [(64, 1, 3)]
+    monkeypatch.undo()
+    draws = np.random.default_rng(3).integers(0, 11, size=(64, 1, 3), dtype=np.int64)
+    full = draws[draws.any(axis=(1, 2))]
+    mis = exact_seed_leakage(pair, full)
+    assert rec.exact_mi_bits == mis.min() and rec.matrix == tuple(map(tuple, full[mis.argmin()].tolist()))
+
+
+def test_sampled_search_guards_before_the_row_reduction(monkeypatch):
+    def unreduced(m, q):
+        raise AssertionError("the draws were row-reduced before the pair guard")
+
+    monkeypatch.setattr(oracle, "row_reduce", unreduced)
+    rng = np.random.default_rng(5)
+    with pytest.raises(SizeGuardError, match=r"codeword-pair enumeration needs 11\^20 states"):
+        best_sampled_extractor(NestedLatticePair(N=10, q=11), 1, 8, rng)
+    # the draw came first, so the stream moved on by 8 x 1 x 10 words
+    want = np.random.default_rng(5)
+    want.integers(0, 11, size=(8, 1, 10))
+    assert rng.integers(0, 100, 8).tolist() == want.integers(0, 100, 8).tolist()
 
 
 def test_sampled_search_r0_is_exactly_zero_and_reads_no_stream():
@@ -833,7 +935,7 @@ def test_census_guards(monkeypatch):
 
 def test_hashing_census_guards_at_the_fixed_cap():
     # 2^16 matrices times 2^8 vectors exceed the 10^7 cap; both guards run before any work
-    want = "needs 16777216 states, cap is 10000000"
+    want = r"needs 2\^24 states, cap is 10000000"
     with pytest.raises(SizeGuardError, match="universal hash census " + want):
         universal_hash_census(2, 8, 2)
     with pytest.raises(SizeGuardError, match="leftover-hash census " + want):
