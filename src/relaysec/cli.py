@@ -13,7 +13,8 @@ All output is a pure function of (config, seed): CSV files start with
 '#'-prefixed comment lines carrying both, rows are written by a single
 writer after a deterministic merge, and no timestamps appear anywhere.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.
+Exit codes: 0 success, 1 check failure, 2 configuration error or an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 from functools import cache, reduce
 from importlib import resources
@@ -43,6 +46,10 @@ __all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS", "SCANS"]
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """An ``--out`` path that cannot be written (still an OSError to callers)."""
 
 
 @cache
@@ -179,11 +186,23 @@ def _build_behavior(entry: dict):
 
 
 def _emit(text: str, out: str | None):
+    """Write ``text`` to stdout, or over the file at ``out`` in place.
+
+    The file is opened without O_TRUNC: on ext4, truncating a file that was
+    just written to zero makes its close start writeback of the old data.
+    A regular file is cut at the written length afterwards, which drops a
+    longer old output's tail; a device or FIFO is never truncated.
+    """
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
+        return
+    try:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise OutputError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _rows_to_csv(rows: list[dict], header: list[str], meta: dict) -> str:
@@ -467,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except oracle.SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -42,6 +42,7 @@ exchange, and draws its randomness only from the layout's relay words.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -516,22 +517,24 @@ class TwoHopProtocol:
         ``draw_layout`` (Philox keyed by the seed, trial i at counter
         i*W/4), so the counts are identical for any worker count and batch
         size.  The batches of ``BATCH_TRIALS`` trials of all behaviors form
-        one task list, run in this process or, at ``workers`` > 1, over one
-        pool of that many processes; a list holding a custom relay, whose
-        callable need not pickle, runs in this process.
+        one task list, run over one pool of ``workers`` processes, capped at
+        the task count and the usable CPUs (a fork pool starts all of its
+        processes at the first submit).  A pool of one runs in this process,
+        as does a list holding a custom relay, whose callable need not pickle.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
         chunks = range(0, trials, BATCH_TRIALS)
         tasks = [(b, a, min(a + BATCH_TRIALS, trials)) for b in behaviors for a in chunks]
         count = partial(self._task_counts, seed)
-        if workers <= 1 or any(isinstance(b, CustomRelay) for b in behaviors):
+        pool_size = min(workers, len(tasks), _usable_cpus())
+        if pool_size <= 1 or any(isinstance(b, CustomRelay) for b in behaviors):
             counts = list(map(count, tasks))
         else:
             # imported here: the pool loads multiprocessing, which one worker never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 counts = list(pool.map(count, tasks))
         return np.array(counts, dtype=np.int64).reshape(len(behaviors), len(chunks), 3).sum(axis=1)
 
@@ -542,6 +545,14 @@ class TwoHopProtocol:
     def __reduce__(self):
         # pickled as its params: a pool worker runs its own cached instance
         return _protocol_cache, (self.params,)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
 
 
 @lru_cache(maxsize=8)

@@ -532,6 +532,9 @@ def test_simulate_mixed_codes_golden_hash(tmp_path, mode, digest):
 def test_simulate_builds_one_pool_per_command(tmp_path, monkeypatch):
     import concurrent.futures
 
+    from relaysec import protocol
+
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # a 1-CPU host runs no pool
     built = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -557,6 +560,98 @@ def test_simulate_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["seed"] == 2
     assert len(payload["rows"]) == 2
+
+
+# ---------------------------------------------------------------------
+# the output path
+# ---------------------------------------------------------------------
+
+
+# a fast config for each command
+QUICK = {
+    "verify": {"verify": {"checks": ["pinsker"]}},
+    "simulate": {"simulate": {"trials": 20, "behaviors": [{"kind": "honest"}]}},
+    "scan": {"scan": {"kind": "point", "points": [{"d": 1}]}},
+}
+
+
+def _stdout_bytes(capsys, argv):
+    capsys.readouterr()
+    main(argv)
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("command", QUICK)
+def test_out_bytes_equal_stdout_bytes(tmp_path, capsys, command):
+    path = write_config(tmp_path, QUICK[command])
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == _stdout_bytes(capsys, [command, "--config", path])
+
+
+def test_short_output_over_a_longer_file_leaves_no_stale_tail(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "--out", str(out)]) == 0  # the default six points
+    longer = out.stat().st_size
+    path = write_config(tmp_path, QUICK["scan"])
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == _stdout_bytes(capsys, ["scan", "--config", path])
+    assert out.stat().st_size < longer
+
+
+def test_out_through_a_symlink_writes_the_target_and_keeps_the_link(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old output, longer than the new one\n" * 100)
+    link.symlink_to(target)
+    path = write_config(tmp_path, QUICK["scan"])
+    assert main(["scan", "--config", path, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _stdout_bytes(capsys, ["scan", "--config", path])
+
+
+def test_out_keeps_the_file_mode_and_inode(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("x")
+    out.chmod(0o600)
+    inode = out.stat().st_ino
+    assert main(["scan", "--config", write_config(tmp_path, QUICK["scan"]),
+                 "--out", str(out)]) == 0
+    assert (out.stat().st_mode & 0o777, out.stat().st_ino) == (0o600, inode)
+
+
+@pytest.mark.parametrize("command", QUICK)
+def test_out_dev_null_exits_0(tmp_path, command):
+    assert main([command, "--config", write_config(tmp_path, QUICK[command]),
+                 "--out", os.devnull]) == 0
+
+
+def test_out_to_a_fifo_reaches_its_reader(tmp_path, capsys):
+    import threading
+
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+    reader.start()
+    path = write_config(tmp_path, QUICK["scan"])
+    assert main(["scan", "--config", path, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert read == [_stdout_bytes(capsys, ["scan", "--config", path])]
+
+
+@pytest.mark.parametrize("command", QUICK)
+@pytest.mark.parametrize("where, reason", [
+    ("missing/dir/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, where, reason):
+    path = write_config(tmp_path, QUICK[command])
+    out = tmp_path / where
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output error: {out}: {reason}\n"
 
 
 # ---------------------------------------------------------------------

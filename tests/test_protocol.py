@@ -1,6 +1,7 @@
 """Four-stage protocol: correctness, detection, rates, determinism."""
 
 import math
+import os
 import re
 import warnings
 
@@ -438,6 +439,51 @@ def test_monte_carlo_deterministic_across_workers():
     r2 = p.monte_carlo([SubstituteLattice((1,))], 240, workers=2, seed=9)
     r3 = p.monte_carlo([SubstituteLattice((1,))], 240, workers=3, seed=9)
     assert np.array_equal(r1, r2) and np.array_equal(r1, r3)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cpus, pool", [
+    (100_000, 64, 4),  # capped at the four tasks
+    (100_000, 3, 3),   # capped at the usable CPUs
+    (2, 64, 2),
+    (100_000, 1, None),  # a pool of one runs in this process
+])
+def test_monte_carlo_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus, pool):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "built", [])
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+    behaviors = [HonestRelay(), SubstituteLattice((1,)), AdditiveLatticeOffset((1,)),
+                 RandomGarble()]
+    p = proto(TINY)
+    counts = p.monte_carlo(behaviors, 30, workers=workers, seed=5)
+    assert InlinePool.built == ([] if pool is None else [pool])
+    assert np.array_equal(counts, p.monte_carlo(behaviors, 30, seed=5))
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert protocol._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert protocol._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_source_seed_uniform_chi_square():
