@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -185,22 +186,50 @@ def _build_behavior(entry: dict):
 # ---------------------------------------------------------------------------
 
 
+def _check_out(out: str | None) -> None:
+    """Raise OutputError if ``out`` cannot be written, creating and changing nothing.
+
+    A path but a FIFO (whose reader an open would wait for, or end) is
+    opened without O_CREAT; a new file needs a writable directory.
+    """
+    if out is None:
+        return
+    try:
+        try:
+            if not stat.S_ISFIFO(os.stat(out).st_mode):
+                os.close(os.open(out, os.O_WRONLY))
+        except FileNotFoundError:
+            parent = os.path.dirname(out) or "."
+            os.stat(parent)  # names a missing directory
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES)) from None
+    except OSError as exc:
+        raise OutputError(f"{out}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None):
     """Write ``text`` to stdout, or over the file at ``out`` in place.
 
     The file is opened without O_TRUNC: on ext4, truncating a file that was
     just written to zero makes its close start writeback of the old data.
-    A regular file is cut at the written length afterwards, which drops a
-    longer old output's tail; a device or FIFO is never truncated.
+    A regular file that was longer is then cut at the written length, which
+    drops the old output's tail; a device or FIFO is never truncated.
     """
     if out is None:
         sys.stdout.write(text)
         return
+    data = text.encode()
     try:
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # a pipe may take part of a write
+                view = view[os.write(fd, view):]
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(f"{out}: {exc.strerror or exc}") from exc
 
@@ -474,6 +503,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag) is not None:
                 _validate(getattr(args, flag), _schema()["properties"][flag], f"--{flag}")
         cfg = load_config(args.config)
+        _check_out(args.out)  # before the run, which may take long
         seed = args.seed if args.seed is not None else cfg.get("seed", 1)
         workers = args.workers if args.workers is not None else cfg.get("workers", 1)
         if args.command == "verify":

@@ -18,6 +18,8 @@ one nesting ratio per coordinate: the coarse lattice is then
 ``diag(q) * alpha * Z^N``, the product of N one-dimensional codes, and
 each coordinate's residues, coords and sums are taken mod its own ratio.
 The trial engine runs a trial's every channel use through one such pair.
+``codebook_point`` gathers from the pair's ``point_table``, one line of
+points per distinct ratio, built on first use.
 
 The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sums`` packs those
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,9 +53,12 @@ __all__ = [
     "reconstruct_sums",
     "decode_fine_mod_coarse",
     "rate_condition_ok",
+    "line_power",
     "average_codebook_power",
     "alpha_for_power",
 ]
+
+MAX_TABLE_POINTS = 2**22  # float64 points of one pair's point_table, 32 MiB
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,32 @@ class NestedLatticePair:
     @property
     def coarse_step(self) -> float | np.ndarray:
         return self.modulus * self.alpha
+
+    @cached_property
+    def point_table(self) -> tuple[np.ndarray, int | np.ndarray]:
+        """(table, offsets): coord c of coordinate j is the point table[offsets[j] + c].
+
+        The read-only table holds ``_line`` of each distinct ratio, so its size
+        is their sum; ``offsets`` is 0 when the ratio is shared.
+        """
+        ratios = self.q if isinstance(self.q, tuple) else (self.q,)
+        distinct = sorted(set(ratios))
+        if sum(distinct) > MAX_TABLE_POINTS:
+            raise ValueError(f"a point table of {sum(distinct)} points exceeds {MAX_TABLE_POINTS}")
+        if len(distinct) == 1:
+            return _line(distinct[0], self.alpha), 0
+        table = np.concatenate([_line(q, self.alpha) for q in distinct])
+        table.setflags(write=False)
+        starts = dict(zip(distinct, np.cumsum([0] + distinct[:-1]).tolist()))
+        return table, np.array([starts[q] for q in ratios])
+
+
+@lru_cache(maxsize=16)  # pairs of one code share its line, the many fresh pairs of verify too
+def _line(q: int, alpha: float) -> np.ndarray:
+    """The (q, alpha) code's points on one coordinate, alpha*c mod coarse for c in [0, q)."""
+    points = mod_coarse(NestedLatticePair(N=1, q=q, alpha=alpha), alpha * np.arange(q)[:, None])
+    points.setflags(write=False)
+    return points[:, 0]
 
 
 def _check_len(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
@@ -134,9 +165,10 @@ def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
 
 
 def codebook_point(pair: NestedLatticePair, c) -> np.ndarray:
-    """Transmitted point for canonical coords c: alpha*c mod coarse."""
+    """Transmitted point for canonical coords c: alpha*c mod coarse, read from ``point_table``."""
     c = _check_coords(pair, c)
-    return mod_coarse(pair, pair.alpha * c)
+    table, offsets = pair.point_table
+    return table[c + offsets if isinstance(offsets, np.ndarray) else c]
 
 
 def _one_ratio(pair: NestedLatticePair) -> int:
@@ -218,15 +250,18 @@ def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:
 
 
 @lru_cache(maxsize=64)  # every ProtocolParams checks the power of its two codes
+def line_power(q: int, alpha: float) -> float:
+    """Mean squared residue of the one-dimensional (q, alpha) codebook's q points."""
+    return sum(v * v for v in _line(q, alpha).tolist()) / q
+
+
 def average_codebook_power(pair: NestedLatticePair) -> float:
     """Mean squared norm per channel use over the full codebook.
 
     Coordinates are independent and alike, so the q^N-point average reduces
-    to one per-coordinate average over q residues.
+    to one per-coordinate average over q residues, ``line_power``.
     """
-    line = NestedLatticePair(N=1, q=pair.q, alpha=pair.alpha)
-    residues = codebook_point(line, np.arange(pair.q)[:, None])[:, 0]
-    per_coordinate = sum(v * v for v in residues.tolist()) / pair.q
+    per_coordinate = line_power(pair.q, pair.alpha)
     total = 0.0
     for _ in range(pair.N):  # an N-term sum, not N * x: PT stays bit-identical
         total += per_coordinate
@@ -237,5 +272,4 @@ def alpha_for_power(q: int, target_power: float) -> float:
     """Scale making the codebook meet an average power target."""
     if target_power < 0:
         raise ValueError("power target must be nonnegative")
-    base = average_codebook_power(NestedLatticePair(N=1, q=q, alpha=1.0))
-    return math.sqrt(target_power / base)
+    return math.sqrt(target_power / line_power(q, 1.0))

@@ -42,7 +42,9 @@ exchange, and draws its randomness only from the layout's relay words.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -75,6 +77,7 @@ from .lattice import (
     decode_fine_mod_coarse,
     index_to_coords,
     lattice_sub,
+    line_power,
 )
 
 __all__ = [
@@ -169,7 +172,7 @@ class ProtocolParams:
                              f"the simulator draws per trial in batches of {BATCH_TRIALS}")
         # the full codebook's power bounds every stage's, the message stage's K-average too
         for name, ratio in (("q", self.q), ("msg_q", self.msg_q)):
-            power = average_codebook_power(NestedLatticePair(N=1, q=ratio, alpha=self.alpha))
+            power = line_power(ratio, self.alpha)
             if not power <= self.power_limit:
                 raise ValueError(f"the ({name}={ratio}, alpha={self.alpha}) code's per-use "
                                  f"power {power} exceeds power_limit = {self.power_limit}")
@@ -212,9 +215,9 @@ class TrialBatch:
 
     def counts(self) -> np.ndarray:
         """(decode errors, false rejects, adversary wins) over the batch."""
-        err = self.decode_errors()
-        return np.array([err.sum(), (~err & ~self.accepted).sum(),
-                         (err & self.accepted).sum()], dtype=np.int64)
+        # trials by error + 2 * accepted: false reject, caught error, correct, adversary win
+        reject, caught, _, win = np.bincount(self.decode_errors() + 2 * self.accepted, minlength=4)
+        return np.array([caught + win, reject, win], dtype=np.int64)
 
 
 def payload_bits(q: int, r: int, d: int) -> int:
@@ -236,6 +239,29 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # per-trial randomness
 # ---------------------------------------------------------------------------
+
+
+_THREAD = threading.local()  # each thread's Philox generator, re-keyed by every call
+
+
+def _philox_words(key: int, counter: int, count: int) -> np.ndarray:
+    """``Philox(key=key, counter=counter).random_raw(count)``, from this thread's generator.
+
+    Setting its whole state costs a fraction of building a Philox, which
+    also seeds an unused SeedSequence from OS entropy.
+    """
+    key, counter = operator.index(key), operator.index(counter)  # numpy ints shift as ints
+    if not (0 <= key < 2**128 and 0 <= counter < 2**256):
+        raise ValueError(f"Philox needs a key in [0, 2^128) and a counter in [0, 2^256), "
+                         f"got {key} and {counter}")
+    if not hasattr(_THREAD, "philox"):
+        _THREAD.philox = np.random.Philox(0)
+    mask = 2**64 - 1
+    _THREAD.philox.state = {
+        "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [counter >> s & mask for s in (0, 64, 128, 192)],
+                                 "key": [key & mask, key >> 64]}}
+    return _THREAD.philox.random_raw(count)
 
 
 def box_muller(words: np.ndarray) -> np.ndarray:
@@ -266,6 +292,7 @@ def _dimensions(p: ProtocolParams) -> tuple[int, int, int]:
     return encoder_bits(p.msg_N, p.msg_q), blocks, 2 * p.N + p.r + blocks * p.msg_N
 
 
+@lru_cache(maxsize=64)
 def operating_point(p: ProtocolParams) -> tuple[int, float, float, float]:
     """(n, RT, Re/2, winBound): uses per trial, RT = d*r*log2(q) / (2n), RT's limit, (d+1)/q^r.
 
@@ -471,8 +498,8 @@ class TwoHopProtocol:
                 raise ValueError(f"messages must be an integer array of shape {shape}, "
                                  f"got {messages.dtype} of shape {messages.shape}")
         per_trial = self.trial_words
-        bitgen = np.random.Philox(key=seed, counter=start * per_trial // 4)
-        words = bitgen.random_raw((stop - start) * per_trial).reshape(-1, per_trial)
+        words = _philox_words(seed, start * per_trial // 4, (stop - start) * per_trial)
+        words = words.reshape(-1, per_trial)
         s, x, k, u, t = self._source(words, messages)
         y2, records = self._pass(behavior, t, words, s, keep_records)
         x_hat, k_hat, u_hat, s_hat, decodable = self._destination(y2, t[1])

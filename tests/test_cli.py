@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaysec import cli, oracle
+from relaysec import cli, oracle, protocol
 from relaysec.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 from relaysec.extract import seed_uniformity
 from relaysec.lattice import NestedLatticePair
@@ -642,9 +642,18 @@ def test_out_to_a_fifo_reaches_its_reader(tmp_path, capsys):
 @pytest.mark.parametrize("command", QUICK)
 @pytest.mark.parametrize("where, reason", [
     ("missing/dir/out.txt", "No such file or directory"),
+    ("/nonexistent/dir/rows.csv", "No such file or directory"),
     (".", "Is a directory"),
 ])
-def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, where, reason):
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, where,
+                                              reason):
+    """The path is checked before the command's run, which never starts."""
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(protocol.TwoHopProtocol, "monte_carlo", never)
+    monkeypatch.setattr(cli, "_run_checks", never)
+    monkeypatch.setitem(cli.SCANS, "point", cli.SCANS["point"]._replace(rows=never))
     path = write_config(tmp_path, QUICK[command])
     out = tmp_path / where
     capsys.readouterr()
@@ -652,6 +661,17 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, where, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"output error: {out}: {reason}\n"
+
+
+def test_config_error_leaves_an_existing_out_untouched(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    out.write_text("old output\n")
+    before = out.stat()
+    path = write_config(tmp_path, {"protocol": {"msg_q": 4, "msg_r0": 1}})
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    after = out.stat()
+    assert out.read_text() == "old output\n"
+    assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
 
 
 # ---------------------------------------------------------------------

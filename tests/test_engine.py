@@ -507,3 +507,131 @@ def test_protocol_cache_is_bounded():
 def test_field_order_cap_rejected_at_construction():
     with pytest.raises(ValueError, match="tabulates"):
         ProtocolParams(q=11, r=3, N=12, d=2)
+
+
+# ---------------------------------------------------------------------
+# the reused Philox generator and the batch counts
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("counter", [0, 2**64 - 3, 2**64 + 1])
+def test_philox_words_equal_a_fresh_generator(key, counter):
+    # 40 words from 2^64 - 3 carry the counter into its second 64-bit word
+    for count in (1, 6, 13, 40):
+        want = np.random.Philox(key=key, counter=counter).random_raw(count)
+        assert np.array_equal(protocol._philox_words(key, counter, count), want)
+
+
+def test_philox_words_reject_a_key_or_counter_philox_rejects():
+    for key, counter in [(-1, 0), (2**128, 0), (0, -1), (0, 2**256)]:
+        with pytest.raises(ValueError):
+            np.random.Philox(key=key, counter=counter)
+        with pytest.raises(ValueError, match="Philox needs"):
+            protocol._philox_words(key, counter, 4)
+
+
+def test_threads_drawing_at_once_read_their_own_words():
+    """random_raw releases the GIL while it fills its array, so a generator two
+    threads shared could be re-keyed by one in the middle of the other's draw."""
+    import threading
+
+    keys = [[(key, 1000 * key) for key in range(j, 400, 2)] for j in (0, 1)]
+    got = [[], []]
+
+    def draw(j):
+        for key, counter in keys[j]:
+            got[j].append(protocol._philox_words(key, counter, 4099))
+
+    threads = [threading.Thread(target=draw, args=(j,)) for j in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    for j in (0, 1):
+        assert len(got[j]) == len(keys[j])
+        for (key, counter), words in zip(keys[j], got[j]):
+            assert np.array_equal(words, np.random.Philox(key=key, counter=counter).random_raw(4099))
+
+
+def _same_rows(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in FIELDS)
+
+
+def test_threads_interleaving_run_batch_get_the_single_thread_rows():
+    """Each thread re-keys its own generator, so two threads running batches of
+    one protocol at once, switching as often as the interpreter allows and
+    meeting at a barrier in every exchange, get the rows one thread gets."""
+    import sys
+    import threading
+
+    proto = TwoHopProtocol(GAUSSIAN)
+    barrier = threading.Barrier(2)
+
+    def meet(words, yr, s):
+        barrier.wait(timeout=10)
+        return yr
+
+    def relay(seed, threaded):  # every fifth batch forwards yr through a custom relay
+        if seed % 5:
+            return HonestRelay()
+        return CustomRelay(meet if threaded else lambda words, yr, s: yr)
+
+    tasks = [[(seed, start) for seed in range(20) for start in (0, 70)],
+             [(seed, start) for seed in range(20, 40) for start in (30, 110)]]
+    got = [[], []]
+
+    def run(j):
+        for seed, start in tasks[j]:
+            got[j].append(proto.run_batch(relay(seed, True), seed, start, start + 60))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for j in (0, 1):
+        assert len(got[j]) == len(tasks[j])
+        for (seed, start), batch in zip(tasks[j], got[j]):
+            assert _same_rows(batch, proto.run_batch(relay(seed, False), seed, start, start + 60))
+
+
+def test_a_batch_after_one_that_raised_reads_its_own_words():
+    """A batch that raised after its draw, and the thread's generator left
+    mid-block with a spare 32-bit half, do not shift the next batch's words."""
+    proto = TwoHopProtocol(NOISELESS)
+    want = proto.run_batch(HonestRelay(), 4, 10, 15)
+
+    def fail(words, yr, s):
+        raise RuntimeError("relay failed")
+
+    with pytest.raises(RuntimeError, match="relay failed"):
+        proto.run_batch(CustomRelay(fail), 4, 3, 7)
+    generator = np.random.Generator(protocol._THREAD.philox)
+    generator.random(3)
+    generator.integers(0, 2**32, dtype=np.uint32)
+    assert _same_rows(proto.run_batch(HonestRelay(), 4, 10, 15), want)
+
+
+def test_counts_equal_the_three_sums():
+    """counts' one bincount equals (errors, false rejects, wins) as three sums."""
+    rng = np.random.default_rng(12)
+    zeros = np.zeros(0, dtype=np.int64)
+    for b, all_errors in [(0, False), (1, False), (40, False), (500, False), (30, True)]:
+        s = rng.integers(0, 3, size=(b, 2))
+        s_hat = np.where(rng.random((b, 2)) < 0.2, rng.integers(0, 3, size=(b, 2)), s)
+        decodable = np.zeros(b, dtype=bool) if all_errors else rng.random(b) < 0.8
+        accepted = rng.random(b) < 0.5
+        batch = protocol.TrialBatch(s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
+                                    x=zeros, x_hat=zeros, k=zeros, k_hat=zeros, u=zeros,
+                                    u_hat=zeros, h_hat=zeros)
+        err = ~decodable | (s_hat != s).any(axis=1)
+        want = [err.sum(), (~err & ~accepted).sum(), (err & accepted).sum()]
+        got = batch.counts()
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert not all_errors or got[0] == b

@@ -322,6 +322,47 @@ def test_per_coordinate_ratios_match_one_pair_per_coordinate():
     assert pair == NestedLatticePair(N=5, q=ratios, alpha=1.3) != NestedLatticePair(N=5, q=7)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.3, 3.6])
+@pytest.mark.parametrize("ratios", [2, 3, 5, 11, (11, 2, 5, 3, 5, 11, 2)], ids=str)
+def test_codebook_point_is_the_mod_coarse_formula_bit_for_bit(ratios, alpha):
+    """codebook_point reads from the pair's table exactly what mod_coarse(alpha * c)
+    gives, sign of zero included, at every coord of every coordinate, over
+    batch axes; the table is read-only."""
+    n = len(ratios) if isinstance(ratios, tuple) else 3
+    pair = NestedLatticePair(N=n, q=ratios, alpha=alpha)
+    top = max(ratios) if isinstance(ratios, tuple) else ratios
+    c = np.arange(top)[:, None] % np.broadcast_to(pair.modulus, (n,))  # column j: 0..q_j-1
+    c = np.stack([c, c[::-1]])  # (2, B, N), the shape the trial engine passes
+    got, want = codebook_point(pair, c), mod_coarse(pair, alpha * c)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    table, _ = pair.point_table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    got[...] = 0.0  # a caller owns the points it gets back
+    assert np.array_equal(codebook_point(pair, c), want)
+
+
+def test_point_table_holds_one_line_per_distinct_ratio():
+    """A pass pair of ratios (5, msg_q) holds 5 + msg_q points, not N * msg_q, and
+    still rejects coords outside each coordinate's own range; a table over
+    MAX_TABLE_POINTS is refused before it is built."""
+    msg_q = 40009
+    ratios = (5,) * 6 + (msg_q,) * 4
+    pair = NestedLatticePair(N=10, q=ratios, alpha=0.7)
+    c = np.array([[4] * 6 + [msg_q - 1, 0, 17, msg_q // 2]])
+    assert np.array_equal(codebook_point(pair, c), mod_coarse(pair, 0.7 * c))
+    assert pair.point_table[0].size == 5 + msg_q
+    for j, bad in [(0, 5), (6, msg_q), (9, -1)]:
+        over = c.copy()
+        over[0, j] = bad
+        with pytest.raises(ValueError, match="canonical"):
+            codebook_point(pair, over)
+    huge = NestedLatticePair(N=2, q=(4194319, 2), alpha=0.7)  # a prime just above 2^22
+    with pytest.raises(ValueError, match="point table of 4194321 points"):
+        codebook_point(huge, [[1, 1]])
+
+
 def test_index_coords_round_trip():
     pair = NestedLatticePair(N=3, q=3)
     for k in range(27):
