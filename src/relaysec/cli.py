@@ -40,7 +40,7 @@ from .channel import AdditiveLatticeOffset, HonestRelay, RandomGarble, Substitut
 from .extract import leakage_budget, r_max, seed_uniformity
 from .fields import ExtField, all_matrices, is_prime, matrix_row_rank
 from .lattice import NestedLatticePair
-from .protocol import ProtocolParams, _protocol_cache, operating_point
+from .protocol import MAX_TRIALS, ProtocolParams, _protocol_cache, operating_point
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG", "CHECKS", "SCANS"]
 
@@ -194,6 +194,8 @@ def _check_out(out: str | None) -> None:
     """
     if out is None:
         return
+    if not out:  # os.stat("") fails as a missing file whose directory, ".", is writable
+        raise OutputError("'': an empty path names no file")
     try:
         try:
             if not stat.S_ISFIFO(os.stat(out).st_mode):
@@ -377,6 +379,9 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
     proto = _protocol_cache(params)
     trials = cfg["simulate"]["trials"]
     behaviors, labels = zip(*map(_build_behavior, cfg["simulate"]["behaviors"]))
+    if len(behaviors) * trials > MAX_TRIALS:  # before the run, whose task list grows with it
+        raise ConfigError(f"simulate: {len(behaviors)} behaviors x {trials} trials exceed "
+                          f"MAX_TRIALS = {MAX_TRIALS}, the most trials one run holds")
     counts = proto.monte_carlo(behaviors, trials, workers=workers, seed=seed)
     # the columns every row shares: constants of the protocol
     n, rt, _, bound = operating_point(params)

@@ -443,15 +443,15 @@ class AmdCensus:
     holds: bool
 
 
-def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
-    """Exact max acceptance probability over all additive attacks on s.
+def exact_amd_win_census(params: AmdParams) -> AmdCensus:
+    """Exact max acceptance probability over all additive attacks on the message s = 0.
 
     Enumerates all (s', dx, dh) with (s'-s, dx, dh) not identically zero
     — q^(r(d+2)) tuples — counting for each the seeds x that verify.  The
-    maximum is independent of the reference message s because the
+    whole histogram is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
-    s-dependent terms can contribute; the small-field tests confirm that
-    by sweeping s.  ``s`` is d symbol ints, all zero by default.
+    s-dependent terms can contribute, so the census starts from s = 0; the
+    tests confirm that by sweeping s through a reference census.
 
     A forged (s', dx, dh) passes at seed x iff dh = tag(s', y) - tag(s, x)
     with y = x + dx, so one table answers every forgery: need[y, t, dx] is
@@ -466,10 +466,9 @@ def exact_amd_win_census(params: AmdParams, s=None) -> AmdCensus:
     d = params.d
     order = f.order
     _guard(order, d + 2, MAX_ATTACK_ENUM, "attack enumeration")
-    s_int = np.zeros(d, dtype=np.int64) if s is None else np.asarray(s, dtype=np.int64)
     sub = f.tables()["sub"]
     xs = np.arange(order)
-    base_tag = amd_tag(params, s_int, xs)
+    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), xs)
     dx_block = max(1, _AMD_BLOCK_CELLS // (order * order))
     hist = np.zeros(order + 1, dtype=np.int64)  # (s', dx, dh) cells per count of passing seeds
     for dx0 in range(0, order, dx_block):

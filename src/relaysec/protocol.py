@@ -96,6 +96,7 @@ MAX_MESSAGE_POINTS = 10**5  # msg_q^msg_N cap: build_encoder sorts every codeboo
 _MAX_NORMAL = math.sqrt(106 * math.log(2))  # box_muller's largest |normal|: u1 >= 2^-53
 _DECODE_REACH = 2.0**62  # |y / alpha| the int64 decoder rounds, half its range for margin
 BATCH_TRIALS = 512  # trials per engine call in monte_carlo
+MAX_TRIALS = 10**8  # behaviors x trials of one simulate: monte_carlo holds a task per batch
 MAX_TRIAL_WORDS = 2**14  # W cap: one batch's BATCH_TRIALS x W uint64 draws fill 64 MiB
 
 
@@ -396,19 +397,18 @@ class TwoHopProtocol:
 
     # -- trials -------------------------------------------------------------
 
-    def _source(self, words: np.ndarray, messages: np.ndarray | None):
+    def _source(self, words: np.ndarray):
         """(s, x, k, u, t): the messages, the source's seeds and tag, and both nodes' coords.
 
-        ``words`` are the batch's (B, W) layout words and ``messages``, when
-        given, replace the drawn messages.  ``t`` is (2, B, n): node 1's
-        coords of every channel use, then node 2's, in use order.  Node 2 is
+        ``words`` are the batch's (B, W) layout words.  ``t`` is (2, B, n): node
+        1's coords of every channel use, then node 2's, in use order.  Node 2 is
         silent in the tag stage, so its coords there are 0, whose point is +0.0.
         """
         p = self.params
         ints = uniform_ints(words[:, : len(self._moduli)], self._moduli)
         b, n_rand, seed_end = len(ints), self.encoder.N0 - self.encoder.r0, p.d + 4 * p.N
         # a copy: a view would keep every drawn int alive for the whole batch
-        s = ints[:, : p.d].copy() if messages is None else messages.astype(np.int64)
+        s = ints[:, : p.d].copy()
         seeds = ints[:, p.d : seed_end].reshape(b, 2, 2, p.N)  # (B, stage, source/jam, N)
         blocks = ints[:, seed_end:].reshape(b, self.blocks, -1)  # randomizer bits, then jam
         x, k = extract_seed(self.extractor, seeds[:, :, 0]).T
@@ -471,7 +471,6 @@ class TwoHopProtocol:
         seed: int,
         start: int,
         stop: int,
-        messages: np.ndarray | None = None,
         keep_records: bool = False,
     ) -> TrialBatch:
         """Execute stages 0-3 and the acceptance decision for trials start..stop-1.
@@ -480,27 +479,21 @@ class TwoHopProtocol:
         holds it: its words are words i*W .. (i+1)*W - 1 of the stream of
         ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
         uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
-        noise by ``box_muller``.  Every relay behavior reads only the
+        noise by ``box_muller``.  The source draws the message too, as it
+        draws the seeds and jams: the detection bound holds for every
+        message, so none is given.  Every relay behavior reads only the
         trial's relay words, so a trial is a pure function of (seed, i,
-        params, behavior, message) for any stateless relay, and row 0 of
+        params, behavior) for any stateless relay, and row 0 of
         ``run_batch(behavior, seed, i, i + 1, keep_records=True)`` replays
-        trial i with its records.  ``messages``, an integer array of shape
-        (B, d) = (stop - start, d) of symbol ints, replaces the drawn
-        messages.  A custom relay's callable is called once per exchange,
-        3 + blocks times, each call covering all B trials.
+        trial i with its records.  A custom relay's callable is called once
+        per exchange, 3 + blocks times, each call covering all B trials.
         """
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
-        if messages is not None:
-            messages = np.asarray(messages)
-            shape = (stop - start, self.params.d)
-            if messages.dtype.kind not in "iu" or messages.shape != shape:
-                raise ValueError(f"messages must be an integer array of shape {shape}, "
-                                 f"got {messages.dtype} of shape {messages.shape}")
         per_trial = self.trial_words
         words = _philox_words(seed, start * per_trial // 4, (stop - start) * per_trial)
         words = words.reshape(-1, per_trial)
-        s, x, k, u, t = self._source(words, messages)
+        s, x, k, u, t = self._source(words)
         y2, records = self._pass(behavior, t, words, s, keep_records)
         x_hat, k_hat, u_hat, s_hat, decodable = self._destination(y2, t[1])
         h_hat = self._sub[u_hat, k_hat]

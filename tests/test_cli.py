@@ -648,12 +648,7 @@ def test_out_to_a_fifo_reaches_its_reader(tmp_path, capsys):
 def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, where,
                                               reason):
     """The path is checked before the command's run, which never starts."""
-    def never(*args, **kwargs):
-        raise AssertionError("the run started before --out was checked")
-
-    monkeypatch.setattr(protocol.TwoHopProtocol, "monte_carlo", never)
-    monkeypatch.setattr(cli, "_run_checks", never)
-    monkeypatch.setitem(cli.SCANS, "point", cli.SCANS["point"]._replace(rows=never))
+    _forbid_runs(monkeypatch)
     path = write_config(tmp_path, QUICK[command])
     out = tmp_path / where
     capsys.readouterr()
@@ -661,6 +656,27 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, com
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"output error: {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", QUICK)
+def test_empty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # os.stat("") fails as a missing file and its directory "." is writable: the check let
+    # it pass, and simulate ran its whole Monte Carlo before the write failed
+    _forbid_runs(monkeypatch)
+    path = write_config(tmp_path, QUICK[command])
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "output error: '': an empty path names no file\n")
+
+
+def _forbid_runs(monkeypatch):
+    """Make every command's run fail the test if it starts."""
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(protocol.TwoHopProtocol, "monte_carlo", never)
+    monkeypatch.setattr(cli, "_run_checks", never)
+    monkeypatch.setitem(cli.SCANS, "point", cli.SCANS["point"]._replace(rows=never))
 
 
 def test_config_error_leaves_an_existing_out_untouched(tmp_path, capsys):
@@ -1042,6 +1058,29 @@ def test_oversized_message_code_or_power_exits_2_from_every_command(tmp_path, pr
         assert (result.returncode, result.stdout) == (2, ""), (command, result.stderr)
         assert f"config error: {where} rejected: {message}" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_trials_over_the_cap_exit_2_before_the_run(tmp_path):
+    # 2^63 - 1 trials: monte_carlo's task list ended in a MemoryError traceback under the
+    # 1 GiB address-space cap, and asked for far more than a host has without it
+    path = write_config(tmp_path, {"simulate": {"trials": 2**63 - 1}})
+    result = subprocess.run(
+        [sys.executable, "-m", "relaysec.cli", "simulate", "--config", path],
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (f"config error: simulate: 4 behaviors x {2**63 - 1} trials exceed "
+                             "MAX_TRIALS = 100000000, the most trials one run holds\n")
+
+
+def test_trials_cap_counts_every_behavior(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TRIALS", 10)
+    behaviors = [{"kind": "honest"}, {"kind": "garble"}]
+    at_cap = write_config(tmp_path, {"simulate": {"trials": 5, "behaviors": behaviors}})
+    assert main(["simulate", "--config", at_cap, "--out", os.devnull]) == 0
+    over = write_config(tmp_path, {"simulate": {"trials": 6, "behaviors": behaviors}})
+    assert main(["simulate", "--config", over, "--out", os.devnull]) == 2
 
 
 def test_scan_leakage_with_skip(tmp_path):

@@ -694,16 +694,6 @@ def test_amd_census_q5_r1_d1():
     assert sum(census.histogram.values()) == census.attacks
 
 
-def test_amd_census_independent_of_reference_message():
-    p = AmdParams(field=ExtField(5, 1), d=1)
-    maxima = set()
-    histograms = []
-    for s_val in range(5):
-        census = exact_amd_win_census(p, s=(s_val,))
-        maxima.add(census.max_success)
-        histograms.append(tuple(sorted(census.histogram.items())))
-    assert len(maxima) == 1
-    assert len(set(histograms)) == 1
 
 
 def test_amd_census_excludes_zero_perturbation():
@@ -732,19 +722,31 @@ def _amd_census_reference(params, s):
     return {hits: int(n) for hits, n in enumerate(hist) if n}, max_hits
 
 
+def test_amd_census_independent_of_reference_message():
+    # every reference message s of GF(5)^d, d = 1 and 2, gives the census from s = 0
+    for d in (1, 2):
+        params = AmdParams(field=ExtField(5, 1), d=d)
+        want = _amd_census_reference(params, (0,) * d)
+        for s in itertools.product(range(5), repeat=d):
+            assert _amd_census_reference(params, s) == want, (d, s)
+        assert exact_amd_win_census(params).histogram == want[0]
+
+
 @pytest.mark.parametrize("q, r, d, s", [
     (5, 1, 1, (3,)), (5, 1, 2, (0, 0)), (5, 1, 2, (4, 1)), (2, 2, 1, (2,)), (3, 1, 2, (2, 1)),
 ])
 @pytest.mark.parametrize("block_cells", [None, 1, 3 * 5 * 5])
 def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monkeypatch):
-    # None: the default block; 1: one forged message per block; 75: a ragged last block
+    # None: the default block; 1: one forged message per block; 75: a ragged last block.
+    # The census starts from s = 0; the reference from s = 0 and from s gives the same.
     if block_cells is not None:
         monkeypatch.setattr(oracle, "_AMD_BLOCK_CELLS", block_cells)
     params = AmdParams(field=ExtField(q, r), d=d)
-    census = exact_amd_win_census(params, s=s)
-    histogram, max_hits = _amd_census_reference(params, s)
-    assert census.histogram == histogram
-    assert census.max_success == max_hits / q**r
+    census = exact_amd_win_census(params)
+    for reference in ((0,) * d, s):
+        histogram, max_hits = _amd_census_reference(params, reference)
+        assert census.histogram == histogram
+        assert census.max_success == max_hits / q**r
     assert census.attacks == q ** (r * (d + 2)) - 1  # only the zero perturbation is left out
 
 
