@@ -67,11 +67,16 @@ def amd_tag(params: AmdParams, s, x) -> np.ndarray:
     with the d symbols on its last axis and ``x`` seed ints; their leading
     axes broadcast, so one call tags a whole batch of messages or seeds.
     """
-    tables = params.field.tables()
-    add, mul = tables["add"], tables["mul"]
     s, x = _check_elements(params.field, s, x)
     if s.ndim < 1 or s.shape[-1] != params.d:
         raise ValueError(f"message must have {params.d} symbols on its last axis")
+    return _amd_tag(params, s, x)
+
+
+def _amd_tag(params: AmdParams, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``amd_tag`` of int64 elements already in range, unchecked: the engine's form."""
+    tables = params.field.tables()
+    add, mul = tables["add"], tables["mul"]
     h = mul[x, x]
     for i in range(params.d - 1, -1, -1):
         h = mul[x, add[s[..., i], h]]

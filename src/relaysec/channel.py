@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    NestedLatticePair,
-    codebook_point,
-    decode_fine_mod_coarse,
-    lattice_add,
-)
+from .lattice import NestedLatticePair, _codebook_point, decode_fine_mod_coarse
 
 __all__ = [
     "PhaseRecord",
@@ -38,7 +33,6 @@ __all__ = [
     "phase2",
     "relay_step",
     "power_audit",
-    "uniform_ints",
 ]
 
 log = logging.getLogger(__name__)
@@ -134,20 +128,23 @@ class CustomRelay:
     fn: object
 
 
-def uniform_ints(words: np.ndarray, q) -> np.ndarray:
+def _check_moduli(q) -> None:
+    qq = np.asarray(q)
+    if qq.dtype.kind not in "iu" or qq.size and not (qq.min() >= 1 and qq.max() < 2**32):
+        raise ValueError(f"q = {q} must be integers in [1, 2^32)")
+
+
+def _uniform_ints(words: np.ndarray, q) -> np.ndarray:
     """Uniform ints in [0, q) from 64-bit words: floor(w * q / 2^64), exactly.
 
     ``q`` is an int, or an int array that broadcasts to the shape of
     ``words``, one modulus per word (per column, say).  Each value is hit
     by floor(2^64/q) or ceil(2^64/q) words, so its probability is within
     2^-64 of 1/q.  The product is split into 32-bit halves so no
-    intermediate exceeds 64 bits (every q in [1, 2^32)).
+    intermediate exceeds 64 bits (every q in [1, 2^32), ``_check_moduli``).
     """
-    qq = np.asarray(q)
-    if qq.dtype.kind not in "iu" or qq.size and not (qq.min() >= 1 and qq.max() < 2**32):
-        raise ValueError(f"q = {q} must be integers in [1, 2^32)")
     w = np.asarray(words, dtype=np.uint64)
-    qq = qq.astype(np.uint64)
+    qq = np.asarray(q, dtype=np.uint64)
     half = np.uint64(32)
     # in place: two arrays instead of a fresh temporary per step
     low = w & np.uint64(0xFFFFFFFF)
@@ -197,16 +194,21 @@ def relay_step(
     if sum(widths) != np.shape(yr)[-1]:
         raise ValueError(f"exchange widths {widths} do not cover the {np.shape(yr)[-1]} "
                          "received uses")
+    built_in = (HonestRelay, SubstituteLattice, AdditiveLatticeOffset, RandomGarble)
+    if isinstance(behavior, built_in) and np.shape(yr)[-1] != pair.N:
+        raise ValueError(f"the pair codes {pair.N} uses, not the {np.shape(yr)[-1]} received")
+    # each built-in behavior forms canonical coords, so none is checked again; a ratio of
+    # 2^32 or more, beyond _uniform_ints' moduli, overflows the garble's point table
     if isinstance(behavior, HonestRelay):
-        return codebook_point(pair, decode_fine_mod_coarse(pair, yr))
+        return _codebook_point(pair, decode_fine_mod_coarse(pair, yr))
     if isinstance(behavior, SubstituteLattice):
         t3 = _cycle_pattern(behavior.pattern, widths, pair.modulus)
-        return codebook_point(pair, np.broadcast_to(t3, np.shape(yr)))
+        return _codebook_point(pair, np.broadcast_to(t3, np.shape(yr)))
     if isinstance(behavior, AdditiveLatticeOffset):
         delta = _cycle_pattern(behavior.pattern, widths, pair.modulus)
-        return codebook_point(pair, lattice_add(pair, decode_fine_mod_coarse(pair, yr), delta))
+        return _codebook_point(pair, (decode_fine_mod_coarse(pair, yr) + delta) % pair.modulus)
     if isinstance(behavior, RandomGarble):
-        return codebook_point(pair, uniform_ints(words, pair.modulus))
+        return _codebook_point(pair, _uniform_ints(words, pair.modulus))
     if isinstance(behavior, CustomRelay):
         xr = np.empty(np.shape(yr))
         power = np.empty(xr.shape[:-1] + (len(widths),))

@@ -379,7 +379,7 @@ def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None, fmt: str) 
     proto = _protocol_cache(params)
     trials = cfg["simulate"]["trials"]
     behaviors, labels = zip(*map(_build_behavior, cfg["simulate"]["behaviors"]))
-    if len(behaviors) * trials > MAX_TRIALS:  # before the run, whose task list grows with it
+    if len(behaviors) * trials > MAX_TRIALS:  # before the run: minutes of one worker at the cap
         raise ConfigError(f"simulate: {len(behaviors)} behaviors x {trials} trials exceed "
                           f"MAX_TRIALS = {MAX_TRIALS}, the most trials one run holds")
     counts = proto.monte_carlo(behaviors, trials, workers=workers, seed=seed)

@@ -67,18 +67,26 @@ def _check_prime(q: int):
         raise ValueError(f"q={q} is not prime")
 
 
+@lru_cache(maxsize=128)
+def _places(q: int, length: int) -> np.ndarray:
+    """The read-only place values q^0 .. q^(length-1) as int64, built once per (q, length)."""
+    places = q ** np.arange(length, dtype=np.int64)
+    places.setflags(write=False)
+    return places
+
+
 def digits(k, q: int, length: int) -> np.ndarray:
     """Base-q digits of k on a new trailing axis, coordinate 0 least significant.
 
     ``k`` may be an int or an int array; digit j is (k // q^j) mod q.
     """
-    return (np.asarray(k, dtype=np.int64)[..., None] // q ** np.arange(length, dtype=np.int64)) % q
+    return (np.asarray(k, dtype=np.int64)[..., None] // _places(q, length)) % q
 
 
 def undigits(d, q: int) -> np.ndarray:
     """Inverse of ``digits``: sum_j d[..., j] q^j over the last axis, as int64."""
     d = np.asarray(d, dtype=np.int64)
-    return d @ q ** np.arange(d.shape[-1], dtype=np.int64)
+    return d @ _places(q, d.shape[-1])
 
 
 # ---------------------------------------------------------------------------

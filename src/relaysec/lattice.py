@@ -10,9 +10,10 @@ of points is coordinate-wise addition mod q (``lattice_add``).
 
 The per-vector functions (``quantize_coarse``, ``mod_coarse``,
 ``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``,
-``lattice_sub``, ``coords_to_index``) also take arrays with leading batch
-axes, shape ``(..., N)``, and validate shape and range once per call over
-the whole array.  The coordinate-wise ones (all of them but
+``coords_to_index``) also take arrays with leading batch axes, shape
+``(..., N)``, and validate shape and range once per call over the whole
+array; the trial engine calls the unchecked kernel ``_codebook_point``
+on coords it formed in range.  The coordinate-wise ones (all of them but
 ``coords_to_index``) also serve a pair whose ``q`` is a tuple of N primes,
 one nesting ratio per coordinate: the coarse lattice is then
 ``diag(q) * alpha * Z^N``, the product of N one-dimensional codes, and
@@ -48,7 +49,6 @@ __all__ = [
     "in_fundamental_region",
     "codebook_point",
     "lattice_add",
-    "lattice_sub",
     "represent_sums",
     "reconstruct_sums",
     "decode_fine_mod_coarse",
@@ -166,7 +166,11 @@ def _check_coords(pair: NestedLatticePair, c) -> np.ndarray:
 
 def codebook_point(pair: NestedLatticePair, c) -> np.ndarray:
     """Transmitted point for canonical coords c: alpha*c mod coarse, read from ``point_table``."""
-    c = _check_coords(pair, c)
+    return _codebook_point(pair, _check_coords(pair, c))
+
+
+def _codebook_point(pair: NestedLatticePair, c: np.ndarray) -> np.ndarray:
+    """``codebook_point`` of int64 coords already canonical, unchecked: the engine's form."""
     table, offsets = pair.point_table
     return table[c + offsets if isinstance(offsets, np.ndarray) else c]
 
@@ -196,12 +200,6 @@ def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:
     a = _check_coords(pair, a)
     b = _check_coords(pair, b)
     return (a + b) % pair.modulus
-
-
-def lattice_sub(pair: NestedLatticePair, a, b) -> np.ndarray:
-    a = _check_coords(pair, a)
-    b = _check_coords(pair, b)
-    return (a - b) % pair.modulus
 
 
 def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndarray]:

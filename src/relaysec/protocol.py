@@ -24,7 +24,7 @@ randomness from a fixed block of 64-bit words of the counter-based
 generator ``numpy.random.Philox(key=S)`` (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), so it is a pure function of
 (S, i) whatever the batch size or worker count.  ``draw_layout`` gives the
-word layout; ``uniform_ints`` and ``box_muller`` turn words into draws.
+word layout; ``channel._uniform_ints`` and ``box_muller`` turn words into draws.
 
 Node 1 never adapts to the relay: u reads only the source's own x and k.
 So the engine first forms both end nodes' coords of all n channel uses
@@ -45,19 +45,21 @@ import math
 import operator
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, amd_verify, check_premises, win_bound
+from .amd import AmdParams, _amd_tag, check_premises, win_bound
 from .channel import (
     CustomRelay,
     PhaseRecord,
+    _check_moduli,
+    _uniform_ints,
     phase1,
     phase2,
     relay_step,
-    uniform_ints,
 )
 from .extract import (
     EncoderMap,
@@ -71,12 +73,11 @@ from .extract import (
 from .fields import ExtField, is_prime, undigits
 from .lattice import (
     NestedLatticePair,
+    _codebook_point,
     average_codebook_power,
     codebook_point,
-    coords_to_index,
     decode_fine_mod_coarse,
     index_to_coords,
-    lattice_sub,
     line_power,
 )
 
@@ -96,7 +97,7 @@ MAX_MESSAGE_POINTS = 10**5  # msg_q^msg_N cap: build_encoder sorts every codeboo
 _MAX_NORMAL = math.sqrt(106 * math.log(2))  # box_muller's largest |normal|: u1 >= 2^-53
 _DECODE_REACH = 2.0**62  # |y / alpha| the int64 decoder rounds, half its range for margin
 BATCH_TRIALS = 512  # trials per engine call in monte_carlo
-MAX_TRIALS = 10**8  # behaviors x trials of one simulate: monte_carlo holds a task per batch
+MAX_TRIALS = 10**8  # behaviors x trials of one simulate: run time bounds it, ~2-4 us a trial
 MAX_TRIAL_WORDS = 2**14  # W cap: one batch's BATCH_TRIALS x W uint64 draws fill 64 MiB
 
 
@@ -367,15 +368,15 @@ class TwoHopProtocol:
         # the modulus of each word of the message, seed and blocks ranges, which lead the layout
         block_moduli = [2] * (n0 - p.msg_r0) + [p.msg_q] * p.msg_N
         self._moduli = np.array([self.ext_field.order] * p.d + [p.q] * (4 * p.N)
-                                + block_moduli * self.blocks, dtype=np.int64)
+                                + block_moduli * self.blocks, dtype=np.uint64)
+        _check_moduli(self._moduli)  # once: every batch draws through the unchecked kernel
         tables = self.ext_field.tables()
         self._add, self._sub = tables["add"], tables["sub"]
         # message value <-> block values; python ints keep padded values beyond 62 bits exact
-        big = np.int64 if self.blocks * p.msg_r0 <= 62 else object
-        self._symbol_weights = np.array(
-            [self.ext_field.order**j for j in range(p.d)], dtype=big)
-        self._block_weights = np.array(
-            [2 ** (p.msg_r0 * j) for j in range(self.blocks)], dtype=big)
+        big, order = np.int64 if self.blocks * p.msg_r0 <= 62 else object, self.ext_field.order
+        self._symbol_weights = np.array([order**j for j in range(p.d)], dtype=big)
+        self._message_values = order**p.d
+        self._block_weights = np.array([2 ** (p.msg_r0 * j) for j in range(self.blocks)], dtype=big)
         self._powers: tuple[float, float, float] | None = None
 
     # -- message serialization ------------------------------------------
@@ -388,12 +389,8 @@ class TwoHopProtocol:
     def _blocks_to_symbols(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of _symbols_to_blocks, with a mask of values below q^(rd)."""
         value = blocks.astype(self._block_weights.dtype) @ self._block_weights
-        order = self.ext_field.order
-        symbols = np.empty((len(blocks), self.params.d), dtype=np.int64)
-        for j in range(self.params.d):
-            symbols[:, j] = value % order
-            value = value // order
-        return symbols, (value == 0).astype(bool)
+        symbols = value[:, None] // self._symbol_weights % self.ext_field.order
+        return symbols.astype(np.int64), (value // self._message_values == 0).astype(bool)
 
     # -- trials -------------------------------------------------------------
 
@@ -405,14 +402,14 @@ class TwoHopProtocol:
         silent in the tag stage, so its coords there are 0, whose point is +0.0.
         """
         p = self.params
-        ints = uniform_ints(words[:, : len(self._moduli)], self._moduli)
+        ints = _uniform_ints(words[:, : len(self._moduli)], self._moduli)
         b, n_rand, seed_end = len(ints), self.encoder.N0 - self.encoder.r0, p.d + 4 * p.N
         # a copy: a view would keep every drawn int alive for the whole batch
         s = ints[:, : p.d].copy()
         seeds = ints[:, p.d : seed_end].reshape(b, 2, 2, p.N)  # (B, stage, source/jam, N)
         blocks = ints[:, seed_end:].reshape(b, self.blocks, -1)  # randomizer bits, then jam
         x, k = extract_seed(self.extractor, seeds[:, :, 0]).T
-        u = self._add[amd_tag(self.amd, s, x), k]
+        u = self._add[_amd_tag(self.amd, s, x), k]
         tag, msg = 2 * p.N, 2 * p.N + p.r  # first use of the tag and of the message blocks
         t = np.zeros((2, b, self.uses), dtype=np.int64)
         t[:, :, :tag] = seeds.transpose(2, 0, 1, 3).reshape(2, b, tag)
@@ -436,13 +433,13 @@ class TwoHopProtocol:
         if not p.noiseless:
             noise = box_muller(words[:, self.layout["noise"]])
             noise_r, noise_d = noise[:, :n], noise[:, n:]
-        yr = phase1(*codebook_point(pair, t), noise_r, p.noise_var_relay)
+        yr = phase1(*_codebook_point(pair, t), noise_r, p.noise_var_relay)
         xr = relay_step(behavior, pair, self.widths, yr, words[:, self.layout["relay"]], s,
                         p.power_limit)
         y2 = phase2(xr, noise_d, p.noise_var_dest)
         if not keep:
             return y2, ()
-        x1, x2 = codebook_point(pair, t)
+        x1, x2 = _codebook_point(pair, t)
         ends = np.cumsum(self.widths)  # exchange 2 is the tag stage, where node 2 is silent
         return y2, tuple(PhaseRecord(*(v[:, end - w : end] for v in (x1, x2, yr, xr, y2)), j != 2)
                          for j, (w, end) in enumerate(zip(self.widths, ends)))
@@ -456,12 +453,12 @@ class TwoHopProtocol:
         padding.
         """
         p, b, pair = self.params, len(y2), self.pass_pair
-        t1_hat = lattice_sub(pair, decode_fine_mod_coarse(pair, y2), jam)
+        t1_hat = (decode_fine_mod_coarse(pair, y2) - jam) % pair.modulus
         tag, msg = 2 * p.N, 2 * p.N + p.r
         x_hat, k_hat = extract_seed(self.extractor, t1_hat[:, :tag].reshape(b, 2, p.N)).T
-        u_hat = coords_to_index(self.tag_pair, t1_hat[:, tag:msg])
+        u_hat = undigits(t1_hat[:, tag:msg], p.q)
         block_coords = t1_hat[:, msg:].reshape(b, self.blocks, p.msg_N)
-        values = self.encoder.decode_table[coords_to_index(self.msg_pair, block_coords)]
+        values = self.encoder.decode_table[undigits(block_coords, p.msg_q)]
         s_hat, fits = self._blocks_to_symbols(np.maximum(values, 0))
         return x_hat, k_hat, u_hat, s_hat, (values >= 0).all(axis=1) & fits
 
@@ -478,8 +475,8 @@ class TwoHopProtocol:
         Row j is trial i = start + j of ``seed``, the same whatever batch
         holds it: its words are words i*W .. (i+1)*W - 1 of the stream of
         ``Philox(key=seed)``, W the padded length of ``draw_layout``, with
-        uniform ints by ``uniform_ints`` (bias at most 2^-64) and Gaussian
-        noise by ``box_muller``.  The source draws the message too, as it
+        uniform ints by ``channel._uniform_ints`` (bias at most 2^-64) and
+        Gaussian noise by ``box_muller``.  The source draws the message too, as it
         draws the seeds and jams: the detection bound holds for every
         message, so none is given.  Every relay behavior reads only the
         trial's relay words, so a trial is a pure function of (seed, i,
@@ -487,6 +484,8 @@ class TwoHopProtocol:
         ``run_batch(behavior, seed, i, i + 1, keep_records=True)`` replays
         trial i with its records.  A custom relay's callable is called once
         per exchange, 3 + blocks times, each call covering all B trials.
+        Only the seed, start/stop and a custom relay's output are checked:
+        the stages form their arrays in range and call unchecked kernels.
         """
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
@@ -497,7 +496,7 @@ class TwoHopProtocol:
         y2, records = self._pass(behavior, t, words, s, keep_records)
         x_hat, k_hat, u_hat, s_hat, decodable = self._destination(y2, t[1])
         h_hat = self._sub[u_hat, k_hat]
-        accepted = decodable & amd_verify(self.amd, s_hat, x_hat, h_hat)
+        accepted = decodable & (_amd_tag(self.amd, s_hat, x_hat) == h_hat)
         return TrialBatch(
             s=s, s_hat=s_hat, decodable=decodable, accepted=accepted,
             x=x, x_hat=x_hat, k=k, k_hat=k_hat, u=u, u_hat=u_hat, h_hat=h_hat,
@@ -536,27 +535,28 @@ class TwoHopProtocol:
         i + 1)``: a pure function of (seed, i) under the word layout of
         ``draw_layout`` (Philox keyed by the seed, trial i at counter
         i*W/4), so the counts are identical for any worker count and batch
-        size.  The batches of ``BATCH_TRIALS`` trials of all behaviors form
-        one task list, run over one pool of ``workers`` processes, capped at
-        the task count and the usable CPUs (a fork pool starts all of its
-        processes at the first submit).  A pool of one runs in this process,
-        as does a list holding a custom relay, whose callable need not pickle.
+        size.  The batches of ``BATCH_TRIALS`` trials of all behaviors are
+        tasks, made as they run over one pool of ``workers`` processes,
+        capped at the task count and the usable CPUs (a fork pool starts all
+        of its processes at the first submit), and summed into one total, so
+        memory does not grow with ``trials``.  A pool of one runs in this
+        process, as does a list holding a custom relay, whose callable need
+        not pickle.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
         chunks = range(0, trials, BATCH_TRIALS)
-        tasks = [(b, a, min(a + BATCH_TRIALS, trials)) for b in behaviors for a in chunks]
+        tasks = ((b, a, min(a + BATCH_TRIALS, trials)) for b in behaviors for a in chunks)
         count = partial(self._task_counts, seed)
-        pool_size = min(workers, len(tasks), _usable_cpus())
+        totals = np.zeros((len(behaviors), 3), dtype=np.int64)
+        pool_size = min(workers, len(behaviors) * len(chunks), _usable_cpus())
         if pool_size <= 1 or any(isinstance(b, CustomRelay) for b in behaviors):
-            counts = list(map(count, tasks))
+            counts = map(count, tasks)
         else:
-            # imported here: the pool loads multiprocessing, which one worker never needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                counts = list(pool.map(count, tasks))
-        return np.array(counts, dtype=np.int64).reshape(len(behaviors), len(chunks), 3).sum(axis=1)
+            counts = _pool_map(count, tasks, pool_size)
+        for i, batch in enumerate(counts):  # tasks run behavior by behavior
+            totals[i // len(chunks)] += batch
+        return totals
 
     def _task_counts(self, seed: int, task) -> np.ndarray:
         behavior, start, stop = task
@@ -565,6 +565,19 @@ class TwoHopProtocol:
     def __reduce__(self):
         # pickled as its params: a pool worker runs its own cached instance
         return _protocol_cache, (self.params,)
+
+
+def _pool_map(fn, tasks, workers: int):
+    """``map(fn, tasks)`` over a pool of ``workers`` processes, two tasks per process in flight."""
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing: one worker never needs it
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for task in tasks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, task))
+        yield from (future.result() for future in pending)
 
 
 def _usable_cpus() -> int:

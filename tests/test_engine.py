@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysec import protocol
+from relaysec import amd, channel, lattice, protocol
 from relaysec.amd import AmdParams, amd_tag
 from relaysec.channel import (
     AdditiveLatticeOffset,
@@ -14,8 +14,9 @@ from relaysec.channel import (
     PhaseRecord,
     RandomGarble,
     SubstituteLattice,
+    _check_moduli,
+    _uniform_ints,
     power_audit,
-    uniform_ints,
 )
 from relaysec.fields import ExtField, find_irreducible, is_prime
 from relaysec.lattice import (
@@ -23,7 +24,6 @@ from relaysec.lattice import (
     coords_to_index,
     decode_fine_mod_coarse,
     lattice_add,
-    lattice_sub,
 )
 from relaysec.protocol import (
     ProtocolParams,
@@ -57,18 +57,20 @@ def test_uniform_ints_is_exact_floor():
     ])
     moduli = (1, 2, 3, 5, 25, 1024, 2**31 - 1, 2**32 - 1)
     for q in moduli:
-        got = uniform_ints(words, q)
+        _check_moduli(q)
+        got = _uniform_ints(words, q)
         want = [(int(w) * q) >> 64 for w in words]
         assert got.tolist() == want
     with pytest.raises(ValueError):
-        uniform_ints(words, 2**32)
+        _check_moduli(2**32)
     # one modulus per column, broadcast over the rows
     columns = words[:2000].reshape(250, len(moduli))
-    got = uniform_ints(columns, np.array(moduli))
+    _check_moduli(np.array(moduli))
+    got = _uniform_ints(columns, np.array(moduli))
     assert got.tolist() == [[(int(w) * q) >> 64 for w, q in zip(row, moduli)] for row in columns]
     for bad in (0, -1, 2**32):  # each entry is range-checked
         with pytest.raises(ValueError):
-            uniform_ints(columns, np.array(moduli[:3] + (bad,) + moduli[4:]))
+            _check_moduli(np.array(moduli[:3] + (bad,) + moduli[4:]))
 
 
 def test_box_muller_matches_formula():
@@ -280,7 +282,7 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
     for stage in range(2):
         t1 = np.array([_unif(w, p.q) for w in seed_words[2 * stage]])
         t2 = np.array([_unif(w, p.q) for w in seed_words[2 * stage + 1]])
-        t1_hat = lattice_sub(proto.seed_pair, hop(proto.seed_pair, t1, t2), t2)
+        t1_hat = (hop(proto.seed_pair, t1, t2) - t2) % p.q
         seeds += [element(proto.extractor.matrix @ t1 % p.q),
                   element(proto.extractor.matrix @ t1_hat % p.q)]
     x, x_hat, k, k_hat = seeds
@@ -296,7 +298,7 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         word = [_unif(w, 2) for w in rand_w] + bits  # (S', S), bit 0 first
         t2 = np.array([_unif(w, p.msg_q) for w in jam_w])
         t1 = enc.encode_table[sum(bit << i for i, bit in enumerate(word))]
-        t1_hat = lattice_sub(proto.msg_pair, hop(proto.msg_pair, t1, t2), t2)
+        t1_hat = (hop(proto.msg_pair, t1, t2) - t2) % p.msg_q
         value = int(enc.decode_table[coords_to_index(proto.msg_pair, t1_hat)])
         if value >= 0:
             out_bits += [(value >> i) & 1 for i in range(p.msg_r0)]
@@ -449,6 +451,76 @@ def test_one_pass_per_batch(monkeypatch):
             assert getattr(rec, name).shape == (50, w)
     silent = batch.records[2].x2
     assert np.all(silent == 0.0) and not np.any(np.signbit(silent))
+
+
+# ---------------------------------------------------------------------
+# the input boundary: checks where inputs enter, unchecked kernels inside
+# ---------------------------------------------------------------------
+
+
+def _count_checks(monkeypatch) -> dict:
+    """Count every call of the three range checks from now on, in every module
+    that binds one; returns the live counts."""
+    calls = {}
+    for home, name in ((lattice, "_check_coords"), (amd, "_check_elements"),
+                       (channel, "_check_moduli")):
+        real = getattr(home, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        for module in (amd, channel, lattice, protocol):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
+def test_run_batch_range_checks_none_of_its_own_arrays(monkeypatch, params):
+    """No coords, element or modulus check runs inside a batch, for any built-in
+    behavior, with or without records; construction checks the moduli once."""
+    proto = TwoHopProtocol(params)
+    calls = _count_checks(monkeypatch)
+    for behavior in BEHAVIORS + PATTERNED:
+        for keep in (False, True):
+            proto.run_batch(behavior, 7, 3, 40, keep_records=keep)
+    assert calls == {}
+    TwoHopProtocol(params)
+    assert calls["_check_moduli"] == 1
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN, MIXED,
+                                    ProtocolParams(q=11, r=2, N=3, d=10)])  # a 70-bit payload
+def test_kernels_equal_their_checking_forms(monkeypatch, params):
+    """Every field and record of a batch is bit-identical when each kernel the
+    engine calls is replaced by its checking public form."""
+    proto = TwoHopProtocol(params)
+    behaviors = BEHAVIORS + PATTERNED + [_step_relay(params.alpha)]
+    fast = [proto.run_batch(b, 21, 0, 60, keep_records=True) for b in behaviors]
+    calls = _count_checks(monkeypatch)
+    draw = channel._uniform_ints
+
+    def uniform_ints(words, q):  # the modulus check the engine makes once, on every draw
+        channel._check_moduli(q)
+        return draw(words, q)
+
+    for module in (protocol, channel):
+        monkeypatch.setattr(module, "_codebook_point", codebook_point)
+        monkeypatch.setattr(module, "_uniform_ints", uniform_ints)
+    monkeypatch.setattr(protocol, "_amd_tag", amd_tag)
+    for behavior, want in zip(behaviors, fast):
+        got = proto.run_batch(behavior, 21, 0, 60, keep_records=True)
+        for name in FIELDS + ("s_hat",):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (behavior, name)
+        assert len(got.records) == len(want.records) == 3 + proto.blocks
+        for rec, ref in zip(got.records, want.records):
+            assert rec.node2_active == ref.node2_active
+            for name in ("x1", "x2", "yr", "xr", "y2"):
+                a, b = getattr(rec, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (behavior, name)
+    assert calls["_check_coords"] and calls["_check_elements"] and calls["_check_moduli"]
 
 
 def test_every_behavior_sees_the_same_messages_and_jams():

@@ -16,7 +16,6 @@ from relaysec.lattice import (
     mod_coarse,
     quantize_coarse,
     coords_to_index,
-    lattice_sub,
     rate_condition_ok,
     reconstruct_sums,
     represent_sums,
@@ -268,7 +267,7 @@ def test_pair_validation():
 def test_coords_range_check_on_stacks_and_broadcasts():
     pair = NestedLatticePair(N=3, q=5)
     ok = np.broadcast_to(np.array([0, 4, 2]), (6, 2, 3))  # zero strides
-    assert np.array_equal(lattice_sub(pair, ok, np.zeros((6, 2, 3), dtype=np.int64)), ok)
+    assert np.array_equal(lattice_add(pair, ok, np.zeros((6, 2, 3), dtype=np.int64)), ok)
     assert coords_to_index(pair, ok).tolist() == [[4 * 5 + 2 * 25] * 2] * 6
     big = np.full((4, 2, 3), 1, dtype=np.int64)
     big[3, 1, 2] = 5
@@ -280,8 +279,8 @@ def test_coords_range_check_on_stacks_and_broadcasts():
            big[::-1, :, ::-1], neg.transpose(1, 0, 2)]
     for c in bad:
         for call in (lambda c: codebook_point(pair, c), lambda c: coords_to_index(pair, c),
-                     lambda c: lattice_sub(pair, c, np.zeros_like(c)),
-                     lambda c: lattice_sub(pair, np.zeros_like(c), c)):
+                     lambda c: lattice_add(pair, c, np.zeros_like(c)),
+                     lambda c: lattice_add(pair, np.zeros_like(c), c)):
             with pytest.raises(ValueError, match="canonical"):
                 call(c)
 
@@ -304,7 +303,6 @@ def test_per_coordinate_ratios_match_one_pair_per_coordinate():
             ("decode", decode_fine_mod_coarse(pair, y)[col], decode_fine_mod_coarse(line, y[col])),
             ("mod", mod_coarse(pair, y)[col], mod_coarse(line, y[col])),
             ("add", lattice_add(pair, a, b)[col], lattice_add(line, a[col], b[col])),
-            ("sub", lattice_sub(pair, a, b)[col], lattice_sub(line, a[col], b[col])),
         ]:
             assert np.array_equal(got, want) and got.dtype == want.dtype, (name, j)
     over = a.copy()

@@ -352,6 +352,33 @@ def test_message_block_round_trip_at_64_padded_bits():
     assert not fits.any()
 
 
+def _blocks_to_symbols_by_digit(p, blocks):
+    """The digit-at-a-time loop that ``_blocks_to_symbols`` replaces, for comparison."""
+    value = blocks.astype(p._block_weights.dtype) @ p._block_weights
+    order = p.ext_field.order
+    symbols = np.empty((len(blocks), p.params.d), dtype=np.int64)
+    for j in range(p.params.d):
+        symbols[:, j] = value % order
+        value = value // order
+    return symbols, (value == 0).astype(bool)
+
+
+@pytest.mark.parametrize("params", [
+    ProtocolParams(),
+    ProtocolParams(q=7, r=2, d=11, N=4, msg_q=11, msg_N=2, msg_r0=4),  # 62 bits, 64 padded
+    ProtocolParams(q=11, r=2, N=3, d=10),  # a 70-bit payload
+])
+def test_blocks_to_symbols_equals_the_digit_loop(params):
+    p = proto(params)
+    blocks = np.random.default_rng(8).integers(0, 2**params.msg_r0, size=(400, p.blocks))
+    blocks[0], blocks[1] = 0, 2**params.msg_r0 - 1  # the least and the greatest value
+    (symbols, fits), (want, want_fits) = (p._blocks_to_symbols(blocks),
+                                          _blocks_to_symbols_by_digit(p, blocks))
+    assert symbols.dtype == want.dtype and np.array_equal(symbols, want)
+    assert fits.dtype == want_fits.dtype and np.array_equal(fits, want_fits)
+    assert fits[0] and not fits[1] and fits[2:].any()
+
+
 def test_block_count_and_rate_examples():
     # ceil(276.75 / 100) message blocks with a 100-bit-per-block encoder
     assert math.ceil(payload_bits(11, 20, 4) / 100) == 3
@@ -432,12 +459,15 @@ def test_monte_carlo_deterministic_across_workers():
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
+    """Stands in for ProcessPoolExecutor: records its size and the most tasks
+    submitted and not yet read, and runs each task here as it is submitted."""
 
     built = []
+    most_unread = 0
 
     def __init__(self, max_workers):
         self.built.append(max_workers)
+        self.unread = 0
 
     def __enter__(self):
         return self
@@ -445,8 +475,21 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, *args):
+        self.unread += 1
+        InlinePool.most_unread = max(InlinePool.most_unread, self.unread)
+        return _Done(self, fn(*args))
+
+
+class _Done:
+    """A finished task of an InlinePool; reading its result marks it read."""
+
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.unread -= 1
+        return self.value
 
 
 @pytest.mark.parametrize("workers, cpus, pool", [
@@ -467,6 +510,40 @@ def test_monte_carlo_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus
     counts = p.monte_carlo(behaviors, 30, workers=workers, seed=5)
     assert InlinePool.built == ([] if pool is None else [pool])
     assert np.array_equal(counts, p.monte_carlo(behaviors, 30, seed=5))
+
+
+def test_monte_carlo_pool_keeps_two_tasks_per_process_in_flight(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "built", [])
+    monkeypatch.setattr(InlinePool, "most_unread", 0)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)
+    behaviors = [HonestRelay(), SubstituteLattice((1,)), RandomGarble()]
+    p = proto(TINY)
+    trials = 4 * protocol.BATCH_TRIALS + 7  # five batches per behavior, fifteen tasks
+    counts = p.monte_carlo(behaviors, trials, workers=3, seed=5)
+    assert InlinePool.built == [3] and InlinePool.most_unread == 6
+    assert np.array_equal(counts, p.monte_carlo(behaviors, trials, seed=5))
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
+    """10^8 trials (MAX_TRIALS) of two behaviors with each batch's engine call
+    stubbed: the running total is exact and the heap peak stays small."""
+    import tracemalloc
+
+    monkeypatch.setattr(TwoHopProtocol, "_task_counts",
+                        lambda self, seed, task: np.array([task[2] - task[1], 1, 0]))
+    p, trials = proto(TINY), protocol.MAX_TRIALS // 2
+    tracemalloc.start()
+    try:
+        counts = p.monte_carlo([HonestRelay(), RandomGarble()], trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batches = -(-trials // protocol.BATCH_TRIALS)
+    assert counts.tolist() == [[trials, batches, 0]] * 2
+    assert peak < 2**20, peak
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
