@@ -38,6 +38,7 @@ __all__ = [
     "ExtField",
     "digits",
     "undigits",
+    "reduce_mod",
     "find_irreducible",
     "is_prime",
     "all_matrices",
@@ -87,6 +88,17 @@ def undigits(d, q: int) -> np.ndarray:
     """Inverse of ``digits``: sum_j d[..., j] q^j over the last axis, as int64."""
     d = np.asarray(d, dtype=np.int64)
     return d @ _places(q, d.shape[-1])
+
+
+def reduce_mod(x: np.ndarray, q) -> np.ndarray:
+    """x mod q of an int array for q > 0, an int or an int array, as x - (x // q) q.
+
+    The value of ``x % q`` for every sign of x, in x's dtype (an overflow
+    of x // q * q wraps and cancels).  numpy's integer ``%`` by an int takes
+    a slower path than its floor division (numpy 2.4: 4x on 10^4 int64
+    entries, 20x on int8); by an int array this form is up to 1.5x slower.
+    """
+    return x - x // q * q
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +243,12 @@ def _insert(r, v, q: int, inverse):
     """
     b = np.arange(len(v))
     pivots = (r != 0).argmax(axis=2)  # 0 for a zero row, whose product is 0 anyway
-    w = (v - (v[b[:, None], pivots][:, None, :] @ r)[:, 0]) % q
+    w = reduce_mod(v - (v[b[:, None], pivots][:, None, :] @ r)[:, 0], q)
     lead = (w != 0).argmax(axis=1)
-    w = w * inverse[w[b, lead]][:, None] % q
+    w = reduce_mod(w * inverse[w[b, lead]][:, None], q)
     w[:, -1] = 0
-    return np.concatenate([(r - r[b, :, lead][:, :, None] * w[:, None, :]) % q, w[:, None]], axis=1)
+    cleared = reduce_mod(r - r[b, :, lead][:, :, None] * w[:, None, :], q)
+    return np.concatenate([cleared, w[:, None]], axis=1)
 
 
 def row_reduce(m, q: int) -> tuple[np.ndarray, np.ndarray | int]:

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import digits, is_prime, undigits
+from .fields import digits, is_prime, reduce_mod, undigits
 
 __all__ = [
     "NestedLatticePair",
@@ -237,7 +237,7 @@ def decode_fine_mod_coarse(pair: NestedLatticePair, y) -> np.ndarray:
     y = _check_len(pair, y)
     z = y / pair.alpha
     rounded = np.ceil(z - 0.5).astype(np.int64)
-    return rounded % pair.modulus
+    return reduce_mod(rounded, pair.modulus)
 
 
 def rate_condition_ok(pair: NestedLatticePair, power: float) -> bool:

@@ -18,9 +18,9 @@ by the tuple of interval shapes, one of at most q^N posterior classes.
 The class laws are integer counts built coordinate by coordinate (one
 gather and one matmul each, exact in float64), and the leakage and the
 guessing probability are read off them through exact integer vectors; the
-only float step is one fixed-order sum per matrix.  The size guards still
-bound q^(2N), the number of pairs the law covers, and q^(r+N), the cells
-of one extractor's class laws.  A call takes one extractor or a stack of
+only float step is one fixed-order sum per matrix.  The size guard bounds
+what the pass builds, q^(r+N) cells of one extractor's class laws, not
+the q^(2N) pairs they cover.  A call takes one extractor or a stack of
 them, and each value is bit-identical to a call on its matrix alone.
 Those vectors depend only on the extractor's orbit under a change of
 basis, a permutation of the columns and a sign flip of a column, so a
@@ -290,15 +290,14 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], key_id
 
 
-def _guard_stack(pair: NestedLatticePair, r: int):
-    """The guards of exact leakage over r x N extractors, r > 0, run before any work.
+def _guard_stack(q: int, n: int, r: int):
+    """The guard of exact leakage over r x N extractors, r > 0, run before any work.
 
-    ``MAX_PAIR_ENUM`` bounds the q^(2N) codeword pairs the law covers, and
-    ``_MAX_MATRIX_CELLS`` the q^(r+N) cells of one extractor's class laws
-    (q^r seeds by at most q^N classes).
+    ``_MAX_MATRIX_CELLS`` bounds the q^(r+N) cells of one extractor's class
+    laws (q^r seeds by at most q^N classes), the smallest block
+    ``_class_pass`` builds.
     """
-    _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "codeword-pair enumeration")
-    _guard(pair.q, r + pair.N, _MAX_MATRIX_CELLS, "one extractor's class laws")
+    _guard(q, r + n, _MAX_MATRIX_CELLS, "one extractor's class laws")
 
 
 def _by_orbit_key(q: int, stack: np.ndarray, rref: np.ndarray, rank: np.ndarray,
@@ -327,7 +326,7 @@ def _stacked(pair: NestedLatticePair, g, empty: float, statistic) -> float | np.
     if g.shape[-2] > 0:
         if g.shape[-1] != pair.N:
             raise ValueError(f"extractor must have {pair.N} columns")
-        _guard_stack(pair, g.shape[-2])
+        _guard_stack(q, pair.N, g.shape[-2])
         flat = g.reshape(-1, *g.shape[-2:])
         out = _by_orbit_key(q, flat, *row_reduce(flat, q), statistic).reshape(out.shape)
     return float(out) if g.ndim == 2 else out
@@ -345,10 +344,10 @@ def exact_seed_leakage(pair: NestedLatticePair, g: np.ndarray) -> float | np.nda
     The observation is (mod-coarse sum, wrap bits), which determines the
     relay's noiseless view.  ``g`` is one (r, N) extractor, which gives a
     float, or a stack (..., r, N), which gives a float64 array of shape
-    (...), one value per matrix.  ``MAX_PAIR_ENUM`` bounds the q^(2N)
-    codeword pairs the law covers, but nothing enumerates them: I = rank(g) log2 q -
-    H(seed | observation), with the conditional entropy counted by
-    posterior class (``_class_pass``, ``_entropy_fold``).  Its g-dependent
+    (...), one value per matrix.  Nothing enumerates the q^(2N) codeword
+    pairs: I = rank(g) log2 q - H(seed | observation), with the conditional
+    entropy counted by posterior class (``_class_pass``, ``_entropy_fold``,
+    bounded by ``_guard_stack``).  Its g-dependent
     part is an exact integer vector, so equal counts give bit-identical
     bits: a stack equals its single calls, and extractors related by a
     change of basis, a column permutation or a column sign flip tie
@@ -417,7 +416,7 @@ def best_sampled_extractor(
     if r == 0 and candidates > 0:  # a constant seed
         return LeakageRecord(matrix=(), exact_mi_bits=0.0)
     draws = rng.integers(0, q, size=(candidates, r, n), dtype=np.int64)
-    _guard_stack(pair, r)
+    _guard_stack(q, n, r)
     rref, rank = row_reduce(draws, q)
     full = rank == r
     if not full.any():

@@ -70,7 +70,7 @@ from .extract import (
     r0_max,
     r_max,
 )
-from .fields import ExtField, is_prime, undigits
+from .fields import ExtField, is_prime, reduce_mod, undigits
 from .lattice import (
     NestedLatticePair,
     _codebook_point,
@@ -453,7 +453,7 @@ class TwoHopProtocol:
         padding.
         """
         p, b, pair = self.params, len(y2), self.pass_pair
-        t1_hat = (decode_fine_mod_coarse(pair, y2) - jam) % pair.modulus
+        t1_hat = reduce_mod(decode_fine_mod_coarse(pair, y2) - jam, pair.modulus)
         tag, msg = 2 * p.N, 2 * p.N + p.r
         x_hat, k_hat = extract_seed(self.extractor, t1_hat[:, :tag].reshape(b, 2, p.N)).T
         u_hat = undigits(t1_hat[:, tag:msg], p.q)

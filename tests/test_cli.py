@@ -1085,38 +1085,45 @@ def test_trials_cap_counts_every_behavior(tmp_path, monkeypatch):
 
 def test_scan_leakage_with_skip(tmp_path):
     path = write_config(tmp_path, {
-        "scan": {"kind": "leakage", "values": [1, 2, 3, 4], "q": 11, "r": 1, "candidates": 16}
+        "scan": {"kind": "leakage", "values": [1, 2, 3, 4, 6], "q": 11, "r": 1, "candidates": 16}
     })
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", path, "--seed", "8", "--out", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines()
             if l and not l.startswith("#")][1:]
     status = {int(r[2]): r[0] for r in rows}
-    assert status[1] == status[2] == status[3] == "ok"
-    assert status[4] == "skipped"  # 11^8 pairs exceed oracle.MAX_PAIR_ENUM = 10^8
+    assert status[1] == status[2] == status[3] == status[4] == "ok"
+    assert status[6] == "skipped"  # 11^7 class-law cells exceed oracle._MAX_MATRIX_CELLS = 2^22
     leak = {int(r[2]): r[3] for r in rows if r[0] == "ok"}
-    assert float(leak[3]) <= float(leak[2]) <= float(leak[1])
+    assert float(leak[4]) <= float(leak[3]) <= float(leak[2]) <= float(leak[1])
 
 
 def test_scan_leakage_skips_a_row_over_the_matrix_cell_cap(tmp_path):
-    # q^2 pairs at q = 9973 pass MAX_PAIR_ENUM, but one extractor's class laws hold as many
-    # cells: the scan ran over two minutes.  In a child process under a 1 GiB address-space
-    # cap, so a regression fails this test instead of exhausting the machine.
+    # at q = 101 one extractor's class laws hold 101^4 cells at N = 3 and 101^2 at N = 1:
+    # a first row over the cap is skipped, since the smallest row can run
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 101, "values": [3, 1]}})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")]
+    assert [(r[0], r[2]) for r in rows[1:]] == [("skipped", "3"), ("ok", "1")]
+    # at q = 9973 the class laws of one extractor hold 9973^2 cells from N = 1 on: the scan
+    # once ran over two minutes, and now no row can run.  In a child process under a 1 GiB
+    # address-space cap, so a regression fails this test instead of exhausting the machine.
     path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": 9973, "values": [1, 2]}})
     result = subprocess.run(
         [sys.executable, "-m", "relaysec.cli", "scan", "--config", path],
         capture_output=True, text=True, timeout=60, preexec_fn=_address_space_cap,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
-    assert result.returncode == 0, result.stderr
-    rows = [l.split(",") for l in result.stdout.splitlines() if l and not l.startswith("#")]
-    assert [(r[0], r[2]) for r in rows[1:]] == [("skipped", "1"), ("skipped", "2")]
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("size guard: one extractor's class laws needs 9973^2 states, "
+                             "cap is 4194304\n")
 
 
-def test_scan_leakage_skips_a_row_over_the_pair_guard_at_a_huge_N(tmp_path):
-    # N = 10^5: the guard's 11^200000 pairs have more digits than Python prints, which
-    # exited 1 with a traceback after row-reducing the draw.  The row still draws, so the
-    # next row reads the stream it read before.
+def test_scan_leakage_skips_a_row_over_the_cell_cap_at_a_huge_N(tmp_path):
+    # N = 10^5: the guard's 11^100001 cells have more digits than Python prints; a size
+    # built as an int exited 1 with a traceback after row-reducing the draw.  The row still
+    # draws, so the next row reads the stream it read before.
     path = write_config(tmp_path, {
         "scan": {"kind": "leakage", "values": [1, 100000, 2], "q": 11, "r": 1, "candidates": 8}
     })
@@ -1150,8 +1157,8 @@ def test_scan_leakage_oversized_draw_exits_2_before_drawing(tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
-    # r = 25 exceeds the first default N = 1
+def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys, monkeypatch):
+    # r = 25 exceeds the first default N = 1; checked before the cell cap, which 11^26 exceeds
     path = write_config(tmp_path, {"scan": {"kind": "leakage", "r": 25}})
     assert main(["scan", "--config", path]) == 2
     assert "r=25 exceeds N=1" in capsys.readouterr().err
@@ -1161,6 +1168,15 @@ def test_scan_leakage_unrunnable_config_exits_2(tmp_path, capsys):
     })
     assert main(["scan", "--config", path, "--seed", "0"]) == 2
     assert "no full-row-rank candidate" in capsys.readouterr().err
+
+    # the smallest row, wherever it stands, is checked before any row runs
+    def search(*args):
+        raise AssertionError("a row ran before the check")
+
+    monkeypatch.setattr(oracle, "best_sampled_extractor", search)
+    path = write_config(tmp_path, {"scan": {"kind": "leakage", "r": 2, "values": [3, 1]}})
+    assert main(["scan", "--config", path]) == 2
+    assert "r=2 exceeds N=1" in capsys.readouterr().err
 
 
 def test_scan_leakage_rejects_the_protocol_section_as_verify_does(tmp_path, capsys):
@@ -1175,7 +1191,7 @@ def test_scan_leakage_rejects_the_protocol_section_as_verify_does(tmp_path, caps
 
 
 @pytest.mark.parametrize("q", [2**61 - 1, 10007])
-def test_scan_leakage_q_beyond_the_pair_cap_exits_2_before_trial_division(
+def test_scan_leakage_q_beyond_the_cell_cap_exits_2_before_trial_division(
         tmp_path, capsys, monkeypatch, q):
     def trial_division(q):
         raise AssertionError(f"is_prime({q}) ran before the cap")
@@ -1183,8 +1199,8 @@ def test_scan_leakage_q_beyond_the_pair_cap_exits_2_before_trial_division(
     monkeypatch.setattr(cli, "is_prime", trial_division)
     path = write_config(tmp_path, {"scan": {"kind": "leakage", "q": q}})
     assert main(["scan", "--config", path]) == 2
-    assert (f"leakage scan: q={q} has q^2 = {q * q} codeword pairs at N = 1, over the "
-            "exact-leakage cap 100000000: no row can run") in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"size guard: one extractor's class laws needs {q}^2 "
+                                       "states, cap is 4194304\n")
 
 
 def test_scan_leakage_non_prime_q_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from relaysec.fields import (
     full_rank_fraction,
     is_prime,
     matrix_row_rank,
+    reduce_mod,
     row_reduce,
     row_space_levels,
     row_spaces,
@@ -209,6 +210,20 @@ def test_undigits_inverts_digits(q):
     assert np.array_equal(undigits(every[:, ::-1], q), np.arange(q**n))  # first digit high
     assert undigits(digits(7, q, 3), q) == 7 % q**3
     assert undigits(np.zeros((2, 0), dtype=np.uint8), q).tolist() == [0, 0]
+
+
+def test_reduce_mod_is_the_remainder_for_every_sign_and_dtype():
+    for dtype in (np.int8, np.int16, np.int64):
+        info = np.iinfo(dtype)
+        edges = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max], dtype=dtype)
+        x = np.concatenate([np.arange(-128, 128, dtype=dtype), edges])
+        for q in (1, 2, 3, 5, 11, 127):
+            got = reduce_mod(x, q)
+            assert got.dtype == dtype and np.array_equal(got, x % q), (dtype, q)
+    # an int64 array modulus, one ratio per coordinate, as a mixed-ratio lattice pair has
+    x = np.arange(-60, 60, dtype=np.int64).reshape(-1, 4)
+    q = np.array([2, 3, 5, 7], dtype=np.int64)
+    assert np.array_equal(reduce_mod(x, q), x % q)
 
 
 # ---------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_leakage_stack_guard_raises_before_any_work(monkeypatch):
         raise AssertionError("a coordinate table was built before the size guard")
 
     monkeypatch.setattr(oracle, "_coordinate_table", no_work)
-    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4 - 1)
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3 - 1)
     pair = NestedLatticePair(N=2, q=11)
     with pytest.raises(SizeGuardError):
         exact_seed_leakage(pair, all_matrices(11, 1, 2))
@@ -260,31 +260,31 @@ def test_seed_obs_counts_match_direct_path():
 
 def test_leakage_size_guard(monkeypatch):
     pair = NestedLatticePair(N=3, q=5)
-    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 100)
-    with pytest.raises(SizeGuardError):
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 100)
+    with pytest.raises(SizeGuardError):  # 5^4 cells
         exact_seed_leakage(pair, np.array([[1, 0, 0]]))
 
 
 def test_guards_state_a_huge_size_as_a_power():
-    # 11^200000 has more digits than Python's int-to-str conversion allows, and is never built
+    # 11^100001 has more digits than Python's int-to-str conversion allows, and is never built
     pair = NestedLatticePair(N=10**5, q=11)
     for statistic in (exact_seed_leakage, guessing_probability):
-        with pytest.raises(SizeGuardError, match=r"pair enumeration needs 11\^200000 states, cap is"):
+        with pytest.raises(SizeGuardError, match=r"class laws needs 11\^100001 states, cap is"):
             statistic(pair, np.ones((1, 10**5), dtype=np.int64))
 
 
 def test_leakage_guard_applies_with_cached_coordinate_tables(monkeypatch):
     pair = NestedLatticePair(N=2, q=11)
     exact_seed_leakage(pair, np.array([[1, 1]]))  # fills the per-coordinate tables
-    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4 - 1)
-    with pytest.raises(SizeGuardError):  # 11^4 pairs exceed the cap all the same
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3 - 1)
+    with pytest.raises(SizeGuardError):  # 11^3 cells exceed the cap all the same
         exact_seed_leakage(pair, np.array([[1, 1]]))
-    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 11**4)
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 11**3)
     assert exact_seed_leakage(pair, np.array([[1, 1]])) > 0
 
 
 def test_leakage_guards_one_matrix_before_the_coordinate_tables(monkeypatch):
-    # at q = 9973 one matrix's class laws hold q^2 cells, a pair count under MAX_PAIR_ENUM
+    # at q = 9973 one matrix's class laws hold q^2 cells
     def unbuilt(q, alpha):
         raise AssertionError(f"the q = {q} coordinate tables were built before the guard")
 
@@ -564,11 +564,11 @@ def test_sampled_search_row_reduces_its_draws_once(monkeypatch):
 
 def test_sampled_search_guards_before_the_row_reduction(monkeypatch):
     def unreduced(m, q):
-        raise AssertionError("the draws were row-reduced before the pair guard")
+        raise AssertionError("the draws were row-reduced before the cell guard")
 
     monkeypatch.setattr(oracle, "row_reduce", unreduced)
     rng = np.random.default_rng(5)
-    with pytest.raises(SizeGuardError, match=r"codeword-pair enumeration needs 11\^20 states"):
+    with pytest.raises(SizeGuardError, match=r"one extractor's class laws needs 11\^11 states"):
         best_sampled_extractor(NestedLatticePair(N=10, q=11), 1, 8, rng)
     # the draw came first, so the stream moved on by 8 x 1 x 10 words
     want = np.random.default_rng(5)
@@ -614,11 +614,54 @@ def test_guessing_probability_edge_cases(monkeypatch):
     assert guessing_probability(pair, np.zeros((1, 2), dtype=int)) == 1.0
     stacked = guessing_probability(pair, np.zeros((3, 0, 2), dtype=int))
     assert stacked.shape == (3,) and stacked.tolist() == [1.0] * 3
-    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 5**4 - 1)
+    monkeypatch.setattr(oracle, "_MAX_MATRIX_CELLS", 5**3 - 1)
     with pytest.raises(SizeGuardError):
         guessing_probability(pair, np.array([[1, 2]]))
     with pytest.raises(ValueError, match="2 columns"):
         guessing_probability(pair, np.array([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("q, n", [(5, 6), (11, 4)])
+def test_unit_row_leakage_is_the_one_coordinate_value(q, n):
+    # The coordinates are independent: a seed read off coordinate 1 leaks and is guessed
+    # as at N = 1, and one read off coordinates 1 and 2 leaks twice as much and is guessed
+    # with the square of the probability.  q^(2N) > 10^8 codeword pairs at both sizes.
+    one, pair = NestedLatticePair(N=1, q=q), NestedLatticePair(N=n, q=q)
+    leak, guess = exact_seed_leakage(one, [[1]]), guessing_probability(one, [[1]])
+    e1, e12 = np.eye(1, n, dtype=np.int64), np.eye(2, n, dtype=np.int64)
+    assert abs(exact_seed_leakage(pair, e1) - leak) < 1e-12
+    assert guessing_probability(pair, e1) == guess
+    assert abs(exact_seed_leakage(pair, e12) - 2 * leak) < 1e-12
+    assert guessing_probability(pair, e12) == guess**2
+
+
+def test_leakage_at_n6_r3_q5():
+    # (N, r) = (6, 3) at q = 5, the d = 2 operating path's second point: 5^12 codeword
+    # pairs, 5^9 class-law cells.  The default [I | ones] and the Reed-Solomon generator
+    # (rows 1, a, a^2 at a in GF(5), and the point at infinity)
+    pair = NestedLatticePair(N=6, q=5)
+    identity_ones = np.hstack([np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64)])
+    reed_solomon = np.array([[1, 1, 1, 1, 1, 0], [0, 1, 2, 3, 4, 0], [0, 1, 4, 4, 1, 1]])
+    stack = np.stack([identity_ones, reed_solomon])
+    leak = exact_seed_leakage(pair, stack)
+    assert leak.tolist() == [0.5004061842079448, 0.07141069256782107]
+    assert leak.tolist() == [exact_seed_leakage(pair, g) for g in stack]
+    guess = guessing_probability(pair, stack)
+    assert guess.tolist() == [4211869 / 5**12, 2582629 / 5**12]
+    assert guess.tolist() == [guessing_probability(pair, g) for g in stack]
+
+
+def test_leakage_guard_bounds_the_class_laws_not_the_pairs():
+    # (q, N, r) = (11, 5, 1): 11^10 codeword pairs, 11^6 cells, runs
+    one, pair = NestedLatticePair(N=1, q=11), NestedLatticePair(N=5, q=11)
+    e1 = np.eye(1, 5, dtype=np.int64)
+    assert abs(exact_seed_leakage(pair, e1) - exact_seed_leakage(one, [[1]])) < 1e-12
+    assert guessing_probability(pair, e1) == guessing_probability(one, [[1]])
+    # (q, N, r) = (5, 8, 4): 5^12 cells, over the cap
+    identity_ones = np.hstack([np.eye(4, dtype=np.int64), np.ones((4, 4), dtype=np.int64)])
+    for statistic in (exact_seed_leakage, guessing_probability):
+        with pytest.raises(SizeGuardError, match=r"one extractor's class laws needs 5\^12 states"):
+            statistic(NestedLatticePair(N=8, q=5), identity_ones)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
