@@ -17,7 +17,6 @@ from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
     decode_fine_mod_coarse,
-    index_to_coords,
     lattice_add,
     mod_coarse,
     reconstruct_sums,
@@ -41,7 +40,7 @@ print()
 print("=== nested lattice codebook, q = 3, N = 2 ===")
 pair = NestedLatticePair(N=2, q=3)
 print("coords -> transmitted point (coarse region is [-1.5, 1.5)^2):")
-coords = index_to_coords(pair, np.arange(pair.q**pair.N))  # lexicographic order
+coords = digits(np.arange(pair.q**pair.N), pair.q, pair.N)  # index k: base-3 digits, lexicographic
 for c, point in zip(coords, codebook_point(pair, coords)):
     print(f"  {tuple(int(v) for v in c)} -> {point}")
 

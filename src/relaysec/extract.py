@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import complete_rows, digits, matrix_row_rank, undigits
-from .lattice import NestedLatticePair, codebook_point, coords_to_index, index_to_coords
+from .lattice import NestedLatticePair, codebook_point
 
 __all__ = [
     "ExtractorMap",
@@ -200,8 +200,8 @@ class EncoderMap:
     rank v carries the N0-bit word [g'; g] v, bit 0 first, so its word is
     rho + 2^(N0 - r0) b for randomizer rho = g' v and block value b = g v.
     ``encode_table[rho + 2^(N0 - r0) b]`` is the coords carrying b with
-    randomizer rho, and ``decode_table[coords index]`` (see
-    ``coords_to_index``) is the block value g v, -1 outside K.
+    randomizer rho, and ``decode_table[undigits(coords, q)]`` is the block
+    value g v, -1 outside K.
     """
 
     N0: int
@@ -226,7 +226,7 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
         raise ValueError(f"g must have N0 = floor(N log2 q) = {N0} columns, got {cols}")
     g_prime = complete_rows(g, 2)  # raises unless g has full row rank
 
-    coords = index_to_coords(pair, np.arange(pair.q**pair.N))
+    coords = digits(np.arange(pair.q**pair.N), pair.q, pair.N)
     points = codebook_point(pair, coords)
     ranked = sorted((round(float(np.dot(p, p)), 12), tuple(c.tolist()))
                     for p, c in zip(points, coords))
@@ -235,6 +235,6 @@ def build_encoder(g: np.ndarray, pair: NestedLatticePair) -> EncoderMap:
     encode_table = np.empty_like(subset_coords)
     encode_table[words] = subset_coords
     decode_table = np.full(pair.q**pair.N, -1, dtype=np.int64)
-    decode_table[coords_to_index(pair, subset_coords)] = words >> (N0 - r0)
+    decode_table[undigits(subset_coords, pair.q)] = words >> (N0 - r0)
     return EncoderMap(N0=N0, r0=r0, subset_coords=subset_coords,
                       encode_table=encode_table, decode_table=decode_table)

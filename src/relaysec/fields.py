@@ -6,7 +6,8 @@ x^k in the polynomial basis, and ``ExtField.tables`` holds the add, sub,
 mul and neg tables indexed by those ints.
 
 ``digits`` and its inverse ``undigits`` are the package's one int <-> digits
-codec, in any base (q for elements, coords and seeds; 2 for ranks and bits).
+codec, in any base: q for elements, seeds and codebook indices (whose
+digits are the coords), 2 for ranks and bits.
 
 Matrices over GF(q) are integer numpy arrays, one matrix or a stack of
 shape (..., rows, cols); ``all_matrices`` enumerates every matrix of a
@@ -19,7 +20,8 @@ RREFs of all matrices of a shape by prefix transitions: RREF([M'; v]) =
 RREF([RREF(M'); v]), so row k only inserts each vector v into each
 distinct RREF of the first k - 1 rows.  One pass yields every row count
 of a width in turn, each level with its step: the id of RREF([R; v]) per
-(R, v).  ``row_spaces`` composes the steps into its level ``rows``.
+(R, v).  Each level's RREFs are their own reductions, so a caller that
+wants one RREF per row space reads them off a level as they are.
 
 Everything here is deterministic: the extension-field modulus is the
 lexicographically first monic irreducible polynomial of the requested
@@ -28,7 +30,6 @@ degree, so GF(q^r) has one canonical representation per (q, r).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,7 +45,6 @@ __all__ = [
     "all_matrices",
     "row_reduce",
     "row_space_levels",
-    "row_spaces",
     "matrix_row_rank",
     "complete_rows",
     "full_rank_fraction",
@@ -91,14 +91,15 @@ def undigits(d, q: int) -> np.ndarray:
 
 
 def reduce_mod(x: np.ndarray, q) -> np.ndarray:
-    """x mod q of an int array for q > 0, an int or an int array, as x - (x // q) q.
+    """x mod q of an int array for q > 0, an int or an int array.
 
-    The value of ``x % q`` for every sign of x, in x's dtype (an overflow
-    of x // q * q wraps and cancels).  numpy's integer ``%`` by an int takes
-    a slower path than its floor division (numpy 2.4: 4x on 10^4 int64
-    entries, 20x on int8); by an int array this form is up to 1.5x slower.
+    The value of ``x % q`` for every sign of x, in x's dtype.  By an int it
+    is x - (x // q) q (an overflow of x // q * q wraps and cancels), since
+    numpy's integer ``%`` by an int takes a slower path than its floor
+    division (numpy 2.4: 4x on 10^4 int64 entries, 20x on int8); by an int
+    array that form is the slower one, so it is ``%`` there.
     """
-    return x - x // q * q
+    return x % q if isinstance(q, np.ndarray) else x - x // q * q
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,8 @@ def row_space_levels(q: int, cols: int):
     RREF([R_i; v]), R_i the i-th RREF of k - 1 rows and v the v-th vector
     of ``all_matrices(q, 1, cols)``; level 0's step is [[0]].  Matrix
     i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v], so
-    the composed steps map every matrix to its RREF (``row_spaces``).  Each
-    level is built from the one before, and the caller stops the pass.
+    the composed steps map every matrix to its RREF.  Each level is built
+    from the one before, and the caller stops the pass.
 
     Since RREF([M'; v]) = RREF([RREF(M'); v]), each vector is inserted
     (``_insert``) into each distinct RREF of the level before,
@@ -319,19 +320,6 @@ def row_space_levels(q: int, cols: int):
             keys[p0 : p0 + len(i)] = row_keys @ place
         found, step = np.unique(keys, return_inverse=True)
         rref_rows, step = digits(found, n_vec, k)[:, ::-1], step.reshape(m, n_vec)
-
-
-def row_spaces(q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rrefs, index): the distinct RREFs of all rows x cols matrices over GF(q).
-
-    ``rrefs`` is in ``all_matrices`` (lexicographic) order and ``rrefs[index]``
-    equals ``row_reduce(all_matrices(q, rows, cols), q)[0]``.  It is level
-    ``rows`` of ``row_space_levels``, its index the composed steps.
-    """
-    index = np.zeros(1, dtype=np.int64)
-    for rrefs, step in itertools.islice(row_space_levels(q, cols), rows + 1):
-        index = step[index].ravel()  # [matrix i' of k - 1 rows; vector v] is i' * q^cols + v
-    return rrefs, index
 
 
 def matrix_row_rank(m, q: int):

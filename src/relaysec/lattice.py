@@ -6,15 +6,17 @@ inside the coarse Voronoi region ``V = [-q*alpha/2, q*alpha/2)^N`` (half
 open; at a quantization tie the residue lands on the negative endpoint).
 Each codebook point is identified by its canonical coordinate vector in
 ``[0, q)^N``, which is already its GF(q)^N image: the mod-coarse addition
-of points is coordinate-wise addition mod q (``lattice_add``).
+of points is coordinate-wise addition mod q (``lattice_add``).  Its index
+in ``[0, q^N)`` is the int whose base-q digits are the coords, coordinate 0
+least significant: ``fields.undigits`` and ``fields.digits`` convert, and
+``digits`` of ``arange(q^N)`` lists the whole codebook in lexicographic order.
 
 The per-vector functions (``quantize_coarse``, ``mod_coarse``,
-``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``,
-``coords_to_index``) also take arrays with leading batch axes, shape
-``(..., N)``, and validate shape and range once per call over the whole
-array; the trial engine calls the unchecked kernel ``_codebook_point``
-on coords it formed in range.  The coordinate-wise ones (all of them but
-``coords_to_index``) also serve a pair whose ``q`` is a tuple of N primes,
+``codebook_point``, ``decode_fine_mod_coarse``, ``lattice_add``) also
+take arrays with leading batch axes, shape ``(..., N)``, and validate
+shape and range once per call over the whole array; the trial engine
+calls the unchecked kernel ``_codebook_point`` on coords it formed in
+range.  They also serve a pair whose ``q`` is a tuple of N primes,
 one nesting ratio per coordinate: the coarse lattice is then
 ``diag(q) * alpha * Z^N``, the product of N one-dimensional codes, and
 each coordinate's residues, coords and sums are taken mod its own ratio.
@@ -26,10 +28,8 @@ The sum of two Voronoi-region vectors is recoverable from its mod-coarse
 residue plus one wrap bit per coordinate; ``represent_sums`` packs those
 bits into an integer T in [1, 2^N] (coordinate 0 least significant) and
 ``reconstruct_sums`` inverts it exactly, both over leading batch axes
-(one pair is the call without them).  Index <-> coords and T - 1 <->
-wrap bits go through ``fields.digits`` / ``fields.undigits``;
-``index_to_coords`` of ``arange(q^N)`` lists the whole codebook's coords
-in lexicographic order.
+(one pair is the call without them); T - 1 <-> wrap bits is the same
+codec in base 2.
 """
 
 from __future__ import annotations
@@ -173,26 +173,6 @@ def _codebook_point(pair: NestedLatticePair, c: np.ndarray) -> np.ndarray:
     """``codebook_point`` of int64 coords already canonical, unchecked: the engine's form."""
     table, offsets = pair.point_table
     return table[c + offsets if isinstance(offsets, np.ndarray) else c]
-
-
-def _one_ratio(pair: NestedLatticePair) -> int:
-    if isinstance(pair.q, tuple):
-        raise ValueError("a codebook index needs one nesting ratio for every coordinate")
-    return pair.q
-
-
-def index_to_coords(pair: NestedLatticePair, k) -> np.ndarray:
-    """Base-q decoding: coordinate 0 is the least significant digit.
-
-    ``k`` may be an int or an int array; the coords get a trailing axis.
-    """
-    return digits(k, _one_ratio(pair), pair.N)
-
-
-def coords_to_index(pair: NestedLatticePair, c):
-    """Inverse of index_to_coords, over any leading batch axes."""
-    k = undigits(_check_coords(pair, c), _one_ratio(pair))
-    return int(k) if k.ndim == 0 else k
 
 
 def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:

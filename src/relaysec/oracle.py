@@ -30,6 +30,7 @@ each matrix its key's value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -44,14 +45,12 @@ from .fields import (
     full_rank_fraction,
     row_reduce,
     row_space_levels,
-    row_spaces,
     undigits,
 )
 from .lattice import (
     NestedLatticePair,
     codebook_point,
     decode_fine_mod_coarse,
-    index_to_coords,
     lattice_add,
     mod_coarse,
     reconstruct_sums,
@@ -180,7 +179,7 @@ def _class_pass(pair: NestedLatticePair, g: np.ndarray, fold) -> np.ndarray:
     q^(2N) pairs.
 
     The laws are built by prefix transitions over the coordinates, as
-    ``fields.row_spaces`` builds RREFs: coordinate j shifts the laws of
+    ``fields.row_space_levels`` builds RREFs: coordinate j shifts the laws of
     every class prefix by c1 g[:, j] for each c1 (one gather) and sums the
     shifts of each shape (one matmul with its membership matrix).  Every
     entry is an integer no larger than q^N, so float64 holds it exactly.
@@ -371,8 +370,14 @@ def guessing_probability(pair: NestedLatticePair, g: np.ndarray) -> float | np.n
         pair, stack, _guess_fold) / pair.q ** (2 * pair.N))
 
 
-def _least_leaky(stack: np.ndarray, mis: np.ndarray) -> LeakageRecord:
-    """The first minimizer of the leakages ``mis`` of a (k, r, N) stack."""
+def _least_leaky(pair: NestedLatticePair, stack: np.ndarray, rref: np.ndarray,
+                 rank: np.ndarray) -> LeakageRecord:
+    """The first least leaky matrix of a guarded full-rank (k, r, N) stack, given its (rref, rank).
+
+    The leakages come once per orbit key (``_by_orbit_key``), and the first
+    minimum in stack order wins.  Both extractor searches end here.
+    """
+    mis = _by_orbit_key(pair.q, stack, rref, rank, partial(_leakage, pair))
     best = int(np.argmin(mis))
     return LeakageRecord(matrix=tuple(map(tuple, stack[best].tolist())),
                          exact_mi_bits=float(mis[best]))
@@ -385,17 +390,22 @@ def best_extractor_exhaustive(pair: NestedLatticePair, r: int) -> LeakageRecord:
     space: an invertible change of basis permutes the seed alphabet
     bijectively, which leaves the mutual information unchanged, so one
     representative per row space is exact.  For r = 1 these are the rows
-    whose first nonzero entry is 1.  They are the rank-r RREFs of ``fields.row_spaces``
-    (RREF([M'; v]) = RREF([RREF(M'); v])), in lexicographic order, and go to
-    ``exact_seed_leakage`` as one stack; the first minimum wins.
+    whose first nonzero entry is 1.  The matrix-enumeration and class-law
+    guards run first; the representatives are then the rank-r RREFs of
+    level r of ``fields.row_space_levels``, in lexicographic order.  Each
+    is its own RREF, so they go to ``_least_leaky`` unreduced; the first
+    minimum wins.  An r = 0 extractor leaks 0.0.
     """
     q, n = pair.q, pair.N
+    if r == 0:  # a constant seed
+        return LeakageRecord(matrix=(), exact_mi_bits=0.0)
     _guard(q, r * n, MAX_PAIR_ENUM, "extractor-matrix enumeration")
-    rrefs, _ = row_spaces(q, r, n)
+    _guard_stack(q, n, r)
+    rrefs, _ = next(itertools.islice(row_space_levels(q, n), r, None))
     reps = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]  # rank: nonzero rows
     if len(reps) == 0:
         raise RuntimeError("no full-row-rank matrix exists for these dimensions")
-    return _least_leaky(reps, exact_seed_leakage(pair, reps))
+    return _least_leaky(pair, reps, reps, np.full(len(reps), r))
 
 
 def best_sampled_extractor(
@@ -407,10 +417,9 @@ def best_sampled_extractor(
     draw, which reads the same stream as one draw per candidate.  The
     guards of ``exact_seed_leakage`` run next, then one ``row_reduce`` of
     the draw: its ranks pick the full-rank candidates, and its RREFs give
-    their orbit keys.  The full-rank stack is evaluated in draw order, as
-    ``exact_seed_leakage`` would evaluate it, and the first minimum wins.
-    An r = 0 extractor reads no stream and leaks 0.0.  Raises RuntimeError
-    when no candidate has full row rank.
+    their orbit keys.  The full-rank stack goes to ``_least_leaky`` in
+    draw order.  An r = 0 extractor reads no stream and leaks 0.0.  Raises
+    RuntimeError when no candidate has full row rank.
     """
     q, n = pair.q, pair.N
     if r == 0 and candidates > 0:  # a constant seed
@@ -423,9 +432,7 @@ def best_sampled_extractor(
         raise RuntimeError(
             f"no full-row-rank candidate in {candidates} samples (q={q}, r={r}, N={n})"
         )
-    stack = draws[full]
-    return _least_leaky(stack, _by_orbit_key(q, stack, rref[full], rank[full],
-                                             partial(_leakage, pair)))
+    return _least_leaky(pair, draws[full], rref[full], rank[full])
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +536,7 @@ def representation_census(pair: NestedLatticePair):
     """
     _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "representation census")
     size = pair.q**pair.N
-    points = codebook_point(pair, index_to_coords(pair, np.arange(size)))
+    points = codebook_point(pair, digits(np.arange(size), pair.q, pair.N))
 
     def block_bad(i0, i1):
         u1, u2 = points[i0:i1, None, :], points[None, :, :]
@@ -555,7 +562,7 @@ def isomorphism_census(pair: NestedLatticePair):
     """
     _guard(pair.q, 2 * pair.N, MAX_PAIR_ENUM, "isomorphism census")
     size = pair.q**pair.N
-    coords = index_to_coords(pair, np.arange(size))
+    coords = digits(np.arange(size), pair.q, pair.N)
     points = codebook_point(pair, coords)
     if not np.array_equal(decode_fine_mod_coarse(pair, points), coords):
         return False, "coordinate map is not a bijection"

@@ -70,14 +70,13 @@ from .extract import (
     r0_max,
     r_max,
 )
-from .fields import ExtField, is_prime, reduce_mod, undigits
+from .fields import ExtField, digits, is_prime, undigits
 from .lattice import (
     NestedLatticePair,
     _codebook_point,
     average_codebook_power,
     codebook_point,
     decode_fine_mod_coarse,
-    index_to_coords,
     line_power,
 )
 
@@ -413,7 +412,7 @@ class TwoHopProtocol:
         tag, msg = 2 * p.N, 2 * p.N + p.r  # first use of the tag and of the message blocks
         t = np.zeros((2, b, self.uses), dtype=np.int64)
         t[:, :, :tag] = seeds.transpose(2, 0, 1, 3).reshape(2, b, tag)
-        t[0, :, tag:msg] = index_to_coords(self.tag_pair, u)
+        t[0, :, tag:msg] = digits(u, p.q, p.r)
         values = undigits(blocks[:, :, :n_rand], 2) + (self._symbols_to_blocks(s) << n_rand)
         t[0, :, msg:] = self.encoder.encode_table[values].reshape(b, -1)
         t[1, :, msg:] = blocks[:, :, n_rand:].reshape(b, -1)
@@ -453,7 +452,8 @@ class TwoHopProtocol:
         padding.
         """
         p, b, pair = self.params, len(y2), self.pass_pair
-        t1_hat = reduce_mod(decode_fine_mod_coarse(pair, y2) - jam, pair.modulus)
+        t1_hat = decode_fine_mod_coarse(pair, y2) - jam
+        t1_hat += (t1_hat < 0) * pair.modulus  # from (-q, q) into [0, q), cheaper than a mod
         tag, msg = 2 * p.N, 2 * p.N + p.r
         x_hat, k_hat = extract_seed(self.extractor, t1_hat[:, :tag].reshape(b, 2, p.N)).T
         u_hat = undigits(t1_hat[:, tag:msg], p.q)

@@ -15,12 +15,12 @@ from relaysec.channel import (
     power_audit,
     relay_step,
 )
+from relaysec.fields import digits
 from relaysec.lattice import (
     NestedLatticePair,
     average_codebook_power,
     codebook_point,
     decode_fine_mod_coarse,
-    index_to_coords,
     lattice_add,
 )
 
@@ -29,7 +29,7 @@ def rng(seed=0):
 
 
 def all_coords(pair):
-    return index_to_coords(pair, np.arange(pair.q**pair.N))
+    return digits(np.arange(pair.q**pair.N), pair.q, pair.N)
 
 
 # ---------------------------------------------------------------------

@@ -18,10 +18,9 @@ from relaysec.channel import (
     _uniform_ints,
     power_audit,
 )
-from relaysec.fields import ExtField, find_irreducible, is_prime
+from relaysec.fields import ExtField, find_irreducible, is_prime, undigits
 from relaysec.lattice import (
     codebook_point,
-    coords_to_index,
     decode_fine_mod_coarse,
     lattice_add,
 )
@@ -299,7 +298,7 @@ def _reference_trial(proto, behavior, words, n_rand, blocks, uses):
         t2 = np.array([_unif(w, p.msg_q) for w in jam_w])
         t1 = enc.encode_table[sum(bit << i for i, bit in enumerate(word))]
         t1_hat = (hop(proto.msg_pair, t1, t2) - t2) % p.msg_q
-        value = int(enc.decode_table[coords_to_index(proto.msg_pair, t1_hat)])
+        value = int(enc.decode_table[undigits(t1_hat, p.msg_q)])
         if value >= 0:
             out_bits += [(value >> i) & 1 for i in range(p.msg_r0)]
         else:

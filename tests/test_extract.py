@@ -18,8 +18,8 @@ from relaysec.extract import (
     seed_uniformity,
     shannon_entropy,
 )
-from relaysec.fields import all_matrices, complete_rows, matrix_row_rank
-from relaysec.lattice import NestedLatticePair, coords_to_index
+from relaysec.fields import all_matrices, complete_rows, matrix_row_rank, undigits
+from relaysec.lattice import NestedLatticePair
 
 
 # ---------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_build_encoder_subset_example():
     assert enc.N0 == 3
     assert len(enc.subset_coords) == 8
     # the lex-largest of the four norm-2 points is excluded
-    assert enc.decode_table[coords_to_index(pair, (2, 2))] == -1
+    assert enc.decode_table[undigits((2, 2), pair.q)] == -1
     assert enc.subset_coords[0].tolist() == [0, 0]
 
 
@@ -224,7 +224,7 @@ def test_encoder_round_trip_exhaustive():
             g = np.hstack([np.eye(r0, dtype=int), np.ones((r0, n0 - r0), dtype=int)]) % 2
             enc = build_encoder(g, pair)
             words = np.arange(2**n0)  # every (randomizer, block value)
-            values = enc.decode_table[coords_to_index(pair, enc.encode_table[words])]
+            values = enc.decode_table[undigits(enc.encode_table[words], pair.q)]
             assert np.array_equal(values, words >> (n0 - r0))
             # uniform inputs cover K once
             assert sorted(map(tuple, enc.encode_table.tolist())) == sorted(
@@ -261,7 +261,7 @@ def test_encoder_tables_match_the_definition():
                 stacked = complete_rows(np.array(g), 2).tolist() + g
                 for v in range(2**n0):
                     point = enc.subset_coords[v]
-                    assert enc.decode_table[coords_to_index(pair, point)] == _binary_product(
+                    assert enc.decode_table[undigits(point, pair.q)] == _binary_product(
                         g, _bits(v, n0))
                 for w in range(2**n0):
                     (v,) = [v for v in range(2**n0)
@@ -273,7 +273,7 @@ def test_decoder_linear_in_bit_vector():
     # S = g v is linear in the bits of the rank v: rank a XOR b decodes to the XOR of theirs
     pair = NestedLatticePair(N=2, q=5)
     enc = build_encoder(np.array([[1, 1, 0, 1]]), pair)
-    values = enc.decode_table[coords_to_index(pair, enc.subset_coords)]
+    values = enc.decode_table[undigits(enc.subset_coords, pair.q)]
     for a in range(16):
         for b in range(16):
             assert values[a ^ b] == values[a] ^ values[b]
@@ -283,7 +283,7 @@ def test_decode_outside_subset_rejected():
     """Coords outside K decode to -1, the flag the message stage rejects on."""
     pair = NestedLatticePair(N=2, q=3)
     enc = build_encoder(np.array([[1, 0, 0]]), pair)
-    values = enc.decode_table[coords_to_index(pair, [[a, b] for a in range(3) for b in range(3)])]
+    values = enc.decode_table[undigits([[a, b] for a in range(3) for b in range(3)], pair.q)]
     assert values.tolist().count(-1) == 1 and values[-1] == -1  # only (2, 2)
 
 
@@ -339,5 +339,5 @@ def test_build_encoder_completion_identity_binary():
     enc = build_encoder(np.array([[0, 1]]), pair)
     assert np.array_equal(complete_rows(np.array([[0, 1]]), 2), [[1, 0]])
     assert np.array_equal(enc.encode_table, enc.subset_coords)
-    values = enc.decode_table[coords_to_index(pair, enc.subset_coords)]
+    values = enc.decode_table[undigits(enc.subset_coords, pair.q)]
     assert values.tolist() == [v >> 1 for v in range(4)]

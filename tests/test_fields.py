@@ -19,7 +19,6 @@ from relaysec.fields import (
     reduce_mod,
     row_reduce,
     row_space_levels,
-    row_spaces,
     undigits,
 )
 
@@ -203,7 +202,7 @@ def test_undigits_inverts_digits(q):
     assert d.shape == ks.shape + (n,)
     back = undigits(d, q)
     assert back.dtype == np.int64 and np.array_equal(back, ks)
-    # uint8 digit stacks, as row_spaces passes them, and every digit tuple
+    # uint8 digit stacks, as all_matrices makes them, and every digit tuple
     every = all_matrices(q, 1, n)[:, 0, :]
     assert every.dtype == np.uint8
     assert np.array_equal(digits(undigits(every, q), q, n), every)
@@ -366,6 +365,18 @@ def test_stacked_reduction_matches_single_matrices(q, monkeypatch):
         assert np.array_equal(matrix_row_rank(grid, q), rank.reshape(3, 20))
 
 
+def _row_spaces(q, rows, cols):
+    """(rrefs, index): level ``rows`` of ``row_space_levels`` and its composed steps.
+
+    Matrix i' * q^cols + v of k rows is [matrix i' of k - 1 rows; vector v], so
+    ``rrefs[index]`` is the RREF of each of ``all_matrices(q, rows, cols)``.
+    """
+    index = np.zeros(1, dtype=np.int64)
+    for rrefs, step in itertools.islice(row_space_levels(q, cols), rows + 1):
+        index = step[index].ravel()
+    return rrefs, index
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_row_spaces_match_row_reduce_matrix_by_matrix(q, monkeypatch):
     # small passes, so the stacks of the later rows span several of them
@@ -377,7 +388,7 @@ def test_row_spaces_match_row_reduce_matrix_by_matrix(q, monkeypatch):
             continue
         mats = all_matrices(q, rows, cols)
         want_rref, want_rank = row_reduce(mats, q)
-        rrefs, index = row_spaces(q, rows, cols)
+        rrefs, index = _row_spaces(q, rows, cols)
         assert rrefs.dtype == want_rref.dtype and rrefs.shape[1:] == (rows, cols)
         assert index.shape == (len(mats),)
         assert np.array_equal(rrefs[index], want_rref), (rows, cols)
@@ -434,7 +445,7 @@ def test_row_space_levels_match_row_spaces_level_by_level(q):
             want_rref = row_reduce(all_matrices(q, k, cols), q)[0]
             assert rrefs[index].dtype == want_rref.dtype
             assert np.array_equal(rrefs[index], want_rref), (q, k, cols)
-            want_rrefs, want_index = row_spaces(q, k, cols)
+            want_rrefs, want_index = _row_spaces(q, k, cols)
             assert rrefs.dtype == want_rrefs.dtype and rrefs.shape[1:] == (k, cols)
             assert np.array_equal(rrefs, want_rrefs) and np.array_equal(index, want_index)
 
@@ -442,10 +453,10 @@ def test_row_space_levels_match_row_spaces_level_by_level(q):
 def test_row_spaces_memory():
     """q=5, 2 x 4: 390,625 matrices; re-reducing each [RREF; v] from scratch peaked
     near 9.0 MiB, an int64 insertion without blocks near 27 MiB."""
-    row_spaces(5, 1, 4)  # numpy's own first-call allocations are not the census's
+    _row_spaces(5, 1, 4)  # numpy's own first-call allocations are not the census's
     tracemalloc.start()
     try:
-        rrefs, index = row_spaces(5, 2, 4)
+        rrefs, index = _row_spaces(5, 2, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,7 +473,7 @@ def test_row_spaces_count_subspaces():
             den *= q ** (i + 1) - 1
         return num // den
     for q, rows, cols in [(2, 4, 4), (3, 2, 4), (5, 2, 3), (2, 0, 3), (3, 3, 2)]:
-        rrefs, _ = row_spaces(q, rows, cols)
+        rrefs, _ = _row_spaces(q, rows, cols)
         assert len(rrefs) == sum(gaussian(cols, k, q) for k in range(min(rows, cols) + 1))
 
 

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from relaysec.fields import digits, undigits
 from relaysec.lattice import (
     NestedLatticePair,
     average_codebook_power,
     codebook_point,
     decode_fine_mod_coarse,
     in_fundamental_region,
-    index_to_coords,
     lattice_add,
     mod_coarse,
     quantize_coarse,
-    coords_to_index,
     rate_condition_ok,
     reconstruct_sums,
     represent_sums,
@@ -28,7 +27,7 @@ def v(*vals):
 
 def all_coords(pair):
     """The q^N canonical coordinate vectors in lexicographic order."""
-    return index_to_coords(pair, np.arange(pair.q**pair.N))
+    return digits(np.arange(pair.q**pair.N), pair.q, pair.N)
 
 
 # ---------------------------------------------------------------------
@@ -268,7 +267,7 @@ def test_coords_range_check_on_stacks_and_broadcasts():
     pair = NestedLatticePair(N=3, q=5)
     ok = np.broadcast_to(np.array([0, 4, 2]), (6, 2, 3))  # zero strides
     assert np.array_equal(lattice_add(pair, ok, np.zeros((6, 2, 3), dtype=np.int64)), ok)
-    assert coords_to_index(pair, ok).tolist() == [[4 * 5 + 2 * 25] * 2] * 6
+    assert undigits(ok, 5).tolist() == [[4 * 5 + 2 * 25] * 2] * 6
     big = np.full((4, 2, 3), 1, dtype=np.int64)
     big[3, 1, 2] = 5
     neg = big.copy()
@@ -278,7 +277,7 @@ def test_coords_range_check_on_stacks_and_broadcasts():
            np.broadcast_to(np.array([7, 0, 1]), (4, 2, 3)),
            big[::-1, :, ::-1], neg.transpose(1, 0, 2)]
     for c in bad:
-        for call in (lambda c: codebook_point(pair, c), lambda c: coords_to_index(pair, c),
+        for call in (lambda c: codebook_point(pair, c),
                      lambda c: lattice_add(pair, c, np.zeros_like(c)),
                      lambda c: lattice_add(pair, np.zeros_like(c), c)):
             with pytest.raises(ValueError, match="canonical"):
@@ -309,10 +308,6 @@ def test_per_coordinate_ratios_match_one_pair_per_coordinate():
     over[7, 3] = 2  # canonical at q = 7, not at this coordinate's q = 2
     with pytest.raises(ValueError, match="canonical"):
         codebook_point(pair, over)
-    with pytest.raises(ValueError, match="one nesting ratio"):
-        coords_to_index(pair, a)
-    with pytest.raises(ValueError, match="one nesting ratio"):
-        index_to_coords(pair, 3)
     with pytest.raises(ValueError, match="per coordinate"):
         NestedLatticePair(N=4, q=ratios)
     with pytest.raises(ValueError, match="prime"):
@@ -364,7 +359,7 @@ def test_point_table_holds_one_line_per_distinct_ratio():
 def test_index_coords_round_trip():
     pair = NestedLatticePair(N=3, q=3)
     for k in range(27):
-        c = index_to_coords(pair, k)
+        c = digits(k, 3, 3)
         back = 0
         for digit in reversed(c):
             back = back * 3 + int(digit)

@@ -11,6 +11,7 @@ import pytest
 from relaysec import fields, oracle
 from relaysec.amd import AmdParams
 from relaysec.amd import amd_tag
+from relaysec.channel import HonestRelay
 from relaysec.fields import (
     ExtField,
     all_matrices,
@@ -19,14 +20,12 @@ from relaysec.fields import (
     matrix_row_rank,
     row_reduce,
     row_space_levels,
-    row_spaces,
     undigits,
 )
 from relaysec.lattice import (
     NestedLatticePair,
     codebook_point,
     decode_fine_mod_coarse,
-    index_to_coords,
     lattice_add,
     represent_sums,
 )
@@ -43,6 +42,7 @@ from relaysec.oracle import (
     representation_census,
     universal_hash_census,
 )
+from relaysec.protocol import ProtocolParams, TwoHopProtocol, wilson_interval
 
 
 # ---------------------------------------------------------------------
@@ -75,6 +75,59 @@ def _seed_obs_counts(pair, g):
     order = [0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2)]
     joint = joint.reshape((n_seed,) + (q, 2) * n).transpose(order)
     return joint.reshape(n_seed, -1).astype(np.int64)
+
+
+def _engine_views(params, trials, chunk=20_000):
+    """(seeds, ids) of the seed stages of noiseless honest trials 0..trials-1 at seed 7.
+
+    ``seeds[stage]`` is the source's seed of stage 0 (x) or 1 (k) per trial, and
+    ``ids[stage]`` the ``_seed_obs_counts`` observation id of what the relay saw
+    in that exchange, formed from the engine's records of the end nodes' points.
+    """
+    proto = TwoHopProtocol(params)
+    pair, q, n = proto.seed_pair, params.q, params.N
+    seeds, ids = [[], []], [[], []]
+    for start in range(0, trials, chunk):
+        batch = proto.run_batch(HonestRelay(), 7, start, min(start + chunk, trials),
+                                keep_records=True)
+        for stage, seed in enumerate((batch.x, batch.k)):
+            rec = batch.records[stage]
+            residue, t = represent_sums(pair, rec.x1, rec.x2)
+            ids[stage].append(undigits(decode_fine_mod_coarse(pair, residue), q) * 2**n + t - 1)
+            seeds[stage].append(seed)
+    return [np.concatenate(s) for s in seeds], [np.concatenate(i) for i in ids]
+
+
+def _view_conformance(params, g, seeds, ids):
+    """Per seed stage: (draws outside the support of g's exact joint, argmax-guesser hits)."""
+    joint = _seed_obs_counts(NestedLatticePair(N=params.N, q=params.q), np.asarray(g))
+    guess = joint.argmax(axis=0)
+    return [(int(np.count_nonzero(joint[s, i] == 0)), int(np.count_nonzero(guess[i] == s)))
+            for s, i in zip(seeds, ids)]
+
+
+@pytest.mark.parametrize("params", [ProtocolParams(), ProtocolParams(
+    q=5, r=1, d=1, N=2, msg_q=5, msg_N=1, msg_r0=1)])
+def test_engine_relay_sees_what_the_oracle_assumes(params):
+    # every (seed, observation) the engine draws lies in the exact joint's support, and the
+    # exact argmax guesser hits at guessing_probability's rate (measured at the defaults:
+    # 0.06324 against 0.0634496; at (5, 1, 1, 2): 0.26491 against 0.264)
+    trials = 10**5
+    seeds, ids = _engine_views(params, trials)
+    g = TwoHopProtocol(params).extractor.matrix
+    p_guess = guessing_probability(NestedLatticePair(N=params.N, q=params.q), g)
+    for outside, hits in _view_conformance(params, g, seeds, ids):
+        low, high = wilson_interval(hits, trials, 3.29)
+        assert outside == 0 and low <= p_guess <= high, (outside, hits, p_guess)
+    if params != ProtocolParams():
+        return
+    # mutation: the defaults modelled with an extractor of another orbit (P_guess 0.1296)
+    wrong = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    p_wrong = guessing_probability(NestedLatticePair(N=params.N, q=params.q), wrong)
+    assert p_wrong == 0.1296
+    (outside, hits), _ = _view_conformance(params, wrong, seeds, ids)
+    low, high = wilson_interval(hits, trials, 3.29)
+    assert outside > 0 and not low <= p_wrong <= high, (outside, hits)
 
 
 def test_leakage_empty_extractor_is_zero():
@@ -204,7 +257,7 @@ def _observation_index_direct(pair):
     """
     q, n = pair.q, pair.N
     size = q**n
-    points = [codebook_point(pair, index_to_coords(pair, k)) for k in range(size)]
+    points = [codebook_point(pair, digits(k, q, n)) for k in range(size)]
     t_count = 2**n
     obs = np.zeros((size, size), dtype=np.int64)
     radix = q ** np.arange(n, dtype=np.int64)
@@ -229,7 +282,7 @@ def _seed_obs_counts_direct(pair, g):
     size = q**n
     obs, n_obs = _observation_index_direct(pair)
     radix_r = q ** np.arange(g.shape[0], dtype=np.int64)
-    seed = ((index_to_coords(pair, np.arange(size)) @ g.T) % q) @ radix_r
+    seed = ((digits(np.arange(size), q, n) @ g.T) % q) @ radix_r
     n_seed = q ** g.shape[0]
     flat = np.repeat(seed, size) * n_obs + obs
     return np.bincount(flat, minlength=n_seed * n_obs).reshape(n_seed, n_obs)
@@ -300,6 +353,22 @@ def test_leakage_guards_one_matrix_before_the_coordinate_tables(monkeypatch):
     assert exact_seed_leakage(NestedLatticePair(N=2, q=11), np.array([[1, 1]])) > 0
 
 
+@pytest.mark.parametrize("q, n, r", [(5, 7, 1), (3, 11, 1)])
+def test_class_pass_memory_per_cell(q, n, r):
+    # one extractor's peak per class-law cell, so a call at _MAX_MATRIX_CELLS stays
+    # near 200 MB (measured: 45 and 48 bytes for the leakage, 22 and 27 for P_guess)
+    pair, g = NestedLatticePair(N=n, q=q), np.ones((r, n), dtype=np.int64)
+    for statistic, bound in ((exact_seed_leakage, 64), (guessing_probability, 40)):
+        statistic(pair, g)  # the cached coordinate tables are not the pass's
+        tracemalloc.start()
+        try:
+            statistic(pair, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * q ** (r + n), (statistic.__name__, peak / q ** (r + n))
+
+
 def test_best_extractor_monotone_small():
     values = [
         best_extractor_exhaustive(NestedLatticePair(N=n, q=5), 1).exact_mi_bits
@@ -340,6 +409,11 @@ def test_leakage_ties_exactly_under_coordinate_permutation():
         assert [guessing_probability(pair, m) for m in stack] == guesses.tolist()
 
 
+def _level(q, rows, cols):
+    """The distinct RREFs of all rows x cols matrices: level ``rows`` of ``row_space_levels``."""
+    return next(itertools.islice(row_space_levels(q, cols), rows, None))[0]
+
+
 def _every_matrix_its_own_key(monkeypatch):
     """Stack calls then run the class pass on every matrix, as without orbit keys."""
     monkeypatch.setattr(oracle, "_orbit_keys", lambda rref, q: np.arange(len(rref))[:, None])
@@ -363,7 +437,7 @@ def test_column_sign_flips_leave_leakage_bit_identical(alpha):
 def test_orbit_keys_are_complete_at_r1(n, orbits, monkeypatch):
     # at r = 1 a change of basis is a scale, which the key minimises over
     q = 11
-    rrefs, _ = row_spaces(q, 1, n)
+    rrefs = _level(q, 1, n)
     full = rrefs[rrefs.any(axis=(1, 2))]
     keys = np.unique(oracle._orbit_keys(full, q), axis=0)
     _every_matrix_its_own_key(monkeypatch)
@@ -375,7 +449,7 @@ def test_equal_orbit_keys_give_bit_equal_leakage(monkeypatch):
     # (q, r, N) = (5, 2, 4): the 806 row spaces take 18 leakage values under 91 keys,
     # since at r > 1 one orbit may get several keys
     q, r, n = 5, 2, 4
-    rrefs, _ = row_spaces(q, r, n)
+    rrefs = _level(q, r, n)
     full = rrefs[np.count_nonzero(rrefs.any(axis=-1), axis=-1) == r]
     _, key_id = np.unique(oracle._orbit_keys(full, q), axis=0, return_inverse=True)
     key_id = key_id.reshape(-1)
@@ -489,17 +563,18 @@ def test_best_extractor_first_minimum_in_rref_order():
 
 @pytest.mark.parametrize("q, r, n", [(5, 2, 3), (3, 2, 3)])
 def test_best_extractor_representatives_match_rref_filter(q, r, n, monkeypatch):
-    # the row_spaces representatives are the matrices that are their own rank-r RREF
+    # the row_space_levels representatives are the matrices that are their own rank-r RREF
     mats = all_matrices(q, r, n)
     rref, rank = row_reduce(mats, q)
     want = mats[(rank == r) & np.all(rref == mats, axis=(1, 2))]
     seen = []
+    least_leaky = oracle._least_leaky
 
-    def leakage(pair, g):
-        seen.append(np.array(g))
-        return exact_seed_leakage(pair, g)
+    def tail(pair, stack, rref, rank):
+        seen.append(np.array(stack))
+        return least_leaky(pair, stack, rref, rank)
 
-    monkeypatch.setattr(oracle, "exact_seed_leakage", leakage)
+    monkeypatch.setattr(oracle, "_least_leaky", tail)
     pair = NestedLatticePair(N=n, q=q)
     rec = best_extractor_exhaustive(pair, r)
     assert len(seen) == 1 and np.array_equal(seen[0], want)
@@ -829,7 +904,7 @@ def test_representation_census_examples():
 
 def _isomorphism_census_scalar(pair):
     """Pair-by-pair additivity loop: the first failing (a, b) or None."""
-    coords = [index_to_coords(pair, k) for k in range(pair.q**pair.N)]
+    coords = [digits(k, pair.q, pair.N) for k in range(pair.q**pair.N)]
     for a in coords:
         pa = codebook_point(pair, a)
         for b in coords:
@@ -879,7 +954,7 @@ def test_isomorphism_census_first_counterexample_matches_scalar_loop(
 def _representation_census_scalar(pair):
     """The pair-by-pair round-trip loop: the first failing (i, j) or None."""
     size = pair.q**pair.N
-    points = [codebook_point(pair, index_to_coords(pair, k)) for k in range(size)]
+    points = [codebook_point(pair, digits(k, pair.q, pair.N)) for k in range(size)]
     for i in range(size):
         for j in range(size):
             sum_mod, t = oracle.represent_sums(pair, points[i], points[j])
