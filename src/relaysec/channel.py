@@ -121,8 +121,10 @@ class CustomRelay:
     the same words ``RandomGarble`` turns into coords, and ``s`` the (B, d)
     messages, symbol ints in [0, q^r).  The callable sees nothing else by
     construction; one that needs earlier blocks keeps them as its own state.
-    It returns the (B, N) transmission: non-finite output is rejected and
-    each row above the relay power limit is scaled down to it.
+    All three are read-only views, which the trial engine shares with every
+    other behavior run over the same trials; writing into one raises
+    ``ValueError``.  It returns the (B, N) transmission: non-finite output
+    is rejected and each row above the relay power limit is scaled down to it.
     """
 
     fn: object
@@ -187,7 +189,9 @@ def relay_step(
     messages, which only ``CustomRelay`` reads.  A pattern restarts at
     each exchange.  A custom relay's callable is called once per exchange,
     in order, with that exchange's (..., width) slices; rows it sends above
-    ``power_limit`` are scaled down to it, with one warning per pass.
+    ``power_limit`` are scaled down to it, with one warning per pass.  No
+    behavior writes into ``yr``, ``words`` or ``s``: the trial engine passes
+    read-only arrays that it shares with the other behaviors.
     """
     if np.shape(words) != np.shape(yr):
         raise ValueError(f"relay words must have the received shape {np.shape(yr)}")

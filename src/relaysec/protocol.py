@@ -37,6 +37,10 @@ custom strategies included, gets one batched ``relay_step`` call per
 pass, with the exchange widths (N, N, r, msg_N, ...) so that a pattern
 restarts at each exchange and a custom relay is still called once per
 exchange, and draws its randomness only from the layout's relay words.
+Everything before the relay (the draw, the coords and phase 1's sum) is
+the same for every behavior, so each thread forms it once per (seed,
+trial range) and keeps it, read-only, for the next behavior over those
+trials, which runs only the relay, phase 2 and the destination.
 """
 
 from __future__ import annotations
@@ -242,7 +246,7 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
-_THREAD = threading.local()  # each thread's Philox generator, re-keyed by every call
+_THREAD = threading.local()  # each thread's Philox generator and last batch's shared half
 
 
 def _philox_words(key: int, counter: int, count: int) -> np.ndarray:
@@ -418,23 +422,49 @@ class TwoHopProtocol:
         t[1, :, msg:] = blocks[:, :, n_rand:].reshape(b, -1)
         return s, x, k, u, t
 
-    def _pass(self, behavior, t: np.ndarray, words: np.ndarray, s: np.ndarray, keep: bool):
-        """(y2, records): both phases over every channel use at once, on ``pass_pair``.
+    def _shared(self, seed: int, start: int, stop: int):
+        """(relay words, s, x, k, u, t, yr, destination noise): the behavior-independent half.
 
-        ``y2`` is the destination's (B, n) observation; ``records`` holds one
-        PhaseRecord of (B, width) views per exchange when ``keep``, else is
-        empty.  The end nodes' points are not held through the pass but
-        formed again for the records, which keeps a large batch's heap peak
-        (and its page faults) down.
+        The draw, the source's coords (``_source``), Box-Muller and phase 1 of
+        trials start..stop-1.  They depend on no relay, so this thread keeps
+        the last batch's, keyed by (instance, seed, start, stop), beside its
+        Philox generator: behaviors that run in turn on one thread over the
+        same trials compute them once.  Every array is read-only.
         """
-        p, pair, n = self.params, self.pass_pair, self.uses
+        slot = getattr(_THREAD, "shared", None)
+        key = (seed, start, stop)
+        if slot is not None and slot[0] is self and slot[1] == key:
+            return slot[2]
+        _THREAD.shared = None  # the last batch's arrays go before this one's are drawn
+        p, n, per_trial = self.params, self.uses, self.trial_words
+        words = _philox_words(seed, start * per_trial // 4, (stop - start) * per_trial)
+        words = words.reshape(-1, per_trial)
+        s, x, k, u, t = self._source(words)
         noise_r = noise_d = None
         if not p.noiseless:
             noise = box_muller(words[:, self.layout["noise"]])
             noise_r, noise_d = noise[:, :n], noise[:, n:]
-        yr = phase1(*_codebook_point(pair, t), noise_r, p.noise_var_relay)
-        xr = relay_step(behavior, pair, self.widths, yr, words[:, self.layout["relay"]], s,
-                        p.power_limit)
+        yr = phase1(*_codebook_point(self.pass_pair, t), noise_r, p.noise_var_relay)
+        shared = (words[:, self.layout["relay"]], s, x, k, u, t, yr, noise_d)
+        for array in (words,) + shared:
+            if array is not None:
+                array.setflags(write=False)
+        _THREAD.shared = (self, key, shared)
+        return shared
+
+    def _pass(self, behavior, t, yr, words, noise_d, s, keep: bool):
+        """(y2, records): the relay and phase 2 over every channel use at once, on ``pass_pair``.
+
+        ``yr`` is the relay's (B, n) observation and ``noise_d`` the
+        destination's normals (None in noiseless mode), both from
+        ``_shared``.  ``y2`` is the destination's (B, n) observation;
+        ``records`` holds one PhaseRecord of (B, width) views per exchange
+        when ``keep``, else is empty.  The end nodes' points are not held
+        through the pass but formed again for the records, which keeps a
+        large batch's heap peak (and its page faults) down.
+        """
+        p, pair = self.params, self.pass_pair
+        xr = relay_step(behavior, pair, self.widths, yr, words, s, p.power_limit)
         y2 = phase2(xr, noise_d, p.noise_var_dest)
         if not keep:
             return y2, ()
@@ -486,14 +516,20 @@ class TwoHopProtocol:
         per exchange, 3 + blocks times, each call covering all B trials.
         Only the seed, start/stop and a custom relay's output are checked:
         the stages form their arrays in range and call unchecked kernels.
+
+        Each thread keeps the behavior-independent half (``_shared``: the
+        draw, the source, Box-Muller and phase 1) of the last (instance,
+        seed, start, stop) it ran, so the next behavior over the same trials
+        runs only the relay, phase 2 and the destination.  So the batch's
+        ``s``, ``x``, ``k`` and ``u`` are read-only arrays shared with those
+        behaviors' batches, as are the words, received block and messages a
+        custom relay is given.
         """
+        seed, start, stop = operator.index(seed), operator.index(start), operator.index(stop)
         if not 0 <= start < stop:
             raise ValueError(f"need 0 <= start < stop, got {start}, {stop}")
-        per_trial = self.trial_words
-        words = _philox_words(seed, start * per_trial // 4, (stop - start) * per_trial)
-        words = words.reshape(-1, per_trial)
-        s, x, k, u, t = self._source(words)
-        y2, records = self._pass(behavior, t, words, s, keep_records)
+        words, s, x, k, u, t, yr, noise_d = self._shared(seed, start, stop)
+        y2, records = self._pass(behavior, t, yr, words, noise_d, s, keep_records)
         x_hat, k_hat, u_hat, s_hat, decodable = self._destination(y2, t[1])
         h_hat = self._sub[u_hat, k_hat]
         accepted = decodable & (_amd_tag(self.amd, s_hat, x_hat) == h_hat)
@@ -536,17 +572,19 @@ class TwoHopProtocol:
         ``draw_layout`` (Philox keyed by the seed, trial i at counter
         i*W/4), so the counts are identical for any worker count and batch
         size.  The batches of ``BATCH_TRIALS`` trials of all behaviors are
-        tasks, made as they run over one pool of ``workers`` processes,
-        capped at the task count and the usable CPUs (a fork pool starts all
-        of its processes at the first submit), and summed into one total, so
-        memory does not grow with ``trials``.  A pool of one runs in this
-        process, as does a list holding a custom relay, whose callable need
-        not pickle.
+        tasks, chunk by chunk (every behavior's batch of a chunk, then the
+        next chunk), made as they run over one pool of ``workers``
+        processes, capped at the task count and the usable CPUs (a fork pool
+        starts all of its processes at the first submit), and summed into one
+        total, so memory does not grow with ``trials``.  A pool of one runs in
+        this process, as does a list holding a custom relay, whose callable
+        need not pickle; there each chunk's behaviors follow one another and
+        share its source pass (``run_batch``).
         """
         if trials < 1:
             raise ValueError("need at least one trial")
         chunks = range(0, trials, BATCH_TRIALS)
-        tasks = ((b, a, min(a + BATCH_TRIALS, trials)) for b in behaviors for a in chunks)
+        tasks = ((b, a, min(a + BATCH_TRIALS, trials)) for a in chunks for b in behaviors)
         count = partial(self._task_counts, seed)
         totals = np.zeros((len(behaviors), 3), dtype=np.int64)
         pool_size = min(workers, len(behaviors) * len(chunks), _usable_cpus())
@@ -554,8 +592,8 @@ class TwoHopProtocol:
             counts = map(count, tasks)
         else:
             counts = _pool_map(count, tasks, pool_size)
-        for i, batch in enumerate(counts):  # tasks run behavior by behavior
-            totals[i // len(chunks)] += batch
+        for i, batch in enumerate(counts):  # tasks run chunk by chunk
+            totals[i % len(behaviors)] += batch
         return totals
 
     def _task_counts(self, seed: int, task) -> np.ndarray:

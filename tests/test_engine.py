@@ -1,5 +1,6 @@
 """Batched trial engine: draw layout, batch/worker invariance, scalar reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -475,6 +476,19 @@ def _count_checks(monkeypatch) -> dict:
     return calls
 
 
+def _assert_same_batch(got, want):
+    """Every TrialBatch field and record bit-identical, dtypes included."""
+    for name in FIELDS + ("s_hat", "h_hat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert len(got.records) == len(want.records)
+    for rec, ref in zip(got.records, want.records):
+        assert rec.node2_active == ref.node2_active
+        for name in ("x1", "x2", "yr", "xr", "y2"):
+            a, b = getattr(rec, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
 def test_run_batch_range_checks_none_of_its_own_arrays(monkeypatch, params):
     """No coords, element or modulus check runs inside a batch, for any built-in
@@ -493,10 +507,12 @@ def test_run_batch_range_checks_none_of_its_own_arrays(monkeypatch, params):
                                     ProtocolParams(q=11, r=2, N=3, d=10)])  # a 70-bit payload
 def test_kernels_equal_their_checking_forms(monkeypatch, params):
     """Every field and record of a batch is bit-identical when each kernel the
-    engine calls is replaced by its checking public form."""
+    engine calls is replaced by its checking public form.  The checking run is
+    on a second instance, so its first batch forms the shared half again."""
     proto = TwoHopProtocol(params)
     behaviors = BEHAVIORS + PATTERNED + [_step_relay(params.alpha)]
     fast = [proto.run_batch(b, 21, 0, 60, keep_records=True) for b in behaviors]
+    proto = TwoHopProtocol(params)
     calls = _count_checks(monkeypatch)
     draw = channel._uniform_ints
 
@@ -510,15 +526,8 @@ def test_kernels_equal_their_checking_forms(monkeypatch, params):
     monkeypatch.setattr(protocol, "_amd_tag", amd_tag)
     for behavior, want in zip(behaviors, fast):
         got = proto.run_batch(behavior, 21, 0, 60, keep_records=True)
-        for name in FIELDS + ("s_hat",):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (behavior, name)
-        assert len(got.records) == len(want.records) == 3 + proto.blocks
-        for rec, ref in zip(got.records, want.records):
-            assert rec.node2_active == ref.node2_active
-            for name in ("x1", "x2", "yr", "xr", "y2"):
-                a, b = getattr(rec, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (behavior, name)
+        assert len(got.records) == 3 + proto.blocks
+        _assert_same_batch(got, want)
     assert calls["_check_coords"] and calls["_check_elements"] and calls["_check_moduli"]
 
 
@@ -706,3 +715,151 @@ def test_counts_equal_the_three_sums():
         got = batch.counts()
         assert got.dtype == np.int64 and got.tolist() == want
         assert not all_errors or got[0] == b
+
+
+# ---------------------------------------------------------------------
+# the behavior-independent half, shared through this thread's slot
+# ---------------------------------------------------------------------
+
+
+RANGES = [(0, 50), (0, 51), (1, 51)]  # overlapping trial ranges, each its own slot key
+
+
+@pytest.mark.parametrize("params", [NOISELESS, GAUSSIAN])
+@pytest.mark.parametrize("keep", [False, True])
+def test_a_reused_shared_half_equals_a_fresh_instance(params, keep):
+    """Each behavior, on an instance that has just run other behaviors, other
+    seeds and overlapping ranges, equals the same call on a fresh instance:
+    after another behavior on the same trials (a slot hit) and after an
+    overlapping range (a miss)."""
+    behaviors = BEHAVIORS + [_step_relay(params.alpha)]
+    proto = TwoHopProtocol(params)
+    for j, behavior in enumerate(behaviors):
+        other = behaviors[j - 1]
+        for start, stop in RANGES:
+            want = TwoHopProtocol(params).run_batch(behavior, 5, start, stop, keep_records=keep)
+            for seed, (a, b) in [(6, (start, stop))] + [(5, r) for r in RANGES]:
+                proto.run_batch(other, seed, a, b, keep_records=keep)
+            proto.run_batch(other, 5, start, stop)
+            _assert_same_batch(proto.run_batch(behavior, 5, start, stop, keep_records=keep),
+                               want)
+            overlap = RANGES[(RANGES.index((start, stop)) + 1) % len(RANGES)]
+            proto.run_batch(other, 5, *overlap)
+            _assert_same_batch(proto.run_batch(behavior, 5, start, stop, keep_records=keep),
+                               want)
+
+
+def test_instances_differing_only_in_alpha_never_share_a_slot():
+    """The slot is keyed by the instance: a second code at the same (seed, start,
+    stop) forms its own points, noise and sums."""
+    narrow, wide = (TwoHopProtocol(dataclasses.replace(GAUSSIAN, alpha=a)) for a in (3.0, 3.6))
+    want = TwoHopProtocol(wide.params).run_batch(HonestRelay(), 8, 0, 50, keep_records=True)
+    first = narrow.run_batch(HonestRelay(), 8, 0, 50, keep_records=True)
+    got = wide.run_batch(HonestRelay(), 8, 0, 50, keep_records=True)
+    _assert_same_batch(got, want)
+    assert not np.array_equal(first.records[0].yr, got.records[0].yr)
+    assert protocol._THREAD.shared[0] is wide
+
+
+def test_threads_on_one_instance_keep_their_own_slots():
+    """Three threads (more than the two cores the suite is sized on) running every
+    behavior of one instance at once, on their own seeds and switching as often
+    as the interpreter allows, get the serial rows, and each thread's slot holds
+    its own last batch."""
+    import sys
+    import threading
+
+    proto = TwoHopProtocol(GAUSSIAN)
+    seeds = [(11, 12), (13, 14), (15, 16)]
+    serial = {seed: [TwoHopProtocol(GAUSSIAN).run_batch(b, seed, 0, 60) for b in BEHAVIORS]
+              for pair in seeds for seed in pair}
+    got, last = [{}, {}, {}], [None, None, None]
+
+    def run(j):
+        for seed in seeds[j]:
+            for _ in range(3):
+                got[j][seed] = [proto.run_batch(b, seed, 0, 60) for b in BEHAVIORS]
+        last[j] = protocol._THREAD.shared[:2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for j in range(3):
+        assert last[j] == (proto, (seeds[j][-1], 0, 60))
+        for seed in seeds[j]:
+            for batch, want in zip(got[j][seed], serial[seed]):
+                _assert_same_batch(batch, want)
+
+
+def test_monte_carlo_forms_each_chunk_once_and_keeps_only_the_last(monkeypatch):
+    """Over 10 chunks of four behaviors the source pass runs once per chunk, and
+    afterwards the slot holds the last chunk's arrays alone."""
+    monkeypatch.setattr(protocol, "BATCH_TRIALS", 5)
+    proto = TwoHopProtocol(NOISELESS)
+    passes = []
+    real = TwoHopProtocol._source
+
+    def source(self, words):
+        passes.append(len(words))
+        return real(self, words)
+
+    monkeypatch.setattr(TwoHopProtocol, "_source", source)
+    counts = proto.monte_carlo(BEHAVIORS, 50, seed=3)
+    assert passes == [5] * 10
+    instance, key, (words, s, x, k, u, t, yr, noise_d) = protocol._THREAD.shared
+    assert instance is proto and key == (3, 45, 50) and noise_d is None
+    assert all(len(a) == 5 for a in (words, s, x, k, u, yr)) and t.shape[1] == 5
+    monkeypatch.setattr(protocol, "BATCH_TRIALS", 50)
+    assert np.array_equal(counts, proto.monte_carlo(BEHAVIORS, 50, seed=3))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_behavior_order_does_not_change_counts(workers):
+    """A permuted mix returns its rows permuted the same way, over three chunks."""
+    proto = TwoHopProtocol(GAUSSIAN)
+    trials = 2 * protocol.BATCH_TRIALS + 76  # 1,100 at 512 a chunk
+    counts = proto.monte_carlo(BEHAVIORS, trials, workers=workers, seed=19)
+    for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        permuted = [BEHAVIORS[i] for i in order]
+        assert np.array_equal(proto.monte_carlo(permuted, trials, workers=workers, seed=19),
+                              counts[order])
+
+
+def test_shared_arrays_are_read_only():
+    """The source's arrays in a batch, and the words, received block and messages
+    a custom relay gets, are read-only views shared with the other behaviors."""
+    proto = TwoHopProtocol(NOISELESS)
+    flags = []
+
+    def relay(words, yr, s):
+        flags.append([a.flags.writeable for a in (words, yr, s)])
+        return yr
+
+    batch = proto.run_batch(CustomRelay(relay), 2, 0, 30, keep_records=True)
+    assert flags == [[False] * 3] * (3 + proto.blocks)
+    assert not any(getattr(batch, name).flags.writeable for name in ("s", "x", "k", "u"))
+    again = proto.run_batch(HonestRelay(), 2, 0, 30)
+    assert all(getattr(again, name) is getattr(batch, name) for name in ("s", "u"))
+
+
+def test_a_relay_that_writes_its_input_raises_and_leaves_the_slot_intact():
+    proto = TwoHopProtocol(GAUSSIAN)
+
+    def scribble(words, yr, s):
+        yr += 1.0
+        return yr
+
+    with pytest.raises(ValueError, match="read-only"):
+        proto.run_batch(CustomRelay(scribble), 4, 0, 40)
+    for behavior in BEHAVIORS:
+        _assert_same_batch(proto.run_batch(behavior, 4, 0, 40, keep_records=True),
+                           TwoHopProtocol(GAUSSIAN).run_batch(behavior, 4, 0, 40,
+                                                              keep_records=True))
