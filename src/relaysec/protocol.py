@@ -568,37 +568,33 @@ class TwoHopProtocol:
         """(decode errors, false rejects, adversary wins) of each behavior, as int64 rows.
 
         Trial i of every behavior is row 0 of ``run_batch(behavior, seed, i,
-        i + 1)``: a pure function of (seed, i) under the word layout of
-        ``draw_layout`` (Philox keyed by the seed, trial i at counter
-        i*W/4), so the counts are identical for any worker count and batch
-        size.  The batches of ``BATCH_TRIALS`` trials of all behaviors are
-        tasks, chunk by chunk (every behavior's batch of a chunk, then the
-        next chunk), made as they run over one pool of ``workers``
-        processes, capped at the task count and the usable CPUs (a fork pool
-        starts all of its processes at the first submit), and summed into one
-        total, so memory does not grow with ``trials``.  A pool of one runs in
-        this process, as does a list holding a custom relay, whose callable
-        need not pickle; there each chunk's behaviors follow one another and
-        share its source pass (``run_batch``).
+        i + 1)``, so the counts are identical for any worker count and batch
+        size.  Each task is one chunk of ``BATCH_TRIALS`` trials that runs
+        every behavior on one source pass.  The chunks are made as they run,
+        in this process or over a pool of ``workers`` processes capped at the
+        chunk count and the usable CPUs, and summed into one total, so memory
+        does not grow with ``trials``.  A list holding a custom relay, whose
+        callable need not pickle, runs in this process.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
-        chunks = range(0, trials, BATCH_TRIALS)
-        tasks = ((b, a, min(a + BATCH_TRIALS, trials)) for a in chunks for b in behaviors)
-        count = partial(self._task_counts, seed)
-        totals = np.zeros((len(behaviors), 3), dtype=np.int64)
-        pool_size = min(workers, len(behaviors) * len(chunks), _usable_cpus())
+        starts = range(0, trials if behaviors else 0, BATCH_TRIALS)  # no behavior, no chunk
+        chunks = (range(a, min(a + BATCH_TRIALS, trials)) for a in starts)
+        count = partial(self._chunk_counts, behaviors, seed)
+        pool_size = min(workers, len(starts), _usable_cpus())
         if pool_size <= 1 or any(isinstance(b, CustomRelay) for b in behaviors):
-            counts = map(count, tasks)
+            counts = map(count, chunks)
         else:
-            counts = _pool_map(count, tasks, pool_size)
-        for i, batch in enumerate(counts):  # tasks run chunk by chunk
-            totals[i % len(behaviors)] += batch
+            counts = _pool_map(count, chunks, pool_size)
+        totals = np.zeros((len(behaviors), 3), dtype=np.int64)
+        for rows in counts:
+            totals += rows
         return totals
 
-    def _task_counts(self, seed: int, task) -> np.ndarray:
-        behavior, start, stop = task
-        return self.run_batch(behavior, seed, start, stop).counts()
+    def _chunk_counts(self, behaviors, seed: int, chunk: range) -> np.ndarray:
+        # the behaviors run in turn on this thread, so all but the first reuse _shared's slot
+        return np.array([self.run_batch(b, seed, chunk.start, chunk.stop).counts()
+                         for b in behaviors])
 
     def __reduce__(self):
         # pickled as its params: a pool worker runs its own cached instance

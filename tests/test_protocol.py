@@ -459,10 +459,12 @@ def test_monte_carlo_deterministic_across_workers():
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size and the most tasks
-    submitted and not yet read, and runs each task here as it is submitted."""
+    """Stands in for ProcessPoolExecutor: records its size, the tasks submitted
+    and the most submitted and not yet read, and runs each task here as it is
+    submitted."""
 
     built = []
+    submitted = 0
     most_unread = 0
 
     def __init__(self, max_workers):
@@ -476,6 +478,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
+        InlinePool.submitted += 1
         self.unread += 1
         InlinePool.most_unread = max(InlinePool.most_unread, self.unread)
         return _Done(self, fn(*args))
@@ -492,18 +495,25 @@ class _Done:
         return self.value
 
 
+def _inline_pool(monkeypatch, cpus):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "built", [])
+    monkeypatch.setattr(InlinePool, "submitted", 0)
+    monkeypatch.setattr(InlinePool, "most_unread", 0)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+
+
 @pytest.mark.parametrize("workers, cpus, pool", [
-    (100_000, 64, 4),  # capped at the four tasks
+    (100_000, 64, 4),  # capped at the four chunks
     (100_000, 3, 3),   # capped at the usable CPUs
     (2, 64, 2),
     (100_000, 1, None),  # a pool of one runs in this process
 ])
 def test_monte_carlo_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus, pool):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "built", [])
-    monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+    _inline_pool(monkeypatch, cpus)
+    monkeypatch.setattr(protocol, "BATCH_TRIALS", 8)  # 30 trials are four chunks
     behaviors = [HonestRelay(), SubstituteLattice((1,)), AdditiveLatticeOffset((1,)),
                  RandomGarble()]
     p = proto(TINY)
@@ -513,27 +523,60 @@ def test_monte_carlo_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus
 
 
 def test_monte_carlo_pool_keeps_two_tasks_per_process_in_flight(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "built", [])
-    monkeypatch.setattr(InlinePool, "most_unread", 0)
-    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)
+    _inline_pool(monkeypatch, 3)
     behaviors = [HonestRelay(), SubstituteLattice((1,)), RandomGarble()]
     p = proto(TINY)
-    trials = 4 * protocol.BATCH_TRIALS + 7  # five batches per behavior, fifteen tasks
+    trials = 6 * protocol.BATCH_TRIALS + 7  # seven chunks, one task each
     counts = p.monte_carlo(behaviors, trials, workers=3, seed=5)
     assert InlinePool.built == [3] and InlinePool.most_unread == 6
     assert np.array_equal(counts, p.monte_carlo(behaviors, trials, seed=5))
 
 
+def test_monte_carlo_pool_runs_one_task_per_chunk_on_one_source_pass(monkeypatch):
+    """Three behaviors over three chunks through a pool whose every task starts
+    with an empty slot, as on a worker that ran other chunks before: three
+    tasks, one source pass each, and the serial run's counts."""
+    _inline_pool(monkeypatch, 3)
+    monkeypatch.setattr(protocol, "BATCH_TRIALS", 10)
+    passes = []
+    real_source, real_submit = TwoHopProtocol._source, InlinePool.submit
+
+    def source(self, words):
+        passes.append(len(words))
+        return real_source(self, words)
+
+    def submit(pool, fn, *args):
+        protocol._THREAD.shared = None
+        return real_submit(pool, fn, *args)
+
+    behaviors = [HonestRelay(), SubstituteLattice((1,)), RandomGarble()]
+    p = proto(TINY)
+    serial = p.monte_carlo(behaviors, 25, seed=8)
+    monkeypatch.setattr(TwoHopProtocol, "_source", source)
+    monkeypatch.setattr(InlinePool, "submit", submit)
+    counts = p.monte_carlo(behaviors, 25, workers=3, seed=8)
+    assert InlinePool.built == [3] and InlinePool.submitted == 3
+    assert passes == [10, 10, 5]
+    assert np.array_equal(counts, serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_of_no_behaviors_is_an_empty_table(monkeypatch, workers):
+    _inline_pool(monkeypatch, 2)
+    counts = proto(TINY).monte_carlo([], 10, workers=workers)
+    assert counts.shape == (0, 3) and counts.dtype == np.int64
+    assert InlinePool.built == []
+
+
 def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
-    """10^8 trials (MAX_TRIALS) of two behaviors with each batch's engine call
+    """10^8 trials (MAX_TRIALS) of two behaviors with each chunk's engine calls
     stubbed: the running total is exact and the heap peak stays small."""
     import tracemalloc
 
-    monkeypatch.setattr(TwoHopProtocol, "_task_counts",
-                        lambda self, seed, task: np.array([task[2] - task[1], 1, 0]))
+    def chunk_counts(self, behaviors, seed, chunk):
+        return np.array([[len(chunk), 1, 0]] * len(behaviors))
+
+    monkeypatch.setattr(TwoHopProtocol, "_chunk_counts", chunk_counts)
     p, trials = proto(TINY), protocol.MAX_TRIALS // 2
     tracemalloc.start()
     try:
