@@ -3,7 +3,7 @@
 The codeword (s, x, h) ties the message s to a random seed x through the
 tag h = x^(d+2) + sum_i s_i x^i.  Additive tampering has to solve a
 nonzero polynomial in the seed it cannot see, so at most d+1 of the q^r
-seeds let any given attack through.  The census below enumerates every
+seeds let any given attack through.  The census below covers every
 additive attack and shows the worst one hits that bound exactly.
 
 Run: python demos/02_tamper_detection_code.py
@@ -33,7 +33,7 @@ print()
 print("=== exhaustive attack census ===")
 for q, r, d in [(5, 1, 1), (5, 2, 2)]:
     census = exact_amd_win_census(AmdParams(field=ExtField(q, r), d=d))
-    print(f"q={q}, r={r}, d={d}: {census.attacks} attacks enumerated; "
+    print(f"q={q}, r={r}, d={d}: {census.attacks} attacks covered; "
           f"max success {census.max_success:.4f} vs bound {census.bound:.4f} "
           f"-> {'OK' if census.holds else 'VIOLATED'}")
     top = sorted(census.histogram.items())

@@ -78,7 +78,7 @@ __all__ = [
 
 # enumeration caps, read by each guard when it runs
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
-MAX_ATTACK_ENUM = 10**8  # q^(r(d+2)) attack tuples
+MAX_ATTACK_ENUM = 10**8  # 2 q^(r(d+1)) (s', dx, dh) cells of the attack census, dx in {0, 1}
 _MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
 _MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated per row count of the full-rank census
 _CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
@@ -86,20 +86,22 @@ _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage st
 _ORBIT_BLOCK_CELLS = 2**16  # (scale, matrix, row, column) cells per block of the orbit keys
 _MAX_MATRIX_CELLS = 2**22  # q^(r+N) class-law cells of one extractor, the smallest block
 _AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
+_MAX_FIELD_CELLS = 2**20  # q^r x q^r cells of each field table the attack census reads
 
 
 class SizeGuardError(ValueError):
     """An enumeration would exceed its cap."""
 
 
-def _guard(base: int, exp: int, cap: int, what: str):
-    """Raise SizeGuardError if base^exp > cap, comparing by exponent.
+def _guard(base: int, exp: int, cap: int, what: str, times: int = 1):
+    """Raise SizeGuardError if times * base^exp > cap, comparing by exponent.
 
     For base >= 2, base^e > cap at e = cap.bit_length(), so no power beyond
     that is built, and the message states the size as a power.
     """
-    if base ** min(exp, cap.bit_length()) > cap:
+    if times * base ** min(exp, cap.bit_length()) > cap:
         size = f"{base}^{exp}" if exp != 1 else f"{base}"
+        size = f"{times}*{size}" if times != 1 else size
         raise SizeGuardError(f"{what} needs {size} states, cap is {cap}")
 
 
@@ -452,45 +454,56 @@ class AmdCensus:
 def exact_amd_win_census(params: AmdParams) -> AmdCensus:
     """Exact max acceptance probability over all additive attacks on the message s = 0.
 
-    Enumerates all (s', dx, dh) with (s'-s, dx, dh) not identically zero
-    — q^(r(d+2)) tuples — counting for each the seeds x that verify.  The
+    Covers all (s', dx, dh) with (s'-s, dx, dh) not identically zero —
+    q^(r(d+2)) - 1 attacks — counting for each the seeds x that verify.  The
     whole histogram is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
     s-dependent terms can contribute, so the census starts from s = 0; the
     tests confirm that by sweeping s through a reference census.
 
-    A forged (s', dx, dh) passes at seed x iff dh = tag(s', y) - tag(s, x)
-    with y = x + dx, so one table answers every forgery: need[y, t, dx] is
-    the flat (dx, dh) cell that seed y - dx lands on when s' has tag t at
-    y.  Each block of forged messages is tagged once per (s', seed) and
-    reads its cells from ``need`` in one gather.  ``need`` has order^3
-    entries, so it is built per block of dx; every array but the field
-    tables stays within ``_AMD_BLOCK_CELLS`` cells, or order^2 when one dx
-    needs more.
+    Only dx = 0 and dx = 1 are enumerated, because every dx != 0 gives the
+    same histogram.  A forgery passes at seed x iff P(x) = dh, where
+    P(x) = tag(s', x + dx) - x^(d+2).  P's leading term is
+    (d+2) dx x^(d+1), nonzero because q does not divide d + 2.  As s' runs
+    over GF(q^r)^d, P's coefficients of x^1..x^d take every value exactly
+    once, since s'_i reaches x^j only for j <= i, and x^i with coefficient 1
+    (a unit-triangular map); for each s', dh shifts the x^0 coefficient of
+    P - dh through every value.  So the (s', dh) pairs give each polynomial
+    of leading term (d+2) dx x^(d+1) once, and dividing by (d+2) dx, which
+    keeps the roots, gives each monic polynomial of degree d+1 once,
+    whatever dx.  The histogram is H(dx = 0) + (q^r - 1) H(dx = 1), minus
+    the zero perturbation: 2 q^(r(d+1)) enumerated (s', dx, dh) cells, the
+    size ``MAX_ATTACK_ENUM`` bounds.  A second guard bounds the q^r x q^r
+    field tables by ``_MAX_FIELD_CELLS``: both run before the tables are
+    built.
+
+    Each block of forged messages is tagged once per (s', seed) y, and one
+    gather reads the dh that seed x needs at y = x + dx.  Every array but
+    the field tables stays within ``_AMD_BLOCK_CELLS`` cells, or the 2 q^r
+    cells of one forged message when that is more.
     """
     f = params.field
     d = params.d
     order = f.order
-    _guard(order, d + 2, MAX_ATTACK_ENUM, "attack enumeration")
-    sub = f.tables()["sub"]
+    _guard(order, d + 1, MAX_ATTACK_ENUM, "attack census", times=2)
+    _guard(order, 2, _MAX_FIELD_CELLS, "the attack census's field tables")
+    tables = f.tables()
     xs = np.arange(order)
-    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), xs)
-    dx_block = max(1, _AMD_BLOCK_CELLS // (order * order))
-    hist = np.zeros(order + 1, dtype=np.int64)  # (s', dx, dh) cells per count of passing seeds
-    for dx0 in range(0, order, dx_block):
-        dxs = np.arange(dx0, min(dx0 + dx_block, order))
-        cells = len(dxs) * order  # (dx, dh) cells per forged message
-        # need[y * order + t, j]: (dx0 + j = dx, dh) flattened, for x = y - dx
-        need = sub[xs[None, :, None], base_tag[sub[xs[:, None], dxs]][:, None, :]]
-        need = (need + np.arange(len(dxs)) * order).reshape(order * order, len(dxs))
-        block = max(1, _AMD_BLOCK_CELLS // cells)  # forged messages s' per block
-        for k0 in range(0, order**d, block):
-            sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
-            tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
-            cell = need[tags + xs * order]  # (b, y, dx - dx0): the (dx, dh) cell of each seed
-            cell += (np.arange(len(sp)) * cells)[:, None, None]
-            hist += np.bincount(np.bincount(cell.ravel(), minlength=cell.size),
-                                minlength=order + 1)
+    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), xs)[:, None]
+    ys = tables["add"][xs[:, None], [0, 1]]  # ys[x, dx]: the forged seed x + dx
+    cells = 2 * order  # (dx, dh) cells per forged message
+    offsets = np.array([0, order])  # where dx's dh cells start in a forged message's
+    block = max(1, _AMD_BLOCK_CELLS // cells)  # forged messages s' per block
+    per_dx = np.zeros((2, order + 1), dtype=np.int64)  # (s', dh) cells per count of passing seeds
+    for k0 in range(0, order**d, block):
+        sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
+        tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
+        cell = tables["sub"][tags[:, ys], base_tag] + offsets  # (b, x, dx): its (dx, dh) cell
+        cell += (np.arange(len(sp)) * cells)[:, None, None]
+        counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(sp), 2, order)
+        counts[:, 1] += order + 1  # dx = 1 counts go to per_dx's second row
+        per_dx += np.bincount(counts.ravel(), minlength=per_dx.size).reshape(per_dx.shape)
+    hist = per_dx[0] + (order - 1) * per_dx[1]  # dx = 1 stands for every dx != 0
     hist[order] -= 1  # no perturbation at all, which every seed passes
     histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
     attacks = int(hist.sum())

@@ -852,11 +852,17 @@ def test_amd_census_independent_of_reference_message():
 
 @pytest.mark.parametrize("q, r, d, s", [
     (5, 1, 1, (3,)), (5, 1, 2, (0, 0)), (5, 1, 2, (4, 1)), (2, 2, 1, (2,)), (3, 1, 2, (2, 1)),
+    (5, 2, 2, (7, 19)), (2, 3, 3, (5, 0, 3)), (3, 2, 2, (4, 8)), (7, 1, 3, (6, 2, 5)),
 ])
-@pytest.mark.parametrize("block_cells", [None, 1, 3 * 5 * 5])
+@pytest.mark.parametrize("block_cells", [None, 1, 75, "ragged"])
 def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monkeypatch):
-    # None: the default block; 1: one forged message per block; 75: a ragged last block.
+    # None: the default block; 1: one forged message per block; 75: seven forged messages
+    # of GF(5) per block; ragged: q^r + 1 forged messages per block, which never divides
+    # the q^(rd) of them.  At (3, 2, 2) q divides d + 1.
     # The census starts from s = 0; the reference from s = 0 and from s gives the same.
+    order = q**r
+    if block_cells == "ragged":
+        block_cells = (order + 1) * 2 * order  # 2 q^r (dx, dh) cells per forged message
     if block_cells is not None:
         monkeypatch.setattr(oracle, "_AMD_BLOCK_CELLS", block_cells)
     params = AmdParams(field=ExtField(q, r), d=d)
@@ -864,14 +870,53 @@ def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monke
     for reference in ((0,) * d, s):
         histogram, max_hits = _amd_census_reference(params, reference)
         assert census.histogram == histogram
-        assert census.max_success == max_hits / q**r
+        assert census.max_success == max_hits / order
+        assert census.attacks == sum(histogram.values())
+        assert census.holds == (max_hits <= d + 1)
     assert census.attacks == q ** (r * (d + 2)) - 1  # only the zero perturbation is left out
 
 
+@pytest.mark.parametrize("q, r, d", [(2, 3, 1), (3, 2, 2), (7, 1, 2)])
+def test_amd_census_every_nonzero_dx_gives_one_histogram(q, r, d):
+    """The census enumerates dx = 0 and dx = 1 and counts dx = 1 for every dx != 0.
+
+    Here every dx is enumerated, with every forged message s' and every dh.
+    """
+    params = AmdParams(field=ExtField(q, r), d=d)
+    order = q**r
+    add, sub = params.field.tables()["add"], params.field.tables()["sub"]
+    xs = np.arange(order)
+    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), xs)
+    per_dx = np.zeros((order, order + 1), dtype=np.int64)  # per_dx[dx, hits]: (s', dh) cells
+    for s_prime in itertools.product(range(order), repeat=d):
+        dh = sub[amd_tag(params, np.array(s_prime), add[:, xs]), base_tag]  # dh[dx, x]
+        for dx in range(order):
+            per_dx[dx] += np.bincount(np.bincount(dh[dx], minlength=order), minlength=order + 1)
+    for dx in range(2, order):
+        assert np.array_equal(per_dx[dx], per_dx[1]), dx
+    assert not np.array_equal(per_dx[0], per_dx[1])  # dx = 0 is a case of its own
+    hist = per_dx[0] + (order - 1) * per_dx[1]
+    hist[order] -= 1  # the zero perturbation
+    assert exact_amd_win_census(params).histogram == {h: int(n) for h, n in enumerate(hist) if n}
+
+
+@pytest.mark.parametrize("q, r", [(5, 2), (2, 8)])
+def test_amd_census_d1_closed_form(q, r):
+    """At d = 1, dx != 0 gives the monic quadratics, each once per dx: Q(Q-1)/2 with two
+    roots, Q with one and Q(Q-1)/2 with none, Q = q^r.  dx = 0 gives s'x - dh, which
+    has one root when s' != 0 and none when s' = 0 and dh != 0."""
+    order = q**r
+    census = exact_amd_win_census(AmdParams(field=ExtField(q, r), d=1))
+    pairs = order * (order - 1) // 2
+    assert census.histogram == {0: (order - 1) * pairs + order - 1,
+                                1: (order - 1) * order + (order - 1) * order,
+                                2: (order - 1) * pairs}
+
+
 def test_amd_census_memory_is_bounded_by_its_block():
-    """GF(2^8), d=1: one dx per need block, since order^2 = 65,536 cells exceed the
-    block.  The parent's two-gather census peaked near 2.6 MiB; a need table for
-    every dx at once would take 134 MB."""
+    """GF(2^8), d=1: 32 forged messages of 2 * 256 (dx, dh) cells per block peak near
+    0.64 MiB.  A census over every dx with a need table per block of dx peaked near
+    2.6 MiB, and one need table for every dx at once would take 134 MB."""
     params = AmdParams(field=ExtField(2, 8), d=1)
     params.field.tables()  # the cached field tables are not the census's
     tracemalloc.start()
@@ -888,6 +933,40 @@ def test_amd_census_size_guard(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ATTACK_ENUM", 1000)
     with pytest.raises(SizeGuardError):
         exact_amd_win_census(AmdParams(field=ExtField(5, 2), d=2))
+
+
+def test_amd_census_guards_at_their_caps(monkeypatch):
+    # GF(5^2), d = 2 enumerates 2 * 25^3 (s', dx, dh) cells and reads 25^2-cell field tables
+    params = AmdParams(field=ExtField(5, 2), d=2)
+    want = exact_amd_win_census(params)
+    for cap, size, what in [("MAX_ATTACK_ENUM", 2 * 25**3, r"attack census needs 2\*25\^3"),
+                            ("_MAX_FIELD_CELLS", 25**2, r"field tables needs 25\^2")]:
+        monkeypatch.setattr(oracle, cap, size)
+        assert exact_amd_win_census(params) == want
+        monkeypatch.setattr(oracle, cap, size - 1)
+        with pytest.raises(SizeGuardError, match=what + f" states, cap is {size - 1}"):
+            exact_amd_win_census(params)
+        monkeypatch.undo()
+
+
+def test_amd_census_guards_run_before_the_field_tables(monkeypatch):
+    # GF(2^11), d = 1: 2 * 2048^2 cells are within the attack cap, but each field table
+    # would hold 2048^2 int64 cells (32 MiB); GF(2^9), d = 3 is refused by the attack cap
+    def no_tables(*args):
+        raise AssertionError("field tables built")
+
+    monkeypatch.setattr(fields, "_op_tables", no_tables)
+    with pytest.raises(SizeGuardError, match=r"field tables needs 2048\^2 states"):
+        exact_amd_win_census(AmdParams(field=ExtField(2, 11), d=1))
+    with pytest.raises(SizeGuardError, match=r"attack census needs 2\*512\^4 states"):
+        exact_amd_win_census(AmdParams(field=ExtField(2, 9), d=3))
+
+
+def test_amd_census_gf125_d2_runs_under_the_default_cap():
+    """(N, r) = (6, 3) at q = 5: 125^4 attack tuples, which a guard on them would refuse."""
+    census = exact_amd_win_census(AmdParams(field=ExtField(5, 3), d=2))
+    assert census.holds and census.max_success == census.bound == 0.024
+    assert census.attacks == 125**4 - 1 == sum(census.histogram.values())
 
 
 # ---------------------------------------------------------------------
@@ -1048,6 +1127,29 @@ def test_census_guards(monkeypatch):
         isomorphism_census(NestedLatticePair(N=2, q=5))
 
 
+@pytest.mark.parametrize("census, name", [(representation_census, "representation census"),
+                                          (isomorphism_census, "isomorphism census")])
+def test_pair_census_guards_at_their_cap(census, name, monkeypatch):
+    pair = NestedLatticePair(N=2, q=5)  # 5^4 codebook pairs
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 5**4)
+    assert census(pair) == (True, None)
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENUM", 5**4 - 1)
+    with pytest.raises(SizeGuardError, match=f"{name} needs 5\\^4 states, cap is 624"):
+        census(pair)
+
+
+@pytest.mark.parametrize("census, name", [(representation_census, "representation census"),
+                                          (isomorphism_census, "isomorphism census")])
+def test_pair_census_default_cap_refuses_before_any_work(census, name, monkeypatch):
+    # N = 2 at q = 101: 101^4 = 104,060,401 pairs, the first size above 10^8 at N = 2
+    def no_points(*args):
+        raise AssertionError("codebook points built")
+
+    monkeypatch.setattr(oracle, "codebook_point", no_points)
+    with pytest.raises(SizeGuardError, match=f"{name} needs 101\\^4 states, cap is 100000000"):
+        census(NestedLatticePair(N=2, q=101))
+
+
 # ---------------------------------------------------------------------
 # hashing, leftover, pinsker
 # ---------------------------------------------------------------------
@@ -1143,6 +1245,23 @@ def test_full_rank_census_one_level_pass_per_width(monkeypatch):
             assert holds == (Fraction(count, total) >= 1 - Fraction(q) ** (rows - cols))
         assert levels_drawn.pop() == drawn and not levels_drawn
     assert oracle.full_rank_census(2, 3)[1] == (2, 42, 64, True)
+
+
+@pytest.mark.parametrize("q, cols, short_rows", [(3, 4, 3), (2, 5, 4)])
+def test_full_rank_census_fails_a_count_below_its_bound(q, cols, short_rows, monkeypatch):
+    # q^(rows * cols) exceeds _MAX_RANK_ENUM at short_rows, so no enumeration checks the
+    # count there; one matrix below ceil((1 - q^(rows - cols)) total) must fail the bound
+    assert q ** (short_rows * cols) > oracle._MAX_RANK_ENUM
+
+    def short_count(q, rows, cols):
+        count, total = full_rank_fraction(q, rows, cols)
+        if rows == short_rows:
+            count = math.ceil((1 - Fraction(q) ** (rows - cols)) * total) - 1
+        return count, total
+
+    monkeypatch.setattr(oracle, "full_rank_fraction", short_count)
+    census = oracle.full_rank_census(q, cols)
+    assert [holds for *_, holds in census] == [rows != short_rows for rows in range(1, cols + 1)]
 
 
 def test_universal_hash_census_grid():

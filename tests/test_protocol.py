@@ -1,5 +1,6 @@
 """Four-stage protocol: correctness, detection, rates, determinism."""
 
+import decimal
 import math
 import os
 import re
@@ -438,6 +439,29 @@ def test_wilson_interval_sanity():
     assert lo == 0.0 and hi < 0.05
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+
+
+def _score_interval_roots(hits, trials, z):
+    """The Wilson interval's ends as the roots of its defining quadratic, to 40 digits.
+
+    The interval is the set of p with (hits/trials - p)^2 <= z^2 p (1 - p) / trials,
+    i.e. a p^2 + b p + c <= 0 with a = trials + z^2, b = -(2 hits + z^2) and
+    c = hits^2 / trials (both sides times trials).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        n, k, zz = decimal.Decimal(trials), decimal.Decimal(hits), decimal.Decimal(z) ** 2
+        a, b, c = n + zz, -(2 * k + zz), k * k / n
+        root = (b * b - 4 * a * c).sqrt()
+        return float((-b - root) / (2 * a)), float((-b + root) / (2 * a))
+
+
+@pytest.mark.parametrize("hits, trials", [(0, 100), (50, 100), (3, 400)])
+@pytest.mark.parametrize("z", [1.96, 3.29])
+def test_wilson_interval_is_the_score_quadratics_roots(hits, trials, z):
+    low, high = _score_interval_roots(hits, trials, z)
+    assert 0.0 <= low <= hits / trials < high
+    assert wilson_interval(hits, trials, z) == pytest.approx((low, high), rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------
