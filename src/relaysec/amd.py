@@ -74,12 +74,18 @@ def amd_tag(params: AmdParams, s, x) -> np.ndarray:
 
 
 def _amd_tag(params: AmdParams, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``amd_tag`` of int64 elements already in range, unchecked: the engine's form."""
+    """``amd_tag`` of int64 elements already in range, unchecked: the engine's form.
+
+    It reads the tables flat, ``mul.ravel()[x * order + h]``: one index
+    array per lookup takes about half the time of a broadcast index pair.
+    """
     tables = params.field.tables()
-    add, mul = tables["add"], tables["mul"]
-    h = mul[x, x]
+    add, mul = tables["add"].ravel(), tables["mul"].ravel()
+    order = params.field.order
+    row = x * order  # x's row of the multiplication table, formed once
+    h = mul[row + x]
     for i in range(params.d - 1, -1, -1):
-        h = mul[x, add[s[..., i], h]]
+        h = mul[row + add[s[..., i] * order + h]]
     return h
 
 

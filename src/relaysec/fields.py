@@ -207,7 +207,8 @@ def _op_tables(q: int, r: int, modulus: tuple[int, ...]) -> dict[str, np.ndarray
             prod[:, :, i : i + r] += a[:, :, i : i + 1] * b
         mul[a0 : a0 + rows] = undigits(_poly_rem(prod, m, q), q)
     neg = undigits((-coeffs) % q, q)
-    tables = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg}
+    # sub in C order like the others, so a flat read (``table.ravel()``) is a view
+    tables = {"add": add, "sub": np.ascontiguousarray(add[:, neg]), "mul": mul, "neg": neg}
     for table in tables.values():
         table.flags.writeable = False
     return tables

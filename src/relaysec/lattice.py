@@ -179,7 +179,7 @@ def lattice_add(pair: NestedLatticePair, a, b) -> np.ndarray:
     """Coords of (point(a) + point(b)) mod coarse."""
     a = _check_coords(pair, a)
     b = _check_coords(pair, b)
-    return (a + b) % pair.modulus
+    return reduce_mod(a + b, pair.modulus)
 
 
 def represent_sums(pair: NestedLatticePair, u1, u2) -> tuple[np.ndarray, np.ndarray]:

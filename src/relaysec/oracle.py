@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .amd import AmdParams, amd_tag, win_bound
+from .amd import AmdParams, _amd_tag, amd_tag, win_bound
 from .extract import leftover_bound, renyi_entropy, shannon_entropy
 from .fields import (
     all_matrices,
@@ -78,14 +78,17 @@ __all__ = [
 
 # enumeration caps, read by each guard when it runs
 MAX_PAIR_ENUM = 10**8  # q^(2N) codeword pairs
-MAX_ATTACK_ENUM = 10**8  # 2 q^(r(d+1)) (s', dx, dh) cells of the attack census, dx in {0, 1}
+MAX_ATTACK_ENUM = 10**8  # (s', dx, dh) cells the attack census enumerates, one s' per class
 _MAX_HASH_ENUM = 10**7  # q^(rN) matrices times q^N vectors of a hashing census
 _MAX_RANK_ENUM = 10**5  # q^(rows*cols) matrices enumerated per row count of the full-rank census
-_CENSUS_BLOCK_ELEMS = 2**18  # vector entries per block of a pair census
+# vector entries per block of a pair census: 64 KiB per float64 block array, under glibc's
+# 128 KiB mmap threshold, so the heap reuses its pages; a larger block maps and faults in
+# fresh pages for every temporary of every block
+_CENSUS_BLOCK_ELEMS = 2**13
 _LEAKAGE_BLOCK_CELLS = 2**16  # class-law cells per block of an exact-leakage stack
 _ORBIT_BLOCK_CELLS = 2**16  # (scale, matrix, row, column) cells per block of the orbit keys
 _MAX_MATRIX_CELLS = 2**22  # q^(r+N) class-law cells of one extractor, the smallest block
-_AMD_BLOCK_CELLS = 2**14  # (s', dx, dh) cells per block of the attack census
+_AMD_BLOCK_CELLS = 2**14  # (s', dh) cells per block of the attack census
 _MAX_FIELD_CELLS = 2**20  # q^r x q^r cells of each field table the attack census reads
 
 
@@ -93,15 +96,14 @@ class SizeGuardError(ValueError):
     """An enumeration would exceed its cap."""
 
 
-def _guard(base: int, exp: int, cap: int, what: str, times: int = 1):
-    """Raise SizeGuardError if times * base^exp > cap, comparing by exponent.
+def _guard(base: int, exp: int, cap: int, what: str):
+    """Raise SizeGuardError if base^exp > cap, comparing by exponent.
 
     For base >= 2, base^e > cap at e = cap.bit_length(), so no power beyond
     that is built, and the message states the size as a power.
     """
-    if times * base ** min(exp, cap.bit_length()) > cap:
+    if base ** min(exp, cap.bit_length()) > cap:
         size = f"{base}^{exp}" if exp != 1 else f"{base}"
-        size = f"{times}*{size}" if times != 1 else size
         raise SizeGuardError(f"{what} needs {size} states, cap is {cap}")
 
 
@@ -451,6 +453,28 @@ class AmdCensus:
     holds: bool
 
 
+def _forgery_rows(q: int, order: int, d: int) -> np.ndarray:
+    """(first, stop, dx, weight) rows: the forged messages of the attack census.
+
+    Row i is the range first..stop-1 of message ints (``digits`` in base
+    Q = q^r, s'_d the most significant symbol), run at seed offset dx; each
+    message stands for ``weight`` (s', dx) pairs of the census over every
+    s' and every dx, for the reasons ``exact_amd_win_census`` gives:
+    - s' = 0 at dx = 0, weight 1;
+    - at dx = 0, the messages whose highest nonzero symbol is 1, one range
+      [Q^k, 2 Q^k) per symbol k, weight Q - 1;
+    - at dx = 1, when q does not divide d + 1, the messages with s'_d = 0,
+      weight Q (Q - 1); when it does, every message, weight Q - 1.
+    """
+    top = order ** (d - 1)  # the place of s'_d
+    if (d + 1) % q:
+        translated = [0, top, 1, order * (order - 1)]
+    else:
+        translated = [0, order * top, 1, order - 1]
+    scaled = [[order**k, 2 * order**k, 0, order - 1] for k in range(d)]
+    return np.array([[0, 1, 0, 1], *scaled, translated], dtype=np.int64)
+
+
 def exact_amd_win_census(params: AmdParams) -> AmdCensus:
     """Exact max acceptance probability over all additive attacks on the message s = 0.
 
@@ -459,51 +483,80 @@ def exact_amd_win_census(params: AmdParams) -> AmdCensus:
     whole histogram is independent of the reference message s because the
     attacker's free choice of (s'-s, dh) spans every polynomial the
     s-dependent terms can contribute, so the census starts from s = 0; the
-    tests confirm that by sweeping s through a reference census.
+    tests confirm that by sweeping s through a reference census.  Q = q^r.
 
     Only dx = 0 and dx = 1 are enumerated, because every dx != 0 gives the
     same histogram.  A forgery passes at seed x iff P(x) = dh, where
     P(x) = tag(s', x + dx) - x^(d+2).  P's leading term is
     (d+2) dx x^(d+1), nonzero because q does not divide d + 2.  As s' runs
-    over GF(q^r)^d, P's coefficients of x^1..x^d take every value exactly
+    over GF(Q)^d, P's coefficients of x^1..x^d take every value exactly
     once, since s'_i reaches x^j only for j <= i, and x^i with coefficient 1
     (a unit-triangular map); for each s', dh shifts the x^0 coefficient of
     P - dh through every value.  So the (s', dh) pairs give each polynomial
     of leading term (d+2) dx x^(d+1) once, and dividing by (d+2) dx, which
     keeps the roots, gives each monic polynomial of degree d+1 once,
-    whatever dx.  The histogram is H(dx = 0) + (q^r - 1) H(dx = 1), minus
-    the zero perturbation: 2 q^(r(d+1)) enumerated (s', dx, dh) cells, the
-    size ``MAX_ATTACK_ENUM`` bounds.  A second guard bounds the q^r x q^r
-    field tables by ``_MAX_FIELD_CELLS``: both run before the tables are
-    built.
+    whatever dx.  The histogram is H(dx = 0) + (Q - 1) H(dx = 1), minus
+    the zero perturbation.
 
-    Each block of forged messages is tagged once per (s', seed) y, and one
-    gather reads the dh that seed x needs at y = x + dx.  Every array but
-    the field tables stays within ``_AMD_BLOCK_CELLS`` cells, or the 2 q^r
-    cells of one forged message when that is more.
+    Neither half enumerates every s', because a polynomial's number of
+    roots does not change under g -> lam g (lam != 0) or x -> x + c:
+    - dx = 0.  P(x) = sum_i s'_i x^i, and (lam s', lam dh) passes at the
+      same seeds as (s', dh).  So s' = 0 runs once, and each message whose
+      highest nonzero symbol is 1 stands for its Q - 1 multiples:
+      (Q^d - 1)/(Q - 1) messages of weight Q - 1.
+    - dx = 1.  x -> x + c maps the polynomials P - dh of leading term
+      (d+2) x^(d+1), one per (s', dh), onto themselves and keeps their
+      number of roots; it moves the x^d coefficient, s'_d + C(d+2, 2), by
+      (d+2)(d+1) c.  When q does not divide d + 1 that is nonzero, so each
+      translation orbit holds Q polynomials, one for each value of s'_d:
+      the Q^(d-1) messages with s'_d = 0 run with weight Q.
+      When q divides d + 1 (every binary field, GF(3^r) at d = 2 mod 3)
+      all Q^d messages run with weight 1.
+    ``_forgery_rows`` lists these ranges.  ``MAX_ATTACK_ENUM`` bounds the
+    Q (1 + (Q^d - 1)/(Q - 1) + Q^(d-1) or Q^d) (s', dx, dh) cells enumerated,
+    and a second guard bounds the Q x Q field tables by ``_MAX_FIELD_CELLS``:
+    both run before the tables are built.
+
+    All forged messages go through one blocked pass: each is tagged at its
+    seeds y = x + dx, one gather reads the dh that each seed x needs, and two
+    bincounts give each message's count of dh values per number of passing
+    seeds, which its weight adds to the histogram.  Every array but the
+    field tables stays within ``_AMD_BLOCK_CELLS`` cells, or the Q + 1 cells
+    of one forged message when that is more.
     """
     f = params.field
     d = params.d
     order = f.order
-    _guard(order, d + 1, MAX_ATTACK_ENUM, "attack census", times=2)
+    # the message ints run to Q^d < cells: a floor of the count below, which keeps it small
+    _guard(order, d, MAX_ATTACK_ENUM, "the attack census's message range")
+    rows = _forgery_rows(f.q, order, d)
+    ends = np.cumsum(rows[:, 1] - rows[:, 0])  # the census's message list, range by range
+    messages = int(ends[-1])
+    cells = order * messages
+    if cells > MAX_ATTACK_ENUM:
+        raise SizeGuardError(f"attack census needs {cells} states, cap is {MAX_ATTACK_ENUM}")
     _guard(order, 2, _MAX_FIELD_CELLS, "the attack census's field tables")
     tables = f.tables()
-    xs = np.arange(order)
-    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), xs)[:, None]
-    ys = tables["add"][xs[:, None], [0, 1]]  # ys[x, dx]: the forged seed x + dx
-    cells = 2 * order  # (dx, dh) cells per forged message
-    offsets = np.array([0, order])  # where dx's dh cells start in a forged message's
-    block = max(1, _AMD_BLOCK_CELLS // cells)  # forged messages s' per block
-    per_dx = np.zeros((2, order + 1), dtype=np.int64)  # (s', dh) cells per count of passing seeds
-    for k0 in range(0, order**d, block):
-        sp = digits(np.arange(k0, min(k0 + block, order**d)), order, d)  # (b, d) forged s'
-        tags = amd_tag(params, sp[:, None, :], xs)  # tags[b, y]: the tag of sp[b] at seed y
-        cell = tables["sub"][tags[:, ys], base_tag] + offsets  # (b, x, dx): its (dx, dh) cell
-        cell += (np.arange(len(sp)) * cells)[:, None, None]
-        counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(sp), 2, order)
-        counts[:, 1] += order + 1  # dx = 1 counts go to per_dx's second row
-        per_dx += np.bincount(counts.ravel(), minlength=per_dx.size).reshape(per_dx.shape)
-    hist = per_dx[0] + (order - 1) * per_dx[1]  # dx = 1 stands for every dx != 0
+    sub = tables["sub"].ravel()
+    base_tag = amd_tag(params, np.zeros(d, dtype=np.int64), np.arange(order))
+    ys = tables["add"][[0, 1]]  # ys[dx, x]: the forged seed x + dx
+    skip = rows[:, 1] - ends  # list position + skip = message int, range by range
+    block = max(1, _AMD_BLOCK_CELLS // (order + 1))  # forged messages per block
+    hist = np.zeros(order + 1, dtype=np.int64)  # attacks per count of passing seeds
+    for k0 in range(0, messages, block):
+        k = np.arange(k0, min(k0 + block, messages))
+        of = np.searchsorted(ends, k, side="right")  # each message's range
+        sp = digits(k + skip[of], order, d)  # (b, d) forged s'
+        tags = _amd_tag(params, sp[:, None, :], ys[rows[of, 2]])  # tags[b, x]: at seed x + dx
+        tags *= order
+        tags += base_tag
+        at = np.arange(len(k))[:, None]
+        cell = sub[tags]  # cell[b, x]: the dh seed x needs, in its message's row of cells
+        cell += at * order
+        counts = np.bincount(cell.ravel(), minlength=cell.size).reshape(len(k), order)
+        counts += at * (order + 1)  # passing seeds per (s', dh), each s' its own row
+        per_count = np.bincount(counts.ravel(), minlength=len(k) * (order + 1))
+        hist += rows[of, 3] @ per_count.reshape(len(k), order + 1)
     hist[order] -= 1  # no perturbation at all, which every seed passes
     histogram = {hits: int(n) for hits, n in enumerate(hist) if n}
     attacks = int(hist.sum())

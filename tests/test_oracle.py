@@ -840,6 +840,56 @@ def _amd_census_reference(params, s):
     return {hits: int(n) for hits, n in enumerate(hist) if n}, max_hits
 
 
+def _passing_seeds(params, dx):
+    """count[s', dh]: the seeds at which (s', dx, dh) passes, over every forged message s'."""
+    order, d = params.field.order, params.d
+    add, sub = params.field.tables()["add"], params.field.tables()["sub"]
+    xs = np.arange(order)
+    sp = digits(np.arange(order**d), order, d)[:, None, :]
+    dh = sub[amd_tag(params, sp, add[dx]), amd_tag(params, np.zeros(d, dtype=np.int64), xs)]
+    return np.bincount((dh + np.arange(order**d)[:, None] * order).ravel(),
+                       minlength=order ** (d + 1)).reshape(order**d, order)
+
+
+def _amd_census_every_message(params):
+    """The census over every forged message s' at dx = 0 and dx = 1: (histogram, max hits).
+
+    dx = 1 stands for every dx != 0, and the zero perturbation is left out.
+    """
+    order = params.field.order
+    per_dx = [np.bincount(_passing_seeds(params, dx).ravel(), minlength=order + 1)
+              for dx in (0, 1)]
+    hist = per_dx[0] + (order - 1) * per_dx[1]
+    hist[order] -= 1
+    return {h: int(n) for h, n in enumerate(hist) if n}, int(np.flatnonzero(hist).max())
+
+
+# (q, r, d): GF(2), GF(2^2) d = 1 and 3, GF(2^3) d = 3, GF(2^4), GF(2^5), GF(2^8) d = 1,
+# GF(3) d = 2 and 3, GF(3^2) d = 2, GF(3^3) d = 2, GF(5) d = 1 and 2, GF(5^2) d = 1 and 2,
+# GF(7) d = 1 and 3, GF(11) d = 1, GF(13) d = 1 and 2; q divides d + 1 at 10 of them
+_CENSUS_FIELDS = [(2, 1, 1), (2, 2, 1), (2, 2, 3), (2, 3, 3), (2, 4, 3), (2, 5, 1), (2, 8, 1),
+                  (3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 3, 2), (5, 1, 1), (5, 1, 2), (5, 2, 1),
+                  (5, 2, 2), (7, 1, 1), (7, 1, 3), (11, 1, 1), (13, 1, 1), (13, 1, 2)]
+
+
+@pytest.mark.parametrize("q, r, d", _CENSUS_FIELDS + [(5, 3, 2)])
+def test_amd_census_matches_every_message(q, r, d):
+    """One forged message per symmetry class gives the census over every message.
+
+    The per-message reference runs on every field but GF(5^3), d = 2, where it takes seconds.
+    """
+    params = AmdParams(field=ExtField(q, r), d=d)
+    census = exact_amd_win_census(params)
+    references = [_amd_census_every_message(params)]
+    if (q, r, d) != (5, 3, 2):
+        references.append(_amd_census_reference(params, (0,) * d))
+    for histogram, max_hits in references:
+        assert census.histogram == histogram
+        assert census.max_success == max_hits / q**r
+        assert census.attacks == sum(histogram.values()) == q ** (r * (d + 2)) - 1
+        assert census.holds == (max_hits <= d + 1)
+
+
 def test_amd_census_independent_of_reference_message():
     # every reference message s of GF(5)^d, d = 1 and 2, gives the census from s = 0
     for d in (1, 2):
@@ -853,16 +903,21 @@ def test_amd_census_independent_of_reference_message():
 @pytest.mark.parametrize("q, r, d, s", [
     (5, 1, 1, (3,)), (5, 1, 2, (0, 0)), (5, 1, 2, (4, 1)), (2, 2, 1, (2,)), (3, 1, 2, (2, 1)),
     (5, 2, 2, (7, 19)), (2, 3, 3, (5, 0, 3)), (3, 2, 2, (4, 8)), (7, 1, 3, (6, 2, 5)),
+    (5, 1, 4, (1, 0, 4, 2)),
 ])
 @pytest.mark.parametrize("block_cells", [None, 1, 75, "ragged"])
 def test_amd_census_blocks_match_per_message_loop(q, r, d, s, block_cells, monkeypatch):
-    # None: the default block; 1: one forged message per block; 75: seven forged messages
-    # of GF(5) per block; ragged: q^r + 1 forged messages per block, which never divides
-    # the q^(rd) of them.  At (3, 2, 2) q divides d + 1.
+    # None: the default block; 1: one forged message per block; 75: twelve forged messages
+    # of GF(5) per block, at q^r + 1 cells each; ragged: just over half of the forged
+    # messages per block, so the second block is partial.  q divides d + 1 at (2, 2, 1),
+    # (3, 1, 2), (2, 3, 3), (3, 2, 2) and (5, 1, 4), so every message runs at dx = 1
+    # there; at the others, (7, 1, 3) among them, only those with s'_d = 0.
     # The census starts from s = 0; the reference from s = 0 and from s gives the same.
     order = q**r
     if block_cells == "ragged":
-        block_cells = (order + 1) * 2 * order  # 2 q^r (dx, dh) cells per forged message
+        rows = oracle._forgery_rows(q, order, d)
+        messages = int((rows[:, 1] - rows[:, 0]).sum())
+        block_cells = (messages // 2 + 1) * (order + 1)
     if block_cells is not None:
         monkeypatch.setattr(oracle, "_AMD_BLOCK_CELLS", block_cells)
     params = AmdParams(field=ExtField(q, r), d=d)
@@ -900,6 +955,38 @@ def test_amd_census_every_nonzero_dx_gives_one_histogram(q, r, d):
     assert exact_amd_win_census(params).histogram == {h: int(n) for h, n in enumerate(hist) if n}
 
 
+@pytest.mark.parametrize("q, r, d", [(2, 3, 1), (3, 2, 2), (7, 1, 2), (5, 2, 1), (7, 1, 3),
+                                     (5, 1, 4), (3, 1, 3)])
+def test_amd_census_every_class_gives_one_histogram(q, r, d):
+    """The symmetries the census enumerates by, checked on every forged message.
+
+    dx = 0: (lam s', lam dh) passes at the seeds (s', dh) does, so every ray
+    {lam s' : lam != 0} holds one count per dh, and the messages whose highest nonzero
+    symbol is lam give one histogram for every lam.  dx = 1: when q does not divide d + 1,
+    x -> x + c moves s'_d through every value, so each slice s'_d = v holds one message
+    per translation orbit and every v gives one histogram, a 1/q^r share of the whole;
+    when q divides d + 1 the slices are unions of orbits, and they differ.
+    """
+    params = AmdParams(field=ExtField(q, r), d=d)
+    order = q**r
+    mul = params.field.tables()["mul"]
+    messages = digits(np.arange(order**d), order, d)
+    count = _passing_seeds(params, 0)
+    for lam in range(2, order):
+        scaled = undigits(mul[lam, messages], order)  # the index of lam s'
+        assert np.array_equal(count[scaled][:, mul[lam]], count), lam
+    top = messages[np.arange(1, order**d), (messages[1:] != 0).cumsum(axis=1).argmax(axis=1)]
+    per_count = np.apply_along_axis(np.bincount, 1, count, minlength=order + 1)
+    rays = [per_count[1:][top == lam].sum(axis=0) for lam in range(1, order)]
+    assert all(np.array_equal(ray, rays[0]) for ray in rays)
+    per_count = np.apply_along_axis(np.bincount, 1, _passing_seeds(params, 1), minlength=order + 1)
+    slices = [per_count[messages[:, -1] == v].sum(axis=0) for v in range(order)]
+    same = all(np.array_equal(piece, slices[0]) for piece in slices)
+    assert same == bool((d + 1) % q)
+    if same:
+        assert np.array_equal(order * slices[0], per_count.sum(axis=0))
+
+
 @pytest.mark.parametrize("q, r", [(5, 2), (2, 8)])
 def test_amd_census_d1_closed_form(q, r):
     """At d = 1, dx != 0 gives the monic quadratics, each once per dx: Q(Q-1)/2 with two
@@ -914,9 +1001,10 @@ def test_amd_census_d1_closed_form(q, r):
 
 
 def test_amd_census_memory_is_bounded_by_its_block():
-    """GF(2^8), d=1: 32 forged messages of 2 * 256 (dx, dh) cells per block peak near
-    0.64 MiB.  A census over every dx with a need table per block of dx peaked near
-    2.6 MiB, and one need table for every dx at once would take 134 MB."""
+    """GF(2^8), d=1: 258 forged messages in blocks of 63, each message 256 dh cells and
+    257 counts, peak near 1.1 MiB, most of it the tag's Horner temporaries.  A census
+    over every dx with a need table per block of dx peaked near 2.6 MiB, and one need
+    table for every dx at once would take 134 MB."""
     params = AmdParams(field=ExtField(2, 8), d=1)
     params.field.tables()  # the cached field tables are not the census's
     tracemalloc.start()
@@ -936,10 +1024,12 @@ def test_amd_census_size_guard(monkeypatch):
 
 
 def test_amd_census_guards_at_their_caps(monkeypatch):
-    # GF(5^2), d = 2 enumerates 2 * 25^3 (s', dx, dh) cells and reads 25^2-cell field tables
+    # GF(5^2), d = 2 enumerates 25 (1 + 26 + 25) = 1,300 (s', dx, dh) cells: s' = 0 and the
+    # 26 messages whose highest nonzero symbol is 1 at dx = 0, the 25 with s'_2 = 0 at
+    # dx = 1; its field tables hold 25^2 cells each
     params = AmdParams(field=ExtField(5, 2), d=2)
     want = exact_amd_win_census(params)
-    for cap, size, what in [("MAX_ATTACK_ENUM", 2 * 25**3, r"attack census needs 2\*25\^3"),
+    for cap, size, what in [("MAX_ATTACK_ENUM", 1300, r"attack census needs 1300"),
                             ("_MAX_FIELD_CELLS", 25**2, r"field tables needs 25\^2")]:
         monkeypatch.setattr(oracle, cap, size)
         assert exact_amd_win_census(params) == want
@@ -950,16 +1040,26 @@ def test_amd_census_guards_at_their_caps(monkeypatch):
 
 
 def test_amd_census_guards_run_before_the_field_tables(monkeypatch):
-    # GF(2^11), d = 1: 2 * 2048^2 cells are within the attack cap, but each field table
-    # would hold 2048^2 int64 cells (32 MiB); GF(2^9), d = 3 is refused by the attack cap
+    # GF(2^11), d = 1: 2048 (2 + 2048) cells are within the attack cap, but each field table
+    # would hold 2048^2 int64 cells (32 MiB); GF(2^7), d = 3 needs 128 (1 + 16513 + 128^3)
+    # cells, over the attack cap; at GF(2^9), d = 3 the message ints alone run past it
     def no_tables(*args):
         raise AssertionError("field tables built")
 
     monkeypatch.setattr(fields, "_op_tables", no_tables)
     with pytest.raises(SizeGuardError, match=r"field tables needs 2048\^2 states"):
         exact_amd_win_census(AmdParams(field=ExtField(2, 11), d=1))
-    with pytest.raises(SizeGuardError, match=r"attack census needs 2\*512\^4 states"):
+    with pytest.raises(SizeGuardError, match=r"attack census needs 270549248 states"):
+        exact_amd_win_census(AmdParams(field=ExtField(2, 7), d=3))
+    with pytest.raises(SizeGuardError, match=r"message range needs 512\^3 states"):
         exact_amd_win_census(AmdParams(field=ExtField(2, 9), d=3))
+
+
+def test_amd_census_gf625_d2_runs_under_the_default_cap():
+    """(8, 4) at q = 5: 625^4 attack tuples from 625 (1 + 626 + 625) = 782,500 cells."""
+    census = exact_amd_win_census(AmdParams(field=ExtField(5, 4), d=2))
+    assert census.holds and census.max_success == census.bound == 3 / 625
+    assert census.attacks == 625**4 - 1 == sum(census.histogram.values())
 
 
 def test_amd_census_gf125_d2_runs_under_the_default_cap():
